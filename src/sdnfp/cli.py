@@ -227,12 +227,18 @@ def cmd_report(args) -> int:
 
 
 def _load_bundle(bundle_dir: Path) -> ResultBundle:
-    """Rebuild enough of a bundle from its persisted files for reporting."""
+    """Rebuild enough of a bundle from its persisted files for reporting.
+
+    The scenario's histogram bin width and time span come from the bundle's
+    scenario.json, so a report bins each bundle as it was simulated.
+    """
     results_path = bundle_dir / "results.json"
     samples_path = bundle_dir / "samples.csv"
-    if not results_path.exists() or not samples_path.exists():
-        raise ConfigError(f"bundles: {bundle_dir} lacks results.json/samples.csv")
+    scenario_path = bundle_dir / "scenario.json"
+    if not all(p.exists() for p in (results_path, samples_path, scenario_path)):
+        raise ConfigError(f"bundles: {bundle_dir} lacks results.json/samples.csv/scenario.json")
     meta = json.loads(results_path.read_text(encoding="utf-8"))
+    described = json.loads(scenario_path.read_text(encoding="utf-8"))
     samples = read_feature_csv(samples_path)
     feature_results = {}
     for feature, row in meta["features"].items():
@@ -250,6 +256,8 @@ def _load_bundle(bundle_dir: Path) -> ResultBundle:
         k=meta["k"],
         switch_kind=meta["switch_kind"],
         data_link_bps=meta["data_link_bps"],
+        time_span_ns=round(described["time_span_s"] * 1e9),
+        bin_width_ms=described["bin_width_ms"],
     )
     return ResultBundle(
         scenario=scenario,

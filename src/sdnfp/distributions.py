@@ -68,6 +68,27 @@ class DelayModel:
         z = rng.standard_normal()
         return ns_from_float(self.median_ns * math.exp(self.sigma_log * z))
 
+    def pareto_ns_from_uniform(self, u: np.ndarray) -> np.ndarray:
+        """Array form of the Pareto branch of sample_ns for given random() draws.
+
+        Bit-identical to sample_ns draw by draw: np.power may differ from
+        Python's ** in the last ulp, which can only change the half-up rounding
+        for a value within a few ulps of a rounding boundary, so those draws
+        are recomputed with the scalar formula.
+        """
+        alpha, x_m = self.pareto_shape_scale()
+        exponent = -1.0 / alpha
+        shifted = x_m * np.power(1.0 - u, exponent) + 0.5
+        if shifted.size and shifted.max() >= 2.0**62:
+            raise ValueError("Pareto delay exceeds the int64 nanosecond range")
+        ns = np.floor(shifted)
+        frac = shifted - ns
+        tol = np.maximum(1e-6, 64.0 * np.spacing(shifted))
+        ns = ns.astype(np.int64)
+        for idx in zip(*np.nonzero((frac < tol) | (frac > 1.0 - tol))):
+            ns[idx] = ns_from_float(x_m * (1.0 - float(u[idx])) ** exponent)
+        return ns
+
     def mean_estimate_ns(self) -> float:
         """Analytic mean where it exists (lognormal uses exp moment)."""
         if self.kind == "none":

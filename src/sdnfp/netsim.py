@@ -1,4 +1,4 @@
-"""Deterministic per-packet model of a client->server path through OpenFlow switches.
+"""Deterministic model of a client->server path through OpenFlow switches.
 
 Topology convention: node 0 is the client, forward link i connects node i to
 node i+1, and switch j sits at node j+1 (so its egress is forward link j+1).
@@ -24,11 +24,34 @@ the pair gap grow by the penalty.
 Replies are small, never queue, and take independent per-hop delays, so a
 reply overtaken by its predecessor's reverse-path jitter yields a negative
 measured dispersion.
+
+Two implementations share these semantics:
+
+* `simulate_trials` is the engine.  It runs one single-flow schedule for many
+  independent trials at once: every quantity above is a numpy array over a
+  trial axis, and each packet x hop step applies the FIFO recursion to all
+  trials together.  Flow-table contents, install windows, pending CLEARs,
+  full tables, delay-element activity and drift are per-trial state arrays;
+  the branches of the switch model are masks over them.
+* `Simulation` is the scalar reference model: one trial, one packet at a
+  time, with Python objects for tables and windows.  It is the oracle the
+  differential tests hold the engine to, trace for trial.
+
+Randomness.  Every trial owns an `RngStreams` with four independent named
+generators, and both implementations consume each stream in the same order,
+so they produce the same bits.  Streams with a single draw type and a layout
+fixed by the schedule are drawn as one block per trial: `cross` (one
+`random()` per hop with Pareto cross traffic) and `drift` (one
+`standard_normal()` per send time that advances the clock); numpy's block
+draws equal the same number of scalar calls.  The `control` stream (lookup
+and install delays, which may mix `random()` and `standard_normal()`) and the
+`defense` stream (delay-element holds) are drawn per event, in packet order
+within each trial, by the same scalar samplers the reference model calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,14 +130,18 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class SwitchSpec:
+    """Immutable switch description; each simulation builds its own flow table."""
+
     id: str
-    kind: str  # hardware | software, immutable after construction
+    kind: str  # hardware | software
     install_delay: DelayModel
-    table: FlowTable = field(default_factory=FlowTable)
+    table_capacity: int = DEFAULT_TABLE_CAPACITY
 
     def __post_init__(self):
         if self.kind not in (HARDWARE, SOFTWARE):
             raise ValueError(f"switch kind must be hardware or software, got {self.kind!r}")
+        if self.table_capacity < 0:
+            raise ValueError("table capacity must be >= 0")
         if self.install_delay.kind == "none" or (
             self.install_delay.kind == "constant" and self.install_delay.value_ns <= 0
         ):
@@ -218,30 +245,32 @@ class DriftModel:
 
 
 class RngStreams:
-    """Named substreams so that unrelated noise sources never share draws."""
+    """Named substreams so that unrelated noise sources never share draws.
+
+    Stream i is seeded from SeedSequence(entropy=seed, spawn_key=(group,
+    trial, i)) on first access, so a stream a trial never touches costs
+    nothing and the draws do not depend on which streams were built.
+    """
 
     _NAMES = ("cross", "control", "defense", "drift")
 
     def __init__(self, seed: int, trial: int = 0, group: int = 0):
-        self._gens = {
-            name: np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(group, trial, i))
-            )
-            for i, name in enumerate(self._NAMES)
-        }
+        self._seed = seed
+        self._spawn_key = (group, trial)
 
     def __getattr__(self, name: str) -> np.random.Generator:
-        if name.startswith("_"):
+        if name.startswith("_") or name not in self._NAMES:
             raise AttributeError(name)
-        try:
-            return self._gens[name]
-        except KeyError:
-            raise AttributeError(name)
+        seq = np.random.SeedSequence(
+            entropy=self._seed, spawn_key=(*self._spawn_key, self._NAMES.index(name))
+        )
+        gen = self.__dict__[name] = np.random.default_rng(seq)
+        return gen
 
     @classmethod
     def shared(cls, rng: np.random.Generator) -> "RngStreams":
         obj = cls.__new__(cls)
-        obj._gens = {name: rng for name in cls._NAMES}
+        obj.__dict__.update(dict.fromkeys(cls._NAMES, rng))
         return obj
 
 
@@ -253,35 +282,55 @@ def _coerce_streams(rng) -> RngStreams:
     return RngStreams(int(rng))
 
 
-def handle_table_miss(
-    key: FlowKey, path: PathSpec, controller: ControllerSpec, rng
-) -> MissOutcome:
-    """Install `key` bidirectionally at all configured switches, return the charge.
+def new_flow_tables(path: PathSpec) -> tuple[FlowTable, ...]:
+    """One empty table per switch, sized by its spec."""
+    return tuple(FlowTable(sw.table_capacity) for sw in path.switches)
 
-    The charge is lookup_delay plus the maximum of the per-switch install
-    delay samples; the controller reconfigures every switch at once, so only
-    the slowest install is visible. A full table skips the install (the
-    packet is still forwarded) and is reported, not raised.
+
+def miss_charge_ns(path: PathSpec, controller: ControllerSpec, gen: np.random.Generator) -> int:
+    """Lookup delay plus the slowest configured switch's install delay.
+
+    Draws the lookup first, then one install per configured switch in path
+    order; the controller reconfigures every switch at once, so only the
+    slowest install is visible.
     """
-    streams = _coerce_streams(rng)
-    gen = streams.control
     if path.configured_count < 1:
         raise ValueError("table miss needs at least one configured switch")
     penalty = controller.lookup_delay.sample_ns(gen)
     max_install = 0
-    full: list[str] = []
     for sw in path.switches[: path.configured_count]:
         max_install = max(max_install, sw.install_delay.sample_ns(gen))
-        ok_fwd = sw.table.install(key)
-        ok_rev = sw.table.install(key.reversed())
+    return penalty + max_install
+
+
+def handle_table_miss(
+    key: FlowKey,
+    path: PathSpec,
+    controller: ControllerSpec,
+    rng,
+    tables: tuple[FlowTable, ...] | None = None,
+) -> MissOutcome:
+    """Install `key` bidirectionally at all configured switches, return the charge.
+
+    `tables` are the simulation's flow tables, one per switch (fresh empty
+    ones when omitted).  A full table skips the install (the packet is still
+    forwarded) and is reported, not raised.
+    """
+    penalty = miss_charge_ns(path, controller, _coerce_streams(rng).control)
+    if tables is None:
+        tables = new_flow_tables(path)
+    full: list[str] = []
+    for sw, table in zip(path.switches[: path.configured_count], tables):
+        ok_fwd = table.install(key)
+        ok_rev = table.install(key.reversed())
         if not (ok_fwd and ok_rev):
             full.append(sw.id)
-    return MissOutcome(penalty_ns=penalty + max_install, full_switch_ids=tuple(full))
+    return MissOutcome(penalty_ns=penalty, full_switch_ids=tuple(full))
 
 
-def clear_flow_tables(path: PathSpec) -> None:
-    for sw in path.switches:
-        sw.table.clear()
+def clear_flow_tables(tables) -> None:
+    for table in tables:
+        table.clear()
 
 
 class _InstallWindow:
@@ -294,10 +343,11 @@ class _InstallWindow:
 
 
 class Simulation:
-    """One deterministic trial over a path: owns FIFO, table and flow state.
+    """Scalar reference model of one trial: owns FIFO, table and flow state.
 
-    The constructor resets the path's flow tables so that trials are
-    independent; pass warm_keys to start with rules pre-installed.
+    Every simulation builds its own empty flow tables, so simulations on one
+    path never see each other's rules; pass warm_keys to start with rules
+    pre-installed.
     """
 
     def __init__(
@@ -319,11 +369,11 @@ class Simulation:
         self.reply_bytes = reply_bytes
         self.turnaround_ns = turnaround_ns
 
-        clear_flow_tables(path)
+        self.tables = new_flow_tables(path)
         for key in warm_keys:
-            for sw in path.switches[: path.configured_count]:
-                sw.table.install(key)
-                sw.table.install(key.reversed())
+            for table in self.tables[: path.configured_count]:
+                table.install(key)
+                table.install(key.reversed())
 
         self.fwd_busy_ns = [0] * len(path.forward_links)
         self.pending_clear_ns: int | None = None
@@ -361,7 +411,7 @@ class Simulation:
 
     def _apply_pending_clear(self, now_ns: int) -> None:
         if self.pending_clear_ns is not None and now_ns >= self.pending_clear_ns:
-            clear_flow_tables(self.path)
+            clear_flow_tables(self.tables)
             self.install_windows.clear()
             if self.activity is not None:
                 self.activity.clear()
@@ -386,10 +436,9 @@ class Simulation:
 
             decision = select_bucket(packet.key, arrival_ns, self.activity, element)
 
-        sw = self.path.switches[s_idx]
         key = packet.key
-        if key not in sw.table:
-            outcome = handle_table_miss(key, self.path, self.controller, self.streams)
+        if key not in self.tables[s_idx]:
+            outcome = handle_table_miss(key, self.path, self.controller, self.streams, self.tables)
             self.install_events += 1
             if outcome.full_switch_ids:
                 self.table_full_events += 1
@@ -474,6 +523,257 @@ class Simulation:
             table_full=table_full,
             forward_arrivals_ns=tuple(arrivals),
         )
+
+
+# -- trial-batched engine ---------------------------------------------------
+
+
+@dataclass
+class TrialTraces:
+    """Outcome of every packet of a schedule in every trial.
+
+    Each array is indexed [packet, trial], in schedule and stream order.
+    """
+
+    server_recv_ns: np.ndarray
+    server_reply_send_ns: np.ndarray
+    client_recv_ns: np.ndarray
+    miss_flag: np.ndarray
+    table_full: np.ndarray
+
+
+def _cross_delays(path: PathSpec, n_packets: int, streams) -> list[np.ndarray]:
+    """Per-link cross-traffic delays, forward links then reverse links.
+
+    Each entry is a [packet, trial] array.  A trial's `cross` stream is drawn
+    as one block laid out packet by packet, forward hops then reverse hops,
+    one `random()` per Pareto hop: the order in which the reference model
+    draws them.
+    """
+    links = (*path.forward_links, *path.reverse_links)
+    models = [l.cross_traffic.delay_model() if l.cross_traffic else NO_DELAY for l in links]
+    shape = (n_packets, len(streams))
+    delays = [np.broadcast_to(np.int64(m.value_ns), shape) for m in models]
+    drawn = [j for j, m in enumerate(models) if m.kind == "pareto"]
+    if drawn:
+        block = np.stack([s.cross.random(n_packets * len(drawn)) for s in streams])
+        block = block.reshape(len(streams), n_packets, len(drawn))
+        for col, j in enumerate(drawn):
+            delays[j] = models[j].pareto_ns_from_uniform(block[:, :, col].T)
+    return delays
+
+
+def _wander(drift: DriftModel | None, packets, streams) -> list:
+    """Path-latency wander at each packet's send time, as [trial] arrays.
+
+    One `standard_normal()` per send time that advances the walk's clock, so
+    the `drift` stream is drawn as one block per trial; the walk accumulates
+    in the reference model's float operation order.
+    """
+    if drift is None:
+        return [0] * len(packets)
+    sends = [p.sent_at_ns for p in packets]
+    steps = []
+    t_prev = 0
+    for t in sends:
+        if t - t_prev > 0:
+            steps.append(((t - t_prev) / 1e9) ** 0.5)
+            t_prev = t
+    z = np.stack([s.drift.standard_normal(len(steps)) for s in streams])
+    walk = np.zeros(len(streams))
+    wander = []
+    j, t_prev = 0, 0
+    for t in sends:
+        if t - t_prev > 0:
+            walk = walk + z[:, j] * drift.sigma_ns_per_sqrt_s * steps[j]
+            j += 1
+            t_prev = t
+        wander.append(np.maximum(0.0, np.trunc(drift.base_ns + walk)).astype(np.int64))
+    return wander
+
+
+class _TrialBatch:
+    """Switch and controller state of many trials, one array entry per trial.
+
+    Mirrors Simulation's `_apply_pending_clear` and `_switch_process` with
+    masks in place of branches.  The flow's rules at configured switch s are
+    counted in rules[s]: 0 none, 1 the forward key only (what a capacity-1
+    table keeps), 2 both directions.
+    """
+
+    def __init__(self, path: PathSpec, controller: ControllerSpec, streams, warm: bool):
+        self.path = path
+        self.controller = controller
+        self.streams = streams
+        self.element = path.delay_element
+        k = path.configured_count
+        n = len(streams)
+        self.full_rules = [min(2, sw.table_capacity) for sw in path.switches[:k]]
+        self.rules = [np.full(n, r if warm else 0, np.int8) for r in self.full_rules]
+        self.win_open = [np.zeros(n, bool) for _ in range(k)]
+        self.win_start = [np.zeros(n, np.int64) for _ in range(k)]
+        self.win_end = [np.zeros(n, np.int64) for _ in range(k)]
+        self.win_penalty = [np.zeros(n, np.int64) for _ in range(k)]
+        self.last_release = np.zeros(n, np.int64)
+        self.clear_pending = np.zeros(n, bool)
+        self.clear_at = np.zeros(n, np.int64)
+        # Delay-element activity record of the flow.
+        self.seen = np.zeros(n, bool)
+        self.last_seen = np.zeros(n, np.int64)
+        self.window_until = np.zeros(n, np.int64)
+
+    def apply_pending_clear(self, now: np.ndarray) -> None:
+        if not self.clear_pending.any():
+            return
+        done = self.clear_pending & (now >= self.clear_at)
+        for held in self.rules:
+            held[done] = 0
+        for w in self.win_open:
+            w[done] = False
+        self.seen[done] = False
+        self.clear_pending &= ~done
+
+    def schedule_clear(self, now: np.ndarray) -> None:
+        """A CLEAR reaches the outermost switch: all rules go after the controller's delay."""
+        self.clear_at = now + self.controller.clear_delay_ns
+        self.clear_pending[:] = True
+
+    def select_bucket(self, now: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """defense.select_bucket over the trial axis: (delayed, first) masks."""
+        cfg = self.element
+        first = ~self.seen | (now - self.last_seen > cfg.t_th_ns)
+        delayed = first | (now < self.window_until)
+        self.window_until = np.where(first, now + cfg.window_ns, self.window_until)
+        self.last_seen = now
+        self.seen[:] = True
+        return delayed, first
+
+    def switch_process(self, s: int, now: np.ndarray, miss_flag, table_full):
+        """A probe reaches configured switch s; returns (ready, surcharge).
+
+        Sets the probe's miss_flag and table_full entries of trials that miss.
+        """
+        if self.element is not None and s == 0:
+            delayed, first = self.select_bucket(now)
+        in_install = self.win_open[s] & (self.win_start[s] <= now) & (now < self.win_end[s])
+        miss = self.rules[s] == 0
+        ready = now.copy()
+        surcharge = np.zeros_like(now)
+        idx = np.flatnonzero(miss)
+        if idx.size:
+            charge = np.array(
+                [miss_charge_ns(self.path, self.controller, self.streams[t].control) for t in idx],
+                np.int64,
+            )
+            full = np.zeros(idx.size, bool)
+            for held, n in zip(self.rules, self.full_rules):
+                held[idx] = np.maximum(held[idx], n)
+                full |= held[idx] < 2
+            at = now[idx]
+            self.win_open[s][idx] = True
+            self.win_start[s][idx] = at
+            self.win_end[s][idx] = at + charge
+            self.win_penalty[s][idx] = charge
+            self.last_release[idx] = at + charge
+            surcharge[idx] = charge
+            miss_flag[idx] = True
+            table_full[idx] |= full
+        rest = ~miss
+        if self.element is not None and s == 0:
+            parked = rest & (in_install | delayed)
+            rest &= ~parked
+            idx = np.flatnonzero(parked)
+            if idx.size:
+                release = np.maximum(now[idx] + self._holds(idx, first), self.last_release[idx])
+                self.last_release[idx] = release
+                ready[idx] = release
+        slow = rest & in_install
+        surcharge[slow] = self.win_penalty[s][slow]
+        self.last_release[slow] = now[slow] + self.win_penalty[s][slow]
+        fast = rest & ~in_install
+        ready[fast] = np.maximum(now[fast], self.last_release[fast])
+        self.last_release[fast] = ready[fast]
+        return ready, surcharge
+
+    def _holds(self, idx: np.ndarray, first: np.ndarray) -> np.ndarray:
+        """Delay-element hold of each parked trial, drawn from its defense stream."""
+        from .defense import FIRST, FOLLOWUP, delay_for
+
+        k = self.path.configured_count
+        return np.array(
+            [
+                delay_for(FIRST if first[t] else FOLLOWUP, self.element, self.streams[t].defense, k=k)
+                for t in idx
+            ],
+            np.int64,
+        )
+
+
+def simulate_trials(
+    path: PathSpec,
+    controller: ControllerSpec,
+    packets,
+    streams,
+    *,
+    warm: bool = False,
+    drift: DriftModel | None = None,
+    reply_bytes: int = DEFAULT_REPLY_BYTES,
+    turnaround_ns: int = 0,
+) -> TrialTraces:
+    """Run one single-flow packet schedule as len(streams) independent trials.
+
+    Trial j draws only from streams[j] and produces exactly what
+    `Simulation(path, controller, streams[j], ...)` produces for the same
+    packets; `warm` pre-installs the flow's rules at every configured switch.
+    """
+    packets = tuple(packets)
+    n_trials = len(streams)
+    if not packets or n_trials < 1:
+        raise ValueError("need at least one packet and one trial")
+    if any(p.key != packets[0].key for p in packets):
+        raise ValueError("the batched engine runs one flow per schedule")
+    n_fwd = len(path.forward_links)
+    n_switches = len(path.switches)
+    cross = _cross_delays(path, len(packets), streams)
+    wander = _wander(drift, packets, streams)
+    reply_fixed = turnaround_ns + sum(
+        transmission_delay_ns(reply_bytes, l) + l.base_latency_ns for l in path.reverse_links
+    )
+    state = _TrialBatch(path, controller, streams, warm)
+    busy = [np.zeros(n_trials, np.int64) for _ in range(n_fwd)]
+
+    shape = (len(packets), n_trials)
+    server_recv = np.empty(shape, np.int64)
+    miss_flag = np.zeros(shape, bool)
+    table_full = np.zeros(shape, bool)
+    for p, pkt in enumerate(packets):
+        ready = np.full(n_trials, pkt.sent_at_ns, np.int64)
+        for i, link in enumerate(path.forward_links):
+            surcharge = 0
+            s = i - 1
+            if 0 <= s < n_switches:
+                state.apply_pending_clear(ready)
+                if pkt.kind == CLEAR:
+                    if s == 0:
+                        state.schedule_clear(ready)
+                elif s < path.configured_count:
+                    ready, surcharge = state.switch_process(s, ready, miss_flag[p], table_full[p])
+            finish = np.maximum(ready, busy[i]) + surcharge + cross[i][p]
+            finish += transmission_delay_ns(pkt.size_bytes, link)
+            busy[i] = finish
+            ready = finish + link.base_latency_ns
+        server_recv[p] = ready + wander[p]
+    # Replies do not queue: the reverse path is a sum of independent delays.
+    client_recv = server_recv + reply_fixed
+    for d in cross[n_fwd:]:
+        client_recv += d
+    return TrialTraces(
+        server_recv_ns=server_recv,
+        server_reply_send_ns=server_recv + turnaround_ns,
+        client_recv_ns=client_recv,
+        miss_flag=miss_flag,
+        table_full=table_full,
+    )
 
 
 # -- module-level operation wrappers (one-shot state) ----------------------

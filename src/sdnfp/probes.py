@@ -9,6 +9,19 @@ single are the only packets that trigger installs.
 Pair members share a send timestamp by default; the initial dispersion then
 forms on the first link as its transmission time.  A config may instead space
 them explicitly.
+
+Execution.  `run_schedule` runs one schedule for a whole list of trial
+numbers at once on the trial-batched engine (`netsim.simulate_trials`): the
+trial is a numpy axis, and every packet x hop step advances all trials
+together.  Trial t draws only from its own `RngStreams(seed, trial=t,
+group)`, so its records are the same whichever trials run beside it.  The
+`cross` and `drift` streams hold a single draw type in a layout the schedule
+fixes, and are drawn as one block per trial; the `control` stream (lookup and
+install delays on a table miss) and the `defense` stream (delay-element
+holds) depend on per-trial state, and are drawn per event, in packet order
+within the trial.  `run_schedule_reference` runs one trial on the scalar
+reference model (`netsim.Simulation`), packet by packet; the differential
+tests hold the engine to it record for record.
 """
 
 from __future__ import annotations
@@ -26,6 +39,7 @@ from .netsim import (
     PathSpec,
     RngStreams,
     Simulation,
+    simulate_trials,
 )
 from .units import NS_PER_S
 
@@ -49,6 +63,8 @@ class ProbeSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "packets", tuple(self.packets))
+        if any(p.key != self.flow for p in self.packets):
+            raise ValueError("every packet of a schedule must belong to its flow")
 
 
 @dataclass(frozen=True)
@@ -158,6 +174,65 @@ def run_schedule(
     controller: ControllerSpec,
     seed: int,
     *,
+    trials=(0,),
+    group: int = 0,
+    warm: bool = False,
+    drift: DriftModel | None = None,
+    reply_bytes: int = 64,
+    turnaround_ns: int = 0,
+) -> list[TraceRecord]:
+    """Run the schedule once per trial number, all trials together; log every packet.
+
+    Trial t draws from RngStreams(seed, trial=t, group=group) only, so its
+    records do not depend on which other trials run beside it.  Records come
+    trial by trial, in the order of `trials`, packets in schedule order.
+    """
+    trials = list(trials)
+    streams = [RngStreams(seed, trial=t, group=group) for t in trials]
+    out = simulate_trials(
+        path,
+        controller,
+        schedule.packets,
+        streams,
+        warm=warm,
+        drift=drift,
+        reply_bytes=reply_bytes,
+        turnaround_ns=turnaround_ns,
+    )
+    columns = zip(
+        out.server_recv_ns.T.tolist(),
+        out.server_reply_send_ns.T.tolist(),
+        out.client_recv_ns.T.tolist(),
+        out.miss_flag.T.tolist(),
+        out.table_full.T.tolist(),
+    )
+    flow = schedule.flow.compact()
+    records = []
+    for trial, (recv, reply, back, miss, full) in zip(trials, columns):
+        for j, pkt in enumerate(schedule.packets):
+            records.append(
+                TraceRecord(
+                    trial=trial,
+                    packet_id=pkt.id,
+                    kind=pkt.kind,
+                    flow=flow,
+                    client_send_ns=pkt.sent_at_ns,
+                    server_recv_ns=recv[j],
+                    server_reply_send_ns=reply[j],
+                    client_recv_ns=back[j],
+                    miss_flag=miss[j],
+                    table_full=full[j],
+                )
+            )
+    return records
+
+
+def run_schedule_reference(
+    schedule: ProbeSchedule,
+    path: PathSpec,
+    controller: ControllerSpec,
+    seed: int,
+    *,
     trial: int = 0,
     group: int = 0,
     warm: bool = False,
@@ -165,7 +240,10 @@ def run_schedule(
     reply_bytes: int = 64,
     turnaround_ns: int = 0,
 ) -> list[TraceRecord]:
-    """Run one schedule as an independent trial and log every packet."""
+    """One trial of run_schedule on the scalar reference model, packet by packet.
+
+    The differential tests hold run_schedule to this, record for record.
+    """
     streams = RngStreams(seed, trial=trial, group=group)
     warm_keys = (schedule.flow,) if warm else ()
     sim = Simulation(
@@ -208,12 +286,7 @@ def run_train(
     """Run the train `trials` times; trials are independent given the seed."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    records: list[TraceRecord] = []
-    for trial in range(trials):
-        records.extend(
-            run_schedule(train, path, controller, seed, trial=trial, **kwargs)
-        )
-    return records
+    return run_schedule(train, path, controller, seed, trials=range(trials), **kwargs)
 
 
 @dataclass(frozen=True)

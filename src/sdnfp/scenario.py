@@ -53,7 +53,6 @@ from .netsim import (
     ControllerSpec,
     DriftModel,
     FlowKey,
-    FlowTable,
     PathSpec,
     SwitchSpec,
     uniform_path,
@@ -147,7 +146,7 @@ class Scenario:
                 id=f"{self.switch_kind[:2]}{i + 1}",
                 kind=self.switch_kind,
                 install_delay=install,
-                table=FlowTable(self.table_capacity),
+                table_capacity=self.table_capacity,
             )
             for i in range(self.k)
         )
@@ -266,38 +265,26 @@ def run_scenario(scenario: Scenario, out_dir: Path | str | None = None) -> Resul
         flow, scenario.mtu_bytes, scenario.time_span_ns, scenario.idle_lead_ns
     )
 
-    records: list[probes_mod.TraceRecord] = []
-    table_full = 0
     path = scenario.build_path()
-    for trial in range(scenario.trains):
-        rows = run_schedule(
-            train,
-            path,
-            controller,
-            scenario.seed,
-            trial=trial,
-            group=0,
-            drift=scenario.drift,
-            reply_bytes=scenario.reply_bytes,
-            turnaround_ns=scenario.turnaround_ns,
-        )
-        table_full += sum(r.table_full for r in rows)
-        records.extend(rows)
-    for trial in range(scenario.trains):
-        rows = run_schedule(
-            idle,
-            path,
-            controller,
-            scenario.seed,
-            trial=scenario.trains + trial,
-            group=1,
-            warm=True,
-            drift=scenario.drift,
-            reply_bytes=scenario.reply_bytes,
-            turnaround_ns=scenario.turnaround_ns,
-        )
-        table_full += sum(r.table_full for r in rows)
-        records.extend(rows)
+    common = dict(
+        drift=scenario.drift,
+        reply_bytes=scenario.reply_bytes,
+        turnaround_ns=scenario.turnaround_ns,
+    )
+    records = run_schedule(
+        train, path, controller, scenario.seed, trials=range(scenario.trains), group=0, **common
+    )
+    records += run_schedule(
+        idle,
+        path,
+        controller,
+        scenario.seed,
+        trials=range(scenario.trains, 2 * scenario.trains),
+        group=1,
+        warm=True,
+        **common,
+    )
+    table_full = sum(r.table_full for r in records)
 
     drops = DropCounts()
     samples = label_samples(records, scenario.context(), drops)

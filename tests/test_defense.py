@@ -17,7 +17,6 @@ from sdnfp.distributions import CrossTrafficModel, constant, lognormal
 from sdnfp.netsim import (
     ControllerSpec,
     FlowKey,
-    FlowTable,
     Packet,
     RngStreams,
     Simulation,
@@ -33,7 +32,7 @@ CFG = DelayElementConfig()
 
 
 def defended_path(install_ns=5 * MS, cfg=CFG, cross=None, warm=False):
-    sw = SwitchSpec("hw1", "hardware", constant(install_ns), FlowTable())
+    sw = SwitchSpec("hw1", "hardware", constant(install_ns))
     path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
     return apply_delay_element(path, cfg)
 
@@ -107,7 +106,7 @@ def test_warm_active_flow_identical_timing():
     cross = CrossTrafficModel(kind="pareto", mean_ns=90_000, variance_ns2=2_000_000_000)
 
     def run(defended):
-        sw = SwitchSpec("hw1", "hardware", lognormal(4_500_000, 0.6), FlowTable())
+        sw = SwitchSpec("hw1", "hardware", lognormal(4_500_000, 0.6))
         path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
         if defended:
             path = apply_delay_element(path, CFG)
@@ -127,7 +126,7 @@ def test_cold_flow_without_miss_still_delayed():
     path = defended_path()
     sim = Simulation(path, ControllerSpec(), RngStreams(1), warm_keys=(KEY,))
     defended = sim.exchange(Packet(0, KEY, 1500, sent_at_ns=0))
-    plain_path = uniform_path(4, 4, 100_000_000, (SwitchSpec("hw1", "hardware", constant(5 * MS), FlowTable()),))
+    plain_path = uniform_path(4, 4, 100_000_000, (SwitchSpec("hw1", "hardware", constant(5 * MS)),))
     plain = Simulation(plain_path, ControllerSpec(), RngStreams(1), warm_keys=(KEY,)).exchange(
         Packet(0, KEY, 1500, sent_at_ns=0)
     )

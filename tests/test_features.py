@@ -18,7 +18,7 @@ from sdnfp.features import (
     split_populations,
     write_feature_csv,
 )
-from sdnfp.netsim import ControllerSpec, FlowKey, FlowTable, SwitchSpec, uniform_path
+from sdnfp.netsim import ControllerSpec, FlowKey, SwitchSpec, uniform_path
 from sdnfp.probes import TraceRecord, build_probe_train, run_train
 
 S = 1_000_000_000
@@ -44,7 +44,7 @@ def test_dispersion_example_reordered_negative():
 
 
 def test_dispersion_miss_pair_from_simulation():
-    sw = SwitchSpec("hw1", "hardware", constant(5 * MS), FlowTable())
+    sw = SwitchSpec("hw1", "hardware", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_train(build_probe_train(KEY), path, ControllerSpec(), 1, seed=0)
     pairs, _ = group_trial(records)
@@ -109,7 +109,7 @@ def test_delta_rtt_label_taxonomy():
 
 
 def test_label_samples_standard_train():
-    sw = SwitchSpec("hw1", "hardware", constant(5 * MS), FlowTable())
+    sw = SwitchSpec("hw1", "hardware", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_train(build_probe_train(KEY), path, ControllerSpec(), 1, seed=0)
     samples = label_samples(records, CTX)
@@ -128,7 +128,7 @@ def test_label_samples_prewarmed_all_n():
 
 def test_label_samples_clear_mid_stream():
     # The second CLEAR re-arms the miss: the first subsequent probe is Y.
-    sw = SwitchSpec("hw1", "hardware", constant(5 * MS), FlowTable())
+    sw = SwitchSpec("hw1", "hardware", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_train(build_probe_train(KEY), path, ControllerSpec(), 1, seed=0)
     singles = [r for r in records if r.packet_id in (10, 11)]
@@ -151,7 +151,7 @@ def test_label_samples_counts_drops():
 
 def test_n_population_mean_near_zero_y_positive():
     cross = CrossTrafficModel(kind="pareto", mean_ns=90_000, variance_ns2=2_000_000_000)
-    sw = SwitchSpec("hw1", "hardware", constant(5 * MS), FlowTable())
+    sw = SwitchSpec("hw1", "hardware", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
     records = run_train(build_probe_train(KEY), path, ControllerSpec(), 300, seed=8)
     samples = label_samples(records, CTX)
@@ -163,7 +163,7 @@ def test_n_population_mean_near_zero_y_positive():
 
 
 def test_feature_csv_round_trip(tmp_path):
-    sw = SwitchSpec("hw1", "hardware", constant(5 * MS), FlowTable())
+    sw = SwitchSpec("hw1", "hardware", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_train(build_probe_train(KEY), path, ControllerSpec(), 2, seed=0)
     samples = label_samples(records, CTX)
@@ -176,7 +176,7 @@ def test_feature_csv_round_trip(tmp_path):
 
 
 def test_split_populations():
-    sw = SwitchSpec("hw1", "hardware", constant(5 * MS), FlowTable())
+    sw = SwitchSpec("hw1", "hardware", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_train(build_probe_train(KEY), path, ControllerSpec(), 2, seed=0)
     samples = label_samples(records, CTX)

@@ -29,7 +29,7 @@ KEY = FlowKey("10.0.0.2", "10.0.1.2")
 
 
 def hw_switch(install_ns=5 * MS, name="hw1", capacity=1024):
-    return SwitchSpec(name, "hardware", constant(install_ns), FlowTable(capacity))
+    return SwitchSpec(name, "hardware", constant(install_ns), capacity)
 
 
 def test_transmission_delay_examples():
@@ -87,8 +87,8 @@ def test_table_miss_includes_lookup():
 def test_table_miss_seeded_replay():
     def run(seed):
         switches = (
-            SwitchSpec("a", "hardware", lognormal(4 * MS, 0.5), FlowTable()),
-            SwitchSpec("b", "hardware", lognormal(4 * MS, 0.5), FlowTable()),
+            SwitchSpec("a", "hardware", lognormal(4 * MS, 0.5)),
+            SwitchSpec("b", "hardware", lognormal(4 * MS, 0.5)),
         )
         path = uniform_path(4, 4, 100_000_000, switches)
         return handle_table_miss(KEY, path, ControllerSpec(), seed).penalty_ns
@@ -104,22 +104,24 @@ def test_table_miss_seeded_replay():
 def test_table_miss_installs_both_directions():
     switches = (hw_switch(name="a"), hw_switch(name="b"))
     path = uniform_path(4, 4, 100_000_000, switches)
-    handle_table_miss(KEY, path, ControllerSpec(), 0)
-    for sw in switches:
-        assert KEY in sw.table
-        assert KEY.reversed() in sw.table
+    sim = Simulation(path, ControllerSpec(), 0)
+    handle_table_miss(KEY, path, ControllerSpec(), 0, sim.tables)
+    for table in sim.tables:
+        assert KEY in table
+        assert KEY.reversed() in table
 
 
 def test_clear_flow_tables():
     switches = (hw_switch(),)
     path = uniform_path(2, 2, 100_000_000, switches)
-    handle_table_miss(KEY, path, ControllerSpec(), 0)
-    assert len(switches[0].table) == 2
-    clear_flow_tables(path)
-    assert KEY not in switches[0].table
-    assert len(switches[0].table) == 0
-    clear_flow_tables(path)  # no-op on empty tables
-    assert len(switches[0].table) == 0
+    sim = Simulation(path, ControllerSpec(), 0)
+    handle_table_miss(KEY, path, ControllerSpec(), 0, sim.tables)
+    assert len(sim.tables[0]) == 2
+    clear_flow_tables(sim.tables)
+    assert KEY not in sim.tables[0]
+    assert len(sim.tables[0]) == 0
+    clear_flow_tables(sim.tables)  # no-op on empty tables
+    assert len(sim.tables[0]) == 0
 
 
 def test_miss_penalty_returns_after_clear():
@@ -129,7 +131,7 @@ def test_miss_penalty_returns_after_clear():
     first = sim.exchange(Packet(0, KEY, 1500, sent_at_ns=0))
     second = sim.exchange(Packet(1, KEY, 1500, sent_at_ns=10**9))
     assert first.miss_flag and not second.miss_flag
-    clear_flow_tables(path)
+    clear_flow_tables(sim.tables)
     sim.install_windows.clear()
     third = sim.exchange(Packet(2, KEY, 1500, sent_at_ns=2 * 10**9))
     assert third.miss_flag
@@ -280,10 +282,34 @@ def test_table_full_forwards_and_flags():
     first = sim.exchange(Packet(0, KEY, 1500, sent_at_ns=0))
     assert first.miss_flag and first.table_full
     assert first.client_recv_ns > 0  # still forwarded
-    assert KEY not in sw.table
+    assert KEY not in sim.tables[0]
     # With no rule ever installed, the next packet misses again.
     second = sim.exchange(Packet(1, KEY, 1500, sent_at_ns=10**9))
     assert second.miss_flag and second.table_full
+
+
+def test_simulations_on_one_path_keep_their_own_tables():
+    # A second simulation on the same path must not wipe the first one's rules.
+    path = uniform_path(2, 2, 100_000_000, (hw_switch(5 * MS),))
+    warm = Simulation(path, ControllerSpec(), 0, warm_keys=(KEY,))
+    cold = Simulation(path, ControllerSpec(), 1)
+    assert not warm.exchange(Packet(0, KEY, 1500, sent_at_ns=0)).miss_flag
+    assert cold.exchange(Packet(0, KEY, 1500, sent_at_ns=0)).miss_flag
+    assert KEY in warm.tables[0] and KEY in cold.tables[0]
+
+
+def test_capacity_one_installs_forward_key_only():
+    path = uniform_path(2, 2, 100_000_000, (hw_switch(5 * MS, capacity=1),))
+    sim = Simulation(path, ControllerSpec(), 0)
+    first = sim.exchange(Packet(0, KEY, 1500, sent_at_ns=0))
+    assert first.miss_flag and first.table_full
+    assert KEY in sim.tables[0] and KEY.reversed() not in sim.tables[0]
+    assert not sim.exchange(Packet(1, KEY, 1500, sent_at_ns=10**9)).miss_flag
+
+
+def test_switch_spec_rejects_negative_capacity():
+    with pytest.raises(ValueError):
+        hw_switch(capacity=-1)
 
 
 def test_flow_table_capacity_invariant():
@@ -302,3 +328,24 @@ def test_pathspec_validation():
         PathSpec((link,), (link,), (hw_switch(),), 1)  # no room for a switch
     with pytest.raises(ValueError):
         PathSpec((link, link), (link,), (hw_switch(),), 2)  # k > |switches|
+
+
+def test_lazy_streams_match_eager_construction():
+    names = ("cross", "control", "defense", "drift")
+    for order in (names, names[::-1], ("drift", "cross", "defense", "control")):
+        lazy = RngStreams(20403, trial=17, group=1)
+        got = {name: getattr(lazy, name).random(4).tolist() for name in order}
+        for i, name in enumerate(names):
+            eager = np.random.default_rng(
+                np.random.SeedSequence(entropy=20403, spawn_key=(1, 17, i))
+            )
+            assert got[name] == eager.random(4).tolist()
+
+
+def test_lazy_streams_build_only_what_is_used():
+    streams = RngStreams(7, trial=3)
+    gen = streams.cross
+    assert streams.cross is gen  # built once, then cached
+    assert "control" not in vars(streams) and "drift" not in vars(streams)
+    with pytest.raises(AttributeError):
+        streams.unknown

@@ -3,7 +3,7 @@
 import pytest
 
 from sdnfp.distributions import CrossTrafficModel, constant
-from sdnfp.netsim import ControllerSpec, FlowKey, FlowTable, SwitchSpec, uniform_path
+from sdnfp.netsim import ControllerSpec, FlowKey, SwitchSpec, uniform_path
 from sdnfp.probes import (
     PassivePair,
     TraceRecord,
@@ -20,7 +20,7 @@ KEY = FlowKey("10.0.0.2", "10.0.1.2")
 
 
 def hw(install_ns=5_000_000, name="hw1"):
-    return SwitchSpec(name, "hardware", constant(install_ns), FlowTable())
+    return SwitchSpec(name, "hardware", constant(install_ns))
 
 
 def default_path(k=1):

@@ -16,6 +16,7 @@ from sdnfp.scenario import (
     run_scenario,
     scenario_from_config,
 )
+from sdnfp.stats import build_histogram
 
 TRAINS = 60  # reduced for unit-test speed; acceptance runs the full counts
 
@@ -283,3 +284,19 @@ def test_cli_report_json(tmp_path):
     assert code == 0
     rows = json.loads((tmp_path / "rep" / "summary.json").read_text())
     assert rows[0]["scenario"] == "k1-hw-100m"
+
+
+def test_cli_report_reads_bin_width_from_bundle(tmp_path):
+    bundle_dir = tmp_path / "runs" / "wide"
+    scenario = small("k1-hw-100m", bin_width_ms=0.5).with_overrides(name="wide")
+    bundle = run_scenario(scenario, bundle_dir)
+    code = main(["report", "--bundles", str(bundle_dir), "--out", str(tmp_path / "rep")])
+    assert code == 0
+    rows = (tmp_path / "rep" / "wide__delta_rtt__pdf_Y.csv").read_text().splitlines()[1:]
+    values = [s.value_ms for s in bundle.samples if s.feature == "delta_rtt" and s.label == "Y"]
+
+    def expected(width):
+        return [f"{left!r},{count},{freq!r}" for left, count, freq in build_histogram(values, width).to_rows()]
+
+    assert rows == expected(0.5)
+    assert rows != expected(0.1)
