@@ -16,9 +16,10 @@ from .features import (
     DISPERSION,
     FeatureSample,
     ScenarioContext,
-    delta_rtt_from_trace,
-    dispersion_from_trace,
+    delta_rtt_ms,
+    dispersion_ms,
     label_samples,
+    passive_samples,
 )
 from .netsim import (
     ControllerSpec,
@@ -39,8 +40,8 @@ from .netsim import (
     uniform_path,
 )
 from .probes import (
-    PassivePair,
-    ProbeTrain,
+    ProbeSchedule,
+    Trace,
     TraceRecord,
     build_probe_train,
     extract_passive_pairs,

@@ -17,7 +17,7 @@ from . import features as features_mod
 from . import scenario as scenario_mod
 from .defense import DelayElementConfig, element_from_fits
 from .features import DELTA_RTT, DISPERSION, read_feature_csv, split_populations
-from .probes import read_trace_csv
+from .probes import Trace, read_trace_csv
 from .scenario import (
     ConfigError,
     ResultBundle,
@@ -77,14 +77,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    records = read_trace_csv(args.traces)
+    trace = read_trace_csv(args.traces)
     sidecar = Path(args.traces).with_name("scenario.json")
     if args.k is not None:
         ctx = features_mod.ScenarioContext(
             k=args.k,
             switch_kind=args.kind,
             data_link_bps=args.link_bps,
-            time_span_ns=int(args.span_s * 1e9),
+            time_span_ns=round(args.span_s * 1e9),
         )
     elif sidecar.exists():
         meta = json.loads(sidecar.read_text(encoding="utf-8"))
@@ -92,7 +92,7 @@ def cmd_extract(args) -> int:
             k=meta["k"],
             switch_kind=meta["switch_kind"],
             data_link_bps=meta["data_link_bps"],
-            time_span_ns=int(meta["time_span_s"] * 1e9),
+            time_span_ns=round(meta["time_span_s"] * 1e9),
         )
     else:
         raise ConfigError(
@@ -100,9 +100,9 @@ def cmd_extract(args) -> int:
         )
     drops = features_mod.DropCounts()
     if args.passive:
-        samples = _passive_delta_rtt(records, ctx, args.window_s, drops)
+        samples = features_mod.passive_samples(trace, ctx, round(args.window_s * 1e9), drops)
     else:
-        samples = features_mod.label_samples(records, ctx, drops)
+        samples = features_mod.label_samples(trace, ctx, drops)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     features_mod.write_feature_csv(out / "samples.csv", samples)
@@ -112,26 +112,6 @@ def cmd_extract(args) -> int:
     print(f"wrote {len(samples)} samples ({drops.missing_reply} missing, "
           f"{drops.ambiguous_label} ambiguous dropped)")
     return 0
-
-
-def _passive_delta_rtt(records, ctx, window_s, drops):
-    """Passive-adversary path: pair monitored same-flow packets, take RTT diffs."""
-    from .probes import extract_passive_pairs
-
-    pairs = extract_passive_pairs(records, int(window_s * 1e9))
-    samples = []
-    for pair in pairs:
-        try:
-            value = features_mod.delta_rtt_from_trace(pair.first, pair.second)
-            label = features_mod.delta_rtt_label(pair.first, pair.second)
-        except features_mod.MissingReplyError:
-            drops.missing_reply += 1
-            continue
-        except features_mod.AmbiguousLabelError:
-            drops.ambiguous_label += 1
-            continue
-        samples.append(features_mod.FeatureSample(DELTA_RTT, value, label, ctx))
-    return samples
 
 
 def cmd_eer(args) -> int:
@@ -261,7 +241,7 @@ def _load_bundle(bundle_dir: Path) -> ResultBundle:
     )
     return ResultBundle(
         scenario=scenario,
-        records=[],
+        records=Trace.from_records([]),
         samples=samples,
         drops=features_mod.DropCounts(),
         feature_results=feature_results,

@@ -89,16 +89,6 @@ class DelayModel:
             ns[idx] = ns_from_float(x_m * (1.0 - float(u[idx])) ** exponent)
         return ns
 
-    def mean_estimate_ns(self) -> float:
-        """Analytic mean where it exists (lognormal uses exp moment)."""
-        if self.kind == "none":
-            return 0.0
-        if self.kind == "constant":
-            return float(self.value_ns)
-        if self.kind == "pareto":
-            return float(self.mean_ns)
-        return self.median_ns * math.exp(self.sigma_log**2 / 2.0)
-
 
 def constant(value_ns: int) -> DelayModel:
     return DelayModel(kind="constant", value_ns=value_ns)

@@ -1,32 +1,38 @@
-"""Feature extraction: reply dispersion and RTT differences from traces.
+"""Feature extraction: reply dispersion and RTT differences from a trace.
+
+Extraction works on the columns of a `probes.Trace`, whether the trace comes
+from the simulator or from a persisted CSV, and builds no per-packet object.
+`label_samples` reconstructs the train structure from the trace alone: within
+each trial the probes, sorted by send time and packet id, form back-to-back
+pairs (send gaps up to PAIR_GAP_MAX_NS) and singles; pairs feed the
+dispersion feature and consecutive singles the RTT difference.
+`passive_samples` pairs monitored same-flow packets sent within a window
+instead.  Both pair rows with `probes.greedy_pair_starts`, and both take RTT
+differences and their labels from one routine.
 
 Labels always come from the simulator's ground-truth miss flags, never from
 the classifier.  A pair is Y when either member triggered an install; an RTT
 difference is Y when exactly the first member did and N when neither did.
 Anything else (both flagged, or only the second) does not fit the two-sided
-taxonomy and is excluded with a count.
+taxonomy and is excluded with a count, as is every sample with a missing
+reply (MISSING_NS in a receive timestamp).
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .probes import PAIR_GAP_MAX_NS, TraceRecord
+import numpy as np
+
+from .netsim import PROBE
+from .probes import PAIR_GAP_MAX_NS, Trace, csv_text, extract_passive_pairs, greedy_pair_starts
 from .units import NS_PER_MS
 
 DISPERSION = "dispersion"
 DELTA_RTT = "delta_rtt"
 
 MISSING_NS = -1  # sentinel for an absent timestamp in external traces
-
-
-class MissingReplyError(ValueError):
-    """A required reply timestamp is absent from the trace."""
-
-
-class AmbiguousLabelError(ValueError):
-    """The miss flags of an RTT-difference pair fit neither PDF."""
 
 
 @dataclass(frozen=True)
@@ -54,139 +60,161 @@ class DropCounts:
         return {"missing_reply": self.missing_reply, "ambiguous_label": self.ambiguous_label}
 
 
-def _require_reply(record: TraceRecord) -> None:
-    if record.client_recv_ns == MISSING_NS or record.server_recv_ns == MISSING_NS:
-        raise MissingReplyError(f"packet {record.packet_id} in trial {record.trial} has no reply")
+def missing_reply(trace: Trace, first, second) -> np.ndarray:
+    """Per pair of rows: does either member lack a reply timestamp?"""
+    lost = (trace.client_recv_ns == MISSING_NS) | (trace.server_recv_ns == MISSING_NS)
+    return lost[first] | lost[second]
 
 
-def dispersion_from_trace(
-    first: TraceRecord, second: TraceRecord, vantage: str = "client"
-) -> float:
-    """Signed reply gap in ms; negative means the replies arrived reordered.
+def dispersion_ms(trace: Trace, first, second, vantage: str = "client") -> np.ndarray:
+    """Signed reply gap in ms per pair of rows; negative means the replies
+    arrived reordered.
 
     vantage='server' reads the simulator-only server-side arrival gap, kept
     for diagnostics.
     """
-    _require_reply(first)
-    _require_reply(second)
     if vantage == "client":
-        return (second.client_recv_ns - first.client_recv_ns) / NS_PER_MS
-    if vantage == "server":
-        return (second.server_recv_ns - first.server_recv_ns) / NS_PER_MS
-    raise ValueError("vantage must be client or server")
+        recv = trace.client_recv_ns
+    elif vantage == "server":
+        recv = trace.server_recv_ns
+    else:
+        raise ValueError("vantage must be client or server")
+    return (recv[second] - recv[first]) / NS_PER_MS
 
 
-def delta_rtt_from_trace(first: TraceRecord, second: TraceRecord) -> float:
-    """RTT(first) - RTT(second) in ms."""
-    _require_reply(first)
-    _require_reply(second)
-    rtt1 = first.client_recv_ns - first.client_send_ns
-    rtt2 = second.client_recv_ns - second.client_send_ns
-    return (rtt1 - rtt2) / NS_PER_MS
+def delta_rtt_ms(trace: Trace, first, second) -> np.ndarray:
+    """RTT(first) - RTT(second) in ms per pair of rows."""
+    rtt = trace.client_recv_ns - trace.client_send_ns
+    return (rtt[first] - rtt[second]) / NS_PER_MS
 
 
-def pair_label(first: TraceRecord, second: TraceRecord) -> str:
-    return "Y" if (first.miss_flag or second.miss_flag) else "N"
+def pair_labels(trace: Trace, first, second) -> np.ndarray:
+    """Y where either member of a pair triggered an install, else N."""
+    return np.where((trace.miss_flag[first] | trace.miss_flag[second]) != 0, "Y", "N")
 
 
-def delta_rtt_label(first: TraceRecord, second: TraceRecord) -> str:
-    if first.miss_flag and not second.miss_flag:
-        return "Y"
-    if not first.miss_flag and not second.miss_flag:
-        return "N"
-    raise AmbiguousLabelError(
-        f"trial {first.trial}: miss flags ({first.miss_flag}, {second.miss_flag}) "
-        "fit neither PDF_N nor PDF_Y"
-    )
+def delta_rtt_labels(trace: Trace, first, second) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, ambiguous) per pair of rows.
 
-
-def group_trial(records: list[TraceRecord]) -> tuple[list[tuple[TraceRecord, TraceRecord]], list[TraceRecord]]:
-    """Split one trial's probe records into back-to-back pairs and singles.
-
-    Probes whose send gap is within PAIR_GAP_MAX_NS form a pair; everything
-    else is a single.  This reconstructs the train structure from the trace
-    alone, so extraction works on persisted CSVs.
+    The label is Y when the first member triggered an install and N when it
+    did not; it is ambiguous, fitting neither PDF, when the second did.
     """
-    probes = sorted(
-        (r for r in records if r.kind == "PROBE"),
-        key=lambda r: (r.client_send_ns, r.packet_id),
-    )
-    pairs = []
-    singles = []
-    i = 0
-    while i < len(probes):
-        if (
-            i + 1 < len(probes)
-            and probes[i + 1].client_send_ns - probes[i].client_send_ns <= PAIR_GAP_MAX_NS
-        ):
-            pairs.append((probes[i], probes[i + 1]))
-            i += 2
-        else:
-            singles.append(probes[i])
-            i += 1
-    return pairs, singles
+    labels = np.where(trace.miss_flag[first] != 0, "Y", "N")
+    return labels, trace.miss_flag[second] != 0
+
+
+def group_probes(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Back-to-back pairs and singles among a trace's probes.
+
+    Returns the row indices of each pair's first and second member and of
+    the singles, each ordered by trial, send time and packet id.  Within a
+    trial, probes whose send gap is within PAIR_GAP_MAX_NS form a pair;
+    everything else is a single.
+    """
+    probes = np.flatnonzero(trace.kind == PROBE)
+    trial, send = trace.trial[probes], trace.client_send_ns[probes]
+    order = np.lexsort((trace.packet_id[probes], send, trial))
+    rows, trial, send = probes[order], trial[order], send[order]
+    linked = (trial[1:] == trial[:-1]) & (send[1:] - send[:-1] <= PAIR_GAP_MAX_NS)
+    starts = greedy_pair_starts(linked)
+    paired = np.zeros(rows.size, bool)
+    paired[starts] = paired[starts + 1] = True
+    return rows[starts], rows[starts + 1], rows[~paired]
+
+
+def _delta_rtt(trace: Trace, first, second, drops: DropCounts):
+    """Kept-pair mask, values and labels of RTT-difference pairs; counts drops."""
+    missing = missing_reply(trace, first, second)
+    labels, ambiguous = delta_rtt_labels(trace, first, second)
+    ambiguous &= ~missing
+    drops.missing_reply += int(missing.sum())
+    drops.ambiguous_label += int(ambiguous.sum())
+    keep = ~(missing | ambiguous)
+    return keep, delta_rtt_ms(trace, first[keep], second[keep]), labels[keep]
+
+
+def _samples(features, values, labels, context) -> list[FeatureSample]:
+    return [
+        FeatureSample(f, v, lab, context)
+        for f, v, lab in zip(features, values.tolist(), labels.tolist())
+    ]
 
 
 def label_samples(
-    records: list[TraceRecord],
+    trace: Trace,
     context: ScenarioContext,
     drops: DropCounts | None = None,
 ) -> list[FeatureSample]:
     """Labeled dispersion and RTT-difference samples for a whole trace.
 
-    Pairs feed the dispersion feature; consecutive singles feed the RTT
-    difference (the train's two tail probes by default).  Samples with a
-    missing reply or an ambiguous flag combination are dropped and counted.
+    Pairs feed the dispersion feature; consecutive singles of a trial feed
+    the RTT difference (the train's two tail probes by default).  Samples
+    come trial by trial, a trial's dispersion samples before its RTT
+    differences, each in send order.  Samples with a missing reply or an
+    ambiguous flag combination are dropped and counted.
     """
     if drops is None:
         drops = DropCounts()
-    by_trial: dict[int, list[TraceRecord]] = {}
-    for rec in records:
-        by_trial.setdefault(rec.trial, []).append(rec)
-    samples: list[FeatureSample] = []
-    for trial in sorted(by_trial):
-        pairs, singles = group_trial(by_trial[trial])
-        for first, second in pairs:
-            try:
-                value = dispersion_from_trace(first, second)
-            except MissingReplyError:
-                drops.missing_reply += 1
-                continue
-            samples.append(FeatureSample(DISPERSION, value, pair_label(first, second), context))
-        for j in range(0, len(singles) - 1, 2):
-            first, second = singles[j], singles[j + 1]
-            try:
-                value = delta_rtt_from_trace(first, second)
-                label = delta_rtt_label(first, second)
-            except MissingReplyError:
-                drops.missing_reply += 1
-                continue
-            except AmbiguousLabelError:
-                drops.ambiguous_label += 1
-                continue
-            samples.append(FeatureSample(DELTA_RTT, value, label, context))
-    return samples
+    first, second, singles = group_probes(trace)
+    missing = missing_reply(trace, first, second)
+    drops.missing_reply += int(missing.sum())
+    first, second = first[~missing], second[~missing]
+    disp_values = dispersion_ms(trace, first, second)
+    disp_labels = pair_labels(trace, first, second)
+
+    single_trial = trace.trial[singles]
+    starts = greedy_pair_starts(single_trial[1:] == single_trial[:-1])
+    rtt_first = singles[starts]
+    keep, rtt_values, rtt_labels = _delta_rtt(trace, rtt_first, singles[starts + 1], drops)
+
+    # A stable sort by trial keeps each trial's dispersion samples before its
+    # RTT differences, each in send order.
+    trial = np.concatenate([trace.trial[first], trace.trial[rtt_first[keep]]])
+    order = np.argsort(trial, kind="stable")
+    n_disp = first.size
+    features = [DELTA_RTT if i >= n_disp else DISPERSION for i in order.tolist()]
+    values = np.concatenate([disp_values, rtt_values])[order]
+    labels = np.concatenate([disp_labels, rtt_labels])[order]
+    return _samples(features, values, labels, context)
+
+
+def passive_samples(
+    trace: Trace,
+    context: ScenarioContext,
+    window_ns: int,
+    drops: DropCounts | None = None,
+) -> list[FeatureSample]:
+    """RTT-difference samples of a passive adversary.
+
+    Same-flow packets sent within window_ns of each other are paired by
+    `probes.extract_passive_pairs`, and each pair is labelled as the train's
+    tail singles are.
+    """
+    if drops is None:
+        drops = DropCounts()
+    first, second = extract_passive_pairs(trace, window_ns)
+    _, values, labels = _delta_rtt(trace, first, second, drops)
+    return _samples([DELTA_RTT] * values.size, values, labels, context)
 
 
 FEATURE_FIELDS = ("feature", "value_ms", "label", "k", "kind", "link_bps", "span_s")
 
 
 def write_feature_csv(path, samples) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(FEATURE_FIELDS)
-        for s in samples:
-            writer.writerow(
-                [
-                    s.feature,
-                    repr(s.value_ms),
-                    s.label,
-                    s.context.k,
-                    s.context.switch_kind,
-                    s.context.data_link_bps,
-                    repr(s.context.time_span_ns / 1e9),
-                ]
+    """One line per sample; feature and label are this module's plain names,
+    and each context's fields are formatted once."""
+    lines = [",".join(FEATURE_FIELDS) + "\n"]
+    context = tail = None
+    for s in samples:
+        if s.context is not context and s.context != context:
+            context = s.context
+            tail = (
+                f"{context.k},{csv_text(context.switch_kind)},{context.data_link_bps},"
+                f"{context.time_span_ns / 1e9!r}\n"
             )
+        lines.append(f"{s.feature},{s.value_ms!r},{s.label},{tail}")
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write("".join(lines))
 
 
 def read_feature_csv(path) -> list[FeatureSample]:

@@ -154,7 +154,6 @@ class ControllerSpec:
 
     lookup_delay: DelayModel = NO_DELAY
     clear_delay_ns: int = DEFAULT_CLEAR_DELAY_NS
-    install_policy: str = "bidirectional"
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,12 @@ seed; running it is fully deterministic.  Each run exercises two probe plans:
     (and, under the countermeasure, exactly the traffic the delay element is
     meant to disguise).
 
+The two plans' traces stay columnar (`probes.Trace`) from the engine to disk:
+`run_scenario` joins them into one trace, counts table-full events as a
+column sum, labels the joined trace with `features.label_samples` and, when
+asked, writes traces.csv, samples.csv, results.json and scenario.json with
+`write_bundle`.
+
 Shipped install-delay calibration: rule installation takes single-digit
 milliseconds on hardware switches and sub-millisecond on the software switch.
 The paper-of-record for this artifact publishes only aggregate thresholds, so
@@ -57,7 +63,14 @@ from .netsim import (
     SwitchSpec,
     uniform_path,
 )
-from .probes import build_probe_train, idle_flow_probes, run_schedule, stretched_train, write_trace_csv
+from .probes import (
+    Trace,
+    build_probe_train,
+    idle_flow_probes,
+    run_schedule,
+    stretched_train,
+    write_trace_csv,
+)
 from .stats import EERResult, GPDParams, build_histogram, compute_eer, welch_t_test
 from .units import (
     NS_PER_MS,
@@ -216,7 +229,7 @@ class FeatureResult:
 @dataclass
 class ResultBundle:
     scenario: Scenario
-    records: list
+    records: Trace
     samples: list[FeatureSample]
     drops: DropCounts
     feature_results: dict[str, FeatureResult]
@@ -271,20 +284,19 @@ def run_scenario(scenario: Scenario, out_dir: Path | str | None = None) -> Resul
         reply_bytes=scenario.reply_bytes,
         turnaround_ns=scenario.turnaround_ns,
     )
-    records = run_schedule(
-        train, path, controller, scenario.seed, trials=range(scenario.trains), group=0, **common
+    records = Trace.concat(
+        [
+            run_schedule(
+                train, path, controller, scenario.seed,
+                trials=range(scenario.trains), group=0, **common,
+            ),
+            run_schedule(
+                idle, path, controller, scenario.seed,
+                trials=range(scenario.trains, 2 * scenario.trains), group=1, warm=True, **common,
+            ),
+        ]
     )
-    records += run_schedule(
-        idle,
-        path,
-        controller,
-        scenario.seed,
-        trials=range(scenario.trains, 2 * scenario.trains),
-        group=1,
-        warm=True,
-        **common,
-    )
-    table_full = sum(r.table_full for r in records)
+    table_full = int(records.table_full.sum())
 
     drops = DropCounts()
     samples = label_samples(records, scenario.context(), drops)

@@ -1,4 +1,4 @@
-"""The trial-batched engine against the scalar reference model, record for record."""
+"""The trial-batched engine against the scalar reference model, row for row."""
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from sdnfp.netsim import (
 )
 from sdnfp.probes import (
     ProbeSchedule,
+    Trace,
     build_probe_train,
     idle_flow_probes,
     run_schedule,
@@ -126,11 +127,10 @@ def test_pareto_block_transform_equals_sample_ns():
 
 
 def reference(schedule, path, controller, trials, kwargs):
-    return [
-        record
+    return Trace.concat(
+        run_schedule_reference(schedule, path, controller, trial=trial, **kwargs)
         for trial in trials
-        for record in run_schedule_reference(schedule, path, controller, trial=trial, **kwargs)
-    ]
+    )
 
 
 @given(cases())

@@ -5,21 +5,20 @@ import pytest
 
 from sdnfp.distributions import CrossTrafficModel, constant
 from sdnfp.features import (
-    AmbiguousLabelError,
     DropCounts,
-    MissingReplyError,
     ScenarioContext,
-    delta_rtt_from_trace,
-    delta_rtt_label,
-    dispersion_from_trace,
-    group_trial,
+    delta_rtt_labels,
+    delta_rtt_ms,
+    dispersion_ms,
+    group_probes,
     label_samples,
+    missing_reply,
     read_feature_csv,
     split_populations,
     write_feature_csv,
 )
 from sdnfp.netsim import ControllerSpec, FlowKey, SwitchSpec, uniform_path
-from sdnfp.probes import TraceRecord, build_probe_train, run_train
+from sdnfp.probes import Trace, TraceRecord, build_probe_train, run_train
 
 S = 1_000_000_000
 MS = 1_000_000
@@ -31,56 +30,74 @@ def rec(pid, send_ns, recv_ns, miss=False, trial=0, kind="PROBE"):
     return TraceRecord(trial, pid, kind, "f", send_ns, recv_ns - 1000, recv_ns - 1000, recv_ns, miss, False)
 
 
+def pair_value(fn, first, second, **kwargs):
+    """fn over the one pair (first, second) of a two-row trace."""
+    (value,) = fn(Trace.from_records([first, second]), [0], [1], **kwargs).tolist()
+    return value
+
+
+def delta_rtt_label(first, second):
+    """The label of the pair (first, second), or None where it is ambiguous."""
+    labels, ambiguous = delta_rtt_labels(Trace.from_records([first, second]), [0], [1])
+    return None if ambiguous[0] else str(labels[0])
+
+
 def test_dispersion_example_positive():
     first = rec(0, 0, 100_000_000)
     second = rec(1, 0, 100_120_000)
-    assert dispersion_from_trace(first, second) == pytest.approx(0.12)
+    assert pair_value(dispersion_ms, first, second) == pytest.approx(0.12)
 
 
 def test_dispersion_example_reordered_negative():
     first = rec(0, 0, 105_000_000)
     second = rec(1, 0, 104_200_000)
-    assert dispersion_from_trace(first, second) == pytest.approx(-0.8)
+    assert pair_value(dispersion_ms, first, second) == pytest.approx(-0.8)
 
 
 def test_dispersion_miss_pair_from_simulation():
     sw = SwitchSpec("hw1", "hardware", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
-    records = run_train(build_probe_train(KEY), path, ControllerSpec(), 1, seed=0)
-    pairs, _ = group_trial(records)
-    value = dispersion_from_trace(*pairs[0])
+    trace = run_train(build_probe_train(KEY), path, ControllerSpec(), 1, seed=0)
+    first, second, _ = group_probes(trace)
+    value = dispersion_ms(trace, first, second)[0]
     assert value == pytest.approx(5.12)
 
 
 def test_dispersion_antisymmetric():
     first = rec(0, 0, 100_000_000)
     second = rec(1, 0, 100_120_000)
-    assert dispersion_from_trace(first, second) == -dispersion_from_trace(second, first)
+    assert pair_value(dispersion_ms, first, second) == -pair_value(dispersion_ms, second, first)
 
 
 def test_dispersion_server_vantage():
     first = rec(0, 0, 100_000_000)
     second = rec(1, 0, 100_120_000)
-    assert dispersion_from_trace(first, second, vantage="server") == pytest.approx(0.12)
+    assert pair_value(dispersion_ms, first, second, vantage="server") == pytest.approx(0.12)
+    with pytest.raises(ValueError):
+        pair_value(dispersion_ms, first, second, vantage="switch")
 
 
 def test_missing_reply_raises():
+    # A reply that never came marks its pair, and extraction drops the pair.
     first = rec(0, 0, 100_000_000)
     broken = TraceRecord(0, 1, "PROBE", "f", 0, -1, -1, -1, False, False)
-    with pytest.raises(MissingReplyError):
-        dispersion_from_trace(first, broken)
+    assert pair_value(missing_reply, first, broken) is True
+    assert pair_value(missing_reply, first, rec(1, 0, 100_120_000)) is False
+    drops = DropCounts()
+    assert label_samples(Trace.from_records([first, broken]), CTX, drops) == []
+    assert drops.missing_reply == 1
 
 
 def test_delta_rtt_zero_without_jitter():
     first = rec(0, 0, 10_000_000)
     second = rec(1, S, S + 10_000_000)
-    assert delta_rtt_from_trace(first, second) == 0.0
+    assert pair_value(delta_rtt_ms, first, second) == 0.0
 
 
 def test_delta_rtt_miss_penalty():
     first = rec(0, 0, 15_000_000, miss=True)
     second = rec(1, S, S + 10_000_000)
-    assert delta_rtt_from_trace(first, second) == pytest.approx(5.0)
+    assert pair_value(delta_rtt_ms, first, second) == pytest.approx(5.0)
     assert delta_rtt_label(first, second) == "Y"
 
 
@@ -89,9 +106,9 @@ def test_delta_rtt_seeded_replay():
 
     def run(seed):
         path = uniform_path(4, 4, 100_000_000, cross_traffic=cross)
-        records = run_train(build_probe_train(KEY), path, ControllerSpec(), 1, seed=seed)
-        _, singles = group_trial(records)
-        return delta_rtt_from_trace(singles[0], singles[1])
+        trace = run_train(build_probe_train(KEY), path, ControllerSpec(), 1, seed=seed)
+        _, _, singles = group_probes(trace)
+        return delta_rtt_ms(trace, singles[:1], singles[1:2])[0]
 
     assert run(4) == run(4)
     assert run(4) != run(5)
@@ -102,10 +119,8 @@ def test_delta_rtt_label_taxonomy():
     hit = rec(1, S, S + MS)
     assert delta_rtt_label(miss, hit) == "Y"
     assert delta_rtt_label(hit.__class__(**{**hit.__dict__, "packet_id": 0}), hit) == "N"
-    with pytest.raises(AmbiguousLabelError):
-        delta_rtt_label(miss, rec(1, S, S + MS, miss=True))
-    with pytest.raises(AmbiguousLabelError):
-        delta_rtt_label(hit, miss)
+    assert delta_rtt_label(miss, rec(1, S, S + MS, miss=True)) is None
+    assert delta_rtt_label(hit, miss) is None
 
 
 def test_label_samples_standard_train():
@@ -143,7 +158,7 @@ def test_label_samples_counts_drops():
     ]
     ambiguous = [rec(0, 0, MS, miss=True, trial=2), rec(1, S, S + MS, miss=True, trial=2)]
     drops = DropCounts()
-    samples = label_samples(good + broken_pair + ambiguous, CTX, drops)
+    samples = label_samples(Trace.from_records(good + broken_pair + ambiguous), CTX, drops)
     assert drops.missing_reply == 1
     assert drops.ambiguous_label == 1
     assert len(samples) == 1

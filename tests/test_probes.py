@@ -1,11 +1,15 @@
 """Probe-train structure, trial labeling, passive pairing, trace persistence."""
 
+import csv
+import io
+
 import pytest
 
 from sdnfp.distributions import CrossTrafficModel, constant
 from sdnfp.netsim import ControllerSpec, FlowKey, SwitchSpec, uniform_path
 from sdnfp.probes import (
-    PassivePair,
+    TRACE_FIELDS,
+    Trace,
     TraceRecord,
     build_probe_train,
     extract_passive_pairs,
@@ -113,40 +117,49 @@ def _rec(trial, pid, send_ns, flow="f"):
     return TraceRecord(trial, pid, "PROBE", flow, send_ns, send_ns + 1, send_ns + 1, send_ns + 2, False, False)
 
 
+def passive_pairs(records, window_ns):
+    """(first packet id, second packet id, send gap) of each passive pair."""
+    trace = Trace.from_records(records)
+    first, second = extract_passive_pairs(trace, window_ns)
+    send = trace.client_send_ns
+    return list(zip(trace.packet_id[first].tolist(), trace.packet_id[second].tolist(),
+                    (send[second] - send[first]).tolist()))
+
+
 def test_passive_pairs_basic_window():
     records = [_rec(0, 0, 0), _rec(0, 1, S)]
-    pairs = extract_passive_pairs(records, window_ns=S)
+    pairs = passive_pairs(records, window_ns=S)
     assert len(pairs) == 1
-    assert pairs[0].gap_ns == S
+    assert pairs[0][2] == S
 
 
 def test_passive_pairs_outside_window():
     records = [_rec(0, 0, 0), _rec(0, 1, 11 * 60 * S)]
-    assert extract_passive_pairs(records, window_ns=10 * 60 * S) == []
+    assert passive_pairs(records, window_ns=10 * 60 * S) == []
 
 
 def test_passive_pairs_greedy_non_overlap():
     records = [_rec(0, 0, 0), _rec(0, 1, S), _rec(0, 2, 2 * S)]
-    pairs = extract_passive_pairs(records, window_ns=int(1.5 * S))
+    pairs = passive_pairs(records, window_ns=int(1.5 * S))
     assert len(pairs) == 1
-    assert (pairs[0].first.packet_id, pairs[0].second.packet_id) == (0, 1)
+    assert pairs[0][:2] == (0, 1)
 
 
 def test_passive_pairs_distinct_flows_never_mix():
     records = [_rec(0, 0, 0, "a"), _rec(0, 1, 1000, "b")]
-    assert extract_passive_pairs(records, window_ns=S) == []
+    assert passive_pairs(records, window_ns=S) == []
 
 
 def test_passive_pairs_zero_gap_excluded():
     records = [_rec(0, 0, 0), _rec(0, 1, 0)]
-    assert extract_passive_pairs(records, window_ns=S) == []
+    assert passive_pairs(records, window_ns=S) == []
 
 
 def test_passive_pairs_count_bound():
     records = [_rec(0, i, i * 100) for i in range(9)]
-    pairs = extract_passive_pairs(records, window_ns=S)
+    pairs = passive_pairs(records, window_ns=S)
     assert len(pairs) <= 9 // 2
-    used = [p.first.packet_id for p in pairs] + [p.second.packet_id for p in pairs]
+    used = [p[0] for p in pairs] + [p[1] for p in pairs]
     assert len(used) == len(set(used))
 
 
@@ -164,3 +177,29 @@ def test_trace_csv_rejects_wrong_header(tmp_path):
     out.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         read_trace_csv(out)
+
+
+def test_trace_csv_round_trip_missing_replies_and_full_tables(tmp_path):
+    # An external trace: lost replies (MISSING_NS), table-full flags, rows out
+    # of order and a flow name that needs quoting.
+    rows = [
+        TraceRecord(3, 7, "PROBE", "a,b", 5 * S, -1, -1, -1, True, True),
+        TraceRecord(0, 1, "CLEAR", "f", 0, 10, 11, 20, False, True),
+        TraceRecord(0, 0, "PROBE", 'say "f"', S, 12, 13, -1, True, False),
+    ]
+    trace = Trace.from_records(rows)
+    out = tmp_path / "traces.csv"
+    write_trace_csv(out, trace)
+    with open(out, newline="", encoding="utf-8") as f:
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(TRACE_FIELDS)
+        writer.writerows(
+            [*(getattr(r, n) for n in TRACE_FIELDS[:-2]), int(r.miss_flag), int(r.table_full)]
+            for r in rows
+        )
+        assert f.read() == expected.getvalue()
+    back = read_trace_csv(out)
+    assert back == trace
+    assert list(back) == rows
+    assert int(back.table_full.sum()) == 2

@@ -300,3 +300,21 @@ def test_cli_report_reads_bin_width_from_bundle(tmp_path):
 
     assert rows == expected(0.5)
     assert rows != expected(0.1)
+
+
+def test_cli_extract_keeps_a_fractional_time_span(tmp_path):
+    # 4.1 s * 1e9 is 4099999999.9999995 in floating point: truncating it
+    # would label the extracted samples with a 4.099999999 s span.
+    cfg = tmp_path / "span.yaml"
+    cfg.write_text(
+        "scenarios:\n  - name: span41\n    seed: 5\n    trains: 4\n    time_span: 4.1 s\n"
+    )
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 0
+    bundle = tmp_path / "runs" / "span41"
+    assert main(["extract", "--traces", str(bundle / "traces.csv"), "--out", str(tmp_path / "ex")]) == 0
+    assert (tmp_path / "ex" / "samples.csv").read_bytes() == (bundle / "samples.csv").read_bytes()
+    assert main(
+        ["extract", "--traces", str(bundle / "traces.csv"), "--out", str(tmp_path / "flags"),
+         "--k", "3", "--span-s", "4.1"]
+    ) == 0
+    assert (tmp_path / "flags" / "samples.csv").read_bytes() == (bundle / "samples.csv").read_bytes()
