@@ -37,20 +37,26 @@ Two implementations share these semantics:
   time, with Python objects for tables and windows.  It is the oracle the
   differential tests hold the engine to, trace for trial.
 
-Randomness.  Every trial owns an `RngStreams` with four independent named
-generators, and both implementations consume each stream in the same order,
-so they produce the same bits.  Streams with a single draw type and a layout
-fixed by the schedule are drawn as one block per trial: `cross` (one
-`random()` per hop with Pareto cross traffic) and `drift` (one
-`standard_normal()` per send time that advances the clock); numpy's block
-draws equal the same number of scalar calls.  The `control` stream (lookup
-and install delays, which may mix `random()` and `standard_normal()`) and the
-`defense` stream (delay-element holds) are drawn per event, in packet order
-within each trial, by the same scalar samplers the reference model calls.
+Randomness.  Every trial owns four independent named generators, and both
+implementations consume each stream in the same order, so they produce the
+same bits.  Stream i of trial t is seeded as numpy's
+SeedSequence(entropy=seed, spawn_key=(group, t, i)) would seed it, through
+one code path: `spawn_state` reimplements that hash over a trial axis.  The
+engine takes a `TrialStreams`, which builds one stream name for every trial
+in one pass on first access; the reference model's `RngStreams` is its
+one-trial case.  Streams with a single draw type and a layout fixed by the
+schedule are drawn as one block per trial: `cross` (one `random()` per hop
+with Pareto cross traffic) and `drift` (one `standard_normal()` per send time
+that advances the clock); numpy's block draws equal the same number of scalar
+calls.  The `control` stream (lookup and install delays, which may mix
+`random()` and `standard_normal()`) and the `defense` stream (delay-element
+holds) are drawn per event, in packet order within each trial, by the same
+scalar samplers the reference model calls.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,41 +249,150 @@ class DriftModel:
     base_ns: int = 10 * NS_PER_MS
 
 
-class RngStreams:
-    """Named substreams so that unrelated noise sources never share draws.
+STREAM_NAMES = ("cross", "control", "defense", "drift")
 
-    Stream i is seeded from SeedSequence(entropy=seed, spawn_key=(group,
-    trial, i)) on first access, so a stream a trial never touches costs
-    nothing and the draws do not depend on which streams were built.
+# numpy's SeedSequence constants: 32-bit words, a pool of four.
+_MASK32 = 0xFFFF_FFFF
+_INIT_A = 0x43B0_D7E5
+_MULT_A = 0x931E_8875
+_INIT_B = 0x8B51_F9DD
+_MULT_B = 0x58F3_8DED
+_MIX_MULT_L = 0xCA01_F9DD
+_MIX_MULT_R = 0x4973_F715
+_POOL_SIZE = 4
+_XSHIFT = 16
+
+
+def _words32(value: int, field: str) -> list[int]:
+    """A non-negative int as little-endian 32-bit words (0 is one word)."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"{field} must be >= 0, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def spawn_state(seed: int, group: int, trials, stream: int) -> np.ndarray:
+    """PCG64 seed words of stream `stream` of every trial, as a [trial, 4] uint64 array.
+
+    Row j equals np.random.SeedSequence(entropy=seed, spawn_key=(group,
+    trials[j], stream)).generate_state(4, np.uint64): numpy's pool mixing,
+    bit for bit.  Every hash step masks to 32 bits, so the same expressions
+    run on Python ints, for the words every trial shares, and on uint64
+    arrays over the trial axis once the trial's word is mixed in.
+    """
+    trials = np.asarray(trials)
+    if trials.ndim != 1 or trials.dtype.kind not in "iu":
+        raise ValueError("trials must be a 1-d array of integers")
+    if trials.size and (trials.min() < 0 or trials.max() > _MASK32):
+        raise ValueError("trial numbers must lie in [0, 2**32)")
+    run = _words32(seed, "seed")
+    # numpy pads the run entropy to the pool size whenever a spawn key is given.
+    entropy = [
+        *run,
+        *[0] * (_POOL_SIZE - len(run)),
+        *_words32(group, "group"),
+        trials.astype(np.uint64),
+        *_words32(stream, "stream"),
+    ]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const  # not in place: `value` may be the trial column
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> _XSHIFT
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> _XSHIFT
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    # generate_state(4, np.uint64): eight 32-bit words, paired low word first.
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> _XSHIFT)
+    return np.stack([lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])], axis=1)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 one precomputed row of `spawn_state` as its seed.
+
+    PCG64 asks its seed sequence for exactly generate_state(4, np.uint64).
     """
 
-    _NAMES = ("cross", "control", "defense", "drift")
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._words
+
+
+class TrialStreams:
+    """The named generators of many trials: `.cross[j]` is trial trials[j]'s.
+
+    Stream i of trial t is seeded as SeedSequence(entropy=seed,
+    spawn_key=(group, t, i)) would seed it.  Each name's list is built for
+    every trial on its first access, from one `spawn_state` pass, so a stream
+    the schedule never touches costs nothing and the draws do not depend on
+    which streams were built.
+    """
+
+    def __init__(self, seed: int, trials, group: int = 0):
+        self._seed = seed
+        self._trials = trials
+        self._group = group
+
+    def __len__(self) -> int:
+        return len(self._trials)
+
+    def __getattr__(self, name: str) -> list[np.random.Generator]:
+        if name.startswith("_") or name not in STREAM_NAMES:
+            raise AttributeError(name)
+        state = spawn_state(self._seed, self._group, self._trials, STREAM_NAMES.index(name))
+        gens = self.__dict__[name] = [
+            np.random.Generator(np.random.PCG64(_SeedWords(words))) for words in state
+        ]
+        return gens
+
+
+class RngStreams:
+    """One trial's named generators, for the scalar reference model.
+
+    Each is built on first access, seeded exactly as that trial's entry of
+    `TrialStreams`, so unrelated noise sources never share draws.
+    """
 
     def __init__(self, seed: int, trial: int = 0, group: int = 0):
-        self._seed = seed
-        self._spawn_key = (group, trial)
+        self._batch = TrialStreams(seed, [trial], group)
 
     def __getattr__(self, name: str) -> np.random.Generator:
-        if name.startswith("_") or name not in self._NAMES:
+        if name.startswith("_"):
             raise AttributeError(name)
-        seq = np.random.SeedSequence(
-            entropy=self._seed, spawn_key=(*self._spawn_key, self._NAMES.index(name))
-        )
-        gen = self.__dict__[name] = np.random.default_rng(seq)
+        gen = self.__dict__[name] = getattr(self._batch, name)[0]
         return gen
-
-    @classmethod
-    def shared(cls, rng: np.random.Generator) -> "RngStreams":
-        obj = cls.__new__(cls)
-        obj.__dict__.update(dict.fromkeys(cls._NAMES, rng))
-        return obj
 
 
 def _coerce_streams(rng) -> RngStreams:
     if isinstance(rng, RngStreams):
         return rng
-    if isinstance(rng, np.random.Generator):
-        return RngStreams.shared(rng)
     return RngStreams(int(rng))
 
 
@@ -541,7 +656,7 @@ class TrialTraces:
     table_full: np.ndarray
 
 
-def _cross_delays(path: PathSpec, n_packets: int, streams) -> list[np.ndarray]:
+def _cross_delays(path: PathSpec, n_packets: int, streams: TrialStreams) -> list[np.ndarray]:
     """Per-link cross-traffic delays, forward links then reverse links.
 
     Each entry is a [packet, trial] array.  A trial's `cross` stream is drawn
@@ -555,14 +670,14 @@ def _cross_delays(path: PathSpec, n_packets: int, streams) -> list[np.ndarray]:
     delays = [np.broadcast_to(np.int64(m.value_ns), shape) for m in models]
     drawn = [j for j, m in enumerate(models) if m.kind == "pareto"]
     if drawn:
-        block = np.stack([s.cross.random(n_packets * len(drawn)) for s in streams])
+        block = np.stack([gen.random(n_packets * len(drawn)) for gen in streams.cross])
         block = block.reshape(len(streams), n_packets, len(drawn))
         for col, j in enumerate(drawn):
             delays[j] = models[j].pareto_ns_from_uniform(block[:, :, col].T)
     return delays
 
 
-def _wander(drift: DriftModel | None, packets, streams) -> list:
+def _wander(drift: DriftModel | None, packets, streams: TrialStreams) -> list:
     """Path-latency wander at each packet's send time, as [trial] arrays.
 
     One `standard_normal()` per send time that advances the walk's clock, so
@@ -578,7 +693,7 @@ def _wander(drift: DriftModel | None, packets, streams) -> list:
         if t - t_prev > 0:
             steps.append(((t - t_prev) / 1e9) ** 0.5)
             t_prev = t
-    z = np.stack([s.drift.standard_normal(len(steps)) for s in streams])
+    z = np.stack([gen.standard_normal(len(steps)) for gen in streams.drift])
     walk = np.zeros(len(streams))
     wander = []
     j, t_prev = 0, 0
@@ -600,7 +715,9 @@ class _TrialBatch:
     table keeps), 2 both directions.
     """
 
-    def __init__(self, path: PathSpec, controller: ControllerSpec, streams, warm: bool):
+    def __init__(
+        self, path: PathSpec, controller: ControllerSpec, streams: TrialStreams, warm: bool
+    ):
         self.path = path
         self.controller = controller
         self.streams = streams
@@ -660,9 +777,9 @@ class _TrialBatch:
         surcharge = np.zeros_like(now)
         idx = np.flatnonzero(miss)
         if idx.size:
+            control = self.streams.control
             charge = np.array(
-                [miss_charge_ns(self.path, self.controller, self.streams[t].control) for t in idx],
-                np.int64,
+                [miss_charge_ns(self.path, self.controller, control[t]) for t in idx], np.int64
             )
             full = np.zeros(idx.size, bool)
             for held, n in zip(self.rules, self.full_rules):
@@ -699,9 +816,10 @@ class _TrialBatch:
         from .defense import FIRST, FOLLOWUP, delay_for
 
         k = self.path.configured_count
+        defense = self.streams.defense
         return np.array(
             [
-                delay_for(FIRST if first[t] else FOLLOWUP, self.element, self.streams[t].defense, k=k)
+                delay_for(FIRST if first[t] else FOLLOWUP, self.element, defense[t], k=k)
                 for t in idx
             ],
             np.int64,
@@ -712,7 +830,7 @@ def simulate_trials(
     path: PathSpec,
     controller: ControllerSpec,
     packets,
-    streams,
+    streams: TrialStreams,
     *,
     warm: bool = False,
     drift: DriftModel | None = None,
@@ -721,9 +839,10 @@ def simulate_trials(
 ) -> TrialTraces:
     """Run one single-flow packet schedule as len(streams) independent trials.
 
-    Trial j draws only from streams[j] and produces exactly what
-    `Simulation(path, controller, streams[j], ...)` produces for the same
-    packets; `warm` pre-installs the flow's rules at every configured switch.
+    Trial j draws only from entry j of each of the batch's stream lists and
+    produces exactly what `Simulation(path, controller, RngStreams(seed,
+    trials[j], group), ...)` produces for the same packets; `warm`
+    pre-installs the flow's rules at every configured switch.
     """
     packets = tuple(packets)
     n_trials = len(streams)

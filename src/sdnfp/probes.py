@@ -14,15 +14,16 @@ them explicitly.
 Execution.  `run_schedule` runs one schedule for a whole list of trial
 numbers at once on the trial-batched engine (`netsim.simulate_trials`): the
 trial is a numpy axis, and every packet x hop step advances all trials
-together.  Trial t draws only from its own `RngStreams(seed, trial=t,
-group)`, so its rows are the same whichever trials run beside it.  The
-`cross` and `drift` streams hold a single draw type in a layout the schedule
-fixes, and are drawn as one block per trial; the `control` stream (lookup and
-install delays on a table miss) and the `defense` stream (delay-element
-holds) depend on per-trial state, and are drawn per event, in packet order
-within the trial.  `run_schedule_reference` runs one trial on the scalar
-reference model (`netsim.Simulation`), packet by packet; the differential
-tests hold the engine to it row for row.
+together.  Trial t draws only from its own four streams, seeded from (seed,
+group, t), so its rows are the same whichever trials run beside it; a
+`netsim.TrialStreams` seeds each stream name for all trials in one
+vectorised pass.  The `cross` and `drift` streams hold a single draw type in
+a layout the schedule fixes, and are drawn as one block per trial; the
+`control` stream (lookup and install delays on a table miss) and the
+`defense` stream (delay-element holds) depend on per-trial state, and are
+drawn per event, in packet order within the trial.  `run_schedule_reference`
+runs one trial on the scalar reference model (`netsim.Simulation`), packet by
+packet; the differential tests hold the engine to it row for row.
 
 Traces.  A `Trace` is the send/receive log of every packet and its reply, kept
 as columns: int64 arrays for the trial, the packet id, the four timestamps and
@@ -57,6 +58,7 @@ from .netsim import (
     PathSpec,
     RngStreams,
     Simulation,
+    TrialStreams,
     simulate_trials,
 )
 from .units import NS_PER_S
@@ -262,17 +264,17 @@ def run_schedule(
 ) -> Trace:
     """Run the schedule once per trial number, all trials together; log every packet.
 
-    Trial t draws from RngStreams(seed, trial=t, group=group) only, so its
-    rows do not depend on which other trials run beside it.  Rows come trial
-    by trial, in the order of `trials`, packets in schedule order.
+    Trial t draws only from the streams RngStreams(seed, trial=t,
+    group=group) would give it, so its rows do not depend on which other
+    trials run beside it.  Rows come trial by trial, in the order of
+    `trials`, packets in schedule order.
     """
     trials = np.asarray(list(trials), np.int64)
-    streams = [RngStreams(seed, trial=t, group=group) for t in trials.tolist()]
     out = simulate_trials(
         path,
         controller,
         schedule.packets,
-        streams,
+        TrialStreams(seed, trials, group),
         warm=warm,
         drift=drift,
         reply_bytes=reply_bytes,

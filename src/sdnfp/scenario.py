@@ -126,6 +126,8 @@ class Scenario:
     idle_lead_ns: int = 10 * NS_PER_S
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
         if self.trains < 1:
             raise ConfigError("trains: must be >= 1")
         if not 1 <= self.k <= min(3, self.links_forward - 1):

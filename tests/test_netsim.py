@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sdnfp.distributions import CrossTrafficModel, constant, lognormal
 from sdnfp.netsim import (
+    STREAM_NAMES,
     ControllerSpec,
     FlowKey,
     FlowTable,
@@ -14,11 +16,13 @@ from sdnfp.netsim import (
     RngStreams,
     Simulation,
     SwitchSpec,
+    TrialStreams,
     clear_flow_tables,
     forward_packet,
     handle_table_miss,
     simulate_exchange,
     simulate_pair,
+    spawn_state,
     transmission_delay_ns,
     uniform_path,
     LinkState,
@@ -349,3 +353,85 @@ def test_lazy_streams_build_only_what_is_used():
     assert "control" not in vars(streams) and "drift" not in vars(streams)
     with pytest.raises(AttributeError):
         streams.unknown
+
+
+def numpy_state(seed, group, trial, stream):
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(group, trial, stream))
+    return seq.generate_state(4, np.uint64)
+
+
+@given(
+    seed=st.integers(0, 2**128),
+    group=st.integers(0, 2**40),
+    trials=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+    stream=st.integers(0, 3),
+)
+def test_spawn_state_matches_numpy_seed_sequence(seed, group, trials, stream):
+    state = spawn_state(seed, group, np.array(trials, np.int64), stream)
+    assert state.dtype == np.uint64 and state.shape == (len(trials), 4)
+    for row, trial in zip(state, trials):
+        assert row.tolist() == numpy_state(seed, group, trial, stream).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**96 + 1, 2**128])
+@pytest.mark.parametrize("group", [0, 1, 2**32, 2**40])
+def test_spawn_state_word_boundaries(seed, group):
+    # Seeds and groups at each word-count boundary, the smallest and largest trial.
+    trials = [0, 1, 2**32 - 1]
+    for stream in range(len(STREAM_NAMES)):
+        state = spawn_state(seed, group, np.array(trials, np.int64), stream)
+        expected = [numpy_state(seed, group, t, stream).tolist() for t in trials]
+        assert state.tolist() == expected
+
+
+@given(
+    seed=st.integers(0, 2**128),
+    group=st.integers(0, 2**40),
+    trials=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+)
+def test_trial_streams_draw_as_numpy_seeded_generators(seed, group, trials):
+    batch = TrialStreams(seed, np.array(trials, np.int64), group)
+    for stream, name in enumerate(STREAM_NAMES):
+        gens = getattr(batch, name)
+        assert len(gens) == len(trials)
+        for gen, trial in zip(gens, trials):
+            oracle = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(group, trial, stream))
+            )
+            assert gen.random(7).tolist() == oracle.random(7).tolist()
+            assert gen.standard_normal(7).tolist() == oracle.standard_normal(7).tolist()
+
+
+@pytest.mark.parametrize("trials", [[-1], [0, 2**32], [2**40]])
+def test_spawn_state_rejects_trials_outside_32_bits(trials):
+    with pytest.raises(ValueError):
+        spawn_state(7, 0, np.array(trials, np.int64), 0)
+    with pytest.raises(ValueError):
+        TrialStreams(7, np.array(trials, np.int64)).cross
+
+
+def test_spawn_state_rejects_negative_seed_and_group():
+    with pytest.raises(ValueError, match="seed"):
+        spawn_state(-1, 0, np.array([0]), 0)
+    with pytest.raises(ValueError, match="group"):
+        spawn_state(1, -1, np.array([0]), 0)
+
+
+def test_trial_streams_build_each_name_on_first_access(monkeypatch):
+    import sdnfp.netsim as netsim
+
+    passes = []
+
+    def counted(seed, group, trials, stream):
+        passes.append(stream)
+        return spawn_state(seed, group, trials, stream)
+
+    monkeypatch.setattr(netsim, "spawn_state", counted)
+    batch = TrialStreams(5, np.arange(3), group=1)
+    assert len(batch) == 3 and passes == []
+    assert not set(STREAM_NAMES) & set(vars(batch))
+    gens = batch.control
+    assert batch.control is gens and passes == [1]  # one pass for all trials, then cached
+    assert set(STREAM_NAMES) & set(vars(batch)) == {"control"}
+    with pytest.raises(AttributeError):
+        batch.unknown

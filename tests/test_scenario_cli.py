@@ -161,6 +161,13 @@ def test_load_scenarios_yaml(tmp_path):
     assert scenarios[0].trains == 5
 
 
+def test_load_scenarios_rejects_negative_seed(tmp_path):
+    cfg = tmp_path / "scenarios.yaml"
+    cfg.write_text("scenarios:\n  - name: tiny\n    seed: -1\n    k: 1\n")
+    with pytest.raises(ConfigError, match="seed: must be >= 0"):
+        load_scenarios(cfg)
+
+
 def test_load_scenarios_bad_yaml(tmp_path):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("scenarios: {not a list}\n")
@@ -250,6 +257,12 @@ def test_cli_unknown_scenario_exit_2(tmp_path):
 def test_cli_zero_trains_exit_2(tmp_path):
     code = main(["simulate", "--scenario", "k3-hw-100m", "--trains", "0", "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_cli_negative_seed_exit_2(tmp_path, capsys):
+    code = main(["simulate", "--scenario", "k1-hw-100m", "--seed", "-1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "seed: must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_missing_trace_file_exit_1(tmp_path):
