@@ -32,10 +32,7 @@ from .netsim import (
     Simulation,
     SwitchSpec,
     clear_flow_tables,
-    forward_packet,
     handle_table_miss,
-    simulate_exchange,
-    simulate_pair,
     transmission_delay_ns,
     uniform_path,
 )

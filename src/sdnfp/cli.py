@@ -14,9 +14,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import features as features_mod
-from . import scenario as scenario_mod
 from .defense import DelayElementConfig, element_from_fits
-from .features import DELTA_RTT, DISPERSION, read_feature_csv, split_populations
+from .features import DELTA_RTT, DISPERSION, read_feature_csv
 from .probes import Trace, read_trace_csv
 from .scenario import (
     ConfigError,
@@ -24,10 +23,15 @@ from .scenario import (
     Scenario,
     builtin_scenarios,
     emit_report,
+    evaluate,
     load_scenarios,
     run_scenario,
 )
-from .stats import GPDParams, compute_eer, fit_gpd, welch_t_test
+from .stats import GPDParams, fit_gpd
+
+# Unused here since `scenario.evaluate` computes every EER and Welch test, but
+# bench/tracer.py patches these two names on this module.
+from .stats import compute_eer, welch_t_test  # noqa: F401
 
 
 def _select_scenarios(args) -> list[Scenario]:
@@ -118,31 +122,18 @@ def cmd_eer(args) -> int:
     samples = read_feature_csv(args.samples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    results = {}
-    for feature in args.features:
-        values_n, values_y = split_populations(samples, feature)
-        if not values_n or not values_y:
-            raise ConfigError(f"features: no {feature} samples for one of the labels")
-        eer = compute_eer(values_n, values_y)
-        welch = welch_t_test(values_n, values_y)
-        results[feature] = {
-            "eer": eer.eer,
-            "eer_percent": eer.eer * 100.0,
-            "threshold_ms": eer.threshold_ms,
-            "t_statistic": welch.t_statistic,
-            "significant_at_1pct": welch.significant_at_1pct,
-            "n_samples_N": len(values_n),
-            "n_samples_Y": len(values_y),
-        }
+    results = evaluate(samples, args.features)
+    for feature, result in results.items():
+        eer = result.eer
         print(f"{feature}: EER={eer.eer * 100.0:.2f}% threshold={eer.threshold_ms:.2f} ms")
         if args.curve:
-            curve_path = out / f"curve_{feature}.csv"
             lines = ["threshold_ms,fmr,fnr"]
-            for t, fmr, fnr in compute_eer(values_n, values_y).curve:
+            for t, fmr, fnr in eer.curve:
                 lines.append(f"{t!r},{fmr!r},{fnr!r}")
-            curve_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            (out / f"curve_{feature}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = {feature: result.row() for feature, result in results.items()}
     (out / "eer.json").write_text(
-        json.dumps(results, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(rows, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     return 0
 
@@ -220,15 +211,6 @@ def _load_bundle(bundle_dir: Path) -> ResultBundle:
     meta = json.loads(results_path.read_text(encoding="utf-8"))
     described = json.loads(scenario_path.read_text(encoding="utf-8"))
     samples = read_feature_csv(samples_path)
-    feature_results = {}
-    for feature, row in meta["features"].items():
-        values_n, values_y = split_populations(samples, feature)
-        feature_results[feature] = scenario_mod.FeatureResult(
-            eer=compute_eer(values_n, values_y),
-            welch=welch_t_test(values_n, values_y),
-            n_count=len(values_n),
-            y_count=len(values_y),
-        )
     scenario = Scenario(
         name=meta["scenario"],
         seed=meta["seed"],
@@ -244,7 +226,7 @@ def _load_bundle(bundle_dir: Path) -> ResultBundle:
         records=Trace.from_records([]),
         samples=samples,
         drops=features_mod.DropCounts(),
-        feature_results=feature_results,
+        feature_results=evaluate(samples, meta["features"]),
         table_full_events=meta.get("table_full_events", 0),
     )
 

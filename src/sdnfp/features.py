@@ -218,21 +218,28 @@ def write_feature_csv(path, samples) -> None:
 
 
 def read_feature_csv(path) -> list[FeatureSample]:
+    """Samples of a feature CSV; rows with the same context fields share one
+    `ScenarioContext`."""
     samples = []
+    contexts: dict[tuple[str, ...], ScenarioContext] = {}
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != FEATURE_FIELDS:
+        reader = csv.reader(f)
+        if tuple(next(reader, ())) != FEATURE_FIELDS:
             raise ValueError(f"feature file {path} does not carry the expected header")
         for row in reader:
-            ctx = ScenarioContext(
-                k=int(row["k"]),
-                switch_kind=row["kind"],
-                data_link_bps=int(row["link_bps"]),
-                time_span_ns=int(float(row["span_s"]) * 1e9 + 0.5),
-            )
-            samples.append(
-                FeatureSample(row["feature"], float(row["value_ms"]), row["label"], ctx)
-            )
+            if not row:
+                continue
+            feature, value_ms, label, k, kind, link_bps, span_s = row
+            key = (k, kind, link_bps, span_s)
+            ctx = contexts.get(key)
+            if ctx is None:
+                ctx = contexts[key] = ScenarioContext(
+                    k=int(k),
+                    switch_kind=kind,
+                    data_link_bps=int(link_bps),
+                    time_span_ns=int(float(span_s) * 1e9 + 0.5),
+                )
+            samples.append(FeatureSample(feature, float(value_ms), label, ctx))
     return samples
 
 

@@ -228,15 +228,6 @@ class ExchangeResult:
     forward_arrivals_ns: tuple[int, ...]
 
 
-@dataclass
-class PairResult:
-    reply_dispersion_ns: int
-    server_dispersion_ns: int
-    rtts_ns: tuple[int, int]
-    miss_flags: tuple[bool, bool]
-    table_full: bool
-
-
 @dataclass(frozen=True)
 class DriftModel:
     """Slow wander of the path latency, for the time-span stability studies.
@@ -891,85 +882,6 @@ def simulate_trials(
         client_recv_ns=client_recv,
         miss_flag=miss_flag,
         table_full=table_full,
-    )
-
-
-# -- module-level operation wrappers (one-shot state) ----------------------
-
-
-class LinkState:
-    """Holds a Simulation so consecutive forward_packet calls share FIFO state."""
-
-    def __init__(self, path: PathSpec, controller: ControllerSpec | None = None, rng=0):
-        self.sim = Simulation(path, controller or ControllerSpec(), rng)
-
-
-def forward_packet(
-    packet: Packet, path: PathSpec, direction: str = "forward", rng=0, state: LinkState | None = None
-) -> list[int]:
-    """Per-hop arrival timestamps of one packet.
-
-    Reverse-direction traversal reuses the same service model on the reverse
-    links (switch interactions are a forward-path phenomenon).
-    """
-    if direction == "forward":
-        sim = state.sim if state is not None else Simulation(path, ControllerSpec(), rng)
-        arrivals, _, _ = sim.forward(packet, packet.sent_at_ns)
-        return arrivals
-    if direction != "reverse":
-        raise ValueError("direction must be forward or reverse")
-    streams = _coerce_streams(rng)
-    t = packet.sent_at_ns
-    arrivals = []
-    for link in path.reverse_links:
-        d = link.cross_traffic.delay_model().sample_ns(streams.cross) if link.cross_traffic else 0
-        t += d + transmission_delay_ns(packet.size_bytes, link) + link.base_latency_ns
-        arrivals.append(t)
-    return arrivals
-
-
-def simulate_exchange(
-    packet: Packet,
-    path: PathSpec,
-    controller: ControllerSpec,
-    rng=0,
-    *,
-    sim: Simulation | None = None,
-    warm_keys: tuple[FlowKey, ...] = (),
-    turnaround_ns: int = 0,
-) -> ExchangeResult:
-    if packet.kind not in (PROBE, CLEAR):
-        raise ValueError("exchange expects a PROBE or CLEAR packet")
-    if sim is None:
-        sim = Simulation(
-            path, controller, rng, warm_keys=warm_keys, turnaround_ns=turnaround_ns
-        )
-    return sim.exchange(packet)
-
-
-def simulate_pair(
-    pair: tuple[Packet, Packet],
-    path: PathSpec,
-    controller: ControllerSpec,
-    rng=0,
-    *,
-    sim: Simulation | None = None,
-    warm_keys: tuple[FlowKey, ...] = (),
-) -> PairResult:
-    """Back-to-back pair exchange; dispersion measured between the replies."""
-    first, second = pair
-    if first.key != second.key:
-        raise ValueError("pair members must share one FlowKey")
-    if sim is None:
-        sim = Simulation(path, controller, rng, warm_keys=warm_keys)
-    r1 = sim.exchange(first)
-    r2 = sim.exchange(second)
-    return PairResult(
-        reply_dispersion_ns=r2.client_recv_ns - r1.client_recv_ns,
-        server_dispersion_ns=r2.server_recv_ns - r1.server_recv_ns,
-        rtts_ns=(r1.rtt_ns, r2.rtt_ns),
-        miss_flags=(r1.miss_flag, r2.miss_flag),
-        table_full=r1.table_full or r2.table_full,
     )
 
 

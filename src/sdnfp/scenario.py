@@ -33,7 +33,6 @@ from pathlib import Path
 import yaml
 
 from . import probes as probes_mod
-from . import stats as stats_mod
 from .defense import DelayElementConfig, apply_delay_element
 from .distributions import (
     CrossTrafficModel,
@@ -71,7 +70,7 @@ from .probes import (
     stretched_train,
     write_trace_csv,
 )
-from .stats import EERResult, GPDParams, build_histogram, compute_eer, welch_t_test
+from .stats import EERResult, GPDParams, WelchResult, build_histogram, compute_eer, welch_t_test
 from .units import (
     NS_PER_MS,
     NS_PER_S,
@@ -223,9 +222,37 @@ def drift_variant(scenario: Scenario, time_span_ns: int, sigma_ns: float = DEFAU
 @dataclass
 class FeatureResult:
     eer: EERResult
-    welch: stats_mod.WelchResult
+    welch: WelchResult
     n_count: int
     y_count: int
+
+    def row(self) -> dict:
+        """The feature's entry in results.json and in `sdnfp eer`'s eer.json."""
+        return {
+            "eer": self.eer.eer,
+            "eer_percent": self.eer.eer * 100.0,
+            "threshold_ms": self.eer.threshold_ms,
+            "t_statistic": self.welch.t_statistic,
+            "significant_at_1pct": self.welch.significant_at_1pct,
+            "n_samples_N": self.n_count,
+            "n_samples_Y": self.y_count,
+        }
+
+
+def evaluate(samples, features) -> dict[str, FeatureResult]:
+    """EER and Welch test of each feature's N and Y populations."""
+    results = {}
+    for feature in features:
+        values_n, values_y = split_populations(samples, feature)
+        if not values_n or not values_y:
+            raise ConfigError(f"features: no {feature} samples for one label")
+        results[feature] = FeatureResult(
+            eer=compute_eer(values_n, values_y),
+            welch=welch_t_test(values_n, values_y),
+            n_count=len(values_n),
+            y_count=len(values_y),
+        )
+    return results
 
 
 @dataclass
@@ -238,17 +265,6 @@ class ResultBundle:
     table_full_events: int
 
     def summary_dict(self) -> dict:
-        feats = {}
-        for name, fr in self.feature_results.items():
-            feats[name] = {
-                "eer": fr.eer.eer,
-                "eer_percent": fr.eer.eer * 100.0,
-                "threshold_ms": fr.eer.threshold_ms,
-                "t_statistic": fr.welch.t_statistic,
-                "significant_at_1pct": fr.welch.significant_at_1pct,
-                "n_samples_N": fr.n_count,
-                "n_samples_Y": fr.y_count,
-            }
         return {
             "scenario": self.scenario.name,
             "seed": self.scenario.seed,
@@ -260,7 +276,7 @@ class ResultBundle:
             "defended": self.scenario.defense is not None,
             "drops": self.drops.as_dict(),
             "table_full_events": self.table_full_events,
-            "features": feats,
+            "features": {name: fr.row() for name, fr in self.feature_results.items()},
         }
 
 
@@ -302,27 +318,12 @@ def run_scenario(scenario: Scenario, out_dir: Path | str | None = None) -> Resul
 
     drops = DropCounts()
     samples = label_samples(records, scenario.context(), drops)
-
-    feature_results: dict[str, FeatureResult] = {}
-    for feature in scenario.feature_set:
-        values_n, values_y = split_populations(samples, feature)
-        if not values_n or not values_y:
-            raise ConfigError(
-                f"features: scenario produced no {feature} samples for one label"
-            )
-        feature_results[feature] = FeatureResult(
-            eer=compute_eer(values_n, values_y),
-            welch=welch_t_test(values_n, values_y),
-            n_count=len(values_n),
-            y_count=len(values_y),
-        )
-
     bundle = ResultBundle(
         scenario=scenario,
         records=records,
         samples=samples,
         drops=drops,
-        feature_results=feature_results,
+        feature_results=evaluate(samples, scenario.feature_set),
         table_full_events=table_full,
     )
     if out_dir is not None:

@@ -1,6 +1,10 @@
 """Empirical PDFs, equal-error-rate evaluation, significance testing, and
 Generalized Pareto fitting/sampling.
 
+The fit is scipy's maximum-likelihood `genpareto.fit` with the location
+pinned; the quantile and sampler stay hand-written, because the defended
+traces depend on their exact floating-point path.
+
 Classification convention (fixed): a measurement below the threshold is
 conjectured N (no rule installed), at or above it Y.  During the sweep,
 FNR(t) = |{N > t}|/|N| and FMR(t) = |{Y <= t}|/|Y|; the EER is the value at
@@ -14,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import genpareto, kstest
 from scipy.stats import t as student_t
 
 
@@ -223,88 +228,28 @@ def gpd_sample(params: GPDParams, rng: np.random.Generator, size: int | None = N
     return gpd_quantile(u, params)
 
 
-def _gpd_negloglik(xi: float, sigma: float, y: np.ndarray) -> float:
-    """Negative log-likelihood of exceedances y > 0; inf outside the support."""
-    if sigma <= 0:
-        return math.inf
-    if abs(xi) < _XI_ZERO:
-        return y.size * math.log(sigma) + float(y.sum()) / sigma
-    z = xi * y / sigma
-    if np.any(z <= -1.0):
-        return math.inf
-    return y.size * math.log(sigma) + (1.0 / xi + 1.0) * float(np.log1p(z).sum())
-
-
 LOCATION_EPS_MS = 1e-6  # one nanosecond
 
 
 def fit_gpd(samples, min_samples: int = 50) -> tuple[GPDParams, float]:
-    """Fit by maximum likelihood over a coarse grid with local refinement.
+    """Fit a Generalized Pareto by maximum likelihood.
 
     The location is pinned one time-quantum below the smallest sample, and
-    (xi, sigma) maximize the exceedance likelihood.  Returns the parameters
-    and the Kolmogorov-Smirnov D statistic of the fit (lower is better).
+    `scipy.stats.genpareto.fit` finds the shape and scale that maximize the
+    exceedance likelihood.  Returns the parameters and the Kolmogorov-Smirnov
+    D statistic of the fit (lower is better).
     """
-    x = np.sort(np.asarray(list(samples), dtype=float))
+    x = np.asarray(list(samples), dtype=float)
     if x.size < min_samples:
         raise ValueError(f"need at least {min_samples} samples")
-    if x[-1] == x[0]:
+    if not np.all(np.isfinite(x)):
+        raise FitFailedError("samples must be finite")
+    if x.max() == x.min():
         raise FitFailedError("constant samples leave the likelihood degenerate")
-    mu = float(x[0]) - LOCATION_EPS_MS
-    y = x - mu
-
-    # Method-of-moments start: mean = sigma/(1-xi), var = sigma^2/((1-xi)^2 (1-2 xi)).
-    m = float(y.mean())
-    v = float(y.var())
-    xi0 = 0.5 * (1.0 - m * m / v) if v > 0 else 0.0
-    xi0 = min(max(xi0, -0.95), 0.95)
-    sigma0 = max(m * (1.0 - xi0), 1e-12)
-
-    y_sum = float(y.sum())
-    n_obs = y.size
-
-    def grid_search(xi_lo, xi_hi, sig_lo, sig_hi, n_xi, n_sig):
-        best = (math.inf, xi0, sigma0)
-        sigmas = np.geomspace(sig_lo, sig_hi, n_sig)
-        log_sigmas = np.log(sigmas)
-        for xi in np.linspace(xi_lo, xi_hi, n_xi):
-            xi = float(xi)
-            if abs(xi) < _XI_ZERO:
-                nll_vec = n_obs * log_sigmas + y_sum / sigmas
-            else:
-                z = np.multiply.outer(xi / sigmas, y)  # (n_sig, n)
-                valid = z.min(axis=1) > -1.0
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    sums = np.log1p(z).sum(axis=1)
-                nll_vec = n_obs * log_sigmas + (1.0 / xi + 1.0) * sums
-                nll_vec = np.where(valid, nll_vec, np.inf)
-            j = int(np.argmin(nll_vec))
-            if nll_vec[j] < best[0]:
-                best = (float(nll_vec[j]), xi, float(sigmas[j]))
-        return best
-
-    nll, xi_hat, sig_hat = grid_search(
-        max(-0.99, xi0 - 0.6), min(0.99, xi0 + 0.6), sigma0 / 4, sigma0 * 4, 41, 41
-    )
-    span_xi, span_sig = 0.06, 1.25
-    for _ in range(2):
-        nll, xi_hat, sig_hat = grid_search(
-            max(-0.999, xi_hat - span_xi),
-            min(0.999, xi_hat + span_xi),
-            sig_hat / span_sig,
-            sig_hat * span_sig,
-            25,
-            25,
-        )
-        span_xi /= 8
-        span_sig = 1.03
-    if not math.isfinite(nll):
+    mu = float(x.min()) - LOCATION_EPS_MS
+    xi, _, sigma = genpareto.fit(x, floc=mu)
+    if not (math.isfinite(xi) and math.isfinite(sigma) and sigma > 0):
         raise FitFailedError("no parameter pair with finite likelihood")
-
-    params = GPDParams(shape=xi_hat, scale=sig_hat, location=mu)
-    cdf = gpd_cdf(x, params)
-    n = x.size
-    ecdf_hi = np.arange(1, n + 1) / n
-    ecdf_lo = np.arange(0, n) / n
-    ks = float(np.max(np.maximum(ecdf_hi - cdf, cdf - ecdf_lo)))
+    params = GPDParams(shape=float(xi), scale=float(sigma), location=mu)
+    ks = float(kstest(x, genpareto.cdf, args=(xi, mu, sigma)).statistic)
     return params, ks

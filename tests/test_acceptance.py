@@ -69,7 +69,7 @@ def defended(undefended):
 
 
 def test_criterion_1_dispersion_closed_form():
-    from sdnfp.netsim import simulate_pair, transmission_delay_ns
+    from sdnfp.netsim import Simulation, transmission_delay_ns
 
     start = time.monotonic()
     rng = np.random.default_rng(2024)
@@ -84,10 +84,11 @@ def test_criterion_1_dispersion_closed_form():
         rev = tuple(LinkSpec(int(rng.integers(5_000_000, 3_000_000_000))) for _ in range(m))
         path = PathSpec(fwd, rev)
         size = int(rng.integers(100, 1501))
-        pair = (Packet(0, key, size), Packet(1, key, size))
-        result = simulate_pair(pair, path, ControllerSpec(), 0)
+        sim = Simulation(path, ControllerSpec(), 0)
+        first = sim.exchange(Packet(0, key, size))
+        second = sim.exchange(Packet(1, key, size))
         expected = transmission_delay_ns(size, fwd[path.bottleneck_index])
-        assert abs(result.reply_dispersion_ns - expected) <= 1
+        assert abs((second.client_recv_ns - first.client_recv_ns) - expected) <= 1
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     ok(1, f"pair dispersion == S/B_min on 25 random shapes in {elapsed:.2f}s")

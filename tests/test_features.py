@@ -197,3 +197,19 @@ def test_split_populations():
     samples = label_samples(records, CTX)
     n, y = split_populations(samples, "dispersion")
     assert len(n) == 6 and len(y) == 2
+
+
+def test_feature_csv_rows_share_one_context_per_distinct_context(tmp_path):
+    sw = SwitchSpec("hw1", "hardware", constant(5 * MS))
+    path = uniform_path(4, 4, 100_000_000, (sw,))
+    records = run_train(build_probe_train(KEY), path, ControllerSpec(), 3, seed=0)
+    other = ScenarioContext(k=1, switch_kind="soft,ware", data_link_bps=10**9, time_span_ns=600 * S)
+    samples = label_samples(records, CTX) + label_samples(records, other)
+    out = tmp_path / "samples.csv"
+    write_feature_csv(out, samples)
+    back = read_feature_csv(out)
+    assert back == samples
+    assert len({id(s.context) for s in back}) == 2
+    again = tmp_path / "again.csv"
+    write_feature_csv(again, back)
+    assert again.read_bytes() == out.read_bytes()

@@ -18,14 +18,10 @@ from sdnfp.netsim import (
     SwitchSpec,
     TrialStreams,
     clear_flow_tables,
-    forward_packet,
     handle_table_miss,
-    simulate_exchange,
-    simulate_pair,
     spawn_state,
     transmission_delay_ns,
     uniform_path,
-    LinkState,
 )
 
 MS = 1_000_000
@@ -34,6 +30,22 @@ KEY = FlowKey("10.0.0.2", "10.0.1.2")
 
 def hw_switch(install_ns=5 * MS, name="hw1", capacity=1024):
     return SwitchSpec(name, "hardware", constant(install_ns), capacity)
+
+
+def forward(path, packet):
+    """Per-hop arrival times of one packet on a fresh simulation."""
+    arrivals, _, _ = Simulation(path, ControllerSpec(), 0).forward(packet, packet.sent_at_ns)
+    return arrivals
+
+
+def exchange(path, packet):
+    return Simulation(path, ControllerSpec(), 0).exchange(packet)
+
+
+def exchange_pair(path, size=1500, seed=0, warm_keys=()):
+    """Back-to-back pair of one flow on a fresh simulation; both results."""
+    sim = Simulation(path, ControllerSpec(), seed, warm_keys=warm_keys)
+    return sim.exchange(Packet(0, KEY, size)), sim.exchange(Packet(1, KEY, size))
 
 
 def test_transmission_delay_examples():
@@ -49,28 +61,28 @@ def test_transmission_delay_rejects_bad_size():
 
 def test_forward_single_hop_no_cross():
     path = uniform_path(1, 1, 100_000_000)
-    arrivals = forward_packet(Packet(0, KEY, 1500), path)
+    arrivals = forward(path, Packet(0, KEY, 1500))
     assert arrivals == [120_000]
 
 
 def test_forward_two_hops_constant_cross():
     cross = CrossTrafficModel(kind="constant", mean_ns=1 * MS, variance_ns2=0)
     path = uniform_path(2, 1, 100_000_000, cross_traffic=cross)
-    arrivals = forward_packet(Packet(0, KEY, 1500), path)
+    arrivals = forward(path, Packet(0, KEY, 1500))
     assert arrivals[-1] == 2_240_000  # 2 * (1 ms + 0.12 ms)
 
 
 def test_forward_fifo_pair_gap():
     path = uniform_path(1, 1, 100_000_000)
-    state = LinkState(path)
-    a1 = forward_packet(Packet(0, KEY, 1500), path, state=state)
-    a2 = forward_packet(Packet(1, KEY, 1500), path, state=state)
+    sim = Simulation(path, ControllerSpec(), 0)
+    a1, _, _ = sim.forward(Packet(0, KEY, 1500), 0)
+    a2, _, _ = sim.forward(Packet(1, KEY, 1500), 0)
     assert a2[-1] - a1[-1] == 120_000
 
 
 def test_base_latency_adds_per_hop():
     path = uniform_path(2, 1, 100_000_000, base_latency_ns=3 * MS)
-    arrivals = forward_packet(Packet(0, KEY, 1500), path)
+    arrivals = forward(path, Packet(0, KEY, 1500))
     assert arrivals[-1] == 2 * (120_000 + 3 * MS)
 
 
@@ -144,15 +156,15 @@ def test_miss_penalty_returns_after_clear():
 
 def test_exchange_rtt_one_hop():
     path = uniform_path(1, 1, 100_000_000)
-    res = simulate_exchange(Packet(0, KEY, 1500), path, ControllerSpec(), 0)
+    res = exchange(path, Packet(0, KEY, 1500))
     assert res.rtt_ns == 120_000 + 5_120
 
 
 def test_exchange_miss_adds_exact_penalty():
     base_path = uniform_path(2, 2, 100_000_000)
-    base = simulate_exchange(Packet(0, KEY, 1500), base_path, ControllerSpec(), 0)
+    base = exchange(base_path, Packet(0, KEY, 1500))
     path = uniform_path(2, 2, 100_000_000, (hw_switch(5 * MS),))
-    res = simulate_exchange(Packet(0, KEY, 1500), path, ControllerSpec(), 0)
+    res = exchange(path, Packet(0, KEY, 1500))
     assert res.miss_flag
     assert res.rtt_ns == base.rtt_ns + 5 * MS
 
@@ -161,7 +173,7 @@ def test_eq2_additivity_only_when_max_attained():
     def rtt_with(installs):
         switches = tuple(hw_switch(d, f"s{i}") for i, d in enumerate(installs))
         path = uniform_path(4, 4, 100_000_000, switches)
-        return simulate_exchange(Packet(0, KEY, 1500), path, ControllerSpec(), 0).rtt_ns
+        return exchange(path, Packet(0, KEY, 1500)).rtt_ns
 
     base = rtt_with([2 * MS, 3 * MS, 5 * MS])
     assert rtt_with([2 * MS, 3 * MS, 6 * MS]) == base + 1 * MS  # max grows by c
@@ -173,7 +185,7 @@ def test_exchange_cross_traffic_mean(capfd):
     cross = CrossTrafficModel()
     path = uniform_path(2, 1, 100_000_000, cross_traffic=cross)
     quiet = uniform_path(2, 1, 100_000_000)
-    base = simulate_exchange(Packet(0, KEY, 1500), quiet, ControllerSpec(), 0).rtt_ns
+    base = exchange(quiet, Packet(0, KEY, 1500)).rtt_ns
     sim = Simulation(path, ControllerSpec(), RngStreams(3))
     total = 0
     trials = 10_000
@@ -185,22 +197,16 @@ def test_exchange_cross_traffic_mean(capfd):
 
 def test_pair_dispersion_no_miss():
     path = uniform_path(2, 2, 100_000_000, (hw_switch(),))
-    res = simulate_pair(
-        (Packet(0, KEY, 1500), Packet(1, KEY, 1500)),
-        path,
-        ControllerSpec(),
-        0,
-        warm_keys=(KEY,),
-    )
-    assert res.reply_dispersion_ns == 120_000
-    assert res.miss_flags == (False, False)
+    r1, r2 = exchange_pair(path, warm_keys=(KEY,))
+    assert r2.client_recv_ns - r1.client_recv_ns == 120_000
+    assert (r1.miss_flag, r2.miss_flag) == (False, False)
 
 
 def test_pair_dispersion_miss_adds_penalty():
     path = uniform_path(2, 2, 100_000_000, (hw_switch(5 * MS),))
-    res = simulate_pair((Packet(0, KEY, 1500), Packet(1, KEY, 1500)), path, ControllerSpec(), 0)
-    assert res.miss_flags == (True, False)
-    assert res.reply_dispersion_ns == 120_000 + 5 * MS
+    r1, r2 = exchange_pair(path)
+    assert (r1.miss_flag, r2.miss_flag) == (True, False)
+    assert r2.client_recv_ns - r1.client_recv_ns == 120_000 + 5 * MS
 
 
 def test_pair_negative_dispersion_not_clamped():
@@ -209,12 +215,10 @@ def test_pair_negative_dispersion_not_clamped():
     fwd = (LinkSpec(100_000_000),)
     rev = (LinkSpec(100_000_000, cross_traffic=cross),)
     path = PathSpec(fwd, rev)
-    values = [
-        simulate_pair(
-            (Packet(0, KEY, 1500), Packet(1, KEY, 1500)), path, ControllerSpec(), seed
-        ).reply_dispersion_ns
-        for seed in range(30)
-    ]
+    values = []
+    for seed in range(30):
+        r1, r2 = exchange_pair(path, seed=seed)
+        values.append(r2.client_recv_ns - r1.client_recv_ns)
     assert min(values) < 0
     assert max(values) > 0
 
@@ -231,11 +235,9 @@ def test_eq1_fidelity_random_shapes():
         rev = tuple(LinkSpec(int(rng.integers(10_000_000, 2_000_000_000))) for _ in range(m))
         path = PathSpec(fwd, rev)
         size = int(rng.integers(100, 1501))
-        res = simulate_pair(
-            (Packet(0, KEY, size), Packet(1, KEY, size)), path, ControllerSpec(), 0
-        )
+        r1, r2 = exchange_pair(path, size)
         expected = transmission_delay_ns(size, fwd[path.bottleneck_index])
-        assert res.reply_dispersion_ns == expected
+        assert r2.client_recv_ns - r1.client_recv_ns == expected
 
 
 def test_bottleneck_tie_break_earliest():

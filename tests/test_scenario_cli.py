@@ -265,6 +265,20 @@ def test_cli_negative_seed_exit_2(tmp_path, capsys):
     assert "seed: must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("feature", ["dispersion", "delta_rtt"])
+def test_cli_eer_and_report_name_a_feature_missing_a_label(tmp_path, capsys, feature):
+    bundle_dir = tmp_path / "runs" / "k1-hw-100m"
+    run_scenario(small("k1-hw-100m"), bundle_dir)
+    samples = bundle_dir / "samples.csv"
+    lines = samples.read_text().splitlines(keepends=True)
+    samples.write_text("".join(line for line in lines if not line.startswith(f"{feature},") or ",Y," not in line))
+    capsys.readouterr()
+    assert main(["eer", "--samples", str(samples), "--out", str(tmp_path / "eer")]) == 2
+    assert f"features: no {feature} samples" in capsys.readouterr().err
+    assert main(["report", "--bundles", str(bundle_dir), "--out", str(tmp_path / "rep")]) == 2
+    assert f"features: no {feature} samples" in capsys.readouterr().err
+
+
 def test_cli_missing_trace_file_exit_1(tmp_path):
     code = main(["extract", "--traces", str(tmp_path / "absent.csv"), "--out", str(tmp_path)])
     assert code == 1

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import genpareto
 
+from sdnfp.features import DELTA_RTT, DISPERSION, split_populations
+from sdnfp.scenario import builtin_scenarios, run_scenario
 from sdnfp.stats import (
     DegenerateVarianceError,
     EmptySamplesError,
@@ -284,6 +287,40 @@ def test_fit_gpd_location_below_min():
 def test_fit_gpd_constant_fails():
     with pytest.raises(FitFailedError):
         fit_gpd([3.0] * 100)
+
+
+def test_fit_gpd_non_finite_fails():
+    with pytest.raises(FitFailedError):
+        fit_gpd(list(np.linspace(1.0, 2.0, 60)) + [math.inf])
+
+
+# (shape, scale) at which the earlier hand-written grid-search fit stopped on
+# criterion 3's sample and on the Y populations of k2-hw-100m; the
+# maximum-likelihood fit must do at least as well there.
+GRID_OPTIMA = {
+    "criterion-3": (-0.5300398620345846, 10.5789042370005),
+    DELTA_RTT: (-0.23324819445132003, 6.526915585362175),
+    DISPERSION: (-0.23379637340144158, 6.766796022296573),
+}
+
+
+@pytest.fixture(scope="module")
+def k2_populations():
+    bundle = run_scenario(builtin_scenarios()["k2-hw-100m"])
+    return {f: split_populations(bundle.samples, f)[1] for f in (DELTA_RTT, DISPERSION)}
+
+
+@pytest.mark.parametrize("population", list(GRID_OPTIMA))
+def test_fit_gpd_reaches_the_likelihood_maximum(population, k2_populations):
+    if population == "criterion-3":
+        x = gpd_sample(RTT_PARAMS, np.random.default_rng(42), 100_000)
+    else:
+        x = np.asarray(k2_populations[population])
+    fit, _ = fit_gpd(x)
+    shape, scale = GRID_OPTIMA[population]
+    fitted = genpareto.nnlf((fit.shape, fit.location, fit.scale), x)
+    assert math.isfinite(fitted)
+    assert fitted <= genpareto.nnlf((shape, fit.location, scale), x)
 
 
 def test_fit_gpd_needs_samples():
