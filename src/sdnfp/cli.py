@@ -1,8 +1,10 @@
 """Command-line pipeline: simulate, extract, eer, fit, defend, report.
 
 Each stage reads and writes the documented CSV/JSON files, so stages can be
-chained or run in isolation.  Exit codes: 0 success, 2 configuration error,
-1 anything else.
+chained or run in isolation.  `extract` and `report` require the scenario.json
+sidecar that every bundle holds (write one beside an external trace): it
+describes the scenario and supplies `extract --passive`'s default window.
+Exit codes: 0 success, 2 configuration error, 1 anything else.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import features as features_mod
-from .defense import DelayElementConfig, element_from_fits
+from .defense import DelayElementConfig
 from .features import DELTA_RTT, DISPERSION, read_feature_csv
 from .probes import Trace, read_trace_csv
 from .scenario import (
@@ -25,6 +27,7 @@ from .scenario import (
     emit_report,
     evaluate,
     load_scenarios,
+    read_scenario_descriptor,
     run_scenario,
 )
 from .stats import GPDParams, fit_gpd
@@ -82,31 +85,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_extract(args) -> int:
     trace = read_trace_csv(args.traces)
-    sidecar = Path(args.traces).with_name("scenario.json")
-    if args.k is not None:
-        ctx = features_mod.ScenarioContext(
-            k=args.k,
-            switch_kind=args.kind,
-            data_link_bps=args.link_bps,
-            time_span_ns=round(args.span_s * 1e9),
-        )
-    elif sidecar.exists():
-        meta = json.loads(sidecar.read_text(encoding="utf-8"))
-        ctx = features_mod.ScenarioContext(
-            k=meta["k"],
-            switch_kind=meta["switch_kind"],
-            data_link_bps=meta["data_link_bps"],
-            time_span_ns=round(meta["time_span_s"] * 1e9),
-        )
-    else:
-        raise ConfigError(
-            "k: no scenario.json beside the trace; pass --k/--kind/--link-bps/--span-s"
-        )
+    scenario = read_scenario_descriptor(Path(args.traces).parent)
     drops = features_mod.DropCounts()
     if args.passive:
-        samples = features_mod.passive_samples(trace, ctx, round(args.window_s * 1e9), drops)
+        window = scenario.passive_window_ns if args.window_s is None else round(args.window_s * 1e9)
+        samples = features_mod.passive_samples(trace, scenario.context(), window, drops)
     else:
-        samples = features_mod.label_samples(trace, ctx, drops)
+        samples = features_mod.label_samples(trace, scenario.context(), drops)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     features_mod.write_feature_csv(out / "samples.csv", samples)
@@ -170,7 +155,8 @@ def cmd_defend(args) -> int:
     if args.first_delay or args.followup_delay:
         if not (args.first_delay and args.followup_delay):
             raise ConfigError("first-delay: fitted runs need both --first-delay and --followup-delay")
-        element = element_from_fits(_load_gpd(args.first_delay), _load_gpd(args.followup_delay))
+        first, followup = _load_gpd(args.first_delay), _load_gpd(args.followup_delay)
+        element = DelayElementConfig(first_delay=first, followup_delay=followup)
     else:
         element = DelayElementConfig()  # reference parameters
     scenarios = [
@@ -200,29 +186,17 @@ def cmd_report(args) -> int:
 def _load_bundle(bundle_dir: Path) -> ResultBundle:
     """Rebuild enough of a bundle from its persisted files for reporting.
 
-    The scenario's histogram bin width and time span come from the bundle's
+    The scenario, histogram bin width included, comes from the bundle's
     scenario.json, so a report bins each bundle as it was simulated.
     """
     results_path = bundle_dir / "results.json"
     samples_path = bundle_dir / "samples.csv"
-    scenario_path = bundle_dir / "scenario.json"
-    if not all(p.exists() for p in (results_path, samples_path, scenario_path)):
-        raise ConfigError(f"bundles: {bundle_dir} lacks results.json/samples.csv/scenario.json")
+    if not all(p.exists() for p in (results_path, samples_path)):
+        raise ConfigError(f"bundles: {bundle_dir} lacks results.json/samples.csv")
     meta = json.loads(results_path.read_text(encoding="utf-8"))
-    described = json.loads(scenario_path.read_text(encoding="utf-8"))
     samples = read_feature_csv(samples_path)
-    scenario = Scenario(
-        name=meta["scenario"],
-        seed=meta["seed"],
-        trains=meta["trains"],
-        k=meta["k"],
-        switch_kind=meta["switch_kind"],
-        data_link_bps=meta["data_link_bps"],
-        time_span_ns=round(described["time_span_s"] * 1e9),
-        bin_width_ms=described["bin_width_ms"],
-    )
     return ResultBundle(
-        scenario=scenario,
+        scenario=read_scenario_descriptor(bundle_dir),
         records=Trace.from_records([]),
         samples=samples,
         drops=features_mod.DropCounts(),
@@ -251,19 +225,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("extract", help="turn a trace CSV into labeled feature samples")
-    p.add_argument("--traces", required=True)
+    p.add_argument(
+        "--traces", required=True,
+        help="trace CSV; the scenario.json beside it is required and supplies the passive window",
+    )
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, help="configured switch count (else scenario.json sidecar)")
-    p.add_argument("--kind", default="hardware")
-    p.add_argument("--link-bps", type=int, default=100_000_000, dest="link_bps")
-    p.add_argument("--span-s", type=float, default=1.0, dest="span_s")
     p.add_argument(
         "--passive", action="store_true",
         help="pair monitored same-flow packets instead of using the train layout",
     )
     p.add_argument(
-        "--window-s", type=float, default=1.0, dest="window_s",
-        help="passive pairing window in seconds (presets: 1, 600)",
+        "--window-s", type=float, dest="window_s",
+        help="passive pairing window in seconds (default: the sidecar's passive_window_s)",
     )
     p.set_defaults(func=cmd_extract)
 

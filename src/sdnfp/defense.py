@@ -121,19 +121,3 @@ def apply_delay_element(path, cfg: DelayElementConfig):
         raise ValueError("the delay element needs at least one switch on the path")
     return replace(path, delay_element=cfg)
 
-
-def element_from_fits(
-    first_fit: GPDParams,
-    followup_fit: GPDParams,
-    t_th_ns: int = DEFAULT_T_TH_NS,
-    window_ns: int = DEFAULT_WINDOW_NS,
-    per_k: dict | None = None,
-) -> DelayElementConfig:
-    """Build a config from fitted parameter files (stats.fit_gpd output)."""
-    return DelayElementConfig(
-        t_th_ns=t_th_ns,
-        window_ns=window_ns,
-        first_delay=first_fit,
-        followup_delay=followup_fit,
-        per_k=per_k,
-    )

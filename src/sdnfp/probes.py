@@ -3,9 +3,10 @@ trace, and passive pairing.
 
 The measurement train is fixed: a CLEAR packet at t=0, four MTU-sized packet
 pairs at 1..4 s (members sent back-to-back), a second CLEAR at 5 s, and two
-single probes at 6 s and 7 s.  One second after a CLEAR is enough for every
-rule install to finish, so within a trial the first pair and the first tail
-single are the only packets that trigger installs.
+single probes at 6 s and 7 s.  The time-span studies stretch the gap between
+the two singles past 1 s.  One second after a CLEAR is enough for every rule
+install to finish, so within a trial the first pair and the first tail single
+are the only packets that trigger installs.
 
 Pair members share a send timestamp by default; the initial dispersion then
 forms on the first link as its transmission time.  A config may instead space
@@ -65,7 +66,7 @@ from .units import NS_PER_S
 
 TRAIN_PAIR_OFFSETS_S = (1, 2, 3, 4)
 TRAIN_SECOND_CLEAR_S = 5
-TRAIN_SINGLE_OFFSETS_S = (6, 7)
+TRAIN_FIRST_SINGLE_S = 6
 MIN_PROBE_BYTES = 64
 
 # Send gaps at or below this bound mark two probes as one back-to-back pair
@@ -87,8 +88,10 @@ class ProbeSchedule:
             raise ValueError("every packet of a schedule must belong to its flow")
 
 
-def build_probe_train(flow: FlowKey, mtu: int = 1500, pair_spacing_ns: int = 0) -> ProbeSchedule:
-    """The fixed measurement train; see the module docstring for its layout."""
+def build_probe_train(
+    flow: FlowKey, mtu: int = 1500, pair_spacing_ns: int = 0, single_gap_ns: int = NS_PER_S
+) -> ProbeSchedule:
+    """The measurement train (see the module docstring), tail singles single_gap_ns apart."""
     if mtu < MIN_PROBE_BYTES:
         raise ValueError(f"mtu must be >= {MIN_PROBE_BYTES}")
     packets = [Packet(0, flow, MIN_PROBE_BYTES, CLEAR, 0)]
@@ -99,27 +102,9 @@ def build_probe_train(flow: FlowKey, mtu: int = 1500, pair_spacing_ns: int = 0) 
         packets.append(Packet(pid + 1, flow, mtu, PROBE, t + pair_spacing_ns))
         pid += 2
     packets.append(Packet(pid, flow, MIN_PROBE_BYTES, CLEAR, TRAIN_SECOND_CLEAR_S * NS_PER_S))
-    pid += 1
-    for s in TRAIN_SINGLE_OFFSETS_S:
-        packets.append(Packet(pid, flow, mtu, PROBE, s * NS_PER_S))
-        pid += 1
-    return ProbeSchedule(packets=tuple(packets), flow=flow)
-
-
-def stretched_train(flow: FlowKey, mtu: int, single_gap_ns: int, pair_spacing_ns: int = 0) -> ProbeSchedule:
-    """Train variant whose tail singles are single_gap_ns apart.
-
-    Used for the time-span stability studies; the default 1 s gap reproduces
-    the standard train exactly.
-    """
-    base = build_probe_train(flow, mtu, pair_spacing_ns)
-    packets = list(base.packets)
-    last = packets[-1]
-    moved = Packet(
-        last.id, last.key, last.size_bytes, last.kind,
-        packets[-2].sent_at_ns + single_gap_ns,
-    )
-    packets[-1] = moved
+    t = TRAIN_FIRST_SINGLE_S * NS_PER_S
+    packets.append(Packet(pid + 1, flow, mtu, PROBE, t))
+    packets.append(Packet(pid + 2, flow, mtu, PROBE, t + single_gap_ns))
     return ProbeSchedule(packets=tuple(packets), flow=flow)
 
 
@@ -128,7 +113,6 @@ def idle_flow_probes(
     mtu: int,
     gap_ns: int,
     lead_in_ns: int = 10 * NS_PER_S,
-    spacing_ns: int | None = None,
 ) -> ProbeSchedule:
     """One back-to-back pair and two spaced singles on a warm, long-idle flow.
 
@@ -140,9 +124,7 @@ def idle_flow_probes(
     """
     if mtu < MIN_PROBE_BYTES:
         raise ValueError(f"mtu must be >= {MIN_PROBE_BYTES}")
-    if spacing_ns is None:
-        spacing_ns = lead_in_ns
-    t_singles = lead_in_ns + spacing_ns
+    t_singles = 2 * lead_in_ns
     return ProbeSchedule(
         packets=(
             Packet(0, flow, mtu, PROBE, lead_in_ns),

@@ -14,7 +14,8 @@ The two plans' traces stay columnar (`probes.Trace`) from the engine to disk:
 `run_scenario` joins them into one trace, counts table-full events as a
 column sum, labels the joined trace with `features.label_samples` and, when
 asked, writes traces.csv, samples.csv, results.json and scenario.json with
-`write_bundle`.
+`write_bundle`.  `read_scenario_descriptor` is the one reader of that
+scenario.json sidecar, for the CLI stages that start from persisted files.
 
 Shipped install-delay calibration: rule installation takes single-digit
 milliseconds on hardware switches and sub-millisecond on the software switch.
@@ -67,7 +68,6 @@ from .probes import (
     build_probe_train,
     idle_flow_probes,
     run_schedule,
-    stretched_train,
     write_trace_csv,
 )
 from .stats import EERResult, GPDParams, WelchResult, build_histogram, compute_eer, welch_t_test
@@ -286,12 +286,9 @@ def run_scenario(scenario: Scenario, out_dir: Path | str | None = None) -> Resul
     controller = scenario.build_controller()
     flow = DEFAULT_FLOW
 
-    if scenario.time_span_ns == NS_PER_S:
-        train = build_probe_train(flow, scenario.mtu_bytes, scenario.pair_spacing_ns)
-    else:
-        train = stretched_train(
-            flow, scenario.mtu_bytes, scenario.time_span_ns, scenario.pair_spacing_ns
-        )
+    train = build_probe_train(
+        flow, scenario.mtu_bytes, scenario.pair_spacing_ns, scenario.time_span_ns
+    )
     idle = idle_flow_probes(
         flow, scenario.mtu_bytes, scenario.time_span_ns, scenario.idle_lead_ns
     )
@@ -360,6 +357,45 @@ def scenario_descriptor(s: Scenario) -> dict:
         "bin_width_ms": s.bin_width_ms,
         "passive_window_s": s.passive_window_ns / NS_PER_S,
     }
+
+
+def read_scenario_descriptor(bundle_dir: Path | str) -> Scenario:
+    """The scenario a bundle's scenario.json sidecar describes.
+
+    Reads the ten fields `scenario_descriptor` writes; every other field keeps
+    its default.  The sidecar does not record a delay element's parameters, so
+    a defended bundle reads back with the reference `DelayElementConfig()`.  A
+    missing or unreadable file, or a missing or malformed field, raises
+    ConfigError naming the file and the field.
+    """
+    path = Path(bundle_dir) / "scenario.json"
+    try:
+        described = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"scenario: cannot read {path}: {exc}") from exc
+    if not isinstance(described, dict):
+        raise ConfigError(f"scenario: {path} must hold a JSON object")
+
+    def field(key: str, parse):
+        if key not in described:
+            raise ConfigError(f"{key}: missing from {path}")
+        try:
+            return parse(described[key])
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ConfigError(f"{key}: invalid value {described[key]!r} in {path}") from exc
+
+    return Scenario(
+        name=field("name", str),
+        seed=field("seed", int),
+        trains=field("trains", int),
+        k=field("k", int),
+        switch_kind=field("switch_kind", str),
+        data_link_bps=field("data_link_bps", int),
+        time_span_ns=round(field("time_span_s", float) * NS_PER_S),
+        defense=field("defended", {False: None, True: DelayElementConfig()}.__getitem__),
+        bin_width_ms=field("bin_width_ms", float),
+        passive_window_ns=round(field("passive_window_s", float) * NS_PER_S),
+    )
 
 
 def _write_json(path: Path, obj) -> None:

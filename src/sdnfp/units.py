@@ -114,12 +114,3 @@ def parse_variance_ns2(text: str) -> int:
     value, scale = _parse(text, _VARIANCE_SCALES, "variance")
     return _scaled_int(value, scale, "variance")
 
-
-def ms_from_ns(ns: int) -> float:
-    return ns / NS_PER_MS
-
-
-def ns_from_ms_float(ms: float) -> int:
-    if ms < 0:
-        raise ValueError("negative duration")
-    return int(ms * NS_PER_MS + 0.5)

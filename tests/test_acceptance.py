@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from sdnfp.defense import DelayElementConfig, element_from_fits
+from sdnfp.defense import DelayElementConfig
 from sdnfp.features import DELTA_RTT, DISPERSION, split_populations
 from sdnfp.netsim import (
     ControllerSpec,
@@ -60,7 +60,9 @@ def defended(undefended):
     _, y_disp = split_populations(base.samples, DISPERSION)
     first_fit, _ = fit_gpd(y_rtt)
     followup_fit, _ = fit_gpd(y_disp)
-    perk_cfg = element_from_fits(first_fit, followup_fit, per_k={2: (first_fit, followup_fit)})
+    perk_cfg = DelayElementConfig(
+        first_delay=first_fit, followup_delay=followup_fit, per_k={2: (first_fit, followup_fit)}
+    )
     perk = run_scenario(
         builtin_scenarios()["k2-hw-100m"].with_overrides(name="k2-hw-100m-perk", defense=perk_cfg)
     )

@@ -10,7 +10,6 @@ from sdnfp.defense import (
     TABLE4_DISPERSION,
     apply_delay_element,
     delay_for,
-    element_from_fits,
     select_bucket,
 )
 from sdnfp.distributions import CrossTrafficModel, constant, lognormal
@@ -180,7 +179,7 @@ def test_element_from_fitted_params():
     rng = np.random.default_rng(5)
     y_population = gpd_sample(TABLE4_DELTA_RTT, rng, 2_000)
     fit, ks = fit_gpd(y_population)
-    cfg = element_from_fits(fit, TABLE4_DISPERSION)
+    cfg = DelayElementConfig(first_delay=fit, followup_delay=TABLE4_DISPERSION)
     assert cfg.first_delay == fit
     sample = delay_for("first", cfg, np.random.default_rng(0)) / MS
     assert fit.location <= sample <= fit.support_upper()

@@ -24,7 +24,6 @@ from sdnfp.probes import (
     idle_flow_probes,
     run_schedule,
     run_schedule_reference,
-    stretched_train,
 )
 from sdnfp.scenario import DEFAULT_FLOW, builtin_scenarios
 from sdnfp.stats import GPDParams
@@ -82,7 +81,7 @@ def cases(draw):
     if layout == "train":
         schedule = build_probe_train(KEY, mtu, spacing)
     elif layout == "stretched":
-        schedule = stretched_train(KEY, mtu, 600 * S, spacing)
+        schedule = build_probe_train(KEY, mtu, spacing, single_gap_ns=600 * S)
     elif layout == "idle":
         schedule = idle_flow_probes(KEY, mtu, draw(st.sampled_from([S, 600 * S])))
     else:

@@ -13,6 +13,7 @@ from sdnfp.scenario import (
     builtin_scenarios,
     emit_report,
     load_scenarios,
+    read_scenario_descriptor,
     run_scenario,
     scenario_from_config,
 )
@@ -340,8 +341,54 @@ def test_cli_extract_keeps_a_fractional_time_span(tmp_path):
     bundle = tmp_path / "runs" / "span41"
     assert main(["extract", "--traces", str(bundle / "traces.csv"), "--out", str(tmp_path / "ex")]) == 0
     assert (tmp_path / "ex" / "samples.csv").read_bytes() == (bundle / "samples.csv").read_bytes()
-    assert main(
-        ["extract", "--traces", str(bundle / "traces.csv"), "--out", str(tmp_path / "flags"),
-         "--k", "3", "--span-s", "4.1"]
-    ) == 0
-    assert (tmp_path / "flags" / "samples.csv").read_bytes() == (bundle / "samples.csv").read_bytes()
+
+
+def test_cli_extract_passive_window_defaults_to_the_sidecar(tmp_path):
+    cfg = tmp_path / "window.yaml"
+    cfg.write_text(
+        "scenarios:\n  - name: wide\n    seed: 5\n    trains: 4\n    passive_window: 600 s\n"
+    )
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 0
+    traces = str(tmp_path / "runs" / "wide" / "traces.csv")
+
+    def passive(name, *window):
+        out = tmp_path / name
+        assert main(["extract", "--traces", traces, "--out", str(out), "--passive", *window]) == 0
+        return (out / "samples.csv").read_bytes()
+
+    sidecar = passive("sidecar")
+    assert sidecar == passive("600", "--window-s", "600")
+    assert sidecar != passive("1", "--window-s", "1")
+
+
+def test_cli_extract_and_report_need_a_complete_sidecar(tmp_path, capsys):
+    bundle_dir = tmp_path / "runs" / "k1-hw-100m"
+    run_scenario(builtin_scenarios()["k1-hw-100m"].with_overrides(trains=4), bundle_dir)
+    extract = ["extract", "--traces", str(bundle_dir / "traces.csv"), "--out", str(tmp_path / "ex")]
+    report = ["report", "--bundles", str(bundle_dir), "--out", str(tmp_path / "rep")]
+    sidecar = bundle_dir / "scenario.json"
+    described = json.loads(sidecar.read_text())
+    del described["k"]
+    sidecar.write_text(json.dumps(described))
+    capsys.readouterr()
+    for argv in (extract, report):
+        assert main(argv) == 2
+        assert f"k: missing from {sidecar}" in capsys.readouterr().err
+    sidecar.write_text(json.dumps(dict(described, k=1, defended="no")))
+    with pytest.raises(ConfigError, match="defended: invalid value 'no' in"):
+        read_scenario_descriptor(bundle_dir)
+    sidecar.unlink()
+    for argv in (extract, report):
+        assert main(argv) == 2
+        assert f"cannot read {sidecar}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("defense", [None, DelayElementConfig()], ids=["undefended", "defended"])
+def test_read_scenario_descriptor_round_trips_the_sidecar(tmp_path, defense):
+    scenario = Scenario(
+        name="described", seed=9, trains=2, k=2, switch_kind="software",
+        data_link_bps=1_000_000_000, time_span_ns=4_100_000_000, defense=defense,
+        bin_width_ms=0.5, passive_window_ns=600_000_000_000,
+    )
+    run_scenario(scenario, tmp_path)
+    assert read_scenario_descriptor(tmp_path) == scenario

@@ -1,5 +1,6 @@
 """The benchmark's per-layer tracer patches package names by attribute; every
-name it patches must still resolve, or `bench/run.py --trace 1` crashes."""
+name it patches must still resolve, or `bench/run.py --trace 1` crashes, and a
+traced run must write what an untraced one writes."""
 
 import importlib.util
 from pathlib import Path
@@ -27,3 +28,30 @@ def test_tracer_installs_and_restores_every_patched_name():
     finally:
         tracer.restore()
     assert (cli.cmd_eer, cli.compute_eer, scenario.compute_eer, netsim.Simulation.exchange) == originals
+
+
+def run_pipeline(out):
+    """simulate, extract, eer and report on k1-hw-100m; every file written, by path."""
+    bundle = out / "runs" / "k1-hw-100m"
+    for argv in (
+        ["simulate", "--scenario", "k1-hw-100m", "--trains", "8", "--out", str(out / "runs")],
+        ["extract", "--traces", str(bundle / "traces.csv"), "--out", str(out / "ex")],
+        ["eer", "--samples", str(out / "ex" / "samples.csv"), "--out", str(out / "eer")],
+        ["report", "--bundles", str(bundle), "--out", str(out / "rep")],
+    ):
+        assert cli.main(argv) == 0
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def test_traced_pipeline_writes_the_untraced_bytes(tmp_path):
+    plain = run_pipeline(tmp_path / "plain")
+    tracer = load_tracer().Tracer()
+    try:
+        tracer.install()
+        traced = run_pipeline(tmp_path / "traced")
+    finally:
+        tracer.restore()
+    assert traced == plain
+    # simulate and extract each label the bundle's samples once.
+    rows = len(plain["ex/samples.csv"].splitlines()) - 1
+    assert tracer.counts()["features.samples"] == 2 * rows
