@@ -42,7 +42,6 @@ from .probes import (
     TraceRecord,
     build_probe_train,
     extract_passive_pairs,
-    run_train,
 )
 from .scenario import (
     ConfigError,
@@ -59,10 +58,8 @@ from .stats import (
     GPDParams,
     Histogram,
     build_histogram,
-    classify,
     compute_eer,
     fit_gpd,
-    gpd_pdf,
     gpd_quantile,
     gpd_sample,
     welch_t_test,

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from . import features as features_mod
@@ -26,11 +28,13 @@ from .scenario import (
     builtin_scenarios,
     emit_report,
     evaluate,
+    load_gpd,
     load_scenarios,
     read_scenario_descriptor,
     run_scenario,
 )
-from .stats import GPDParams, fit_gpd
+from .stats import fit_gpd
+from .units import NS_PER_S
 
 # Unused here since `scenario.evaluate` computes every EER and Welch test, but
 # bench/tracer.py patches these two names on this module.
@@ -47,9 +51,9 @@ def _select_scenarios(args) -> list[Scenario]:
         if not scenarios:
             raise ConfigError(f"scenario: no scenario named {args.scenario!r}")
     if args.seed is not None:
-        scenarios = [s.with_overrides(seed=args.seed) for s in scenarios]
+        scenarios = [replace(s, seed=args.seed) for s in scenarios]
     if getattr(args, "trains", None) is not None:
-        scenarios = [s.with_overrides(trains=args.trains) for s in scenarios]
+        scenarios = [replace(s, trains=args.trains) for s in scenarios]
     return scenarios
 
 
@@ -88,7 +92,11 @@ def cmd_extract(args) -> int:
     scenario = read_scenario_descriptor(Path(args.traces).parent)
     drops = features_mod.DropCounts()
     if args.passive:
-        window = scenario.passive_window_ns if args.window_s is None else round(args.window_s * 1e9)
+        window = scenario.passive_window_ns
+        if args.window_s is not None:
+            window = round(args.window_s * NS_PER_S) if math.isfinite(args.window_s) else 0
+            if window <= 0:
+                raise ConfigError("window-s: must be at least one nanosecond")
         samples = features_mod.passive_samples(trace, scenario.context(), window, drops)
     else:
         samples = features_mod.label_samples(trace, scenario.context(), drops)
@@ -145,23 +153,16 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _load_gpd(path: str) -> GPDParams:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return GPDParams(shape=data["shape"], scale=data["scale_ms"], location=data["location_ms"])
-
-
 def cmd_defend(args) -> int:
     scenarios = _select_scenarios(args)
     if args.first_delay or args.followup_delay:
         if not (args.first_delay and args.followup_delay):
             raise ConfigError("first-delay: fitted runs need both --first-delay and --followup-delay")
-        first, followup = _load_gpd(args.first_delay), _load_gpd(args.followup_delay)
+        first, followup = load_gpd(args.first_delay), load_gpd(args.followup_delay)
         element = DelayElementConfig(first_delay=first, followup_delay=followup)
     else:
         element = DelayElementConfig()  # reference parameters
-    scenarios = [
-        s.with_overrides(name=f"{s.name}-defended", defense=element) for s in scenarios
-    ]
+    scenarios = [replace(s, name=f"{s.name}-defended", defense=element) for s in scenarios]
     out = Path(args.out)
     bundles = _run_many(scenarios, out, args.jobs)
     for b in bundles:

@@ -45,7 +45,7 @@ class FlowActivity:
     """Per-flow liveness state kept by the outermost switch.
 
     Deleting a flow's rules deletes this state with them, which is what makes
-    the packets right after a table wipe classify as inactive.
+    the packets right after a table wipe count as inactive.
     """
 
     def __init__(self):

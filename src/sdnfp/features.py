@@ -66,19 +66,10 @@ def missing_reply(trace: Trace, first, second) -> np.ndarray:
     return lost[first] | lost[second]
 
 
-def dispersion_ms(trace: Trace, first, second, vantage: str = "client") -> np.ndarray:
-    """Signed reply gap in ms per pair of rows; negative means the replies
-    arrived reordered.
-
-    vantage='server' reads the simulator-only server-side arrival gap, kept
-    for diagnostics.
-    """
-    if vantage == "client":
-        recv = trace.client_recv_ns
-    elif vantage == "server":
-        recv = trace.server_recv_ns
-    else:
-        raise ValueError("vantage must be client or server")
+def dispersion_ms(trace: Trace, first, second) -> np.ndarray:
+    """Signed client-side reply gap in ms per pair of rows; negative means the
+    replies arrived reordered."""
+    recv = trace.client_recv_ns
     return (recv[second] - recv[first]) / NS_PER_MS
 
 

@@ -194,15 +194,6 @@ class PathSpec:
         if not 0 <= self.configured_count <= len(self.switches):
             raise ValueError("configured_count must be within the switch list")
 
-    @property
-    def bottleneck_index(self) -> int:
-        """Earliest minimum-capacity forward link (deterministic tie-break)."""
-        caps = [l.capacity_bps for l in self.forward_links]
-        return caps.index(min(caps))
-
-    def bottleneck_capacity_bps(self) -> int:
-        return self.forward_links[self.bottleneck_index].capacity_bps
-
 
 def transmission_delay_ns(size_bytes: int, link: LinkSpec) -> int:
     """S/B in integer ns, half-up: 1500 B at 100 Mbps -> 120000 ns."""

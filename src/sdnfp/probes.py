@@ -329,20 +329,6 @@ def run_schedule_reference(
     )
 
 
-def run_train(
-    train: ProbeSchedule,
-    path: PathSpec,
-    controller: ControllerSpec,
-    trials: int,
-    seed: int,
-    **kwargs,
-) -> Trace:
-    """Run the train `trials` times; trials are independent given the seed."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    return run_schedule(train, path, controller, seed, trials=range(trials), **kwargs)
-
-
 def greedy_pair_starts(linked: np.ndarray) -> np.ndarray:
     """Positions i at which greedy left-to-right pairing joins rows i and i+1.
 

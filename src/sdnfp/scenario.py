@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import yaml
@@ -74,7 +75,6 @@ from .stats import EERResult, GPDParams, WelchResult, build_histogram, compute_e
 from .units import (
     NS_PER_MS,
     NS_PER_S,
-    UnitError,
     parse_duration_ns,
     parse_rate_bps,
     parse_size_bytes,
@@ -140,6 +140,8 @@ class Scenario:
             raise ConfigError(f"mtu: must be >= {probes_mod.MIN_PROBE_BYTES} bytes")
         if self.time_span_ns < NS_PER_S:
             raise ConfigError("time_span: must be >= 1 s (the train's guard spacing)")
+        if self.passive_window_ns <= 0:
+            raise ConfigError("passive_window: must be positive")
         if not self.feature_set:
             raise ConfigError("features: need at least one of dispersion, delta_rtt")
         for f in self.feature_set:
@@ -187,9 +189,6 @@ class Scenario:
             time_span_ns=self.time_span_ns,
         )
 
-    def with_overrides(self, **kwargs) -> "Scenario":
-        return replace(self, **kwargs)
-
 
 def builtin_scenarios() -> dict[str, Scenario]:
     """The shipped attack matrix: k=1..3 hardware and the software switch,
@@ -209,7 +208,8 @@ def builtin_scenarios() -> dict[str, Scenario]:
 def drift_variant(scenario: Scenario, time_span_ns: int, sigma_ns: float = DEFAULT_DRIFT_SIGMA_NS) -> Scenario:
     """Enable slow path-latency wander and set the RTT-difference span."""
     span_tag = f"{time_span_ns // NS_PER_S}s"
-    return scenario.with_overrides(
+    return replace(
+        scenario,
         name=f"{scenario.name}-drift-{span_tag}",
         time_span_ns=time_span_ns,
         drift=DriftModel(sigma_ns_per_sqrt_s=sigma_ns),
@@ -369,21 +369,7 @@ def read_scenario_descriptor(bundle_dir: Path | str) -> Scenario:
     ConfigError naming the file and the field.
     """
     path = Path(bundle_dir) / "scenario.json"
-    try:
-        described = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"scenario: cannot read {path}: {exc}") from exc
-    if not isinstance(described, dict):
-        raise ConfigError(f"scenario: {path} must hold a JSON object")
-
-    def field(key: str, parse):
-        if key not in described:
-            raise ConfigError(f"{key}: missing from {path}")
-        try:
-            return parse(described[key])
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ConfigError(f"{key}: invalid value {described[key]!r} in {path}") from exc
-
+    field = partial(_field, _read_json_object(path, "scenario"), source=path)
     return Scenario(
         name=field("name", str),
         seed=field("seed", int),
@@ -396,6 +382,16 @@ def read_scenario_descriptor(bundle_dir: Path | str) -> Scenario:
         bin_width_ms=field("bin_width_ms", float),
         passive_window_ns=round(field("passive_window_s", float) * NS_PER_S),
     )
+
+
+def _read_json_object(path: Path, what: str) -> dict:
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{what}: cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what}: {path} must hold a JSON object")
+    return data
 
 
 def _write_json(path: Path, obj) -> None:
@@ -467,32 +463,38 @@ def emit_report(bundles: list[ResultBundle], out_dir: Path | str, fmt: str = "cs
 # -- config loading -----------------------------------------------------------
 
 
-def _cfg_get(cfg: dict, key: str, parser, default=None, required: bool = False):
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"{key}: required field is missing")
-        return default
+def _field(mapping: dict, key: str, parse, source):
+    """`parse(mapping[key])`; a missing or malformed value raises ConfigError
+    naming the key and `source`, where the mapping was read from."""
+    if key not in mapping:
+        raise ConfigError(f"{key}: missing from {source}")
     try:
-        return parser(cfg[key])
-    except UnitError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+        return parse(mapping[key])
     except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"{key}: invalid value {cfg[key]!r} ({exc})") from exc
+        raise ConfigError(f"{key}: invalid value {mapping[key]!r} in {source} ({exc})") from exc
 
 
-def _gpd_from_config(cfg: dict) -> GPDParams:
-    return GPDParams(
-        shape=float(cfg["shape"]),
-        scale=float(cfg["scale_ms"]),
-        location=float(cfg["location_ms"]),
-    )
+def _gpd_from_config(cfg: dict, source) -> GPDParams:
+    """The GPD a {shape, scale_ms, location_ms} mapping holds: a delay of a
+    scenario's defense entry, or a file `sdnfp fit` wrote."""
+    values = [_field(cfg, key, float, source) for key in ("shape", "scale_ms", "location_ms")]
+    try:
+        return GPDParams(*values)
+    except ValueError as exc:
+        raise ConfigError(f"scale_ms: {exc} in {source}") from exc
+
+
+def load_gpd(path: Path | str) -> GPDParams:
+    """The GPD of a fitted-GPD JSON file, as `sdnfp fit` writes it."""
+    return _gpd_from_config(_read_json_object(Path(path), "gpd"), path)
 
 
 def _defense_from_config(cfg: dict) -> DelayElementConfig:
+    delays = ("first_delay", "followup_delay")
     per_k = None
     if "per_k" in cfg:
         per_k = {
-            int(k): (_gpd_from_config(v["first_delay"]), _gpd_from_config(v["followup_delay"]))
+            int(k): tuple(_gpd_from_config(v[d], f"defense.per_k.{k}.{d}") for d in delays)
             for k, v in cfg["per_k"].items()
         }
     kwargs = {}
@@ -500,10 +502,9 @@ def _defense_from_config(cfg: dict) -> DelayElementConfig:
         kwargs["t_th_ns"] = parse_duration_ns(cfg["t_th"])
     if "window" in cfg:
         kwargs["window_ns"] = parse_duration_ns(cfg["window"])
-    if "first_delay" in cfg:
-        kwargs["first_delay"] = _gpd_from_config(cfg["first_delay"])
-    if "followup_delay" in cfg:
-        kwargs["followup_delay"] = _gpd_from_config(cfg["followup_delay"])
+    for d in delays:
+        if d in cfg:
+            kwargs[d] = _gpd_from_config(cfg[d], f"defense.{d}")
     return DelayElementConfig(per_k=per_k, **kwargs)
 
 
@@ -514,54 +515,52 @@ def _drift_from_config(cfg: dict) -> DriftModel:
     return DriftModel(**kwargs)
 
 
+# YAML key -> (Scenario field, parser of the key's value).
+_CONFIG_FIELDS = {
+    "seed": ("seed", int),
+    "trains": ("trains", int),
+    "k": ("k", int),
+    "switch_kind": ("switch_kind", str),
+    "data_link": ("data_link_bps", parse_rate_bps),
+    "links_forward": ("links_forward", int),
+    "links_reverse": ("links_reverse", int),
+    "base_latency": ("base_latency_ns", parse_duration_ns),
+    "cross_traffic": ("cross_traffic", cross_traffic_from_config),
+    "install_delay": ("install_delay", delay_model_from_config),
+    "lookup_delay": ("lookup_delay", delay_model_from_config),
+    "mtu": ("mtu_bytes", parse_size_bytes),
+    "reply_size": ("reply_bytes", parse_size_bytes),
+    "pair_spacing": ("pair_spacing_ns", parse_duration_ns),
+    "time_span": ("time_span_ns", parse_duration_ns),
+    "passive_window": ("passive_window_ns", parse_duration_ns),
+    "bin_width": ("bin_width_ms", lambda v: parse_duration_ns(v) / NS_PER_MS),
+    "table_capacity": ("table_capacity", int),
+    "clear_delay": ("clear_delay_ns", parse_duration_ns),
+    "turnaround": ("turnaround_ns", parse_duration_ns),
+    "idle_lead": ("idle_lead_ns", parse_duration_ns),
+    "defense": ("defense", lambda v: None if v is None else _defense_from_config(v)),
+    "drift": ("drift", lambda v: None if v is None else _drift_from_config(v)),
+    "features": ("feature_set", tuple),
+}
+
+
 def scenario_from_config(cfg: dict) -> Scenario:
+    """The scenario of one YAML entry.  A built-in's name starts from that
+    built-in, any other name from `Scenario`'s defaults and needs a seed; each
+    key given replaces one field."""
     if not isinstance(cfg, dict):
         raise ConfigError("scenario: each entry must be a mapping")
-    name = _cfg_get(cfg, "name", str, required=True)
+    name = _field(cfg, "name", str, "the scenario entry")
+    source = f"scenario {name!r}"
     base = builtin_scenarios().get(name)
-    kwargs = {"name": name}
-    kwargs["seed"] = _cfg_get(cfg, "seed", int, required=base is None,
-                              default=None if base is None else base.seed)
-    kwargs["trains"] = _cfg_get(cfg, "trains", int, default=base.trains if base else 450)
-    kwargs["k"] = _cfg_get(cfg, "k", int, default=base.k if base else 3)
-    kwargs["switch_kind"] = _cfg_get(
-        cfg, "switch_kind", str, default=base.switch_kind if base else HARDWARE
-    )
-    kwargs["data_link_bps"] = _cfg_get(
-        cfg, "data_link", parse_rate_bps, default=base.data_link_bps if base else 100_000_000
-    )
-    kwargs["links_forward"] = _cfg_get(cfg, "links_forward", int, default=4)
-    kwargs["links_reverse"] = _cfg_get(cfg, "links_reverse", int, default=4)
-    kwargs["base_latency_ns"] = _cfg_get(cfg, "base_latency", parse_duration_ns, default=0)
-    if "cross_traffic" in cfg:
-        kwargs["cross_traffic"] = _cfg_get(cfg, "cross_traffic", cross_traffic_from_config)
-    if "install_delay" in cfg:
-        kwargs["install_delay"] = _cfg_get(cfg, "install_delay", delay_model_from_config)
-    if "lookup_delay" in cfg:
-        kwargs["lookup_delay"] = _cfg_get(cfg, "lookup_delay", delay_model_from_config)
-    kwargs["mtu_bytes"] = _cfg_get(cfg, "mtu", parse_size_bytes, default=1500)
-    kwargs["reply_bytes"] = _cfg_get(cfg, "reply_size", parse_size_bytes, default=64)
-    kwargs["pair_spacing_ns"] = _cfg_get(cfg, "pair_spacing", parse_duration_ns, default=0)
-    kwargs["time_span_ns"] = _cfg_get(cfg, "time_span", parse_duration_ns, default=NS_PER_S)
-    kwargs["passive_window_ns"] = _cfg_get(
-        cfg, "passive_window", parse_duration_ns, default=NS_PER_S
-    )
-    kwargs["bin_width_ms"] = _cfg_get(
-        cfg, "bin_width", lambda v: parse_duration_ns(v) / NS_PER_MS, default=0.1
-    )
-    kwargs["table_capacity"] = _cfg_get(cfg, "table_capacity", int, default=1024)
-    kwargs["clear_delay_ns"] = _cfg_get(
-        cfg, "clear_delay", parse_duration_ns, default=10 * NS_PER_MS
-    )
-    kwargs["turnaround_ns"] = _cfg_get(cfg, "turnaround", parse_duration_ns, default=0)
-    kwargs["idle_lead_ns"] = _cfg_get(cfg, "idle_lead", parse_duration_ns, default=10 * NS_PER_S)
-    if "defense" in cfg and cfg["defense"] is not None:
-        kwargs["defense"] = _cfg_get(cfg, "defense", _defense_from_config)
-    if "drift" in cfg and cfg["drift"] is not None:
-        kwargs["drift"] = _cfg_get(cfg, "drift", _drift_from_config)
-    if "features" in cfg:
-        kwargs["feature_set"] = tuple(cfg["features"])
-    scenario = Scenario(**kwargs)
+    if base is None:
+        base = Scenario(name=name, seed=_field(cfg, "seed", int, source))
+    parsed = {
+        field: _field(cfg, key, parse, source)
+        for key, (field, parse) in _CONFIG_FIELDS.items()
+        if key in cfg
+    }
+    scenario = replace(base, **parsed)
     scenario.validate()
     return scenario
 

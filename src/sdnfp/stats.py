@@ -5,8 +5,8 @@ The fit is scipy's maximum-likelihood `genpareto.fit` with the location
 pinned; the quantile and sampler stay hand-written, because the defended
 traces depend on their exact floating-point path.
 
-Classification convention (fixed): a measurement below the threshold is
-conjectured N (no rule installed), at or above it Y.  During the sweep,
+Classification convention (fixed): a measurement at or below the threshold t
+is conjectured N (no rule installed), above it Y.  During the sweep,
 FNR(t) = |{N > t}|/|N| and FMR(t) = |{Y <= t}|/|Y|; the EER is the value at
 the crossing, linearly interpolated between adjacent sweep points when the
 sign of FMR - FNR changes between them.
@@ -40,12 +40,11 @@ class FitFailedError(RuntimeError):
 @dataclass
 class Histogram:
     bin_width_ms: float
-    origin_ms: float
     counts: dict[int, int]
     total: int
 
     def bin_left_ms(self, index: int) -> float:
-        return self.origin_ms + index * self.bin_width_ms
+        return index * self.bin_width_ms
 
     def to_rows(self) -> list[tuple[float, int, float]]:
         """(bin_left_ms, count, relative_frequency) for occupied bins."""
@@ -55,17 +54,18 @@ class Histogram:
         ]
 
 
-def build_histogram(values_ms, bin_width_ms: float, origin_ms: float = 0.0) -> Histogram:
+def build_histogram(values_ms, bin_width_ms: float) -> Histogram:
+    """Bins [i w, (i+1) w) of width w, counted by index i."""
     if bin_width_ms <= 0:
         raise ValueError("bin width must be positive")
     values = np.asarray(list(values_ms), dtype=float)
     if values.size == 0:
         raise EmptySamplesError("no samples to bin")
-    indices = np.floor((values - origin_ms) / bin_width_ms).astype(int)
+    indices = np.floor(values / bin_width_ms).astype(int)
     counts: dict[int, int] = {}
     for idx in indices:
         counts[int(idx)] = counts.get(int(idx), 0) + 1
-    return Histogram(bin_width_ms, origin_ms, counts, int(values.size))
+    return Histogram(bin_width_ms, counts, int(values.size))
 
 
 # -- equal error rate --------------------------------------------------------
@@ -115,11 +115,6 @@ def compute_eer(samples_n, samples_y) -> EERResult:
     return EERResult(eer=eer, threshold_ms=threshold, curve=curve)
 
 
-def classify(value_ms: float, threshold_ms: float) -> str:
-    """Below the threshold conjecture N, otherwise Y."""
-    return "N" if value_ms < threshold_ms else "Y"
-
-
 # -- Welch's t-test -----------------------------------------------------------
 
 
@@ -131,7 +126,7 @@ class WelchResult:
     p_value: float
 
 
-def welch_t_test(samples_n, samples_y, alpha: float = 0.01) -> WelchResult:
+def welch_t_test(samples_n, samples_y) -> WelchResult:
     """Two-sample unequal-variance t-test with Welch-Satterthwaite df."""
     a = np.asarray(list(samples_n), dtype=float)
     b = np.asarray(list(samples_y), dtype=float)
@@ -147,7 +142,7 @@ def welch_t_test(samples_n, samples_y, alpha: float = 0.01) -> WelchResult:
     df = (sa + sb) ** 2 / (sa**2 / (a.size - 1) + sb**2 / (b.size - 1))
     p = 2.0 * float(student_t.sf(abs(t_stat), df))
     return WelchResult(
-        t_statistic=float(t_stat), significant_at_1pct=p < alpha, df=float(df), p_value=p
+        t_statistic=float(t_stat), significant_at_1pct=p < 0.01, df=float(df), p_value=p
     )
 
 
@@ -167,47 +162,6 @@ class GPDParams:
     def __post_init__(self):
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-
-    def support_upper(self) -> float:
-        """mu - sigma/xi for xi < 0, else +inf."""
-        if self.shape < 0:
-            return self.location - self.scale / self.shape
-        return math.inf
-
-    def mean(self) -> float:
-        """mu + sigma/(1 - xi), finite for xi < 1."""
-        if self.shape >= 1:
-            return math.inf
-        return self.location + self.scale / (1.0 - self.shape)
-
-
-def gpd_pdf(x, params: GPDParams):
-    """Density (1/sigma)(1 + xi (x-mu)/sigma)^(-1/xi - 1) on the support, 0 off it."""
-    xi, sigma, mu = params.shape, params.scale, params.location
-    x = np.asarray(x, dtype=float)
-    z = (x - mu) / sigma
-    if abs(xi) < _XI_ZERO:
-        out = np.where(z >= 0, np.exp(-z) / sigma, 0.0)
-    else:
-        base = 1.0 + xi * z
-        inside = (z >= 0) & (base > 0)
-        out = np.zeros_like(z)
-        out[inside] = (1.0 / sigma) * base[inside] ** (-1.0 / xi - 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def gpd_cdf(x, params: GPDParams):
-    xi, sigma, mu = params.shape, params.scale, params.location
-    x = np.asarray(x, dtype=float)
-    z = (x - mu) / sigma
-    if abs(xi) < _XI_ZERO:
-        out = np.where(z >= 0, 1.0 - np.exp(-np.maximum(z, 0.0)), 0.0)
-    else:
-        base = np.maximum(1.0 + xi * z, 0.0)
-        out = np.where(z >= 0, 1.0 - base ** (-1.0 / xi), 0.0)
-        if xi < 0:
-            out = np.where(z >= -1.0 / xi, 1.0, out)
-    return float(out) if out.ndim == 0 else out
 
 
 def gpd_quantile(u, params: GPDParams):
@@ -229,9 +183,10 @@ def gpd_sample(params: GPDParams, rng: np.random.Generator, size: int | None = N
 
 
 LOCATION_EPS_MS = 1e-6  # one nanosecond
+MIN_FIT_SAMPLES = 50
 
 
-def fit_gpd(samples, min_samples: int = 50) -> tuple[GPDParams, float]:
+def fit_gpd(samples) -> tuple[GPDParams, float]:
     """Fit a Generalized Pareto by maximum likelihood.
 
     The location is pinned one time-quantum below the smallest sample, and
@@ -240,8 +195,8 @@ def fit_gpd(samples, min_samples: int = 50) -> tuple[GPDParams, float]:
     D statistic of the fit (lower is better).
     """
     x = np.asarray(list(samples), dtype=float)
-    if x.size < min_samples:
-        raise ValueError(f"need at least {min_samples} samples")
+    if x.size < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples")
     if not np.all(np.isfinite(x)):
         raise FitFailedError("samples must be finite")
     if x.max() == x.min():

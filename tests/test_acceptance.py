@@ -7,6 +7,7 @@ deterministic.
 
 import hashlib
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,9 +51,7 @@ def defended(undefended):
     bundles = {}
     start = time.monotonic()
     for name, scenario in builtin_scenarios().items():
-        defended_scenario = scenario.with_overrides(
-            name=f"{name}-defended", defense=DelayElementConfig()
-        )
+        defended_scenario = replace(scenario, name=f"{name}-defended", defense=DelayElementConfig())
         bundles[name] = run_scenario(defended_scenario)
     # Fine-grained mode: per-k parameters fitted to the k=2 attack populations.
     base = undefended[0]["k2-hw-100m"]
@@ -64,7 +63,7 @@ def defended(undefended):
         first_delay=first_fit, followup_delay=followup_fit, per_k={2: (first_fit, followup_fit)}
     )
     perk = run_scenario(
-        builtin_scenarios()["k2-hw-100m"].with_overrides(name="k2-hw-100m-perk", defense=perk_cfg)
+        replace(builtin_scenarios()["k2-hw-100m"], name="k2-hw-100m-perk", defense=perk_cfg)
     )
     elapsed = time.monotonic() - start
     return bundles, perk, elapsed
@@ -89,7 +88,7 @@ def test_criterion_1_dispersion_closed_form():
         sim = Simulation(path, ControllerSpec(), 0)
         first = sim.exchange(Packet(0, key, size))
         second = sim.exchange(Packet(1, key, size))
-        expected = transmission_delay_ns(size, fwd[path.bottleneck_index])
+        expected = transmission_delay_ns(size, min(fwd, key=lambda link: link.capacity_bps))
         assert abs((second.client_recv_ns - first.client_recv_ns) - expected) <= 1
     elapsed = time.monotonic() - start
     assert elapsed < 1.0

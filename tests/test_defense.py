@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import genpareto
 
 from sdnfp.defense import (
     DelayElementConfig,
@@ -28,6 +29,11 @@ S = 1_000_000_000
 MS = 1_000_000
 KEY = FlowKey("10.0.0.2", "10.0.1.2")
 CFG = DelayElementConfig()
+
+
+def support_upper(params):
+    """Upper end of a GPD's support, in ms: mu - sigma/xi for xi < 0, else inf."""
+    return genpareto.support(params.shape, params.location, params.scale)[1]
 
 
 def defended_path(install_ns=5 * MS, cfg=CFG, cross=None, warm=False):
@@ -75,8 +81,8 @@ def test_delay_for_within_support():
     for _ in range(500):
         first = delay_for("first", CFG, rng) / MS
         follow = delay_for("followup", CFG, rng) / MS
-        assert TABLE4_DELTA_RTT.location <= first <= TABLE4_DELTA_RTT.support_upper()
-        assert TABLE4_DISPERSION.location <= follow <= TABLE4_DISPERSION.support_upper()
+        assert TABLE4_DELTA_RTT.location <= first <= support_upper(TABLE4_DELTA_RTT)
+        assert TABLE4_DISPERSION.location <= follow <= support_upper(TABLE4_DISPERSION)
 
 
 def test_delay_for_reproducible():
@@ -131,7 +137,7 @@ def test_cold_flow_without_miss_still_delayed():
     )
     assert not defended.miss_flag
     extra_ms = (defended.rtt_ns - plain.rtt_ns) / MS
-    assert TABLE4_DELTA_RTT.location <= extra_ms <= TABLE4_DELTA_RTT.support_upper()
+    assert TABLE4_DELTA_RTT.location <= extra_ms <= support_upper(TABLE4_DELTA_RTT)
 
 
 def test_miss_packet_pays_install_not_element():
@@ -168,7 +174,7 @@ def test_bounded_overhead():
     quiet = Simulation(base, ControllerSpec(), RngStreams(4)).exchange(
         Packet(0, KEY, 1500, sent_at_ns=0)
     )
-    bound_ms = TABLE4_DELTA_RTT.support_upper()
+    bound_ms = support_upper(TABLE4_DELTA_RTT)
     for i in range(50):
         res = sim.exchange(Packet(i, KEY, 1500, sent_at_ns=i * 10 * S))  # idle gaps
         extra = (res.rtt_ns - quiet.rtt_ns) / MS
@@ -182,4 +188,4 @@ def test_element_from_fitted_params():
     cfg = DelayElementConfig(first_delay=fit, followup_delay=TABLE4_DISPERSION)
     assert cfg.first_delay == fit
     sample = delay_for("first", cfg, np.random.default_rng(0)) / MS
-    assert fit.location <= sample <= fit.support_upper()
+    assert fit.location <= sample <= support_upper(fit)

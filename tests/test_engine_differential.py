@@ -1,5 +1,7 @@
 """The trial-batched engine against the scalar reference model, row for row."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -145,7 +147,7 @@ def test_defended_builtins_match_scalar_reference():
     per_k = {2: (FIRST, FOLLOWUP)}
     for name in ("k1-sw-100m", "k2-hw-100m", "k3-hw-1g"):
         for element in (DelayElementConfig(), DelayElementConfig(per_k=per_k)):
-            scenario = builtin_scenarios()[name].with_overrides(defense=element)
+            scenario = replace(builtin_scenarios()[name], defense=element)
             path, controller = scenario.build_path(), scenario.build_controller()
             for schedule, warm, group in (
                 (build_probe_train(DEFAULT_FLOW), False, 0),

@@ -18,7 +18,7 @@ from sdnfp.features import (
     write_feature_csv,
 )
 from sdnfp.netsim import ControllerSpec, FlowKey, SwitchSpec, uniform_path
-from sdnfp.probes import Trace, TraceRecord, build_probe_train, run_train
+from sdnfp.probes import Trace, TraceRecord, build_probe_train, run_schedule
 
 S = 1_000_000_000
 MS = 1_000_000
@@ -57,7 +57,7 @@ def test_dispersion_example_reordered_negative():
 def test_dispersion_miss_pair_from_simulation():
     sw = SwitchSpec("hw1", "hardware", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
-    trace = run_train(build_probe_train(KEY), path, ControllerSpec(), 1, seed=0)
+    trace = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(1))
     first, second, _ = group_probes(trace)
     value = dispersion_ms(trace, first, second)[0]
     assert value == pytest.approx(5.12)
@@ -67,14 +67,6 @@ def test_dispersion_antisymmetric():
     first = rec(0, 0, 100_000_000)
     second = rec(1, 0, 100_120_000)
     assert pair_value(dispersion_ms, first, second) == -pair_value(dispersion_ms, second, first)
-
-
-def test_dispersion_server_vantage():
-    first = rec(0, 0, 100_000_000)
-    second = rec(1, 0, 100_120_000)
-    assert pair_value(dispersion_ms, first, second, vantage="server") == pytest.approx(0.12)
-    with pytest.raises(ValueError):
-        pair_value(dispersion_ms, first, second, vantage="switch")
 
 
 def test_missing_reply_raises():
@@ -106,7 +98,7 @@ def test_delta_rtt_seeded_replay():
 
     def run(seed):
         path = uniform_path(4, 4, 100_000_000, cross_traffic=cross)
-        trace = run_train(build_probe_train(KEY), path, ControllerSpec(), 1, seed=seed)
+        trace = run_schedule(build_probe_train(KEY), path, ControllerSpec(), seed, trials=range(1))
         _, _, singles = group_probes(trace)
         return delta_rtt_ms(trace, singles[:1], singles[1:2])[0]
 
@@ -126,7 +118,7 @@ def test_delta_rtt_label_taxonomy():
 def test_label_samples_standard_train():
     sw = SwitchSpec("hw1", "hardware", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
-    records = run_train(build_probe_train(KEY), path, ControllerSpec(), 1, seed=0)
+    records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(1))
     samples = label_samples(records, CTX)
     disp = [s for s in samples if s.feature == "dispersion"]
     drtt = [s for s in samples if s.feature == "delta_rtt"]
@@ -136,7 +128,7 @@ def test_label_samples_standard_train():
 
 def test_label_samples_prewarmed_all_n():
     path = uniform_path(4, 4, 100_000_000)
-    records = run_train(build_probe_train(KEY), path, ControllerSpec(), 1, seed=0)
+    records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(1))
     samples = label_samples(records, CTX)
     assert {s.label for s in samples} == {"N"}
 
@@ -145,7 +137,7 @@ def test_label_samples_clear_mid_stream():
     # The second CLEAR re-arms the miss: the first subsequent probe is Y.
     sw = SwitchSpec("hw1", "hardware", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
-    records = run_train(build_probe_train(KEY), path, ControllerSpec(), 1, seed=0)
+    records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(1))
     singles = [r for r in records if r.packet_id in (10, 11)]
     assert singles[0].miss_flag and not singles[1].miss_flag
 
@@ -168,7 +160,7 @@ def test_n_population_mean_near_zero_y_positive():
     cross = CrossTrafficModel(kind="pareto", mean_ns=90_000, variance_ns2=2_000_000_000)
     sw = SwitchSpec("hw1", "hardware", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
-    records = run_train(build_probe_train(KEY), path, ControllerSpec(), 300, seed=8)
+    records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 8, trials=range(300))
     samples = label_samples(records, CTX)
     y_rtt = [s.value_ms for s in samples if s.feature == "delta_rtt" and s.label == "Y"]
     n_disp = [s.value_ms for s in samples if s.feature == "dispersion" and s.label == "N"]
@@ -180,7 +172,7 @@ def test_n_population_mean_near_zero_y_positive():
 def test_feature_csv_round_trip(tmp_path):
     sw = SwitchSpec("hw1", "hardware", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
-    records = run_train(build_probe_train(KEY), path, ControllerSpec(), 2, seed=0)
+    records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(2))
     samples = label_samples(records, CTX)
     out = tmp_path / "samples.csv"
     write_feature_csv(out, samples)
@@ -193,7 +185,7 @@ def test_feature_csv_round_trip(tmp_path):
 def test_split_populations():
     sw = SwitchSpec("hw1", "hardware", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
-    records = run_train(build_probe_train(KEY), path, ControllerSpec(), 2, seed=0)
+    records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(2))
     samples = label_samples(records, CTX)
     n, y = split_populations(samples, "dispersion")
     assert len(n) == 6 and len(y) == 2
@@ -202,7 +194,7 @@ def test_split_populations():
 def test_feature_csv_rows_share_one_context_per_distinct_context(tmp_path):
     sw = SwitchSpec("hw1", "hardware", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
-    records = run_train(build_probe_train(KEY), path, ControllerSpec(), 3, seed=0)
+    records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(3))
     other = ScenarioContext(k=1, switch_kind="soft,ware", data_link_bps=10**9, time_span_ns=600 * S)
     samples = label_samples(records, CTX) + label_samples(records, other)
     out = tmp_path / "samples.csv"

@@ -8,6 +8,7 @@ were recorded with and the test is skipped on any other.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ def variant(name):
     if name.endswith("-drift-600s"):
         return drift_variant(builtins[name.removesuffix("-drift-600s")], 600 * NS_PER_S)
     base = builtins[name.removesuffix("-defended")]
-    return base.with_overrides(name=name, defense=DelayElementConfig())
+    return replace(base, name=name, defense=DelayElementConfig())
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_VARIANTS))

@@ -236,14 +236,8 @@ def test_eq1_fidelity_random_shapes():
         path = PathSpec(fwd, rev)
         size = int(rng.integers(100, 1501))
         r1, r2 = exchange_pair(path, size)
-        expected = transmission_delay_ns(size, fwd[path.bottleneck_index])
+        expected = transmission_delay_ns(size, min(fwd, key=lambda link: link.capacity_bps))
         assert r2.client_recv_ns - r1.client_recv_ns == expected
-
-
-def test_bottleneck_tie_break_earliest():
-    links = (LinkSpec(200_000_000), LinkSpec(100_000_000), LinkSpec(100_000_000))
-    path = PathSpec(links, (LinkSpec(100_000_000),))
-    assert path.bottleneck_index == 1
 
 
 def test_monotone_timestamps():

@@ -15,7 +15,7 @@ from sdnfp.probes import (
     extract_passive_pairs,
     idle_flow_probes,
     read_trace_csv,
-    run_train,
+    run_schedule,
     write_trace_csv,
 )
 
@@ -59,7 +59,7 @@ def test_train_pair_spacing_override():
 
 
 def test_run_train_single_trial_labels():
-    records = run_train(build_probe_train(KEY), default_path(), ControllerSpec(), 1, seed=1)
+    records = run_schedule(build_probe_train(KEY), default_path(), ControllerSpec(), 1, trials=range(1))
     assert len(records) == 12
     flagged = [r.packet_id for r in records if r.miss_flag]
     # First packet of the first pair, and the first tail single.
@@ -69,7 +69,9 @@ def test_run_train_single_trial_labels():
 
 
 def test_run_train_450_trials_label_counts():
-    records = run_train(build_probe_train(KEY), default_path(), ControllerSpec(), 450, seed=1)
+    records = run_schedule(
+        build_probe_train(KEY), default_path(), ControllerSpec(), 1, trials=range(450)
+    )
     pair_first_ids = (1, 3, 5, 7)
     y_pairs = sum(1 for r in records if r.packet_id in pair_first_ids and r.miss_flag)
     n_pairs = sum(1 for r in records if r.packet_id in pair_first_ids and not r.miss_flag)
@@ -85,22 +87,19 @@ def test_run_train_same_seed_identical():
 
     def run():
         path = uniform_path(4, 4, 100_000_000, (hw(),), cross_traffic=cross)
-        return run_train(build_probe_train(KEY), path, ControllerSpec(), 3, seed=9)
+        return run_schedule(build_probe_train(KEY), path, ControllerSpec(), 9, trials=range(3))
 
     assert run() == run()
 
 
 def test_miss_flags_only_after_clears():
-    records = run_train(build_probe_train(KEY), default_path(), ControllerSpec(), 4, seed=2)
+    records = run_schedule(build_probe_train(KEY), default_path(), ControllerSpec(), 2, trials=range(4))
     for trial in range(4):
         flagged = sorted(r.packet_id for r in records if r.trial == trial and r.miss_flag)
         assert flagged == [1, 10]
 
 
 def test_label_soundness_matches_install_events():
-    from sdnfp.netsim import Simulation, RngStreams
-    from sdnfp.probes import run_schedule
-
     path = default_path()
     records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), seed=3)
     assert sum(r.miss_flag for r in records) == 2  # one per CLEAR in the train
@@ -164,7 +163,7 @@ def test_passive_pairs_count_bound():
 
 
 def test_trace_csv_round_trip(tmp_path):
-    records = run_train(build_probe_train(KEY), default_path(), ControllerSpec(), 2, seed=5)
+    records = run_schedule(build_probe_train(KEY), default_path(), ControllerSpec(), 5, trials=range(2))
     out = tmp_path / "traces.csv"
     write_trace_csv(out, records)
     header = out.read_text().splitlines()[0]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -24,7 +25,7 @@ TRAINS = 60  # reduced for unit-test speed; acceptance runs the full counts
 
 def small(name="k3-hw-100m", **overrides):
     base = builtin_scenarios()[name]
-    return base.with_overrides(trains=TRAINS, **overrides)
+    return replace(base, trains=TRAINS, **overrides)
 
 
 def file_digest(path):
@@ -69,7 +70,7 @@ def test_defended_scenario_table5_shape():
 
 def test_zero_trains_config_error():
     with pytest.raises(ConfigError):
-        run_scenario(small().with_overrides(trains=0))
+        run_scenario(replace(small(), trains=0))
 
 
 def test_validation_k_fits_path():
@@ -316,7 +317,7 @@ def test_cli_report_json(tmp_path):
 
 def test_cli_report_reads_bin_width_from_bundle(tmp_path):
     bundle_dir = tmp_path / "runs" / "wide"
-    scenario = small("k1-hw-100m", bin_width_ms=0.5).with_overrides(name="wide")
+    scenario = replace(small("k1-hw-100m", bin_width_ms=0.5), name="wide")
     bundle = run_scenario(scenario, bundle_dir)
     code = main(["report", "--bundles", str(bundle_dir), "--out", str(tmp_path / "rep")])
     assert code == 0
@@ -363,7 +364,7 @@ def test_cli_extract_passive_window_defaults_to_the_sidecar(tmp_path):
 
 def test_cli_extract_and_report_need_a_complete_sidecar(tmp_path, capsys):
     bundle_dir = tmp_path / "runs" / "k1-hw-100m"
-    run_scenario(builtin_scenarios()["k1-hw-100m"].with_overrides(trains=4), bundle_dir)
+    run_scenario(replace(builtin_scenarios()["k1-hw-100m"], trains=4), bundle_dir)
     extract = ["extract", "--traces", str(bundle_dir / "traces.csv"), "--out", str(tmp_path / "ex")]
     report = ["report", "--bundles", str(bundle_dir), "--out", str(tmp_path / "rep")]
     sidecar = bundle_dir / "scenario.json"
@@ -392,3 +393,45 @@ def test_read_scenario_descriptor_round_trips_the_sidecar(tmp_path, defense):
     )
     run_scenario(scenario, tmp_path)
     assert read_scenario_descriptor(tmp_path) == scenario
+
+
+def test_scenario_from_config_keeps_the_defaults_of_omitted_keys():
+    assert scenario_from_config({"name": "fresh", "seed": 5}) == Scenario(name="fresh", seed=5)
+    for name, builtin in builtin_scenarios().items():
+        assert scenario_from_config({"name": name}) == builtin
+    assert scenario_from_config({"name": "k2-hw-100m", "mtu": "1000 B"}) == replace(
+        builtin_scenarios()["k2-hw-100m"], mtu_bytes=1000
+    )
+
+
+def test_non_positive_passive_window_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "window.yaml"
+    cfg.write_text("scenarios:\n  - name: shut\n    seed: 5\n    trains: 4\n    passive_window: 0 s\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+    assert "passive_window: must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+    bundle_dir = tmp_path / "bundle"
+    run_scenario(replace(builtin_scenarios()["k1-hw-100m"], trains=4), bundle_dir)
+    for window in ("0", "-1", "1e-12", "nan"):
+        argv = ["extract", "--traces", str(bundle_dir / "traces.csv"), "--out", str(tmp_path / "ex"),
+                "--passive", "--window-s", window]
+        assert main(argv) == 2, window
+        assert "window-s:" in capsys.readouterr().err
+
+
+def test_cli_defend_names_the_gpd_file_and_key_it_cannot_read(tmp_path, capsys):
+    fitted = {"feature": "delta_rtt", "label": "Y", "shape": -0.5, "scale_ms": 2.0, "location_ms": 0.5}
+    first, followup = tmp_path / "first.json", tmp_path / "followup.json"
+    first.write_text(json.dumps(fitted))
+    followup.write_text(json.dumps({k: v for k, v in fitted.items() if k != "scale_ms"}))
+    defend = ["defend", "--scenario", "k1-hw-100m", "--trains", "4", "--out", str(tmp_path / "runs"),
+              "--first-delay", str(first), "--followup-delay", str(followup)]
+    assert main(defend) == 2
+    assert f"scale_ms: missing from {followup}" in capsys.readouterr().err
+    followup.write_text(json.dumps(dict(fitted, scale_ms=-1.0)))
+    assert main(defend) == 2
+    assert f"scale_ms: scale must be positive in {followup}" in capsys.readouterr().err
+    followup.unlink()
+    assert main(defend) == 2
+    assert f"cannot read {followup}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.stats import genpareto
 
 from sdnfp.features import DELTA_RTT, DISPERSION, split_populations
@@ -15,11 +14,8 @@ from sdnfp.stats import (
     FitFailedError,
     GPDParams,
     build_histogram,
-    classify,
     compute_eer,
     fit_gpd,
-    gpd_cdf,
-    gpd_pdf,
     gpd_quantile,
     gpd_sample,
     welch_t_test,
@@ -27,6 +23,11 @@ from sdnfp.stats import (
 
 RTT_PARAMS = GPDParams(shape=-0.53, scale=10.58, location=0.57)
 DISP_PARAMS = GPDParams(shape=-0.60, scale=2.86, location=0.45)
+
+
+def scipy_gpd(params):
+    """The same GPD as a frozen scipy distribution."""
+    return genpareto(params.shape, loc=params.location, scale=params.scale)
 
 
 # -- histograms ---------------------------------------------------------------
@@ -56,7 +57,7 @@ def test_histogram_gpd_support_mass():
 def test_histogram_total_preserved():
     rng = np.random.default_rng(1)
     values = rng.normal(0, 5, 777)
-    h = build_histogram(values, bin_width_ms=0.3, origin_ms=-1.0)
+    h = build_histogram(values, bin_width_ms=0.3)
     assert sum(h.counts.values()) == h.total == 777
 
 
@@ -158,10 +159,11 @@ def test_eer_empty_rejected():
         compute_eer([], [1.0])
 
 
-def test_classify_convention():
-    assert classify(1.0, 1.43) == "N"
-    assert classify(5.0, 4.63) == "Y"
-    assert classify(2.0, 2.0) == "Y"  # boundary goes to Y
+def test_eer_sweep_counts_a_tie_with_the_threshold_as_n():
+    # At t = 2.0 the Y sample equal to t is a false match, the N sample is not
+    # a false non-match.
+    curve = {t: (fmr, fnr) for t, fmr, fnr in compute_eer([2.0, 3.0], [1.0, 2.0]).curve}
+    assert curve[2.0] == (1.0, 0.5)
 
 
 # -- Welch --------------------------------------------------------------------
@@ -208,41 +210,20 @@ def test_welch_degenerate_variance():
 # -- GPD ----------------------------------------------------------------------
 
 
-def test_gpd_pdf_at_location():
-    assert gpd_pdf(RTT_PARAMS.location, RTT_PARAMS) == pytest.approx(1 / RTT_PARAMS.scale)
-    assert gpd_pdf(DISP_PARAMS.location, DISP_PARAMS) == pytest.approx(1 / DISP_PARAMS.scale)
-
-
-def test_gpd_pdf_zero_off_support():
-    # Dispersion parameters: support ends at 0.45 + 2.86/0.60 = 5.217 ms.
-    assert gpd_pdf(6.0, DISP_PARAMS) == 0.0
-    assert gpd_pdf(0.0, DISP_PARAMS) == 0.0
-    assert DISP_PARAMS.support_upper() == pytest.approx(5.2167, abs=1e-3)
-
-
-def test_gpd_pdf_integrates_to_one():
-    for params in (RTT_PARAMS, DISP_PARAMS, GPDParams(0.3, 2.0, 1.0)):
-        upper = params.support_upper()
-        if math.isinf(upper):
-            upper = params.location + 400 * params.scale
-        total, err = quad(lambda x: gpd_pdf(x, params), params.location, upper, limit=200)
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-
 def test_gpd_quantile_edge():
     assert gpd_quantile(0.0, RTT_PARAMS) == RTT_PARAMS.location
     near_one = gpd_quantile(1 - 1e-12, RTT_PARAMS)
-    assert near_one <= RTT_PARAMS.support_upper() + 1e-9
+    assert near_one <= scipy_gpd(RTT_PARAMS).support()[1] + 1e-9
 
 
 def test_gpd_sample_moments_rtt():
     rng = np.random.default_rng(17)
     x = gpd_sample(RTT_PARAMS, rng, 1_000_000)
     # mean = mu + sigma/(1 - xi) = 7.485 ms
-    assert x.mean() == pytest.approx(RTT_PARAMS.mean(), rel=0.01)
-    assert RTT_PARAMS.mean() == pytest.approx(7.485, abs=0.005)
+    assert x.mean() == pytest.approx(scipy_gpd(RTT_PARAMS).mean(), rel=0.01)
+    assert scipy_gpd(RTT_PARAMS).mean() == pytest.approx(7.485, abs=0.005)
     assert x.min() >= RTT_PARAMS.location
-    assert x.max() <= RTT_PARAMS.support_upper()
+    assert x.max() <= scipy_gpd(RTT_PARAMS).support()[1]
 
 
 def test_gpd_sample_moments_dispersion():
@@ -255,7 +236,7 @@ def test_gpd_sample_moments_dispersion():
 def test_gpd_sample_cdf_consistency():
     rng = np.random.default_rng(19)
     x = np.sort(gpd_sample(RTT_PARAMS, rng, 1_000_000))
-    cdf = gpd_cdf(x, RTT_PARAMS)
+    cdf = scipy_gpd(RTT_PARAMS).cdf(x)
     ecdf = np.arange(1, x.size + 1) / x.size
     assert np.max(np.abs(ecdf - cdf)) < 0.005
 
@@ -264,7 +245,27 @@ def test_gpd_xi_zero_limit():
     params = GPDParams(shape=0.0, scale=2.0, location=1.0)
     # Exponential limit: quantile(u) = mu - sigma ln(1-u).
     assert gpd_quantile(0.5, params) == pytest.approx(1.0 + 2.0 * math.log(2))
-    assert gpd_pdf(1.0, params) == pytest.approx(0.5)
+
+
+U_GRID = np.concatenate([np.linspace(0.0, 0.999, 1000), [0.9999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12]])
+
+
+@pytest.mark.parametrize(
+    "params, rtol",
+    [
+        (RTT_PARAMS, 1e-12),
+        (DISP_PARAMS, 1e-12),
+        (GPDParams(0.3, 2.0, 1.0), 1e-12),
+        (GPDParams(0.0, 2.0, 1.0), 1e-12),
+        # |xi| < 1e-9 takes the exponential limit, which drops a relative
+        # |xi| ln(1/(1-u)) / 2 of x - mu: 7e-9 at u = 1 - 1e-12.
+        (GPDParams(5e-10, 2.0, 1.0), 1e-8),
+    ],
+    ids=["table4-rtt", "table4-dispersion", "positive-shape", "zero-shape", "tiny-shape"],
+)
+def test_gpd_quantile_matches_scipy_ppf(params, rtol):
+    expected = genpareto.ppf(U_GRID, params.shape, params.location, params.scale)
+    np.testing.assert_allclose(gpd_quantile(U_GRID, params), expected, rtol=rtol, atol=0)
 
 
 def test_fit_gpd_round_trip():
