@@ -14,7 +14,7 @@ from .distributions import CrossTrafficModel, DelayModel
 from .features import (
     DELTA_RTT,
     DISPERSION,
-    FeatureSample,
+    Samples,
     ScenarioContext,
     delta_rtt_ms,
     dispersion_ms,

@@ -19,8 +19,8 @@ from pathlib import Path
 
 from . import features as features_mod
 from .defense import DelayElementConfig
-from .features import DELTA_RTT, DISPERSION, read_feature_csv
-from .probes import Trace, read_trace_csv
+from .features import DELTA_RTT, DISPERSION, Samples
+from .probes import Trace
 from .scenario import (
     ConfigError,
     ResultBundle,
@@ -39,6 +39,10 @@ from .units import NS_PER_S
 # Unused here since `scenario.evaluate` computes every EER and Welch test, but
 # bench/tracer.py patches these two names on this module.
 from .stats import compute_eer, welch_t_test  # noqa: F401
+
+# The two CSV readers, under the names bench/tracer.py patches.
+read_trace_csv = Trace.read_csv
+read_feature_csv = Samples.read_csv
 
 
 def _select_scenarios(args) -> list[Scenario]:
@@ -102,7 +106,7 @@ def cmd_extract(args) -> int:
         samples = features_mod.label_samples(trace, scenario.context(), drops)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    features_mod.write_feature_csv(out / "samples.csv", samples)
+    samples.write_csv(out / "samples.csv")
     (out / "drops.json").write_text(
         json.dumps(drops.as_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
@@ -133,8 +137,8 @@ def cmd_eer(args) -> int:
 
 def cmd_fit(args) -> int:
     samples = read_feature_csv(args.samples)
-    values = [s.value_ms for s in samples if s.feature == args.feature and s.label == args.label]
-    if not values:
+    values = samples.values(args.feature, args.label)
+    if not values.size:
         raise ConfigError(f"feature: no {args.feature}/{args.label} samples in {args.samples}")
     params, ks = fit_gpd(values)
     payload = {

@@ -1,7 +1,8 @@
 """Feature extraction: reply dispersion and RTT differences from a trace.
 
 Extraction works on the columns of a `probes.Trace`, whether the trace comes
-from the simulator or from a persisted CSV, and builds no per-packet object.
+from the simulator or from a persisted CSV, and yields a `Samples` table, the
+columns of samples.csv; it builds no per-packet or per-sample object.
 `label_samples` reconstructs the train structure from the trace alone: within
 each trial the probes, sorted by send time and packet id, form back-to-back
 pairs (send gaps up to PAIR_GAP_MAX_NS) and singles; pairs feed the
@@ -15,18 +16,19 @@ the classifier.  A pair is Y when either member triggered an install; an RTT
 difference is Y when exactly the first member did and N when neither did.
 Anything else (both flagged, or only the second) does not fit the two-sided
 taxonomy and is excluded with a count, as is every sample with a missing
-reply (MISSING_NS in a receive timestamp).
+reply (MISSING_NS in a receive timestamp).  `Samples.values` selects one
+feature's N or Y population, for the EER, the Welch test, the GPD fit and
+the report's histograms alike.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .netsim import PROBE
-from .probes import PAIR_GAP_MAX_NS, Trace, csv_text, extract_passive_pairs, greedy_pair_starts
+from .probes import PAIR_GAP_MAX_NS, Table, Trace, extract_passive_pairs, greedy_pair_starts
 from .units import NS_PER_MS
 
 DISPERSION = "dispersion"
@@ -43,12 +45,38 @@ class ScenarioContext:
     time_span_ns: int
 
 
-@dataclass(frozen=True)
-class FeatureSample:
-    feature: str
-    value_ms: float
-    label: str
-    context: ScenarioContext
+@dataclass(frozen=True, eq=False)
+class Samples(Table):
+    """Labelled feature samples, one array per samples.csv column.
+
+    `feature`, `label` and `kind` are object arrays of str, `value_ms` and
+    `span_s` float64, `k` and `link_bps` int64.  The last four columns are
+    the context of the scenario each sample came from.
+    """
+
+    feature: np.ndarray
+    value_ms: np.ndarray
+    label: np.ndarray
+    k: np.ndarray
+    kind: np.ndarray
+    link_bps: np.ndarray
+    span_s: np.ndarray
+
+    DTYPES = (object, np.float64, object, np.int64, object, np.int64, np.float64)
+
+    @classmethod
+    def in_context(cls, feature, value_ms, label, context: ScenarioContext) -> "Samples":
+        """Samples of one scenario; the context columns repeat `context`."""
+        n = np.size(value_ms)
+        return cls(
+            feature, value_ms, label,
+            np.full(n, context.k), np.full(n, context.switch_kind, object),
+            np.full(n, context.data_link_bps), np.full(n, context.time_span_ns / 1e9),
+        )
+
+    def values(self, feature: str, label: str) -> np.ndarray:
+        """value_ms of the samples of one feature and label, in row order."""
+        return self.value_ms[(self.feature == feature) & (self.label == label)]
 
 
 @dataclass
@@ -81,7 +109,7 @@ def delta_rtt_ms(trace: Trace, first, second) -> np.ndarray:
 
 def pair_labels(trace: Trace, first, second) -> np.ndarray:
     """Y where either member of a pair triggered an install, else N."""
-    return np.where((trace.miss_flag[first] | trace.miss_flag[second]) != 0, "Y", "N")
+    return np.where(trace.miss_flag[first] | trace.miss_flag[second], "Y", "N")
 
 
 def delta_rtt_labels(trace: Trace, first, second) -> tuple[np.ndarray, np.ndarray]:
@@ -90,8 +118,8 @@ def delta_rtt_labels(trace: Trace, first, second) -> tuple[np.ndarray, np.ndarra
     The label is Y when the first member triggered an install and N when it
     did not; it is ambiguous, fitting neither PDF, when the second did.
     """
-    labels = np.where(trace.miss_flag[first] != 0, "Y", "N")
-    return labels, trace.miss_flag[second] != 0
+    labels = np.where(trace.miss_flag[first], "Y", "N")
+    return labels, trace.miss_flag[second]
 
 
 def group_probes(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -124,18 +152,11 @@ def _delta_rtt(trace: Trace, first, second, drops: DropCounts):
     return keep, delta_rtt_ms(trace, first[keep], second[keep]), labels[keep]
 
 
-def _samples(features, values, labels, context) -> list[FeatureSample]:
-    return [
-        FeatureSample(f, v, lab, context)
-        for f, v, lab in zip(features, values.tolist(), labels.tolist())
-    ]
-
-
 def label_samples(
     trace: Trace,
     context: ScenarioContext,
     drops: DropCounts | None = None,
-) -> list[FeatureSample]:
+) -> Samples:
     """Labeled dispersion and RTT-difference samples for a whole trace.
 
     Pairs feed the dispersion feature; consecutive singles of a trial feed
@@ -162,11 +183,10 @@ def label_samples(
     # RTT differences, each in send order.
     trial = np.concatenate([trace.trial[first], trace.trial[rtt_first[keep]]])
     order = np.argsort(trial, kind="stable")
-    n_disp = first.size
-    features = [DELTA_RTT if i >= n_disp else DISPERSION for i in order.tolist()]
+    features = np.where(order >= first.size, DELTA_RTT, DISPERSION)
     values = np.concatenate([disp_values, rtt_values])[order]
     labels = np.concatenate([disp_labels, rtt_labels])[order]
-    return _samples(features, values, labels, context)
+    return Samples.in_context(features, values, labels, context)
 
 
 def passive_samples(
@@ -174,7 +194,7 @@ def passive_samples(
     context: ScenarioContext,
     window_ns: int,
     drops: DropCounts | None = None,
-) -> list[FeatureSample]:
+) -> Samples:
     """RTT-difference samples of a passive adversary.
 
     Same-flow packets sent within window_ns of each other are paired by
@@ -185,57 +205,4 @@ def passive_samples(
         drops = DropCounts()
     first, second = extract_passive_pairs(trace, window_ns)
     _, values, labels = _delta_rtt(trace, first, second, drops)
-    return _samples([DELTA_RTT] * values.size, values, labels, context)
-
-
-FEATURE_FIELDS = ("feature", "value_ms", "label", "k", "kind", "link_bps", "span_s")
-
-
-def write_feature_csv(path, samples) -> None:
-    """One line per sample; feature and label are this module's plain names,
-    and each context's fields are formatted once."""
-    lines = [",".join(FEATURE_FIELDS) + "\n"]
-    context = tail = None
-    for s in samples:
-        if s.context is not context and s.context != context:
-            context = s.context
-            tail = (
-                f"{context.k},{csv_text(context.switch_kind)},{context.data_link_bps},"
-                f"{context.time_span_ns / 1e9!r}\n"
-            )
-        lines.append(f"{s.feature},{s.value_ms!r},{s.label},{tail}")
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write("".join(lines))
-
-
-def read_feature_csv(path) -> list[FeatureSample]:
-    """Samples of a feature CSV; rows with the same context fields share one
-    `ScenarioContext`."""
-    samples = []
-    contexts: dict[tuple[str, ...], ScenarioContext] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        if tuple(next(reader, ())) != FEATURE_FIELDS:
-            raise ValueError(f"feature file {path} does not carry the expected header")
-        for row in reader:
-            if not row:
-                continue
-            feature, value_ms, label, k, kind, link_bps, span_s = row
-            key = (k, kind, link_bps, span_s)
-            ctx = contexts.get(key)
-            if ctx is None:
-                ctx = contexts[key] = ScenarioContext(
-                    k=int(k),
-                    switch_kind=kind,
-                    data_link_bps=int(link_bps),
-                    time_span_ns=int(float(span_s) * 1e9 + 0.5),
-                )
-            samples.append(FeatureSample(feature, float(value_ms), label, ctx))
-    return samples
-
-
-def split_populations(samples, feature: str) -> tuple[list[float], list[float]]:
-    """(values_N, values_Y) for one feature."""
-    values_n = [s.value_ms for s in samples if s.feature == feature and s.label == "N"]
-    values_y = [s.value_ms for s in samples if s.feature == feature and s.label == "Y"]
-    return values_n, values_y
+    return Samples.in_context(np.full(values.size, DELTA_RTT), values, labels, context)

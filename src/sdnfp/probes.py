@@ -1,5 +1,5 @@
 """Probe-train construction, execution against the simulator, the columnar
-trace, and passive pairing.
+tables and their CSV format, and passive pairing.
 
 The measurement train is fixed: a CLEAR packet at t=0, four MTU-sized packet
 pairs at 1..4 s (members sent back-to-back), a second CLEAR at 5 s, and two
@@ -26,14 +26,18 @@ drawn per event, in packet order within the trial.  `run_schedule_reference`
 runs one trial on the scalar reference model (`netsim.Simulation`), packet by
 packet; the differential tests hold the engine to it row for row.
 
-Traces.  A `Trace` is the send/receive log of every packet and its reply, kept
-as columns: int64 arrays for the trial, the packet id, the four timestamps and
-the two flags (0/1), and arrays of str for the packet kind and the flow.
-`run_schedule` builds one straight from the engine's [packet, trial] arrays,
-`write_trace_csv` writes it one formatted line per row and `read_trace_csv`
-reads the same type back, so simulated and persisted traces go through the
-same extraction code.  Iterating a trace yields `TraceRecord` rows, for tests
-and inspection; the pipeline itself never builds per-packet objects.
+Tables.  Traces and feature samples are the one table type, `Table`: a frozen
+dataclass with one numpy array per CSV column, and one CSV format.
+`Table.write_csv` writes a header and one `%`-formatted line per row, text
+quoted as csv.writer quotes it; `Table.read_csv` checks the header and parses
+the rest in one `np.loadtxt` call.  A `Trace` is the send/receive log of every
+packet and its reply: int64 arrays for the trial, the packet id and the four
+timestamps, bool arrays for the two flags, and arrays of str for the packet
+kind and the flow.  `run_schedule` builds one straight from the engine's
+[packet, trial] arrays, and a persisted trace reads back as the same type, so
+simulated and persisted traces go through the same extraction code.
+Iterating a trace yields `TraceRecord` rows, for tests and inspection; the
+pipeline itself never builds per-packet or per-sample objects.
 
 Pairing.  `greedy_pair_starts` is the one greedy left-to-right pairing rule:
 over rows sorted within their groups, a row pairs with its successor when the
@@ -44,8 +48,8 @@ which links qualify.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -136,22 +140,86 @@ def idle_flow_probes(
     )
 
 
-TRACE_FIELDS = (
-    "trial",
-    "packet_id",
-    "kind",
-    "flow",
-    "client_send_ns",
-    "server_recv_ns",
-    "server_reply_send_ns",
-    "client_recv_ns",
-    "miss_flag",
-    "table_full",
-)
-_TEXT_FIELDS = ("kind", "flow")
-_FLAG_FIELDS = ("miss_flag", "table_full")
-_CSV_LINE = "%d,%d,%s,%s,%d,%d,%d,%d,%d,%d\n"
+_FORMATS = {np.int64: "%d", bool: "%d", np.float64: "%r", object: "%s"}
 _WRITE_ROWS = 2048
+
+
+def _quote(text: str) -> str:
+    """A text field as csv.writer quotes it (QUOTE_MINIMAL)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+class Table:
+    """Base of the columnar tables, each a frozen dataclass with one array per
+    CSV column, in field order.
+
+    A subclass lists each column's dtype in DTYPES: int64, bool (0/1 in the
+    file), float64 (written as repr, so floats round-trip exactly) or object
+    (arrays of str).  Every column has one entry per row; two tables are equal
+    when their columns hold the same values.
+    """
+
+    DTYPES: tuple = ()
+
+    @classmethod
+    def columns(cls) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(cls))
+
+    def __post_init__(self):
+        for name, dtype in zip(self.columns(), self.DTYPES):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype).reshape(-1))
+        if len({getattr(self, name).size for name in self.columns()}) != 1:
+            raise ValueError("every column must have one entry per row")
+
+    def __len__(self) -> int:
+        return getattr(self, self.columns()[0]).size
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in self.columns())
+
+    __hash__ = None
+
+    @classmethod
+    def concat(cls, tables):
+        tables = list(tables)
+        return cls(*(np.concatenate([getattr(t, n) for t in tables]) for n in cls.columns()))
+
+    def write_csv(self, path) -> None:
+        """A header line, then one `%`-formatted line per row, in blocks of
+        _WRITE_ROWS rows so the text held at once stays small."""
+        names = self.columns()
+        line = ",".join(_FORMATS[d] for d in self.DTYPES) + "\n"
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            f.write(",".join(names) + "\n")
+            for start in range(0, len(self), _WRITE_ROWS):
+                columns = [getattr(self, n)[start : start + _WRITE_ROWS].tolist() for n in names]
+                for j, dtype in enumerate(self.DTYPES):
+                    if dtype is object:
+                        quoted = {v: _quote(v) for v in set(columns[j])}
+                        columns[j] = [quoted[v] for v in columns[j]]
+                f.write("".join([line % row for row in zip(*columns)]))
+
+    @classmethod
+    def read_csv(cls, path):
+        """The table a file of `write_csv`'s format holds; blank lines are
+        skipped, and a wrong header or a row of the wrong width raises
+        ValueError."""
+        names = cls.columns()
+        dtype = np.dtype(list(zip(names, cls.DTYPES)))
+        with open(path, newline="", encoding="utf-8") as f:
+            if f.readline().rstrip("\r\n") != ",".join(names):
+                raise ValueError(f"{path} does not carry the header {','.join(names)}")
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                try:
+                    rows = np.loadtxt(f, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {exc}") from None
+        return cls(*(rows[n] for n in names))
 
 
 @dataclass(frozen=True)
@@ -171,13 +239,11 @@ class TraceRecord:
 
 
 @dataclass(frozen=True, eq=False)
-class Trace:
+class Trace(Table):
     """Send/receive log of every packet and its reply, one array per field.
 
-    Integer fields are int64 (the flags 0/1); `kind` and `flow` are object
-    arrays of str, so rows of one flow share one string.  Every column has
-    one entry per row.  Two traces are equal when their columns hold the same
-    values.
+    Timestamps, trial and packet id are int64, the two flags bool, and `kind`
+    and `flow` object arrays of str, so rows of one flow share one string.
     """
 
     trial: np.ndarray
@@ -191,44 +257,15 @@ class Trace:
     miss_flag: np.ndarray
     table_full: np.ndarray
 
-    def __post_init__(self):
-        for name in TRACE_FIELDS:
-            if name in _TEXT_FIELDS:
-                column = np.asarray(getattr(self, name), dtype=object)
-            elif name in _FLAG_FIELDS:
-                column = (np.asarray(getattr(self, name)) != 0).astype(np.int64)
-            else:
-                column = np.asarray(getattr(self, name), dtype=np.int64)
-            object.__setattr__(self, name, column.reshape(-1))
-        if len({getattr(self, name).size for name in TRACE_FIELDS}) != 1:
-            raise ValueError("every trace column must have one entry per row")
-
-    def __len__(self) -> int:
-        return self.trial.size
+    DTYPES = (np.int64, np.int64, object, object, *[np.int64] * 4, bool, bool)
 
     def __iter__(self):
-        for row in zip(*(getattr(self, name).tolist() for name in TRACE_FIELDS)):
-            *head, miss, full = row
-            yield TraceRecord(*head, bool(miss), bool(full))
-
-    def __eq__(self, other):
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in TRACE_FIELDS)
-
-    __hash__ = None
+        for row in zip(*(getattr(self, name).tolist() for name in self.columns())):
+            yield TraceRecord(*row)
 
     @classmethod
     def from_records(cls, records) -> "Trace":
-        rows = [tuple(getattr(r, name) for name in TRACE_FIELDS) for r in records]
-        if not rows:
-            return cls(*([[]] * len(TRACE_FIELDS)))
-        return cls(*zip(*rows))
-
-    @classmethod
-    def concat(cls, traces) -> "Trace":
-        traces = list(traces)
-        return cls(*(np.concatenate([getattr(t, n) for t in traces]) for n in TRACE_FIELDS))
+        return cls(*([getattr(r, n) for r in records] for n in cls.columns()))
 
 
 def run_schedule(
@@ -360,44 +397,3 @@ def extract_passive_pairs(trace: Trace, window_ns: int) -> tuple[np.ndarray, np.
     same = (trial[1:] == trial[:-1]) & (flow[1:] == flow[:-1])
     starts = greedy_pair_starts(same & (gap > 0) & (gap <= window_ns))
     return order[starts], order[starts + 1]
-
-
-def csv_text(text: str) -> str:
-    """A text field as csv.writer quotes it (QUOTE_MINIMAL)."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def write_trace_csv(path, trace: Trace) -> None:
-    """One `%`-formatted line per row, in blocks of _WRITE_ROWS rows so the
-    text held at once stays small; text fields are quoted as csv.writer
-    quotes them."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(",".join(TRACE_FIELDS) + "\n")
-        for start in range(0, len(trace), _WRITE_ROWS):
-            rows = slice(start, start + _WRITE_ROWS)
-            columns = [getattr(trace, name)[rows].tolist() for name in TRACE_FIELDS]
-            for j, name in enumerate(TRACE_FIELDS):
-                if name in _TEXT_FIELDS:
-                    quoted = {v: csv_text(v) for v in set(columns[j])}
-                    columns[j] = [quoted[v] for v in columns[j]]
-            f.write("".join([_CSV_LINE % row for row in zip(*columns)]))
-
-
-def read_trace_csv(path) -> Trace:
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or tuple(header) != TRACE_FIELDS:
-            raise ValueError(f"trace file {path} does not carry the expected header")
-        rows = [row for row in reader if row]
-    if any(len(row) != len(TRACE_FIELDS) for row in rows):
-        raise ValueError(f"trace file {path} has a row without {len(TRACE_FIELDS)} fields")
-    if not rows:
-        return Trace.from_records([])
-    columns = dict(zip(TRACE_FIELDS, zip(*rows)))
-    for name in TRACE_FIELDS:
-        if name not in _TEXT_FIELDS:
-            columns[name] = [int(v) for v in columns[name]]
-    return Trace(**columns)

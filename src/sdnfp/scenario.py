@@ -10,12 +10,15 @@ seed; running it is fully deterministic.  Each run exercises two probe plans:
     (and, under the countermeasure, exactly the traffic the delay element is
     meant to disguise).
 
-The two plans' traces stay columnar (`probes.Trace`) from the engine to disk:
-`run_scenario` joins them into one trace, counts table-full events as a
-column sum, labels the joined trace with `features.label_samples` and, when
-asked, writes traces.csv, samples.csv, results.json and scenario.json with
-`write_bundle`.  `read_scenario_descriptor` is the one reader of that
-scenario.json sidecar, for the CLI stages that start from persisted files.
+The two plans' traces and their samples stay columnar (`probes.Trace`,
+`features.Samples`) from the engine to disk: `run_scenario` joins the traces
+into one, counts table-full events as a column sum, labels the joined trace
+with `features.label_samples` and, when asked, writes traces.csv,
+samples.csv (both in the tables' one CSV format), results.json and
+scenario.json with `write_bundle`.  `read_scenario_descriptor` is the one
+reader of that scenario.json sidecar, for the CLI stages that start from
+persisted files, and validates what it reads as a YAML scenario is
+validated.
 
 Shipped install-delay calibration: rule installation takes single-digit
 milliseconds on hardware switches and sub-millisecond on the software switch.
@@ -48,11 +51,9 @@ from .features import (
     DELTA_RTT,
     DISPERSION,
     DropCounts,
-    FeatureSample,
+    Samples,
     ScenarioContext,
     label_samples,
-    split_populations,
-    write_feature_csv,
 )
 from .netsim import (
     HARDWARE,
@@ -64,13 +65,7 @@ from .netsim import (
     SwitchSpec,
     uniform_path,
 )
-from .probes import (
-    Trace,
-    build_probe_train,
-    idle_flow_probes,
-    run_schedule,
-    write_trace_csv,
-)
+from .probes import Trace, build_probe_train, idle_flow_probes, run_schedule
 from .stats import EERResult, GPDParams, WelchResult, build_histogram, compute_eer, welch_t_test
 from .units import (
     NS_PER_MS,
@@ -83,6 +78,10 @@ from .units import (
 
 class ConfigError(ValueError):
     """Invalid scenario configuration; message names the offending field."""
+
+
+# The one trace writer under the name the benchmark's tracer patches.
+write_trace_csv = Trace.write_csv
 
 
 DEFAULT_FLOW = FlowKey(src="10.0.0.2", dst="10.0.1.2")
@@ -142,6 +141,8 @@ class Scenario:
             raise ConfigError("time_span: must be >= 1 s (the train's guard spacing)")
         if self.passive_window_ns <= 0:
             raise ConfigError("passive_window: must be positive")
+        if not self.bin_width_ms > 0:
+            raise ConfigError("bin_width: must be positive")
         if not self.feature_set:
             raise ConfigError("features: need at least one of dispersion, delta_rtt")
         for f in self.feature_set:
@@ -243,8 +244,8 @@ def evaluate(samples, features) -> dict[str, FeatureResult]:
     """EER and Welch test of each feature's N and Y populations."""
     results = {}
     for feature in features:
-        values_n, values_y = split_populations(samples, feature)
-        if not values_n or not values_y:
+        values_n, values_y = samples.values(feature, "N"), samples.values(feature, "Y")
+        if not values_n.size or not values_y.size:
             raise ConfigError(f"features: no {feature} samples for one label")
         results[feature] = FeatureResult(
             eer=compute_eer(values_n, values_y),
@@ -259,7 +260,7 @@ def evaluate(samples, features) -> dict[str, FeatureResult]:
 class ResultBundle:
     scenario: Scenario
     records: Trace
-    samples: list[FeatureSample]
+    samples: Samples
     drops: DropCounts
     feature_results: dict[str, FeatureResult]
     table_full_events: int
@@ -336,8 +337,8 @@ def write_bundle(bundle: ResultBundle, out_dir: Path) -> dict[str, Path]:
         "results": out_dir / "results.json",
         "scenario": out_dir / "scenario.json",
     }
-    write_trace_csv(paths["traces"], bundle.records)
-    write_feature_csv(paths["samples"], bundle.samples)
+    write_trace_csv(bundle.records, paths["traces"])
+    bundle.samples.write_csv(paths["samples"])
     _write_json(paths["results"], bundle.summary_dict())
     _write_json(paths["scenario"], scenario_descriptor(bundle.scenario))
     return paths
@@ -366,11 +367,12 @@ def read_scenario_descriptor(bundle_dir: Path | str) -> Scenario:
     its default.  The sidecar does not record a delay element's parameters, so
     a defended bundle reads back with the reference `DelayElementConfig()`.  A
     missing or unreadable file, or a missing or malformed field, raises
-    ConfigError naming the file and the field.
+    ConfigError naming the file and the field, as does a scenario that fails
+    `Scenario.validate`.
     """
     path = Path(bundle_dir) / "scenario.json"
     field = partial(_field, _read_json_object(path, "scenario"), source=path)
-    return Scenario(
+    scenario = Scenario(
         name=field("name", str),
         seed=field("seed", int),
         trains=field("trains", int),
@@ -382,6 +384,11 @@ def read_scenario_descriptor(bundle_dir: Path | str) -> Scenario:
         bin_width_ms=field("bin_width_ms", float),
         passive_window_ns=round(field("passive_window_s", float) * NS_PER_S),
     )
+    try:
+        scenario.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} in {path}") from None
+    return scenario
 
 
 def _read_json_object(path: Path, what: str) -> dict:
@@ -443,12 +450,8 @@ def emit_report(bundles: list[ResultBundle], out_dir: Path | str, fmt: str = "cs
     for bundle in bundles:
         for feature in sorted(bundle.feature_results):
             for label in ("N", "Y"):
-                values = [
-                    s.value_ms
-                    for s in bundle.samples
-                    if s.feature == feature and s.label == label
-                ]
-                if not values:
+                values = bundle.samples.values(feature, label)
+                if not values.size:
                     continue
                 hist = build_histogram(values, bundle.scenario.bin_width_ms)
                 path = out_dir / f"{bundle.scenario.name}__{feature}__pdf_{label}.csv"
@@ -547,11 +550,15 @@ _CONFIG_FIELDS = {
 def scenario_from_config(cfg: dict) -> Scenario:
     """The scenario of one YAML entry.  A built-in's name starts from that
     built-in, any other name from `Scenario`'s defaults and needs a seed; each
-    key given replaces one field."""
+    key given replaces one field, and a key `_CONFIG_FIELDS` does not know is
+    an error."""
     if not isinstance(cfg, dict):
         raise ConfigError("scenario: each entry must be a mapping")
     name = _field(cfg, "name", str, "the scenario entry")
     source = f"scenario {name!r}"
+    unknown = [key for key in cfg if key != "name" and key not in _CONFIG_FIELDS]
+    if unknown:
+        raise ConfigError(f"{unknown[0]}: unknown key in {source}")
     base = builtin_scenarios().get(name)
     if base is None:
         base = Scenario(name=name, seed=_field(cfg, "seed", int, source))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sdnfp.defense import DelayElementConfig
-from sdnfp.features import DELTA_RTT, DISPERSION, split_populations
+from sdnfp.features import DELTA_RTT, DISPERSION
 from sdnfp.netsim import (
     ControllerSpec,
     FlowKey,
@@ -55,8 +55,8 @@ def defended(undefended):
         bundles[name] = run_scenario(defended_scenario)
     # Fine-grained mode: per-k parameters fitted to the k=2 attack populations.
     base = undefended[0]["k2-hw-100m"]
-    _, y_rtt = split_populations(base.samples, DELTA_RTT)
-    _, y_disp = split_populations(base.samples, DISPERSION)
+    y_rtt = base.samples.values(DELTA_RTT, "Y")
+    y_disp = base.samples.values(DISPERSION, "Y")
     first_fit, _ = fit_gpd(y_rtt)
     followup_fit, _ = fit_gpd(y_disp)
     perk_cfg = DelayElementConfig(

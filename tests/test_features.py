@@ -6,6 +6,7 @@ import pytest
 from sdnfp.distributions import CrossTrafficModel, constant
 from sdnfp.features import (
     DropCounts,
+    Samples,
     ScenarioContext,
     delta_rtt_labels,
     delta_rtt_ms,
@@ -13,9 +14,6 @@ from sdnfp.features import (
     group_probes,
     label_samples,
     missing_reply,
-    read_feature_csv,
-    split_populations,
-    write_feature_csv,
 )
 from sdnfp.netsim import ControllerSpec, FlowKey, SwitchSpec, uniform_path
 from sdnfp.probes import Trace, TraceRecord, build_probe_train, run_schedule
@@ -76,7 +74,7 @@ def test_missing_reply_raises():
     assert pair_value(missing_reply, first, broken) is True
     assert pair_value(missing_reply, first, rec(1, 0, 100_120_000)) is False
     drops = DropCounts()
-    assert label_samples(Trace.from_records([first, broken]), CTX, drops) == []
+    assert len(label_samples(Trace.from_records([first, broken]), CTX, drops)) == 0
     assert drops.missing_reply == 1
 
 
@@ -120,17 +118,15 @@ def test_label_samples_standard_train():
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(1))
     samples = label_samples(records, CTX)
-    disp = [s for s in samples if s.feature == "dispersion"]
-    drtt = [s for s in samples if s.feature == "delta_rtt"]
-    assert [s.label for s in disp] == ["Y", "N", "N", "N"]
-    assert [s.label for s in drtt] == ["Y"]
+    assert samples.label[samples.feature == "dispersion"].tolist() == ["Y", "N", "N", "N"]
+    assert samples.label[samples.feature == "delta_rtt"].tolist() == ["Y"]
 
 
 def test_label_samples_prewarmed_all_n():
     path = uniform_path(4, 4, 100_000_000)
     records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(1))
     samples = label_samples(records, CTX)
-    assert {s.label for s in samples} == {"N"}
+    assert set(samples.label.tolist()) == {"N"}
 
 
 def test_label_samples_clear_mid_stream():
@@ -162,8 +158,8 @@ def test_n_population_mean_near_zero_y_positive():
     path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
     records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 8, trials=range(300))
     samples = label_samples(records, CTX)
-    y_rtt = [s.value_ms for s in samples if s.feature == "delta_rtt" and s.label == "Y"]
-    n_disp = [s.value_ms for s in samples if s.feature == "dispersion" and s.label == "N"]
+    y_rtt = samples.values("delta_rtt", "Y")
+    n_disp = samples.values("dispersion", "N")
     assert np.mean(y_rtt) > 1.0
     # N dispersion sits at the bottleneck gap, not at the install scale.
     assert abs(np.mean(n_disp)) < 1.0
@@ -175,33 +171,35 @@ def test_feature_csv_round_trip(tmp_path):
     records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(2))
     samples = label_samples(records, CTX)
     out = tmp_path / "samples.csv"
-    write_feature_csv(out, samples)
+    samples.write_csv(out)
     header = out.read_text().splitlines()[0]
     assert header == "feature,value_ms,label,k,kind,link_bps,span_s"
-    back = read_feature_csv(out)
+    back = Samples.read_csv(out)
     assert back == samples
 
 
-def test_split_populations():
+def test_samples_values_selects_one_population():
     sw = SwitchSpec("hw1", "hardware", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(2))
     samples = label_samples(records, CTX)
-    n, y = split_populations(samples, "dispersion")
+    n, y = samples.values("dispersion", "N"), samples.values("dispersion", "Y")
     assert len(n) == 6 and len(y) == 2
+    assert sorted([*n, *y]) == sorted(samples.value_ms[samples.feature == "dispersion"])
 
 
-def test_feature_csv_rows_share_one_context_per_distinct_context(tmp_path):
+def test_feature_csv_round_trips_rows_of_several_contexts(tmp_path):
     sw = SwitchSpec("hw1", "hardware", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(3))
     other = ScenarioContext(k=1, switch_kind="soft,ware", data_link_bps=10**9, time_span_ns=600 * S)
-    samples = label_samples(records, CTX) + label_samples(records, other)
+    samples = Samples.concat([label_samples(records, CTX), label_samples(records, other)])
     out = tmp_path / "samples.csv"
-    write_feature_csv(out, samples)
-    back = read_feature_csv(out)
+    samples.write_csv(out)
+    back = Samples.read_csv(out)
     assert back == samples
-    assert len({id(s.context) for s in back}) == 2
+    contexts = set(zip(back.k.tolist(), back.kind.tolist(), back.link_bps.tolist(), back.span_s.tolist()))
+    assert contexts == {(3, "hardware", 10**8, 1.0), (1, "soft,ware", 10**9, 600.0)}
     again = tmp_path / "again.csv"
-    write_feature_csv(again, back)
+    back.write_csv(again)
     assert again.read_bytes() == out.read_bytes()

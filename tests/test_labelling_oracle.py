@@ -2,9 +2,11 @@
 
 The oracle below is the record-at-a-time algorithm that the columnar code
 replaced: group rows per trial (or per trial and flow), sort them, walk left
-to right pairing greedily, then label each pair from its two rows.  Hypothesis feeds both the same traces, in shuffled row order,
-with several trials and flows, missing replies, every miss-flag combination
-and send gaps on both sides of the pairing bounds.
+to right pairing greedily, then label each pair from its two rows; its
+(feature, value, label) rows become one `Samples` table to compare against.
+Hypothesis feeds both the same traces, in shuffled row order, with several
+trials and flows, missing replies, every miss-flag combination and send gaps
+on both sides of the pairing bounds.
 """
 
 from hypothesis import given, strategies as st
@@ -14,7 +16,7 @@ from sdnfp.features import (
     DISPERSION,
     MISSING_NS,
     DropCounts,
-    FeatureSample,
+    Samples,
     ScenarioContext,
     label_samples,
     passive_samples,
@@ -86,7 +88,13 @@ def _group_trial(records):
     return pairs, singles
 
 
-def _rtt_sample(first, second, context, drops, samples):
+def _table(rows, context):
+    """The Samples table of (feature, value, label) rows in one context."""
+    features, values, labels = zip(*rows) if rows else ((), (), ())
+    return Samples.in_context(features, values, labels, context)
+
+
+def _rtt_sample(first, second, drops, rows):
     try:
         value = _delta_rtt(first, second)
         label = _delta_rtt_label(first, second)
@@ -96,14 +104,14 @@ def _rtt_sample(first, second, context, drops, samples):
     except _Ambiguous:
         drops.ambiguous_label += 1
         return
-    samples.append(FeatureSample(DELTA_RTT, value, label, context))
+    rows.append((DELTA_RTT, value, label))
 
 
 def oracle_label_samples(records, context, drops):
     by_trial = {}
     for rec in records:
         by_trial.setdefault(rec.trial, []).append(rec)
-    samples = []
+    rows = []
     for trial in sorted(by_trial):
         pairs, singles = _group_trial(by_trial[trial])
         for first, second in pairs:
@@ -113,10 +121,10 @@ def oracle_label_samples(records, context, drops):
                 drops.missing_reply += 1
                 continue
             label = "Y" if (first.miss_flag or second.miss_flag) else "N"
-            samples.append(FeatureSample(DISPERSION, value, label, context))
+            rows.append((DISPERSION, value, label))
         for j in range(0, len(singles) - 1, 2):
-            _rtt_sample(singles[j], singles[j + 1], context, drops, samples)
-    return samples
+            _rtt_sample(singles[j], singles[j + 1], drops, rows)
+    return _table(rows, context)
 
 
 def oracle_passive_pairs(records, window_ns):
@@ -138,10 +146,10 @@ def oracle_passive_pairs(records, window_ns):
 
 
 def oracle_passive_samples(records, context, window_ns, drops):
-    samples = []
+    rows = []
     for first, second in oracle_passive_pairs(records, window_ns):
-        _rtt_sample(first, second, context, drops, samples)
-    return samples
+        _rtt_sample(first, second, drops, rows)
+    return _table(rows, context)
 
 
 # -- generated traces ----------------------------------------------------------
@@ -228,7 +236,7 @@ def test_fixed_trace_with_every_case():
         samples = label_samples(Trace.from_records(order), CTX, drops)
         assert samples == oracle_label_samples(order, CTX, expected_drops)
         assert drops == expected_drops == DropCounts(missing_reply=1, ambiguous_label=2)
-        assert [(s.feature, s.label) for s in samples] == [
+        assert list(zip(samples.feature.tolist(), samples.label.tolist())) == [
             (DISPERSION, "N"),
             (DELTA_RTT, "Y"),
             (DELTA_RTT, "N"),

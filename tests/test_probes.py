@@ -8,15 +8,12 @@ import pytest
 from sdnfp.distributions import CrossTrafficModel, constant
 from sdnfp.netsim import ControllerSpec, FlowKey, SwitchSpec, uniform_path
 from sdnfp.probes import (
-    TRACE_FIELDS,
     Trace,
     TraceRecord,
     build_probe_train,
     extract_passive_pairs,
     idle_flow_probes,
-    read_trace_csv,
     run_schedule,
-    write_trace_csv,
 )
 
 S = 1_000_000_000
@@ -165,17 +162,17 @@ def test_passive_pairs_count_bound():
 def test_trace_csv_round_trip(tmp_path):
     records = run_schedule(build_probe_train(KEY), default_path(), ControllerSpec(), 5, trials=range(2))
     out = tmp_path / "traces.csv"
-    write_trace_csv(out, records)
+    records.write_csv(out)
     header = out.read_text().splitlines()[0]
     assert header.startswith("trial,packet_id,kind,flow,client_send_ns")
-    assert read_trace_csv(out) == records
+    assert Trace.read_csv(out) == records
 
 
 def test_trace_csv_rejects_wrong_header(tmp_path):
     out = tmp_path / "bad.csv"
     out.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
-        read_trace_csv(out)
+        Trace.read_csv(out)
 
 
 def test_trace_csv_round_trip_missing_replies_and_full_tables(tmp_path):
@@ -188,17 +185,17 @@ def test_trace_csv_round_trip_missing_replies_and_full_tables(tmp_path):
     ]
     trace = Trace.from_records(rows)
     out = tmp_path / "traces.csv"
-    write_trace_csv(out, trace)
+    trace.write_csv(out)
     with open(out, newline="", encoding="utf-8") as f:
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
-        writer.writerow(TRACE_FIELDS)
+        writer.writerow(Trace.columns())
         writer.writerows(
-            [*(getattr(r, n) for n in TRACE_FIELDS[:-2]), int(r.miss_flag), int(r.table_full)]
+            [*(getattr(r, n) for n in Trace.columns()[:-2]), int(r.miss_flag), int(r.table_full)]
             for r in rows
         )
         assert f.read() == expected.getvalue()
-    back = read_trace_csv(out)
+    back = Trace.read_csv(out)
     assert back == trace
     assert list(back) == rows
     assert int(back.table_full.sum()) == 2

@@ -322,7 +322,7 @@ def test_cli_report_reads_bin_width_from_bundle(tmp_path):
     code = main(["report", "--bundles", str(bundle_dir), "--out", str(tmp_path / "rep")])
     assert code == 0
     rows = (tmp_path / "rep" / "wide__delta_rtt__pdf_Y.csv").read_text().splitlines()[1:]
-    values = [s.value_ms for s in bundle.samples if s.feature == "delta_rtt" and s.label == "Y"]
+    values = bundle.samples.values("delta_rtt", "Y")
 
     def expected(width):
         return [f"{left!r},{count},{freq!r}" for left, count, freq in build_histogram(values, width).to_rows()]
@@ -435,3 +435,52 @@ def test_cli_defend_names_the_gpd_file_and_key_it_cannot_read(tmp_path, capsys):
     assert main(defend) == 2
     assert f"cannot read {followup}" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+def test_non_positive_bin_width_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "bins.yaml"
+    cfg.write_text("scenarios:\n  - name: flat\n    seed: 5\n    trains: 4\n    bin_width: 0 ms\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+    assert "bin_width: must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, passive, message",
+    [
+        ("passive_window_s", 0, True, "passive_window: must be positive"),
+        ("bin_width_ms", 0.0, False, "bin_width: must be positive"),
+    ],
+)
+def test_cli_rejects_a_sidecar_that_fails_validation(tmp_path, capsys, key, value, passive, message):
+    bundle_dir = tmp_path / "runs" / "k1-hw-100m"
+    run_scenario(replace(builtin_scenarios()["k1-hw-100m"], trains=4), bundle_dir)
+    sidecar = bundle_dir / "scenario.json"
+    sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), **{key: value})))
+    extract = ["extract", "--traces", str(bundle_dir / "traces.csv"), "--out", str(tmp_path / "ex")]
+    report = ["report", "--bundles", str(bundle_dir), "--out", str(tmp_path / "rep")]
+    capsys.readouterr()
+    for argv in (extract + ["--passive"] if passive else extract, report):
+        assert main(argv) == 2
+        assert f"{message} in {sidecar}" in capsys.readouterr().err
+
+
+def test_cli_rejects_an_unknown_scenario_key(tmp_path, capsys):
+    cfg = tmp_path / "typo.yaml"
+    cfg.write_text("scenarios:\n  - name: k1-hw-100m\n    trainz: 4\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+    assert "trainz: unknown key in scenario 'k1-hw-100m'" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+    with pytest.raises(ConfigError, match="^seeds: unknown key"):
+        scenario_from_config({"name": "fresh", "seed": 5, "seeds": 6})
+
+
+def test_cli_parallel_jobs_write_the_serial_bytes(tmp_path):
+    def run(jobs):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["simulate", "--trains", "8", "--jobs", str(jobs), "--out", str(out)]) == 0
+        return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    serial = run(1)
+    assert len(serial) == 4 * len(builtin_scenarios())
+    assert run(2) == serial

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import genpareto
 
-from sdnfp.features import DELTA_RTT, DISPERSION, split_populations
+from sdnfp.features import DELTA_RTT, DISPERSION
 from sdnfp.scenario import builtin_scenarios, run_scenario
 from sdnfp.stats import (
     DegenerateVarianceError,
@@ -308,7 +308,7 @@ GRID_OPTIMA = {
 @pytest.fixture(scope="module")
 def k2_populations():
     bundle = run_scenario(builtin_scenarios()["k2-hw-100m"])
-    return {f: split_populations(bundle.samples, f)[1] for f in (DELTA_RTT, DISPERSION)}
+    return {f: bundle.samples.values(f, "Y") for f in (DELTA_RTT, DISPERSION)}
 
 
 @pytest.mark.parametrize("population", list(GRID_OPTIMA))
