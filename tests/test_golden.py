@@ -2,7 +2,9 @@
 their 600 s drift variants and their Table-4 defended runs.
 
 The traces and samples digests are those of the benchmark's golden outputs;
-results.json is pinned by digest as well.  Generator streams are only
+results.json is pinned by digest as well.  So are the report over the six
+built-in bundles (summary.csv and every PDF_N/PDF_Y histogram) and each
+built-in's `eer --curve` sweep curves.  Generator streams are only
 promised stable per numpy version, so the digests hold for the version they
 were recorded with and the test is skipped on any other.
 """
@@ -13,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sdnfp.cli import main
 from sdnfp.defense import DelayElementConfig
 from sdnfp.scenario import builtin_scenarios, drift_variant, run_scenario
 from sdnfp.units import NS_PER_S
@@ -48,6 +51,63 @@ GOLDEN = {
         "traces.csv": "7dd80b37f8436702e926530ae9643b8e559cf8fa995ac2171dcf2df3c22628b3",
         "samples.csv": "036e8d21886ffb21d6f7a1f5c5fd2dddf7fe86a815e1a88f0010502913bc4e85",
         "results.json": "4cc1381d6f7371c0462ae4251ae269b2c898e9ce0df4aa72ebe180f2afecf317",
+    },
+}
+
+# summary.csv of `sdnfp report` over the six built-in bundles, in
+# builtin_scenarios() order.
+GOLDEN_SUMMARY = "465bfced384c1c2c9aff86a5c867ddfa859aba5e7b5dc7b3a84c3ae79123e59c"
+
+# Per built-in: its report histograms, without the "<name>__" prefix, and the
+# curves `sdnfp eer --curve` writes from its samples.csv.
+GOLDEN_OUTPUTS = {
+    "k1-hw-100m": {
+        "delta_rtt__pdf_N.csv": "865215b1bc4c5aedef06473b0d51d17a32d4c21ea394394e51c81b3ade06a5f3",
+        "delta_rtt__pdf_Y.csv": "37401cd0dc351d5a594a7fb17d80f7da2a1cfcd3b6b84498bf6d57fca0ef15b2",
+        "dispersion__pdf_N.csv": "b39a68114e0837ccb5abeee4b7c00bcc74f40d650f57d372821a15465940e161",
+        "dispersion__pdf_Y.csv": "40d70cdf53199a6c33b92a9076785ced52aaade7be7af2455d9ebca542720edc",
+        "curve_delta_rtt.csv": "0e363bbab678d80f498c63f46bf29edf26e9de80f759df0f5d76a25980b71c1f",
+        "curve_dispersion.csv": "126bfcb169524c47722515420a70a5c559f3b535c2c5f810abce5506981031ab",
+    },
+    "k2-hw-100m": {
+        "delta_rtt__pdf_N.csv": "8e15ebbd28b180747c5decad939b5a4de310fc46c186d2cc709d975a5821a042",
+        "delta_rtt__pdf_Y.csv": "775ffbe62781f5689286d1d2e9ee379d351303ce9356e931409b439dac48bbf2",
+        "dispersion__pdf_N.csv": "4fd247d4c020910f99b5d4980cd20527974c1adf80632e0d6e3ebbb4623fd96b",
+        "dispersion__pdf_Y.csv": "0f2db33d9363fdf0c5d28fd4e3e1c0782ca617eb2f04e527ad83e9e67ffc318e",
+        "curve_delta_rtt.csv": "2aa6c5713328cf69666d7be16d51f263e8ea8dcbfe361233ae66b20e2f1c3b48",
+        "curve_dispersion.csv": "212112a415b79139df40acab926ad44e3b02f334ec98a8202b62467d90b6c440",
+    },
+    "k3-hw-100m": {
+        "delta_rtt__pdf_N.csv": "38116799180ab93ec5054fabee7c64b38b16923922f523d359ce70a7ca761b7b",
+        "delta_rtt__pdf_Y.csv": "0a300eeae6881d2d9af74cba293bc4d36d232d06fc9630cb496c64ad3011ee27",
+        "dispersion__pdf_N.csv": "3908c884e91663ae29ab24938691a198198e88be6b298b7896d7bb76cf043fe6",
+        "dispersion__pdf_Y.csv": "021ae458651c1638534323b6787e3c404a9b767c18fe9cc984e04f2de6179fbf",
+        "curve_delta_rtt.csv": "72050ed2b0a8e9fe5552c8c38980450209d22852c1a5cbc41ad9bc62c9d0f75f",
+        "curve_dispersion.csv": "e2a02cccd524972cbb06c7045308642af9c3f054da18ef1bc22dd557e9780353",
+    },
+    "k1-sw-100m": {
+        "delta_rtt__pdf_N.csv": "a6a187feb97003d88f19dc2dfe0a03484fab52135555ad7304c97a1a25557916",
+        "delta_rtt__pdf_Y.csv": "183a53fc2f3cbe18b936d68b4dd5d07819070b5b05a59afc65f6d58b865f7443",
+        "dispersion__pdf_N.csv": "ea8f837f9604df149566db5fd7511ed21e4aba5fab1a434f4656bb79b04bf3d9",
+        "dispersion__pdf_Y.csv": "2a85f5be0552e4dbaa3644cc16a9ab6842c2fcb7a82fda1db0c69bc56c1dd6ee",
+        "curve_delta_rtt.csv": "93b13859d30b2e8dc767802ce36ab257aa019e88c828e3ef42076270b3da46c7",
+        "curve_dispersion.csv": "8f1b9418eaae22a065ffa4c74dfed30b9968d7d0b580db72417dd3f165456eae",
+    },
+    "k3-hw-1g": {
+        "delta_rtt__pdf_N.csv": "6601a6f2281947dedd4bc9c45d4801f25a7ccfa088b49f3993f2f6a0f92b093d",
+        "delta_rtt__pdf_Y.csv": "6dd10ad594738d83ec20be4654a271ef8cd6d1f0784b59f2dad266d2aee15254",
+        "dispersion__pdf_N.csv": "ebba459162c548bf6f7014335fe081fcdd9edbdd29ddd121c4698b64c1aa320e",
+        "dispersion__pdf_Y.csv": "5587d4c4026a1632cd2e3c8d608812dffda2e6b0819add855b57942ed8411d57",
+        "curve_delta_rtt.csv": "91bc2004664511eb586780896a0c050a0dea3e52005e315aaf909466178fe0e5",
+        "curve_dispersion.csv": "40d1b1347dd79455d1ab80f3738bdbe7f2960c7ac2a104718e1127145db93159",
+    },
+    "k1-sw-1g": {
+        "delta_rtt__pdf_N.csv": "0cbe167b7fec10d7bcb6fbb6763484963a06c00b9c17326451ff103cfe9de603",
+        "delta_rtt__pdf_Y.csv": "cbbbd62e650b9fefce51925f7e746398e87041e4176a49e36b5b2b633e0c85ce",
+        "dispersion__pdf_N.csv": "1d17d9e32b559a406333760e80cd03e931bacc2a7e129133462a668499424688",
+        "dispersion__pdf_Y.csv": "b8d31228f66dfd0e399e562ddd05c73d1e5c4fb37af0bf21aeade7985e990eed",
+        "curve_delta_rtt.csv": "12f740ca86d6ecd73a31b8a60e190da92b0de55a554768b69864bc5224fceb08",
+        "curve_dispersion.csv": "4c89d8365ac2c28ea3151ffa0c5167d242a247d0aeaf233891ee402cf70a8690",
     },
 }
 
@@ -98,13 +158,48 @@ GOLDEN_VARIANTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_builtin_bundle_digests(name, tmp_path):
+def needs_golden_numpy():
     if np.__version__ != GOLDEN_NUMPY:
         pytest.skip(f"digests were recorded with numpy {GOLDEN_NUMPY}, this is {np.__version__}")
-    run_scenario(builtin_scenarios()[name], tmp_path)
-    for filename, digest in GOLDEN[name].items():
-        assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest, filename
+
+
+def digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def builtin_bundles(tmp_path_factory):
+    """The six built-in bundles, each simulated once for every test here."""
+    needs_golden_numpy()
+    out = tmp_path_factory.mktemp("builtins")
+    for name, scenario in builtin_scenarios().items():
+        run_scenario(scenario, out / name)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_builtin_bundle_digests(name, builtin_bundles):
+    for filename, expected in GOLDEN[name].items():
+        assert digest(builtin_bundles / name / filename) == expected, filename
+
+
+def test_report_digests(builtin_bundles, tmp_path):
+    bundles = [str(builtin_bundles / name) for name in builtin_scenarios()]
+    assert main(["report", "--bundles", *bundles, "--out", str(tmp_path)]) == 0
+    assert digest(tmp_path / "summary.csv") == GOLDEN_SUMMARY
+    for name, files in GOLDEN_OUTPUTS.items():
+        for filename, expected in files.items():
+            if "__pdf_" in filename:
+                assert digest(tmp_path / f"{name}__{filename}") == expected, (name, filename)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+def test_eer_curve_digests(name, builtin_bundles, tmp_path):
+    samples = builtin_bundles / name / "samples.csv"
+    assert main(["eer", "--samples", str(samples), "--out", str(tmp_path), "--curve"]) == 0
+    for filename, expected in GOLDEN_OUTPUTS[name].items():
+        if filename.startswith("curve_"):
+            assert digest(tmp_path / filename) == expected, filename
 
 
 def variant(name):
@@ -119,8 +214,7 @@ def variant(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_VARIANTS))
 def test_drift_and_defended_bundle_digests(name, tmp_path):
-    if np.__version__ != GOLDEN_NUMPY:
-        pytest.skip(f"digests were recorded with numpy {GOLDEN_NUMPY}, this is {np.__version__}")
+    needs_golden_numpy()
     run_scenario(variant(name), tmp_path)
-    for filename, digest in GOLDEN_VARIANTS[name].items():
-        assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest, filename
+    for filename, expected in GOLDEN_VARIANTS[name].items():
+        assert digest(tmp_path / filename) == expected, filename
