@@ -39,7 +39,6 @@ from .netsim import (
 from .probes import (
     ProbeSchedule,
     Trace,
-    TraceRecord,
     build_probe_train,
     extract_passive_pairs,
 )

@@ -1,20 +1,21 @@
 """Command-line pipeline: simulate, extract, eer, fit, defend, report.
 
 Each stage reads and writes the documented CSV/JSON files, so stages can be
-chained or run in isolation.  `extract` and `report` require the scenario.json
-sidecar that every bundle holds (write one beside an external trace): it
-describes the scenario and supplies `extract --passive`'s default window.
+chained or run in isolation; every CSV is a `probes.Table` and every JSON
+file goes through `scenario.write_json`.  `extract` and `report` require the
+scenario.json sidecar that every bundle holds (write one beside an external
+trace): it describes the scenario and supplies `extract --passive`'s default
+window.
 Exit codes: 0 success, 2 configuration error, 1 anything else.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import features as features_mod
@@ -23,8 +24,9 @@ from .features import DELTA_RTT, DISPERSION, Samples
 from .probes import Trace
 from .scenario import (
     ConfigError,
-    ResultBundle,
     Scenario,
+    _field,
+    _read_json_object,
     builtin_scenarios,
     emit_report,
     evaluate,
@@ -32,6 +34,7 @@ from .scenario import (
     load_scenarios,
     read_scenario_descriptor,
     run_scenario,
+    write_json,
 )
 from .stats import fit_gpd
 from .units import NS_PER_S
@@ -61,34 +64,33 @@ def _select_scenarios(args) -> list[Scenario]:
     return scenarios
 
 
-def _run_many(scenarios: list[Scenario], out: Path, jobs: int) -> list[ResultBundle]:
-    if jobs > 1 and len(scenarios) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            bundles = list(
-                pool.map(_run_one, [(s, str(out / s.name)) for s in scenarios])
-            )
-    else:
-        bundles = [_run_one((s, str(out / s.name))) for s in scenarios]
-    return bundles
-
-
-def _run_one(job) -> ResultBundle:
+def _run_one(job):
+    """Run and persist one scenario; its name and feature results."""
     scenario, out_dir = job
-    return run_scenario(scenario, out_dir)
+    return scenario.name, run_scenario(scenario, out_dir).feature_results
+
+
+def _eer_line(feature: str, result) -> str:
+    return f"{feature}: EER={result.eer.eer * 100.0:.2f}% threshold={result.eer.threshold_ms:.2f} ms"
+
+
+def _run_and_print(scenarios: list[Scenario], args) -> int:
+    """Run each scenario into --out/<name>, in --jobs worker processes, and
+    print its EERs."""
+    jobs = [(s, str(Path(args.out) / s.name)) for s in scenarios]
+    if args.jobs > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            runs = list(pool.map(_run_one, jobs))
+    else:
+        runs = [_run_one(job) for job in jobs]
+    for name, results in runs:
+        for feature, result in sorted(results.items()):
+            print(f"{name} {_eer_line(feature, result)}")
+    return 0
 
 
 def cmd_simulate(args) -> int:
-    scenarios = _select_scenarios(args)
-    out = Path(args.out)
-    bundles = _run_many(scenarios, out, args.jobs)
-    for b in bundles:
-        summary = b.summary_dict()
-        for feature, row in sorted(summary["features"].items()):
-            print(
-                f"{b.scenario.name} {feature}: EER={row['eer_percent']:.2f}% "
-                f"threshold={row['threshold_ms']:.2f} ms"
-            )
-    return 0
+    return _run_and_print(_select_scenarios(args), args)
 
 
 def cmd_extract(args) -> int:
@@ -105,11 +107,8 @@ def cmd_extract(args) -> int:
     else:
         samples = features_mod.label_samples(trace, scenario.context(), drops)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     samples.write_csv(out / "samples.csv")
-    (out / "drops.json").write_text(
-        json.dumps(drops.as_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(out / "drops.json", asdict(drops))
     print(f"wrote {len(samples)} samples ({drops.missing_reply} missing, "
           f"{drops.ambiguous_label} ambiguous dropped)")
     return 0
@@ -118,20 +117,12 @@ def cmd_extract(args) -> int:
 def cmd_eer(args) -> int:
     samples = read_feature_csv(args.samples)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     results = evaluate(samples, args.features)
     for feature, result in results.items():
-        eer = result.eer
-        print(f"{feature}: EER={eer.eer * 100.0:.2f}% threshold={eer.threshold_ms:.2f} ms")
+        print(_eer_line(feature, result))
         if args.curve:
-            lines = ["threshold_ms,fmr,fnr"]
-            for t, fmr, fnr in eer.curve:
-                lines.append(f"{t!r},{fmr!r},{fnr!r}")
-            (out / f"curve_{feature}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    rows = {feature: result.row() for feature, result in results.items()}
-    (out / "eer.json").write_text(
-        json.dumps(rows, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+            result.eer.curve.write_csv(out / f"curve_{feature}.csv")
+    write_json(out / "eer.json", {feature: result.row() for feature, result in results.items()})
     return 0
 
 
@@ -150,8 +141,7 @@ def cmd_fit(args) -> int:
         "ks": ks,
         "n_samples": len(values),
     }
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(Path(args.out), payload)
     print(f"fit {args.feature}/{args.label}: shape={params.shape:.3f} "
           f"scale={params.scale:.3f} ms location={params.location:.3f} ms KS={ks:.4f}")
     return 0
@@ -167,47 +157,30 @@ def cmd_defend(args) -> int:
     else:
         element = DelayElementConfig()  # reference parameters
     scenarios = [replace(s, name=f"{s.name}-defended", defense=element) for s in scenarios]
-    out = Path(args.out)
-    bundles = _run_many(scenarios, out, args.jobs)
-    for b in bundles:
-        for feature, row in sorted(b.summary_dict()["features"].items()):
-            print(
-                f"{b.scenario.name} {feature}: EER={row['eer_percent']:.2f}% "
-                f"threshold={row['threshold_ms']:.2f} ms"
-            )
-    return 0
+    return _run_and_print(scenarios, args)
 
 
 def cmd_report(args) -> int:
-    bundles = []
-    for bundle_dir in args.bundles:
-        bundles.append(_load_bundle(Path(bundle_dir)))
-    written = emit_report(bundles, Path(args.out), fmt=args.format)
-    for path in written:
+    runs = [_load_bundle(Path(bundle_dir)) for bundle_dir in args.bundles]
+    for path in emit_report(runs, Path(args.out), fmt=args.format):
         print(f"wrote {path}")
     return 0
 
 
-def _load_bundle(bundle_dir: Path) -> ResultBundle:
-    """Rebuild enough of a bundle from its persisted files for reporting.
+def _load_bundle(bundle_dir: Path):
+    """(scenario, samples, feature results) of a persisted bundle, for the report.
 
     The scenario, histogram bin width included, comes from the bundle's
-    scenario.json, so a report bins each bundle as it was simulated.
+    scenario.json, so a report bins each bundle as it was simulated; the
+    features to evaluate are those of its results.json.
     """
     results_path = bundle_dir / "results.json"
     samples_path = bundle_dir / "samples.csv"
     if not all(p.exists() for p in (results_path, samples_path)):
         raise ConfigError(f"bundles: {bundle_dir} lacks results.json/samples.csv")
-    meta = json.loads(results_path.read_text(encoding="utf-8"))
+    features = _field(_read_json_object(results_path, "results"), "features", list, results_path)
     samples = read_feature_csv(samples_path)
-    return ResultBundle(
-        scenario=read_scenario_descriptor(bundle_dir),
-        records=Trace.from_records([]),
-        samples=samples,
-        drops=features_mod.DropCounts(),
-        feature_results=evaluate(samples, meta["features"]),
-        table_full_events=meta.get("table_full_events", 0),
-    )
+    return read_scenario_descriptor(bundle_dir), samples, evaluate(samples, features)
 
 
 def build_parser() -> argparse.ArgumentParser:

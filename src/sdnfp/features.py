@@ -84,9 +84,6 @@ class DropCounts:
     missing_reply: int = 0
     ambiguous_label: int = 0
 
-    def as_dict(self) -> dict:
-        return {"missing_reply": self.missing_reply, "ambiguous_label": self.ambiguous_label}
-
 
 def missing_reply(trace: Trace, first, second) -> np.ndarray:
     """Per pair of rows: does either member lack a reply timestamp?"""

@@ -26,8 +26,9 @@ drawn per event, in packet order within the trial.  `run_schedule_reference`
 runs one trial on the scalar reference model (`netsim.Simulation`), packet by
 packet; the differential tests hold the engine to it row for row.
 
-Tables.  Traces and feature samples are the one table type, `Table`: a frozen
-dataclass with one numpy array per CSV column, and one CSV format.
+Tables.  Every CSV the package writes is a `Table`: a frozen dataclass with
+one numpy array per CSV column, and one CSV format.  Traces, feature samples,
+the report's histograms and summary, and EER sweep curves are its subclasses.
 `Table.write_csv` writes a header and one `%`-formatted line per row, text
 quoted as csv.writer quotes it; `Table.read_csv` checks the header and parses
 the rest in one `np.loadtxt` call.  A `Trace` is the send/receive log of every
@@ -35,9 +36,8 @@ packet and its reply: int64 arrays for the trial, the packet id and the four
 timestamps, bool arrays for the two flags, and arrays of str for the packet
 kind and the flow.  `run_schedule` builds one straight from the engine's
 [packet, trial] arrays, and a persisted trace reads back as the same type, so
-simulated and persisted traces go through the same extraction code.
-Iterating a trace yields `TraceRecord` rows, for tests and inspection; the
-pipeline itself never builds per-packet or per-sample objects.
+simulated and persisted traces go through the same extraction code.  A table
+has no per-row objects: it is built and read column by column.
 
 Pairing.  `greedy_pair_starts` is the one greedy left-to-right pairing rule:
 over rows sorted within their groups, a row pairs with its successor when the
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -64,6 +65,7 @@ from .netsim import (
     RngStreams,
     Simulation,
     TrialStreams,
+    TrialTraces,
     simulate_trials,
 )
 from .units import NS_PER_S
@@ -189,8 +191,9 @@ class Table:
         return cls(*(np.concatenate([getattr(t, n) for t in tables]) for n in cls.columns()))
 
     def write_csv(self, path) -> None:
-        """A header line, then one `%`-formatted line per row, in blocks of
-        _WRITE_ROWS rows so the text held at once stays small."""
+        """A header line, then one `%`-line per row in blocks of _WRITE_ROWS rows,
+        so little text is held at once; makes the file's directory if missing."""
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         names = self.columns()
         line = ",".join(_FORMATS[d] for d in self.DTYPES) + "\n"
         with open(path, "w", newline="", encoding="utf-8") as f:
@@ -222,22 +225,6 @@ class Table:
         return cls(*(rows[n] for n in names))
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One row of a trace: a packet's send/receive log line and its reply's."""
-
-    trial: int
-    packet_id: int
-    kind: str
-    flow: str
-    client_send_ns: int
-    server_recv_ns: int
-    server_reply_send_ns: int
-    client_recv_ns: int
-    miss_flag: bool
-    table_full: bool
-
-
 @dataclass(frozen=True, eq=False)
 class Trace(Table):
     """Send/receive log of every packet and its reply, one array per field.
@@ -258,14 +245,6 @@ class Trace(Table):
     table_full: np.ndarray
 
     DTYPES = (np.int64, np.int64, object, object, *[np.int64] * 4, bool, bool)
-
-    def __iter__(self):
-        for row in zip(*(getattr(self, name).tolist() for name in self.columns())):
-            yield TraceRecord(*row)
-
-    @classmethod
-    def from_records(cls, records) -> "Trace":
-        return cls(*([getattr(r, n) for r in records] for n in cls.columns()))
 
 
 def run_schedule(
@@ -299,27 +278,7 @@ def run_schedule(
         reply_bytes=reply_bytes,
         turnaround_ns=turnaround_ns,
     )
-    packets = schedule.packets
-    n_trials = trials.size
-
-    def per_packet(values, dtype=np.int64):
-        return np.tile(np.array(values, dtype), n_trials)
-
-    def trial_major(column):  # [packet, trial] -> rows trial by trial
-        return column.T.reshape(-1)
-
-    return Trace(
-        trial=np.repeat(trials, len(packets)),
-        packet_id=per_packet([p.id for p in packets]),
-        kind=per_packet([p.kind for p in packets], object),
-        flow=np.full(len(packets) * n_trials, schedule.flow.compact(), object),
-        client_send_ns=per_packet([p.sent_at_ns for p in packets]),
-        server_recv_ns=trial_major(out.server_recv_ns),
-        server_reply_send_ns=trial_major(out.server_reply_send_ns),
-        client_recv_ns=trial_major(out.client_recv_ns),
-        miss_flag=trial_major(out.miss_flag),
-        table_full=trial_major(out.table_full),
-    )
+    return _schedule_trace(schedule, trials, out)
 
 
 def run_schedule_reference(
@@ -351,18 +310,25 @@ def run_schedule_reference(
         turnaround_ns=turnaround_ns,
     )
     results = [sim.exchange(pkt) for pkt in schedule.packets]
-    packets = schedule.packets
+    out = TrialTraces(*(np.array([[getattr(r, f.name)] for r in results]) for f in fields(TrialTraces)))
+    return _schedule_trace(schedule, np.array([trial]), out)
+
+
+def _schedule_trace(schedule: ProbeSchedule, trials: np.ndarray, out: TrialTraces) -> Trace:
+    """The rows of a schedule run once per trial, trial by trial, from the
+    engine's [packet, trial] output arrays."""
+    packets, n_trials = schedule.packets, trials.size
+
+    def per_packet(values, dtype=np.int64):
+        return np.tile(np.array(values, dtype), n_trials)
+
     return Trace(
-        trial=[trial] * len(packets),
-        packet_id=[p.id for p in packets],
-        kind=[p.kind for p in packets],
-        flow=[schedule.flow.compact()] * len(packets),
-        client_send_ns=[p.sent_at_ns for p in packets],
-        server_recv_ns=[r.server_recv_ns for r in results],
-        server_reply_send_ns=[r.server_reply_send_ns for r in results],
-        client_recv_ns=[r.client_recv_ns for r in results],
-        miss_flag=[r.miss_flag for r in results],
-        table_full=[r.table_full for r in results],
+        trial=np.repeat(trials, len(packets)),
+        packet_id=per_packet([p.id for p in packets]),
+        kind=per_packet([p.kind for p in packets], object),
+        flow=np.full(len(packets) * n_trials, schedule.flow.compact(), object),
+        client_send_ns=per_packet([p.sent_at_ns for p in packets]),
+        **{f.name: getattr(out, f.name).T.reshape(-1) for f in fields(TrialTraces)},
     )
 
 

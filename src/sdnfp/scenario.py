@@ -12,13 +12,13 @@ seed; running it is fully deterministic.  Each run exercises two probe plans:
 
 The two plans' traces and their samples stay columnar (`probes.Trace`,
 `features.Samples`) from the engine to disk: `run_scenario` joins the traces
-into one, counts table-full events as a column sum, labels the joined trace
-with `features.label_samples` and, when asked, writes traces.csv,
-samples.csv (both in the tables' one CSV format), results.json and
-scenario.json with `write_bundle`.  `read_scenario_descriptor` is the one
-reader of that scenario.json sidecar, for the CLI stages that start from
-persisted files, and validates what it reads as a YAML scenario is
-validated.
+into one, labels the joined trace with `features.label_samples` and, when
+asked, writes traces.csv, samples.csv (both in the tables' one CSV format),
+results.json and scenario.json (both with `write_json`, the one JSON writer)
+with `write_bundle`.  `emit_report` writes the report's summary and PDF_N/PDF_Y
+histograms as tables too.  `read_scenario_descriptor` is the one reader of
+that scenario.json sidecar, for the CLI stages that start from persisted
+files, and validates what it reads as a YAML scenario is validated.
 
 Shipped install-delay calibration: rule installation takes single-digit
 milliseconds on hardware switches and sub-millisecond on the software switch.
@@ -31,10 +31,11 @@ ground truth.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import probes as probes_mod
@@ -65,7 +66,7 @@ from .netsim import (
     SwitchSpec,
     uniform_path,
 )
-from .probes import Trace, build_probe_train, idle_flow_probes, run_schedule
+from .probes import Table, Trace, build_probe_train, idle_flow_probes, run_schedule
 from .stats import EERResult, GPDParams, WelchResult, build_histogram, compute_eer, welch_t_test
 from .units import (
     NS_PER_MS,
@@ -263,7 +264,6 @@ class ResultBundle:
     samples: Samples
     drops: DropCounts
     feature_results: dict[str, FeatureResult]
-    table_full_events: int
 
     def summary_dict(self) -> dict:
         return {
@@ -275,8 +275,8 @@ class ResultBundle:
             "data_link_bps": self.scenario.data_link_bps,
             "time_span_s": self.scenario.time_span_ns / NS_PER_S,
             "defended": self.scenario.defense is not None,
-            "drops": self.drops.as_dict(),
-            "table_full_events": self.table_full_events,
+            "drops": asdict(self.drops),
+            "table_full_events": int(self.records.table_full.sum()),
             "features": {name: fr.row() for name, fr in self.feature_results.items()},
         }
 
@@ -312,7 +312,6 @@ def run_scenario(scenario: Scenario, out_dir: Path | str | None = None) -> Resul
             ),
         ]
     )
-    table_full = int(records.table_full.sum())
 
     drops = DropCounts()
     samples = label_samples(records, scenario.context(), drops)
@@ -322,26 +321,17 @@ def run_scenario(scenario: Scenario, out_dir: Path | str | None = None) -> Resul
         samples=samples,
         drops=drops,
         feature_results=evaluate(samples, scenario.feature_set),
-        table_full_events=table_full,
     )
     if out_dir is not None:
         write_bundle(bundle, Path(out_dir))
     return bundle
 
 
-def write_bundle(bundle: ResultBundle, out_dir: Path) -> dict[str, Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "traces": out_dir / "traces.csv",
-        "samples": out_dir / "samples.csv",
-        "results": out_dir / "results.json",
-        "scenario": out_dir / "scenario.json",
-    }
-    write_trace_csv(bundle.records, paths["traces"])
-    bundle.samples.write_csv(paths["samples"])
-    _write_json(paths["results"], bundle.summary_dict())
-    _write_json(paths["scenario"], scenario_descriptor(bundle.scenario))
-    return paths
+def write_bundle(bundle: ResultBundle, out_dir: Path) -> None:
+    write_trace_csv(bundle.records, out_dir / "traces.csv")
+    bundle.samples.write_csv(out_dir / "samples.csv")
+    write_json(out_dir / "results.json", bundle.summary_dict())
+    write_json(out_dir / "scenario.json", scenario_descriptor(bundle.scenario))
 
 
 def scenario_descriptor(s: Scenario) -> dict:
@@ -401,65 +391,61 @@ def _read_json_object(path: Path, what: str) -> dict:
     return data
 
 
-def _write_json(path: Path, obj) -> None:
+def write_json(path: Path, obj) -> None:
+    """Sorted keys, indent 2, final newline; makes the file's directory if missing."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 # -- report -----------------------------------------------------------------
 
 
-def emit_report(bundles: list[ResultBundle], out_dir: Path | str, fmt: str = "csv") -> list[Path]:
-    """Summary table plus plot-ready PDF_N / PDF_Y histogram CSVs."""
-    if not bundles:
-        raise ValueError("need at least one bundle")
+@dataclass(frozen=True, eq=False)
+class Summary(Table):
+    """The report's summary table: one row per run and feature."""
+
+    scenario: np.ndarray
+    feature: np.ndarray
+    eer_percent: np.ndarray
+    threshold_ms: np.ndarray
+    significant_at_1pct: np.ndarray
+    n_samples_N: np.ndarray
+    n_samples_Y: np.ndarray
+
+    DTYPES = (object, object, np.float64, np.float64, bool, np.int64, np.int64)
+
+
+def emit_report(runs, out_dir: Path | str, fmt: str = "csv") -> list[Path]:
+    """Summary table plus plot-ready PDF_N / PDF_Y histogram CSVs.
+
+    `runs` holds one (scenario, samples, feature results) triple per run;
+    each run's histograms take its scenario's bin width.
+    """
+    if not runs:
+        raise ValueError("need at least one run")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format: must be csv or json, got {fmt!r}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    rows = []
-    for bundle in bundles:
-        for feature in sorted(bundle.feature_results):
-            fr = bundle.feature_results[feature]
-            rows.append(
-                {
-                    "scenario": bundle.scenario.name,
-                    "feature": feature,
-                    "eer_percent": fr.eer.eer * 100.0,
-                    "threshold_ms": fr.eer.threshold_ms,
-                    "significant_at_1pct": fr.welch.significant_at_1pct,
-                    "n_samples_N": fr.n_count,
-                    "n_samples_Y": fr.y_count,
-                }
-            )
+    rows = [
+        {"scenario": scenario.name, "feature": feature, **results[feature].row()}
+        for scenario, _, results in runs
+        for feature in sorted(results)
+    ]
+    columns = Summary.columns()
     summary = out_dir / f"summary.{fmt}"
     if fmt == "json":
-        _write_json(summary, rows)
+        write_json(summary, [{c: row[c] for c in columns} for row in rows])
     else:
-        lines = ["scenario,feature,eer_percent,threshold_ms,significant_at_1pct,n_samples_N,n_samples_Y"]
-        for r in rows:
-            lines.append(
-                f"{r['scenario']},{r['feature']},{r['eer_percent']!r},"
-                f"{r['threshold_ms']!r},{int(r['significant_at_1pct'])},"
-                f"{r['n_samples_N']},{r['n_samples_Y']}"
-            )
-        summary.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(summary)
-
-    for bundle in bundles:
-        for feature in sorted(bundle.feature_results):
+        Summary(*([row[c] for row in rows] for c in columns)).write_csv(summary)
+    written = [summary]
+    for scenario, samples, results in runs:
+        for feature in sorted(results):
             for label in ("N", "Y"):
-                values = bundle.samples.values(feature, label)
-                if not values.size:
-                    continue
-                hist = build_histogram(values, bundle.scenario.bin_width_ms)
-                path = out_dir / f"{bundle.scenario.name}__{feature}__pdf_{label}.csv"
-                lines = ["bin_left_ms,count,relative_frequency"]
-                for left, count, freq in hist.to_rows():
-                    lines.append(f"{left!r},{count},{freq!r}")
-                path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-                written.append(path)
+                values = samples.values(feature, label)
+                if values.size:
+                    path = out_dir / f"{scenario.name}__{feature}__pdf_{label}.csv"
+                    build_histogram(values, scenario.bin_width_ms).write_csv(path)
+                    written.append(path)
     return written
 
 
@@ -468,11 +454,14 @@ def emit_report(bundles: list[ResultBundle], out_dir: Path | str, fmt: str = "cs
 
 def _field(mapping: dict, key: str, parse, source):
     """`parse(mapping[key])`; a missing or malformed value raises ConfigError
-    naming the key and `source`, where the mapping was read from."""
+    naming the key and `source`, where the mapping was read from, as does a
+    ConfigError of `parse`'s own."""
     if key not in mapping:
         raise ConfigError(f"{key}: missing from {source}")
     try:
         return parse(mapping[key])
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} in {source}") from None
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"{key}: invalid value {mapping[key]!r} in {source} ({exc})") from exc
 
@@ -492,14 +481,28 @@ def load_gpd(path: Path | str) -> GPDParams:
     return _gpd_from_config(_read_json_object(Path(path), "gpd"), path)
 
 
+def _known_keys(value, keys: tuple[str, ...], prefix: str):
+    """`value`; if it is a mapping, a key outside `keys` raises ConfigError
+    naming it as `prefix.key`."""
+    if isinstance(value, dict):
+        unknown = [key for key in value if key not in keys]
+        if unknown:
+            raise ConfigError(f"{prefix}.{unknown[0]}: unknown key")
+    return value
+
+
+_DELAY_KEYS = ("kind", "value", "mean", "variance", "median", "sigma_log")
+
+
 def _defense_from_config(cfg: dict) -> DelayElementConfig:
     delays = ("first_delay", "followup_delay")
+    _known_keys(cfg, ("t_th", "window", "per_k", *delays), "defense")
     per_k = None
     if "per_k" in cfg:
-        per_k = {
-            int(k): tuple(_gpd_from_config(v[d], f"defense.per_k.{k}.{d}") for d in delays)
-            for k, v in cfg["per_k"].items()
-        }
+        per_k = {}
+        for k, v in cfg["per_k"].items():
+            _known_keys(v, delays, f"defense.per_k.{k}")
+            per_k[int(k)] = tuple(_gpd_from_config(v[d], f"defense.per_k.{k}.{d}") for d in delays)
     kwargs = {}
     if "t_th" in cfg:
         kwargs["t_th_ns"] = parse_duration_ns(cfg["t_th"])
@@ -512,10 +515,16 @@ def _defense_from_config(cfg: dict) -> DelayElementConfig:
 
 
 def _drift_from_config(cfg: dict) -> DriftModel:
+    _known_keys(cfg, ("sigma", "base"), "drift")
     kwargs = {"sigma_ns_per_sqrt_s": float(parse_duration_ns(cfg["sigma"]))}
     if "base" in cfg:
         kwargs["base_ns"] = parse_duration_ns(cfg["base"])
     return DriftModel(**kwargs)
+
+
+def _checked(parse, keys: tuple[str, ...], prefix: str):
+    """`parse`, after `_known_keys` has checked the mapping it is given."""
+    return lambda value: parse(_known_keys(value, keys, prefix))
 
 
 # YAML key -> (Scenario field, parser of the key's value).
@@ -528,9 +537,12 @@ _CONFIG_FIELDS = {
     "links_forward": ("links_forward", int),
     "links_reverse": ("links_reverse", int),
     "base_latency": ("base_latency_ns", parse_duration_ns),
-    "cross_traffic": ("cross_traffic", cross_traffic_from_config),
-    "install_delay": ("install_delay", delay_model_from_config),
-    "lookup_delay": ("lookup_delay", delay_model_from_config),
+    "cross_traffic": (
+        "cross_traffic",
+        _checked(cross_traffic_from_config, ("kind", "mean", "variance"), "cross_traffic"),
+    ),
+    "install_delay": ("install_delay", _checked(delay_model_from_config, _DELAY_KEYS, "install_delay")),
+    "lookup_delay": ("lookup_delay", _checked(delay_model_from_config, _DELAY_KEYS, "lookup_delay")),
     "mtu": ("mtu_bytes", parse_size_bytes),
     "reply_size": ("reply_bytes", parse_size_bytes),
     "pair_spacing": ("pair_spacing_ns", parse_duration_ns),

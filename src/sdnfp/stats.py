@@ -1,6 +1,9 @@
 """Empirical PDFs, equal-error-rate evaluation, significance testing, and
 Generalized Pareto fitting/sampling.
 
+Histograms and EER sweep curves are `probes.Table`s, written as traces are.
+Every routine takes any array-like of floats and boxes no value.
+
 The fit is scipy's maximum-likelihood `genpareto.fit` with the location
 pinned; the quantile and sampler stay hand-written, because the defended
 traces depend on their exact floating-point path.
@@ -21,6 +24,8 @@ import numpy as np
 from scipy.stats import genpareto, kstest
 from scipy.stats import t as student_t
 
+from .probes import Table
+
 
 class EmptySamplesError(ValueError):
     pass
@@ -37,45 +42,47 @@ class FitFailedError(RuntimeError):
 # -- histograms -------------------------------------------------------------
 
 
-@dataclass
-class Histogram:
-    bin_width_ms: float
-    counts: dict[int, int]
-    total: int
+@dataclass(frozen=True, eq=False)
+class Histogram(Table):
+    """The occupied bins [left, left + w) of an empirical PDF, in bin order."""
 
-    def bin_left_ms(self, index: int) -> float:
-        return index * self.bin_width_ms
+    bin_left_ms: np.ndarray
+    count: np.ndarray
+    relative_frequency: np.ndarray
 
-    def to_rows(self) -> list[tuple[float, int, float]]:
-        """(bin_left_ms, count, relative_frequency) for occupied bins."""
-        return [
-            (self.bin_left_ms(i), c, c / self.total)
-            for i, c in sorted(self.counts.items())
-        ]
+    DTYPES = (np.float64, np.int64, np.float64)
 
 
 def build_histogram(values_ms, bin_width_ms: float) -> Histogram:
     """Bins [i w, (i+1) w) of width w, counted by index i."""
     if bin_width_ms <= 0:
         raise ValueError("bin width must be positive")
-    values = np.asarray(list(values_ms), dtype=float)
+    values = np.asarray(values_ms, dtype=float)
     if values.size == 0:
         raise EmptySamplesError("no samples to bin")
-    indices = np.floor(values / bin_width_ms).astype(int)
-    counts: dict[int, int] = {}
-    for idx in indices:
-        counts[int(idx)] = counts.get(int(idx), 0) + 1
-    return Histogram(bin_width_ms, counts, int(values.size))
+    indices, counts = np.unique(np.floor(values / bin_width_ms).astype(int), return_counts=True)
+    return Histogram(indices * bin_width_ms, counts, counts / values.size)
 
 
 # -- equal error rate --------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Curve(Table):
+    """The threshold sweep: FMR and FNR at each threshold, guard point first."""
+
+    threshold_ms: np.ndarray
+    fmr: np.ndarray
+    fnr: np.ndarray
+
+    DTYPES = (np.float64, np.float64, np.float64)
 
 
 @dataclass
 class EERResult:
     eer: float
     threshold_ms: float
-    curve: list[tuple[float, float, float]]  # (threshold, FMR, FNR)
+    curve: Curve
 
 
 def compute_eer(samples_n, samples_y) -> EERResult:
@@ -85,8 +92,8 @@ def compute_eer(samples_n, samples_y) -> EERResult:
     crossing is found where FMR - FNR changes sign and both rates are
     interpolated linearly to that point.
     """
-    n = np.sort(np.asarray(list(samples_n), dtype=float))
-    y = np.sort(np.asarray(list(samples_y), dtype=float))
+    n = np.sort(np.asarray(samples_n, dtype=float))
+    y = np.sort(np.asarray(samples_y, dtype=float))
     if n.size == 0 or y.size == 0:
         raise EmptySamplesError("both populations must be non-empty")
     thresholds = np.unique(np.concatenate([n, y]))
@@ -97,22 +104,18 @@ def compute_eer(samples_n, samples_y) -> EERResult:
     fnr = np.concatenate([[1.0], fnr])
     fmr = np.concatenate([[0.0], fmr])
     diff = fmr - fnr
-    curve = list(zip(thresholds.tolist(), fmr.tolist(), fnr.tolist()))
-
     exact = np.nonzero(diff == 0.0)[0]
-    if exact.size:
-        i = int(exact[0])
-        return EERResult(eer=float(fnr[i]), threshold_ms=float(thresholds[i]), curve=curve)
     i = int(np.argmax(diff > 0))
-    if i == 0:
+    if exact.size:
+        eer, threshold = fnr[exact[0]], thresholds[exact[0]]
+    elif i == 0:
         # FMR exceeds FNR from the guard point on; report the first point.
-        return EERResult(
-            eer=float((fnr[0] + fmr[0]) / 2), threshold_ms=float(thresholds[0]), curve=curve
-        )
-    s = -diff[i - 1] / (diff[i] - diff[i - 1])
-    eer = float(fnr[i - 1] + s * (fnr[i] - fnr[i - 1]))
-    threshold = float(thresholds[i - 1] + s * (thresholds[i] - thresholds[i - 1]))
-    return EERResult(eer=eer, threshold_ms=threshold, curve=curve)
+        eer, threshold = (fnr[0] + fmr[0]) / 2, thresholds[0]
+    else:
+        s = -diff[i - 1] / (diff[i] - diff[i - 1])
+        eer = fnr[i - 1] + s * (fnr[i] - fnr[i - 1])
+        threshold = thresholds[i - 1] + s * (thresholds[i] - thresholds[i - 1])
+    return EERResult(eer=float(eer), threshold_ms=float(threshold), curve=Curve(thresholds, fmr, fnr))
 
 
 # -- Welch's t-test -----------------------------------------------------------
@@ -128,8 +131,8 @@ class WelchResult:
 
 def welch_t_test(samples_n, samples_y) -> WelchResult:
     """Two-sample unequal-variance t-test with Welch-Satterthwaite df."""
-    a = np.asarray(list(samples_n), dtype=float)
-    b = np.asarray(list(samples_y), dtype=float)
+    a = np.asarray(samples_n, dtype=float)
+    b = np.asarray(samples_y, dtype=float)
     if a.size < 2 or b.size < 2:
         raise DegenerateVarianceError("need at least two samples per population")
     va = a.var(ddof=1)
@@ -194,7 +197,7 @@ def fit_gpd(samples) -> tuple[GPDParams, float]:
     exceedance likelihood.  Returns the parameters and the Kolmogorov-Smirnov
     D statistic of the fit (lower is better).
     """
-    x = np.asarray(list(samples), dtype=float)
+    x = np.asarray(samples, dtype=float)
     if x.size < MIN_FIT_SAMPLES:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples")
     if not np.all(np.isfinite(x)):

@@ -5,6 +5,7 @@ import pytest
 
 from sdnfp.distributions import CrossTrafficModel, constant
 from sdnfp.features import (
+    MISSING_NS,
     DropCounts,
     Samples,
     ScenarioContext,
@@ -16,7 +17,7 @@ from sdnfp.features import (
     missing_reply,
 )
 from sdnfp.netsim import ControllerSpec, FlowKey, SwitchSpec, uniform_path
-from sdnfp.probes import Trace, TraceRecord, build_probe_train, run_schedule
+from sdnfp.probes import Trace, build_probe_train, run_schedule
 
 S = 1_000_000_000
 MS = 1_000_000
@@ -24,32 +25,42 @@ KEY = FlowKey("10.0.0.2", "10.0.1.2")
 CTX = ScenarioContext(k=3, switch_kind="hardware", data_link_bps=100_000_000, time_span_ns=S)
 
 
-def rec(pid, send_ns, recv_ns, miss=False, trial=0, kind="PROBE"):
-    return TraceRecord(trial, pid, kind, "f", send_ns, recv_ns - 1000, recv_ns - 1000, recv_ns, miss, False)
+def probes(send_ns, recv_ns, miss=None, trial=None, packet_id=None):
+    """A trace of probes of flow "f", one per send time, packet ids 0, 1, ...
+    by default.  Each request reaches the server 1 us before its reply reaches
+    the client; a reply at MISSING_NS is missing at both."""
+    n = len(send_ns)
+    recv = np.asarray(recv_ns)
+    server = np.where(recv == MISSING_NS, MISSING_NS, recv - 1000)
+    return Trace(
+        trial=np.zeros(n) if trial is None else trial,
+        packet_id=np.arange(n) if packet_id is None else packet_id,
+        kind=["PROBE"] * n, flow=["f"] * n, client_send_ns=send_ns,
+        server_recv_ns=server, server_reply_send_ns=server, client_recv_ns=recv,
+        miss_flag=np.zeros(n) if miss is None else miss, table_full=np.zeros(n),
+    )
 
 
-def pair_value(fn, first, second, **kwargs):
-    """fn over the one pair (first, second) of a two-row trace."""
-    (value,) = fn(Trace.from_records([first, second]), [0], [1], **kwargs).tolist()
+def pair_value(fn, trace, first=0, second=1):
+    """fn over the one pair (first, second) of rows of a trace."""
+    (value,) = fn(trace, [first], [second]).tolist()
     return value
 
 
-def delta_rtt_label(first, second):
-    """The label of the pair (first, second), or None where it is ambiguous."""
-    labels, ambiguous = delta_rtt_labels(Trace.from_records([first, second]), [0], [1])
+def delta_rtt_label(trace, first, second):
+    """The label of the pair (first, second) of rows, or None where it is ambiguous."""
+    labels, ambiguous = delta_rtt_labels(trace, [first], [second])
     return None if ambiguous[0] else str(labels[0])
 
 
 def test_dispersion_example_positive():
-    first = rec(0, 0, 100_000_000)
-    second = rec(1, 0, 100_120_000)
-    assert pair_value(dispersion_ms, first, second) == pytest.approx(0.12)
+    trace = probes([0, 0], [100_000_000, 100_120_000])
+    assert pair_value(dispersion_ms, trace) == pytest.approx(0.12)
 
 
 def test_dispersion_example_reordered_negative():
-    first = rec(0, 0, 105_000_000)
-    second = rec(1, 0, 104_200_000)
-    assert pair_value(dispersion_ms, first, second) == pytest.approx(-0.8)
+    trace = probes([0, 0], [105_000_000, 104_200_000])
+    assert pair_value(dispersion_ms, trace) == pytest.approx(-0.8)
 
 
 def test_dispersion_miss_pair_from_simulation():
@@ -62,33 +73,29 @@ def test_dispersion_miss_pair_from_simulation():
 
 
 def test_dispersion_antisymmetric():
-    first = rec(0, 0, 100_000_000)
-    second = rec(1, 0, 100_120_000)
-    assert pair_value(dispersion_ms, first, second) == -pair_value(dispersion_ms, second, first)
+    trace = probes([0, 0], [100_000_000, 100_120_000])
+    assert pair_value(dispersion_ms, trace, 0, 1) == -pair_value(dispersion_ms, trace, 1, 0)
 
 
 def test_missing_reply_raises():
     # A reply that never came marks its pair, and extraction drops the pair.
-    first = rec(0, 0, 100_000_000)
-    broken = TraceRecord(0, 1, "PROBE", "f", 0, -1, -1, -1, False, False)
-    assert pair_value(missing_reply, first, broken) is True
-    assert pair_value(missing_reply, first, rec(1, 0, 100_120_000)) is False
+    trace = probes([0, 0, 0], [100_000_000, MISSING_NS, 100_120_000])
+    assert pair_value(missing_reply, trace, 0, 1) is True
+    assert pair_value(missing_reply, trace, 0, 2) is False
     drops = DropCounts()
-    assert len(label_samples(Trace.from_records([first, broken]), CTX, drops)) == 0
+    assert len(label_samples(probes([0, 0], [100_000_000, MISSING_NS]), CTX, drops)) == 0
     assert drops.missing_reply == 1
 
 
 def test_delta_rtt_zero_without_jitter():
-    first = rec(0, 0, 10_000_000)
-    second = rec(1, S, S + 10_000_000)
-    assert pair_value(delta_rtt_ms, first, second) == 0.0
+    trace = probes([0, S], [10_000_000, S + 10_000_000])
+    assert pair_value(delta_rtt_ms, trace) == 0.0
 
 
 def test_delta_rtt_miss_penalty():
-    first = rec(0, 0, 15_000_000, miss=True)
-    second = rec(1, S, S + 10_000_000)
-    assert pair_value(delta_rtt_ms, first, second) == pytest.approx(5.0)
-    assert delta_rtt_label(first, second) == "Y"
+    trace = probes([0, S], [15_000_000, S + 10_000_000], miss=[True, False])
+    assert pair_value(delta_rtt_ms, trace) == pytest.approx(5.0)
+    assert delta_rtt_label(trace, 0, 1) == "Y"
 
 
 def test_delta_rtt_seeded_replay():
@@ -105,12 +112,14 @@ def test_delta_rtt_seeded_replay():
 
 
 def test_delta_rtt_label_taxonomy():
-    miss = rec(0, 0, MS, miss=True)
-    hit = rec(1, S, S + MS)
-    assert delta_rtt_label(miss, hit) == "Y"
-    assert delta_rtt_label(hit.__class__(**{**hit.__dict__, "packet_id": 0}), hit) == "N"
-    assert delta_rtt_label(miss, rec(1, S, S + MS, miss=True)) is None
-    assert delta_rtt_label(hit, miss) is None
+    # Rows: a flagged probe, an unflagged one, a flagged and an unflagged one
+    # sent a second later.
+    trace = probes([0, 0, S, S], [MS, MS, S + MS, S + MS], miss=[True, False, True, False])
+    miss, hit, later_miss, later_hit = range(4)
+    assert delta_rtt_label(trace, miss, later_hit) == "Y"
+    assert delta_rtt_label(trace, hit, later_hit) == "N"
+    assert delta_rtt_label(trace, miss, later_miss) is None
+    assert delta_rtt_label(trace, hit, later_miss) is None
 
 
 def test_label_samples_standard_train():
@@ -134,19 +143,22 @@ def test_label_samples_clear_mid_stream():
     sw = SwitchSpec("hw1", "hardware", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(1))
-    singles = [r for r in records if r.packet_id in (10, 11)]
-    assert singles[0].miss_flag and not singles[1].miss_flag
+    singles = records.miss_flag[np.isin(records.packet_id, (10, 11))].tolist()
+    assert singles == [True, False]
 
 
 def test_label_samples_counts_drops():
-    good = [rec(0, 0, MS), rec(1, 0, MS + 120_000)]
-    broken_pair = [
-        TraceRecord(1, 0, "PROBE", "f", 0, -1, -1, -1, False, False),
-        rec(1, 0, MS, trial=1),
-    ]
-    ambiguous = [rec(0, 0, MS, miss=True, trial=2), rec(1, S, S + MS, miss=True, trial=2)]
+    # Trial 0 holds a good pair, trial 1 a pair with a missing reply, trial 2
+    # two singles that both triggered an install.
+    trace = probes(
+        [0, 0, 0, 0, 0, S],
+        [MS, MS + 120_000, MISSING_NS, MS, MS, S + MS],
+        miss=[False, False, False, False, True, True],
+        trial=[0, 0, 1, 1, 2, 2],
+        packet_id=[0, 1, 0, 1, 0, 1],
+    )
     drops = DropCounts()
-    samples = label_samples(Trace.from_records(good + broken_pair + ambiguous), CTX, drops)
+    samples = label_samples(trace, CTX, drops)
     assert drops.missing_reply == 1
     assert drops.ambiguous_label == 1
     assert len(samples) == 1

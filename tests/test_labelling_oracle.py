@@ -4,10 +4,13 @@ The oracle below is the record-at-a-time algorithm that the columnar code
 replaced: group rows per trial (or per trial and flow), sort them, walk left
 to right pairing greedily, then label each pair from its two rows; its
 (feature, value, label) rows become one `Samples` table to compare against.
-Hypothesis feeds both the same traces, in shuffled row order, with several
-trials and flows, missing replies, every miss-flag combination and send gaps
-on both sides of the pairing bounds.
+The oracle reads a trace as `Row`s, one per row of its columns.  Hypothesis
+feeds both the same traces, in shuffled row order, with several trials and
+flows, missing replies, every miss-flag combination and send gaps on both
+sides of the pairing bounds.
 """
+
+from collections import namedtuple
 
 from hypothesis import given, strategies as st
 
@@ -22,7 +25,7 @@ from sdnfp.features import (
     passive_samples,
 )
 from sdnfp.netsim import CLEAR, PROBE
-from sdnfp.probes import PAIR_GAP_MAX_NS, Trace, TraceRecord, extract_passive_pairs
+from sdnfp.probes import PAIR_GAP_MAX_NS, Trace, extract_passive_pairs
 from sdnfp.units import NS_PER_MS
 
 S = 1_000_000_000
@@ -32,6 +35,18 @@ WINDOWS = [1, 120_000, PAIR_GAP_MAX_NS, S, 600 * S]
 
 
 # -- the row-by-row oracle ---------------------------------------------------
+
+
+Row = namedtuple("Row", Trace.columns())
+
+
+def trace_of(rows) -> Trace:
+    """The trace whose columns hold `rows`, in order."""
+    return Trace(*zip(*rows))
+
+
+def rows_of(trace: Trace) -> list[Row]:
+    return [Row(*row) for row in zip(*(getattr(trace, n).tolist() for n in Trace.columns()))]
 
 
 class _Missing(Exception):
@@ -168,7 +183,7 @@ def traces(draw):
                 recv = send + rtt
                 lost = draw(st.sampled_from([None, None, None, "client", "server"]))
                 rows.append(
-                    TraceRecord(
+                    Row(
                         trial=trial,
                         packet_id=draw(st.sampled_from([pid, pid, pid, 0])),
                         kind=draw(st.sampled_from([PROBE, PROBE, PROBE, CLEAR])),
@@ -187,16 +202,17 @@ def traces(draw):
 @given(traces())
 def test_label_samples_matches_row_by_row_oracle(rows):
     drops, expected_drops = DropCounts(), DropCounts()
-    samples = label_samples(Trace.from_records(rows), CTX, drops)
+    samples = label_samples(trace_of(rows), CTX, drops)
     assert samples == oracle_label_samples(rows, CTX, expected_drops)
     assert drops == expected_drops
 
 
 @given(traces(), st.sampled_from(WINDOWS))
 def test_passive_pairing_matches_row_by_row_oracle(rows, window_ns):
-    trace = Trace.from_records(rows)
+    trace = trace_of(rows)
+    assert rows_of(trace) == rows
     first, second = extract_passive_pairs(trace, window_ns)
-    table = list(trace)
+    table = rows_of(trace)
     pairs = [(table[i], table[j]) for i, j in zip(first.tolist(), second.tolist())]
     assert pairs == oracle_passive_pairs(rows, window_ns)
 
@@ -212,7 +228,7 @@ def test_fixed_trace_with_every_case():
     # combinations of an RTT-difference pair.
     def row(trial, pid, send, miss=False, recv=None):
         recv = send + 1_000_000 if recv is None else recv
-        return TraceRecord(trial, pid, PROBE, "a", send, send + 500, send + 500, recv, miss, False)
+        return Row(trial, pid, PROBE, "a", send, send + 500, send + 500, recv, miss, False)
 
     rows = [
         row(1, 0, 0, miss=True),
@@ -233,7 +249,7 @@ def test_fixed_trace_with_every_case():
     ]
     for order in (rows, rows[::-1]):
         drops, expected_drops = DropCounts(), DropCounts()
-        samples = label_samples(Trace.from_records(order), CTX, drops)
+        samples = label_samples(trace_of(order), CTX, drops)
         assert samples == oracle_label_samples(order, CTX, expected_drops)
         assert drops == expected_drops == DropCounts(missing_reply=1, ambiguous_label=2)
         assert list(zip(samples.feature.tolist(), samples.label.tolist())) == [

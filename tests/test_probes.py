@@ -3,13 +3,13 @@
 import csv
 import io
 
+import numpy as np
 import pytest
 
 from sdnfp.distributions import CrossTrafficModel, constant
 from sdnfp.netsim import ControllerSpec, FlowKey, SwitchSpec, uniform_path
 from sdnfp.probes import (
     Trace,
-    TraceRecord,
     build_probe_train,
     extract_passive_pairs,
     idle_flow_probes,
@@ -58,25 +58,22 @@ def test_train_pair_spacing_override():
 def test_run_train_single_trial_labels():
     records = run_schedule(build_probe_train(KEY), default_path(), ControllerSpec(), 1, trials=range(1))
     assert len(records) == 12
-    flagged = [r.packet_id for r in records if r.miss_flag]
+    flagged = records.packet_id[records.miss_flag].tolist()
     # First packet of the first pair, and the first tail single.
     assert flagged == [1, 10]
-    probes = [r for r in records if r.kind == "PROBE"]
-    assert len(probes) == 10
+    assert (records.kind == "PROBE").sum() == 10
 
 
 def test_run_train_450_trials_label_counts():
     records = run_schedule(
         build_probe_train(KEY), default_path(), ControllerSpec(), 1, trials=range(450)
     )
-    pair_first_ids = (1, 3, 5, 7)
-    y_pairs = sum(1 for r in records if r.packet_id in pair_first_ids and r.miss_flag)
-    n_pairs = sum(1 for r in records if r.packet_id in pair_first_ids and not r.miss_flag)
-    assert y_pairs == 450
-    assert n_pairs == 1350
-    singles = [r for r in records if r.packet_id in (10, 11)]
-    assert sum(1 for r in singles if r.miss_flag) == 450
-    assert sum(1 for r in singles if not r.miss_flag) == 450
+    pair_first = np.isin(records.packet_id, (1, 3, 5, 7))
+    assert (pair_first & records.miss_flag).sum() == 450
+    assert (pair_first & ~records.miss_flag).sum() == 1350
+    singles = np.isin(records.packet_id, (10, 11))
+    assert (singles & records.miss_flag).sum() == 450
+    assert (singles & ~records.miss_flag).sum() == 450
 
 
 def test_run_train_same_seed_identical():
@@ -92,14 +89,14 @@ def test_run_train_same_seed_identical():
 def test_miss_flags_only_after_clears():
     records = run_schedule(build_probe_train(KEY), default_path(), ControllerSpec(), 2, trials=range(4))
     for trial in range(4):
-        flagged = sorted(r.packet_id for r in records if r.trial == trial and r.miss_flag)
+        flagged = sorted(records.packet_id[(records.trial == trial) & records.miss_flag].tolist())
         assert flagged == [1, 10]
 
 
 def test_label_soundness_matches_install_events():
     path = default_path()
     records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), seed=3)
-    assert sum(r.miss_flag for r in records) == 2  # one per CLEAR in the train
+    assert records.miss_flag.sum() == 2  # one per CLEAR in the train
 
 
 def test_idle_flow_probes_structure():
@@ -109,13 +106,18 @@ def test_idle_flow_probes_structure():
     assert all(p.kind == "PROBE" for p in sched.packets)
 
 
-def _rec(trial, pid, send_ns, flow="f"):
-    return TraceRecord(trial, pid, "PROBE", flow, send_ns, send_ns + 1, send_ns + 1, send_ns + 2, False, False)
-
-
-def passive_pairs(records, window_ns):
-    """(first packet id, second packet id, send gap) of each passive pair."""
-    trace = Trace.from_records(records)
+def passive_pairs(send_ns, window_ns, flows=None):
+    """(first packet id, second packet id, send gap) of each passive pair of a
+    trial of probes sent at send_ns, with packet ids 0, 1, ... and one flow
+    unless `flows` names each probe's."""
+    n = len(send_ns)
+    send = np.asarray(send_ns)
+    trace = Trace(
+        trial=np.zeros(n), packet_id=np.arange(n), kind=["PROBE"] * n,
+        flow=["f"] * n if flows is None else flows, client_send_ns=send,
+        server_recv_ns=send + 1, server_reply_send_ns=send + 1, client_recv_ns=send + 2,
+        miss_flag=np.zeros(n), table_full=np.zeros(n),
+    )
     first, second = extract_passive_pairs(trace, window_ns)
     send = trace.client_send_ns
     return list(zip(trace.packet_id[first].tolist(), trace.packet_id[second].tolist(),
@@ -123,37 +125,31 @@ def passive_pairs(records, window_ns):
 
 
 def test_passive_pairs_basic_window():
-    records = [_rec(0, 0, 0), _rec(0, 1, S)]
-    pairs = passive_pairs(records, window_ns=S)
+    pairs = passive_pairs([0, S], window_ns=S)
     assert len(pairs) == 1
     assert pairs[0][2] == S
 
 
 def test_passive_pairs_outside_window():
-    records = [_rec(0, 0, 0), _rec(0, 1, 11 * 60 * S)]
-    assert passive_pairs(records, window_ns=10 * 60 * S) == []
+    assert passive_pairs([0, 11 * 60 * S], window_ns=10 * 60 * S) == []
 
 
 def test_passive_pairs_greedy_non_overlap():
-    records = [_rec(0, 0, 0), _rec(0, 1, S), _rec(0, 2, 2 * S)]
-    pairs = passive_pairs(records, window_ns=int(1.5 * S))
+    pairs = passive_pairs([0, S, 2 * S], window_ns=int(1.5 * S))
     assert len(pairs) == 1
     assert pairs[0][:2] == (0, 1)
 
 
 def test_passive_pairs_distinct_flows_never_mix():
-    records = [_rec(0, 0, 0, "a"), _rec(0, 1, 1000, "b")]
-    assert passive_pairs(records, window_ns=S) == []
+    assert passive_pairs([0, 1000], window_ns=S, flows=["a", "b"]) == []
 
 
 def test_passive_pairs_zero_gap_excluded():
-    records = [_rec(0, 0, 0), _rec(0, 1, 0)]
-    assert passive_pairs(records, window_ns=S) == []
+    assert passive_pairs([0, 0], window_ns=S) == []
 
 
 def test_passive_pairs_count_bound():
-    records = [_rec(0, i, i * 100) for i in range(9)]
-    pairs = passive_pairs(records, window_ns=S)
+    pairs = passive_pairs([i * 100 for i in range(9)], window_ns=S)
     assert len(pairs) <= 9 // 2
     used = [p[0] for p in pairs] + [p[1] for p in pairs]
     assert len(used) == len(set(used))
@@ -178,24 +174,29 @@ def test_trace_csv_rejects_wrong_header(tmp_path):
 def test_trace_csv_round_trip_missing_replies_and_full_tables(tmp_path):
     # An external trace: lost replies (MISSING_NS), table-full flags, rows out
     # of order and a flow name that needs quoting.
-    rows = [
-        TraceRecord(3, 7, "PROBE", "a,b", 5 * S, -1, -1, -1, True, True),
-        TraceRecord(0, 1, "CLEAR", "f", 0, 10, 11, 20, False, True),
-        TraceRecord(0, 0, "PROBE", 'say "f"', S, 12, 13, -1, True, False),
-    ]
-    trace = Trace.from_records(rows)
+    columns = {
+        "trial": [3, 0, 0],
+        "packet_id": [7, 1, 0],
+        "kind": ["PROBE", "CLEAR", "PROBE"],
+        "flow": ["a,b", "f", 'say "f"'],
+        "client_send_ns": [5 * S, 0, S],
+        "server_recv_ns": [-1, 10, 12],
+        "server_reply_send_ns": [-1, 11, 13],
+        "client_recv_ns": [-1, 20, -1],
+        "miss_flag": [1, 0, 1],
+        "table_full": [1, 1, 0],
+    }
+    trace = Trace(**columns)
     out = tmp_path / "traces.csv"
     trace.write_csv(out)
     with open(out, newline="", encoding="utf-8") as f:
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(Trace.columns())
-        writer.writerows(
-            [*(getattr(r, n) for n in Trace.columns()[:-2]), int(r.miss_flag), int(r.table_full)]
-            for r in rows
-        )
+        writer.writerows(zip(*columns.values()))
         assert f.read() == expected.getvalue()
     back = Trace.read_csv(out)
     assert back == trace
-    assert list(back) == rows
+    for name, values in columns.items():
+        assert getattr(back, name).tolist() == values, name
     assert int(back.table_full.sum()) == 2

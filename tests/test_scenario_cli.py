@@ -1,5 +1,6 @@
 """Scenario orchestration, config loading, report emission, CLI stages."""
 
+import csv
 import hashlib
 import json
 from dataclasses import replace
@@ -94,9 +95,14 @@ def test_bundle_files_byte_identical(tmp_path):
         assert file_digest(tmp_path / "a" / name) == file_digest(tmp_path / "b" / name)
 
 
+def report_runs(*bundles):
+    """emit_report's (scenario, samples, feature results) triple of each bundle."""
+    return [(b.scenario, b.samples, b.feature_results) for b in bundles]
+
+
 def test_emit_report(tmp_path):
-    bundles = [run_scenario(small()), run_scenario(small("k1-sw-100m"))]
-    written = emit_report(bundles, tmp_path, fmt="csv")
+    runs = report_runs(run_scenario(small()), run_scenario(small("k1-sw-100m")))
+    written = emit_report(runs, tmp_path, fmt="csv")
     summary = tmp_path / "summary.csv"
     assert summary in written
     lines = summary.read_text().splitlines()
@@ -112,9 +118,9 @@ def test_emit_report(tmp_path):
 
 
 def test_emit_report_deterministic(tmp_path):
-    bundles = [run_scenario(small())]
-    emit_report(bundles, tmp_path / "r1", fmt="csv")
-    emit_report(bundles, tmp_path / "r2", fmt="csv")
+    runs = report_runs(run_scenario(small()))
+    emit_report(runs, tmp_path / "r1", fmt="csv")
+    emit_report(runs, tmp_path / "r2", fmt="csv")
     assert file_digest(tmp_path / "r1" / "summary.csv") == file_digest(tmp_path / "r2" / "summary.csv")
 
 
@@ -325,7 +331,9 @@ def test_cli_report_reads_bin_width_from_bundle(tmp_path):
     values = bundle.samples.values("delta_rtt", "Y")
 
     def expected(width):
-        return [f"{left!r},{count},{freq!r}" for left, count, freq in build_histogram(values, width).to_rows()]
+        h = build_histogram(values, width)
+        rows = zip(h.bin_left_ms.tolist(), h.count.tolist(), h.relative_frequency.tolist())
+        return [f"{left!r},{count},{freq!r}" for left, count, freq in rows]
 
     assert rows == expected(0.5)
     assert rows != expected(0.1)
@@ -484,3 +492,62 @@ def test_cli_parallel_jobs_write_the_serial_bytes(tmp_path):
     serial = run(1)
     assert len(serial) == 4 * len(builtin_scenarios())
     assert run(2) == serial
+
+
+@pytest.mark.parametrize(
+    "entry, key",
+    [
+        ("cross_traffic: {kind: pareto, maen: 1 ms}", "cross_traffic.maen"),
+        ("install_delay: {kind: constant, valeu: 1 ms}", "install_delay.valeu"),
+        ("lookup_delay: {kind: constant, value: 1 ms, sigma: 2}", "lookup_delay.sigma"),
+        ("drift: {sigma: 1 ms, bse: 1 ms}", "drift.bse"),
+        ("defense: {windw: 1 ms}", "defense.windw"),
+        (
+            "defense: {per_k: {2: {first_delay: {shape: -0.5, scale_ms: 2, location_ms: 0.5},"
+            " followup_delay: {shape: -0.5, scale_ms: 2, location_ms: 0.5}, firts_delay: 1}}}",
+            "defense.per_k.2.firts_delay",
+        ),
+    ],
+    ids=["cross_traffic", "install_delay", "lookup_delay", "drift", "defense", "per_k"],
+)
+def test_cli_rejects_an_unknown_nested_key(tmp_path, capsys, entry, key):
+    cfg = tmp_path / "typo.yaml"
+    cfg.write_text(f"scenarios:\n  - name: k1-hw-100m\n    trains: 4\n    {entry}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+    assert f"{key}: unknown key in scenario 'k1-hw-100m'" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_report_names_a_results_json_it_cannot_use(tmp_path, capsys):
+    bundle_dir = tmp_path / "runs" / "k1-hw-100m"
+    run_scenario(replace(builtin_scenarios()["k1-hw-100m"], trains=4), bundle_dir)
+    results = bundle_dir / "results.json"
+    text = results.read_text()
+    featureless = {k: v for k, v in json.loads(text).items() if k != "features"}
+    report = ["report", "--bundles", str(bundle_dir), "--out", str(tmp_path / "rep")]
+    capsys.readouterr()
+    for broken, message in (
+        (text[: len(text) // 2], f"results: cannot read {results}"),
+        ("[1, 2]", f"results: {results} must hold a JSON object"),
+        (json.dumps(featureless), f"features: missing from {results}"),
+    ):
+        results.write_text(broken)
+        assert main(report) == 2, broken
+        assert message in capsys.readouterr().err
+
+
+def test_report_summary_quotes_a_scenario_name_with_a_comma(tmp_path):
+    cfg = tmp_path / "comma.yaml"
+    cfg.write_text('scenarios:\n  - name: "lab,run1"\n    seed: 5\n    trains: 4\n')
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 0
+    bundle = str(tmp_path / "runs" / "lab,run1")
+    assert main(["report", "--bundles", bundle, "--out", str(tmp_path / "rep")]) == 0
+    with open(tmp_path / "rep" / "summary.csv", newline="", encoding="utf-8") as f:
+        reader = csv.DictReader(f)
+        rows = list(reader)
+    assert len(reader.fieldnames) == 7
+    assert [(r["scenario"], r["feature"]) for r in rows] == [
+        ("lab,run1", "delta_rtt"),
+        ("lab,run1", "dispersion"),
+    ]
+    assert all(len(r) == 7 and None not in r for r in rows)

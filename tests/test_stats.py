@@ -35,30 +35,32 @@ def scipy_gpd(params):
 
 def test_histogram_basic_bins():
     h = build_histogram([0.05, 0.15], bin_width_ms=0.1)
-    assert h.counts == {0: 1, 1: 1}
-    assert h.total == 2
+    assert h.bin_left_ms.tolist() == [0.0, 0.1]
+    assert h.count.tolist() == [1, 1]
+    assert h.count.sum() == 2
 
 
 def test_histogram_negative_value_floor():
     h = build_histogram([-0.05], bin_width_ms=0.1)
-    assert h.counts == {-1: 1}
+    assert h.bin_left_ms.tolist() == [-0.1]
+    assert h.count.tolist() == [1]
 
 
 def test_histogram_gpd_support_mass():
     rng = np.random.default_rng(0)
     samples = gpd_sample(RTT_PARAMS, rng, 10_000)
     h = build_histogram(samples, bin_width_ms=0.1)
-    lefts = [h.bin_left_ms(i) for i in h.counts]
     # Support is [0.57, 0.57 + 10.58/0.53] = [0.57, 20.53].
-    assert min(lefts) >= 0.5
-    assert max(lefts) + 0.1 <= 20.6
+    assert h.bin_left_ms.min() >= 0.5
+    assert h.bin_left_ms.max() + 0.1 <= 20.6
 
 
 def test_histogram_total_preserved():
     rng = np.random.default_rng(1)
     values = rng.normal(0, 5, 777)
     h = build_histogram(values, bin_width_ms=0.3)
-    assert sum(h.counts.values()) == h.total == 777
+    assert h.count.sum() == 777
+    assert h.relative_frequency.sum() == pytest.approx(1.0)
 
 
 def test_histogram_empty_rejected():
@@ -68,9 +70,9 @@ def test_histogram_empty_rejected():
 
 def test_histogram_rows():
     h = build_histogram([0.05, 0.15, 0.17], bin_width_ms=0.1)
-    rows = h.to_rows()
-    assert rows[0] == (0.0, 1, pytest.approx(1 / 3))
-    assert rows[1] == (pytest.approx(0.1), 2, pytest.approx(2 / 3))
+    assert h.bin_left_ms.tolist() == [0.0, pytest.approx(0.1)]
+    assert h.count.tolist() == [1, 2]
+    assert h.relative_frequency.tolist() == [pytest.approx(1 / 3), pytest.approx(2 / 3)]
 
 
 # -- EER ----------------------------------------------------------------------
@@ -149,7 +151,7 @@ def test_eer_threshold_minimizes_rate_gap():
     # At the reported threshold the two error rates actually meet.
     fnr_at = (n > res.threshold_ms).mean()
     fmr_at = (y <= res.threshold_ms).mean()
-    sweep_best = min(abs(fmr - fnr) for _, fmr, fnr in res.curve)
+    sweep_best = np.abs(res.curve.fmr - res.curve.fnr).min()
     assert abs(fmr_at - fnr_at) <= sweep_best + 1 / 200 + 1e-12
     assert 0.0 <= res.eer <= 1.0
 
@@ -162,8 +164,9 @@ def test_eer_empty_rejected():
 def test_eer_sweep_counts_a_tie_with_the_threshold_as_n():
     # At t = 2.0 the Y sample equal to t is a false match, the N sample is not
     # a false non-match.
-    curve = {t: (fmr, fnr) for t, fmr, fnr in compute_eer([2.0, 3.0], [1.0, 2.0]).curve}
-    assert curve[2.0] == (1.0, 0.5)
+    curve = compute_eer([2.0, 3.0], [1.0, 2.0]).curve
+    at = curve.threshold_ms == 2.0
+    assert (curve.fmr[at].tolist(), curve.fnr[at].tolist()) == ([1.0], [0.5])
 
 
 # -- Welch --------------------------------------------------------------------
