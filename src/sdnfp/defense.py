@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .stats import GPDParams, gpd_sample
+from .distributions import ns_from_floats
+from .stats import _XI_ZERO, GPDParams, gpd_quantile, gpd_sample
 from .units import NS_PER_MS, NS_PER_S, ns_from_float
 
 # Delay-element distributions measured on the reference testbed (ms).
@@ -113,6 +114,27 @@ def delay_for(position: str, cfg: DelayElementConfig, rng: np.random.Generator, 
     """Sampled hold duration in ns for a packet in the delayed bucket."""
     params = cfg.params_for(position, k)
     return ns_from_float(float(gpd_sample(params, rng)) * NS_PER_MS)
+
+
+def delays_from_uniform(position: str, cfg: DelayElementConfig, u: np.ndarray, k: int | None = None) -> np.ndarray:
+    """Array form of delay_for for given random() draws, draw by draw.
+
+    gpd_quantile's np.power may differ from the scalar one in the last ulp,
+    and (p - 1) / xi scales that difference by scale / |shape|, so the
+    rounding guard widens by it; a value the guard recomputes takes
+    delay_for's own formula, which raises on a negative hold.
+    """
+    params = cfg.params_for(position, k)
+    ms = gpd_quantile(u, params)
+    amplify = params.scale / abs(params.shape) if abs(params.shape) >= _XI_ZERO else 0.0
+    err_ns = 64 * np.finfo(float).eps * NS_PER_MS * (
+        abs(params.location) + np.abs(ms - params.location) + amplify
+    )
+    return ns_from_floats(
+        ms * NS_PER_MS,
+        lambda i: ns_from_float(float(gpd_quantile(float(u[i]), params)) * NS_PER_MS),
+        err_ns,
+    )
 
 
 def apply_delay_element(path, cfg: DelayElementConfig):

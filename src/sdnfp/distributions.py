@@ -68,26 +68,63 @@ class DelayModel:
         z = rng.standard_normal()
         return ns_from_float(self.median_ns * math.exp(self.sigma_log * z))
 
-    def pareto_ns_from_uniform(self, u: np.ndarray) -> np.ndarray:
-        """Array form of the Pareto branch of sample_ns for given random() draws.
+    @property
+    def draw_type(self) -> str | None:
+        """The Generator method sample_ns calls once per sample, None if it draws nothing."""
+        return _DRAWS.get(self.kind)
 
-        Bit-identical to sample_ns draw by draw: np.power may differ from
-        Python's ** in the last ulp, which can only change the half-up rounding
-        for a value within a few ulps of a rounding boundary, so those draws
-        are recomputed with the scalar formula.
+    def ns_from_draws(self, x: np.ndarray) -> np.ndarray:
+        """Array form of sample_ns for given draws of its `draw_type` method, draw by draw.
+
+        A kind that draws nothing ignores the values of `x` and takes its shape.
         """
+        if self.kind == "pareto":
+            return self.pareto_ns_from_uniform(x)
+        if self.kind == "lognormal":
+            return self.lognormal_ns_from_normal(x)
+        return np.full(np.shape(x), self.sample_ns(None), np.int64)
+
+    def pareto_ns_from_uniform(self, u: np.ndarray) -> np.ndarray:
+        """Array form of the Pareto branch of sample_ns for given random() draws."""
         alpha, x_m = self.pareto_shape_scale()
         exponent = -1.0 / alpha
-        shifted = x_m * np.power(1.0 - u, exponent) + 0.5
-        if shifted.size and shifted.max() >= 2.0**62:
-            raise ValueError("Pareto delay exceeds the int64 nanosecond range")
-        ns = np.floor(shifted)
-        frac = shifted - ns
-        tol = np.maximum(1e-6, 64.0 * np.spacing(shifted))
-        ns = ns.astype(np.int64)
-        for idx in zip(*np.nonzero((frac < tol) | (frac > 1.0 - tol))):
-            ns[idx] = ns_from_float(x_m * (1.0 - float(u[idx])) ** exponent)
-        return ns
+        return ns_from_floats(
+            x_m * np.power(1.0 - u, exponent),
+            lambda i: ns_from_float(x_m * (1.0 - float(u[i])) ** exponent),
+        )
+
+    def lognormal_ns_from_normal(self, z: np.ndarray) -> np.ndarray:
+        """Array form of the lognormal branch of sample_ns for given standard_normal() draws."""
+        return ns_from_floats(
+            self.median_ns * np.exp(self.sigma_log * z),
+            lambda i: ns_from_float(self.median_ns * math.exp(self.sigma_log * float(z[i]))),
+        )
+
+
+_DRAWS = {"pareto": "random", "lognormal": "standard_normal"}
+
+
+def ns_from_floats(value_ns: np.ndarray, exact, err_ns=0.0) -> np.ndarray:
+    """ns_from_float over an array of values an array formula computed.
+
+    Bit-identical to the scalar formula value by value: np.power and np.exp
+    may differ from their scalar forms in the last ulp, which can only change
+    the half-up rounding of a value within a few ulps of a rounding boundary,
+    so those entries, and every value below one tolerance of 0 (where the
+    scalar formula may raise "negative duration"), are replaced by `exact(i)`,
+    the scalar formula at index i.  `err_ns` widens the tolerance where the
+    formula scales a last-ulp difference beyond the value's own ulps.
+    """
+    shifted = value_ns + 0.5
+    if shifted.size and not shifted.max() < 2.0**62:
+        raise ValueError("delay exceeds the int64 nanosecond range")
+    ns = np.floor(shifted)
+    frac = shifted - ns
+    tol = np.maximum(np.maximum(1e-6, 64.0 * np.spacing(shifted)), err_ns)
+    ns = ns.astype(np.int64)
+    for i in zip(*np.nonzero((frac < tol) | (frac > 1.0 - tol) | (value_ns < tol))):
+        ns[i] = exact(i)
+    return ns
 
 
 def constant(value_ns: int) -> DelayModel:

@@ -44,14 +44,16 @@ SeedSequence(entropy=seed, spawn_key=(group, t, i)) would seed it, through
 one code path: `spawn_state` reimplements that hash over a trial axis.  The
 engine takes a `TrialStreams`, which builds one stream name for every trial
 in one pass on first access; the reference model's `RngStreams` is its
-one-trial case.  Streams with a single draw type and a layout fixed by the
-schedule are drawn as one block per trial: `cross` (one `random()` per hop
-with Pareto cross traffic) and `drift` (one `standard_normal()` per send time
-that advances the clock); numpy's block draws equal the same number of scalar
-calls.  The `control` stream (lookup and install delays, which may mix
-`random()` and `standard_normal()`) and the `defense` stream (delay-element
-holds) are drawn per event, in packet order within each trial, by the same
-scalar samplers the reference model calls.
+one-trial case.  The engine draws each stream as one block per trial, and
+numpy's block draws equal the same number of scalar calls: `cross` (one
+`random()` per hop with Pareto cross traffic) and `drift` (one
+`standard_normal()` per send time that advances the clock) in a layout the
+schedule fixes, `control` (lookup and install delays) and `defense`
+(delay-element holds) read through a per-trial cursor, event by event in
+packet order (see `_TrialBatch`).  Only a `control` stream whose delay models
+mix `random()` and `standard_normal()` is drawn per miss, by the scalar
+`miss_charge_ns` the reference model calls.  The array transforms of the
+draws round to the same integer nanoseconds as the scalar samplers.
 """
 
 from __future__ import annotations
@@ -695,10 +697,31 @@ class _TrialBatch:
     masks in place of branches.  The flow's rules at configured switch s are
     counted in rules[s]: 0 none, 1 the forward key only (what a capacity-1
     table keeps), 2 both directions.
+
+    The `control` and `defense` streams are drawn as one block per trial, on
+    the first event that needs them, and read through a per-trial cursor in
+    the order the reference model draws them:
+    * `control`: a miss draws the lookup delay, then each configured switch's
+      install delay in path order, one value per model that draws (`d` of
+      them).  A packet misses at most once per configured switch, so the
+      block holds n_packets x configured_count x d values.  It needs one draw
+      type for all `d` models (`random()` for Pareto, `standard_normal()`
+      for lognormal, which covers every built-in); when the types mix, each
+      miss calls the scalar `miss_charge_ns` instead.
+    * `defense`: a hold takes one `random()`.  Only the outermost switch
+      parks packets, at most once per packet, so the block holds n_packets
+      values.
+    Each trial's generators serve one schedule only, so draws a block leaves
+    unused change nothing.
     """
 
     def __init__(
-        self, path: PathSpec, controller: ControllerSpec, streams: TrialStreams, warm: bool
+        self,
+        path: PathSpec,
+        controller: ControllerSpec,
+        streams: TrialStreams,
+        warm: bool,
+        n_packets: int,
     ):
         self.path = path
         self.controller = controller
@@ -706,6 +729,14 @@ class _TrialBatch:
         self.element = path.delay_element
         k = path.configured_count
         n = len(streams)
+        self.n_packets = n_packets
+        self.charge_models = (controller.lookup_delay, *(sw.install_delay for sw in path.switches[:k]))
+        self.drawn = np.array([m.draw_type is not None for m in self.charge_models])
+        draws = {m.draw_type for m in self.charge_models} - {None}
+        self.control_draw = draws.pop() if len(draws) == 1 else None  # None: nothing or mixed
+        self.control = self.defense = None  # [trial, value] blocks, drawn on first use
+        self.control_next = np.zeros(n, np.intp)
+        self.defense_next = np.zeros(n, np.intp)
         self.full_rules = [min(2, sw.table_capacity) for sw in path.switches[:k]]
         self.rules = [np.full(n, r if warm else 0, np.int8) for r in self.full_rules]
         self.win_open = [np.zeros(n, bool) for _ in range(k)]
@@ -759,10 +790,7 @@ class _TrialBatch:
         surcharge = np.zeros_like(now)
         idx = np.flatnonzero(miss)
         if idx.size:
-            control = self.streams.control
-            charge = np.array(
-                [miss_charge_ns(self.path, self.controller, control[t]) for t in idx], np.int64
-            )
+            charge = self._miss_charges(idx)
             full = np.zeros(idx.size, bool)
             for held, n in zip(self.rules, self.full_rules):
                 held[idx] = np.maximum(held[idx], n)
@@ -793,19 +821,43 @@ class _TrialBatch:
         self.last_release[fast] = ready[fast]
         return ready, surcharge
 
+    def _miss_charges(self, idx: np.ndarray) -> np.ndarray:
+        """miss_charge_ns of each missing trial, drawn from its control stream."""
+        d = int(self.drawn.sum())
+        if d and self.control_draw is None:
+            control = self.streams.control
+            return np.array(
+                [miss_charge_ns(self.path, self.controller, control[t]) for t in idx], np.int64
+            )
+        x = np.zeros((len(self.charge_models), idx.size))  # rows of constant models stay unread
+        if d:
+            if self.control is None:
+                size = self.n_packets * self.path.configured_count * d
+                self.control = np.stack(
+                    [getattr(gen, self.control_draw)(size) for gen in self.streams.control]
+                )
+            start = self.control_next[idx]
+            x[self.drawn] = self.control[idx[:, None], start[:, None] + np.arange(d)].T
+            self.control_next[idx] = start + d
+        lookup, *installs = [m.ns_from_draws(row) for m, row in zip(self.charge_models, x)]
+        return lookup + np.max(installs, axis=0)
+
     def _holds(self, idx: np.ndarray, first: np.ndarray) -> np.ndarray:
         """Delay-element hold of each parked trial, drawn from its defense stream."""
-        from .defense import FIRST, FOLLOWUP, delay_for
+        from .defense import FIRST, FOLLOWUP, delays_from_uniform
 
-        k = self.path.configured_count
-        defense = self.streams.defense
-        return np.array(
-            [
-                delay_for(FIRST if first[t] else FOLLOWUP, self.element, defense[t], k=k)
-                for t in idx
-            ],
-            np.int64,
-        )
+        if self.defense is None:
+            self.defense = np.stack([gen.random(self.n_packets) for gen in self.streams.defense])
+        u = self.defense[idx, self.defense_next[idx]]
+        self.defense_next[idx] += 1
+        first = first[idx]
+        holds = np.empty(idx.size, np.int64)
+        for position, mask in ((FIRST, first), (FOLLOWUP, ~first)):
+            if mask.any():
+                holds[mask] = delays_from_uniform(
+                    position, self.element, u[mask], k=self.path.configured_count
+                )
+        return holds
 
 
 def simulate_trials(
@@ -824,7 +876,11 @@ def simulate_trials(
     Trial j draws only from entry j of each of the batch's stream lists and
     produces exactly what `Simulation(path, controller, RngStreams(seed,
     trials[j], group), ...)` produces for the same packets; `warm`
-    pre-installs the flow's rules at every configured switch.
+    pre-installs the flow's rules at every configured switch.  Each stream is
+    drawn as one block per trial: `cross` and `drift` as `_cross_delays` and
+    `_wander` lay them out, `control` (n_packets x configured_count x d
+    values, d the lookup and install models that draw) and `defense`
+    (n_packets values) as `_TrialBatch` reads them.
     """
     packets = tuple(packets)
     n_trials = len(streams)
@@ -839,7 +895,7 @@ def simulate_trials(
     reply_fixed = turnaround_ns + sum(
         transmission_delay_ns(reply_bytes, l) + l.base_latency_ns for l in path.reverse_links
     )
-    state = _TrialBatch(path, controller, streams, warm)
+    state = _TrialBatch(path, controller, streams, warm, len(packets))
     busy = [np.zeros(n_trials, np.int64) for _ in range(n_fwd)]
 
     shape = (len(packets), n_trials)

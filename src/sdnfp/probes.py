@@ -18,13 +18,14 @@ trial is a numpy axis, and every packet x hop step advances all trials
 together.  Trial t draws only from its own four streams, seeded from (seed,
 group, t), so its rows are the same whichever trials run beside it; a
 `netsim.TrialStreams` seeds each stream name for all trials in one
-vectorised pass.  The `cross` and `drift` streams hold a single draw type in
-a layout the schedule fixes, and are drawn as one block per trial; the
-`control` stream (lookup and install delays on a table miss) and the
-`defense` stream (delay-element holds) depend on per-trial state, and are
-drawn per event, in packet order within the trial.  `run_schedule_reference`
-runs one trial on the scalar reference model (`netsim.Simulation`), packet by
-packet; the differential tests hold the engine to it row for row.
+vectorised pass.  Every stream is drawn as one block per trial: `cross` and
+`drift` in a layout the schedule fixes, the `control` stream (lookup and
+install delays on a table miss) and the `defense` stream (delay-element
+holds), which depend on per-trial state, through a per-trial cursor in packet
+order; only a `control` stream whose delay models mix draw types is drawn per
+miss.  `run_schedule_reference` runs one trial on the scalar reference model
+(`netsim.Simulation`), packet by packet; the differential tests hold the
+engine to it row for row.
 
 Tables.  Every CSV the package writes is a `Table`: a frozen dataclass with
 one numpy array per CSV column, and one CSV format.  Traces, feature samples,

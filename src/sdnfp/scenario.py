@@ -467,11 +467,20 @@ def _field(mapping: dict, key: str, parse, source):
 
 
 def _gpd_from_config(cfg: dict, source) -> GPDParams:
-    """The GPD a {shape, scale_ms, location_ms} mapping holds: a delay of a
-    scenario's defense entry, or a file `sdnfp fit` wrote."""
-    values = [_field(cfg, key, float, source) for key in ("shape", "scale_ms", "location_ms")]
+    """The delay GPD a {shape, scale_ms, location_ms} mapping holds: a delay
+    of a scenario's defense entry, or a file `sdnfp fit` wrote.
+
+    A GPD's support starts at its location, so a negative location could
+    draw a negative hold; it is rejected here, before anything runs, although
+    `sdnfp fit` writes one for a population that reaches below 0.
+    """
+    shape, scale, location = (
+        _field(cfg, key, float, source) for key in ("shape", "scale_ms", "location_ms")
+    )
+    if not location >= 0:
+        raise ConfigError(f"location_ms: a delay needs a location >= 0, got {location} in {source}")
     try:
-        return GPDParams(*values)
+        return GPDParams(shape, scale, location)
     except ValueError as exc:
         raise ConfigError(f"scale_ms: {exc} in {source}") from exc
 

@@ -125,7 +125,6 @@ def compute_eer(samples_n, samples_y) -> EERResult:
 class WelchResult:
     t_statistic: float
     significant_at_1pct: bool
-    df: float
     p_value: float
 
 
@@ -144,9 +143,7 @@ def welch_t_test(samples_n, samples_y) -> WelchResult:
     t_stat = (a.mean() - b.mean()) / math.sqrt(sa + sb)
     df = (sa + sb) ** 2 / (sa**2 / (a.size - 1) + sb**2 / (b.size - 1))
     p = 2.0 * float(student_t.sf(abs(t_stat), df))
-    return WelchResult(
-        t_statistic=float(t_stat), significant_at_1pct=p < 0.01, df=float(df), p_value=p
-    )
+    return WelchResult(t_statistic=float(t_stat), significant_at_1pct=p < 0.01, p_value=p)
 
 
 # -- Generalized Pareto -------------------------------------------------------

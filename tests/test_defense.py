@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.stats import genpareto
 
 from sdnfp.defense import (
+    FIRST,
+    FOLLOWUP,
     DelayElementConfig,
     FlowActivity,
     TABLE4_DELTA_RTT,
@@ -23,6 +26,7 @@ from sdnfp.netsim import (
     SwitchSpec,
     uniform_path,
 )
+from sdnfp.scenario import ConfigError, scenario_from_config
 from sdnfp.stats import GPDParams, fit_gpd, gpd_sample
 
 S = 1_000_000_000
@@ -189,3 +193,44 @@ def test_element_from_fitted_params():
     assert cfg.first_delay == fit
     sample = delay_for("first", cfg, np.random.default_rng(0)) / MS
     assert fit.location <= sample <= support_upper(fit)
+
+
+class _Draw:
+    """A generator stand-in whose random() returns one given value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+GPD_ENTRY = st.fixed_dictionaries(
+    {
+        "shape": st.floats(-2, 2) | st.floats(-1e-9, 1e-9),
+        "scale_ms": st.floats(1e-3, 50),
+        "location_ms": st.floats(-5, 5) | st.just(0.0),
+    }
+)
+
+
+@given(
+    st.lists(GPD_ENTRY, min_size=4, max_size=4),
+    st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=10),
+)
+def test_every_accepted_delay_element_holds_for_non_negative_time(entries, draws):
+    first, followup, first_k2, followup_k2 = entries
+    defense = {
+        "first_delay": first,
+        "followup_delay": followup,
+        "per_k": {2: {"first_delay": first_k2, "followup_delay": followup_k2}},
+    }
+    try:
+        element = scenario_from_config({"name": "lab", "seed": 1, "defense": defense}).defense
+    except ConfigError as exc:
+        assert "location_ms" in str(exc) and min(e["location_ms"] for e in entries) < 0
+        return
+    for u in draws:
+        for position in (FIRST, FOLLOWUP):
+            for k in (1, 2):
+                assert delay_for(position, element, _Draw(u), k=k) >= 0

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sdnfp.defense import DelayElementConfig
-from sdnfp.distributions import CrossTrafficModel, constant, lognormal, pareto
+from sdnfp.defense import FIRST as FIRST_PACKET
+from sdnfp.defense import FOLLOWUP as FOLLOWUP_PACKET
+from sdnfp.defense import DelayElementConfig, delay_for, delays_from_uniform
+from sdnfp.distributions import CrossTrafficModel, constant, lognormal, ns_from_floats, pareto
 from sdnfp.netsim import (
     CLEAR,
     PROBE,
@@ -127,6 +129,45 @@ def test_pareto_block_transform_equals_sample_ns():
         pareto(10**12, 10**30).pareto_ns_from_uniform(np.array([1.0 - 2.0**-53]))
 
 
+def test_lognormal_block_transform_equals_sample_ns():
+    for model in (lognormal(4_500_000, 0.6), lognormal(800_000, 0.7), lognormal(150_000, 0.5)):
+        z = np.random.default_rng(11).standard_normal(50_000)
+        scalar = np.random.default_rng(11)
+        expected = [model.sample_ns(scalar) for _ in range(z.size)]
+        assert model.ns_from_draws(z).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "element, k",
+    [
+        (DelayElementConfig(), None),  # the two Table-4 GPDs
+        (DelayElementConfig(per_k={2: (FIRST, FOLLOWUP)}), 2),
+        # |shape| < 1e-9: the quantile's log1p limit.
+        (DelayElementConfig(first_delay=GPDParams(5e-10, 2.0, 0.3), followup_delay=GPDParams(-5e-10, 0.5, 0.0)), None),
+    ],
+    ids=["table4", "per_k", "shape_zero"],
+)
+def test_hold_block_transform_equals_delay_for(element, k):
+    for position in (FIRST_PACKET, FOLLOWUP_PACKET):
+        u = np.random.default_rng(11).random(50_000)
+        scalar = np.random.default_rng(11)
+        expected = [delay_for(position, element, scalar, k=k) for _ in range(u.size)]
+        assert delays_from_uniform(position, element, u, k=k).tolist() == expected
+
+
+def test_hold_block_transform_raises_on_a_negative_hold():
+    element = DelayElementConfig(followup_delay=GPDParams(-0.411, 0.785, -0.383013))
+    with pytest.raises(ValueError, match="negative duration"):
+        delays_from_uniform(FOLLOWUP_PACKET, element, np.array([0.9, 0.0]))
+
+
+def test_rounding_guard_takes_the_scalar_formula_near_a_boundary_or_zero():
+    values = np.array([1.0, 2.5 - 1e-9, 7.2, 4.5 + 1e-9, 1e-12, -1e-12, -3.0])
+    assert ns_from_floats(values, lambda i: -1).tolist() == [1, -1, 7, -1, -1, -1, -1]
+    with pytest.raises(ValueError, match="int64"):
+        ns_from_floats(np.array([1.0, np.nan]), lambda i: 0)
+
+
 def reference(schedule, path, controller, trials, kwargs):
     return Trace.concat(
         run_schedule_reference(schedule, path, controller, trial=trial, **kwargs)
@@ -158,6 +199,38 @@ def test_defended_builtins_match_scalar_reference():
                 assert run_schedule(
                     schedule, path, controller, trials=trials, **kwargs
                 ) == reference(schedule, path, controller, trials, kwargs)
+
+
+@given(cases())
+def test_engine_timestamps_are_ordered_within_each_trial(case):
+    # Without drift the last forward link is FIFO and replies only add delay.
+    schedule, path, controller, trials, kwargs = case
+    trace = run_schedule(schedule, path, controller, trials=trials, **dict(kwargs, drift=None))
+    recv = trace.server_recv_ns.reshape(len(trials), -1)
+    assert (np.diff(recv, axis=1) >= 0).all()
+    assert (trace.client_recv_ns >= trace.server_recv_ns).all()
+    assert (trace.server_recv_ns >= trace.client_send_ns).all()
+
+
+@pytest.mark.parametrize(
+    "lookup, install",
+    [(constant(100_000), lognormal(4_500_000, 0.6)), (pareto(200_000, 10**10), pareto(2 * MS, 10**12))],
+    ids=["standard_normal", "random"],
+)
+def test_capacity_zero_misses_at_every_switch_match_scalar_reference(lookup, install):
+    # No switch can hold a rule, so every probe misses at all three configured
+    # switches: the control block must hold n_packets x k draws per model.
+    link = LinkSpec(100_000_000)
+    switches = tuple(SwitchSpec(f"s{i}", "hardware", install, table_capacity=0) for i in range(3))
+    path = PathSpec((link,) * 4, (link,), switches, 3, DelayElementConfig())
+    controller = ControllerSpec(lookup_delay=lookup)
+    schedule = build_probe_train(KEY)
+    kwargs = dict(seed=7, group=0, warm=False)
+    trials = range(4)
+    batched = run_schedule(schedule, path, controller, trials=trials, **kwargs)
+    assert batched == reference(schedule, path, controller, trials, kwargs)
+    probes = batched.kind == PROBE
+    assert batched.miss_flag[probes].all() and batched.table_full[probes].all()
 
 
 def _constant_path(element=None):

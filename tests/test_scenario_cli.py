@@ -445,6 +445,44 @@ def test_cli_defend_names_the_gpd_file_and_key_it_cannot_read(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_cli_defend_rejects_a_fitted_gpd_with_a_negative_location(tmp_path, capsys):
+    # Replies can reorder, so the N dispersion population, and the location
+    # `sdnfp fit` pins below its minimum, reach below 0.
+    runs = tmp_path / "runs"
+    assert main(["simulate", "--scenario", "k2-hw-100m", "--out", str(runs)]) == 0
+    fitted = tmp_path / "n.json"
+    assert main(["fit", "--samples", str(runs / "k2-hw-100m" / "samples.csv"),
+                 "--feature", "dispersion", "--label", "N", "--out", str(fitted)]) == 0
+    location = json.loads(fitted.read_text())["location_ms"]
+    assert location < 0
+    capsys.readouterr()
+    defend = ["defend", "--scenario", "k2-hw-100m", "--out", str(tmp_path / "defended"),
+              "--first-delay", str(fitted), "--followup-delay", str(fitted)]
+    assert main(defend) == 2
+    assert f"location_ms: a delay needs a location >= 0, got {location} in {fitted}" in capsys.readouterr().err
+    assert not (tmp_path / "defended").exists()
+
+
+@pytest.mark.parametrize(
+    "defense, key",
+    [
+        ("{first_delay: {shape: -0.4, scale_ms: 0.8, location_ms: -0.38}}", "defense.first_delay"),
+        (
+            "{per_k: {2: {first_delay: {shape: -0.5, scale_ms: 2, location_ms: 0.5},"
+            " followup_delay: {shape: -0.4, scale_ms: 0.8, location_ms: -0.38}}}}",
+            "defense.per_k.2.followup_delay",
+        ),
+    ],
+    ids=["first_delay", "per_k"],
+)
+def test_cli_names_the_defense_key_with_a_negative_location(tmp_path, capsys, defense, key):
+    cfg = tmp_path / "negative.yaml"
+    cfg.write_text(f"scenarios:\n  - name: k2-hw-100m\n    trains: 4\n    defense: {defense}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+    assert f"location_ms: a delay needs a location >= 0, got -0.38 in {key}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_non_positive_bin_width_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bins.yaml"
     cfg.write_text("scenarios:\n  - name: flat\n    seed: 5\n    trains: 4\n    bin_width: 0 ms\n")
