@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 1 anything else.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -183,7 +184,12 @@ def _load_bundle(bundle_dir: Path):
     return read_scenario_descriptor(bundle_dir), samples, evaluate(samples, features)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: argparse takes about 1 ms to build it.
+
+    Subcommands bind no function; `main` looks `cmd_<command>` up at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="sdnfp",
         description="Timing-fingerprinting lab for OpenFlow control-plane interactions",
@@ -200,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run scenarios and persist traces/samples/results")
     add_run_flags(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("extract", help="turn a trace CSV into labeled feature samples")
     p.add_argument(
@@ -216,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--window-s", type=float, dest="window_s",
         help="passive pairing window in seconds (default: the sidecar's passive_window_s)",
     )
-    p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("eer", help="equal error rate from a feature sample CSV")
     p.add_argument("--samples", required=True)
@@ -226,34 +230,29 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[DISPERSION, DELTA_RTT],
     )
     p.add_argument("--curve", action="store_true", help="also write the sweep curves")
-    p.set_defaults(func=cmd_eer)
 
     p = sub.add_parser("fit", help="fit a Generalized Pareto to one feature population")
     p.add_argument("--samples", required=True)
     p.add_argument("--feature", default=DELTA_RTT, choices=[DISPERSION, DELTA_RTT])
     p.add_argument("--label", default="Y", choices=["Y", "N"])
     p.add_argument("--out", required=True, help="output JSON file")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("defend", help="run scenarios with the delay element enabled")
     add_run_flags(p)
     p.add_argument("--first-delay", help="fitted GPD JSON for inactive-flow first packets")
     p.add_argument("--followup-delay", help="fitted GPD JSON for follow-up packets")
-    p.set_defaults(func=cmd_defend)
 
     p = sub.add_parser("report", help="summary table and histogram CSVs from bundle dirs")
     p.add_argument("--bundles", nargs="+", required=True, help="run_scenario output dirs")
     p.add_argument("--out", required=True)
     p.add_argument("--format", default="csv", choices=["csv", "json"])
-    p.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -37,23 +37,28 @@ Two implementations share these semantics:
   time, with Python objects for tables and windows.  It is the oracle the
   differential tests hold the engine to, trace for trial.
 
-Randomness.  Every trial owns four independent named generators, and both
-implementations consume each stream in the same order, so they produce the
-same bits.  Stream i of trial t is seeded as numpy's
-SeedSequence(entropy=seed, spawn_key=(group, t, i)) would seed it, through
-one code path: `spawn_state` reimplements that hash over a trial axis.  The
-engine takes a `TrialStreams`, which builds one stream name for every trial
-in one pass on first access; the reference model's `RngStreams` is its
-one-trial case.  The engine draws each stream as one block per trial, and
-numpy's block draws equal the same number of scalar calls: `cross` (one
-`random()` per hop with Pareto cross traffic) and `drift` (one
-`standard_normal()` per send time that advances the clock) in a layout the
-schedule fixes, `control` (lookup and install delays) and `defense`
-(delay-element holds) read through a per-trial cursor, event by event in
-packet order (see `_TrialBatch`).  Only a `control` stream whose delay models
-mix `random()` and `standard_normal()` is drawn per miss, by the scalar
-`miss_charge_ns` the reference model calls.  The array transforms of the
-draws round to the same integer nanoseconds as the scalar samplers.
+Randomness.  Every trial owns four independent named PCG64 streams, and
+both implementations consume each stream in the same order, so they produce
+the same bits.  Stream i of trial t is numpy's
+Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(group, t, i)))).  The
+reference model's `RngStreams` builds exactly that with numpy.  The engine's
+`TrialStreams` reimplements it over the trial axis, and the differential tests
+hold it to numpy: `spawn_state` computes the seed words of one stream for all
+trials in one pass, and `pcg64_random` runs PCG64's `random()` on them, so a
+stream whose draws are all `random()` is drawn as one [trial, n] block with no
+Generator built.  That covers `cross` (one `random()` per hop with Pareto
+cross traffic), `defense` (one per delay-element hold) and `control` when its
+lookup and install models are Pareto.  numpy's `standard_normal()` ziggurat is
+not reproduced, so `drift` (one per send time that advances the clock) and
+`control` with lognormal delays draw their block from one Generator per
+trial.  numpy's block draws equal the same number of scalar calls, so the
+engine reads each block as the reference model draws: `cross` and `drift` in
+a layout the schedule fixes, `control` and `defense` through a per-trial
+cursor, event by event in packet order (see `_TrialBatch`).  Only a `control`
+stream whose delay models mix `random()` and `standard_normal()` is drawn per
+miss, by the scalar `miss_charge_ns` the reference model calls.  The array
+transforms of the draws round to the same integer nanoseconds as the scalar
+samplers.
 """
 
 from __future__ import annotations
@@ -314,6 +319,85 @@ def spawn_state(seed: int, group: int, trials, stream: int) -> np.ndarray:
     return np.stack([lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])], axis=1)
 
 
+# PCG64 (numpy's default bit generator): a 128-bit LCG with XSL-RR output.
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+_PCG_BLOCK = 16
+
+
+def _u128(values: list[int]) -> tuple[np.ndarray, ...]:
+    """128-bit constants as uint64 (hi, lo, lo & 0xFFFFFFFF, lo >> 32) arrays."""
+    rows = [[v >> 64, v & _MASK64, v & _MASK32, (v & _MASK64) >> 32] for v in values]
+    return tuple(np.array(rows, np.uint64).T)
+
+
+def _mul128(hi, lo, c):
+    """(hi, lo) * c mod 2**128 on uint64 halves, for a `_u128` constant c.
+
+    Only lo * c_lo needs its high word, from 32-bit limbs; the cross terms
+    are wrapping uint64 products.
+    """
+    c_hi, c_lo, c0, c1 = c
+    a0, a1 = lo & _MASK32, lo >> 32
+    t = a1 * c0 + (a0 * c0 >> 32)
+    u = a0 * c1 + (t & _MASK32)
+    return a1 * c1 + (t >> 32) + (u >> 32) + lo * c_hi + hi * c_lo, lo * c_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg_tables(b: int):
+    """M^(j+1) and sum_{i<=j} M^i for j = 1..b, then M^b and sum_{i<b} M^i."""
+    powers, sums = [1], [0]
+    for _ in range(b + 1):
+        sums.append((sums[-1] + powers[-1]) & _MASK128)
+        powers.append(powers[-1] * _PCG_MULT & _MASK128)
+    return _u128(powers[2:]), _u128(sums[2:]), _u128([powers[b]]), _u128([sums[b]])
+
+
+_PCG_FIRST_POW, _PCG_FIRST_SUM, _PCG_STEP_POW, _PCG_STEP_SUM = _pcg_tables(_PCG_BLOCK)
+
+
+def pcg64_random(words: np.ndarray, n: int) -> np.ndarray:
+    """`random(n)` of every trial's PCG64, as a [trial, n] float64 array.
+
+    Row j equals np.random.Generator(np.random.PCG64(s)).random(n) for a seed
+    sequence s whose generate_state(4, np.uint64) is words[j] (a `spawn_state`
+    row), bit for bit.  PCG64 seeds with initstate = w0 << 64 | w1 and
+    inc = (w2 << 64 | w3) << 1 | 1 as state = M * (initstate + inc) + inc;
+    each draw steps state = M * state + inc mod 2**128 first, then outputs
+    rotr64(hi ^ lo, state >> 122) >> 11, times 2**-53.  So draw j's state is
+    M^(j+1) * (initstate + inc) + inc * sum_{i<=j} M^i: the first block of
+    draws comes straight from precomputed powers, and each later block from
+    the one before it, b = 16 draws on, by state' = M^b * state + inc *
+    sum_{i<b} M^i.  Temporaries stay [trial, b].
+    """
+    words = np.asarray(words, np.uint64)
+    seed_hi, seed_lo, inc_hi, inc_lo = (words[:, i, None] for i in range(4))
+    inc_hi, inc_lo = inc_hi << 1 | inc_lo >> 63, inc_lo << 1 | 1
+    t_hi, t_lo = _add128(seed_hi, seed_lo, inc_hi, inc_lo)
+    b = min(n, _PCG_BLOCK)
+    s_hi, s_lo = _add128(
+        *_mul128(t_hi, t_lo, [c[:b] for c in _PCG_FIRST_POW]),
+        *_mul128(inc_hi, inc_lo, [c[:b] for c in _PCG_FIRST_SUM]),
+    )
+    g_hi, g_lo = _mul128(inc_hi, inc_lo, _PCG_STEP_SUM)
+    out = np.empty((len(words), n))
+    for j in range(0, n, _PCG_BLOCK):
+        if j:
+            s_hi, s_lo = _add128(*_mul128(s_hi, s_lo, _PCG_STEP_POW), g_hi, g_lo)
+        m = min(_PCG_BLOCK, n - j)
+        hi = s_hi[:, :m]
+        xored, rot = hi ^ s_lo[:, :m], hi >> 58
+        x = (xored >> rot) | (xored << ((64 - rot) & 63))
+        np.multiply(x >> 11, 2.0**-53, out=out[:, j : j + m])
+    return out
+
+
 class _SeedWords(np.random.bit_generator.ISeedSequence):
     """Hands PCG64 one precomputed row of `spawn_state` as its seed.
 
@@ -330,47 +414,65 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
 
 
 class TrialStreams:
-    """The named generators of many trials: `.cross[j]` is trial trials[j]'s.
+    """The named random streams of many trials, handed out once each.
 
     Stream i of trial t is seeded as SeedSequence(entropy=seed,
-    spawn_key=(group, t, i)) would seed it.  Each name's list is built for
-    every trial on its first access, from one `spawn_state` pass, so a stream
-    the schedule never touches costs nothing and the draws do not depend on
-    which streams were built.
+    spawn_key=(group, t, i)) would seed it; one `spawn_state` pass seeds a
+    stream for every trial when it is handed out, so a stream the schedule
+    never draws costs nothing.  `block(name, method, n)` is each trial's
+    first n draws of the Generator method `method` as a [trial, n] array:
+    `random` runs PCG64 over the trial axis (`pcg64_random`) and builds no
+    Generator, `standard_normal` builds one Generator per trial, because
+    numpy's ziggurat is not reproduced here.  `generators(name)` hands out
+    the per-trial Generators themselves, for draws of mixed methods.  A
+    stream handed out a second time would replay its draws from the start,
+    so that raises.
     """
 
     def __init__(self, seed: int, trials, group: int = 0):
         self._seed = seed
         self._trials = trials
         self._group = group
+        self._taken: set[str] = set()
 
     def __len__(self) -> int:
         return len(self._trials)
 
-    def __getattr__(self, name: str) -> list[np.random.Generator]:
-        if name.startswith("_") or name not in STREAM_NAMES:
-            raise AttributeError(name)
-        state = spawn_state(self._seed, self._group, self._trials, STREAM_NAMES.index(name))
-        gens = self.__dict__[name] = [
-            np.random.Generator(np.random.PCG64(_SeedWords(words))) for words in state
-        ]
-        return gens
+    def _seed_words(self, name: str) -> np.ndarray:
+        if name not in STREAM_NAMES:
+            raise ValueError(f"unknown stream {name!r}")
+        if name in self._taken:
+            raise RuntimeError(f"stream {name!r} was already drawn")
+        self._taken.add(name)
+        return spawn_state(self._seed, self._group, self._trials, STREAM_NAMES.index(name))
+
+    def block(self, name: str, method: str, n: int) -> np.ndarray:
+        if method == "random":
+            return pcg64_random(self._seed_words(name), n)
+        return np.stack([getattr(gen, method)(n) for gen in self.generators(name)])
+
+    def generators(self, name: str) -> list[np.random.Generator]:
+        return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in self._seed_words(name)]
 
 
 class RngStreams:
     """One trial's named generators, for the scalar reference model.
 
-    Each is built on first access, seeded exactly as that trial's entry of
-    `TrialStreams`, so unrelated noise sources never share draws.
+    Each is numpy's own Generator for SeedSequence(entropy=seed,
+    spawn_key=(group, trial, i)), built on first access, so unrelated noise
+    sources never share draws and the engine's seeding and PCG64 are held to
+    numpy's.
     """
 
     def __init__(self, seed: int, trial: int = 0, group: int = 0):
-        self._batch = TrialStreams(seed, [trial], group)
+        self._seed = seed
+        self._spawn_key = (group, trial)
 
     def __getattr__(self, name: str) -> np.random.Generator:
-        if name.startswith("_"):
+        if name.startswith("_") or name not in STREAM_NAMES:
             raise AttributeError(name)
-        gen = self.__dict__[name] = getattr(self._batch, name)[0]
+        seq = np.random.SeedSequence(self._seed, spawn_key=(*self._spawn_key, STREAM_NAMES.index(name)))
+        gen = self.__dict__[name] = np.random.default_rng(seq)
         return gen
 
 
@@ -654,7 +756,7 @@ def _cross_delays(path: PathSpec, n_packets: int, streams: TrialStreams) -> list
     delays = [np.broadcast_to(np.int64(m.value_ns), shape) for m in models]
     drawn = [j for j, m in enumerate(models) if m.kind == "pareto"]
     if drawn:
-        block = np.stack([gen.random(n_packets * len(drawn)) for gen in streams.cross])
+        block = streams.block("cross", "random", n_packets * len(drawn))
         block = block.reshape(len(streams), n_packets, len(drawn))
         for col, j in enumerate(drawn):
             delays[j] = models[j].pareto_ns_from_uniform(block[:, :, col].T)
@@ -677,7 +779,7 @@ def _wander(drift: DriftModel | None, packets, streams: TrialStreams) -> list:
         if t - t_prev > 0:
             steps.append(((t - t_prev) / 1e9) ** 0.5)
             t_prev = t
-    z = np.stack([gen.standard_normal(len(steps)) for gen in streams.drift])
+    z = streams.block("drift", "standard_normal", len(steps))
     walk = np.zeros(len(streams))
     wander = []
     j, t_prev = 0, 0
@@ -698,20 +800,21 @@ class _TrialBatch:
     counted in rules[s]: 0 none, 1 the forward key only (what a capacity-1
     table keeps), 2 both directions.
 
-    The `control` and `defense` streams are drawn as one block per trial, on
-    the first event that needs them, and read through a per-trial cursor in
-    the order the reference model draws them:
+    The `control` and `defense` streams are drawn as one [trial, value] block
+    from `TrialStreams.block`, on the first event that needs them, and read
+    through a per-trial cursor in the order the reference model draws them:
     * `control`: a miss draws the lookup delay, then each configured switch's
       install delay in path order, one value per model that draws (`d` of
       them).  A packet misses at most once per configured switch, so the
       block holds n_packets x configured_count x d values.  It needs one draw
       type for all `d` models (`random()` for Pareto, `standard_normal()`
-      for lognormal, which covers every built-in); when the types mix, each
-      miss calls the scalar `miss_charge_ns` instead.
+      for lognormal, which covers every built-in); when the types mix,
+      `control` holds the per-trial Generators instead and each miss calls
+      the scalar `miss_charge_ns` on its trial's.
     * `defense`: a hold takes one `random()`.  Only the outermost switch
       parks packets, at most once per packet, so the block holds n_packets
       values.
-    Each trial's generators serve one schedule only, so draws a block leaves
+    Each trial's streams serve one schedule only, so draws a block leaves
     unused change nothing.
     """
 
@@ -825,17 +928,16 @@ class _TrialBatch:
         """miss_charge_ns of each missing trial, drawn from its control stream."""
         d = int(self.drawn.sum())
         if d and self.control_draw is None:
-            control = self.streams.control
+            if self.control is None:
+                self.control = self.streams.generators("control")
             return np.array(
-                [miss_charge_ns(self.path, self.controller, control[t]) for t in idx], np.int64
+                [miss_charge_ns(self.path, self.controller, self.control[t]) for t in idx], np.int64
             )
         x = np.zeros((len(self.charge_models), idx.size))  # rows of constant models stay unread
         if d:
             if self.control is None:
                 size = self.n_packets * self.path.configured_count * d
-                self.control = np.stack(
-                    [getattr(gen, self.control_draw)(size) for gen in self.streams.control]
-                )
+                self.control = self.streams.block("control", self.control_draw, size)
             start = self.control_next[idx]
             x[self.drawn] = self.control[idx[:, None], start[:, None] + np.arange(d)].T
             self.control_next[idx] = start + d
@@ -847,7 +949,7 @@ class _TrialBatch:
         from .defense import FIRST, FOLLOWUP, delays_from_uniform
 
         if self.defense is None:
-            self.defense = np.stack([gen.random(self.n_packets) for gen in self.streams.defense])
+            self.defense = self.streams.block("defense", "random", self.n_packets)
         u = self.defense[idx, self.defense_next[idx]]
         self.defense_next[idx] += 1
         first = first[idx]
@@ -873,7 +975,7 @@ def simulate_trials(
 ) -> TrialTraces:
     """Run one single-flow packet schedule as len(streams) independent trials.
 
-    Trial j draws only from entry j of each of the batch's stream lists and
+    Trial j draws only from row j of each of the batch's streams and
     produces exactly what `Simulation(path, controller, RngStreams(seed,
     trials[j], group), ...)` produces for the same packets; `warm`
     pre-installs the flow's rules at every configured switch.  Each stream is

@@ -17,8 +17,9 @@ numbers at once on the trial-batched engine (`netsim.simulate_trials`): the
 trial is a numpy axis, and every packet x hop step advances all trials
 together.  Trial t draws only from its own four streams, seeded from (seed,
 group, t), so its rows are the same whichever trials run beside it; a
-`netsim.TrialStreams` seeds each stream name for all trials in one
-vectorised pass.  Every stream is drawn as one block per trial: `cross` and
+`netsim.TrialStreams` seeds each stream for all trials in one vectorised pass
+and draws its `random()` streams by PCG64 over the trial axis, with no
+per-trial Generator.  Every stream is drawn as one block per trial: `cross` and
 `drift` in a layout the schedule fixes, the `control` stream (lookup and
 install delays on a table miss) and the `defense` stream (delay-element
 holds), which depend on per-trial state, through a per-trial cursor in packet
@@ -357,7 +358,11 @@ def extract_passive_pairs(trace: Trace, window_ns: int) -> tuple[np.ndarray, np.
     """
     if window_ns <= 0:
         raise ValueError("window must be positive")
-    flows = np.unique(trace.flow, return_inverse=True)[1].reshape(-1)
+    # np.unique's codes, without sorting an object array: rank the distinct
+    # flows by the same Python `<`.
+    flow = trace.flow.tolist()
+    rank = {f: i for i, f in enumerate(sorted(dict.fromkeys(flow)))}
+    flows = np.fromiter(map(rank.__getitem__, flow), np.intp, len(flow))
     order = np.lexsort((trace.packet_id, trace.client_send_ns, flows, trace.trial))
     trial, flow, send = trace.trial[order], flows[order], trace.client_send_ns[order]
     gap = send[1:] - send[:-1]

@@ -201,6 +201,25 @@ def test_defended_builtins_match_scalar_reference():
                 ) == reference(schedule, path, controller, trials, kwargs)
 
 
+def test_pareto_control_delays_match_scalar_reference():
+    # Pareto lookup and installs draw only random(), so `control` is drawn by
+    # PCG64 over the trial axis like `cross` and `defense`, with no Generator.
+    for name in ("k2-hw-100m", "k3-hw-1g"):
+        scenario = replace(
+            builtin_scenarios()[name],
+            lookup_delay=pareto(200_000, 10**10),
+            install_delay=pareto(2 * MS, 10**12),
+            defense=DelayElementConfig(),
+        )
+        path, controller = scenario.build_path(), scenario.build_controller()
+        kwargs = dict(seed=scenario.seed, group=0, warm=False)
+        trials = range(25)
+        schedule = build_probe_train(DEFAULT_FLOW)
+        batched = run_schedule(schedule, path, controller, trials=trials, **kwargs)
+        assert batched.miss_flag.any()
+        assert batched == reference(schedule, path, controller, trials, kwargs)
+
+
 @given(cases())
 def test_engine_timestamps_are_ordered_within_each_trial(case):
     # Without drift the last forward link is FIFO and replies only add delay.

@@ -19,6 +19,7 @@ from sdnfp.netsim import (
     TrialStreams,
     clear_flow_tables,
     handle_table_miss,
+    pcg64_random,
     spawn_state,
     transmission_delay_ns,
     uniform_path,
@@ -380,22 +381,72 @@ def test_spawn_state_word_boundaries(seed, group):
         assert state.tolist() == expected
 
 
+def numpy_generator(seed, group, trial, stream):
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(group, trial, stream))
+    return np.random.default_rng(seq)
+
+
 @given(
     seed=st.integers(0, 2**128),
     group=st.integers(0, 2**40),
     trials=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
 )
 def test_trial_streams_draw_as_numpy_seeded_generators(seed, group, trials):
-    batch = TrialStreams(seed, np.array(trials, np.int64), group)
+    trials = np.array(trials, np.int64)
+    blocks = {
+        method: TrialStreams(seed, trials, group) for method in ("random", "standard_normal")
+    }
+    listed = TrialStreams(seed, trials, group)
     for stream, name in enumerate(STREAM_NAMES):
-        gens = getattr(batch, name)
+        gens = listed.generators(name)
         assert len(gens) == len(trials)
+        for method, batch in blocks.items():
+            block = batch.block(name, method, 7)
+            assert block.shape == (len(trials), 7)
+            for row, trial in zip(block, trials):
+                oracle = getattr(numpy_generator(seed, group, trial, stream), method)(7)
+                assert row.tolist() == oracle.tolist()
         for gen, trial in zip(gens, trials):
-            oracle = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(group, trial, stream))
-            )
+            oracle = numpy_generator(seed, group, trial, stream)
             assert gen.random(7).tolist() == oracle.random(7).tolist()
             assert gen.standard_normal(7).tolist() == oracle.standard_normal(7).tolist()
+
+
+PCG_BLOCK = 16  # draws per block in pcg64_random
+
+
+@given(
+    seed=st.integers(0, 2**128),
+    group=st.integers(0, 2**40),
+    trials=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+    stream=st.integers(0, 3),
+    n=st.one_of(
+        st.sampled_from([0, 1, PCG_BLOCK - 1, PCG_BLOCK, PCG_BLOCK + 1, 2 * PCG_BLOCK + 1]),
+        st.integers(0, 200),
+    ),
+)
+def test_vector_random_matches_numpy_pcg64(seed, group, trials, stream, n):
+    got = pcg64_random(spawn_state(seed, group, np.array(trials, np.int64), stream), n)
+    assert got.dtype == np.float64 and got.shape == (len(trials), n)
+    for row, trial in zip(got, trials):
+        assert row.tolist() == numpy_generator(seed, group, trial, stream).random(n).tolist()
+
+
+def test_vector_random_matches_numpy_over_long_blocks():
+    # 12,000 draws per trial reach the XSL-RR output's rotation by 0, which
+    # happens on one state in 64; count them with PCG64's own recurrence.
+    n, trials = 12_000, [0, 3, 2**32 - 1]
+    got = pcg64_random(spawn_state(20403, 1, np.array(trials, np.int64), 2), n)
+    mult = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+    for row, trial in zip(got, trials):
+        gen = numpy_generator(20403, 1, trial, 2)
+        state = gen.bit_generator.state["state"]
+        s, inc, zero_rotations = state["state"], state["inc"], 0
+        for _ in range(n):
+            s = (s * mult + inc) % 2**128
+            zero_rotations += s >> 122 == 0
+        assert zero_rotations > 0
+        assert row.tolist() == gen.random(n).tolist()
 
 
 @pytest.mark.parametrize("trials", [[-1], [0, 2**32], [2**40]])
@@ -403,7 +454,7 @@ def test_spawn_state_rejects_trials_outside_32_bits(trials):
     with pytest.raises(ValueError):
         spawn_state(7, 0, np.array(trials, np.int64), 0)
     with pytest.raises(ValueError):
-        TrialStreams(7, np.array(trials, np.int64)).cross
+        TrialStreams(7, np.array(trials, np.int64)).block("cross", "random", 1)
 
 
 def test_spawn_state_rejects_negative_seed_and_group():
@@ -424,10 +475,24 @@ def test_trial_streams_build_each_name_on_first_access(monkeypatch):
 
     monkeypatch.setattr(netsim, "spawn_state", counted)
     batch = TrialStreams(5, np.arange(3), group=1)
-    assert len(batch) == 3 and passes == []
-    assert not set(STREAM_NAMES) & set(vars(batch))
-    gens = batch.control
-    assert batch.control is gens and passes == [1]  # one pass for all trials, then cached
-    assert set(STREAM_NAMES) & set(vars(batch)) == {"control"}
-    with pytest.raises(AttributeError):
-        batch.unknown
+    assert len(batch) == 3 and passes == []  # a stream nobody draws costs nothing
+    assert batch.block("control", "random", 4).shape == (3, 4)
+    assert passes == [1]  # one pass for all trials
+    assert len(batch.generators("drift")) == 3 and passes == [1, 3]
+    with pytest.raises(ValueError, match="unknown stream"):
+        batch.block("unknown", "random", 4)
+    assert passes == [1, 3]
+
+
+@pytest.mark.parametrize("method", ["random", "standard_normal", None])
+def test_trial_streams_hand_out_each_stream_once(method):
+    # A second block would replay the stream from its start, where a
+    # Generator would continue: it raises instead.
+    batch = TrialStreams(5, np.arange(3))
+    batch.block("defense", "random", 4)
+    with pytest.raises(RuntimeError, match="defense"):
+        if method is None:
+            batch.generators("defense")
+        else:
+            batch.block("defense", method, 4)
+    assert batch.block("cross", "random", 4).shape == (3, 4)  # other streams are unaffected

@@ -12,6 +12,7 @@ from sdnfp.probes import (
     Trace,
     build_probe_train,
     extract_passive_pairs,
+    greedy_pair_starts,
     idle_flow_probes,
     run_schedule,
 )
@@ -142,6 +143,28 @@ def test_passive_pairs_greedy_non_overlap():
 
 def test_passive_pairs_distinct_flows_never_mix():
     assert passive_pairs([0, 1000], window_ns=S, flows=["a", "b"]) == []
+
+
+def test_passive_pairs_rank_flows_as_np_unique_does():
+    # Flows first seen in an order other than their sorted one, over two
+    # trials: the pairs must be those np.unique's flow codes give.
+    flows = ["z", "b", "z", "a", "b", "a", "m", "m", "b", "z"] * 2
+    n = len(flows)
+    send = np.array([0, 5, 7, 9, 11, 20, 30, 31, 40, 41] * 2) * S
+    trace = Trace(
+        trial=np.repeat([0, 1], n // 2), packet_id=np.arange(n), kind=["PROBE"] * n,
+        flow=flows, client_send_ns=send, server_recv_ns=send + 1,
+        server_reply_send_ns=send + 1, client_recv_ns=send + 2,
+        miss_flag=np.zeros(n), table_full=np.zeros(n),
+    )
+    codes = np.unique(trace.flow, return_inverse=True)[1].reshape(-1)
+    order = np.lexsort((trace.packet_id, trace.client_send_ns, codes, trace.trial))
+    gap = np.diff(send[order])
+    same = (np.diff(trace.trial[order]) == 0) & (np.diff(codes[order]) == 0)
+    starts = greedy_pair_starts(same & (gap > 0) & (gap <= 10 * S))
+    first, second = extract_passive_pairs(trace, 10 * S)
+    assert first.tolist() == order[starts].tolist() and len(first) > 2
+    assert second.tolist() == order[starts + 1].tolist()
 
 
 def test_passive_pairs_zero_gap_excluded():

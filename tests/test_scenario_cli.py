@@ -5,8 +5,10 @@ import hashlib
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import sdnfp.cli as cli
 from sdnfp.cli import main
 from sdnfp.defense import DelayElementConfig
 from sdnfp.scenario import (
@@ -589,3 +591,31 @@ def test_report_summary_quotes_a_scenario_name_with_a_comma(tmp_path):
         ("lab,run1", "dispersion"),
     ]
     assert all(len(r) == 7 and None not in r for r in rows)
+
+
+def test_cli_dispatches_by_name_on_every_call(tmp_path, monkeypatch):
+    # The parser is built once per process; each call must still run the
+    # cmd_<command> the module holds at that moment, as a tracer patches it.
+    args = ["eer", "--samples", str(tmp_path / "missing.csv"), "--out", str(tmp_path)]
+    assert main(args) == 1
+    seen = []
+    monkeypatch.setattr(cli, "cmd_eer", lambda a: seen.append(a.samples) or 0)
+    assert main(args) == 0
+    assert seen == [str(tmp_path / "missing.csv")]
+
+
+def test_defend_builds_generators_only_for_normal_draws(tmp_path, monkeypatch):
+    # Only `control` (lognormal installs) draws standard_normal(): one
+    # Generator per train.  `cross` and `defense` draw random() by PCG64 over
+    # the trial axis, and the warm idle twins never miss.
+    built = []
+    generator = np.random.Generator
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return generator(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", counted)
+    out = tmp_path / "runs"
+    assert main(["defend", "--scenario", "k2-hw-100m", "--trains", "8", "--out", str(out)]) == 0
+    assert len(built) == 8
