@@ -3,9 +3,11 @@
 Each stage reads and writes the documented CSV/JSON files, so stages can be
 chained or run in isolation; every CSV is a `probes.Table` and every JSON
 file goes through `scenario.write_json`.  `extract` and `report` require the
-scenario.json sidecar that every bundle holds (write one beside an external
-trace): it describes the scenario and supplies `extract --passive`'s default
-window.
+scenario.json sidecar that every bundle holds: a scenario config file with one
+entry, which describes the scenario and supplies `extract --passive`'s default
+window.  Beside an external trace, write one such as
+`{"scenarios": [{"name": "lab", "seed": 1, "k": 2}]}`; omitted keys take the
+same defaults as in a YAML scenario file.
 Exit codes: 0 success, 2 configuration error, 1 anything else.
 """
 
@@ -210,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="turn a trace CSV into labeled feature samples")
     p.add_argument(
         "--traces", required=True,
-        help="trace CSV; the scenario.json beside it is required and supplies the passive window",
+        help="trace CSV; the scenario.json beside it is required and supplies the passive "
+        'window (write one beside an external trace: {"scenarios": [{"name": "lab", "seed": 1, "k": 2}]})',
     )
     p.add_argument("--out", required=True)
     p.add_argument(
@@ -219,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--window-s", type=float, dest="window_s",
-        help="passive pairing window in seconds (default: the sidecar's passive_window_s)",
+        help="passive pairing window in seconds (default: the sidecar's passive_window)",
     )
 
     p = sub.add_parser("eer", help="equal error rate from a feature sample CSV")

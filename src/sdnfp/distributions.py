@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import NS_PER_MS, ns_from_float, parse_duration_ns, parse_variance_ns2
+from .units import DURATION, NS_PER_MS, VARIANCE, ns_from_float
 
 
 @dataclass(frozen=True)
@@ -141,10 +141,6 @@ def pareto(mean_ns: int, variance_ns2: int) -> DelayModel:
 
 NO_DELAY = DelayModel(kind="none")
 
-# Cross-traffic generator defaults: Pareto, 20 ms mean, 4 ms^2 variance.
-DEFAULT_CROSS_MEAN_NS = 20 * NS_PER_MS
-DEFAULT_CROSS_VARIANCE_NS2 = 4 * NS_PER_MS**2
-
 
 @dataclass(frozen=True)
 class CrossTrafficModel:
@@ -155,8 +151,8 @@ class CrossTrafficModel:
     """
 
     kind: str = "pareto"
-    mean_ns: int = DEFAULT_CROSS_MEAN_NS
-    variance_ns2: int = DEFAULT_CROSS_VARIANCE_NS2
+    mean_ns: int = 20 * NS_PER_MS
+    variance_ns2: int = 4 * NS_PER_MS**2
 
     def __post_init__(self):
         if self.kind not in ("pareto", "constant", "none"):
@@ -170,28 +166,16 @@ class CrossTrafficModel:
         return pareto(self.mean_ns, self.variance_ns2)
 
 
-def delay_model_from_config(cfg: dict) -> DelayModel:
-    """Build a DelayModel from a config mapping with explicit units."""
-    kind = cfg.get("kind")
-    if kind == "none" or kind is None:
-        return NO_DELAY
-    if kind == "constant":
-        return constant(parse_duration_ns(cfg["value"]))
-    if kind == "pareto":
-        return pareto(parse_duration_ns(cfg["mean"]), parse_variance_ns2(cfg["variance"]))
-    if kind == "lognormal":
-        return lognormal(parse_duration_ns(cfg["median"]), float(cfg["sigma_log"]))
-    raise ValueError(f"unknown delay kind {kind!r}")
-
-
-def cross_traffic_from_config(cfg: dict | None) -> CrossTrafficModel | None:
-    if cfg is None:
-        return None
-    kind = cfg.get("kind", "pareto")
-    if kind == "none":
-        return CrossTrafficModel(kind="none", mean_ns=0, variance_ns2=0)
-    mean_ns = parse_duration_ns(cfg["mean"]) if "mean" in cfg else DEFAULT_CROSS_MEAN_NS
-    var_ns2 = (
-        parse_variance_ns2(cfg["variance"]) if "variance" in cfg else DEFAULT_CROSS_VARIANCE_NS2
-    )
-    return CrossTrafficModel(kind=kind, mean_ns=mean_ns, variance_ns2=var_ns2)
+# Per kind, the config keys of a DelayModel and of a CrossTrafficModel:
+# {kind: {key: (field, (parse, write))}}.  An omitted key keeps the field's default.
+DELAY_KINDS = {
+    "none": {},
+    "constant": {"value": ("value_ns", DURATION)},
+    "pareto": {"mean": ("mean_ns", DURATION), "variance": ("variance_ns2", VARIANCE)},
+    "lognormal": {"median": ("median_ns", DURATION), "sigma_log": ("sigma_log", (float, float))},
+}
+CROSS_TRAFFIC_KINDS = {
+    "none": {},
+    "constant": {"mean": ("mean_ns", DURATION)},
+    "pareto": {"mean": ("mean_ns", DURATION), "variance": ("variance_ns2", VARIANCE)},
+}

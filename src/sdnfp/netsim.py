@@ -842,9 +842,8 @@ class _TrialBatch:
         self.defense_next = np.zeros(n, np.intp)
         self.full_rules = [min(2, sw.table_capacity) for sw in path.switches[:k]]
         self.rules = [np.full(n, r if warm else 0, np.int8) for r in self.full_rules]
-        self.win_open = [np.zeros(n, bool) for _ in range(k)]
+        # Per switch, the install window [start, start + penalty); a CLEAR zeroes the penalty.
         self.win_start = [np.zeros(n, np.int64) for _ in range(k)]
-        self.win_end = [np.zeros(n, np.int64) for _ in range(k)]
         self.win_penalty = [np.zeros(n, np.int64) for _ in range(k)]
         self.last_release = np.zeros(n, np.int64)
         self.clear_pending = np.zeros(n, bool)
@@ -860,8 +859,8 @@ class _TrialBatch:
         done = self.clear_pending & (now >= self.clear_at)
         for held in self.rules:
             held[done] = 0
-        for w in self.win_open:
-            w[done] = False
+        for w in self.win_penalty:
+            w[done] = 0
         self.seen[done] = False
         self.clear_pending &= ~done
 
@@ -887,7 +886,7 @@ class _TrialBatch:
         """
         if self.element is not None and s == 0:
             delayed, first = self.select_bucket(now)
-        in_install = self.win_open[s] & (self.win_start[s] <= now) & (now < self.win_end[s])
+        in_install = (self.win_start[s] <= now) & (now < self.win_start[s] + self.win_penalty[s])
         miss = self.rules[s] == 0
         ready = now.copy()
         surcharge = np.zeros_like(now)
@@ -899,9 +898,7 @@ class _TrialBatch:
                 held[idx] = np.maximum(held[idx], n)
                 full |= held[idx] < 2
             at = now[idx]
-            self.win_open[s][idx] = True
             self.win_start[s][idx] = at
-            self.win_end[s][idx] = at + charge
             self.win_penalty[s][idx] = charge
             self.last_release[idx] = at + charge
             surcharge[idx] = charge

@@ -16,9 +16,13 @@ into one, labels the joined trace with `features.label_samples` and, when
 asked, writes traces.csv, samples.csv (both in the tables' one CSV format),
 results.json and scenario.json (both with `write_json`, the one JSON writer)
 with `write_bundle`.  `emit_report` writes the report's summary and PDF_N/PDF_Y
-histograms as tables too.  `read_scenario_descriptor` is the one reader of
-that scenario.json sidecar, for the CLI stages that start from persisted
-files, and validates what it reads as a YAML scenario is validated.
+histograms as tables too.
+
+There is one scenario schema: `_CONFIG_FIELDS` and the per-kind key tables
+give each config key a (parse, write) pair, so `scenario_to_config` inverts
+`scenario_from_config`.  scenario.json is a config file with the bundle's
+scenario as its one entry; `read_scenario_descriptor` reads it, for the CLI
+stages that start from persisted files, with the parser `load_scenarios` runs.
 
 Shipped install-delay calibration: rule installation takes single-digit
 milliseconds on hardware switches and sub-millisecond on the software switch.
@@ -31,9 +35,10 @@ ground truth.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -41,10 +46,10 @@ import yaml
 from . import probes as probes_mod
 from .defense import DelayElementConfig, apply_delay_element
 from .distributions import (
+    CROSS_TRAFFIC_KINDS,
+    DELAY_KINDS,
     CrossTrafficModel,
     DelayModel,
-    cross_traffic_from_config,
-    delay_model_from_config,
     lognormal,
     constant,
 )
@@ -68,13 +73,7 @@ from .netsim import (
 )
 from .probes import Table, Trace, build_probe_train, idle_flow_probes, run_schedule
 from .stats import EERResult, GPDParams, WelchResult, build_histogram, compute_eer, welch_t_test
-from .units import (
-    NS_PER_MS,
-    NS_PER_S,
-    parse_duration_ns,
-    parse_rate_bps,
-    parse_size_bytes,
-)
+from .units import DURATION, NS_PER_MS, NS_PER_S, RATE, SIZE, parse_duration_ns
 
 
 class ConfigError(ValueError):
@@ -335,7 +334,8 @@ def write_bundle(bundle: ResultBundle, out_dir: Path) -> None:
 
 
 def scenario_descriptor(s: Scenario) -> dict:
-    """Sidecar so persisted traces stay self-describing."""
+    """The scenario.json sidecar, so persisted traces stay self-describing: a
+    config file whose one entry is `s`, beside summary fields nothing reads."""
     return {
         "name": s.name,
         "seed": s.seed,
@@ -347,38 +347,24 @@ def scenario_descriptor(s: Scenario) -> dict:
         "defended": s.defense is not None,
         "bin_width_ms": s.bin_width_ms,
         "passive_window_s": s.passive_window_ns / NS_PER_S,
+        "scenarios": [scenario_to_config(s)],
     }
 
 
 def read_scenario_descriptor(bundle_dir: Path | str) -> Scenario:
-    """The scenario a bundle's scenario.json sidecar describes.
-
-    Reads the ten fields `scenario_descriptor` writes; every other field keeps
-    its default.  The sidecar does not record a delay element's parameters, so
-    a defended bundle reads back with the reference `DelayElementConfig()`.  A
-    missing or unreadable file, or a missing or malformed field, raises
-    ConfigError naming the file and the field, as does a scenario that fails
-    `Scenario.validate`.
-    """
+    """The scenario of a bundle's scenario.json sidecar, read as a config file
+    with one entry, as `load_scenarios` reads its entries.  A missing or
+    unreadable file, or an entry that is malformed or fails
+    `Scenario.validate`, raises ConfigError naming the file."""
     path = Path(bundle_dir) / "scenario.json"
-    field = partial(_field, _read_json_object(path, "scenario"), source=path)
-    scenario = Scenario(
-        name=field("name", str),
-        seed=field("seed", int),
-        trains=field("trains", int),
-        k=field("k", int),
-        switch_kind=field("switch_kind", str),
-        data_link_bps=field("data_link_bps", int),
-        time_span_ns=round(field("time_span_s", float) * NS_PER_S),
-        defense=field("defended", {False: None, True: DelayElementConfig()}.__getitem__),
-        bin_width_ms=field("bin_width_ms", float),
-        passive_window_ns=round(field("passive_window_s", float) * NS_PER_S),
-    )
+    raw = _read_json_object(path, "scenario")
     try:
-        scenario.validate()
+        scenarios = _scenarios(raw)
+        if len(scenarios) > 1:
+            raise ConfigError("scenarios: a sidecar holds one entry")
     except ConfigError as exc:
         raise ConfigError(f"{exc} in {path}") from None
-    return scenario
+    return scenarios[0]
 
 
 def _read_json_object(path: Path, what: str) -> dict:
@@ -459,11 +445,9 @@ def _field(mapping: dict, key: str, parse, source):
     if key not in mapping:
         raise ConfigError(f"{key}: missing from {source}")
     try:
-        return parse(mapping[key])
+        return _parse((parse, None), mapping[key], key)
     except ConfigError as exc:
         raise ConfigError(f"{exc} in {source}") from None
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"{key}: invalid value {mapping[key]!r} in {source} ({exc})") from exc
 
 
 def _gpd_from_config(cfg: dict, source) -> GPDParams:
@@ -474,6 +458,7 @@ def _gpd_from_config(cfg: dict, source) -> GPDParams:
     draw a negative hold; it is rejected here, before anything runs, although
     `sdnfp fit` writes one for a population that reaches below 0.
     """
+    _as_mapping(cfg, source)
     shape, scale, location = (
         _field(cfg, key, float, source) for key in ("shape", "scale_ms", "location_ms")
     )
@@ -490,86 +475,139 @@ def load_gpd(path: Path | str) -> GPDParams:
     return _gpd_from_config(_read_json_object(Path(path), "gpd"), path)
 
 
-def _known_keys(value, keys: tuple[str, ...], prefix: str):
-    """`value`; if it is a mapping, a key outside `keys` raises ConfigError
-    naming it as `prefix.key`."""
-    if isinstance(value, dict):
-        unknown = [key for key in value if key not in keys]
-        if unknown:
-            raise ConfigError(f"{prefix}.{unknown[0]}: unknown key")
-    return value
+class _Nested(NamedTuple):
+    """The (parse, write) pair of a config value that holds keys of its own:
+    `parse` also takes the value's dotted key, to name the keys inside it."""
+
+    parse: Callable
+    write: Callable
 
 
-_DELAY_KEYS = ("kind", "value", "mean", "variance", "median", "sigma_log")
+def _parse(codec, value, key: str):
+    """`value` read by `codec`, a (parse, write) pair or a `_Nested` one; an
+    error other than a ConfigError becomes one naming `key`, the value's
+    dotted config key."""
+    try:
+        return codec.parse(value, key) if isinstance(codec, _Nested) else codec[0](value)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigError(f"{key}: invalid value {value!r} ({exc})") from exc
 
 
-def _defense_from_config(cfg: dict) -> DelayElementConfig:
-    delays = ("first_delay", "followup_delay")
-    _known_keys(cfg, ("t_th", "window", "per_k", *delays), "defense")
-    per_k = None
-    if "per_k" in cfg:
-        per_k = {}
-        for k, v in cfg["per_k"].items():
-            _known_keys(v, delays, f"defense.per_k.{k}")
-            per_k[int(k)] = tuple(_gpd_from_config(v[d], f"defense.per_k.{k}.{d}") for d in delays)
-    kwargs = {}
-    if "t_th" in cfg:
-        kwargs["t_th_ns"] = parse_duration_ns(cfg["t_th"])
-    if "window" in cfg:
-        kwargs["window_ns"] = parse_duration_ns(cfg["window"])
-    for d in delays:
-        if d in cfg:
-            kwargs[d] = _gpd_from_config(cfg[d], f"defense.{d}")
-    return DelayElementConfig(per_k=per_k, **kwargs)
+def _as_mapping(cfg, key: str) -> dict:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{key}: must be a mapping, got {cfg!r}")
+    return cfg
 
 
-def _drift_from_config(cfg: dict) -> DriftModel:
-    _known_keys(cfg, ("sigma", "base"), "drift")
-    kwargs = {"sigma_ns_per_sqrt_s": float(parse_duration_ns(cfg["sigma"]))}
-    if "base" in cfg:
-        kwargs["base_ns"] = parse_duration_ns(cfg["base"])
-    return DriftModel(**kwargs)
+def _fields(cfg, keys: dict, key: str) -> dict:
+    """{field: value} of a config mapping by `keys`, {config key: (field,
+    codec)}; `key` is the mapping's dotted name, '' for a scenario entry."""
+    fields = {}
+    for name, value in _as_mapping(cfg, key).items():
+        dotted = f"{key}.{name}" if key else name
+        if name not in keys:
+            raise ConfigError(f"{dotted}: unknown key")
+        field, codec = keys[name]
+        fields[field] = _parse(codec, value, dotted)
+    return fields
 
 
-def _checked(parse, keys: tuple[str, ...], prefix: str):
-    """`parse`, after `_known_keys` has checked the mapping it is given."""
-    return lambda value: parse(_known_keys(value, keys, prefix))
+def _config(obj, keys: dict) -> dict:
+    """The config mapping `_fields` reads back as `obj`'s fields."""
+    return {name: codec[1](getattr(obj, field)) for name, (field, codec) in keys.items()}
 
 
-# YAML key -> (Scenario field, parser of the key's value).
+def _mapping(cls, keys: dict) -> _Nested:
+    """Codec of a mapping with fixed `keys` that builds a `cls`."""
+    return _Nested(lambda cfg, key: cls(**_fields(cfg, keys, key)), lambda obj: _config(obj, keys))
+
+
+def _kinds(cls, kinds: dict) -> _Nested:
+    """Codec of a mapping that builds a `cls`, whose `kind` key picks its
+    other keys from `kinds`; an omitted kind is `cls`'s default kind."""
+    keys = {kind: {"kind": ("kind", _STR), **kinds[kind]} for kind in kinds}
+
+    def parse(cfg, key):
+        kind = _as_mapping(cfg, key).get("kind", cls.kind)
+        if kind not in keys:
+            raise ConfigError(f"{key}.kind: unknown kind {kind!r}")
+        return cls(**_fields(cfg, keys[kind], key))
+
+    return _Nested(parse, lambda obj: _config(obj, keys[obj.kind]))
+
+
+def _optional(codec: _Nested) -> _Nested:
+    """`codec`, with null for None."""
+    return _Nested(
+        lambda cfg, key: None if cfg is None else codec.parse(cfg, key),
+        lambda obj: None if obj is None else codec.write(obj),
+    )
+
+
+def _feature_list(value) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise TypeError("must be a list")
+    return tuple(value)
+
+
+_INT, _STR = (int, int), (str, str)
+# A bin width (ms) and a drift sigma are floats of whole nanoseconds once parsed;
+# written as whole nanoseconds, an int sigma writes the text its float does.
+_BIN_WIDTH = (lambda v: parse_duration_ns(v) / NS_PER_MS, lambda ms: f"{round(ms * NS_PER_MS)} ns")
+_SIGMA = (lambda v: float(parse_duration_ns(v)), "{:.0f} ns".format)
+_GPD = _Nested(
+    _gpd_from_config,
+    lambda p: {"shape": p.shape, "scale_ms": p.scale, "location_ms": p.location},
+)
+_DELAYS = ("first_delay", "followup_delay")
+# A per_k entry: the (first, follow-up) delays of one configured-switch count.
+_DelayPair = namedtuple("_DelayPair", _DELAYS)
+_PAIR = _mapping(_DelayPair, {d: (d, _GPD) for d in _DELAYS})
+_PER_K = _Nested(
+    lambda cfg, key: {int(k): _parse(_PAIR, pair, f"{key}.{k}") for k, pair in _as_mapping(cfg, key).items()},
+    lambda per_k: {str(k): _PAIR.write(_DelayPair(*pair)) for k, pair in per_k.items()},
+)
+_DEFENSE = _mapping(DelayElementConfig, {
+    "t_th": ("t_th_ns", DURATION),
+    "window": ("window_ns", DURATION),
+    **{d: (d, _GPD) for d in _DELAYS},
+    "per_k": ("per_k", _optional(_PER_K)),
+})
+_DRIFT = _mapping(DriftModel, {"sigma": ("sigma_ns_per_sqrt_s", _SIGMA), "base": ("base_ns", DURATION)})
+
+# Scenario entry key -> (Scenario field, codec of the key's value).
 _CONFIG_FIELDS = {
-    "seed": ("seed", int),
-    "trains": ("trains", int),
-    "k": ("k", int),
-    "switch_kind": ("switch_kind", str),
-    "data_link": ("data_link_bps", parse_rate_bps),
-    "links_forward": ("links_forward", int),
-    "links_reverse": ("links_reverse", int),
-    "base_latency": ("base_latency_ns", parse_duration_ns),
-    "cross_traffic": (
-        "cross_traffic",
-        _checked(cross_traffic_from_config, ("kind", "mean", "variance"), "cross_traffic"),
-    ),
-    "install_delay": ("install_delay", _checked(delay_model_from_config, _DELAY_KEYS, "install_delay")),
-    "lookup_delay": ("lookup_delay", _checked(delay_model_from_config, _DELAY_KEYS, "lookup_delay")),
-    "mtu": ("mtu_bytes", parse_size_bytes),
-    "reply_size": ("reply_bytes", parse_size_bytes),
-    "pair_spacing": ("pair_spacing_ns", parse_duration_ns),
-    "time_span": ("time_span_ns", parse_duration_ns),
-    "passive_window": ("passive_window_ns", parse_duration_ns),
-    "bin_width": ("bin_width_ms", lambda v: parse_duration_ns(v) / NS_PER_MS),
-    "table_capacity": ("table_capacity", int),
-    "clear_delay": ("clear_delay_ns", parse_duration_ns),
-    "turnaround": ("turnaround_ns", parse_duration_ns),
-    "idle_lead": ("idle_lead_ns", parse_duration_ns),
-    "defense": ("defense", lambda v: None if v is None else _defense_from_config(v)),
-    "drift": ("drift", lambda v: None if v is None else _drift_from_config(v)),
-    "features": ("feature_set", tuple),
+    "seed": ("seed", _INT),
+    "trains": ("trains", _INT),
+    "k": ("k", _INT),
+    "switch_kind": ("switch_kind", _STR),
+    "data_link": ("data_link_bps", RATE),
+    "links_forward": ("links_forward", _INT),
+    "links_reverse": ("links_reverse", _INT),
+    "base_latency": ("base_latency_ns", DURATION),
+    "cross_traffic": ("cross_traffic", _optional(_kinds(CrossTrafficModel, CROSS_TRAFFIC_KINDS))),
+    "install_delay": ("install_delay", _optional(_kinds(DelayModel, DELAY_KINDS))),
+    "lookup_delay": ("lookup_delay", _kinds(DelayModel, DELAY_KINDS)),
+    "mtu": ("mtu_bytes", SIZE),
+    "reply_size": ("reply_bytes", SIZE),
+    "pair_spacing": ("pair_spacing_ns", DURATION),
+    "time_span": ("time_span_ns", DURATION),
+    "passive_window": ("passive_window_ns", DURATION),
+    "bin_width": ("bin_width_ms", _BIN_WIDTH),
+    "table_capacity": ("table_capacity", _INT),
+    "clear_delay": ("clear_delay_ns", DURATION),
+    "turnaround": ("turnaround_ns", DURATION),
+    "idle_lead": ("idle_lead_ns", DURATION),
+    "defense": ("defense", _optional(_DEFENSE)),
+    "drift": ("drift", _optional(_DRIFT)),
+    "features": ("feature_set", (_feature_list, list)),
 }
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
-    """The scenario of one YAML entry.  A built-in's name starts from that
+    """The scenario of one config entry.  A built-in's name starts from that
     built-in, any other name from `Scenario`'s defaults and needs a seed; each
     key given replaces one field, and a key `_CONFIG_FIELDS` does not know is
     an error."""
@@ -577,20 +615,30 @@ def scenario_from_config(cfg: dict) -> Scenario:
         raise ConfigError("scenario: each entry must be a mapping")
     name = _field(cfg, "name", str, "the scenario entry")
     source = f"scenario {name!r}"
-    unknown = [key for key in cfg if key != "name" and key not in _CONFIG_FIELDS]
-    if unknown:
-        raise ConfigError(f"{unknown[0]}: unknown key in {source}")
     base = builtin_scenarios().get(name)
     if base is None:
         base = Scenario(name=name, seed=_field(cfg, "seed", int, source))
-    parsed = {
-        field: _field(cfg, key, parse, source)
-        for key, (field, parse) in _CONFIG_FIELDS.items()
-        if key in cfg
-    }
-    scenario = replace(base, **parsed)
+    try:
+        fields = _fields({key: v for key, v in cfg.items() if key != "name"}, _CONFIG_FIELDS, "")
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} in {source}") from None
+    scenario = replace(base, **fields)
     scenario.validate()
     return scenario
+
+
+def scenario_to_config(s: Scenario) -> dict:
+    """The config entry `scenario_from_config` reads back as `s`."""
+    return {"name": s.name, **_config(s, _CONFIG_FIELDS)}
+
+
+def _scenarios(raw) -> list[Scenario]:
+    """The scenarios of a config file's content: {scenarios: [ {...}, ... ]}."""
+    if not isinstance(raw, dict) or "scenarios" not in raw:
+        raise ConfigError("config: top level must be a mapping with a 'scenarios' list")
+    if not isinstance(raw["scenarios"], list) or not raw["scenarios"]:
+        raise ConfigError("scenarios: must be a non-empty list")
+    return [scenario_from_config(entry) for entry in raw["scenarios"]]
 
 
 def load_scenarios(path: Path | str) -> list[Scenario]:
@@ -601,8 +649,4 @@ def load_scenarios(path: Path | str) -> list[Scenario]:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config: invalid YAML in {path}: {exc}") from exc
-    if not isinstance(raw, dict) or "scenarios" not in raw:
-        raise ConfigError("config: top level must be a mapping with a 'scenarios' list")
-    if not isinstance(raw["scenarios"], list) or not raw["scenarios"]:
-        raise ConfigError("scenarios: must be a non-empty list")
-    return [scenario_from_config(entry) for entry in raw["scenarios"]]
+    return _scenarios(raw)

@@ -114,3 +114,10 @@ def parse_variance_ns2(text: str) -> int:
     value, scale = _parse(text, _VARIANCE_SCALES, "variance")
     return _scaled_int(value, scale, "variance")
 
+
+# Each parser with the writer it inverts, as the (parse, write) pair of a
+# config value: the writer's text parses back to the value it was given.
+DURATION = (parse_duration_ns, "{} ns".format)
+RATE = (parse_rate_bps, "{} bps".format)
+SIZE = (parse_size_bytes, "{} B".format)
+VARIANCE = (parse_variance_ns2, "{} ns^2".format)

@@ -4,20 +4,25 @@ their 600 s drift variants and their Table-4 defended runs.
 The traces and samples digests are those of the benchmark's golden outputs;
 results.json is pinned by digest as well.  So are the report over the six
 built-in bundles (summary.csv and every PDF_N/PDF_Y histogram) and each
-built-in's `eer --curve` sweep curves.  Generator streams are only
-promised stable per numpy version, so the digests hold for the version they
-were recorded with and the test is skipped on any other.
+built-in's `eer --curve` sweep curves.  Each of these bundles, and a per-k
+defended run, re-runs byte for byte from its own scenario.json sidecar, whose
+summary fields hold what the benchmark's golden file records.  Generator
+streams are only promised stable per numpy version, so the digests hold for
+the version they were recorded with and the test is skipped on any other.
 """
 
 import hashlib
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sdnfp.cli import main
 from sdnfp.defense import DelayElementConfig
-from sdnfp.scenario import builtin_scenarios, drift_variant, run_scenario
+from sdnfp.scenario import builtin_scenarios, drift_variant, read_scenario_descriptor, run_scenario
+from sdnfp.stats import GPDParams
 from sdnfp.units import NS_PER_S
 
 GOLDEN_NUMPY = "2.4.6"
@@ -202,19 +207,70 @@ def test_eer_curve_digests(name, builtin_bundles, tmp_path):
             assert digest(tmp_path / filename) == expected, filename
 
 
+PER_K = "k2-hw-100m-per-k"
+
+
 def variant(name):
     """A GOLDEN_VARIANTS run as the benchmark builds it: drift_variant at 600 s,
-    or `sdnfp defend`'s reference delay element."""
+    or `sdnfp defend`'s reference delay element; or k2-hw-100m with a per-k
+    delay element."""
     builtins = builtin_scenarios()
     if name.endswith("-drift-600s"):
         return drift_variant(builtins[name.removesuffix("-drift-600s")], 600 * NS_PER_S)
+    if name == PER_K:
+        pair = (GPDParams(-0.3, 3.5, 0.2), GPDParams(-0.2, 1.25, 0.05))
+        return replace(builtins["k2-hw-100m"], name=name, defense=DelayElementConfig(per_k={2: pair}))
     base = builtins[name.removesuffix("-defended")]
     return replace(base, name=name, defense=DelayElementConfig())
 
 
+@pytest.fixture(scope="module")
+def bundle(builtin_bundles, tmp_path_factory):
+    """The bundle directory of a run by name: a built-in, or a variant,
+    simulated on first use."""
+    out = tmp_path_factory.mktemp("variants")
+
+    def simulated(name):
+        if name in GOLDEN:
+            return builtin_bundles / name
+        if not (out / name).exists():
+            run_scenario(variant(name), out / name)
+        return out / name
+
+    return simulated
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_VARIANTS))
-def test_drift_and_defended_bundle_digests(name, tmp_path):
-    needs_golden_numpy()
-    run_scenario(variant(name), tmp_path)
+def test_drift_and_defended_bundle_digests(name, bundle):
     for filename, expected in GOLDEN_VARIANTS[name].items():
-        assert digest(tmp_path / filename) == expected, filename
+        assert digest(bundle(name) / filename) == expected, filename
+
+
+@pytest.mark.parametrize("name", [*sorted(GOLDEN), *sorted(GOLDEN_VARIANTS), PER_K])
+def test_bundle_reruns_from_its_sidecar(name, bundle, tmp_path):
+    original = bundle(name)
+    scenario = builtin_scenarios()[name] if name in GOLDEN else variant(name)
+    assert read_scenario_descriptor(original) == scenario
+    assert main(["simulate", "--config", str(original / "scenario.json"), "--out", str(tmp_path)]) == 0
+    for filename in ("traces.csv", "samples.csv", "results.json", "scenario.json"):
+        assert (tmp_path / name / filename).read_bytes() == (original / filename).read_bytes(), filename
+
+
+# (operation, run name, fields) of each scenario.json the benchmark's golden file records.
+GOLDEN_SIDECARS = [
+    (op, rel.split("/")[0], fields)
+    for op, recorded in sorted(
+        json.loads((Path(__file__).parents[1] / "bench" / "golden.json").read_text())["ops"].items()
+    )
+    for rel, fields in recorded["fields"].items()
+    if rel.endswith("/scenario.json")
+]
+
+
+@pytest.mark.parametrize("op, name, fields", GOLDEN_SIDECARS, ids=[op for op, _, _ in GOLDEN_SIDECARS])
+def test_sidecar_holds_the_golden_summary_fields(op, name, fields, bundle):
+    # The benchmark compares only the recorded fields, each by value and type.
+    sidecar = json.loads((bundle(name) / "scenario.json").read_text())
+    assert {k: (type(sidecar.get(k)), sidecar.get(k)) for k in fields} == {
+        k: (type(v), v) for k, v in fields.items()
+    }

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, strategies as st
 
 import sdnfp.cli as cli
 from sdnfp.cli import main
@@ -20,6 +22,7 @@ from sdnfp.scenario import (
     read_scenario_descriptor,
     run_scenario,
     scenario_from_config,
+    scenario_to_config,
 )
 from sdnfp.stats import build_histogram
 
@@ -372,26 +375,51 @@ def test_cli_extract_passive_window_defaults_to_the_sidecar(tmp_path):
     assert sidecar != passive("1", "--window-s", "1")
 
 
+def edit_sidecar_entry(bundle_dir, **entry):
+    """Rewrite the bundle's scenario.json with its one entry's keys updated
+    from `entry`, a None value deleting its key."""
+    sidecar = bundle_dir / "scenario.json"
+    described = json.loads(sidecar.read_text())
+    edited = dict(described["scenarios"][0], **entry)
+    described["scenarios"] = [{k: v for k, v in edited.items() if v is not None}]
+    sidecar.write_text(json.dumps(described))
+    return sidecar
+
+
 def test_cli_extract_and_report_need_a_complete_sidecar(tmp_path, capsys):
     bundle_dir = tmp_path / "runs" / "k1-hw-100m"
     run_scenario(replace(builtin_scenarios()["k1-hw-100m"], trains=4), bundle_dir)
     extract = ["extract", "--traces", str(bundle_dir / "traces.csv"), "--out", str(tmp_path / "ex")]
     report = ["report", "--bundles", str(bundle_dir), "--out", str(tmp_path / "rep")]
-    sidecar = bundle_dir / "scenario.json"
-    described = json.loads(sidecar.read_text())
-    del described["k"]
-    sidecar.write_text(json.dumps(described))
+    sidecar = edit_sidecar_entry(bundle_dir, name=None)
     capsys.readouterr()
     for argv in (extract, report):
         assert main(argv) == 2
-        assert f"k: missing from {sidecar}" in capsys.readouterr().err
-    sidecar.write_text(json.dumps(dict(described, k=1, defended="no")))
-    with pytest.raises(ConfigError, match="defended: invalid value 'no' in"):
+        assert f"name: missing from the scenario entry in {sidecar}" in capsys.readouterr().err
+    edit_sidecar_entry(bundle_dir, name="k1-hw-100m", defense="no")
+    with pytest.raises(ConfigError, match="defense: must be a mapping, got 'no' in scenario 'k1-hw-100m' in"):
         read_scenario_descriptor(bundle_dir)
     sidecar.unlink()
     for argv in (extract, report):
         assert main(argv) == 2
         assert f"cannot read {sidecar}" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_sidecar_without_a_scenarios_list(tmp_path, capsys):
+    # The ten summary fields alone, as scenario.json held before it held a config entry.
+    bundle_dir = tmp_path / "runs" / "k1-hw-100m"
+    run_scenario(replace(builtin_scenarios()["k1-hw-100m"], trains=4), bundle_dir)
+    sidecar = bundle_dir / "scenario.json"
+    summary = {k: v for k, v in json.loads(sidecar.read_text()).items() if k != "scenarios"}
+    sidecar.write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert main(["extract", "--traces", str(bundle_dir / "traces.csv"), "--out", str(tmp_path / "ex")]) == 2
+    assert f"'scenarios' list in {sidecar}" in capsys.readouterr().err
+
+
+def test_a_hand_written_sidecar_takes_the_defaults_of_omitted_keys(tmp_path):
+    (tmp_path / "scenario.json").write_text('{"scenarios": [{"name": "lab", "seed": 1, "k": 2}]}')
+    assert read_scenario_descriptor(tmp_path) == Scenario(name="lab", seed=1, k=2)
 
 
 @pytest.mark.parametrize("defense", [None, DelayElementConfig()], ids=["undefended", "defended"])
@@ -412,6 +440,82 @@ def test_scenario_from_config_keeps_the_defaults_of_omitted_keys():
     assert scenario_from_config({"name": "k2-hw-100m", "mtu": "1000 B"}) == replace(
         builtin_scenarios()["k2-hw-100m"], mtu_bytes=1000
     )
+
+
+def quantity(unit, low, high):
+    """'<n> <unit>' for n in [low, high], whole or with a fraction."""
+    return st.builds("{}{} {}".format, st.integers(low, high), st.sampled_from(["", ".5", ".125"]), st.just(unit))
+
+
+DURATIONS = quantity("ns", 0, 10**9) | quantity("us", 0, 10**6) | quantity("ms", 0, 10**4)
+POSITIVE = quantity("us", 1, 10**6)
+VARIANCES = quantity("ns^2", 1, 10**12) | quantity("ms^2", 1, 100)
+DELAYS = st.one_of(
+    st.just({}),  # kind none
+    st.fixed_dictionaries({"kind": st.just("none")}),
+    st.fixed_dictionaries({"kind": st.just("constant"), "value": DURATIONS}),
+    st.fixed_dictionaries({"kind": st.just("pareto"), "mean": POSITIVE, "variance": VARIANCES}),
+    st.fixed_dictionaries({"kind": st.just("lognormal"), "median": POSITIVE, "sigma_log": st.floats(0.01, 2.0)}),
+)
+CROSS_TRAFFIC = st.one_of(
+    st.fixed_dictionaries({}, optional={"kind": st.just("pareto"), "mean": DURATIONS, "variance": VARIANCES}),
+    st.fixed_dictionaries({"kind": st.just("constant")}, optional={"mean": DURATIONS}),
+    st.fixed_dictionaries({"kind": st.just("none")}),
+)
+GPDS = st.fixed_dictionaries(
+    {"shape": st.floats(-0.9, 0.9), "scale_ms": st.floats(0.01, 20.0), "location_ms": st.floats(0.0, 5.0)}
+)
+DEFENSES = st.fixed_dictionaries(
+    {},
+    optional={
+        "t_th": quantity("s", 1, 5),
+        "window": quantity("ms", 1, 999),
+        "first_delay": GPDS,
+        "followup_delay": GPDS,
+        "per_k": st.none() | st.dictionaries(
+            st.integers(1, 3), st.fixed_dictionaries({"first_delay": GPDS, "followup_delay": GPDS}), max_size=3
+        ),
+    },
+)
+ENTRIES = st.fixed_dictionaries(
+    {"name": st.sampled_from([*builtin_scenarios(), "lab"]), "seed": st.integers(0, 2**32)},
+    optional={
+        "trains": st.integers(1, 500),
+        "k": st.integers(1, 3),
+        "switch_kind": st.sampled_from(["hardware", "software"]),
+        "data_link": quantity("Mbps", 1, 10_000),
+        "links_forward": st.integers(4, 6),
+        "links_reverse": st.integers(1, 6),
+        "base_latency": DURATIONS,
+        "cross_traffic": st.none() | CROSS_TRAFFIC,
+        "install_delay": st.none() | DELAYS,
+        "lookup_delay": DELAYS,
+        "mtu": quantity("B", 64, 9000),
+        "reply_size": quantity("B", 1, 1500),
+        "pair_spacing": DURATIONS,
+        "time_span": quantity("s", 1, 600),
+        "passive_window": quantity("ms", 1, 10**6),
+        "bin_width": quantity("us", 1, 10**4),
+        "table_capacity": st.integers(1, 4096),
+        "clear_delay": DURATIONS,
+        "turnaround": DURATIONS,
+        "idle_lead": quantity("s", 6, 60),
+        "defense": st.none() | DEFENSES,
+        "drift": st.none() | st.fixed_dictionaries({"sigma": DURATIONS}, optional={"base": DURATIONS}),
+        "features": st.lists(st.sampled_from(["dispersion", "delta_rtt"]), min_size=1, max_size=2),
+    },
+)
+
+
+@given(ENTRIES)
+def test_scenario_to_config_inverts_scenario_from_config(cfg):
+    # Drawn as entries, not scenarios: a bin width or a drift sigma is a
+    # whole number of nanoseconds only once parsed.  Sidecars are read as
+    # JSON, and as YAML by `simulate --config`.
+    scenario = scenario_from_config(cfg)
+    text = json.dumps(scenario_to_config(scenario))
+    assert scenario_from_config(json.loads(text)) == scenario
+    assert scenario_from_config(yaml.safe_load(text)) == scenario
 
 
 def test_non_positive_passive_window_exit_2(tmp_path, capsys):
@@ -503,8 +607,9 @@ def test_non_positive_bin_width_exit_2(tmp_path, capsys):
 def test_cli_rejects_a_sidecar_that_fails_validation(tmp_path, capsys, key, value, passive, message):
     bundle_dir = tmp_path / "runs" / "k1-hw-100m"
     run_scenario(replace(builtin_scenarios()["k1-hw-100m"], trains=4), bundle_dir)
-    sidecar = bundle_dir / "scenario.json"
-    sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), **{key: value})))
+    # A summary field's name is its entry key and its unit.
+    entry_key, unit = key.rsplit("_", 1)
+    sidecar = edit_sidecar_entry(bundle_dir, **{entry_key: f"{value} {unit}"})
     extract = ["extract", "--traces", str(bundle_dir / "traces.csv"), "--out", str(tmp_path / "ex")]
     report = ["report", "--bundles", str(bundle_dir), "--out", str(tmp_path / "rep")]
     capsys.readouterr()
@@ -547,8 +652,14 @@ def test_cli_parallel_jobs_write_the_serial_bytes(tmp_path):
             " followup_delay: {shape: -0.5, scale_ms: 2, location_ms: 0.5}, firts_delay: 1}}}",
             "defense.per_k.2.firts_delay",
         ),
+        # Each kind knows only its own keys.
+        ("install_delay: {kind: constant, value: 1 ms, mean: 2 ms}", "install_delay.mean"),
+        ("cross_traffic: {kind: constant, variance: 1 ms^2}", "cross_traffic.variance"),
     ],
-    ids=["cross_traffic", "install_delay", "lookup_delay", "drift", "defense", "per_k"],
+    ids=[
+        "cross_traffic", "install_delay", "lookup_delay", "drift", "defense", "per_k",
+        "install_delay_of_another_kind", "cross_traffic_of_another_kind",
+    ],
 )
 def test_cli_rejects_an_unknown_nested_key(tmp_path, capsys, entry, key):
     cfg = tmp_path / "typo.yaml"
@@ -556,6 +667,32 @@ def test_cli_rejects_an_unknown_nested_key(tmp_path, capsys, entry, key):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
     assert f"{key}: unknown key in scenario 'k1-hw-100m'" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("install_delay: null", None),
+        ("install_delay: 5 ms", "install_delay: must be a mapping, got '5 ms'"),
+        ("lookup_delay: [1, 2]", "lookup_delay: must be a mapping, got [1, 2]"),
+        ("cross_traffic: 7 ms", "cross_traffic: must be a mapping, got '7 ms'"),
+        ("defense: {per_k: 5}", "defense.per_k: must be a mapping, got 5"),
+        ("features: dispersion", "features: invalid value 'dispersion' (must be a list)"),
+    ],
+    ids=["install_delay_null", "install_delay", "lookup_delay", "cross_traffic", "per_k", "features"],
+)
+def test_cli_names_the_key_of_a_value_of_the_wrong_type(tmp_path, capsys, entry, message):
+    cfg = tmp_path / "typed.yaml"
+    cfg.write_text(f"scenarios:\n  - name: k1-hw-100m\n    trains: 4\n    {entry}\n")
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")])
+    if message is None:  # null is the switch kind's default install delay
+        assert code == 0
+        builtin = replace(builtin_scenarios()["k1-hw-100m"], trains=4)
+        assert read_scenario_descriptor(tmp_path / "runs" / "k1-hw-100m") == builtin
+    else:
+        assert code == 2
+        assert f"{message} in scenario 'k1-hw-100m'" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
 
 def test_cli_report_names_a_results_json_it_cannot_use(tmp_path, capsys):
