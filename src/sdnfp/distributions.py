@@ -39,8 +39,8 @@ class DelayModel:
             if self.mean_ns <= 0 or self.variance_ns2 <= 0:
                 raise ValueError("pareto delay needs mean > 0 and variance > 0")
         if self.kind == "lognormal":
-            if self.median_ns <= 0 or self.sigma_log <= 0:
-                raise ValueError("lognormal delay needs median > 0 and sigma_log > 0")
+            if not (self.median_ns > 0 and 0 < self.sigma_log < math.inf):
+                raise ValueError("lognormal delay needs median > 0 and a finite sigma_log > 0")
 
     def pareto_shape_scale(self) -> tuple[float, float]:
         """Solve alpha, x_m of the Pareto from mean m and variance v.

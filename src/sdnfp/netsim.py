@@ -422,11 +422,11 @@ class TrialStreams:
     never draws costs nothing.  `block(name, method, n)` is each trial's
     first n draws of the Generator method `method` as a [trial, n] array:
     `random` runs PCG64 over the trial axis (`pcg64_random`) and builds no
-    Generator, `standard_normal` builds one Generator per trial, because
-    numpy's ziggurat is not reproduced here.  `generators(name)` hands out
-    the per-trial Generators themselves, for draws of mixed methods.  A
-    stream handed out a second time would replay its draws from the start,
-    so that raises.
+    Generator, `standard_normal` builds one Generator per trial, which fills
+    its row of the block in place, because numpy's ziggurat is not
+    reproduced here.  `generators(name)` hands out the per-trial Generators
+    themselves, for draws of mixed methods.  A stream handed out a second
+    time would replay its draws from the start, so that raises.
     """
 
     def __init__(self, seed: int, trials, group: int = 0):
@@ -449,7 +449,11 @@ class TrialStreams:
     def block(self, name: str, method: str, n: int) -> np.ndarray:
         if method == "random":
             return pcg64_random(self._seed_words(name), n)
-        return np.stack([getattr(gen, method)(n) for gen in self.generators(name)])
+        gens = self.generators(name)
+        out = np.empty((len(gens), n))
+        for gen, row in zip(gens, out):
+            getattr(gen, method)(out=row)
+        return out
 
     def generators(self, name: str) -> list[np.random.Generator]:
         return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in self._seed_words(name)]

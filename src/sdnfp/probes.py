@@ -32,7 +32,8 @@ Tables.  Every CSV the package writes is a `Table`: a frozen dataclass with
 one numpy array per CSV column, and one CSV format.  Traces, feature samples,
 the report's histograms and summary, and EER sweep curves are its subclasses.
 `Table.write_csv` writes a header and one `%`-formatted line per row, text
-quoted as csv.writer quotes it; `Table.read_csv` checks the header and parses
+quoted as csv.writer quotes it, and formats a column that holds one value
+once per file; `Table.read_csv` checks the header and parses
 the rest in one `np.loadtxt` call.  A `Trace` is the send/receive log of every
 packet and its reply: int64 arrays for the trial, the packet id and the four
 timestamps, bool arrays for the two flags, and arrays of str for the packet
@@ -155,6 +156,13 @@ def _quote(text: str) -> str:
     return text
 
 
+def _one_value(column: np.ndarray) -> bool:
+    """Does every row of a non-empty column hold the same value?  Floats
+    compare by their bits, so 0.0 and -0.0 differ and a NaN equals itself."""
+    bits = column.view(np.int64) if column.dtype == np.float64 else column
+    return bits.size > 0 and bool((bits == bits[0]).all())
+
+
 class Table:
     """Base of the columnar tables, each a frozen dataclass with one array per
     CSV column, in field order.
@@ -194,19 +202,36 @@ class Table:
 
     def write_csv(self, path) -> None:
         """A header line, then one `%`-line per row in blocks of _WRITE_ROWS rows,
-        so little text is held at once; makes the file's directory if missing."""
+        so little text is held at once; makes the file's directory if missing.
+
+        A column that holds one value in every row is formatted once per file:
+        its text, `%` escaped, stands in the line template, so only the other
+        columns are converted and formatted row by row.  The bytes are those
+        of formatting every field.
+        """
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         names = self.columns()
-        line = ",".join(_FORMATS[d] for d in self.DTYPES) + "\n"
+        template, varying = [], []
+        for name, dtype in zip(names, self.DTYPES):
+            column = getattr(self, name)
+            if _one_value(column):
+                value = column[:1].tolist()[0]
+                text = _quote(value) if dtype is object else _FORMATS[dtype] % value
+                template.append(text.replace("%", "%%"))
+            else:
+                template.append(_FORMATS[dtype])
+                varying.append((column, dtype))
+        line = ",".join(template) + "\n"
         with open(path, "w", newline="", encoding="utf-8") as f:
             f.write(",".join(names) + "\n")
             for start in range(0, len(self), _WRITE_ROWS):
-                columns = [getattr(self, n)[start : start + _WRITE_ROWS].tolist() for n in names]
-                for j, dtype in enumerate(self.DTYPES):
+                columns = [column[start : start + _WRITE_ROWS].tolist() for column, _ in varying]
+                for j, (_, dtype) in enumerate(varying):
                     if dtype is object:
                         quoted = {v: _quote(v) for v in set(columns[j])}
                         columns[j] = [quoted[v] for v in columns[j]]
-                f.write("".join([line % row for row in zip(*columns)]))
+                rows = zip(*columns) if columns else [()] * min(_WRITE_ROWS, len(self) - start)
+                f.write("".join([line % row for row in rows]))
 
     @classmethod
     def read_csv(cls, path):

@@ -35,6 +35,7 @@ ground truth.
 from __future__ import annotations
 
 import json
+import math
 from collections import namedtuple
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -438,6 +439,26 @@ def emit_report(runs, out_dir: Path | str, fmt: str = "csv") -> list[Path]:
 # -- config loading -----------------------------------------------------------
 
 
+def _whole(value) -> int:
+    """An integer config value as given: a float, a bool or a string is an
+    error, never truncated or converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("must be an integer")
+    return value
+
+
+def _switch_count(k) -> int:
+    """A per_k key: an int in YAML, its decimal text in a JSON sidecar."""
+    return int(k) if isinstance(k, str) and k.isdecimal() else _whole(k)
+
+
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("must be finite")
+    return x
+
+
 def _field(mapping: dict, key: str, parse, source):
     """`parse(mapping[key])`; a missing or malformed value raises ConfigError
     naming the key and `source`, where the mapping was read from, as does a
@@ -460,7 +481,7 @@ def _gpd_from_config(cfg: dict, source) -> GPDParams:
     """
     _as_mapping(cfg, source)
     shape, scale, location = (
-        _field(cfg, key, float, source) for key in ("shape", "scale_ms", "location_ms")
+        _field(cfg, key, _finite, source) for key in ("shape", "scale_ms", "location_ms")
     )
     if not location >= 0:
         raise ConfigError(f"location_ms: a delay needs a location >= 0, got {location} in {source}")
@@ -552,7 +573,7 @@ def _feature_list(value) -> tuple[str, ...]:
     return tuple(value)
 
 
-_INT, _STR = (int, int), (str, str)
+_INT, _STR = (_whole, int), (str, str)
 # A bin width (ms) and a drift sigma are floats of whole nanoseconds once parsed;
 # written as whole nanoseconds, an int sigma writes the text its float does.
 _BIN_WIDTH = (lambda v: parse_duration_ns(v) / NS_PER_MS, lambda ms: f"{round(ms * NS_PER_MS)} ns")
@@ -566,7 +587,10 @@ _DELAYS = ("first_delay", "followup_delay")
 _DelayPair = namedtuple("_DelayPair", _DELAYS)
 _PAIR = _mapping(_DelayPair, {d: (d, _GPD) for d in _DELAYS})
 _PER_K = _Nested(
-    lambda cfg, key: {int(k): _parse(_PAIR, pair, f"{key}.{k}") for k, pair in _as_mapping(cfg, key).items()},
+    lambda cfg, key: {
+        _parse((_switch_count, None), k, f"{key}.{k}"): _parse(_PAIR, pair, f"{key}.{k}")
+        for k, pair in _as_mapping(cfg, key).items()
+    },
     lambda per_k: {str(k): _PAIR.write(_DelayPair(*pair)) for k, pair in per_k.items()},
 )
 _DEFENSE = _mapping(DelayElementConfig, {
@@ -617,7 +641,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
     source = f"scenario {name!r}"
     base = builtin_scenarios().get(name)
     if base is None:
-        base = Scenario(name=name, seed=_field(cfg, "seed", int, source))
+        base = Scenario(name=name, seed=_field(cfg, "seed", _whole, source))
     try:
         fields = _fields({key: v for key, v in cfg.items() if key != "name"}, _CONFIG_FIELDS, "")
     except ConfigError as exc:
@@ -641,10 +665,15 @@ def _scenarios(raw) -> list[Scenario]:
     return [scenario_from_config(entry) for entry in raw["scenarios"]]
 
 
+# libyaml's parser where PyYAML was built with it: the same mapping, several
+# times faster than the pure-Python SafeLoader.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_scenarios(path: Path | str) -> list[Scenario]:
     """Read a YAML scenario file: {scenarios: [ {...}, ... ]}."""
     try:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        raw = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -412,6 +412,17 @@ def test_trial_streams_draw_as_numpy_seeded_generators(seed, group, trials):
             assert gen.standard_normal(7).tolist() == oracle.standard_normal(7).tolist()
 
 
+@pytest.mark.parametrize("n", [0, 1, 48])
+def test_normal_block_is_each_trials_first_draws(n):
+    # The block is filled row by row in place; every row is the trial's own
+    # Generator's first n draws, bit for bit.
+    trials = np.arange(450, dtype=np.int64)
+    block = TrialStreams(11, trials, 2).block("drift", "standard_normal", n)
+    assert block.shape == (450, n) and block.dtype == np.float64
+    expected = [numpy_generator(11, 2, t, STREAM_NAMES.index("drift")).standard_normal(n) for t in trials]
+    assert block.view(np.int64).tolist() == [row.view(np.int64).tolist() for row in expected]
+
+
 PCG_BLOCK = 16  # draws per block in pcg64_random
 
 

@@ -188,6 +188,112 @@ def test_load_scenarios_bad_yaml(tmp_path):
         load_scenarios(cfg)
 
 
+DRIFT_YAML = (
+    "scenarios:\n"
+    "  - name: k1-hw-100m\n    trains: 4\n    time_span: 600 s\n"
+    "    drift: {sigma: 150000 ns, base: 0 ns}\n"
+    "  - name: lab\n    seed: 7\n    trains: 5\n    k: 2\n    data_link: 1 Gbps\n"
+    "    install_delay: {kind: lognormal, median: 1.5 ms, sigma_log: 0.4}\n"
+    "    defense: {first_delay: {shape: -0.5, scale_ms: 2, location_ms: 0.5}}\n"
+    "    features: [dispersion]\n"
+)
+
+
+@pytest.mark.parametrize("loader", [yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)],
+                         ids=["python", "libyaml"])
+def test_load_scenarios_reads_the_same_with_either_yaml_parser(tmp_path, monkeypatch, loader):
+    cfg = tmp_path / "drift.yaml"
+    cfg.write_text(DRIFT_YAML)
+    monkeypatch.setattr("sdnfp.scenario._YAML_LOADER", loader)
+    assert load_scenarios(cfg) == [scenario_from_config(e) for e in yaml.safe_load(DRIFT_YAML)["scenarios"]]
+    cfg.write_text("scenarios:\n  - name: [k1\n")
+    with pytest.raises(ConfigError, match=f"config: invalid YAML in {cfg}"):
+        load_scenarios(cfg)
+
+
+def test_cli_names_a_malformed_yaml_file(tmp_path, capsys):
+    cfg = tmp_path / "broken.yaml"
+    cfg.write_text("scenarios:\n  - name: k1-hw-100m\n    trains: {4\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+    assert f"config: invalid YAML in {cfg}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "name, entry, key, value",
+    [
+        ("k1-hw-100m", "trains: 4.7", "trains", 4.7),
+        ("k1-hw-100m", "k: 2.0", "k", 2.0),
+        ("k1-hw-100m", "links_forward: true", "links_forward", True),
+        ("k1-hw-100m", "links_reverse: '4'", "links_reverse", "4"),
+        ("k1-hw-100m", "table_capacity: '1024'", "table_capacity", "1024"),
+        ("k1-hw-100m", "seed: 5.5", "seed", 5.5),
+        ("fresh", "seed: 5.5", "seed", 5.5),
+        (
+            "k2-hw-100m",
+            "defense: {per_k: {2.7: {first_delay: {shape: -0.5, scale_ms: 2, location_ms: 0.5},"
+            " followup_delay: {shape: -0.5, scale_ms: 2, location_ms: 0.5}}}}",
+            "defense.per_k.2.7",
+            2.7,
+        ),
+    ],
+    ids=[
+        "trains", "k", "links_forward", "links_reverse", "table_capacity", "seed", "seed_of_a_new_name",
+        "per_k",
+    ],
+)
+def test_cli_rejects_a_count_that_is_not_an_integer(tmp_path, capsys, name, entry, key, value):
+    # A float was truncated (4.7 trains ran 4), a bool or a digit string converted.
+    cfg = tmp_path / "counts.yaml"
+    extra = "" if key == "trains" else "\n    trains: 4"
+    cfg.write_text(f"scenarios:\n  - name: {name}\n    {entry}{extra}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+    assert f"{key}: invalid value {value!r} (must be an integer) in scenario '{name}'" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("install_delay: {kind: lognormal, median: 1 ms, sigma_log: .nan}", "install_delay: invalid value"),
+        ("lookup_delay: {kind: lognormal, median: 1 ms, sigma_log: .inf}", "lookup_delay: invalid value"),
+        (
+            "defense: {first_delay: {shape: .nan, scale_ms: 0.8, location_ms: 0.5}}",
+            "shape: invalid value nan (must be finite) in defense.first_delay",
+        ),
+        (
+            "defense: {followup_delay: {shape: -0.4, scale_ms: .inf, location_ms: 0.5}}",
+            "scale_ms: invalid value inf (must be finite) in defense.followup_delay",
+        ),
+        (
+            "defense: {per_k: {2: {first_delay: {shape: -0.5, scale_ms: 2, location_ms: 0.5},"
+            " followup_delay: {shape: -.inf, scale_ms: 0.8, location_ms: 0.5}}}}",
+            "shape: invalid value -inf (must be finite) in defense.per_k.2.followup_delay",
+        ),
+    ],
+    ids=["sigma_log_nan", "sigma_log_inf", "gpd_shape_nan", "gpd_scale_inf", "per_k_shape"],
+)
+def test_cli_rejects_a_non_finite_delay_parameter(tmp_path, capsys, entry, message):
+    cfg = tmp_path / "nan.yaml"
+    cfg.write_text(f"scenarios:\n  - name: k2-hw-100m\n    trains: 4\n    {entry}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "in scenario 'k2-hw-100m'" in err
+    if "sigma_log" in entry:
+        assert "finite sigma_log" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_rejects_a_fitted_gpd_file_with_a_nan_shape(tmp_path, capsys):
+    fitted = tmp_path / "nan.json"
+    fitted.write_text('{"shape": NaN, "scale_ms": 0.8, "location_ms": 0.5}')
+    defend = ["defend", "--scenario", "k2-hw-100m", "--trains", "4", "--out", str(tmp_path / "defended"),
+              "--first-delay", str(fitted), "--followup-delay", str(fitted)]
+    assert main(defend) == 2
+    assert f"shape: invalid value nan (must be finite) in {fitted}" in capsys.readouterr().err
+    assert not (tmp_path / "defended").exists()
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
