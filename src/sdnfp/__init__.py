@@ -10,7 +10,7 @@ from .defense import (
     delay_for,
     select_bucket,
 )
-from .distributions import CrossTrafficModel, DelayModel
+from .distributions import DelayModel
 from .features import (
     DELTA_RTT,
     DISPERSION,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import ns_from_floats
-from .stats import _XI_ZERO, GPDParams, gpd_quantile, gpd_sample
+from .stats import _XI_ZERO, GPDParams, gpd_quantile
 from .units import NS_PER_MS, NS_PER_S, ns_from_float
 
 # Delay-element distributions measured on the reference testbed (ms).
@@ -110,10 +110,14 @@ def select_bucket(key, now_ns: int, activity: FlowActivity, cfg: DelayElementCon
     return BucketDecision(FAST, None)
 
 
+def _hold_ns(params: GPDParams, u: float) -> int:
+    """The hold in ns that one random() draw `u` gives; raises on a negative hold."""
+    return ns_from_float(float(gpd_quantile(u, params)) * NS_PER_MS)
+
+
 def delay_for(position: str, cfg: DelayElementConfig, rng: np.random.Generator, k: int | None = None) -> int:
     """Sampled hold duration in ns for a packet in the delayed bucket."""
-    params = cfg.params_for(position, k)
-    return ns_from_float(float(gpd_sample(params, rng)) * NS_PER_MS)
+    return _hold_ns(cfg.params_for(position, k), rng.random())
 
 
 def delays_from_uniform(position: str, cfg: DelayElementConfig, u: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -122,7 +126,7 @@ def delays_from_uniform(position: str, cfg: DelayElementConfig, u: np.ndarray, k
     gpd_quantile's np.power may differ from the scalar one in the last ulp,
     and (p - 1) / xi scales that difference by scale / |shape|, so the
     rounding guard widens by it; a value the guard recomputes takes
-    delay_for's own formula, which raises on a negative hold.
+    delay_for's own formula, `_hold_ns`.
     """
     params = cfg.params_for(position, k)
     ms = gpd_quantile(u, params)
@@ -130,11 +134,7 @@ def delays_from_uniform(position: str, cfg: DelayElementConfig, u: np.ndarray, k
     err_ns = 64 * np.finfo(float).eps * NS_PER_MS * (
         abs(params.location) + np.abs(ms - params.location) + amplify
     )
-    return ns_from_floats(
-        ms * NS_PER_MS,
-        lambda i: ns_from_float(float(gpd_quantile(float(u[i]), params)) * NS_PER_MS),
-        err_ns,
-    )
+    return ns_from_floats(ms * NS_PER_MS, lambda i: _hold_ns(params, float(u[i])), err_ns)
 
 
 def apply_delay_element(path, cfg: DelayElementConfig):

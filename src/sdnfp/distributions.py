@@ -1,7 +1,10 @@
 """Delay distributions used by links, switches and the controller.
 
+`DelayModel` is the one delay type: a link's cross-traffic jitter (of a kind
+in `CROSS_TRAFFIC_KINDS`) and the controller's lookup and install delays.
 Every sampler returns integer nanoseconds (half-up rounding) so that a
-(scenario, seed) pair replays to bit-identical traces.
+(scenario, seed) pair replays to bit-identical traces; `DelayModel._ns` holds
+each kind's formula for one draw, which `ns_from_draws` falls back to.
 """
 
 from __future__ import annotations
@@ -55,18 +58,22 @@ class DelayModel:
         x_m = m * (alpha - 1.0) / alpha
         return alpha, x_m
 
-    def sample_ns(self, rng: np.random.Generator) -> int:
-        if self.kind == "none":
-            return 0
-        if self.kind == "constant":
-            return self.value_ns
+    def _ns(self, x) -> int:
+        """The sample one draw `x` of the kind's `draw_type` method gives."""
         if self.kind == "pareto":
             alpha, x_m = self.pareto_shape_scale()
-            u = rng.random()
-            return ns_from_float(x_m * (1.0 - u) ** (-1.0 / alpha))
-        # lognormal
-        z = rng.standard_normal()
-        return ns_from_float(self.median_ns * math.exp(self.sigma_log * z))
+            return ns_from_float(x_m * (1.0 - x) ** (-1.0 / alpha))
+        if self.kind == "lognormal":
+            return ns_from_float(self.median_ns * math.exp(self.sigma_log * x))
+        return self.value_ns if self.kind == "constant" else 0
+
+    def sample_ns(self, rng: np.random.Generator) -> int:
+        return self._ns(getattr(rng, self.draw_type)() if self.draw_type else None)
+
+    # Patched by bench/tracer.py, which counts its calls; nothing in the
+    # package calls it.  ROADMAP item 1 re-spans the tracer and removes it.
+    def delay_model(self) -> "DelayModel":
+        return self
 
     @property
     def draw_type(self) -> str | None:
@@ -78,27 +85,13 @@ class DelayModel:
 
         A kind that draws nothing ignores the values of `x` and takes its shape.
         """
+        exact = lambda i: self._ns(float(x[i]))
         if self.kind == "pareto":
-            return self.pareto_ns_from_uniform(x)
+            alpha, x_m = self.pareto_shape_scale()
+            return ns_from_floats(x_m * np.power(1.0 - x, -1.0 / alpha), exact)
         if self.kind == "lognormal":
-            return self.lognormal_ns_from_normal(x)
-        return np.full(np.shape(x), self.sample_ns(None), np.int64)
-
-    def pareto_ns_from_uniform(self, u: np.ndarray) -> np.ndarray:
-        """Array form of the Pareto branch of sample_ns for given random() draws."""
-        alpha, x_m = self.pareto_shape_scale()
-        exponent = -1.0 / alpha
-        return ns_from_floats(
-            x_m * np.power(1.0 - u, exponent),
-            lambda i: ns_from_float(x_m * (1.0 - float(u[i])) ** exponent),
-        )
-
-    def lognormal_ns_from_normal(self, z: np.ndarray) -> np.ndarray:
-        """Array form of the lognormal branch of sample_ns for given standard_normal() draws."""
-        return ns_from_floats(
-            self.median_ns * np.exp(self.sigma_log * z),
-            lambda i: ns_from_float(self.median_ns * math.exp(self.sigma_log * float(z[i]))),
-        )
+            return ns_from_floats(self.median_ns * np.exp(self.sigma_log * x), exact)
+        return np.full(np.shape(x), self._ns(None), np.int64)
 
 
 _DRAWS = {"pareto": "random", "lognormal": "standard_normal"}
@@ -142,40 +135,25 @@ def pareto(mean_ns: int, variance_ns2: int) -> DelayModel:
 NO_DELAY = DelayModel(kind="none")
 
 
-@dataclass(frozen=True)
-class CrossTrafficModel:
-    """Per-hop queuing delay induced by background load on a link.
+# Patched by bench/tracer.py under this name; ROADMAP item 1 removes it.
+CrossTrafficModel = DelayModel
 
-    kind is one of pareto | constant | none; mean/variance default to the
-    20 ms / 4 ms^2 Pareto used by the cross-traffic generator.
-    """
-
-    kind: str = "pareto"
-    mean_ns: int = 20 * NS_PER_MS
-    variance_ns2: int = 4 * NS_PER_MS**2
-
-    def __post_init__(self):
-        if self.kind not in ("pareto", "constant", "none"):
-            raise ValueError(f"unknown cross-traffic kind {self.kind!r}")
-
-    def delay_model(self) -> DelayModel:
-        if self.kind == "none":
-            return NO_DELAY
-        if self.kind == "constant":
-            return constant(self.mean_ns)
-        return pareto(self.mean_ns, self.variance_ns2)
-
-
-# Per kind, the config keys of a DelayModel and of a CrossTrafficModel:
-# {kind: {key: (field, (parse, write))}}.  An omitted key keeps the field's default.
+# Per kind, the config keys of a DelayModel: {kind: {key: (field, (parse, write))}}.
 DELAY_KINDS = {
     "none": {},
     "constant": {"value": ("value_ns", DURATION)},
     "pareto": {"mean": ("mean_ns", DURATION), "variance": ("variance_ns2", VARIANCE)},
     "lognormal": {"median": ("median_ns", DURATION), "sigma_log": ("sigma_log", (float, float))},
 }
+# The kinds and keys of a link's cross-traffic model: a constant's mean is
+# its value.  The cross stream is drawn with random() alone, so no lognormal.
 CROSS_TRAFFIC_KINDS = {
     "none": {},
-    "constant": {"mean": ("mean_ns", DURATION)},
+    "constant": {"mean": ("value_ns", DURATION)},
     "pareto": {"mean": ("mean_ns", DURATION), "variance": ("variance_ns2", VARIANCE)},
 }
+# What an omitted cross_traffic kind or key takes: the cross-traffic
+# generator's 20 ms / 4 ms^2 Pareto, or a 20 ms constant.
+CROSS_TRAFFIC_DEFAULTS = DelayModel(
+    kind="pareto", value_ns=20 * NS_PER_MS, mean_ns=20 * NS_PER_MS, variance_ns2=4 * NS_PER_MS**2
+)

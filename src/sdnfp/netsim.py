@@ -47,18 +47,18 @@ hold it to numpy: `spawn_state` computes the seed words of one stream for all
 trials in one pass, and `pcg64_random` runs PCG64's `random()` on them, so a
 stream whose draws are all `random()` is drawn as one [trial, n] block with no
 Generator built.  That covers `cross` (one `random()` per hop with Pareto
-cross traffic), `defense` (one per delay-element hold) and `control` when its
-lookup and install models are Pareto.  numpy's `standard_normal()` ziggurat is
-not reproduced, so `drift` (one per send time that advances the clock) and
-`control` with lognormal delays draw their block from one Generator per
-trial.  numpy's block draws equal the same number of scalar calls, so the
+cross traffic; `LinkSpec` takes no lognormal), `defense` (one per
+delay-element hold) and `control` when its lookup and install models are
+Pareto.  numpy's `standard_normal()` ziggurat is not reproduced, so `drift`
+(one per send time that advances the clock) and `control` with lognormal
+delays draw their block from one Generator per trial.  numpy's block draws equal the same number of scalar calls, so the
 engine reads each block as the reference model draws: `cross` and `drift` in
 a layout the schedule fixes, `control` and `defense` through a per-trial
 cursor, event by event in packet order (see `_TrialBatch`).  Only a `control`
 stream whose delay models mix `random()` and `standard_normal()` is drawn per
 miss, by the scalar `miss_charge_ns` the reference model calls.  The array
-transforms of the draws round to the same integer nanoseconds as the scalar
-samplers.
+transforms of the draws (`DelayModel.ns_from_draws`, `delays_from_uniform`)
+round to the same integer nanoseconds as the scalar samplers.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CrossTrafficModel, DelayModel, NO_DELAY
+from .distributions import CROSS_TRAFFIC_KINDS, NO_DELAY, DelayModel
 from .units import NS_PER_MS, div_round_half_up
 
 DEFAULT_REPLY_BYTES = 64
@@ -132,13 +132,15 @@ class FlowTable:
 class LinkSpec:
     capacity_bps: int
     base_latency_ns: int = 0
-    cross_traffic: CrossTrafficModel | None = None
+    cross_traffic: DelayModel | None = None
 
     def __post_init__(self):
         if self.capacity_bps <= 0:
             raise ValueError("link capacity must be positive")
         if self.base_latency_ns < 0:
             raise ValueError("base latency must be >= 0")
+        if self.cross_traffic is not None and self.cross_traffic.kind not in CROSS_TRAFFIC_KINDS:
+            raise ValueError(f"cross traffic must be one of {'/'.join(CROSS_TRAFFIC_KINDS)}, not {self.cross_traffic.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -693,7 +695,7 @@ class Simulation:
                 table_full = table_full or full
             else:
                 surcharge = 0
-            d = link.cross_traffic.delay_model().sample_ns(self.streams.cross) if link.cross_traffic else 0
+            d = link.cross_traffic.sample_ns(self.streams.cross) if link.cross_traffic else 0
             start = max(ready, self.fwd_busy_ns[i])
             finish = start + surcharge + d + transmission_delay_ns(packet.size_bytes, link)
             self.fwd_busy_ns[i] = finish
@@ -707,7 +709,7 @@ class Simulation:
         """Small replies do not queue: independent per-hop delays only."""
         t = server_send_ns
         for link in self.path.reverse_links:
-            d = link.cross_traffic.delay_model().sample_ns(self.streams.cross) if link.cross_traffic else 0
+            d = link.cross_traffic.sample_ns(self.streams.cross) if link.cross_traffic else 0
             t += d + transmission_delay_ns(self.reply_bytes, link) + link.base_latency_ns
         return t
 
@@ -755,15 +757,15 @@ def _cross_delays(path: PathSpec, n_packets: int, streams: TrialStreams) -> list
     draws them.
     """
     links = (*path.forward_links, *path.reverse_links)
-    models = [l.cross_traffic.delay_model() if l.cross_traffic else NO_DELAY for l in links]
+    models = [l.cross_traffic or NO_DELAY for l in links]
     shape = (n_packets, len(streams))
     delays = [np.broadcast_to(np.int64(m.value_ns), shape) for m in models]
-    drawn = [j for j, m in enumerate(models) if m.kind == "pareto"]
+    drawn = [j for j, m in enumerate(models) if m.draw_type]
     if drawn:
         block = streams.block("cross", "random", n_packets * len(drawn))
         block = block.reshape(len(streams), n_packets, len(drawn))
         for col, j in enumerate(drawn):
-            delays[j] = models[j].pareto_ns_from_uniform(block[:, :, col].T)
+            delays[j] = models[j].ns_from_draws(block[:, :, col].T)
     return delays
 
 
@@ -1041,7 +1043,7 @@ def uniform_path(
     capacity_bps: int,
     switches: tuple[SwitchSpec, ...] = (),
     configured_count: int | None = None,
-    cross_traffic: CrossTrafficModel | None = None,
+    cross_traffic: DelayModel | None = None,
     base_latency_ns: int = 0,
 ) -> PathSpec:
     """Convenience constructor for equal-capacity paths."""

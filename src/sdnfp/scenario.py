@@ -47,12 +47,14 @@ import yaml
 from . import probes as probes_mod
 from .defense import DelayElementConfig, apply_delay_element
 from .distributions import (
+    CROSS_TRAFFIC_DEFAULTS,
     CROSS_TRAFFIC_KINDS,
     DELAY_KINDS,
-    CrossTrafficModel,
+    NO_DELAY,
     DelayModel,
-    lognormal,
     constant,
+    lognormal,
+    pareto,
 )
 from .features import (
     DELTA_RTT,
@@ -90,9 +92,8 @@ DEFAULT_FLOW = FlowKey(src="10.0.0.2", dst="10.0.1.2")
 HW_INSTALL = lognormal(int(4.5 * NS_PER_MS), 0.6)
 SW_INSTALL = lognormal(int(0.8 * NS_PER_MS), 0.7)
 DEFAULT_LOOKUP = constant(int(0.1 * NS_PER_MS))
-DEFAULT_CROSS = CrossTrafficModel(
-    kind="pareto", mean_ns=90_000, variance_ns2=2_000_000_000
-)  # 0.09 ms mean, 0.002 ms^2 variance: LAN-grade jitter for the desk-scale lab
+# 0.09 ms mean, 0.002 ms^2 variance: LAN-grade jitter for the desk-scale lab.
+DEFAULT_CROSS = pareto(90_000, 2_000_000_000)
 DEFAULT_DRIFT_SIGMA_NS = 150_000  # 0.15 ms per sqrt-second when drift is enabled
 
 
@@ -107,7 +108,7 @@ class Scenario:
     links_forward: int = 4
     links_reverse: int = 4
     base_latency_ns: int = 0
-    cross_traffic: CrossTrafficModel | None = DEFAULT_CROSS
+    cross_traffic: DelayModel | None = DEFAULT_CROSS
     install_delay: DelayModel | None = None  # None picks the kind's default
     lookup_delay: DelayModel = DEFAULT_LOOKUP
     mtu_bytes: int = 1500
@@ -134,10 +135,19 @@ class Scenario:
                 f"k: {self.k} configured switches do not fit a "
                 f"{self.links_forward}-link forward path"
             )
+        if self.links_reverse < 1:
+            raise ConfigError("links_reverse: must be >= 1")
         if self.switch_kind not in (HARDWARE, SOFTWARE):
             raise ConfigError(f"switch_kind: must be hardware or software, got {self.switch_kind!r}")
+        if self.table_capacity < 0:
+            raise ConfigError("table_capacity: must be >= 0")
+        install = self.install_delay
+        if install is not None and (install.kind == "none" or install.kind == "constant" and install.value_ns <= 0):
+            raise ConfigError("install_delay: samples must be positive")
         if self.mtu_bytes < probes_mod.MIN_PROBE_BYTES:
             raise ConfigError(f"mtu: must be >= {probes_mod.MIN_PROBE_BYTES} bytes")
+        if self.pair_spacing_ns > probes_mod.PAIR_GAP_MAX_NS:
+            raise ConfigError(f"pair_spacing: must be <= {probes_mod.PAIR_GAP_MAX_NS} ns, a pair's widest gap")
         if self.time_span_ns < NS_PER_S:
             raise ConfigError("time_span: must be >= 1 s (the train's guard spacing)")
         if self.passive_window_ns <= 0:
@@ -545,16 +555,18 @@ def _mapping(cls, keys: dict) -> _Nested:
     return _Nested(lambda cfg, key: cls(**_fields(cfg, keys, key)), lambda obj: _config(obj, keys))
 
 
-def _kinds(cls, kinds: dict) -> _Nested:
-    """Codec of a mapping that builds a `cls`, whose `kind` key picks its
-    other keys from `kinds`; an omitted kind is `cls`'s default kind."""
+def _kinds(kinds: dict, default: DelayModel) -> _Nested:
+    """Codec of a mapping that builds a DelayModel, whose `kind` key picks its
+    other keys from `kinds`; an omitted kind or key takes its field's value
+    in `default`."""
     keys = {kind: {"kind": ("kind", _STR), **kinds[kind]} for kind in kinds}
 
     def parse(cfg, key):
-        kind = _as_mapping(cfg, key).get("kind", cls.kind)
+        kind = _as_mapping(cfg, key).get("kind", default.kind)
         if kind not in keys:
             raise ConfigError(f"{key}.kind: unknown kind {kind!r}")
-        return cls(**_fields(cfg, keys[kind], key))
+        omitted = {field: getattr(default, field) for field, _ in keys[kind].values()}
+        return DelayModel(**{**omitted, **_fields(cfg, keys[kind], key)})
 
     return _Nested(parse, lambda obj: _config(obj, keys[obj.kind]))
 
@@ -611,9 +623,9 @@ _CONFIG_FIELDS = {
     "links_forward": ("links_forward", _INT),
     "links_reverse": ("links_reverse", _INT),
     "base_latency": ("base_latency_ns", DURATION),
-    "cross_traffic": ("cross_traffic", _optional(_kinds(CrossTrafficModel, CROSS_TRAFFIC_KINDS))),
-    "install_delay": ("install_delay", _optional(_kinds(DelayModel, DELAY_KINDS))),
-    "lookup_delay": ("lookup_delay", _kinds(DelayModel, DELAY_KINDS)),
+    "cross_traffic": ("cross_traffic", _optional(_kinds(CROSS_TRAFFIC_KINDS, CROSS_TRAFFIC_DEFAULTS))),
+    "install_delay": ("install_delay", _optional(_kinds(DELAY_KINDS, NO_DELAY))),
+    "lookup_delay": ("lookup_delay", _kinds(DELAY_KINDS, NO_DELAY)),
     "mtu": ("mtu_bytes", SIZE),
     "reply_size": ("reply_bytes", SIZE),
     "pair_spacing": ("pair_spacing_ns", DURATION),

@@ -191,11 +191,11 @@ def test_criterion_6_defense_effectiveness(undefended, defended):
 
 def test_criterion_7_zero_cost_when_active():
     from sdnfp.defense import apply_delay_element
-    from sdnfp.distributions import CrossTrafficModel, lognormal
+    from sdnfp.distributions import lognormal, pareto
     from sdnfp.netsim import uniform_path
 
     key = FlowKey("10.0.0.2", "10.0.1.2")
-    cross = CrossTrafficModel(kind="pareto", mean_ns=90_000, variance_ns2=2_000_000_000)
+    cross = pareto(90_000, 2_000_000_000)
 
     def run(defended):
         sw = SwitchSpec("hw1", "hardware", lognormal(4_500_000, 0.6))

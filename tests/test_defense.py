@@ -16,7 +16,7 @@ from sdnfp.defense import (
     delay_for,
     select_bucket,
 )
-from sdnfp.distributions import CrossTrafficModel, constant, lognormal
+from sdnfp.distributions import constant, lognormal, pareto
 from sdnfp.netsim import (
     ControllerSpec,
     FlowKey,
@@ -112,7 +112,7 @@ def test_apply_delay_element_requires_switch():
 
 
 def test_warm_active_flow_identical_timing():
-    cross = CrossTrafficModel(kind="pareto", mean_ns=90_000, variance_ns2=2_000_000_000)
+    cross = pareto(90_000, 2_000_000_000)
 
     def run(defended):
         sw = SwitchSpec("hw1", "hardware", lognormal(4_500_000, 0.6))

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from sdnfp.defense import FIRST as FIRST_PACKET
 from sdnfp.defense import FOLLOWUP as FOLLOWUP_PACKET
 from sdnfp.defense import DelayElementConfig, delay_for, delays_from_uniform
-from sdnfp.distributions import CrossTrafficModel, constant, lognormal, ns_from_floats, pareto
+from sdnfp.distributions import NO_DELAY, constant, lognormal, ns_from_floats, pareto
 from sdnfp.netsim import (
     CLEAR,
     PROBE,
@@ -39,11 +39,11 @@ KEY = FlowKey("10.0.0.2", "10.0.1.2")
 CROSS = st.sampled_from(
     [
         None,
-        CrossTrafficModel(kind="none", mean_ns=0, variance_ns2=0),
-        CrossTrafficModel(kind="constant", mean_ns=50_000, variance_ns2=0),
-        CrossTrafficModel(kind="pareto", mean_ns=90_000, variance_ns2=2_000_000_000),
+        NO_DELAY,
+        constant(50_000),
+        pareto(90_000, 2_000_000_000),
         # Heavy jitter: reorders replies and lands packets inside install windows.
-        CrossTrafficModel(kind="pareto", mean_ns=3 * MS, variance_ns2=9 * MS**2),
+        pareto(3 * MS, 9 * MS**2),
     ]
 )
 LOOKUP = st.sampled_from([constant(100_000), pareto(200_000, 10**10), lognormal(150_000, 0.5)])
@@ -118,15 +118,15 @@ def test_block_draws_equal_scalar_draws():
 
 def test_pareto_block_transform_equals_sample_ns():
     for model in (
-        CrossTrafficModel(kind="pareto", mean_ns=90_000, variance_ns2=2_000_000_000).delay_model(),
+        pareto(90_000, 2_000_000_000),
         pareto(3 * MS, 9 * MS**2),
     ):
         u = np.random.default_rng(11).random(50_000)
         scalar = np.random.default_rng(11)
         expected = [model.sample_ns(scalar) for _ in range(u.size)]
-        assert model.pareto_ns_from_uniform(u).tolist() == expected
+        assert model.ns_from_draws(u).tolist() == expected
     with pytest.raises(ValueError):
-        pareto(10**12, 10**30).pareto_ns_from_uniform(np.array([1.0 - 2.0**-53]))
+        pareto(10**12, 10**30).ns_from_draws(np.array([1.0 - 2.0**-53]))
 
 
 def test_lognormal_block_transform_equals_sample_ns():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sdnfp.distributions import CrossTrafficModel, constant
+from sdnfp.distributions import constant, pareto
 from sdnfp.features import (
     MISSING_NS,
     DropCounts,
@@ -99,7 +99,7 @@ def test_delta_rtt_miss_penalty():
 
 
 def test_delta_rtt_seeded_replay():
-    cross = CrossTrafficModel(kind="pareto", mean_ns=90_000, variance_ns2=2_000_000_000)
+    cross = pareto(90_000, 2_000_000_000)
 
     def run(seed):
         path = uniform_path(4, 4, 100_000_000, cross_traffic=cross)
@@ -165,7 +165,7 @@ def test_label_samples_counts_drops():
 
 
 def test_n_population_mean_near_zero_y_positive():
-    cross = CrossTrafficModel(kind="pareto", mean_ns=90_000, variance_ns2=2_000_000_000)
+    cross = pareto(90_000, 2_000_000_000)
     sw = SwitchSpec("hw1", "hardware", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
     records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 8, trials=range(300))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sdnfp.distributions import CrossTrafficModel, constant, lognormal
+from sdnfp.distributions import constant, lognormal, pareto
 from sdnfp.netsim import (
     STREAM_NAMES,
     ControllerSpec,
@@ -67,10 +67,17 @@ def test_forward_single_hop_no_cross():
 
 
 def test_forward_two_hops_constant_cross():
-    cross = CrossTrafficModel(kind="constant", mean_ns=1 * MS, variance_ns2=0)
+    cross = constant(1 * MS)
     path = uniform_path(2, 1, 100_000_000, cross_traffic=cross)
     arrivals = forward(path, Packet(0, KEY, 1500))
     assert arrivals[-1] == 2_240_000  # 2 * (1 ms + 0.12 ms)
+
+
+def test_link_rejects_cross_traffic_the_cross_stream_does_not_draw():
+    # The engine draws the cross stream with random() only; the reference
+    # model would draw a lognormal's standard_normal() and disagree.
+    with pytest.raises(ValueError, match="'lognormal'"):
+        LinkSpec(100_000_000, cross_traffic=lognormal(MS, 0.5))
 
 
 def test_forward_fifo_pair_gap():
@@ -183,7 +190,7 @@ def test_eq2_additivity_only_when_max_attained():
 
 def test_exchange_cross_traffic_mean(capfd):
     # Default cross traffic adds 20 ms per hop on average: (n+m) * 20 ms.
-    cross = CrossTrafficModel()
+    cross = pareto(20 * MS, 4 * MS**2)
     path = uniform_path(2, 1, 100_000_000, cross_traffic=cross)
     quiet = uniform_path(2, 1, 100_000_000)
     base = exchange(quiet, Packet(0, KEY, 1500)).rtt_ns
@@ -212,7 +219,7 @@ def test_pair_dispersion_miss_adds_penalty():
 
 def test_pair_negative_dispersion_not_clamped():
     # Heavy reverse-path jitter reorders replies for some seeds.
-    cross = CrossTrafficModel(kind="pareto", mean_ns=5 * MS, variance_ns2=25 * MS**2)
+    cross = pareto(5 * MS, 25 * MS**2)
     fwd = (LinkSpec(100_000_000),)
     rev = (LinkSpec(100_000_000, cross_traffic=cross),)
     path = PathSpec(fwd, rev)
@@ -242,7 +249,7 @@ def test_eq1_fidelity_random_shapes():
 
 
 def test_monotone_timestamps():
-    cross = CrossTrafficModel(kind="pareto", mean_ns=90_000, variance_ns2=2_000_000_000)
+    cross = pareto(90_000, 2_000_000_000)
     path = uniform_path(4, 4, 100_000_000, (hw_switch(),), cross_traffic=cross)
     sim = Simulation(path, ControllerSpec(), RngStreams(11))
     prev_send = 0
@@ -256,7 +263,7 @@ def test_monotone_timestamps():
 
 
 def test_determinism_bit_identical():
-    cross = CrossTrafficModel(kind="pareto", mean_ns=90_000, variance_ns2=2_000_000_000)
+    cross = pareto(90_000, 2_000_000_000)
 
     def run(seed):
         path = uniform_path(4, 4, 100_000_000, (hw_switch(),), cross_traffic=cross)

@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from sdnfp.distributions import CrossTrafficModel, constant
+from sdnfp.distributions import constant, pareto
 from sdnfp.netsim import ControllerSpec, FlowKey, SwitchSpec, uniform_path
 from sdnfp.probes import (
     Trace,
@@ -78,7 +78,7 @@ def test_run_train_450_trials_label_counts():
 
 
 def test_run_train_same_seed_identical():
-    cross = CrossTrafficModel(kind="pareto", mean_ns=90_000, variance_ns2=2_000_000_000)
+    cross = pareto(90_000, 2_000_000_000)
 
     def run():
         path = uniform_path(4, 4, 100_000_000, (hw(),), cross_traffic=cross)

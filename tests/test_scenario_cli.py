@@ -13,7 +13,9 @@ from hypothesis import given, strategies as st
 import sdnfp.cli as cli
 from sdnfp.cli import main
 from sdnfp.defense import DelayElementConfig
+from sdnfp.probes import PAIR_GAP_MAX_NS, build_probe_train, run_schedule, run_schedule_reference
 from sdnfp.scenario import (
+    DEFAULT_FLOW,
     ConfigError,
     Scenario,
     builtin_scenarios,
@@ -282,6 +284,61 @@ def test_cli_rejects_a_non_finite_delay_parameter(tmp_path, capsys, entry, messa
     if "sigma_log" in entry:
         assert "finite sigma_log" in err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("links_reverse: 0", "links_reverse: must be >= 1"),
+        ("table_capacity: -1", "table_capacity: must be >= 0"),
+        ("install_delay: {kind: none}", "install_delay: samples must be positive"),
+        ("install_delay: {kind: constant, value: 0 ns}", "install_delay: samples must be positive"),
+        ("cross_traffic: {kind: pareto, mean: 0 ns}", "cross_traffic: invalid value"),
+        ("pair_spacing: 20 ms", "pair_spacing: must be <= 10000000 ns"),
+    ],
+    ids=["links_reverse", "table_capacity", "install_delay_none", "install_delay_zero", "cross_traffic_mean",
+         "pair_spacing"],
+)
+def test_cli_names_the_key_of_a_value_the_run_cannot_take(tmp_path, capsys, entry, message):
+    # Each of these passed validation and then failed mid-run naming no key,
+    # or, for a pair spacing wider than a pair's send gap, ran and read each
+    # pair as two singles.
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(f"scenarios:\n  - name: k2-hw-100m\n    trains: 4\n    {entry}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_pair_spacing_up_to_the_pair_gap_keeps_the_pairs():
+    bundle = run_scenario(small("k2-hw-100m", pair_spacing_ns=PAIR_GAP_MAX_NS))
+    assert bundle.feature_results["dispersion"].y_count == TRAINS
+    assert bundle.feature_results["delta_rtt"].n_count == bundle.feature_results["delta_rtt"].y_count == TRAINS
+
+
+@pytest.mark.parametrize(
+    "given, written",
+    [
+        ({}, {"kind": "pareto", "mean": "20000000 ns", "variance": "4000000000000 ns^2"}),
+        ({"kind": "constant"}, {"kind": "constant", "mean": "20000000 ns"}),
+        ({"kind": "pareto", "mean": "1 ms"}, {"kind": "pareto", "mean": "1000000 ns", "variance": "4000000000000 ns^2"}),
+        ({"kind": "none"}, {"kind": "none"}),
+    ],
+    ids=["empty", "constant", "pareto_mean", "none"],
+)
+def test_cross_traffic_keys_default_to_20_ms_and_4_ms2(given, written):
+    # The round-trip property compares two parses, so it cannot see a changed default.
+    scenario = scenario_from_config({"name": "lab", "seed": 5, "cross_traffic": given})
+    assert scenario_to_config(scenario)["cross_traffic"] == written
+
+
+def test_cross_traffic_of_kind_none_adds_no_delay():
+    traces = []
+    for cross in ({"kind": "none"}, None):
+        s = scenario_from_config({"name": "k1-hw-100m", "cross_traffic": cross})
+        args = (build_probe_train(DEFAULT_FLOW), s.build_path(), s.build_controller(), s.seed)
+        traces.append((run_schedule(*args, trials=range(4)), run_schedule_reference(*args)))
+    assert traces[0] == traces[1]
 
 
 def test_cli_rejects_a_fitted_gpd_file_with_a_nan_shape(tmp_path, capsys):
@@ -556,15 +613,20 @@ def quantity(unit, low, high):
 DURATIONS = quantity("ns", 0, 10**9) | quantity("us", 0, 10**6) | quantity("ms", 0, 10**4)
 POSITIVE = quantity("us", 1, 10**6)
 VARIANCES = quantity("ns^2", 1, 10**12) | quantity("ms^2", 1, 100)
+# Delays whose samples are all positive, as an install delay's must be.
+POSITIVE_DELAYS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("constant"), "value": POSITIVE}),
+    st.fixed_dictionaries({"kind": st.just("pareto"), "mean": POSITIVE, "variance": VARIANCES}),
+    st.fixed_dictionaries({"kind": st.just("lognormal"), "median": POSITIVE, "sigma_log": st.floats(0.01, 2.0)}),
+)
 DELAYS = st.one_of(
     st.just({}),  # kind none
     st.fixed_dictionaries({"kind": st.just("none")}),
     st.fixed_dictionaries({"kind": st.just("constant"), "value": DURATIONS}),
-    st.fixed_dictionaries({"kind": st.just("pareto"), "mean": POSITIVE, "variance": VARIANCES}),
-    st.fixed_dictionaries({"kind": st.just("lognormal"), "median": POSITIVE, "sigma_log": st.floats(0.01, 2.0)}),
+    POSITIVE_DELAYS,
 )
 CROSS_TRAFFIC = st.one_of(
-    st.fixed_dictionaries({}, optional={"kind": st.just("pareto"), "mean": DURATIONS, "variance": VARIANCES}),
+    st.fixed_dictionaries({}, optional={"kind": st.just("pareto"), "mean": POSITIVE, "variance": VARIANCES}),
     st.fixed_dictionaries({"kind": st.just("constant")}, optional={"mean": DURATIONS}),
     st.fixed_dictionaries({"kind": st.just("none")}),
 )
@@ -594,11 +656,11 @@ ENTRIES = st.fixed_dictionaries(
         "links_reverse": st.integers(1, 6),
         "base_latency": DURATIONS,
         "cross_traffic": st.none() | CROSS_TRAFFIC,
-        "install_delay": st.none() | DELAYS,
+        "install_delay": st.none() | POSITIVE_DELAYS,
         "lookup_delay": DELAYS,
         "mtu": quantity("B", 64, 9000),
         "reply_size": quantity("B", 1, 1500),
-        "pair_spacing": DURATIONS,
+        "pair_spacing": quantity("ns", 0, 10**7 - 1) | quantity("us", 0, 9999),  # pairs: <= 10 ms
         "time_span": quantity("s", 1, 600),
         "passive_window": quantity("ms", 1, 10**6),
         "bin_width": quantity("us", 1, 10**4),
@@ -761,10 +823,14 @@ def test_cli_parallel_jobs_write_the_serial_bytes(tmp_path):
         # Each kind knows only its own keys.
         ("install_delay: {kind: constant, value: 1 ms, mean: 2 ms}", "install_delay.mean"),
         ("cross_traffic: {kind: constant, variance: 1 ms^2}", "cross_traffic.variance"),
+        # A delay's keys are not cross-traffic keys.
+        ("cross_traffic: {kind: constant, value: 1 ms}", "cross_traffic.value"),
+        ("cross_traffic: {median: 1 ms}", "cross_traffic.median"),
     ],
     ids=[
         "cross_traffic", "install_delay", "lookup_delay", "drift", "defense", "per_k",
-        "install_delay_of_another_kind", "cross_traffic_of_another_kind",
+        "install_delay_of_another_kind", "cross_traffic_of_another_kind", "cross_traffic_value",
+        "cross_traffic_median",
     ],
 )
 def test_cli_rejects_an_unknown_nested_key(tmp_path, capsys, entry, key):
