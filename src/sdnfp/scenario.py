@@ -258,6 +258,10 @@ def evaluate(samples, features) -> dict[str, FeatureResult]:
         values_n, values_y = samples.values(feature, "N"), samples.values(feature, "Y")
         if not values_n.size or not values_y.size:
             raise ConfigError(f"features: no {feature} samples for one label")
+        for label, values in (("N", values_n), ("Y", values_y)):
+            if values.min() == values.max():
+                raise ConfigError(f"features: every {feature}/{label} sample is {values[0]:g} ms, and "
+                                  "Welch's test needs spread (link jitter gives N its spread)")
         results[feature] = FeatureResult(
             eer=compute_eer(values_n, values_y),
             welch=welch_t_test(values_n, values_y),

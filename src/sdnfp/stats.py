@@ -4,9 +4,10 @@ Generalized Pareto fitting/sampling.
 Histograms and EER sweep curves are `probes.Table`s, written as traces are.
 Every routine takes any array-like of floats and boxes no value.
 
-The fit is scipy's maximum-likelihood `genpareto.fit` with the location
-pinned; the quantile and sampler stay hand-written, because the defended
-traces depend on their exact floating-point path.
+The fit maximizes the likelihood with the location pinned, by Grimshaw's
+(1993) reduction to a one-variable profile search; the quantile and sampler
+stay hand-written, because the defended traces depend on their exact
+floating-point path.  Only `fit_gpd` loads `scipy.optimize`, on first use.
 
 Classification convention (fixed): a measurement at or below the threshold t
 is conjectured N (no rule installed), above it Y.  During the sweep,
@@ -21,8 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import genpareto, kstest
-from scipy.stats import t as student_t
+from scipy.special import stdtr
 
 from .probes import Table
 
@@ -142,7 +142,7 @@ def welch_t_test(samples_n, samples_y) -> WelchResult:
     sb = vb / b.size
     t_stat = (a.mean() - b.mean()) / math.sqrt(sa + sb)
     df = (sa + sb) ** 2 / (sa**2 / (a.size - 1) + sb**2 / (b.size - 1))
-    p = 2.0 * float(student_t.sf(abs(t_stat), df))
+    p = 2.0 * float(stdtr(df, -abs(t_stat)))  # what scipy's t.sf(|t|, df) evaluates
     return WelchResult(t_statistic=float(t_stat), significant_at_1pct=p < 0.01, p_value=p)
 
 
@@ -184,16 +184,23 @@ def gpd_sample(params: GPDParams, rng: np.random.Generator, size: int | None = N
 
 LOCATION_EPS_MS = 1e-6  # one nanosecond
 MIN_FIT_SAMPLES = 50
+_LOG_T_MIN = -35.0  # |theta y_max| = 6e-16: xi(theta) is at its exponential limit
 
 
 def fit_gpd(samples) -> tuple[GPDParams, float]:
-    """Fit a Generalized Pareto by maximum likelihood.
+    """Fit a Generalized Pareto by maximum likelihood, the location pinned.
 
-    The location is pinned one time-quantum below the smallest sample, and
-    `scipy.stats.genpareto.fit` finds the shape and scale that maximize the
-    exceedance likelihood.  Returns the parameters and the Kolmogorov-Smirnov
-    D statistic of the fit (lower is better).
+    The location mu is one time-quantum below the smallest sample.  With
+    y = x - mu and theta = xi/sigma, the likelihood is maximal over xi at
+    xi(theta) = mean(log1p(theta y)), sigma = xi/theta (Grimshaw 1993,
+    "Computing maximum likelihood estimates for the generalized Pareto
+    distribution", Technometrics 35(2)), so bounded Brent searches log|theta|
+    in (-1/max y, 0) and (0, Grimshaw's bound).  Below shape -1 the likelihood
+    grows without bound as theta nears -1/max y; there is no maximum, and the
+    fit fails.  Returns the parameters and the fit's Kolmogorov-Smirnov D.
     """
+    from scipy.optimize import minimize_scalar
+
     x = np.asarray(samples, dtype=float)
     if x.size < MIN_FIT_SAMPLES:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples")
@@ -202,9 +209,28 @@ def fit_gpd(samples) -> tuple[GPDParams, float]:
     if x.max() == x.min():
         raise FitFailedError("constant samples leave the likelihood degenerate")
     mu = float(x.min()) - LOCATION_EPS_MS
-    xi, _, sigma = genpareto.fit(x, floc=mu)
+    y_max = float(x.max()) - mu
+    z = (x - mu) / y_max  # t = theta * y_max keeps every log1p(t z) above -1 for t > -1
+
+    def profile(log_abs_t, sign):
+        """Negative profile log-likelihood per sample, less log(y_max)."""
+        t = sign * math.exp(log_abs_t)
+        xi = float(np.log1p(t * z).mean())
+        return math.log(xi / t) + xi + 1.0
+
+    upper = math.log(2.0 * (z.mean() - z.min()) / z.min() ** 2)  # Grimshaw's bound on theta y_max
+    searches = [(minimize_scalar(profile, bounds=(_LOG_T_MIN, hi), args=(sign,), method="bounded",
+                                 options={"xatol": 1e-10}), sign) for sign, hi in ((-1.0, 0.0), (1.0, upper))]
+    best, sign = min(searches, key=lambda search: search[0].fun)
+    t = sign * math.exp(best.x)
+    log_terms = np.log1p(t * z)
+    xi = float(log_terms.mean())
+    sigma = xi * y_max / t
     if not (math.isfinite(xi) and math.isfinite(sigma) and sigma > 0):
         raise FitFailedError("no parameter pair with finite likelihood")
-    params = GPDParams(shape=float(xi), scale=float(sigma), location=mu)
-    ks = float(kstest(x, genpareto.cdf, args=(xi, mu, sigma)).statistic)
-    return params, ks
+    if xi <= -1.0:
+        raise FitFailedError(f"shape: no likelihood maximum above -1 (the search stopped at {xi:.3f})")
+    cdf = np.sort(-np.expm1(-log_terms / xi))  # 1 - (1 + theta y)^(-1/xi) at each sample
+    i = np.arange(cdf.size)
+    ks = max(((i + 1) / cdf.size - cdf).max(), (cdf - i / cdf.size).max())
+    return GPDParams(shape=xi, scale=sigma, location=mu), float(ks)

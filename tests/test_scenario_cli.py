@@ -3,13 +3,18 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, strategies as st
 
+import sdnfp
 import sdnfp.cli as cli
 from sdnfp.cli import main
 from sdnfp.defense import DelayElementConfig
@@ -453,6 +458,28 @@ def test_cli_eer_and_report_name_a_feature_missing_a_label(tmp_path, capsys, fea
     assert f"features: no {feature} samples" in capsys.readouterr().err
     assert main(["report", "--bundles", str(bundle_dir), "--out", str(tmp_path / "rep")]) == 2
     assert f"features: no {feature} samples" in capsys.readouterr().err
+
+
+def test_cli_names_the_feature_and_label_of_a_constant_population(tmp_path, capsys):
+    # Without link jitter every N-pair dispersion is the same, and Welch's
+    # test has no variance to divide by.
+    cfg = tmp_path / "no-jitter.yaml"
+    cfg.write_text("scenarios:\n  - name: k2-hw-100m\n    trains: 4\n    cross_traffic: {kind: none}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+    assert "config error: features: every dispersion/N sample is " in capsys.readouterr().err
+
+
+def test_the_cli_loads_neither_scipy_stats_nor_scipy_optimize(tmp_path):
+    # Only `sdnfp fit` loads scipy.optimize, when it fits; nothing loads scipy.stats.
+    script = (
+        "import sys\n"
+        "import sdnfp.cli\n"
+        f"code = sdnfp.cli.main(['simulate', '--scenario', 'k1-hw-100m', '--out', {str(tmp_path)!r}])\n"
+        "print(code, sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(sdnfp.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.splitlines()[-1] == "0 []"
 
 
 def test_cli_missing_trace_file_exit_1(tmp_path):

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import genpareto
+from hypothesis import given, strategies as st
+from scipy.stats import genpareto, kstest
+from scipy.stats import t as student_t
 
 from sdnfp.features import DELTA_RTT, DISPERSION
 from sdnfp.scenario import builtin_scenarios, run_scenario
@@ -203,6 +205,21 @@ def test_welch_false_positive_rate_near_alpha():
     assert 0.001 <= hits / reps <= 0.03
 
 
+@given(
+    st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40),
+    st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40),
+)
+def test_welch_p_value_is_scipys_t_sf_bit_for_bit(samples_n, samples_y):
+    a, b = np.asarray(samples_n), np.asarray(samples_y)
+    sa, sb = a.var(ddof=1) / a.size, b.var(ddof=1) / b.size
+    if sa == 0.0 or sb == 0.0:
+        return
+    res = welch_t_test(a, b)
+    # The Welch-Satterthwaite df, in welch_t_test's operation order.
+    df = (sa + sb) ** 2 / (sa**2 / (a.size - 1) + sb**2 / (b.size - 1))
+    assert res.p_value == 2.0 * float(student_t.sf(abs(res.t_statistic), df))
+
+
 def test_welch_degenerate_variance():
     with pytest.raises(DegenerateVarianceError):
         welch_t_test([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
@@ -336,11 +353,81 @@ def test_fit_gpd_on_non_gpd_shape():
     # A lognormal-max population (the attack's install-delay shape) is not a
     # GPD; the fit still converges, with a KS distance that reflects the
     # mismatch (hump-shaped data against a density that is maximal at the
-    # threshold).  Verified against scipy's MLE: this is the optimum.
-    rng = np.random.default_rng(44)
-    x = 0.1 + np.exp(np.log(4.5) + 0.6 * rng.standard_normal((2000, 3))).max(axis=1)
-    _, ks = fit_gpd(x)
+    # threshold).  test_fit_gpd_is_as_likely_as_scipys_fit holds it to
+    # scipy's fit on the same sample.
+    _, ks = fit_gpd(lognormal_max_sample())
     assert 0.005 < ks < 0.25
+
+
+def lognormal_max_sample():
+    rng = np.random.default_rng(44)
+    return 0.1 + np.exp(np.log(4.5) + 0.6 * rng.standard_normal((2000, 3))).max(axis=1)
+
+
+# The populations criteria 3 and 6, the fit tests and the benchmark's 100k
+# and per-k fits run on, plus the exponential limit and a positive shape.
+FIT_POPULATIONS = {
+    "criterion-3": lambda k2: gpd_sample(RTT_PARAMS, np.random.default_rng(42), 100_000),
+    "k2-delta_rtt-Y": lambda k2: k2[DELTA_RTT],
+    "k2-dispersion-Y": lambda k2: k2[DISPERSION],
+    "lognormal-max": lambda k2: lognormal_max_sample(),
+    "exponential": lambda k2: np.random.default_rng(45).exponential(2.0, 5_000),
+    "positive-shape": lambda k2: gpd_sample(GPDParams(0.4, 1.0, 0.0), np.random.default_rng(46), 5_000),
+    "dispersion-5k": lambda k2: gpd_sample(DISP_PARAMS, np.random.default_rng(43), 5_000),
+    "rtt-2k": lambda k2: gpd_sample(RTT_PARAMS, np.random.default_rng(5), 2_000),
+}
+
+
+def scipy_fit_nnlf(x, location):
+    shape, _, scale = genpareto.fit(x, floc=location)
+    return genpareto.nnlf((shape, location, scale), x)
+
+
+@pytest.mark.parametrize("population", list(FIT_POPULATIONS))
+def test_fit_gpd_is_as_likely_as_scipys_fit(population, k2_populations):
+    x = np.asarray(FIT_POPULATIONS[population](k2_populations))
+    fit, _ = fit_gpd(x)
+    assert fit.shape > -1.0
+    assert genpareto.nnlf((fit.shape, fit.location, fit.scale), x) <= scipy_fit_nnlf(x, fit.location)
+
+
+@pytest.mark.parametrize("population", list(FIT_POPULATIONS))
+def test_fit_gpd_ks_is_scipys_kstest(population, k2_populations):
+    x = np.asarray(FIT_POPULATIONS[population](k2_populations))
+    fit, ks = fit_gpd(x)
+    expected = kstest(x, genpareto.cdf, args=(fit.shape, fit.location, fit.scale)).statistic
+    assert ks == pytest.approx(expected, abs=1e-12, rel=0)
+
+
+def uniform_sample(n, seed):
+    return np.random.default_rng(seed).random(n)
+
+
+@pytest.mark.parametrize("n", [60, 5_000])
+@pytest.mark.parametrize(
+    "draw",
+    [uniform_sample, lambda n, seed: gpd_sample(GPDParams(-1.5, 1.0, 0.0), np.random.default_rng(seed), n)],
+    ids=["uniform", "shape-1.5"],
+)
+def test_fit_gpd_fails_where_the_likelihood_has_no_maximum(draw, n):
+    # For shape <= -1 the pinned-location likelihood grows without bound as
+    # the upper end of the support nears the largest sample.
+    with pytest.raises(FitFailedError, match="shape: no likelihood maximum above -1"):
+        fit_gpd(draw(n, 0))
+
+
+def test_fit_gpd_returns_a_uniform_samples_maximum_just_above_shape_minus_one():
+    # The uniform is the GPD of shape -1, the boundary: about half of its
+    # samples have a local likelihood maximum just above -1 (seed 0 above has
+    # none).  The fit returns it, and it is a maximum in (shape, scale).
+    x = uniform_sample(5_000, 6)
+    fit, _ = fit_gpd(x)
+    assert -1.0 < fit.shape < -0.99
+    best = genpareto.nnlf((fit.shape, fit.location, fit.scale), x)
+    assert best <= scipy_fit_nnlf(x, fit.location)
+    for d_shape, d_scale in [(1e-4, 0), (-1e-4, 0), (0, 1e-4), (0, -1e-4)]:
+        near = (fit.shape + d_shape, fit.location, fit.scale * (1 + d_scale))
+        assert genpareto.nnlf(near, x) > best
 
 
 def test_gpd_params_validation():
