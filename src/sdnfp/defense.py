@@ -69,23 +69,20 @@ class BucketDecision:
 class DelayElementConfig:
     t_th_ns: int = DEFAULT_T_TH_NS
     window_ns: int = DEFAULT_WINDOW_NS
+    # Table 4's GPDs; fine-grained mode fits both to the install timing of the
+    # scenario's own k (`sdnfp defend --first-delay --followup-delay`).
     first_delay: GPDParams = TABLE4_DELTA_RTT
     followup_delay: GPDParams = TABLE4_DISPERSION
-    # Fine-grained mode: per configured-switch-count parameter pairs.
-    per_k: dict | None = None  # {k: (first_delay, followup_delay)}
 
     def __post_init__(self):
         if not self.t_th_ns > self.window_ns > 0:
             raise ValueError("need t_th > window > 0")
 
-    def params_for(self, position: str, k: int | None) -> GPDParams:
-        first, followup = self.first_delay, self.followup_delay
-        if self.per_k and k in self.per_k:
-            first, followup = self.per_k[k]
+    def params_for(self, position: str) -> GPDParams:
         if position == FIRST:
-            return first
+            return self.first_delay
         if position == FOLLOWUP:
-            return followup
+            return self.followup_delay
         raise ValueError(f"unknown delay position {position!r}")
 
 
@@ -115,12 +112,12 @@ def _hold_ns(params: GPDParams, u: float) -> int:
     return ns_from_float(float(gpd_quantile(u, params)) * NS_PER_MS)
 
 
-def delay_for(position: str, cfg: DelayElementConfig, rng: np.random.Generator, k: int | None = None) -> int:
+def delay_for(position: str, cfg: DelayElementConfig, rng: np.random.Generator) -> int:
     """Sampled hold duration in ns for a packet in the delayed bucket."""
-    return _hold_ns(cfg.params_for(position, k), rng.random())
+    return _hold_ns(cfg.params_for(position), rng.random())
 
 
-def delays_from_uniform(position: str, cfg: DelayElementConfig, u: np.ndarray, k: int | None = None) -> np.ndarray:
+def delays_from_uniform(position: str, cfg: DelayElementConfig, u: np.ndarray) -> np.ndarray:
     """Array form of delay_for for given random() draws, draw by draw.
 
     gpd_quantile's np.power may differ from the scalar one in the last ulp,
@@ -128,7 +125,7 @@ def delays_from_uniform(position: str, cfg: DelayElementConfig, u: np.ndarray, k
     rounding guard widens by it; a value the guard recomputes takes
     delay_for's own formula, `_hold_ns`.
     """
-    params = cfg.params_for(position, k)
+    params = cfg.params_for(position)
     ms = gpd_quantile(u, params)
     amplify = params.scale / abs(params.shape) if abs(params.shape) >= _XI_ZERO else 0.0
     err_ns = 64 * np.finfo(float).eps * NS_PER_MS * (

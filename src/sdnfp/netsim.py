@@ -2,9 +2,8 @@
 
 Topology convention: node 0 is the client, forward link i connects node i to
 node i+1, and switch j sits at node j+1 (so its egress is forward link j+1).
-The first `configured_count` switches perform real table lookups and require
-rule installation on a miss; any remaining switches already hold matching
-rules and forward without measurable processing.
+Every switch on the path performs a real table lookup and requires rule
+installation on a miss; the number of switches is the fingerprint k.
 
 Timing model per forward link: a data packet may not begin transmission
 before the previous packet on that link finished transmitting (FIFO), cross
@@ -14,8 +13,8 @@ base_latency after transmission:
     finish = max(ready, link_busy) + cross_delay [+ surcharge] + S/B
     arrival_at_next_node = finish + base_latency
 
-A table miss charges `lookup + max over configured switches of their install
-delay` once.  The charge is applied as a service surcharge at the detecting
+A table miss charges `lookup + max over the switches of their install delay`
+once.  The charge is applied as a service surcharge at the detecting
 switch's egress to every same-flow packet that arrives while the install is
 still in progress; the trigger itself pays it, and a packet queued right
 behind the trigger therefore leaves one surcharge later, which is what makes
@@ -78,9 +77,6 @@ DEFAULT_TABLE_CAPACITY = 1024
 CLEAR = "CLEAR"
 PROBE = "PROBE"
 REPLY = "REPLY"
-
-HARDWARE = "hardware"
-SOFTWARE = "software"
 
 
 @dataclass(frozen=True)
@@ -148,13 +144,10 @@ class SwitchSpec:
     """Immutable switch description; each simulation builds its own flow table."""
 
     id: str
-    kind: str  # hardware | software
     install_delay: DelayModel
     table_capacity: int = DEFAULT_TABLE_CAPACITY
 
     def __post_init__(self):
-        if self.kind not in (HARDWARE, SOFTWARE):
-            raise ValueError(f"switch kind must be hardware or software, got {self.kind!r}")
         if self.table_capacity < 0:
             raise ValueError("table capacity must be >= 0")
         if self.install_delay.kind == "none" or (
@@ -189,7 +182,6 @@ class PathSpec:
     forward_links: tuple[LinkSpec, ...]
     reverse_links: tuple[LinkSpec, ...]
     switches: tuple[SwitchSpec, ...] = ()
-    configured_count: int = 0
     delay_element: object | None = None  # DelayElementConfig, attached by defense
 
     def __post_init__(self):
@@ -200,8 +192,6 @@ class PathSpec:
             raise ValueError("paths need at least one link per direction")
         if self.switches and len(self.switches) > len(self.forward_links) - 1:
             raise ValueError("switch j needs egress link j+1; too many switches for path")
-        if not 0 <= self.configured_count <= len(self.switches):
-            raise ValueError("configured_count must be within the switch list")
 
 
 def transmission_delay_ns(size_bytes: int, link: LinkSpec) -> int:
@@ -494,17 +484,17 @@ def new_flow_tables(path: PathSpec) -> tuple[FlowTable, ...]:
 
 
 def miss_charge_ns(path: PathSpec, controller: ControllerSpec, gen: np.random.Generator) -> int:
-    """Lookup delay plus the slowest configured switch's install delay.
+    """Lookup delay plus the slowest switch's install delay.
 
-    Draws the lookup first, then one install per configured switch in path
-    order; the controller reconfigures every switch at once, so only the
-    slowest install is visible.
+    Draws the lookup first, then one install per switch in path order; the
+    controller reconfigures every switch at once, so only the slowest install
+    is visible.
     """
-    if path.configured_count < 1:
-        raise ValueError("table miss needs at least one configured switch")
+    if not path.switches:
+        raise ValueError("table miss needs at least one switch")
     penalty = controller.lookup_delay.sample_ns(gen)
     max_install = 0
-    for sw in path.switches[: path.configured_count]:
+    for sw in path.switches:
         max_install = max(max_install, sw.install_delay.sample_ns(gen))
     return penalty + max_install
 
@@ -516,7 +506,7 @@ def handle_table_miss(
     rng,
     tables: tuple[FlowTable, ...] | None = None,
 ) -> MissOutcome:
-    """Install `key` bidirectionally at all configured switches, return the charge.
+    """Install `key` bidirectionally at every switch, return the charge.
 
     `tables` are the simulation's flow tables, one per switch (fresh empty
     ones when omitted).  A full table skips the install (the packet is still
@@ -526,7 +516,7 @@ def handle_table_miss(
     if tables is None:
         tables = new_flow_tables(path)
     full: list[str] = []
-    for sw, table in zip(path.switches[: path.configured_count], tables):
+    for sw, table in zip(path.switches, tables):
         ok_fwd = table.install(key)
         ok_rev = table.install(key.reversed())
         if not (ok_fwd and ok_rev):
@@ -577,7 +567,7 @@ class Simulation:
 
         self.tables = new_flow_tables(path)
         for key in warm_keys:
-            for table in self.tables[: path.configured_count]:
+            for table in self.tables:
                 table.install(key)
                 table.install(key.reversed())
 
@@ -585,8 +575,6 @@ class Simulation:
         self.pending_clear_ns: int | None = None
         self.install_windows: dict[tuple[int, FlowKey], _InstallWindow] = {}
         self.last_release_ns: dict[FlowKey, int] = {}
-        self.install_events = 0
-        self.table_full_events = 0
         self._wander_t_ns = 0
         self._wander_walk_ns = 0.0
         # Activity tracking exists only when a delay element is attached.
@@ -632,8 +620,6 @@ class Simulation:
             if s_idx == 0:
                 self.pending_clear_ns = arrival_ns + self.controller.clear_delay_ns
             return arrival_ns, 0, False, False
-        if s_idx >= self.path.configured_count:
-            return arrival_ns, 0, False, False
 
         element = self.path.delay_element if s_idx == 0 else None
         decision = None
@@ -645,9 +631,6 @@ class Simulation:
         key = packet.key
         if key not in self.tables[s_idx]:
             outcome = handle_table_miss(key, self.path, self.controller, self.streams, self.tables)
-            self.install_events += 1
-            if outcome.full_switch_ids:
-                self.table_full_events += 1
             self.install_windows[(s_idx, key)] = _InstallWindow(
                 arrival_ns, outcome.penalty_ns
             )
@@ -661,9 +644,7 @@ class Simulation:
             from .defense import delay_for
 
             position = decision.position if decision.bucket == "delayed" else "followup"
-            sample = delay_for(
-                position, element, self.streams.defense, k=self.path.configured_count
-            )
+            sample = delay_for(position, element, self.streams.defense)
             release = max(arrival_ns + sample, self.last_release_ns.get(key, 0))
             self.last_release_ns[key] = release
             return release, 0, False, False
@@ -802,21 +783,21 @@ class _TrialBatch:
     """Switch and controller state of many trials, one array entry per trial.
 
     Mirrors Simulation's `_apply_pending_clear` and `_switch_process` with
-    masks in place of branches.  The flow's rules at configured switch s are
+    masks in place of branches.  The flow's rules at switch s are
     counted in rules[s]: 0 none, 1 the forward key only (what a capacity-1
     table keeps), 2 both directions.
 
     The `control` and `defense` streams are drawn as one [trial, value] block
     from `TrialStreams.block`, on the first event that needs them, and read
     through a per-trial cursor in the order the reference model draws them:
-    * `control`: a miss draws the lookup delay, then each configured switch's
-      install delay in path order, one value per model that draws (`d` of
-      them).  A packet misses at most once per configured switch, so the
-      block holds n_packets x configured_count x d values.  It needs one draw
-      type for all `d` models (`random()` for Pareto, `standard_normal()`
-      for lognormal, which covers every built-in); when the types mix,
-      `control` holds the per-trial Generators instead and each miss calls
-      the scalar `miss_charge_ns` on its trial's.
+    * `control`: a miss draws the lookup delay, then each switch's install
+      delay in path order, one value per model that draws (`d` of them).  A
+      packet misses at most once per switch, so the block holds n_packets x
+      len(path.switches) x d values.  It needs one draw type for all `d`
+      models (`random()` for Pareto, `standard_normal()` for lognormal, which
+      covers every built-in); when the types mix, `control` holds the
+      per-trial Generators instead and each miss calls the scalar
+      `miss_charge_ns` on its trial's.
     * `defense`: a hold takes one `random()`.  Only the outermost switch
       parks packets, at most once per packet, so the block holds n_packets
       values.
@@ -836,17 +817,17 @@ class _TrialBatch:
         self.controller = controller
         self.streams = streams
         self.element = path.delay_element
-        k = path.configured_count
+        k = len(path.switches)
         n = len(streams)
         self.n_packets = n_packets
-        self.charge_models = (controller.lookup_delay, *(sw.install_delay for sw in path.switches[:k]))
+        self.charge_models = (controller.lookup_delay, *(sw.install_delay for sw in path.switches))
         self.drawn = np.array([m.draw_type is not None for m in self.charge_models])
         draws = {m.draw_type for m in self.charge_models} - {None}
         self.control_draw = draws.pop() if len(draws) == 1 else None  # None: nothing or mixed
         self.control = self.defense = None  # [trial, value] blocks, drawn on first use
         self.control_next = np.zeros(n, np.intp)
         self.defense_next = np.zeros(n, np.intp)
-        self.full_rules = [min(2, sw.table_capacity) for sw in path.switches[:k]]
+        self.full_rules = [min(2, sw.table_capacity) for sw in path.switches]
         self.rules = [np.full(n, r if warm else 0, np.int8) for r in self.full_rules]
         # Per switch, the install window [start, start + penalty); a CLEAR zeroes the penalty.
         self.win_start = [np.zeros(n, np.int64) for _ in range(k)]
@@ -886,7 +867,7 @@ class _TrialBatch:
         return delayed, first
 
     def switch_process(self, s: int, now: np.ndarray, miss_flag, table_full):
-        """A probe reaches configured switch s; returns (ready, surcharge).
+        """A probe reaches switch s; returns (ready, surcharge).
 
         Sets the probe's miss_flag and table_full entries of trials that miss.
         """
@@ -939,7 +920,7 @@ class _TrialBatch:
         x = np.zeros((len(self.charge_models), idx.size))  # rows of constant models stay unread
         if d:
             if self.control is None:
-                size = self.n_packets * self.path.configured_count * d
+                size = self.n_packets * len(self.path.switches) * d
                 self.control = self.streams.block("control", self.control_draw, size)
             start = self.control_next[idx]
             x[self.drawn] = self.control[idx[:, None], start[:, None] + np.arange(d)].T
@@ -959,9 +940,7 @@ class _TrialBatch:
         holds = np.empty(idx.size, np.int64)
         for position, mask in ((FIRST, first), (FOLLOWUP, ~first)):
             if mask.any():
-                holds[mask] = delays_from_uniform(
-                    position, self.element, u[mask], k=self.path.configured_count
-                )
+                holds[mask] = delays_from_uniform(position, self.element, u[mask])
         return holds
 
 
@@ -981,11 +960,11 @@ def simulate_trials(
     Trial j draws only from row j of each of the batch's streams and
     produces exactly what `Simulation(path, controller, RngStreams(seed,
     trials[j], group), ...)` produces for the same packets; `warm`
-    pre-installs the flow's rules at every configured switch.  Each stream is
-    drawn as one block per trial: `cross` and `drift` as `_cross_delays` and
-    `_wander` lay them out, `control` (n_packets x configured_count x d
-    values, d the lookup and install models that draw) and `defense`
-    (n_packets values) as `_TrialBatch` reads them.
+    pre-installs the flow's rules at every switch.  Each stream is drawn as
+    one block per trial: `cross` and `drift` as `_cross_delays` and `_wander`
+    lay them out, `control` (n_packets x switches x d values, d the lookup
+    and install models that draw) and `defense` (n_packets values) as
+    `_TrialBatch` reads them.
     """
     packets = tuple(packets)
     n_trials = len(streams)
@@ -1014,11 +993,10 @@ def simulate_trials(
             s = i - 1
             if 0 <= s < n_switches:
                 state.apply_pending_clear(ready)
-                if pkt.kind == CLEAR:
-                    if s == 0:
-                        state.schedule_clear(ready)
-                elif s < path.configured_count:
+                if pkt.kind != CLEAR:
                     ready, surcharge = state.switch_process(s, ready, miss_flag[p], table_full[p])
+                elif s == 0:
+                    state.schedule_clear(ready)
             finish = np.maximum(ready, busy[i]) + surcharge + cross[i][p]
             finish += transmission_delay_ns(pkt.size_bytes, link)
             busy[i] = finish
@@ -1042,7 +1020,6 @@ def uniform_path(
     n_reverse: int,
     capacity_bps: int,
     switches: tuple[SwitchSpec, ...] = (),
-    configured_count: int | None = None,
     cross_traffic: DelayModel | None = None,
     base_latency_ns: int = 0,
 ) -> PathSpec:
@@ -1052,5 +1029,4 @@ def uniform_path(
         forward_links=(link,) * n_forward,
         reverse_links=(link,) * n_reverse,
         switches=switches,
-        configured_count=len(switches) if configured_count is None else configured_count,
     )

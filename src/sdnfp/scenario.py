@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import namedtuple
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -64,16 +63,7 @@ from .features import (
     ScenarioContext,
     label_samples,
 )
-from .netsim import (
-    HARDWARE,
-    SOFTWARE,
-    ControllerSpec,
-    DriftModel,
-    FlowKey,
-    PathSpec,
-    SwitchSpec,
-    uniform_path,
-)
+from .netsim import ControllerSpec, DriftModel, FlowKey, PathSpec, SwitchSpec, uniform_path
 from .probes import Table, Trace, build_probe_train, idle_flow_probes, run_schedule
 from .stats import EERResult, GPDParams, WelchResult, build_histogram, compute_eer, welch_t_test
 from .units import DURATION, NS_PER_MS, NS_PER_S, RATE, SIZE, parse_duration_ns
@@ -88,6 +78,9 @@ write_trace_csv = Trace.write_csv
 
 
 DEFAULT_FLOW = FlowKey(src="10.0.0.2", dst="10.0.1.2")
+
+HARDWARE = "hardware"
+SOFTWARE = "software"
 
 HW_INSTALL = lognormal(int(4.5 * NS_PER_MS), 0.6)
 SW_INSTALL = lognormal(int(0.8 * NS_PER_MS), 0.7)
@@ -172,7 +165,6 @@ class Scenario:
         switches = tuple(
             SwitchSpec(
                 id=f"{self.switch_kind[:2]}{i + 1}",
-                kind=self.switch_kind,
                 install_delay=install,
                 table_capacity=self.table_capacity,
             )
@@ -461,11 +453,6 @@ def _whole(value) -> int:
     return value
 
 
-def _switch_count(k) -> int:
-    """A per_k key: an int in YAML, its decimal text in a JSON sidecar."""
-    return int(k) if isinstance(k, str) and k.isdecimal() else _whole(k)
-
-
 def _finite(value) -> float:
     x = float(value)
     if not math.isfinite(x):
@@ -598,24 +585,13 @@ _GPD = _Nested(
     _gpd_from_config,
     lambda p: {"shape": p.shape, "scale_ms": p.scale, "location_ms": p.location},
 )
-_DELAYS = ("first_delay", "followup_delay")
-# A per_k entry: the (first, follow-up) delays of one configured-switch count.
-_DelayPair = namedtuple("_DelayPair", _DELAYS)
-_PAIR = _mapping(_DelayPair, {d: (d, _GPD) for d in _DELAYS})
-_PER_K = _Nested(
-    lambda cfg, key: {
-        _parse((_switch_count, None), k, f"{key}.{k}"): _parse(_PAIR, pair, f"{key}.{k}")
-        for k, pair in _as_mapping(cfg, key).items()
-    },
-    lambda per_k: {str(k): _PAIR.write(_DelayPair(*pair)) for k, pair in per_k.items()},
-)
-_DEFENSE = _mapping(DelayElementConfig, {
+_DEFENSE_KEYS = {
     "t_th": ("t_th_ns", DURATION),
     "window": ("window_ns", DURATION),
-    **{d: (d, _GPD) for d in _DELAYS},
-    "per_k": ("per_k", _optional(_PER_K)),
-})
-_DRIFT = _mapping(DriftModel, {"sigma": ("sigma_ns_per_sqrt_s", _SIGMA), "base": ("base_ns", DURATION)})
+    "first_delay": ("first_delay", _GPD),
+    "followup_delay": ("followup_delay", _GPD),
+}
+_DRIFT_KEYS = {"sigma": ("sigma_ns_per_sqrt_s", _SIGMA), "base": ("base_ns", DURATION)}
 
 # Scenario entry key -> (Scenario field, codec of the key's value).
 _CONFIG_FIELDS = {
@@ -640,8 +616,8 @@ _CONFIG_FIELDS = {
     "clear_delay": ("clear_delay_ns", DURATION),
     "turnaround": ("turnaround_ns", DURATION),
     "idle_lead": ("idle_lead_ns", DURATION),
-    "defense": ("defense", _optional(_DEFENSE)),
-    "drift": ("drift", _optional(_DRIFT)),
+    "defense": ("defense", _optional(_mapping(DelayElementConfig, _DEFENSE_KEYS))),
+    "drift": ("drift", _optional(_mapping(DriftModel, _DRIFT_KEYS))),
     "features": ("feature_set", (_feature_list, list)),
 }
 

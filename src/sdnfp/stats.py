@@ -141,7 +141,10 @@ def welch_t_test(samples_n, samples_y) -> WelchResult:
     sa = va / a.size
     sb = vb / b.size
     t_stat = (a.mean() - b.mean()) / math.sqrt(sa + sb)
-    df = (sa + sb) ** 2 / (sa**2 / (a.size - 1) + sb**2 / (b.size - 1))
+    # Welch-Satterthwaite df by the share r of sa: r or 1 - r is at least 1/2,
+    # so the denominator cannot underflow to 0 as sa**2 can.
+    r = sa / (sa + sb)
+    df = 1.0 / (r**2 / (a.size - 1) + (1.0 - r) ** 2 / (b.size - 1))
     p = 2.0 * float(stdtr(df, -abs(t_stat)))  # what scipy's t.sf(|t|, df) evaluates
     return WelchResult(t_statistic=float(t_stat), significant_at_1pct=p < 0.01, p_value=p)
 

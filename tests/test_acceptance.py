@@ -59,9 +59,7 @@ def defended(undefended):
     y_disp = base.samples.values(DISPERSION, "Y")
     first_fit, _ = fit_gpd(y_rtt)
     followup_fit, _ = fit_gpd(y_disp)
-    perk_cfg = DelayElementConfig(
-        first_delay=first_fit, followup_delay=followup_fit, per_k={2: (first_fit, followup_fit)}
-    )
+    perk_cfg = DelayElementConfig(first_delay=first_fit, followup_delay=followup_fit)
     perk = run_scenario(
         replace(builtin_scenarios()["k2-hw-100m"], name="k2-hw-100m-perk", defense=perk_cfg)
     )
@@ -198,7 +196,7 @@ def test_criterion_7_zero_cost_when_active():
     cross = pareto(90_000, 2_000_000_000)
 
     def run(defended):
-        sw = SwitchSpec("hw1", "hardware", lognormal(4_500_000, 0.6))
+        sw = SwitchSpec("hw1", lognormal(4_500_000, 0.6))
         path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
         if defended:
             path = apply_delay_element(path, DelayElementConfig())

@@ -41,7 +41,7 @@ def support_upper(params):
 
 
 def defended_path(install_ns=5 * MS, cfg=CFG, cross=None, warm=False):
-    sw = SwitchSpec("hw1", "hardware", constant(install_ns))
+    sw = SwitchSpec("hw1", constant(install_ns))
     path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
     return apply_delay_element(path, cfg)
 
@@ -95,16 +95,6 @@ def test_delay_for_reproducible():
     assert a == b
 
 
-def test_delay_for_per_k_override():
-    tight = GPDParams(shape=-0.5, scale=0.001, location=42.0)
-    cfg = DelayElementConfig(per_k={2: (tight, tight)})
-    rng = np.random.default_rng(0)
-    sample_k2 = delay_for("first", cfg, rng, k=2) / MS
-    sample_k3 = delay_for("first", cfg, rng, k=3) / MS
-    assert sample_k2 == pytest.approx(42.0, abs=0.01)
-    assert sample_k3 > 0.5  # falls back to the reference parameters
-
-
 def test_apply_delay_element_requires_switch():
     path = uniform_path(2, 2, 100_000_000)
     with pytest.raises(ValueError):
@@ -115,7 +105,7 @@ def test_warm_active_flow_identical_timing():
     cross = pareto(90_000, 2_000_000_000)
 
     def run(defended):
-        sw = SwitchSpec("hw1", "hardware", lognormal(4_500_000, 0.6))
+        sw = SwitchSpec("hw1", lognormal(4_500_000, 0.6))
         path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
         if defended:
             path = apply_delay_element(path, CFG)
@@ -135,7 +125,7 @@ def test_cold_flow_without_miss_still_delayed():
     path = defended_path()
     sim = Simulation(path, ControllerSpec(), RngStreams(1), warm_keys=(KEY,))
     defended = sim.exchange(Packet(0, KEY, 1500, sent_at_ns=0))
-    plain_path = uniform_path(4, 4, 100_000_000, (SwitchSpec("hw1", "hardware", constant(5 * MS)),))
+    plain_path = uniform_path(4, 4, 100_000_000, (SwitchSpec("hw1", constant(5 * MS)),))
     plain = Simulation(plain_path, ControllerSpec(), RngStreams(1), warm_keys=(KEY,)).exchange(
         Packet(0, KEY, 1500, sent_at_ns=0)
     )
@@ -215,16 +205,12 @@ GPD_ENTRY = st.fixed_dictionaries(
 
 
 @given(
-    st.lists(GPD_ENTRY, min_size=4, max_size=4),
+    st.lists(GPD_ENTRY, min_size=2, max_size=2),
     st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=10),
 )
 def test_every_accepted_delay_element_holds_for_non_negative_time(entries, draws):
-    first, followup, first_k2, followup_k2 = entries
-    defense = {
-        "first_delay": first,
-        "followup_delay": followup,
-        "per_k": {2: {"first_delay": first_k2, "followup_delay": followup_k2}},
-    }
+    first, followup = entries
+    defense = {"first_delay": first, "followup_delay": followup}
     try:
         element = scenario_from_config({"name": "lab", "seed": 1, "defense": defense}).defense
     except ConfigError as exc:
@@ -232,5 +218,4 @@ def test_every_accepted_delay_element_holds_for_non_negative_time(entries, draws
         return
     for u in draws:
         for position in (FIRST, FOLLOWUP):
-            for k in (1, 2):
-                assert delay_for(position, element, _Draw(u), k=k) >= 0
+            assert delay_for(position, element, _Draw(u)) >= 0

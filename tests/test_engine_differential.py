@@ -51,6 +51,7 @@ INSTALL = st.sampled_from([lognormal(4_500_000, 0.6), lognormal(800_000, 0.7), p
 GAPS = [0, 0, 100_000, 3 * MS, 50 * MS, S, 6 * S]
 FIRST = GPDParams(shape=-0.3, scale=5.0, location=0.5)
 FOLLOWUP = GPDParams(shape=-0.5, scale=1.0, location=0.2)
+FITTED = DelayElementConfig(first_delay=FIRST, followup_delay=FOLLOWUP)
 
 
 @st.composite
@@ -65,15 +66,13 @@ def cases(draw):
 
     forward = links(draw(st.integers(k + 1, k + 2)))
     switches = tuple(
-        SwitchSpec(f"s{i}", "hardware", draw(INSTALL), draw(st.sampled_from([0, 1, 1024])))
-        for i in range(draw(st.integers(k, len(forward) - 1)))
+        SwitchSpec(f"s{i}", draw(INSTALL), draw(st.sampled_from([0, 1, 1024]))) for i in range(k)
     )
     element = None
     if draw(st.booleans()):
         t_th, window = draw(st.sampled_from([(5 * S, 100 * MS), (500 * MS, 1 * MS), (2 * S, 400 * MS)]))
-        per_k = draw(st.sampled_from([None, {k: (FIRST, FOLLOWUP)}, {k + 1: (FIRST, FOLLOWUP)}]))
-        element = DelayElementConfig(t_th_ns=t_th, window_ns=window, per_k=per_k)
-    path = PathSpec(forward, links(draw(st.integers(1, 3))), switches, k, element)
+        element = replace(draw(st.sampled_from([DelayElementConfig(), FITTED])), t_th_ns=t_th, window_ns=window)
+    path = PathSpec(forward, links(draw(st.integers(1, 3))), switches, element)
     controller = ControllerSpec(
         lookup_delay=draw(LOOKUP),
         clear_delay_ns=draw(st.sampled_from([0, 10 * MS, 1_500 * MS])),
@@ -138,21 +137,21 @@ def test_lognormal_block_transform_equals_sample_ns():
 
 
 @pytest.mark.parametrize(
-    "element, k",
+    "element",
     [
-        (DelayElementConfig(), None),  # the two Table-4 GPDs
-        (DelayElementConfig(per_k={2: (FIRST, FOLLOWUP)}), 2),
+        DelayElementConfig(),  # the two Table-4 GPDs
+        FITTED,
         # |shape| < 1e-9: the quantile's log1p limit.
-        (DelayElementConfig(first_delay=GPDParams(5e-10, 2.0, 0.3), followup_delay=GPDParams(-5e-10, 0.5, 0.0)), None),
+        DelayElementConfig(first_delay=GPDParams(5e-10, 2.0, 0.3), followup_delay=GPDParams(-5e-10, 0.5, 0.0)),
     ],
-    ids=["table4", "per_k", "shape_zero"],
+    ids=["table4", "fitted", "shape_zero"],
 )
-def test_hold_block_transform_equals_delay_for(element, k):
+def test_hold_block_transform_equals_delay_for(element):
     for position in (FIRST_PACKET, FOLLOWUP_PACKET):
         u = np.random.default_rng(11).random(50_000)
         scalar = np.random.default_rng(11)
-        expected = [delay_for(position, element, scalar, k=k) for _ in range(u.size)]
-        assert delays_from_uniform(position, element, u, k=k).tolist() == expected
+        expected = [delay_for(position, element, scalar) for _ in range(u.size)]
+        assert delays_from_uniform(position, element, u).tolist() == expected
 
 
 def test_hold_block_transform_raises_on_a_negative_hold():
@@ -183,11 +182,10 @@ def test_batched_engine_matches_scalar_reference(case):
 
 
 def test_defended_builtins_match_scalar_reference():
-    # The shipped calibration under the Table-4 element and a per-k variant,
+    # The shipped calibration under the Table-4 element and a fitted one,
     # with enough trials for misses, holds and follow-up windows to vary.
-    per_k = {2: (FIRST, FOLLOWUP)}
     for name in ("k1-sw-100m", "k2-hw-100m", "k3-hw-1g"):
-        for element in (DelayElementConfig(), DelayElementConfig(per_k=per_k)):
+        for element in (DelayElementConfig(), FITTED):
             scenario = replace(builtin_scenarios()[name], defense=element)
             path, controller = scenario.build_path(), scenario.build_controller()
             for schedule, warm, group in (
@@ -221,6 +219,13 @@ def test_pareto_control_delays_match_scalar_reference():
 
 
 @given(cases())
+def test_a_trials_rows_do_not_depend_on_the_trials_beside_it(case):
+    schedule, path, controller, trials, kwargs = case
+    alone = Trace.concat(run_schedule(schedule, path, controller, trials=[t], **kwargs) for t in trials)
+    assert run_schedule(schedule, path, controller, trials=trials, **kwargs) == alone
+
+
+@given(cases())
 def test_engine_timestamps_are_ordered_within_each_trial(case):
     # Without drift the last forward link is FIFO and replies only add delay.
     schedule, path, controller, trials, kwargs = case
@@ -237,11 +242,11 @@ def test_engine_timestamps_are_ordered_within_each_trial(case):
     ids=["standard_normal", "random"],
 )
 def test_capacity_zero_misses_at_every_switch_match_scalar_reference(lookup, install):
-    # No switch can hold a rule, so every probe misses at all three configured
-    # switches: the control block must hold n_packets x k draws per model.
+    # No switch can hold a rule, so every probe misses at all three switches:
+    # the control block must hold n_packets x k draws per model.
     link = LinkSpec(100_000_000)
-    switches = tuple(SwitchSpec(f"s{i}", "hardware", install, table_capacity=0) for i in range(3))
-    path = PathSpec((link,) * 4, (link,), switches, 3, DelayElementConfig())
+    switches = tuple(SwitchSpec(f"s{i}", install, table_capacity=0) for i in range(3))
+    path = PathSpec((link,) * 4, (link,), switches, DelayElementConfig())
     controller = ControllerSpec(lookup_delay=lookup)
     schedule = build_probe_train(KEY)
     kwargs = dict(seed=7, group=0, warm=False)
@@ -254,9 +259,9 @@ def test_capacity_zero_misses_at_every_switch_match_scalar_reference(lookup, ins
 
 def _constant_path(element=None):
     # One switch, no cross traffic: 1500 B take 120 us per link, a miss costs 3 ms.
-    switch = SwitchSpec("s0", "hardware", constant(2_900_000))
+    switch = SwitchSpec("s0", constant(2_900_000))
     link = LinkSpec(100_000_000)
-    return PathSpec((link, link), (link,), (switch,), 1, element)
+    return PathSpec((link, link), (link,), (switch,), element)
 
 
 def _probes(*sends, clear_at=None):

@@ -120,14 +120,16 @@ PER_K = "k2-hw-100m-per-k"
 
 def variant(name):
     """A VARIANTS run as the benchmark builds it: drift_variant at 600 s,
-    or `sdnfp defend`'s reference delay element; or k2-hw-100m with a per-k
-    delay element."""
+    or `sdnfp defend`'s reference delay element; or k2-hw-100m with fitted
+    delay GPDs, as `sdnfp defend --first-delay --followup-delay` runs it."""
     builtins = builtin_scenarios()
     if name.endswith("-drift-600s"):
         return drift_variant(builtins[name.removesuffix("-drift-600s")], 600 * NS_PER_S)
     if name == PER_K:
-        pair = (GPDParams(-0.3, 3.5, 0.2), GPDParams(-0.2, 1.25, 0.05))
-        return replace(builtins["k2-hw-100m"], name=name, defense=DelayElementConfig(per_k={2: pair}))
+        element = DelayElementConfig(
+            first_delay=GPDParams(-0.3, 3.5, 0.2), followup_delay=GPDParams(-0.2, 1.25, 0.05)
+        )
+        return replace(builtins["k2-hw-100m"], name=name, defense=element)
     base = builtins[name.removesuffix("-defended")]
     return replace(base, name=name, defense=DelayElementConfig())
 

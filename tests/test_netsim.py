@@ -30,7 +30,7 @@ KEY = FlowKey("10.0.0.2", "10.0.1.2")
 
 
 def hw_switch(install_ns=5 * MS, name="hw1", capacity=1024):
-    return SwitchSpec(name, "hardware", constant(install_ns), capacity)
+    return SwitchSpec(name, constant(install_ns), capacity)
 
 
 def forward(path, packet):
@@ -111,8 +111,8 @@ def test_table_miss_includes_lookup():
 def test_table_miss_seeded_replay():
     def run(seed):
         switches = (
-            SwitchSpec("a", "hardware", lognormal(4 * MS, 0.5)),
-            SwitchSpec("b", "hardware", lognormal(4 * MS, 0.5)),
+            SwitchSpec("a", lognormal(4 * MS, 0.5)),
+            SwitchSpec("b", lognormal(4 * MS, 0.5)),
         )
         path = uniform_path(4, 4, 100_000_000, switches)
         return handle_table_miss(KEY, path, ControllerSpec(), seed).penalty_ns
@@ -333,9 +333,7 @@ def test_pathspec_validation():
     with pytest.raises(ValueError):
         PathSpec((), (link,))
     with pytest.raises(ValueError):
-        PathSpec((link,), (link,), (hw_switch(),), 1)  # no room for a switch
-    with pytest.raises(ValueError):
-        PathSpec((link, link), (link,), (hw_switch(),), 2)  # k > |switches|
+        PathSpec((link,), (link,), (hw_switch(),))  # no room for a switch
 
 
 def test_lazy_streams_match_eager_construction():

@@ -22,7 +22,7 @@ KEY = FlowKey("10.0.0.2", "10.0.1.2")
 
 
 def hw(install_ns=5_000_000, name="hw1"):
-    return SwitchSpec(name, "hardware", constant(install_ns))
+    return SwitchSpec(name, constant(install_ns))
 
 
 def default_path(k=1):

@@ -6,7 +6,8 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,12 @@ import sdnfp
 import sdnfp.cli as cli
 from sdnfp.cli import main
 from sdnfp.defense import DelayElementConfig
+from sdnfp.netsim import DriftModel
 from sdnfp.probes import PAIR_GAP_MAX_NS, build_probe_train, run_schedule, run_schedule_reference
 from sdnfp.scenario import (
+    _CONFIG_FIELDS,
+    _DEFENSE_KEYS,
+    _DRIFT_KEYS,
     DEFAULT_FLOW,
     ConfigError,
     Scenario,
@@ -236,18 +241,8 @@ def test_cli_names_a_malformed_yaml_file(tmp_path, capsys):
         ("k1-hw-100m", "table_capacity: '1024'", "table_capacity", "1024"),
         ("k1-hw-100m", "seed: 5.5", "seed", 5.5),
         ("fresh", "seed: 5.5", "seed", 5.5),
-        (
-            "k2-hw-100m",
-            "defense: {per_k: {2.7: {first_delay: {shape: -0.5, scale_ms: 2, location_ms: 0.5},"
-            " followup_delay: {shape: -0.5, scale_ms: 2, location_ms: 0.5}}}}",
-            "defense.per_k.2.7",
-            2.7,
-        ),
     ],
-    ids=[
-        "trains", "k", "links_forward", "links_reverse", "table_capacity", "seed", "seed_of_a_new_name",
-        "per_k",
-    ],
+    ids=["trains", "k", "links_forward", "links_reverse", "table_capacity", "seed", "seed_of_a_new_name"],
 )
 def test_cli_rejects_a_count_that_is_not_an_integer(tmp_path, capsys, name, entry, key, value):
     # A float was truncated (4.7 trains ran 4), a bool or a digit string converted.
@@ -272,13 +267,8 @@ def test_cli_rejects_a_count_that_is_not_an_integer(tmp_path, capsys, name, entr
             "defense: {followup_delay: {shape: -0.4, scale_ms: .inf, location_ms: 0.5}}",
             "scale_ms: invalid value inf (must be finite) in defense.followup_delay",
         ),
-        (
-            "defense: {per_k: {2: {first_delay: {shape: -0.5, scale_ms: 2, location_ms: 0.5},"
-            " followup_delay: {shape: -.inf, scale_ms: 0.8, location_ms: 0.5}}}}",
-            "shape: invalid value -inf (must be finite) in defense.per_k.2.followup_delay",
-        ),
     ],
-    ids=["sigma_log_nan", "sigma_log_inf", "gpd_shape_nan", "gpd_scale_inf", "per_k_shape"],
+    ids=["sigma_log_nan", "sigma_log_inf", "gpd_shape_nan", "gpd_scale_inf"],
 )
 def test_cli_rejects_a_non_finite_delay_parameter(tmp_path, capsys, entry, message):
     cfg = tmp_path / "nan.yaml"
@@ -632,6 +622,17 @@ def test_scenario_from_config_keeps_the_defaults_of_omitted_keys():
     )
 
 
+@pytest.mark.parametrize(
+    "cls, keys",
+    [(Scenario, _CONFIG_FIELDS), (DelayElementConfig, _DEFENSE_KEYS), (DriftModel, _DRIFT_KEYS)],
+    ids=["scenario", "defense", "drift"],
+)
+def test_every_field_is_written_by_exactly_one_config_key(cls, keys):
+    # So a sidecar loses nothing, and a field no config key states fails here.
+    written = Counter(field for field, _ in keys.values())
+    assert written == Counter(f.name for f in fields(cls) if f.name != "name")
+
+
 def quantity(unit, low, high):
     """'<n> <unit>' for n in [low, high], whole or with a fraction."""
     return st.builds("{}{} {}".format, st.integers(low, high), st.sampled_from(["", ".5", ".125"]), st.just(unit))
@@ -667,9 +668,6 @@ DEFENSES = st.fixed_dictionaries(
         "window": quantity("ms", 1, 999),
         "first_delay": GPDS,
         "followup_delay": GPDS,
-        "per_k": st.none() | st.dictionaries(
-            st.integers(1, 3), st.fixed_dictionaries({"first_delay": GPDS, "followup_delay": GPDS}), max_size=3
-        ),
     },
 )
 ENTRIES = st.fixed_dictionaries(
@@ -768,13 +766,9 @@ def test_cli_defend_rejects_a_fitted_gpd_with_a_negative_location(tmp_path, caps
     "defense, key",
     [
         ("{first_delay: {shape: -0.4, scale_ms: 0.8, location_ms: -0.38}}", "defense.first_delay"),
-        (
-            "{per_k: {2: {first_delay: {shape: -0.5, scale_ms: 2, location_ms: 0.5},"
-            " followup_delay: {shape: -0.4, scale_ms: 0.8, location_ms: -0.38}}}}",
-            "defense.per_k.2.followup_delay",
-        ),
+        ("{followup_delay: {shape: -0.4, scale_ms: 0.8, location_ms: -0.38}}", "defense.followup_delay"),
     ],
-    ids=["first_delay", "per_k"],
+    ids=["first_delay", "followup_delay"],
 )
 def test_cli_names_the_defense_key_with_a_negative_location(tmp_path, capsys, defense, key):
     cfg = tmp_path / "negative.yaml"
@@ -842,11 +836,8 @@ def test_cli_parallel_jobs_write_the_serial_bytes(tmp_path):
         ("lookup_delay: {kind: constant, value: 1 ms, sigma: 2}", "lookup_delay.sigma"),
         ("drift: {sigma: 1 ms, bse: 1 ms}", "drift.bse"),
         ("defense: {windw: 1 ms}", "defense.windw"),
-        (
-            "defense: {per_k: {2: {first_delay: {shape: -0.5, scale_ms: 2, location_ms: 0.5},"
-            " followup_delay: {shape: -0.5, scale_ms: 2, location_ms: 0.5}, firts_delay: 1}}}",
-            "defense.per_k.2.firts_delay",
-        ),
+        # A scenario runs one k, so a defense keeps no per-k table.
+        ("defense: {per_k: null}", "defense.per_k"),
         # Each kind knows only its own keys.
         ("install_delay: {kind: constant, value: 1 ms, mean: 2 ms}", "install_delay.mean"),
         ("cross_traffic: {kind: constant, variance: 1 ms^2}", "cross_traffic.variance"),
@@ -875,10 +866,10 @@ def test_cli_rejects_an_unknown_nested_key(tmp_path, capsys, entry, key):
         ("install_delay: 5 ms", "install_delay: must be a mapping, got '5 ms'"),
         ("lookup_delay: [1, 2]", "lookup_delay: must be a mapping, got [1, 2]"),
         ("cross_traffic: 7 ms", "cross_traffic: must be a mapping, got '7 ms'"),
-        ("defense: {per_k: 5}", "defense.per_k: must be a mapping, got 5"),
+        ("defense: {first_delay: 5}", "defense.first_delay: must be a mapping, got 5"),
         ("features: dispersion", "features: invalid value 'dispersion' (must be a list)"),
     ],
-    ids=["install_delay_null", "install_delay", "lookup_delay", "cross_traffic", "per_k", "features"],
+    ids=["install_delay_null", "install_delay", "lookup_delay", "cross_traffic", "first_delay", "features"],
 )
 def test_cli_names_the_key_of_a_value_of_the_wrong_type(tmp_path, capsys, entry, message):
     cfg = tmp_path / "typed.yaml"

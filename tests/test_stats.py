@@ -124,25 +124,28 @@ def test_eer_matches_bruteforce_oracle():
         assert res.eer == pytest.approx(oracle_eer, abs=0.01)
 
 
-def test_eer_label_swap_symmetry():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        n = rng.normal(0, 1, 250)
-        y = rng.normal(rng.uniform(0, 2), 1.2, 250)
-        assert compute_eer(n, y).eer + compute_eer(y, n).eer == pytest.approx(1.0, abs=1e-6)
+# Integer-valued populations over a small range, so values tie within and
+# across them, and a table of increasing floats maps them injectively.
+LEVELS = 40
+POPULATION = st.lists(st.integers(0, LEVELS - 1), min_size=1, max_size=60).map(np.array)
 
 
-def test_eer_rank_invariance():
-    rng = np.random.default_rng(13)
-    n = rng.normal(0, 1, 300)
-    y = rng.normal(0.8, 1.0, 300)
-    base = compute_eer(n, y)
+@given(POPULATION, POPULATION)
+def test_eer_label_swap_symmetry(n, y):
+    assert compute_eer(y, n).eer == pytest.approx(1.0 - compute_eer(n, y).eer, abs=1e-12)
 
-    def transform(v):
-        return np.exp(v) + v**3  # strictly increasing
 
-    mapped = compute_eer(transform(n), transform(y))
-    assert mapped.eer == pytest.approx(base.eer, abs=1e-9)
+@given(
+    POPULATION,
+    POPULATION,
+    st.floats(-1e6, 1e6),
+    st.lists(st.floats(1e-3, 1e3), min_size=LEVELS, max_size=LEVELS),
+)
+def test_eer_rank_invariance(n, y, offset, steps):
+    # Any strictly increasing transform of both populations keeps the EER.
+    transform = offset + np.cumsum(steps)
+    assert (np.diff(transform) > 0).all()
+    assert compute_eer(transform[n], transform[y]).eer == compute_eer(n, y).eer
 
 
 def test_eer_threshold_minimizes_rate_gap():
@@ -216,8 +219,18 @@ def test_welch_p_value_is_scipys_t_sf_bit_for_bit(samples_n, samples_y):
         return
     res = welch_t_test(a, b)
     # The Welch-Satterthwaite df, in welch_t_test's operation order.
-    df = (sa + sb) ** 2 / (sa**2 / (a.size - 1) + sb**2 / (b.size - 1))
+    r = sa / (sa + sb)
+    df = 1.0 / (r**2 / (a.size - 1) + (1.0 - r) ** 2 / (b.size - 1))
     assert res.p_value == 2.0 * float(student_t.sf(abs(res.t_statistic), df))
+
+
+def test_welch_df_survives_a_variance_whose_square_underflows():
+    # sa is about 5.6e-209, so sa**2 underflows to 0; two samples of equal
+    # variance each give df = 2.
+    same = [0.0, 1.5e-104]
+    assert welch_t_test(same, same).p_value == 1.0
+    res = welch_t_test(same, [1.5e-104, 3e-104])
+    assert res.p_value == 2.0 * float(student_t.sf(abs(res.t_statistic), 2))
 
 
 def test_welch_degenerate_variance():
