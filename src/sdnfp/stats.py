@@ -7,7 +7,8 @@ Every routine takes any array-like of floats and boxes no value.
 The fit maximizes the likelihood with the location pinned, by Grimshaw's
 (1993) reduction to a one-variable profile search; the quantile and sampler
 stay hand-written, because the defended traces depend on their exact
-floating-point path.  Only `fit_gpd` loads `scipy.optimize`, on first use.
+floating-point path.  Nothing here imports scipy's optimizer: the search is a
+port of its bounded Brent.  Welch's p-value is scipy's `stdtr`.
 
 Classification convention (fixed): a measurement at or below the threshold t
 is conjectured N (no rule installed), above it Y.  During the sweep,
@@ -105,13 +106,10 @@ def compute_eer(samples_n, samples_y) -> EERResult:
     fmr = np.concatenate([[0.0], fmr])
     diff = fmr - fnr
     exact = np.nonzero(diff == 0.0)[0]
-    i = int(np.argmax(diff > 0))
     if exact.size:
         eer, threshold = fnr[exact[0]], thresholds[exact[0]]
-    elif i == 0:
-        # FMR exceeds FNR from the guard point on; report the first point.
-        eer, threshold = (fnr[0] + fmr[0]) / 2, thresholds[0]
-    else:
+    else:  # diff is -1 at the guard point and +1 at the last threshold
+        i = int(np.argmax(diff > 0))
         s = -diff[i - 1] / (diff[i] - diff[i - 1])
         eer = fnr[i - 1] + s * (fnr[i] - fnr[i - 1])
         threshold = thresholds[i - 1] + s * (thresholds[i] - thresholds[i - 1])
@@ -188,6 +186,56 @@ def gpd_sample(params: GPDParams, rng: np.random.Generator, size: int | None = N
 LOCATION_EPS_MS = 1e-6  # one nanosecond
 MIN_FIT_SAMPLES = 50
 _LOG_T_MIN = -35.0  # |theta y_max| = 6e-16: xi(theta) is at its exponential limit
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _minimize_bounded(f, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """Brent's (1973) bounded minimization of f on [lo, hi]: (x, f(x)).
+
+    Step for step scipy's minimize_scalar(method="bounded"): the same
+    floating-point operations in the same order, so it stops at the same x.
+    """
+    a, b = lo, hi
+    xf = nfc = fulc = a + _GOLDEN * (b - a)  # best, second-best and previous second-best
+    fx = fnfc = ffulc = f(xf)
+    rat = e = 0.0
+    for _ in range(499):  # scipy's cap of 500 evaluations, one per step after the first
+        xm = 0.5 * (a + b)
+        tol1 = math.sqrt(2.2e-16) * abs(xf) + xatol / 3.0
+        if abs(xf - xm) <= 2.0 * tol1 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:  # a parabola through the three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < 2.0 * tol1 or b - x < 2.0 * tol1:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0 else xf - step
+        fu = f(x)
+        if fu <= fx:  # x is the new best: cut the bracket at xf, keeping x's side
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+    return xf, fx
 
 
 def fit_gpd(samples) -> tuple[GPDParams, float]:
@@ -197,13 +245,13 @@ def fit_gpd(samples) -> tuple[GPDParams, float]:
     y = x - mu and theta = xi/sigma, the likelihood is maximal over xi at
     xi(theta) = mean(log1p(theta y)), sigma = xi/theta (Grimshaw 1993,
     "Computing maximum likelihood estimates for the generalized Pareto
-    distribution", Technometrics 35(2)), so bounded Brent searches log|theta|
-    in (-1/max y, 0) and (0, Grimshaw's bound).  Below shape -1 the likelihood
-    grows without bound as theta nears -1/max y; there is no maximum, and the
-    fit fails.  Returns the parameters and the fit's Kolmogorov-Smirnov D.
+    distribution", Technometrics 35(2)), so Brent's bounded method searches
+    log|theta| in (-1/max y, 0) and (0, Grimshaw's bound), ported from scipy
+    step for step: importing scipy's optimizer costs more memory and time than
+    the fit.  Below shape -1 the likelihood grows without bound as theta nears
+    -1/max y; there is no maximum, and the fit fails.  Returns the parameters
+    and the fit's Kolmogorov-Smirnov D.
     """
-    from scipy.optimize import minimize_scalar
-
     x = np.asarray(samples, dtype=float)
     if x.size < MIN_FIT_SAMPLES:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples")
@@ -222,10 +270,10 @@ def fit_gpd(samples) -> tuple[GPDParams, float]:
         return math.log(xi / t) + xi + 1.0
 
     upper = math.log(2.0 * (z.mean() - z.min()) / z.min() ** 2)  # Grimshaw's bound on theta y_max
-    searches = [(minimize_scalar(profile, bounds=(_LOG_T_MIN, hi), args=(sign,), method="bounded",
-                                 options={"xatol": 1e-10}), sign) for sign, hi in ((-1.0, 0.0), (1.0, upper))]
-    best, sign = min(searches, key=lambda search: search[0].fun)
-    t = sign * math.exp(best.x)
+    searches = [(_minimize_bounded(lambda v: profile(v, sign), _LOG_T_MIN, hi, xatol=1e-10), sign)
+                for sign, hi in ((-1.0, 0.0), (1.0, upper))]
+    (log_abs_t, _), sign = min(searches, key=lambda search: search[0][1])
+    t = sign * math.exp(log_abs_t)
     log_terms = np.log1p(t * z)
     xi = float(log_terms.mean())
     sigma = xi * y_max / t

@@ -7,9 +7,11 @@ file, bench/golden.json, which records them for its workloads.  results.json
 and the report's summary.csv, which that file records by value only, are
 pinned by digest here.  Each of these bundles, and a per-k defended run,
 re-runs byte for byte from its own scenario.json sidecar, whose summary fields
-hold what the benchmark's golden file records.  Generator streams are only
-promised stable per numpy version, so the digests hold for the version they
-were recorded with and the test is skipped on any other.
+hold what the benchmark's golden file records.  The `sdnfp fit` JSONs of
+k2-hw-100m and the fit of criterion 3's sample are pinned by value.
+Generator streams are only promised stable per numpy version, so the digests
+hold for the version they were recorded with and the test is skipped on any
+other.
 """
 
 import hashlib
@@ -23,7 +25,7 @@ import pytest
 from sdnfp.cli import main
 from sdnfp.defense import DelayElementConfig
 from sdnfp.scenario import builtin_scenarios, drift_variant, read_scenario_descriptor, run_scenario
-from sdnfp.stats import GPDParams
+from sdnfp.stats import GPDParams, fit_gpd, gpd_sample
 from sdnfp.units import NS_PER_S
 
 GOLDEN_NUMPY = "2.4.6"
@@ -113,6 +115,47 @@ def test_eer_curve_digests(name, builtin_bundles, tmp_path):
     assert sorted(curves) == ["curve_delta_rtt.csv", "curve_dispersion.csv"]
     for filename, expected in curves.items():
         assert digest(tmp_path / filename) == expected, filename
+
+
+# `sdnfp fit` of each Y population of k2-hw-100m: the delay GPDs of the
+# fitted per-k defense, compared value for value.
+GOLDEN_FITS = {
+    "delta_rtt": {
+        "feature": "delta_rtt",
+        "ks": 0.17493242289997904,
+        "label": "Y",
+        "location_ms": 1.606743,
+        "n_samples": 450,
+        "scale_ms": 6.531556024414752,
+        "shape": -0.23363762408208952,
+    },
+    "dispersion": {
+        "feature": "dispersion",
+        "ks": 0.1653954341429897,
+        "label": "Y",
+        "location_ms": 1.9387860000000001,
+        "n_samples": 450,
+        "scale_ms": 6.775032292259144,
+        "shape": -0.23417149122198758,
+    },
+}
+
+
+@pytest.mark.parametrize("feature", sorted(GOLDEN_FITS))
+def test_fit_json_values(feature, builtin_bundles, tmp_path):
+    samples = builtin_bundles / "k2-hw-100m" / "samples.csv"
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--samples", str(samples), "--feature", feature, "--label", "Y", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == GOLDEN_FITS[feature]
+
+
+def test_fit_gpd_on_criterion_3s_sample():
+    needs_golden_numpy()
+    x = gpd_sample(GPDParams(shape=-0.53, scale=10.58, location=0.57), np.random.default_rng(42), 100_000)
+    fit, ks = fit_gpd(x)
+    assert (fit.shape, fit.scale, fit.location, ks) == (
+        -0.5311844274324728, 10.599353136343975, 0.5701383237558306, 0.0023857011324339705
+    )
 
 
 PER_K = "k2-hw-100m-per-k"

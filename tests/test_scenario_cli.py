@@ -460,16 +460,20 @@ def test_cli_names_the_feature_and_label_of_a_constant_population(tmp_path, caps
 
 
 def test_the_cli_loads_neither_scipy_stats_nor_scipy_optimize(tmp_path):
-    # Only `sdnfp fit` loads scipy.optimize, when it fits; nothing loads scipy.stats.
+    # Neither simulating nor fitting loads them: the fit's search is stats' own.
+    samples = tmp_path / "k1-hw-100m" / "samples.csv"
+    fit = ["fit", "--samples", str(samples), "--feature", "delta_rtt", "--label", "Y",
+           "--out", str(tmp_path / "fit.json")]
     script = (
         "import sys\n"
         "import sdnfp.cli\n"
-        f"code = sdnfp.cli.main(['simulate', '--scenario', 'k1-hw-100m', '--out', {str(tmp_path)!r}])\n"
-        "print(code, sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
+        f"codes = [sdnfp.cli.main(['simulate', '--scenario', 'k1-hw-100m', '--out', {str(tmp_path)!r}]),\n"
+        f"         sdnfp.cli.main({fit!r})]\n"
+        "print(codes, sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(sdnfp.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    assert run.stdout.splitlines()[-1] == "0 []"
+    assert run.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 def test_cli_missing_trace_file_exit_1(tmp_path):

@@ -1,20 +1,26 @@
 """EER, histogram, Welch and Generalized Pareto machinery against oracles."""
 
+import contextlib
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import minimize_scalar
 from scipy.stats import genpareto, kstest
 from scipy.stats import t as student_t
 
 from sdnfp.features import DELTA_RTT, DISPERSION
+from sdnfp import stats
 from sdnfp.scenario import builtin_scenarios, run_scenario
 from sdnfp.stats import (
+    MIN_FIT_SAMPLES,
     DegenerateVarianceError,
     EmptySamplesError,
     FitFailedError,
     GPDParams,
+    _minimize_bounded,
     build_histogram,
     compute_eer,
     fit_gpd,
@@ -446,3 +452,54 @@ def test_fit_gpd_returns_a_uniform_samples_maximum_just_above_shape_minus_one():
 def test_gpd_params_validation():
     with pytest.raises(ValueError):
         GPDParams(shape=-0.5, scale=0.0, location=0.0)
+
+
+# -- the bounded search -----------------------------------------------------
+
+
+def scipy_bounded(f, lo, hi, xatol):
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    return res.x, res.fun
+
+
+@st.composite
+def bounded_problems(draw):
+    """A unimodal f on [lo, hi] whose minimum lies inside, at a bound or beyond one."""
+    lo = draw(st.floats(-1e3, 1e3))
+    hi = lo + draw(st.floats(1e-6, 1e3))
+    width = hi - lo
+    c = draw(st.one_of(st.just(lo), st.just(hi), st.floats(lo - width, hi + width)))
+    s, d, power = draw(st.floats(1e-3, 1e3)), draw(st.floats(-1e3, 1e3)), draw(st.floats(0.5, 4.0))
+    f = (lambda x: s * (x - c) ** 2 + d) if draw(st.booleans()) else (lambda x: abs(x - c) ** power)
+    return f, lo, hi, 10.0 ** draw(st.floats(-12.0, -3.0))
+
+
+@given(bounded_problems())
+def test_the_bounded_search_is_scipys(problem):
+    f, lo, hi, xatol = problem
+    assert _minimize_bounded(f, lo, hi, xatol) == scipy_bounded(f, lo, hi, xatol)
+
+
+def test_the_bounded_search_stops_at_scipys_evaluation_cap():
+    def cusp(x):
+        return abs(x - 1e-5) ** 0.5
+
+    with np.errstate(over="ignore", invalid="ignore"):  # scipy's parabola overflows on this span
+        res = minimize_scalar(cusp, bounds=(-1e150, 1e150), method="bounded", options={"xatol": 1e-12})
+    assert res.nfev == 500
+    assert _minimize_bounded(cusp, -1e150, 1e150, 1e-12) == (res.x, res.fun)
+
+
+@given(st.floats(-1.2, 1.0), st.floats(0.1, 10.0), st.integers(MIN_FIT_SAMPLES, 400), st.integers(0, 2**32 - 1))
+def test_fit_gpds_searches_are_scipys(shape, scale, n, seed):
+    x = gpd_sample(GPDParams(shape, scale, 0.0), np.random.default_rng(seed), n)
+    searches = []
+
+    def checked(f, lo, hi, xatol):
+        searches.append(_minimize_bounded(f, lo, hi, xatol))
+        assert searches[-1] == scipy_bounded(f, lo, hi, xatol)
+        return searches[-1]
+
+    with patch.object(stats, "_minimize_bounded", checked), contextlib.suppress(FitFailedError):
+        fit_gpd(x)
+    assert len(searches) == 2
