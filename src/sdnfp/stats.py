@@ -7,8 +7,10 @@ Every routine takes any array-like of floats and boxes no value.
 The fit maximizes the likelihood with the location pinned, by Grimshaw's
 (1993) reduction to a one-variable profile search; the quantile and sampler
 stay hand-written, because the defended traces depend on their exact
-floating-point path.  Nothing here imports scipy's optimizer: the search is a
-port of its bounded Brent.  Welch's p-value is scipy's `stdtr`.
+floating-point path.  Nothing here imports scipy at module level: the fit's
+search is a port of scipy's bounded Brent, and Welch's 1% decision comes from
+a pure-Python Student-t tail, with scipy's `stdtr` imported only for the
+p-value and for the rare tail that lands too near 1% to decide.
 
 Classification convention (fixed): a measurement at or below the threshold t
 is conjectured N (no rule installed), above it Y.  During the sweep,
@@ -23,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .probes import Table
 
@@ -121,9 +122,27 @@ def compute_eer(samples_n, samples_y) -> EERResult:
 
 @dataclass
 class WelchResult:
+    """Welch's t statistic, Welch-Satterthwaite df and 1% decision.
+
+    `significant_at_1pct` comes from `_two_sided_t_tail` and equals
+    `p_value < 0.01`.  `p_value` is scipy's 2 stdtr(df, -|t|), bit for bit
+    `scipy.stats.t.sf`, and imports scipy when it is read.
+    """
+
     t_statistic: float
     significant_at_1pct: bool
-    p_value: float
+    df: float
+
+    @property
+    def p_value(self) -> float:
+        return _scipy_p_value(self.t_statistic, self.df)
+
+
+def _scipy_p_value(t: float, df: float) -> float:
+    """2 stdtr(df, -|t|), what scipy's t.sf(|t|, df) evaluates; imports scipy."""
+    from scipy.special import stdtr
+
+    return 2.0 * float(stdtr(df, -abs(t)))
 
 
 def welch_t_test(samples_n, samples_y) -> WelchResult:
@@ -138,13 +157,69 @@ def welch_t_test(samples_n, samples_y) -> WelchResult:
         raise DegenerateVarianceError("population variance is zero")
     sa = va / a.size
     sb = vb / b.size
-    t_stat = (a.mean() - b.mean()) / math.sqrt(sa + sb)
+    t_stat = float((a.mean() - b.mean()) / math.sqrt(sa + sb))
     # Welch-Satterthwaite df by the share r of sa: r or 1 - r is at least 1/2,
     # so the denominator cannot underflow to 0 as sa**2 can.
     r = sa / (sa + sb)
-    df = 1.0 / (r**2 / (a.size - 1) + (1.0 - r) ** 2 / (b.size - 1))
-    p = 2.0 * float(stdtr(df, -abs(t_stat)))  # what scipy's t.sf(|t|, df) evaluates
-    return WelchResult(t_statistic=float(t_stat), significant_at_1pct=p < 0.01, p_value=p)
+    df = float(1.0 / (r**2 / (a.size - 1) + (1.0 - r) ** 2 / (b.size - 1)))
+    return WelchResult(t_statistic=t_stat, significant_at_1pct=_significant_at_1pct(t_stat, df), df=df)
+
+
+_ALPHA = 0.01
+# Where the tail is within a relative _BAND of _ALPHA, scipy decides.  Against
+# scipy's stdtr near the 1% critical t, the tail's worst relative error was
+# 6.1e-13 for df below 1e3, 1.3e-9 below 1e6 and 3.2e-5 below _DF_MAX (4,000
+# df from 1 to 1e10): lgamma(df/2) loses digits as df grows.
+_BAND = 1e-3
+_DF_MAX = 1e10  # Welch's df is at most n_a + n_b - 2: 80 GB of float64 samples
+_FPMIN = 1e-300
+_MAX_TERMS = 300  # under 80 were needed anywhere on that df range
+
+
+def _two_sided_t_tail(t: float, df: float) -> float:
+    """P(|T| > |t|) for Student's t with df degrees of freedom; NaN if unconverged.
+
+    I_x(df/2, 1/2) at x = df/(df + t^2), the regularized incomplete beta, by
+    its continued fraction and the modified Lentz method (Press et al.,
+    Numerical Recipes, 3rd ed., 6.4).  The fraction converges fast for x below
+    (a+1)/(a+b+2), that is for t^2 >= 3 df/(df + 2), the only t it is given.
+    """
+    a, b = 0.5 * df, 0.5
+    s = t * t
+    x = 1.0 / (1.0 + s / df)
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _FPMIN else _FPMIN)
+    h = d
+    for m in range(1, _MAX_TERMS):
+        even = m * (b - m) * x / ((a - 1.0 + 2 * m) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 1.0 + 2 * m))
+        for coefficient in (even, odd):
+            d = 1.0 + coefficient * d
+            d = 1.0 / (d if abs(d) > _FPMIN else _FPMIN)
+            c = 1.0 + coefficient / c
+            c = c if abs(c) > _FPMIN else _FPMIN
+            h *= d * c
+        if abs(d * c - 1.0) < 2.2e-16:
+            break
+    else:
+        return math.nan
+    # x^a (1-x)^b / (a B(a, b)), with log x and log(1 - x) from log1p
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return math.exp(-log_beta - a * math.log1p(s / df) - b * math.log1p(df / s)) * h / a
+
+
+def _significant_at_1pct(t: float, df: float) -> bool:
+    """Is `_scipy_p_value(t, df)` below 1%?  scipy is asked only within the
+    band around 1%, above _DF_MAX or where the tail has not converged."""
+    if not (math.isfinite(t) and math.isfinite(df)):
+        return False  # NaN or inf samples: scipy's p-value is NaN
+    if t * t < 3.0 * df / (df + 2.0):
+        return False  # the tail is above 2 P(Z > sqrt 3) = 0.083, its limit as df grows
+    if df <= _DF_MAX:
+        p = _two_sided_t_tail(t, df)
+        if abs(p - _ALPHA) > _BAND * _ALPHA:  # False for NaN
+            return p < _ALPHA
+    return _scipy_p_value(t, df) < _ALPHA
 
 
 # -- Generalized Pareto -------------------------------------------------------
@@ -260,6 +335,9 @@ def fit_gpd(samples) -> tuple[GPDParams, float]:
     if x.max() == x.min():
         raise FitFailedError("constant samples leave the likelihood degenerate")
     mu = float(x.min()) - LOCATION_EPS_MS
+    if mu == x.min():
+        raise FitFailedError(f"location: no float lies 1 ns below the smallest sample, {x.min():g} ms "
+                             "(samples must stay below about 1.7e10 ms)")
     y_max = float(x.max()) - mu
     z = (x - mu) / y_max  # t = theta * y_max keeps every log1p(t z) above -1 for t > -1
 
@@ -269,7 +347,12 @@ def fit_gpd(samples) -> tuple[GPDParams, float]:
         xi = float(np.log1p(t * z).mean())
         return math.log(xi / t) + xi + 1.0
 
-    upper = math.log(2.0 * (z.mean() - z.min()) / z.min() ** 2)  # Grimshaw's bound on theta y_max
+    with np.errstate(over="ignore", divide="ignore"):  # z.min() ** 2 leaves the float range
+        bound = 2.0 * (z.mean() - z.min()) / z.min() ** 2  # Grimshaw's bound on theta y_max
+    if not math.isfinite(bound):
+        raise FitFailedError(f"samples: their range, {y_max:g} ms, overflows Grimshaw's bound "
+                             "(ranges must stay below about 1e148 ms)")
+    upper = math.log(bound)
     searches = [(_minimize_bounded(lambda v: profile(v, sign), _LOG_T_MIN, hi, xatol=1e-10), sign)
                 for sign, hi in ((-1.0, 0.0), (1.0, upper))]
     (log_abs_t, _), sign = min(searches, key=lambda search: search[0][1])

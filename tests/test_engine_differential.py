@@ -10,6 +10,7 @@ from sdnfp.defense import FIRST as FIRST_PACKET
 from sdnfp.defense import FOLLOWUP as FOLLOWUP_PACKET
 from sdnfp.defense import DelayElementConfig, delay_for, delays_from_uniform
 from sdnfp.distributions import NO_DELAY, constant, lognormal, ns_from_floats, pareto
+from sdnfp.features import DISPERSION, label_samples
 from sdnfp.netsim import (
     CLEAR,
     PROBE,
@@ -223,6 +224,39 @@ def test_a_trials_rows_do_not_depend_on_the_trials_beside_it(case):
     schedule, path, controller, trials, kwargs = case
     alone = Trace.concat(run_schedule(schedule, path, controller, trials=[t], **kwargs) for t in trials)
     assert run_schedule(schedule, path, controller, trials=trials, **kwargs) == alone
+
+
+def pair_dispersions(scenario, installs):
+    """N- and Y-pair dispersions of the scenario's probe trains, with switch i
+    installing in installs[i] and the scenario's seed."""
+    path = scenario.build_path()
+    path = replace(path, switches=tuple(replace(sw, install_delay=d) for sw, d in zip(path.switches, installs)))
+    train = build_probe_train(DEFAULT_FLOW, scenario.mtu_bytes, scenario.pair_spacing_ns, scenario.time_span_ns)
+    trace = run_schedule(train, path, scenario.build_controller(), scenario.seed, trials=range(scenario.trains))
+    samples = label_samples(trace, scenario.context())
+    return samples.values(DISPERSION, "N"), samples.values(DISPERSION, "Y")
+
+
+@pytest.mark.parametrize("name", list(builtin_scenarios()))
+def test_a_slower_install_lengthens_y_pairs_and_leaves_n_pairs_alone(name):
+    # The miss charge is the lookup plus the slowest switch's install (Eq. 2),
+    # and only a pair that triggered a miss pays it.  (A pair whose second
+    # packet does not queue behind the charge keeps its dispersion.)
+    scenario = builtin_scenarios()[name]
+    install = scenario.effective_install_delay()
+    raised = replace(install, median_ns=install.median_ns * 4 // 3)
+    fast = constant(100_000)  # below every draw of `install`: switch 0 is always the slowest
+    k = scenario.k
+    for before, after in [
+        ([install] * k, [raised] * k),  # every switch slower
+        ([install] + [fast] * (k - 1), [raised] + [fast] * (k - 1)),  # only the slowest switch slower
+    ]:
+        n_before, y_before = pair_dispersions(scenario, before)
+        n_after, y_after = pair_dispersions(scenario, after)
+        assert n_after.tobytes() == n_before.tobytes()
+        assert y_after.size == y_before.size
+        assert (y_after >= y_before).all()
+        assert (y_after > y_before).any()
 
 
 @given(cases())

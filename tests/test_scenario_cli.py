@@ -476,6 +476,34 @@ def test_the_cli_loads_neither_scipy_stats_nor_scipy_optimize(tmp_path):
     assert run.stdout.splitlines()[-1] == "[0, 0] []"
 
 
+def test_no_cli_stage_loads_scipy(tmp_path):
+    # Welch's 1% decision is stats' own Student-t tail; scipy is imported only
+    # to read a p-value or to decide a tail within a hair of 1%.
+    runs, bundle = tmp_path / "runs", tmp_path / "runs" / "k1-hw-100m"
+    stages = [
+        ["simulate", "--out", str(runs)],
+        ["defend", "--out", str(tmp_path / "defended")],
+        ["extract", "--traces", str(bundle / "traces.csv"), "--out", str(tmp_path / "train")],
+        ["extract", "--traces", str(bundle / "traces.csv"), "--passive", "--out", str(tmp_path / "passive")],
+        ["eer", "--samples", str(bundle / "samples.csv"), "--curve", "--out", str(tmp_path / "eer")],
+        ["fit", "--samples", str(bundle / "samples.csv"), "--out", str(tmp_path / "fit.json")],
+        ["report", "--bundles", *(str(runs / name) for name in builtin_scenarios()), "--out", str(tmp_path / "rep")],
+    ]
+    script = (
+        "import json, sys\n"
+        "import sdnfp.cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "loaded = [['import', scipy_modules()]]\n"
+        f"for argv in {stages!r}:\n"
+        "    loaded.append([sdnfp.cli.main(argv), scipy_modules()])\n"
+        "print(json.dumps(loaded))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(sdnfp.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == [["import", []]] + [[0, []]] * len(stages)
+
+
 def test_cli_missing_trace_file_exit_1(tmp_path):
     code = main(["extract", "--traces", str(tmp_path / "absent.csv"), "--out", str(tmp_path)])
     assert code == 1

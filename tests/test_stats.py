@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.special import stdtr, stdtrit
 from scipy.stats import genpareto, kstest
 from scipy.stats import t as student_t
 
@@ -239,6 +240,37 @@ def test_welch_df_survives_a_variance_whose_square_underflows():
     assert res.p_value == 2.0 * float(student_t.sf(abs(res.t_statistic), 2))
 
 
+@given(
+    st.integers(2, 40),
+    st.integers(2, 40),
+    st.floats(-10.0, 10.0),
+    st.floats(0.1, 10.0),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([None, None, math.nan, math.inf, -math.inf]),
+)
+def test_welch_decision_is_scipys_on_samples(n_a, n_b, effect, scale, seed, odd):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n_a)
+    b = effect + scale * rng.standard_normal(n_b)
+    if odd is not None:  # one NaN or infinite sample: scipy's p-value is NaN
+        b[-1] = odd
+    with np.errstate(all="ignore"):
+        res = welch_t_test(a, b)
+    assert res.significant_at_1pct == (res.p_value < 0.01)
+
+
+@given(st.floats(0.0, 12.0), st.integers(-4, 4), st.floats(-1e-2, 1e-2), st.booleans())
+def test_welch_decision_is_scipys_at_the_critical_t(log_df, ulps, rel, negative):
+    # t within a few ulps of scipy's 1% critical value for df from 1 to 1e12
+    # (scipy decides above 1e10), where the tail's rounding and scipy's can
+    # fall on either side of 1%, and up to 1% away from it, on both sides of
+    # the band scipy decides in.
+    df = 10.0**log_df
+    critical = -float(stdtrit(df, 0.005))
+    t = (critical * (1.0 + rel) + ulps * math.ulp(critical)) * (-1.0 if negative else 1.0)
+    assert stats._significant_at_1pct(t, df) == (2.0 * float(stdtr(df, -abs(t))) < 0.01)
+
+
 def test_welch_degenerate_variance():
     with pytest.raises(DegenerateVarianceError):
         welch_t_test([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
@@ -332,6 +364,21 @@ def test_fit_gpd_constant_fails():
 def test_fit_gpd_non_finite_fails():
     with pytest.raises(FitFailedError):
         fit_gpd(list(np.linspace(1.0, 2.0, 60)) + [math.inf])
+
+
+@pytest.mark.parametrize(
+    "samples, limit",
+    [
+        # A 1 ns offset below 2e10 ms rounds back to the smallest sample.
+        (2e10 + np.random.default_rng(0).exponential(1.0, 100), "below about 1.7e10 ms"),
+        # The smallest scaled sample is 1e-158, and its square leaves the float range.
+        (np.append(0.0, np.random.default_rng(0).uniform(1e150, 1e152, 100)), "below about 1e148 ms"),
+    ],
+    ids=["location", "grimshaw-bound"],
+)
+def test_fit_gpd_names_the_float_limit_it_meets(samples, limit):
+    with pytest.raises(FitFailedError, match=limit):
+        fit_gpd(samples)
 
 
 # (shape, scale) at which the earlier hand-written grid-search fit stopped on
