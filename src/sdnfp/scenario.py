@@ -251,8 +251,12 @@ def evaluate(samples, features) -> dict[str, FeatureResult]:
         if not values_n.size or not values_y.size:
             raise ConfigError(f"features: no {feature} samples for one label")
         for label, values in (("N", values_n), ("Y", values_y)):
-            if values.min() == values.max():
-                raise ConfigError(f"features: every {feature}/{label} sample is {values[0]:g} ms, and "
+            lo, hi = values.min(), values.max()  # NaN if any value is
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigError(f"features: a {feature}/{label} sample is {hi if math.isfinite(lo) else lo:g} "
+                                  "ms; the EER and Welch's test need finite samples")
+            if lo == hi:
+                raise ConfigError(f"features: every {feature}/{label} sample is {lo:g} ms, and "
                                   "Welch's test needs spread (link jitter gives N its spread)")
         results[feature] = FeatureResult(
             eer=compute_eer(values_n, values_y),
@@ -385,9 +389,11 @@ def _read_json_object(path: Path, what: str) -> dict:
 
 
 def write_json(path: Path, obj) -> None:
-    """Sorted keys, indent 2, final newline; makes the file's directory if missing."""
+    """Sorted keys, indent 2, final newline; makes the file's directory if
+    missing.  A NaN or infinite float raises ValueError: JSON has neither."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
 
 
 # -- report -----------------------------------------------------------------

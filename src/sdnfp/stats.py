@@ -1,15 +1,15 @@
-"""Empirical PDFs, equal-error-rate evaluation, significance testing, and
-Generalized Pareto fitting/sampling.
+"""Empirical PDFs, equal-error-rate evaluation, significance testing, and the
+Generalized Pareto fit and quantile.
 
 Histograms and EER sweep curves are `probes.Table`s, written as traces are.
 Every routine takes any array-like of floats and boxes no value.
 
 The fit maximizes the likelihood with the location pinned, by Grimshaw's
-(1993) reduction to a one-variable profile search; the quantile and sampler
-stay hand-written, because the defended traces depend on their exact
-floating-point path.  Nothing here imports scipy at module level: the fit's
-search is a port of scipy's bounded Brent, and Welch's 1% decision comes from
-a pure-Python Student-t tail, with scipy's `stdtr` imported only for the
+(1993) reduction to a one-variable profile search; the quantile stays
+hand-written, because the defended traces depend on its exact floating-point
+path.  Nothing here imports scipy at module level: the fit's search is a
+port of scipy's bounded Brent, and Welch's 1% decision comes from a
+pure-Python Student-t tail, with scipy's `stdtr` imported only for the
 p-value and for the rare tail that lands too near 1% to decide.
 
 Classification convention (fixed): a measurement at or below the threshold t
@@ -251,11 +251,6 @@ def gpd_quantile(u, params: GPDParams):
     else:
         out = mu + sigma * ((1.0 - u) ** (-xi) - 1.0) / xi
     return float(out) if out.ndim == 0 else out
-
-
-def gpd_sample(params: GPDParams, rng: np.random.Generator, size: int | None = None):
-    u = rng.random() if size is None else rng.random(size)
-    return gpd_quantile(u, params)
 
 
 LOCATION_EPS_MS = 1e-6  # one nanosecond

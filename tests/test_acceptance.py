@@ -25,7 +25,9 @@ from sdnfp.netsim import (
     SwitchSpec,
 )
 from sdnfp.scenario import builtin_scenarios, drift_variant, run_scenario
-from sdnfp.stats import GPDParams, compute_eer, fit_gpd, gpd_sample
+from sdnfp.stats import GPDParams, compute_eer, fit_gpd
+
+from gpd_sampler import gpd_sample
 
 S = 1_000_000_000
 HW_NAMES = ("k1-hw-100m", "k2-hw-100m", "k3-hw-100m")

@@ -27,7 +27,9 @@ from sdnfp.netsim import (
     uniform_path,
 )
 from sdnfp.scenario import ConfigError, scenario_from_config
-from sdnfp.stats import GPDParams, fit_gpd, gpd_sample
+from sdnfp.stats import GPDParams, fit_gpd
+
+from gpd_sampler import gpd_sample
 
 S = 1_000_000_000
 MS = 1_000_000

@@ -251,12 +251,27 @@ def test_a_slower_install_lengthens_y_pairs_and_leaves_n_pairs_alone(name):
         ([install] * k, [raised] * k),  # every switch slower
         ([install] + [fast] * (k - 1), [raised] + [fast] * (k - 1)),  # only the slowest switch slower
     ]:
-        n_before, y_before = pair_dispersions(scenario, before)
-        n_after, y_after = pair_dispersions(scenario, after)
-        assert n_after.tobytes() == n_before.tobytes()
-        assert y_after.size == y_before.size
-        assert (y_after >= y_before).all()
-        assert (y_after > y_before).any()
+        assert_only_y_pairs_lengthen(pair_dispersions(scenario, before), pair_dispersions(scenario, after))
+
+
+@pytest.mark.parametrize("name", list(builtin_scenarios()))
+def test_a_slower_lookup_lengthens_y_pairs_and_leaves_n_pairs_alone(name):
+    # A miss pays the controller's lookup once, on top of the slowest install
+    # (Eq. 2); a constant lookup draws nothing, so every other delay stays.
+    scenario = builtin_scenarios()[name]
+    assert scenario.lookup_delay == constant(100_000)
+    installs = [scenario.effective_install_delay()] * scenario.k
+    slower = replace(scenario, lookup_delay=constant(200_000))
+    assert_only_y_pairs_lengthen(pair_dispersions(scenario, installs), pair_dispersions(slower, installs))
+
+
+def assert_only_y_pairs_lengthen(before, after):
+    """Every N-pair dispersion bit-equal, no Y-pair dispersion shorter, and one longer."""
+    (n_before, y_before), (n_after, y_after) = before, after
+    assert n_after.tobytes() == n_before.tobytes()
+    assert y_after.size == y_before.size
+    assert (y_after >= y_before).all()
+    assert (y_after > y_before).any()
 
 
 @given(cases())

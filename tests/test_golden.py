@@ -25,8 +25,10 @@ import pytest
 from sdnfp.cli import main
 from sdnfp.defense import DelayElementConfig
 from sdnfp.scenario import builtin_scenarios, drift_variant, read_scenario_descriptor, run_scenario
-from sdnfp.stats import GPDParams, fit_gpd, gpd_sample
+from sdnfp.stats import GPDParams, fit_gpd
 from sdnfp.units import NS_PER_S
+
+from gpd_sampler import gpd_sample
 
 GOLDEN_NUMPY = "2.4.6"
 GOLDEN_OPS = json.loads((Path(__file__).parents[1] / "bench" / "golden.json").read_text())["ops"]

@@ -1,0 +1,167 @@
+"""`src/sdnfp` is what the CLI runs.
+
+One interpreter runs every CLI stage once under `sys.setprofile`: simulate
+and defend on the six built-ins, the fitted per-k defend loop on k2-hw-100m,
+simulate --config with a 600 s drift entry, extract (train and --passive),
+eer --curve, fit on both features, and report as csv and as json.  Every
+function and method defined in the package must have been called, unless
+ALLOWED lists it with its reason; an allowed name that is called, or that no
+longer exists, fails the test too, so the list only shrinks.  The same run
+checks that no stage loads scipy: the fit's search and Welch's 1% decision
+are the package's own.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import sdnfp
+
+PACKAGE = Path(sdnfp.__file__).resolve().parent
+BUILTINS = ("k1-hw-100m", "k2-hw-100m", "k3-hw-100m", "k1-sw-100m", "k3-hw-1g", "k1-sw-1g")
+
+ORACLE = "scalar reference model: only the differential tests and bench/tracer.py use it"
+
+# module:qualname -> why no CLI stage calls it.
+ALLOWED = {
+    "netsim:FlowKey.reversed": ORACLE,
+    "netsim:FlowTable.__init__": ORACLE,
+    "netsim:FlowTable.__contains__": ORACLE,
+    "netsim:FlowTable.install": ORACLE,
+    "netsim:FlowTable.clear": ORACLE,
+    "netsim:FlowTable.__len__": ORACLE,
+    "netsim:RngStreams.__init__": ORACLE,
+    "netsim:RngStreams.__getattr__": ORACLE,
+    "netsim:_coerce_streams": ORACLE,
+    "netsim:new_flow_tables": ORACLE,
+    "netsim:handle_table_miss": ORACLE,
+    "netsim:clear_flow_tables": ORACLE,
+    "netsim:_InstallWindow.__init__": ORACLE,
+    "netsim:Simulation.__init__": ORACLE,
+    "netsim:Simulation._wander_at": ORACLE,
+    "netsim:Simulation._apply_pending_clear": ORACLE,
+    "netsim:Simulation._switch_process": ORACLE,
+    "netsim:Simulation.forward": ORACLE,
+    "netsim:Simulation.reply_traversal": ORACLE,
+    "netsim:Simulation.exchange": ORACLE,
+    "probes:run_schedule_reference": ORACLE,
+    "defense:FlowActivity.__init__": ORACLE,
+    "defense:FlowActivity.get": ORACLE,
+    "defense:FlowActivity.clear": ORACLE,
+    "defense:select_bucket": ORACLE,
+    "defense:delay_for": ORACLE,
+    "distributions:DelayModel.sample_ns": "scalar sampler: the reference model draws with it, "
+    "and so does miss_charge_ns",
+    "distributions:DelayModel.delay_model": "kept for bench/tracer.py, which patches it",
+    "defense:_hold_ns": "rounding guard of delays_from_uniform; "
+    "tests/test_engine_differential.py::test_hold_block_transform_raises_on_a_negative_hold",
+    "stats:_scipy_p_value": "Welch's 1% decision within the band around 1%; "
+    "tests/test_stats.py::test_welch_decision_is_scipys_at_the_critical_t",
+    "netsim:miss_charge_ns": "control stream of delay models that mix draw types; "
+    "tests/test_engine_differential.py::test_batched_engine_matches_scalar_reference",
+    "probes:Table.__eq__": "without it == would compare tables by identity",
+    "stats:WelchResult.p_value": "the documented p-value; the CLI writes only the 1% decision",
+    "scenario:drift_variant": "the benchmark's drift YAML reproduces it; tests/test_golden.py pins it",
+}
+
+DRIFT_YAML = """\
+scenarios:
+  - name: k1-hw-100m-drift-600s
+    seed: 20401
+    k: 1
+    switch_kind: hardware
+    data_link: 100 Mbps
+    time_span: 600 s
+    drift:
+      sigma: 150000 ns
+"""
+
+# Runs each argv of argv[2] through sdnfp.cli.main under a profile hook, and
+# writes the exit codes, the scipy modules loaded after the import and after
+# each stage, and every package function called, to the JSON file argv[3].
+SCRIPT = """\
+import json, sys
+package, stages, out = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3]
+called = set()
+
+def record(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(package):
+        called.add((frame.f_code.co_filename, frame.f_code.co_qualname))
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+sys.setprofile(record)
+import sdnfp.cli
+loaded = [["import", scipy_modules()]]
+for argv in stages:
+    loaded.append([sdnfp.cli.main(argv), scipy_modules()])
+sys.setprofile(None)
+with open(out, "w") as f:
+    json.dump({"stages": loaded, "called": sorted(called)}, f)
+"""
+
+
+def defined_functions() -> set[str]:
+    """module:qualname of every function and method the package's source defines."""
+    names = set()
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(f"{module}:{prefix}{child.name}")
+                visit(child, module, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, module, f"{prefix}{child.name}.")
+            else:
+                visit(child, module, prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return names
+
+
+def run_every_stage(tmp_path):
+    runs, defended, fits = tmp_path / "runs", tmp_path / "defended", tmp_path / "fit"
+    bundle = runs / "k2-hw-100m"
+    (tmp_path / "drift.yaml").write_text(DRIFT_YAML, encoding="utf-8")
+    stages = [
+        ["simulate", "--out", str(runs)],
+        ["defend", "--out", str(defended)],
+        ["simulate", "--config", str(tmp_path / "drift.yaml"), "--out", str(tmp_path / "drift")],
+        ["extract", "--traces", str(bundle / "traces.csv"), "--out", str(tmp_path / "train")],
+        ["extract", "--traces", str(bundle / "traces.csv"), "--passive", "--out", str(tmp_path / "passive")],
+        ["eer", "--samples", str(bundle / "samples.csv"), "--curve", "--out", str(tmp_path / "eer")],
+        ["fit", "--samples", str(bundle / "samples.csv"), "--feature", "delta_rtt", "--out", str(fits / "first.json")],
+        ["fit", "--samples", str(bundle / "samples.csv"), "--feature", "dispersion", "--out",
+         str(fits / "followup.json")],
+        ["defend", "--scenario", "k2-hw-100m", "--first-delay", str(fits / "first.json"),
+         "--followup-delay", str(fits / "followup.json"), "--out", str(tmp_path / "per-k")],
+    ]
+    report = ["--bundles", *(str(runs / n) for n in BUILTINS), *(str(defended / f"{n}-defended") for n in BUILTINS)]
+    stages += [
+        ["report", *report, "--format", "csv", "--out", str(tmp_path / "report-csv")],
+        ["report", *report, "--format", "json", "--out", str(tmp_path / "report-json")],
+    ]
+    out = tmp_path / "reached.json"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(PACKAGE) + os.sep, json.dumps(stages), str(out)],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    result = json.loads(out.read_text())
+    called = {f"{Path(file).stem}:{qualname}" for file, qualname in result["called"]}
+    return stages, result["stages"], called
+
+
+def test_every_cli_stage_runs_without_scipy_and_reaches_all_but_the_allowed(tmp_path):
+    stages, loaded, called = run_every_stage(tmp_path)
+    # Every stage exits 0, and no stage (nor the import) loads any scipy module.
+    assert loaded == [["import", []]] + [[0, []]] * len(stages)
+    defined = defined_functions()
+    assert sorted(defined - called - set(ALLOWED)) == [], "defined but no CLI stage calls it"
+    assert sorted(set(ALLOWED) - defined) == [], "allowed but no longer defined"
+    assert sorted(set(ALLOWED) & called) == [], "allowed but a CLI stage calls it"

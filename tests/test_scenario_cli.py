@@ -3,19 +3,15 @@
 import csv
 import hashlib
 import json
-import os
-import subprocess
-import sys
+import math
 from collections import Counter
 from dataclasses import fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, strategies as st
 
-import sdnfp
 import sdnfp.cli as cli
 from sdnfp.cli import main
 from sdnfp.defense import DelayElementConfig
@@ -35,6 +31,7 @@ from sdnfp.scenario import (
     run_scenario,
     scenario_from_config,
     scenario_to_config,
+    write_json,
 )
 from sdnfp.stats import build_histogram
 
@@ -459,49 +456,31 @@ def test_cli_names_the_feature_and_label_of_a_constant_population(tmp_path, caps
     assert "config error: features: every dispersion/N sample is " in capsys.readouterr().err
 
 
-def test_the_cli_loads_neither_scipy_stats_nor_scipy_optimize(tmp_path):
-    # Neither simulating nor fitting loads them: the fit's search is stats' own.
-    samples = tmp_path / "k1-hw-100m" / "samples.csv"
-    fit = ["fit", "--samples", str(samples), "--feature", "delta_rtt", "--label", "Y",
-           "--out", str(tmp_path / "fit.json")]
-    script = (
-        "import sys\n"
-        "import sdnfp.cli\n"
-        f"codes = [sdnfp.cli.main(['simulate', '--scenario', 'k1-hw-100m', '--out', {str(tmp_path)!r}]),\n"
-        f"         sdnfp.cli.main({fit!r})]\n"
-        "print(codes, sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(sdnfp.__file__).parents[1])}
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    assert run.stdout.splitlines()[-1] == "[0, 0] []"
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("stage", ["eer", "report"])
+def test_cli_names_the_feature_and_label_of_a_non_finite_sample(tmp_path, capsys, stage, value):
+    # One dispersion/N row of a persisted samples.csv holds a value no EER,
+    # Welch test or histogram can take, and results JSON cannot write.
+    bundle_dir = tmp_path / "runs" / "k1-hw-100m"
+    run_scenario(small("k1-hw-100m"), bundle_dir)
+    samples = bundle_dir / "samples.csv"
+    lines = samples.read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line.startswith("dispersion,") and ",N," in line)
+    feature, _, rest = lines[row].split(",", 2)
+    lines[row] = f"{feature},{value},{rest}"
+    samples.write_text("".join(lines))
+    out = tmp_path / stage
+    argv = ["eer", "--samples", str(samples)] if stage == "eer" else ["report", "--bundles", str(bundle_dir)]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"config error: features: a dispersion/N sample is {value} ms" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_no_cli_stage_loads_scipy(tmp_path):
-    # Welch's 1% decision is stats' own Student-t tail; scipy is imported only
-    # to read a p-value or to decide a tail within a hair of 1%.
-    runs, bundle = tmp_path / "runs", tmp_path / "runs" / "k1-hw-100m"
-    stages = [
-        ["simulate", "--out", str(runs)],
-        ["defend", "--out", str(tmp_path / "defended")],
-        ["extract", "--traces", str(bundle / "traces.csv"), "--out", str(tmp_path / "train")],
-        ["extract", "--traces", str(bundle / "traces.csv"), "--passive", "--out", str(tmp_path / "passive")],
-        ["eer", "--samples", str(bundle / "samples.csv"), "--curve", "--out", str(tmp_path / "eer")],
-        ["fit", "--samples", str(bundle / "samples.csv"), "--out", str(tmp_path / "fit.json")],
-        ["report", "--bundles", *(str(runs / name) for name in builtin_scenarios()), "--out", str(tmp_path / "rep")],
-    ]
-    script = (
-        "import json, sys\n"
-        "import sdnfp.cli\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
-        "loaded = [['import', scipy_modules()]]\n"
-        f"for argv in {stages!r}:\n"
-        "    loaded.append([sdnfp.cli.main(argv), scipy_modules()])\n"
-        "print(json.dumps(loaded))\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(sdnfp.__file__).parents[1])}
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    assert json.loads(run.stdout.splitlines()[-1]) == [["import", []]] + [[0, []]] * len(stages)
+def test_write_json_refuses_nan_and_infinity(tmp_path):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(tmp_path / "x.json", {"t_statistic": value})
 
 
 def test_cli_missing_trace_file_exit_1(tmp_path):

@@ -26,9 +26,10 @@ from sdnfp.stats import (
     compute_eer,
     fit_gpd,
     gpd_quantile,
-    gpd_sample,
     welch_t_test,
 )
+
+from gpd_sampler import gpd_sample
 
 RTT_PARAMS = GPDParams(shape=-0.53, scale=10.58, location=0.57)
 DISP_PARAMS = GPDParams(shape=-0.60, scale=2.86, location=0.45)
