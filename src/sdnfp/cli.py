@@ -9,6 +9,12 @@ window.  Beside an external trace, write one such as
 `{"scenarios": [{"name": "lab", "seed": 1, "k": 2}]}`; omitted keys take the
 same defaults as in a YAML scenario file.
 Exit codes: 0 success, 2 configuration error, 1 anything else.
+
+A stage process loads only what it runs.  No stage makes a BLAS call, so
+numpy's OpenBLAS starts no worker threads: this module sets
+OPENBLAS_NUM_THREADS to 1 before numpy loads, unless the caller's environment
+already sets it.  PyYAML loads only when `--config` names a scenario file, and
+`concurrent.futures` (with `multiprocessing`) only when `--jobs` is above 1.
 """
 
 from __future__ import annotations
@@ -16,10 +22,13 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
+
+# Set before numpy loads: no stage calls BLAS, so OpenBLAS needs no threads; a caller's value is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import features as features_mod
 from .defense import DelayElementConfig
@@ -33,6 +42,7 @@ from .scenario import (
     builtin_scenarios,
     emit_report,
     evaluate,
+    finite_range,
     load_gpd,
     load_scenarios,
     read_scenario_descriptor,
@@ -82,6 +92,8 @@ def _run_and_print(scenarios: list[Scenario], args) -> int:
     print its EERs."""
     jobs = [(s, str(Path(args.out) / s.name)) for s in scenarios]
     if args.jobs > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             runs = list(pool.map(_run_one, jobs))
     else:
@@ -134,6 +146,7 @@ def cmd_fit(args) -> int:
     values = samples.values(args.feature, args.label)
     if not values.size:
         raise ConfigError(f"feature: no {args.feature}/{args.label} samples in {args.samples}")
+    finite_range(values, args.feature, args.label)
     params, ks = fit_gpd(values)
     payload = {
         "feature": args.feature,
@@ -164,7 +177,15 @@ def cmd_defend(args) -> int:
 
 
 def cmd_report(args) -> int:
-    runs = [_load_bundle(Path(bundle_dir)) for bundle_dir in args.bundles]
+    runs, dirs = [], {}
+    for bundle_dir in map(Path, args.bundles):
+        run = _load_bundle(bundle_dir)
+        name = run[0].name
+        if name in dirs:
+            # Its histogram files would overwrite the first bundle's.
+            raise ConfigError(f"bundles: {dirs[name]} and {bundle_dir} both hold scenario {name!r}")
+        dirs[name] = bundle_dir
+        runs.append(run)
     for path in emit_report(runs, Path(args.out), fmt=args.format):
         print(f"wrote {path}")
     return 0

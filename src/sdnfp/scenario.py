@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import yaml
 
 from . import probes as probes_mod
 from .defense import DelayElementConfig, apply_delay_element
@@ -243,6 +242,16 @@ class FeatureResult:
         }
 
 
+def finite_range(values: np.ndarray, feature: str, label: str) -> tuple[float, float]:
+    """(min, max) of one non-empty feature/label population; a NaN or infinite
+    sample raises ConfigError naming the feature and label."""
+    lo, hi = values.min(), values.max()  # NaN if any value is
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"features: a {feature}/{label} sample is {hi if math.isfinite(lo) else lo:g} "
+                          "ms; the EER, Welch's test and the GPD fit need finite samples")
+    return lo, hi
+
+
 def evaluate(samples, features) -> dict[str, FeatureResult]:
     """EER and Welch test of each feature's N and Y populations."""
     results = {}
@@ -251,10 +260,7 @@ def evaluate(samples, features) -> dict[str, FeatureResult]:
         if not values_n.size or not values_y.size:
             raise ConfigError(f"features: no {feature} samples for one label")
         for label, values in (("N", values_n), ("Y", values_y)):
-            lo, hi = values.min(), values.max()  # NaN if any value is
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ConfigError(f"features: a {feature}/{label} sample is {hi if math.isfinite(lo) else lo:g} "
-                                  "ms; the EER and Welch's test need finite samples")
+            lo, hi = finite_range(values, feature, label)
             if lo == hi:
                 raise ConfigError(f"features: every {feature}/{label} sample is {lo:g} ms, and "
                                   "Welch's test needs spread (link jitter gives N its spread)")
@@ -663,15 +669,18 @@ def _scenarios(raw) -> list[Scenario]:
     return [scenario_from_config(entry) for entry in raw["scenarios"]]
 
 
-# libyaml's parser where PyYAML was built with it: the same mapping, several
-# times faster than the pure-Python SafeLoader.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
 def load_scenarios(path: Path | str) -> list[Scenario]:
-    """Read a YAML scenario file: {scenarios: [ {...}, ... ]}."""
+    """Read a YAML scenario file: {scenarios: [ {...}, ... ]}.
+
+    PyYAML is imported here, so only `--config` runs load it.  The parser is
+    libyaml's where PyYAML was built with it: the same mapping, several times
+    faster than the pure-Python SafeLoader.
+    """
+    import yaml
+
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        raw = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+        raw = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=loader)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:

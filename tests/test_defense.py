@@ -14,6 +14,7 @@ from sdnfp.defense import (
     TABLE4_DISPERSION,
     apply_delay_element,
     delay_for,
+    delays_from_uniform,
     select_bucket,
 )
 from sdnfp.distributions import constant, lognormal, pareto
@@ -221,3 +222,23 @@ def test_every_accepted_delay_element_holds_for_non_negative_time(entries, draws
     for u in draws:
         for position in (FIRST, FOLLOWUP):
             assert delay_for(position, element, _Draw(u)) >= 0
+
+
+@given(
+    st.floats(-2, 2) | st.floats(-1e-9, 1e-9),
+    st.floats(0, 5),
+    st.lists(st.floats(1e-3, 50), min_size=2, max_size=2),
+    # Below 0.999, so that a shape-2 hold stays within the int64 nanosecond range.
+    st.lists(st.floats(0, 0.999), min_size=1, max_size=20),
+)
+def test_a_larger_gpd_scale_never_shortens_a_hold(shape, location_ms, scales_ms, draws):
+    # The quantile is mu + sigma * g(u) with g(u) >= 0, and half-up rounding
+    # keeps the order, so at fixed draws each hold grows or stays.  This is
+    # the hold-level statement only: a longer first hold can shorten a
+    # dispersion.
+    u = np.array(draws)
+    short, long = (
+        delays_from_uniform(FIRST, DelayElementConfig(first_delay=GPDParams(shape, scale, location_ms)), u)
+        for scale in sorted(scales_ms)
+    )
+    assert np.all(short <= long)

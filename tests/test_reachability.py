@@ -8,10 +8,13 @@ function and method defined in the package must have been called, unless
 ALLOWED lists it with its reason; an allowed name that is called, or that no
 longer exists, fails the test too, so the list only shrinks.  The same run
 checks that no stage loads scipy: the fit's search and Welch's 1% decision
-are the package's own.
+are the package's own.  It also checks what a stage process starts with:
+OpenBLAS limited to one thread, no PyYAML before the first --config stage, and
+no process pool at --jobs 1.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -19,6 +22,7 @@ import sys
 from pathlib import Path
 
 import sdnfp
+import sdnfp.cli
 
 PACKAGE = Path(sdnfp.__file__).resolve().parent
 BUILTINS = ("k1-hw-100m", "k2-hw-100m", "k3-hw-100m", "k1-sw-100m", "k3-hw-1g", "k1-sw-1g")
@@ -79,12 +83,19 @@ scenarios:
       sigma: 150000 ns
 """
 
+# Modules a stage loads only when it uses them: PyYAML for --config, a
+# process pool for --jobs above 1.
+ON_DEMAND = ("yaml", "concurrent.futures", "multiprocessing")
+
 # Runs each argv of argv[2] through sdnfp.cli.main under a profile hook, and
 # writes the exit codes, the scipy modules loaded after the import and after
-# each stage, and every package function called, to the JSON file argv[3].
+# each stage, the ON_DEMAND modules loaded at the same points, OpenBLAS's
+# thread setting after the import, and every package function called, to the
+# JSON file argv[3].
 SCRIPT = """\
-import json, sys
+import json, os, sys
 package, stages, out = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3]
+on_demand = %r
 called = set()
 
 def record(frame, event, arg):
@@ -94,15 +105,22 @@ def record(frame, event, arg):
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+def on_demand_modules():
+    return [m for m in on_demand if m in sys.modules]
+
 sys.setprofile(record)
 import sdnfp.cli
 loaded = [["import", scipy_modules()]]
+on_demand_loaded = [on_demand_modules()]
+openblas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
 for argv in stages:
     loaded.append([sdnfp.cli.main(argv), scipy_modules()])
+    on_demand_loaded.append(on_demand_modules())
 sys.setprofile(None)
 with open(out, "w") as f:
-    json.dump({"stages": loaded, "called": sorted(called)}, f)
-"""
+    json.dump({"stages": loaded, "on_demand": on_demand_loaded, "openblas_threads": openblas_threads,
+               "called": sorted(called)}, f)
+""" % (ON_DEMAND,)
 
 
 def defined_functions() -> set[str]:
@@ -147,21 +165,36 @@ def run_every_stage(tmp_path):
         ["report", *report, "--format", "json", "--out", str(tmp_path / "report-json")],
     ]
     out = tmp_path / "reached.json"
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    # Without OPENBLAS_NUM_THREADS (sdnfp.cli set it in this process too), so the
+    # stage process shows what its own import sets.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(PACKAGE.parent)
     subprocess.run(
         [sys.executable, "-c", SCRIPT, str(PACKAGE) + os.sep, json.dumps(stages), str(out)],
         env=env, check=True, capture_output=True, text=True,
     )
     result = json.loads(out.read_text())
     called = {f"{Path(file).stem}:{qualname}" for file, qualname in result["called"]}
-    return stages, result["stages"], called
+    return stages, result, called
 
 
 def test_every_cli_stage_runs_without_scipy_and_reaches_all_but_the_allowed(tmp_path):
-    stages, loaded, called = run_every_stage(tmp_path)
+    stages, result, called = run_every_stage(tmp_path)
     # Every stage exits 0, and no stage (nor the import) loads any scipy module.
-    assert loaded == [["import", []]] + [[0, []]] * len(stages)
+    assert result["stages"] == [["import", []]] + [[0, []]] * len(stages)
+    # The import leaves OpenBLAS one thread and loads no ON_DEMAND module;
+    # PyYAML loads from the first --config stage on, and no stage (all at
+    # --jobs 1) loads a process pool.
+    assert result["openblas_threads"] == "1"
+    first_config = next(i for i, argv in enumerate(stages) if "--config" in argv)
+    assert result["on_demand"] == [[]] * (1 + first_config) + [["yaml"]] * (len(stages) - first_config)
     defined = defined_functions()
     assert sorted(defined - called - set(ALLOWED)) == [], "defined but no CLI stage calls it"
     assert sorted(set(ALLOWED) - defined) == [], "allowed but no longer defined"
     assert sorted(set(ALLOWED) & called) == [], "allowed but a CLI stage calls it"
+
+
+def test_the_cli_keeps_the_callers_openblas_thread_count(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    importlib.reload(sdnfp.cli)
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"

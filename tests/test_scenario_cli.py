@@ -213,7 +213,8 @@ DRIFT_YAML = (
 def test_load_scenarios_reads_the_same_with_either_yaml_parser(tmp_path, monkeypatch, loader):
     cfg = tmp_path / "drift.yaml"
     cfg.write_text(DRIFT_YAML)
-    monkeypatch.setattr("sdnfp.scenario._YAML_LOADER", loader)
+    # load_scenarios takes libyaml's CSafeLoader wherever PyYAML has one.
+    monkeypatch.setattr(yaml, "CSafeLoader", loader, raising=False)
     assert load_scenarios(cfg) == [scenario_from_config(e) for e in yaml.safe_load(DRIFT_YAML)["scenarios"]]
     cfg.write_text("scenarios:\n  - name: [k1\n")
     with pytest.raises(ConfigError, match=f"config: invalid YAML in {cfg}"):
@@ -456,24 +457,58 @@ def test_cli_names_the_feature_and_label_of_a_constant_population(tmp_path, caps
     assert "config error: features: every dispersion/N sample is " in capsys.readouterr().err
 
 
+def bundle_with_one_sample_set_to(tmp_path, name, feature, label, value):
+    """A persisted bundle of `name` whose first feature/label row of
+    samples.csv holds `value`; its directory."""
+    bundle_dir = tmp_path / "runs" / name
+    run_scenario(small(name), bundle_dir)
+    samples = bundle_dir / "samples.csv"
+    lines = samples.read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line.startswith(f"{feature},") and f",{label}," in line)
+    _, _, rest = lines[row].split(",", 2)
+    lines[row] = f"{feature},{value},{rest}"
+    samples.write_text("".join(lines))
+    return bundle_dir
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("stage", ["eer", "report"])
 def test_cli_names_the_feature_and_label_of_a_non_finite_sample(tmp_path, capsys, stage, value):
     # One dispersion/N row of a persisted samples.csv holds a value no EER,
     # Welch test or histogram can take, and results JSON cannot write.
-    bundle_dir = tmp_path / "runs" / "k1-hw-100m"
-    run_scenario(small("k1-hw-100m"), bundle_dir)
+    bundle_dir = bundle_with_one_sample_set_to(tmp_path, "k1-hw-100m", "dispersion", "N", value)
     samples = bundle_dir / "samples.csv"
-    lines = samples.read_text().splitlines(keepends=True)
-    row = next(i for i, line in enumerate(lines) if line.startswith("dispersion,") and ",N," in line)
-    feature, _, rest = lines[row].split(",", 2)
-    lines[row] = f"{feature},{value},{rest}"
-    samples.write_text("".join(lines))
     out = tmp_path / stage
     argv = ["eer", "--samples", str(samples)] if stage == "eer" else ["report", "--bundles", str(bundle_dir)]
     capsys.readouterr()
     assert main([*argv, "--out", str(out)]) == 2
     assert f"config error: features: a dispersion/N sample is {value} ms" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_fit_names_the_feature_and_label_of_a_non_finite_sample(tmp_path, capsys, value):
+    # fit_gpd's own check exited 1 with "samples must be finite", naming neither.
+    bundle_dir = bundle_with_one_sample_set_to(tmp_path, "k2-hw-100m", "delta_rtt", "Y", value)
+    out = tmp_path / "fit.json"
+    capsys.readouterr()
+    argv = ["fit", "--samples", str(bundle_dir / "samples.csv"), "--feature", "delta_rtt", "--label", "Y"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"config error: features: a delta_rtt/Y sample is {value} ms" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_report_refuses_two_bundles_of_one_scenario(tmp_path, capsys):
+    # Both bundles' histograms would go to k2-hw-100m__<feature>__pdf_<label>.csv,
+    # the second overwriting the first, and summary.csv would hold twin rows.
+    first, second = tmp_path / "a" / "k2-hw-100m", tmp_path / "b" / "k2-hw-100m"
+    for bundle_dir in (first, second):
+        run_scenario(small("k2-hw-100m"), bundle_dir)
+    out = tmp_path / "rep"
+    capsys.readouterr()
+    assert main(["report", "--bundles", str(first), str(second), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: bundles: {first} and {second} both hold scenario 'k2-hw-100m'" in err
     assert not out.exists()
 
 
