@@ -32,7 +32,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import features as features_mod
 from .defense import DelayElementConfig
-from .features import DELTA_RTT, DISPERSION, Samples
+from .features import DELTA_RTT, FEATURES, Samples
 from .probes import Trace
 from .scenario import (
     ConfigError,
@@ -118,9 +118,9 @@ def cmd_extract(args) -> int:
             window = round(args.window_s * NS_PER_S) if math.isfinite(args.window_s) else 0
             if window <= 0:
                 raise ConfigError("window-s: must be at least one nanosecond")
-        samples = features_mod.passive_samples(trace, scenario.context(), window, drops)
+        samples = features_mod.passive_samples(trace, scenario, window, drops)
     else:
-        samples = features_mod.label_samples(trace, scenario.context(), drops)
+        samples = features_mod.label_samples(trace, scenario, drops)
     out = Path(args.out)
     samples.write_csv(out / "samples.csv")
     write_json(out / "drops.json", asdict(drops))
@@ -249,15 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eer", help="equal error rate from a feature sample CSV")
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument(
-        "--features", nargs="+", default=[DISPERSION, DELTA_RTT],
-        choices=[DISPERSION, DELTA_RTT],
-    )
+    p.add_argument("--features", nargs="+", default=FEATURES, choices=FEATURES)
     p.add_argument("--curve", action="store_true", help="also write the sweep curves")
 
     p = sub.add_parser("fit", help="fit a Generalized Pareto to one feature population")
     p.add_argument("--samples", required=True)
-    p.add_argument("--feature", default=DELTA_RTT, choices=[DISPERSION, DELTA_RTT])
+    p.add_argument("--feature", default=DELTA_RTT, choices=FEATURES)
     p.add_argument("--label", default="Y", choices=["Y", "N"])
     p.add_argument("--out", required=True, help="output JSON file")
 

@@ -15,7 +15,7 @@ an earlier packet of its flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,11 +132,3 @@ def delays_from_uniform(position: str, cfg: DelayElementConfig, u: np.ndarray) -
         abs(params.location) + np.abs(ms - params.location) + amplify
     )
     return ns_from_floats(ms * NS_PER_MS, lambda i: _hold_ns(params, float(u[i])), err_ns)
-
-
-def apply_delay_element(path, cfg: DelayElementConfig):
-    """Attach the delay element to the path's outermost switch."""
-    if not path.switches:
-        raise ValueError("the delay element needs at least one switch on the path")
-    return replace(path, delay_element=cfg)
-

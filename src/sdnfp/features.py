@@ -19,6 +19,10 @@ taxonomy and is excluded with a count, as is every sample with a missing
 reply (MISSING_NS in a receive timestamp).  `Samples.values` selects one
 feature's N or Y population, for the EER, the Welch test, the GPD fit and
 the report's histograms alike.
+
+Both labellers take the `scenario.Scenario` the trace came from and copy its
+k, switch kind, data-link rate and time span into every sample's row; for an
+external trace that is the scenario of the scenario.json beside it.
 """
 
 from __future__ import annotations
@@ -33,16 +37,9 @@ from .units import NS_PER_MS
 
 DISPERSION = "dispersion"
 DELTA_RTT = "delta_rtt"
+FEATURES = (DISPERSION, DELTA_RTT)  # every feature, in the order a scenario evaluates them
 
 MISSING_NS = -1  # sentinel for an absent timestamp in external traces
-
-
-@dataclass(frozen=True)
-class ScenarioContext:
-    k: int
-    switch_kind: str
-    data_link_bps: int
-    time_span_ns: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +48,8 @@ class Samples(Table):
 
     `feature`, `label` and `kind` are object arrays of str, `value_ms` and
     `span_s` float64, `k` and `link_bps` int64.  The last four columns are
-    the context of the scenario each sample came from.
+    the scenario each sample came from: its k, switch kind, data-link rate
+    and RTT-difference time span.
     """
 
     feature: np.ndarray
@@ -65,13 +63,14 @@ class Samples(Table):
     DTYPES = (object, np.float64, object, np.int64, object, np.int64, np.float64)
 
     @classmethod
-    def in_context(cls, feature, value_ms, label, context: ScenarioContext) -> "Samples":
-        """Samples of one scenario; the context columns repeat `context`."""
+    def in_context(cls, feature, value_ms, label, scenario) -> "Samples":
+        """Samples of one `scenario.Scenario`; the last four columns repeat its
+        k, switch_kind, data_link_bps and time span."""
         n = np.size(value_ms)
         return cls(
             feature, value_ms, label,
-            np.full(n, context.k), np.full(n, context.switch_kind, object),
-            np.full(n, context.data_link_bps), np.full(n, context.time_span_ns / 1e9),
+            np.full(n, scenario.k), np.full(n, scenario.switch_kind, object),
+            np.full(n, scenario.data_link_bps), np.full(n, scenario.time_span_ns / 1e9),
         )
 
     def values(self, feature: str, label: str) -> np.ndarray:
@@ -149,11 +148,7 @@ def _delta_rtt(trace: Trace, first, second, drops: DropCounts):
     return keep, delta_rtt_ms(trace, first[keep], second[keep]), labels[keep]
 
 
-def label_samples(
-    trace: Trace,
-    context: ScenarioContext,
-    drops: DropCounts | None = None,
-) -> Samples:
+def label_samples(trace: Trace, scenario, drops: DropCounts | None = None) -> Samples:
     """Labeled dispersion and RTT-difference samples for a whole trace.
 
     Pairs feed the dispersion feature; consecutive singles of a trial feed
@@ -183,15 +178,10 @@ def label_samples(
     features = np.where(order >= first.size, DELTA_RTT, DISPERSION)
     values = np.concatenate([disp_values, rtt_values])[order]
     labels = np.concatenate([disp_labels, rtt_labels])[order]
-    return Samples.in_context(features, values, labels, context)
+    return Samples.in_context(features, values, labels, scenario)
 
 
-def passive_samples(
-    trace: Trace,
-    context: ScenarioContext,
-    window_ns: int,
-    drops: DropCounts | None = None,
-) -> Samples:
+def passive_samples(trace: Trace, scenario, window_ns: int, drops: DropCounts | None = None) -> Samples:
     """RTT-difference samples of a passive adversary.
 
     Same-flow packets sent within window_ns of each other are paired by
@@ -202,4 +192,4 @@ def passive_samples(
         drops = DropCounts()
     first, second = extract_passive_pairs(trace, window_ns)
     _, values, labels = _delta_rtt(trace, first, second, drops)
-    return Samples.in_context(np.full(values.size, DELTA_RTT), values, labels, context)
+    return Samples.in_context(np.full(values.size, DELTA_RTT), values, labels, scenario)

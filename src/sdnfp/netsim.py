@@ -182,7 +182,7 @@ class PathSpec:
     forward_links: tuple[LinkSpec, ...]
     reverse_links: tuple[LinkSpec, ...]
     switches: tuple[SwitchSpec, ...] = ()
-    delay_element: object | None = None  # DelayElementConfig, attached by defense
+    delay_element: object | None = None  # a DelayElementConfig at the outermost switch
 
     def __post_init__(self):
         object.__setattr__(self, "forward_links", tuple(self.forward_links))
@@ -192,6 +192,8 @@ class PathSpec:
             raise ValueError("paths need at least one link per direction")
         if self.switches and len(self.switches) > len(self.forward_links) - 1:
             raise ValueError("switch j needs egress link j+1; too many switches for path")
+        if self.delay_element is not None and not self.switches:
+            raise ValueError("the delay element needs at least one switch on the path")
 
 
 def transmission_delay_ns(size_bytes: int, link: LinkSpec) -> int:

@@ -59,6 +59,7 @@ import numpy as np
 
 from .netsim import (
     CLEAR,
+    DEFAULT_REPLY_BYTES,
     PROBE,
     ControllerSpec,
     DriftModel,
@@ -77,6 +78,8 @@ TRAIN_PAIR_OFFSETS_S = (1, 2, 3, 4)
 TRAIN_SECOND_CLEAR_S = 5
 TRAIN_FIRST_SINGLE_S = 6
 MIN_PROBE_BYTES = 64
+DEFAULT_MTU_BYTES = 1500
+DEFAULT_IDLE_LEAD_NS = 10 * NS_PER_S
 
 # Send gaps at or below this bound mark two probes as one back-to-back pair
 # when reconstructing structure from a trace (pair spacing is at most a few
@@ -98,7 +101,7 @@ class ProbeSchedule:
 
 
 def build_probe_train(
-    flow: FlowKey, mtu: int = 1500, pair_spacing_ns: int = 0, single_gap_ns: int = NS_PER_S
+    flow: FlowKey, mtu: int = DEFAULT_MTU_BYTES, pair_spacing_ns: int = 0, single_gap_ns: int = NS_PER_S
 ) -> ProbeSchedule:
     """The measurement train (see the module docstring), tail singles single_gap_ns apart."""
     if mtu < MIN_PROBE_BYTES:
@@ -121,7 +124,7 @@ def idle_flow_probes(
     flow: FlowKey,
     mtu: int,
     gap_ns: int,
-    lead_in_ns: int = 10 * NS_PER_S,
+    lead_in_ns: int = DEFAULT_IDLE_LEAD_NS,
 ) -> ProbeSchedule:
     """One back-to-back pair and two spaced singles on a warm, long-idle flow.
 
@@ -192,8 +195,6 @@ class Table:
         if type(other) is not type(self):
             return NotImplemented
         return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in self.columns())
-
-    __hash__ = None
 
     @classmethod
     def concat(cls, tables):
@@ -284,7 +285,7 @@ def run_schedule(
     group: int = 0,
     warm: bool = False,
     drift: DriftModel | None = None,
-    reply_bytes: int = 64,
+    reply_bytes: int = DEFAULT_REPLY_BYTES,
     turnaround_ns: int = 0,
 ) -> Trace:
     """Run the schedule once per trial number, all trials together; log every packet.
@@ -318,7 +319,7 @@ def run_schedule_reference(
     group: int = 0,
     warm: bool = False,
     drift: DriftModel | None = None,
-    reply_bytes: int = 64,
+    reply_bytes: int = DEFAULT_REPLY_BYTES,
     turnaround_ns: int = 0,
 ) -> Trace:
     """One trial of run_schedule on the scalar reference model, packet by packet.

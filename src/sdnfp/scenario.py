@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import probes as probes_mod
-from .defense import DelayElementConfig, apply_delay_element
+from .defense import DelayElementConfig
 from .distributions import (
     CROSS_TRAFFIC_DEFAULTS,
     CROSS_TRAFFIC_KINDS,
@@ -54,16 +54,14 @@ from .distributions import (
     lognormal,
     pareto,
 )
-from .features import (
-    DELTA_RTT,
-    DISPERSION,
-    DropCounts,
-    Samples,
-    ScenarioContext,
-    label_samples,
+from .features import FEATURES, DropCounts, Samples, label_samples
+from .netsim import (
+    DEFAULT_CLEAR_DELAY_NS, DEFAULT_REPLY_BYTES, DEFAULT_TABLE_CAPACITY,
+    ControllerSpec, DriftModel, FlowKey, PathSpec, SwitchSpec, uniform_path,
 )
-from .netsim import ControllerSpec, DriftModel, FlowKey, PathSpec, SwitchSpec, uniform_path
-from .probes import Table, Trace, build_probe_train, idle_flow_probes, run_schedule
+from .probes import (
+    DEFAULT_IDLE_LEAD_NS, DEFAULT_MTU_BYTES, Table, Trace, build_probe_train, idle_flow_probes, run_schedule,
+)
 from .stats import EERResult, GPDParams, WelchResult, build_histogram, compute_eer, welch_t_test
 from .units import DURATION, NS_PER_MS, NS_PER_S, RATE, SIZE, parse_duration_ns
 
@@ -91,6 +89,15 @@ DEFAULT_DRIFT_SIGMA_NS = 150_000  # 0.15 ms per sqrt-second when drift is enable
 
 @dataclass(frozen=True)
 class Scenario:
+    """One scenario: path shape, delay calibration, probe plan and seed.
+
+    A default the simulator or the probe builders also apply (reply size,
+    MTU, CLEAR delay, table capacity, idle lead-in, the feature pair) is the
+    constant of the module that applies it.  Labelling reads the scenario
+    itself: each sample's row carries its k, switch_kind, data_link_bps and
+    time span.
+    """
+
     name: str
     seed: int
     trains: int = 450
@@ -103,19 +110,19 @@ class Scenario:
     cross_traffic: DelayModel | None = DEFAULT_CROSS
     install_delay: DelayModel | None = None  # None picks the kind's default
     lookup_delay: DelayModel = DEFAULT_LOOKUP
-    mtu_bytes: int = 1500
-    reply_bytes: int = 64
+    mtu_bytes: int = DEFAULT_MTU_BYTES
+    reply_bytes: int = DEFAULT_REPLY_BYTES
     pair_spacing_ns: int = 0
-    clear_delay_ns: int = 10 * NS_PER_MS
+    clear_delay_ns: int = DEFAULT_CLEAR_DELAY_NS
     turnaround_ns: int = 0
-    table_capacity: int = 1024
+    table_capacity: int = DEFAULT_TABLE_CAPACITY
     time_span_ns: int = NS_PER_S
     passive_window_ns: int = NS_PER_S
     bin_width_ms: float = 0.1
-    feature_set: tuple[str, ...] = (DISPERSION, DELTA_RTT)
+    feature_set: tuple[str, ...] = FEATURES
     defense: DelayElementConfig | None = None
     drift: DriftModel | None = None
-    idle_lead_ns: int = 10 * NS_PER_S
+    idle_lead_ns: int = DEFAULT_IDLE_LEAD_NS
 
     def validate(self) -> None:
         if self.seed < 0:
@@ -147,9 +154,9 @@ class Scenario:
         if not self.bin_width_ms > 0:
             raise ConfigError("bin_width: must be positive")
         if not self.feature_set:
-            raise ConfigError("features: need at least one of dispersion, delta_rtt")
+            raise ConfigError(f"features: need at least one of {', '.join(FEATURES)}")
         for f in self.feature_set:
-            if f not in (DISPERSION, DELTA_RTT):
+            if f not in FEATURES:
                 raise ConfigError(f"features: unknown feature {f!r}")
         if self.defense is not None and self.idle_lead_ns <= self.defense.t_th_ns:
             raise ConfigError("idle_lead: must exceed the defense inactivity threshold")
@@ -160,6 +167,8 @@ class Scenario:
         return HW_INSTALL if self.switch_kind == HARDWARE else SW_INSTALL
 
     def build_path(self) -> PathSpec:
+        """The uniform path of k switches, with the delay element, when
+        defended, at the outermost one."""
         install = self.effective_install_delay()
         switches = tuple(
             SwitchSpec(
@@ -177,20 +186,10 @@ class Scenario:
             cross_traffic=self.cross_traffic,
             base_latency_ns=self.base_latency_ns,
         )
-        if self.defense is not None:
-            path = apply_delay_element(path, self.defense)
-        return path
+        return path if self.defense is None else replace(path, delay_element=self.defense)
 
     def build_controller(self) -> ControllerSpec:
         return ControllerSpec(lookup_delay=self.lookup_delay, clear_delay_ns=self.clear_delay_ns)
-
-    def context(self) -> ScenarioContext:
-        return ScenarioContext(
-            k=self.k,
-            switch_kind=self.switch_kind,
-            data_link_bps=self.data_link_bps,
-            time_span_ns=self.time_span_ns,
-        )
 
 
 def builtin_scenarios() -> dict[str, Scenario]:
@@ -330,7 +329,7 @@ def run_scenario(scenario: Scenario, out_dir: Path | str | None = None) -> Resul
     )
 
     drops = DropCounts()
-    samples = label_samples(records, scenario.context(), drops)
+    samples = label_samples(records, scenario, drops)
     bundle = ResultBundle(
         scenario=scenario,
         records=records,

@@ -87,6 +87,15 @@ class EERResult:
     curve: Curve
 
 
+def _sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.unique(np.concatenate([a, b])) of float arrays, as numpy 2.4 sorts and
+    dedups them (-0.0 and 0.0 are one value, every NaN one last), without the
+    masked-array check that makes np.unique import numpy.ma."""
+    u = np.concatenate([a, b])
+    u.sort()
+    return u[np.concatenate([[True], (u[1:] != u[:-1]) & ~np.isnan(u[:-1])])]
+
+
 def compute_eer(samples_n, samples_y) -> EERResult:
     """Threshold sweep over the union of sample values.
 
@@ -98,7 +107,7 @@ def compute_eer(samples_n, samples_y) -> EERResult:
     y = np.sort(np.asarray(samples_y, dtype=float))
     if n.size == 0 or y.size == 0:
         raise EmptySamplesError("both populations must be non-empty")
-    thresholds = np.unique(np.concatenate([n, y]))
+    thresholds = _sorted_union(n, y)
     fnr = 1.0 - np.searchsorted(n, thresholds, side="right") / n.size
     fmr = np.searchsorted(y, thresholds, side="right") / y.size
     # Guard point below every value: all N rejected correctly, all Y missed.

@@ -190,7 +190,6 @@ def test_criterion_6_defense_effectiveness(undefended, defended):
 
 
 def test_criterion_7_zero_cost_when_active():
-    from sdnfp.defense import apply_delay_element
     from sdnfp.distributions import lognormal, pareto
     from sdnfp.netsim import uniform_path
 
@@ -201,7 +200,7 @@ def test_criterion_7_zero_cost_when_active():
         sw = SwitchSpec("hw1", lognormal(4_500_000, 0.6))
         path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
         if defended:
-            path = apply_delay_element(path, DelayElementConfig())
+            path = replace(path, delay_element=DelayElementConfig())
         sim = Simulation(
             path, ControllerSpec(), RngStreams(99), warm_keys=(key,), warm_activity=(key,)
         )

@@ -1,5 +1,7 @@
 """Bucket selection, delay element semantics, and defense-level properties."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +14,6 @@ from sdnfp.defense import (
     FlowActivity,
     TABLE4_DELTA_RTT,
     TABLE4_DISPERSION,
-    apply_delay_element,
     delay_for,
     delays_from_uniform,
     select_bucket,
@@ -21,7 +22,9 @@ from sdnfp.distributions import constant, lognormal, pareto
 from sdnfp.netsim import (
     ControllerSpec,
     FlowKey,
+    LinkSpec,
     Packet,
+    PathSpec,
     RngStreams,
     Simulation,
     SwitchSpec,
@@ -46,7 +49,7 @@ def support_upper(params):
 def defended_path(install_ns=5 * MS, cfg=CFG, cross=None, warm=False):
     sw = SwitchSpec("hw1", constant(install_ns))
     path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
-    return apply_delay_element(path, cfg)
+    return replace(path, delay_element=cfg)
 
 
 def test_first_ever_packet_delayed():
@@ -98,10 +101,16 @@ def test_delay_for_reproducible():
     assert a == b
 
 
-def test_apply_delay_element_requires_switch():
+def test_a_path_with_no_switch_refuses_the_delay_element():
     path = uniform_path(2, 2, 100_000_000)
-    with pytest.raises(ValueError):
-        apply_delay_element(path, CFG)
+    with pytest.raises(ValueError, match="needs at least one switch"):
+        replace(path, delay_element=CFG)
+
+
+def test_a_defended_path_built_with_no_switch_is_refused():
+    link = LinkSpec(100_000_000)
+    with pytest.raises(ValueError, match="needs at least one switch"):
+        PathSpec((link, link), (link, link), (), CFG)
 
 
 def test_warm_active_flow_identical_timing():
@@ -111,7 +120,7 @@ def test_warm_active_flow_identical_timing():
         sw = SwitchSpec("hw1", lognormal(4_500_000, 0.6))
         path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
         if defended:
-            path = apply_delay_element(path, CFG)
+            path = replace(path, delay_element=CFG)
         sim = Simulation(
             path, ControllerSpec(), RngStreams(99), warm_keys=(KEY,), warm_activity=(KEY,)
         )

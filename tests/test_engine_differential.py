@@ -10,7 +10,7 @@ from sdnfp.defense import FIRST as FIRST_PACKET
 from sdnfp.defense import FOLLOWUP as FOLLOWUP_PACKET
 from sdnfp.defense import DelayElementConfig, delay_for, delays_from_uniform
 from sdnfp.distributions import NO_DELAY, constant, lognormal, ns_from_floats, pareto
-from sdnfp.features import DISPERSION, label_samples
+from sdnfp.features import group_probes, pair_labels
 from sdnfp.netsim import (
     CLEAR,
     PROBE,
@@ -227,21 +227,22 @@ def test_a_trials_rows_do_not_depend_on_the_trials_beside_it(case):
 
 
 def pair_dispersions(scenario, installs):
-    """N- and Y-pair dispersions of the scenario's probe trains, with switch i
-    installing in installs[i] and the scenario's seed."""
+    """(label, first member's RTT, dispersion) of each probe pair of the
+    scenario's trains, times in ns, with switch i installing in installs[i]
+    and the scenario's seed."""
     path = scenario.build_path()
     path = replace(path, switches=tuple(replace(sw, install_delay=d) for sw, d in zip(path.switches, installs)))
     train = build_probe_train(DEFAULT_FLOW, scenario.mtu_bytes, scenario.pair_spacing_ns, scenario.time_span_ns)
     trace = run_schedule(train, path, scenario.build_controller(), scenario.seed, trials=range(scenario.trains))
-    samples = label_samples(trace, scenario.context())
-    return samples.values(DISPERSION, "N"), samples.values(DISPERSION, "Y")
+    first, second, _ = group_probes(trace)
+    recv = trace.client_recv_ns
+    return pair_labels(trace, first, second), recv[first] - trace.client_send_ns[first], recv[second] - recv[first]
 
 
 @pytest.mark.parametrize("name", list(builtin_scenarios()))
 def test_a_slower_install_lengthens_y_pairs_and_leaves_n_pairs_alone(name):
     # The miss charge is the lookup plus the slowest switch's install (Eq. 2),
-    # and only a pair that triggered a miss pays it.  (A pair whose second
-    # packet does not queue behind the charge keeps its dispersion.)
+    # and only a pair that triggered a miss pays it.
     scenario = builtin_scenarios()[name]
     install = scenario.effective_install_delay()
     raised = replace(install, median_ns=install.median_ns * 4 // 3)
@@ -266,12 +267,19 @@ def test_a_slower_lookup_lengthens_y_pairs_and_leaves_n_pairs_alone(name):
 
 
 def assert_only_y_pairs_lengthen(before, after):
-    """Every N-pair dispersion bit-equal, no Y-pair dispersion shorter, and one longer."""
-    (n_before, y_before), (n_after, y_after) = before, after
-    assert n_after.tobytes() == n_before.tobytes()
-    assert y_after.size == y_before.size
-    assert (y_after >= y_before).all()
-    assert (y_after > y_before).any()
+    """Pair by pair: every N pair keeps its dispersion.  A Y pair's first member
+    pays the raised charge, so its RTT rises; the pair then keeps its
+    dispersion (its second member did not queue behind the charge) or
+    lengthens by at least that rise (by exactly it when the second member
+    queued behind the charge in both runs).  And one Y pair lengthens."""
+    (labels, rtt_before, disp_before), (labels_after, rtt_after, disp_after) = before, after
+    assert (labels_after == labels).all()
+    n, y = labels == "N", labels == "Y"
+    assert (disp_after[n] == disp_before[n]).all()
+    rise, lengthening = (rtt_after - rtt_before)[y], (disp_after - disp_before)[y]
+    assert (rise > 0).all()
+    assert ((lengthening == 0) | (lengthening >= rise)).all()
+    assert (lengthening > 0).any()
 
 
 @given(cases())

@@ -8,7 +8,6 @@ from sdnfp.features import (
     MISSING_NS,
     DropCounts,
     Samples,
-    ScenarioContext,
     delta_rtt_labels,
     delta_rtt_ms,
     dispersion_ms,
@@ -18,11 +17,12 @@ from sdnfp.features import (
 )
 from sdnfp.netsim import ControllerSpec, FlowKey, SwitchSpec, uniform_path
 from sdnfp.probes import Trace, build_probe_train, run_schedule
+from sdnfp.scenario import Scenario
 
 S = 1_000_000_000
 MS = 1_000_000
 KEY = FlowKey("10.0.0.2", "10.0.1.2")
-CTX = ScenarioContext(k=3, switch_kind="hardware", data_link_bps=100_000_000, time_span_ns=S)
+SCENARIO = Scenario(name="lab", seed=0, k=3, switch_kind="hardware", data_link_bps=100_000_000, time_span_ns=S)
 
 
 def probes(send_ns, recv_ns, miss=None, trial=None, packet_id=None):
@@ -83,7 +83,7 @@ def test_missing_reply_raises():
     assert pair_value(missing_reply, trace, 0, 1) is True
     assert pair_value(missing_reply, trace, 0, 2) is False
     drops = DropCounts()
-    assert len(label_samples(probes([0, 0], [100_000_000, MISSING_NS]), CTX, drops)) == 0
+    assert len(label_samples(probes([0, 0], [100_000_000, MISSING_NS]), SCENARIO, drops)) == 0
     assert drops.missing_reply == 1
 
 
@@ -126,7 +126,7 @@ def test_label_samples_standard_train():
     sw = SwitchSpec("hw1", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(1))
-    samples = label_samples(records, CTX)
+    samples = label_samples(records, SCENARIO)
     assert samples.label[samples.feature == "dispersion"].tolist() == ["Y", "N", "N", "N"]
     assert samples.label[samples.feature == "delta_rtt"].tolist() == ["Y"]
 
@@ -134,7 +134,7 @@ def test_label_samples_standard_train():
 def test_label_samples_prewarmed_all_n():
     path = uniform_path(4, 4, 100_000_000)
     records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(1))
-    samples = label_samples(records, CTX)
+    samples = label_samples(records, SCENARIO)
     assert set(samples.label.tolist()) == {"N"}
 
 
@@ -158,7 +158,7 @@ def test_label_samples_counts_drops():
         packet_id=[0, 1, 0, 1, 0, 1],
     )
     drops = DropCounts()
-    samples = label_samples(trace, CTX, drops)
+    samples = label_samples(trace, SCENARIO, drops)
     assert drops.missing_reply == 1
     assert drops.ambiguous_label == 1
     assert len(samples) == 1
@@ -169,7 +169,7 @@ def test_n_population_mean_near_zero_y_positive():
     sw = SwitchSpec("hw1", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
     records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 8, trials=range(300))
-    samples = label_samples(records, CTX)
+    samples = label_samples(records, SCENARIO)
     y_rtt = samples.values("delta_rtt", "Y")
     n_disp = samples.values("dispersion", "N")
     assert np.mean(y_rtt) > 1.0
@@ -181,7 +181,7 @@ def test_feature_csv_round_trip(tmp_path):
     sw = SwitchSpec("hw1", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(2))
-    samples = label_samples(records, CTX)
+    samples = label_samples(records, SCENARIO)
     out = tmp_path / "samples.csv"
     samples.write_csv(out)
     header = out.read_text().splitlines()[0]
@@ -194,7 +194,7 @@ def test_samples_values_selects_one_population():
     sw = SwitchSpec("hw1", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(2))
-    samples = label_samples(records, CTX)
+    samples = label_samples(records, SCENARIO)
     n, y = samples.values("dispersion", "N"), samples.values("dispersion", "Y")
     assert len(n) == 6 and len(y) == 2
     assert sorted([*n, *y]) == sorted(samples.value_ms[samples.feature == "dispersion"])
@@ -204,8 +204,8 @@ def test_feature_csv_round_trips_rows_of_several_contexts(tmp_path):
     sw = SwitchSpec("hw1", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(3))
-    other = ScenarioContext(k=1, switch_kind="soft,ware", data_link_bps=10**9, time_span_ns=600 * S)
-    samples = Samples.concat([label_samples(records, CTX), label_samples(records, other)])
+    other = Scenario(name="other", seed=0, k=1, switch_kind="soft,ware", data_link_bps=10**9, time_span_ns=600 * S)
+    samples = Samples.concat([label_samples(records, SCENARIO), label_samples(records, other)])
     out = tmp_path / "samples.csv"
     samples.write_csv(out)
     back = Samples.read_csv(out)

@@ -20,16 +20,16 @@ from sdnfp.features import (
     MISSING_NS,
     DropCounts,
     Samples,
-    ScenarioContext,
     label_samples,
     passive_samples,
 )
 from sdnfp.netsim import CLEAR, PROBE
 from sdnfp.probes import PAIR_GAP_MAX_NS, Trace, extract_passive_pairs
+from sdnfp.scenario import Scenario
 from sdnfp.units import NS_PER_MS
 
 S = 1_000_000_000
-CTX = ScenarioContext(k=2, switch_kind="hardware", data_link_bps=100_000_000, time_span_ns=S)
+SCENARIO = Scenario(name="lab", seed=0, k=2, switch_kind="hardware", data_link_bps=100_000_000, time_span_ns=S)
 GAPS = [0, 0, 1, 120_000, PAIR_GAP_MAX_NS, PAIR_GAP_MAX_NS + 1, S, 600 * S]
 WINDOWS = [1, 120_000, PAIR_GAP_MAX_NS, S, 600 * S]
 
@@ -103,10 +103,10 @@ def _group_trial(records):
     return pairs, singles
 
 
-def _table(rows, context):
-    """The Samples table of (feature, value, label) rows in one context."""
+def _table(rows, scenario):
+    """The Samples table of (feature, value, label) rows of one scenario."""
     features, values, labels = zip(*rows) if rows else ((), (), ())
-    return Samples.in_context(features, values, labels, context)
+    return Samples.in_context(features, values, labels, scenario)
 
 
 def _rtt_sample(first, second, drops, rows):
@@ -122,7 +122,7 @@ def _rtt_sample(first, second, drops, rows):
     rows.append((DELTA_RTT, value, label))
 
 
-def oracle_label_samples(records, context, drops):
+def oracle_label_samples(records, scenario, drops):
     by_trial = {}
     for rec in records:
         by_trial.setdefault(rec.trial, []).append(rec)
@@ -139,7 +139,7 @@ def oracle_label_samples(records, context, drops):
             rows.append((DISPERSION, value, label))
         for j in range(0, len(singles) - 1, 2):
             _rtt_sample(singles[j], singles[j + 1], drops, rows)
-    return _table(rows, context)
+    return _table(rows, scenario)
 
 
 def oracle_passive_pairs(records, window_ns):
@@ -160,11 +160,11 @@ def oracle_passive_pairs(records, window_ns):
     return pairs
 
 
-def oracle_passive_samples(records, context, window_ns, drops):
+def oracle_passive_samples(records, scenario, window_ns, drops):
     rows = []
     for first, second in oracle_passive_pairs(records, window_ns):
         _rtt_sample(first, second, drops, rows)
-    return _table(rows, context)
+    return _table(rows, scenario)
 
 
 # -- generated traces ----------------------------------------------------------
@@ -202,8 +202,8 @@ def traces(draw):
 @given(traces())
 def test_label_samples_matches_row_by_row_oracle(rows):
     drops, expected_drops = DropCounts(), DropCounts()
-    samples = label_samples(trace_of(rows), CTX, drops)
-    assert samples == oracle_label_samples(rows, CTX, expected_drops)
+    samples = label_samples(trace_of(rows), SCENARIO, drops)
+    assert samples == oracle_label_samples(rows, SCENARIO, expected_drops)
     assert drops == expected_drops
 
 
@@ -217,8 +217,8 @@ def test_passive_pairing_matches_row_by_row_oracle(rows, window_ns):
     assert pairs == oracle_passive_pairs(rows, window_ns)
 
     drops, expected_drops = DropCounts(), DropCounts()
-    samples = passive_samples(trace, CTX, window_ns, drops)
-    assert samples == oracle_passive_samples(rows, CTX, window_ns, expected_drops)
+    samples = passive_samples(trace, SCENARIO, window_ns, drops)
+    assert samples == oracle_passive_samples(rows, SCENARIO, window_ns, expected_drops)
     assert drops == expected_drops
 
 
@@ -249,8 +249,8 @@ def test_fixed_trace_with_every_case():
     ]
     for order in (rows, rows[::-1]):
         drops, expected_drops = DropCounts(), DropCounts()
-        samples = label_samples(trace_of(order), CTX, drops)
-        assert samples == oracle_label_samples(order, CTX, expected_drops)
+        samples = label_samples(trace_of(order), SCENARIO, drops)
+        assert samples == oracle_label_samples(order, SCENARIO, expected_drops)
         assert drops == expected_drops == DropCounts(missing_reply=1, ambiguous_label=2)
         assert list(zip(samples.feature.tolist(), samples.label.tolist())) == [
             (DISPERSION, "N"),

@@ -9,8 +9,8 @@ ALLOWED lists it with its reason; an allowed name that is called, or that no
 longer exists, fails the test too, so the list only shrinks.  The same run
 checks that no stage loads scipy: the fit's search and Welch's 1% decision
 are the package's own.  It also checks what a stage process starts with:
-OpenBLAS limited to one thread, no PyYAML before the first --config stage, and
-no process pool at --jobs 1.
+OpenBLAS limited to one thread, no PyYAML before the first --config stage, no
+process pool at --jobs 1, and never numpy.ma.
 """
 
 import ast
@@ -84,8 +84,9 @@ scenarios:
 """
 
 # Modules a stage loads only when it uses them: PyYAML for --config, a
-# process pool for --jobs above 1.
-ON_DEMAND = ("yaml", "concurrent.futures", "multiprocessing")
+# process pool for --jobs above 1.  No stage uses numpy.ma, which np.unique
+# imports on its first call without return_counts or indices.
+ON_DEMAND = ("yaml", "concurrent.futures", "multiprocessing", "numpy.ma")
 
 # Runs each argv of argv[2] through sdnfp.cli.main under a profile hook, and
 # writes the exit codes, the scipy modules loaded after the import and after
@@ -183,8 +184,8 @@ def test_every_cli_stage_runs_without_scipy_and_reaches_all_but_the_allowed(tmp_
     # Every stage exits 0, and no stage (nor the import) loads any scipy module.
     assert result["stages"] == [["import", []]] + [[0, []]] * len(stages)
     # The import leaves OpenBLAS one thread and loads no ON_DEMAND module;
-    # PyYAML loads from the first --config stage on, and no stage (all at
-    # --jobs 1) loads a process pool.
+    # PyYAML loads from the first --config stage on, no stage (all at
+    # --jobs 1) loads a process pool, and none loads numpy.ma.
     assert result["openblas_threads"] == "1"
     first_config = next(i for i, argv in enumerate(stages) if "--config" in argv)
     assert result["on_demand"] == [[]] * (1 + first_config) + [["yaml"]] * (len(stages) - first_config)
