@@ -2,10 +2,11 @@
 
 Each stage reads and writes the documented CSV/JSON files, so stages can be
 chained or run in isolation; every CSV is a `probes.Table` and every JSON
-file goes through `scenario.write_json`.  `extract` and `report` require the
-scenario.json sidecar that every bundle holds: a scenario config file with one
-entry, which describes the scenario and supplies `extract --passive`'s default
-window.  Beside an external trace, write one such as
+file goes through `scenario.write_json`.  `extract` reads traces.csv and
+`report` samples.csv, each beside the scenario.json sidecar that every bundle
+holds: a scenario config file with one entry, which gives `extract --passive`
+its default window and `report` its features and bin width.  No stage reads
+results.json.  Beside an external trace, write a sidecar such as
 `{"scenarios": [{"name": "lab", "seed": 1, "k": 2}]}`; omitted keys take the
 same defaults as in a YAML scenario file.
 Exit codes: 0 success, 2 configuration error, 1 anything else.
@@ -37,8 +38,6 @@ from .probes import Trace
 from .scenario import (
     ConfigError,
     Scenario,
-    _field,
-    _read_json_object,
     builtin_scenarios,
     emit_report,
     evaluate,
@@ -49,7 +48,7 @@ from .scenario import (
     run_scenario,
     write_json,
 )
-from .stats import fit_gpd
+from .stats import MIN_FIT_SAMPLES, fit_gpd
 from .units import NS_PER_S
 
 # Unused here since `scenario.evaluate` computes every EER and Welch test, but
@@ -144,9 +143,14 @@ def cmd_eer(args) -> int:
 def cmd_fit(args) -> int:
     samples = read_feature_csv(args.samples)
     values = samples.values(args.feature, args.label)
-    if not values.size:
-        raise ConfigError(f"feature: no {args.feature}/{args.label} samples in {args.samples}")
-    finite_range(values, args.feature, args.label)
+    population = f"{args.feature}/{args.label}"
+    if values.size < MIN_FIT_SAMPLES:
+        raise ConfigError(f"samples: {args.samples} holds {values.size} {population} samples; "
+                          f"the GPD fit needs at least {MIN_FIT_SAMPLES}")
+    lo, hi = finite_range(values, args.feature, args.label)
+    if lo == hi:
+        raise ConfigError(f"samples: every {population} sample in {args.samples} is {lo:g} ms; "
+                          "the GPD fit needs spread")
     params, ks = fit_gpd(values)
     payload = {
         "feature": args.feature,
@@ -194,17 +198,16 @@ def cmd_report(args) -> int:
 def _load_bundle(bundle_dir: Path):
     """(scenario, samples, feature results) of a persisted bundle, for the report.
 
-    The scenario, histogram bin width included, comes from the bundle's
-    scenario.json, so a report bins each bundle as it was simulated; the
-    features to evaluate are those of its results.json.
+    `report` reads scenario.json and samples.csv, as `extract` reads
+    scenario.json and traces.csv: the scenario's features and bin width
+    evaluate and bin each bundle as it was simulated.
     """
-    results_path = bundle_dir / "results.json"
     samples_path = bundle_dir / "samples.csv"
-    if not all(p.exists() for p in (results_path, samples_path)):
-        raise ConfigError(f"bundles: {bundle_dir} lacks results.json/samples.csv")
-    features = _field(_read_json_object(results_path, "results"), "features", list, results_path)
+    if not samples_path.exists():
+        raise ConfigError(f"bundles: {bundle_dir} lacks samples.csv")
+    scenario = read_scenario_descriptor(bundle_dir)
     samples = read_feature_csv(samples_path)
-    return read_scenario_descriptor(bundle_dir), samples, evaluate(samples, features)
+    return scenario, samples, evaluate(samples, scenario.feature_set)
 
 
 @functools.cache

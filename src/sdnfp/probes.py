@@ -12,11 +12,13 @@ Pair members share a send timestamp by default; the initial dispersion then
 forms on the first link as its transmission time.  A config may instead space
 them explicitly.
 
-Execution.  `run_schedule` runs one schedule for a whole list of trial
-numbers at once on the trial-batched engine (`netsim.simulate_trials`): the
-trial is a numpy axis, and every packet x hop step advances all trials
-together.  Trial t draws only from its own four streams, seeded from (seed,
-group, t), so its rows are the same whichever trials run beside it; a
+Execution.  A schedule is a tuple of packets on one flow; each trace row
+takes its flow from its packet's key.  `run_schedule` runs one schedule for a
+whole list of trial numbers at once on the trial-batched engine
+(`netsim.simulate_trials`): the trial is a numpy axis, and every packet x hop
+step advances all trials together.  Trial t draws only from its own four
+streams, seeded from (seed, group, t), so its rows are the same whichever
+trials run beside it; a
 `netsim.TrialStreams` seeds each stream for all trials in one vectorised pass
 and draws its `random()` streams by PCG64 over the trial axis, with no
 per-trial Generator.  Every stream is drawn as one block per trial: `cross` and
@@ -87,22 +89,9 @@ DEFAULT_IDLE_LEAD_NS = 10 * NS_PER_S
 PAIR_GAP_MAX_NS = 10_000_000
 
 
-@dataclass(frozen=True)
-class ProbeSchedule:
-    """Generic timed packet sequence on one flow."""
-
-    packets: tuple[Packet, ...]
-    flow: FlowKey
-
-    def __post_init__(self):
-        object.__setattr__(self, "packets", tuple(self.packets))
-        if any(p.key != self.flow for p in self.packets):
-            raise ValueError("every packet of a schedule must belong to its flow")
-
-
 def build_probe_train(
     flow: FlowKey, mtu: int = DEFAULT_MTU_BYTES, pair_spacing_ns: int = 0, single_gap_ns: int = NS_PER_S
-) -> ProbeSchedule:
+) -> tuple[Packet, ...]:
     """The measurement train (see the module docstring), tail singles single_gap_ns apart."""
     if mtu < MIN_PROBE_BYTES:
         raise ValueError(f"mtu must be >= {MIN_PROBE_BYTES}")
@@ -117,7 +106,7 @@ def build_probe_train(
     t = TRAIN_FIRST_SINGLE_S * NS_PER_S
     packets.append(Packet(pid + 1, flow, mtu, PROBE, t))
     packets.append(Packet(pid + 2, flow, mtu, PROBE, t + single_gap_ns))
-    return ProbeSchedule(packets=tuple(packets), flow=flow)
+    return tuple(packets)
 
 
 def idle_flow_probes(
@@ -125,7 +114,7 @@ def idle_flow_probes(
     mtu: int,
     gap_ns: int,
     lead_in_ns: int = DEFAULT_IDLE_LEAD_NS,
-) -> ProbeSchedule:
+) -> tuple[Packet, ...]:
     """One back-to-back pair and two spaced singles on a warm, long-idle flow.
 
     With rules pre-installed nothing here interacts with the controller, so
@@ -137,14 +126,11 @@ def idle_flow_probes(
     if mtu < MIN_PROBE_BYTES:
         raise ValueError(f"mtu must be >= {MIN_PROBE_BYTES}")
     t_singles = 2 * lead_in_ns
-    return ProbeSchedule(
-        packets=(
-            Packet(0, flow, mtu, PROBE, lead_in_ns),
-            Packet(1, flow, mtu, PROBE, lead_in_ns),
-            Packet(2, flow, mtu, PROBE, t_singles),
-            Packet(3, flow, mtu, PROBE, t_singles + gap_ns),
-        ),
-        flow=flow,
+    return (
+        Packet(0, flow, mtu, PROBE, lead_in_ns),
+        Packet(1, flow, mtu, PROBE, lead_in_ns),
+        Packet(2, flow, mtu, PROBE, t_singles),
+        Packet(3, flow, mtu, PROBE, t_singles + gap_ns),
     )
 
 
@@ -258,7 +244,7 @@ class Trace(Table):
     """Send/receive log of every packet and its reply, one array per field.
 
     Timestamps, trial and packet id are int64, the two flags bool, and `kind`
-    and `flow` object arrays of str, so rows of one flow share one string.
+    and `flow` object arrays of str.
     """
 
     trial: np.ndarray
@@ -276,7 +262,7 @@ class Trace(Table):
 
 
 def run_schedule(
-    schedule: ProbeSchedule,
+    schedule: tuple[Packet, ...],
     path: PathSpec,
     controller: ControllerSpec,
     seed: int,
@@ -288,7 +274,8 @@ def run_schedule(
     reply_bytes: int = DEFAULT_REPLY_BYTES,
     turnaround_ns: int = 0,
 ) -> Trace:
-    """Run the schedule once per trial number, all trials together; log every packet.
+    """Run the schedule, a tuple of packets on one flow, once per trial number,
+    all trials together; log every packet.
 
     Trial t draws only from the streams RngStreams(seed, trial=t,
     group=group) would give it, so its rows do not depend on which other
@@ -299,7 +286,7 @@ def run_schedule(
     out = simulate_trials(
         path,
         controller,
-        schedule.packets,
+        schedule,
         TrialStreams(seed, trials, group),
         warm=warm,
         drift=drift,
@@ -310,7 +297,7 @@ def run_schedule(
 
 
 def run_schedule_reference(
-    schedule: ProbeSchedule,
+    schedule: tuple[Packet, ...],
     path: PathSpec,
     controller: ControllerSpec,
     seed: int,
@@ -327,7 +314,7 @@ def run_schedule_reference(
     The differential tests hold run_schedule to this, row for row.
     """
     streams = RngStreams(seed, trial=trial, group=group)
-    warm_keys = (schedule.flow,) if warm else ()
+    warm_keys = tuple(dict.fromkeys(p.key for p in schedule)) if warm else ()
     sim = Simulation(
         path,
         controller,
@@ -337,15 +324,15 @@ def run_schedule_reference(
         reply_bytes=reply_bytes,
         turnaround_ns=turnaround_ns,
     )
-    results = [sim.exchange(pkt) for pkt in schedule.packets]
+    results = [sim.exchange(pkt) for pkt in schedule]
     out = TrialTraces(*(np.array([[getattr(r, f.name)] for r in results]) for f in fields(TrialTraces)))
     return _schedule_trace(schedule, np.array([trial]), out)
 
 
-def _schedule_trace(schedule: ProbeSchedule, trials: np.ndarray, out: TrialTraces) -> Trace:
+def _schedule_trace(packets: tuple[Packet, ...], trials: np.ndarray, out: TrialTraces) -> Trace:
     """The rows of a schedule run once per trial, trial by trial, from the
     engine's [packet, trial] output arrays."""
-    packets, n_trials = schedule.packets, trials.size
+    n_trials = trials.size
 
     def per_packet(values, dtype=np.int64):
         return np.tile(np.array(values, dtype), n_trials)
@@ -354,7 +341,7 @@ def _schedule_trace(schedule: ProbeSchedule, trials: np.ndarray, out: TrialTrace
         trial=np.repeat(trials, len(packets)),
         packet_id=per_packet([p.id for p in packets]),
         kind=per_packet([p.kind for p in packets], object),
-        flow=np.full(len(packets) * n_trials, schedule.flow.compact(), object),
+        flow=per_packet([p.key.compact() for p in packets], object),
         client_send_ns=per_packet([p.sent_at_ns for p in packets]),
         **{f.name: getattr(out, f.name).T.reshape(-1) for f in fields(TrialTraces)},
     )

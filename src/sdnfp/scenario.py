@@ -15,14 +15,16 @@ The two plans' traces and their samples stay columnar (`probes.Trace`,
 into one, labels the joined trace with `features.label_samples` and, when
 asked, writes traces.csv, samples.csv (both in the tables' one CSV format),
 results.json and scenario.json (both with `write_json`, the one JSON writer)
-with `write_bundle`.  `emit_report` writes the report's summary and PDF_N/PDF_Y
-histograms as tables too.
+with `write_bundle`.  results.json is an output only: no stage reads it back.
+`emit_report` writes the report's summary and PDF_N/PDF_Y histograms as tables
+too.
 
 There is one scenario schema: `_CONFIG_FIELDS` and the per-kind key tables
 give each config key a (parse, write) pair, so `scenario_to_config` inverts
 `scenario_from_config`.  scenario.json is a config file with the bundle's
 scenario as its one entry; `read_scenario_descriptor` reads it, for the CLI
-stages that start from persisted files, with the parser `load_scenarios` runs.
+stages that start from persisted files (`extract` and `report`), with the
+parser `load_scenarios` runs.
 
 Shipped install-delay calibration: rule installation takes single-digit
 milliseconds on hardware switches and sub-millisecond on the software switch.

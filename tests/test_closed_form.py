@@ -90,4 +90,4 @@ def test_engine_traces_are_the_closed_form_in_the_deterministic_limit(k, bps):
                                      turnaround_ns=TURNAROUND)
                 rows = list(zip(trace.server_recv_ns.tolist(), trace.server_reply_send_ns.tolist(),
                                 trace.client_recv_ns.tolist(), trace.miss_flag.tolist(), trace.table_full.tolist()))
-                assert rows == 2 * closed_form(schedule.packets, path, controller, warm)
+                assert rows == 2 * closed_form(schedule, path, controller, warm)

@@ -23,7 +23,6 @@ from sdnfp.netsim import (
     SwitchSpec,
 )
 from sdnfp.probes import (
-    ProbeSchedule,
     Trace,
     build_probe_train,
     idle_flow_probes,
@@ -96,7 +95,7 @@ def cases(draw):
         for pid, (gap, clear) in enumerate(steps):
             t += gap
             packets.append(Packet(pid, KEY, 64 if clear else mtu, CLEAR if clear else PROBE, t))
-        schedule = ProbeSchedule(packets=tuple(packets), flow=KEY)
+        schedule = tuple(packets)
     kwargs = dict(
         seed=draw(st.integers(0, 2**32)),
         group=draw(st.integers(0, 1)),
@@ -314,6 +313,20 @@ def test_capacity_zero_misses_at_every_switch_match_scalar_reference(lookup, ins
     assert batched.miss_flag[probes].all() and batched.table_full[probes].all()
 
 
+def test_one_flow_per_schedule_is_the_batched_engines_rule():
+    # The batched engine keeps one flow's rules per trial; the scalar model
+    # runs any packets, and each row keeps the flow of its own packet.
+    other = FlowKey("10.0.0.3", "10.0.1.2")
+    schedule = (Packet(0, KEY, 1500, PROBE, S), Packet(1, other, 1500, PROBE, 2 * S))
+    path, controller = _constant_path(), ControllerSpec()
+    with pytest.raises(ValueError, match="the batched engine runs one flow per schedule"):
+        run_schedule(schedule, path, controller, 1)
+    for warm in (False, True):
+        trace = run_schedule_reference(schedule, path, controller, 1, warm=warm)
+        assert trace.flow.tolist() == [KEY.compact(), other.compact()]
+        assert trace.miss_flag.tolist() == [not warm] * 2
+
+
 def _constant_path(element=None):
     # One switch, no cross traffic: 1500 B take 120 us per link, a miss costs 3 ms.
     switch = SwitchSpec("s0", constant(2_900_000))
@@ -326,7 +339,7 @@ def _probes(*sends, clear_at=None):
     for pid, t in enumerate(sends, start=len(packets)):
         kind = CLEAR if t == clear_at else PROBE
         packets.append(Packet(pid, KEY, 64 if kind == CLEAR else 1500, kind, t))
-    return ProbeSchedule(packets=tuple(packets), flow=KEY)
+    return tuple(packets)
 
 
 def test_exact_boundaries_match_scalar_reference():

@@ -32,17 +32,17 @@ def default_path(k=1):
 
 def test_train_structure():
     train = build_probe_train(KEY, mtu=1500)
-    kinds = [p.kind for p in train.packets]
-    assert len(train.packets) == 12
+    kinds = [p.kind for p in train]
+    assert len(train) == 12
     assert kinds.count("CLEAR") == 2
     assert kinds.count("PROBE") == 10
-    offsets = sorted(p.sent_at_ns for p in train.packets)
+    offsets = sorted(p.sent_at_ns for p in train)
     assert offsets == [x * S for x in (0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 6, 7)]
 
 
 def test_train_single_flow():
     train = build_probe_train(KEY)
-    assert {p.key for p in train.packets} == {KEY}
+    assert {p.key for p in train} == {KEY}
 
 
 def test_train_rejects_tiny_mtu():
@@ -52,7 +52,7 @@ def test_train_rejects_tiny_mtu():
 
 def test_train_pair_spacing_override():
     train = build_probe_train(KEY, pair_spacing_ns=120_000)
-    pair1 = [p for p in train.packets if p.sent_at_ns in (S, S + 120_000)]
+    pair1 = [p for p in train if p.sent_at_ns in (S, S + 120_000)]
     assert len(pair1) == 2
 
 
@@ -102,9 +102,9 @@ def test_label_soundness_matches_install_events():
 
 def test_idle_flow_probes_structure():
     sched = idle_flow_probes(KEY, 1500, gap_ns=S, lead_in_ns=10 * S)
-    sends = [p.sent_at_ns for p in sched.packets]
+    sends = [p.sent_at_ns for p in sched]
     assert sends == [10 * S, 10 * S, 20 * S, 21 * S]
-    assert all(p.kind == "PROBE" for p in sched.packets)
+    assert all(p.kind == "PROBE" for p in sched)
 
 
 def passive_pairs(send_ns, window_ns, flows=None):

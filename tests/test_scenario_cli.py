@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 import sdnfp.cli as cli
 from sdnfp.cli import main
 from sdnfp.defense import DelayElementConfig
+from sdnfp.features import Samples
 from sdnfp.netsim import DriftModel
 from sdnfp.probes import PAIR_GAP_MAX_NS, build_probe_train, run_schedule, run_schedule_reference
 from sdnfp.scenario import (
@@ -498,6 +499,29 @@ def test_cli_fit_names_the_feature_and_label_of_a_non_finite_sample(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "feature, label, values, message",
+    [
+        ("dispersion", "N", np.linspace(0.1, 0.4, 29),
+         "holds 29 dispersion/N samples; the GPD fit needs at least 50"),
+        ("delta_rtt", "Y", np.full(60, 2.5), "every delta_rtt/Y sample in {samples} is 2.5 ms"),
+    ],
+    ids=["too_few", "constant"],
+)
+def test_cli_fit_names_a_population_it_cannot_fit(tmp_path, capsys, feature, label, values, message):
+    # fit_gpd's own checks exited 1 naming neither the population nor the file.
+    samples = tmp_path / "samples.csv"
+    n = values.size
+    Samples([feature] * n, values, [label] * n, [1] * n, ["hardware"] * n, [10**8] * n, [1.0] * n).write_csv(samples)
+    out = tmp_path / "fit.json"
+    capsys.readouterr()
+    assert main(["fit", "--samples", str(samples), "--feature", feature, "--label", label, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: samples: " in err and str(samples) in err
+    assert message.format(samples=samples) in err
+    assert not out.exists()
+
+
 def test_cli_report_refuses_two_bundles_of_one_scenario(tmp_path, capsys):
     # Both bundles' histograms would go to k2-hw-100m__<feature>__pdf_<label>.csv,
     # the second overwriting the first, and summary.csv would hold twin rows.
@@ -931,22 +955,33 @@ def test_cli_names_the_key_of_a_value_of_the_wrong_type(tmp_path, capsys, entry,
         assert not (tmp_path / "runs").exists()
 
 
-def test_cli_report_names_a_results_json_it_cannot_use(tmp_path, capsys):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_report_reads_no_results_json(tmp_path, fmt):
+    # The report takes the features and bin width from scenario.json and the
+    # samples from samples.csv: without results.json it writes the same bytes.
+    bundle_dir = tmp_path / "runs" / "k3-hw-1g"
+    run_scenario(small("k3-hw-1g"), bundle_dir)
+
+    def report(name):
+        out = tmp_path / name
+        assert main(["report", "--bundles", str(bundle_dir), "--out", str(out), "--format", fmt]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    with_results = report("with")
+    (bundle_dir / "results.json").unlink()
+    assert report("without") == with_results
+    assert len(with_results) == 5  # the summary and four histograms
+
+
+def test_cli_report_names_a_bundle_without_samples(tmp_path, capsys):
     bundle_dir = tmp_path / "runs" / "k1-hw-100m"
     run_scenario(replace(builtin_scenarios()["k1-hw-100m"], trains=4), bundle_dir)
-    results = bundle_dir / "results.json"
-    text = results.read_text()
-    featureless = {k: v for k, v in json.loads(text).items() if k != "features"}
-    report = ["report", "--bundles", str(bundle_dir), "--out", str(tmp_path / "rep")]
+    (bundle_dir / "samples.csv").unlink()
+    out = tmp_path / "rep"
     capsys.readouterr()
-    for broken, message in (
-        (text[: len(text) // 2], f"results: cannot read {results}"),
-        ("[1, 2]", f"results: {results} must hold a JSON object"),
-        (json.dumps(featureless), f"features: missing from {results}"),
-    ):
-        results.write_text(broken)
-        assert main(report) == 2, broken
-        assert message in capsys.readouterr().err
+    assert main(["report", "--bundles", str(bundle_dir), "--out", str(out)]) == 2
+    assert f"config error: bundles: {bundle_dir} lacks samples.csv" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_summary_quotes_a_scenario_name_with_a_comma(tmp_path):
