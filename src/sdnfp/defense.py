@@ -42,23 +42,6 @@ class ActivityRecord:
     window_until_ns: int
 
 
-class FlowActivity:
-    """Per-flow liveness state kept by the outermost switch.
-
-    Deleting a flow's rules deletes this state with them, which is what makes
-    the packets right after a table wipe count as inactive.
-    """
-
-    def __init__(self):
-        self.records: dict = {}
-
-    def get(self, key):
-        return self.records.get(key)
-
-    def clear(self) -> None:
-        self.records.clear()
-
-
 @dataclass(frozen=True)
 class BucketDecision:
     bucket: str  # fast | delayed
@@ -86,15 +69,16 @@ class DelayElementConfig:
         raise ValueError(f"unknown delay position {position!r}")
 
 
-def select_bucket(key, now_ns: int, activity: FlowActivity, cfg: DelayElementConfig) -> BucketDecision:
+def select_bucket(key, now_ns: int, activity: dict, cfg: DelayElementConfig) -> BucketDecision:
     """Route one packet: inactive flows and fresh-window follow-ups are delayed.
 
-    Updates last_seen, and opens the follow-up window on a fresh inactivity
-    hit (including the first packet the switch ever sees for the flow).
+    `activity` maps each flow key to its ActivityRecord.  Updates last_seen,
+    and opens the follow-up window on a fresh inactivity hit (including the
+    first packet the switch ever sees for the flow).
     """
     rec = activity.get(key)
     if rec is None:
-        activity.records[key] = ActivityRecord(now_ns, now_ns + cfg.window_ns)
+        activity[key] = ActivityRecord(now_ns, now_ns + cfg.window_ns)
         return BucketDecision(DELAYED, FIRST)
     inactive = (now_ns - rec.last_seen_ns) > cfg.t_th_ns
     in_window = now_ns < rec.window_until_ns

@@ -33,8 +33,10 @@ Two implementations share these semantics:
   full tables, delay-element activity and drift are per-trial state arrays;
   the branches of the switch model are masks over them.
 * `Simulation` is the scalar reference model: one trial, one packet at a
-  time, with Python objects for tables and windows.  It is the oracle the
-  differential tests hold the engine to, trace for trial.
+  time, with Python objects for tables and windows, drawing from the
+  `RngStreams` it is given.  Only `probes.run_schedule_reference` runs it, and
+  through that the differential tests, which hold the engine to it trace for
+  trial.
 
 Randomness.  Every trial owns four independent named PCG64 streams, and
 both implementations consume each stream in the same order, so they produce
@@ -76,7 +78,6 @@ DEFAULT_TABLE_CAPACITY = 1024
 
 CLEAR = "CLEAR"
 PROBE = "PROBE"
-REPLY = "REPLY"
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,6 @@ class FlowTable:
 
     def clear(self) -> None:
         self.entries.clear()
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -211,13 +209,11 @@ class MissOutcome:
 
 @dataclass
 class ExchangeResult:
-    rtt_ns: int
     server_recv_ns: int
     server_reply_send_ns: int
     client_recv_ns: int
     miss_flag: bool
     table_full: bool
-    forward_arrivals_ns: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -474,17 +470,6 @@ class RngStreams:
         return gen
 
 
-def _coerce_streams(rng) -> RngStreams:
-    if isinstance(rng, RngStreams):
-        return rng
-    return RngStreams(int(rng))
-
-
-def new_flow_tables(path: PathSpec) -> tuple[FlowTable, ...]:
-    """One empty table per switch, sized by its spec."""
-    return tuple(FlowTable(sw.table_capacity) for sw in path.switches)
-
-
 def miss_charge_ns(path: PathSpec, controller: ControllerSpec, gen: np.random.Generator) -> int:
     """Lookup delay plus the slowest switch's install delay.
 
@@ -505,18 +490,16 @@ def handle_table_miss(
     key: FlowKey,
     path: PathSpec,
     controller: ControllerSpec,
-    rng,
-    tables: tuple[FlowTable, ...] | None = None,
+    streams: RngStreams,
+    tables: tuple[FlowTable, ...],
 ) -> MissOutcome:
     """Install `key` bidirectionally at every switch, return the charge.
 
-    `tables` are the simulation's flow tables, one per switch (fresh empty
-    ones when omitted).  A full table skips the install (the packet is still
-    forwarded) and is reported, not raised.
+    `tables` are the simulation's flow tables, one per switch.  A full table
+    skips the install (the packet is still forwarded) and is reported, not
+    raised.
     """
-    penalty = miss_charge_ns(path, controller, _coerce_streams(rng).control)
-    if tables is None:
-        tables = new_flow_tables(path)
+    penalty = miss_charge_ns(path, controller, streams.control)
     full: list[str] = []
     for sw, table in zip(path.switches, tables):
         ok_fwd = table.install(key)
@@ -524,11 +507,6 @@ def handle_table_miss(
         if not (ok_fwd and ok_rev):
             full.append(sw.id)
     return MissOutcome(penalty_ns=penalty, full_switch_ids=tuple(full))
-
-
-def clear_flow_tables(tables) -> None:
-    for table in tables:
-        table.clear()
 
 
 class _InstallWindow:
@@ -543,31 +521,31 @@ class _InstallWindow:
 class Simulation:
     """Scalar reference model of one trial: owns FIFO, table and flow state.
 
-    Every simulation builds its own empty flow tables, so simulations on one
-    path never see each other's rules; pass warm_keys to start with rules
-    pre-installed.
+    It draws from the trial's `RngStreams`, and only
+    `probes.run_schedule_reference` runs it.  Every simulation builds its own
+    empty flow tables, so simulations on one path never see each other's
+    rules; pass warm_keys to start with rules pre-installed.
     """
 
     def __init__(
         self,
         path: PathSpec,
         controller: ControllerSpec,
-        rng,
+        streams: RngStreams,
         *,
         warm_keys: tuple[FlowKey, ...] = (),
-        warm_activity: tuple[FlowKey, ...] = (),
         drift: DriftModel | None = None,
         reply_bytes: int = DEFAULT_REPLY_BYTES,
         turnaround_ns: int = 0,
     ):
         self.path = path
         self.controller = controller
-        self.streams = _coerce_streams(rng)
+        self.streams = streams
         self.drift = drift
         self.reply_bytes = reply_bytes
         self.turnaround_ns = turnaround_ns
 
-        self.tables = new_flow_tables(path)
+        self.tables = tuple(FlowTable(sw.table_capacity) for sw in path.switches)
         for key in warm_keys:
             for table in self.tables:
                 table.install(key)
@@ -579,15 +557,8 @@ class Simulation:
         self.last_release_ns: dict[FlowKey, int] = {}
         self._wander_t_ns = 0
         self._wander_walk_ns = 0.0
-        # Activity tracking exists only when a delay element is attached.
-        if path.delay_element is not None:
-            from .defense import ActivityRecord, FlowActivity
-
-            self.activity = FlowActivity()
-            for key in warm_activity:
-                self.activity.records[key] = ActivityRecord(0, 0)
-        else:
-            self.activity = None
+        # The delay element's per-flow defense.ActivityRecord, by flow key.
+        self.activity: dict = {}
 
     # -- drift ------------------------------------------------------------
 
@@ -607,10 +578,12 @@ class Simulation:
 
     def _apply_pending_clear(self, now_ns: int) -> None:
         if self.pending_clear_ns is not None and now_ns >= self.pending_clear_ns:
-            clear_flow_tables(self.tables)
+            for table in self.tables:
+                table.clear()
             self.install_windows.clear()
-            if self.activity is not None:
-                self.activity.clear()
+            # The flow's activity goes with its rules, which is what makes the
+            # packets right after a table wipe count as inactive.
+            self.activity.clear()
             self.pending_clear_ns = None
 
     def _switch_process(self, s_idx: int, packet: Packet, arrival_ns: int):
@@ -663,13 +636,12 @@ class Simulation:
 
     # -- data plane -------------------------------------------------------
 
-    def forward(self, packet: Packet, send_ns: int):
-        """Traverse the forward path; returns per-hop arrivals and flags."""
-        wander = self._wander_at(send_ns)
-        ready = send_ns
+    def forward(self, packet: Packet):
+        """Traverse the forward path; returns (server arrival, miss_flag, table_full)."""
+        wander = self._wander_at(packet.sent_at_ns)
+        ready = packet.sent_at_ns
         miss_flag = False
         table_full = False
-        arrivals: list[int] = []
         surcharge = 0
         for i, link in enumerate(self.path.forward_links):
             if i >= 1 and i - 1 < len(self.path.switches):
@@ -684,9 +656,7 @@ class Simulation:
             self.fwd_busy_ns[i] = finish
             ready = finish + link.base_latency_ns
             surcharge = 0
-            arrivals.append(ready)
-        arrivals[-1] += wander
-        return arrivals, miss_flag, table_full
+        return ready + wander, miss_flag, table_full
 
     def reply_traversal(self, server_send_ns: int) -> int:
         """Small replies do not queue: independent per-hop delays only."""
@@ -696,21 +666,17 @@ class Simulation:
             t += d + transmission_delay_ns(self.reply_bytes, link) + link.base_latency_ns
         return t
 
-    def exchange(self, packet: Packet, send_ns: int | None = None) -> ExchangeResult:
+    def exchange(self, packet: Packet) -> ExchangeResult:
         """Round trip of one packet: forward, server turnaround, small reply."""
-        t0 = packet.sent_at_ns if send_ns is None else send_ns
-        arrivals, miss_flag, table_full = self.forward(packet, t0)
-        server_recv = arrivals[-1]
+        server_recv, miss_flag, table_full = self.forward(packet)
         reply_send = server_recv + self.turnaround_ns
         client_recv = self.reply_traversal(reply_send)
         return ExchangeResult(
-            rtt_ns=client_recv - t0,
             server_recv_ns=server_recv,
             server_reply_send_ns=reply_send,
             client_recv_ns=client_recv,
             miss_flag=miss_flag,
             table_full=table_full,
-            forward_arrivals_ns=tuple(arrivals),
         )
 
 

@@ -27,8 +27,9 @@ install delays on a table miss) and the `defense` stream (delay-element
 holds), which depend on per-trial state, through a per-trial cursor in packet
 order; only a `control` stream whose delay models mix draw types is drawn per
 miss.  `run_schedule_reference` runs one trial on the scalar reference model
-(`netsim.Simulation`), packet by packet; the differential tests hold the
-engine to it row for row.
+(`netsim.Simulation`), packet by packet, with that trial's `RngStreams`; it is
+the only code that runs the model, and the differential tests hold the engine
+to it row for row.
 
 Tables.  Every CSV the package writes is a `Table`: a frozen dataclass with
 one numpy array per CSV column, and one CSV format.  Traces, feature samples,

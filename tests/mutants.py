@@ -1,0 +1,92 @@
+"""Mutation check: every mutant below breaks one rule of the model, and some test must fail.
+
+Run from the repository root, outside tier-1 (pytest does not collect this file):
+
+    python tests/mutants.py                     # each mutant against all of tier-1
+    python tests/mutants.py tests/test_netsim.py tests/test_engine_differential.py
+
+For each mutant it copies src/ to a temporary directory, replaces the mutant's
+old text in its module there with the new text, and runs pytest on the given
+test paths (tier-1 when none are given) with the copy first on PYTHONPATH.  The
+old text must occur exactly once in the module: a refactor that moves or
+rewrites the code stops the run here instead of letting a mutant that no
+longer applies pass as killed.  Each line of the report reads killed or
+survived, with the number of tests that failed.  The exit status is 1 when a
+mutant survives.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "sdnfp"
+
+# (module in src/sdnfp, exact old text, new text, the rule it breaks)
+MUTANTS = (
+    ("netsim.py", "lookup + np.max(installs, axis=0)", "lookup + np.min(installs, axis=0)",
+     "engine, Eq. 2: a miss pays the fastest switch's install, not the slowest"),
+    ("distributions.py", "ns[i] = exact(i)", "ns[i] = ns[i]",
+     "ns_from_floats keeps the array formula's value near a rounding boundary and near 0"),
+    ("stats.py", "_BAND = 1e-3", "_BAND = 0",
+     "Welch's 1% decision never defers to scipy at the critical t"),
+    ("netsim.py", "done = self.clear_pending & (now >= self.clear_at)",
+     "done = self.clear_pending & (now > self.clear_at)",
+     "engine: a pending CLEAR that comes due as a probe arrives misses it"),
+    ("netsim.py", "(now - self.last_seen > cfg.t_th_ns)", "(now - self.last_seen >= cfg.t_th_ns)",
+     "engine: a flow idle for exactly t_th counts as inactive"),
+    ("features.py", "<= PAIR_GAP_MAX_NS)", "< PAIR_GAP_MAX_NS)",
+     "probes sent exactly PAIR_GAP_MAX_NS apart are not a pair"),
+    ("netsim.py", "delayed = first | (now < self.window_until)", "delayed = first | (now <= self.window_until)",
+     "engine: a packet arriving as the follow-up window closes is held"),
+    ("netsim.py", "max_install = max(max_install,", "max_install = min(max_install,",
+     "reference model, Eq. 2: the miss charge takes no install at all"),
+    ("netsim.py", "arrival_ns < window.end_ns", "arrival_ns <= window.end_ns",
+     "reference model: a packet arriving as the install window closes pays the surcharge"),
+    ("defense.py", "(now_ns - rec.last_seen_ns) > cfg.t_th_ns", "(now_ns - rec.last_seen_ns) >= cfg.t_th_ns",
+     "reference model: a flow idle for exactly t_th counts as inactive"),
+)
+
+
+def mutated(module: str, old: str, new: str) -> str:
+    """The module's source with the mutant applied."""
+    text = (PACKAGE / module).read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        raise SystemExit(f"{module}: {old!r} occurs {text.count(old)} times, not once")
+    return text.replace(old, new)
+
+
+def failed_tests(src: Path, paths: list[str]) -> int:
+    """Tests that fail (or error) with `src` on PYTHONPATH."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", *paths],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    if run.returncode not in (0, 1):
+        raise SystemExit(f"pytest exited {run.returncode}:\n{run.stdout[-2000:]}{run.stderr[-2000:]}")
+    summary = run.stdout.strip().splitlines()[-1]
+    return sum(int(n) for n in re.findall(r"(\d+) (?:failed|errors?)\b", summary))
+
+
+def main(paths: list[str]) -> int:
+    sources = [mutated(module, old, new) for module, old, new, _ in MUTANTS]  # all apply, or none runs
+    survivors = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        for (module, _, _, why), source in zip(MUTANTS, sources):
+            shutil.copytree(PACKAGE, src / "sdnfp", ignore=shutil.ignore_patterns("__pycache__"))
+            (src / "sdnfp" / module).write_text(source, encoding="utf-8")
+            failed = failed_tests(src, paths)
+            shutil.rmtree(src)
+            survivors += failed == 0
+            print(f"{'killed' if failed else 'SURVIVED':8} {failed:3d} failed  {module}: {why}", flush=True)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

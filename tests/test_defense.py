@@ -11,7 +11,6 @@ from sdnfp.defense import (
     FIRST,
     FOLLOWUP,
     DelayElementConfig,
-    FlowActivity,
     TABLE4_DELTA_RTT,
     TABLE4_DISPERSION,
     delay_for,
@@ -25,11 +24,10 @@ from sdnfp.netsim import (
     LinkSpec,
     Packet,
     PathSpec,
-    RngStreams,
-    Simulation,
     SwitchSpec,
     uniform_path,
 )
+from sdnfp.probes import run_schedule
 from sdnfp.scenario import ConfigError, scenario_from_config
 from sdnfp.stats import GPDParams, fit_gpd
 
@@ -46,27 +44,27 @@ def support_upper(params):
     return genpareto.support(params.shape, params.location, params.scale)[1]
 
 
-def defended_path(install_ns=5 * MS, cfg=CFG, cross=None, warm=False):
+def defended_path(install_ns=5 * MS, cfg=CFG):
     sw = SwitchSpec("hw1", constant(install_ns))
-    path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
+    path = uniform_path(4, 4, 100_000_000, (sw,))
     return replace(path, delay_element=cfg)
 
 
 def test_first_ever_packet_delayed():
-    activity = FlowActivity()
+    activity = {}
     decision = select_bucket(KEY, 0, activity, CFG)
     assert decision.bucket == "delayed" and decision.position == "first"
 
 
 def test_followup_within_window_delayed():
-    activity = FlowActivity()
+    activity = {}
     select_bucket(KEY, 0, activity, CFG)
     decision = select_bucket(KEY, 50 * MS, activity, CFG)
     assert decision.bucket == "delayed" and decision.position == "followup"
 
 
 def test_steady_one_second_spacing_fast():
-    activity = FlowActivity()
+    activity = {}
     select_bucket(KEY, 0, activity, CFG)
     for i in range(1, 10):
         decision = select_bucket(KEY, i * S, activity, CFG)
@@ -74,7 +72,7 @@ def test_steady_one_second_spacing_fast():
 
 
 def test_inactivity_reopens_window():
-    activity = FlowActivity()
+    activity = {}
     select_bucket(KEY, 0, activity, CFG)
     decision = select_bucket(KEY, 6 * S, activity, CFG)  # idle > t_th = 5 s
     assert decision.position == "first"
@@ -113,51 +111,51 @@ def test_a_defended_path_built_with_no_switch_is_refused():
         PathSpec((link, link), (link, link), (), CFG)
 
 
-def test_warm_active_flow_identical_timing():
-    cross = pareto(90_000, 2_000_000_000)
+def run(path, *packets, seed, warm=False):
+    """The packets as one trial of the engine; a Trace, one row per packet."""
+    return run_schedule(packets, path, ControllerSpec(), seed, warm=warm)
 
-    def run(defended):
+
+def rtt(trace):
+    return trace.client_recv_ns - trace.client_send_ns
+
+
+def test_warm_active_flow_identical_timing():
+    # The defended flow's first packet opens its follow-up window; each later
+    # packet comes while the flow is active and after that window, so it
+    # passes the element untouched.  At this seed the second packet reaches
+    # the switch after the window closes; at about half of seeds its smaller
+    # cross-traffic delay lands it inside, and it is held.
+    cross = pareto(90_000, 2_000_000_000)
+    packets = [Packet(i, KEY, 1500, sent_at_ns=i * 100 * MS) for i in range(2_001)]
+
+    def client_recv(defended):
         sw = SwitchSpec("hw1", lognormal(4_500_000, 0.6))
         path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
         if defended:
             path = replace(path, delay_element=CFG)
-        sim = Simulation(
-            path, ControllerSpec(), RngStreams(99), warm_keys=(KEY,), warm_activity=(KEY,)
-        )
-        return [
-            sim.exchange(Packet(i, KEY, 1500, sent_at_ns=i * 100 * MS)).client_recv_ns
-            for i in range(2_000)
-        ]
+        return run(path, *packets, seed=99, warm=True).client_recv_ns[1:].tolist()
 
-    assert run(False) == run(True)
+    assert client_recv(False) == client_recv(True)
 
 
 def test_cold_flow_without_miss_still_delayed():
     # Rules pre-installed, activity cold: the element mimics an install.
-    path = defended_path()
-    sim = Simulation(path, ControllerSpec(), RngStreams(1), warm_keys=(KEY,))
-    defended = sim.exchange(Packet(0, KEY, 1500, sent_at_ns=0))
+    defended = run(defended_path(), Packet(0, KEY, 1500, sent_at_ns=0), seed=1, warm=True)
     plain_path = uniform_path(4, 4, 100_000_000, (SwitchSpec("hw1", constant(5 * MS)),))
-    plain = Simulation(plain_path, ControllerSpec(), RngStreams(1), warm_keys=(KEY,)).exchange(
-        Packet(0, KEY, 1500, sent_at_ns=0)
-    )
-    assert not defended.miss_flag
-    extra_ms = (defended.rtt_ns - plain.rtt_ns) / MS
+    plain = run(plain_path, Packet(0, KEY, 1500, sent_at_ns=0), seed=1, warm=True)
+    assert not defended.miss_flag[0]
+    extra_ms = (rtt(defended)[0] - rtt(plain)[0]) / MS
     assert TABLE4_DELTA_RTT.location <= extra_ms <= support_upper(TABLE4_DELTA_RTT)
 
 
 def test_miss_packet_pays_install_not_element():
     # The install-triggering packet goes to the controller and is not also
     # held by the element; with constant delays this is exact.
-    path = defended_path(install_ns=5 * MS)
-    sim = Simulation(path, ControllerSpec(), RngStreams(2))
-    res = sim.exchange(Packet(0, KEY, 1500, sent_at_ns=0))
-    base = uniform_path(4, 4, 100_000_000)
-    quiet = Simulation(base, ControllerSpec(), RngStreams(2)).exchange(
-        Packet(0, KEY, 1500, sent_at_ns=0)
-    )
-    assert res.miss_flag
-    assert res.rtt_ns == quiet.rtt_ns + 5 * MS
+    res = run(defended_path(install_ns=5 * MS), Packet(0, KEY, 1500, sent_at_ns=0), seed=2)
+    quiet = run(uniform_path(4, 4, 100_000_000), Packet(0, KEY, 1500, sent_at_ns=0), seed=2)
+    assert res.miss_flag[0]
+    assert rtt(res)[0] == rtt(quiet)[0] + 5 * MS
 
 
 def test_in_flow_ordering_preserved():
@@ -165,26 +163,24 @@ def test_in_flow_ordering_preserved():
     big = GPDParams(shape=-0.5, scale=0.002, location=15.0)
     small = GPDParams(shape=-0.5, scale=0.002, location=0.05)
     cfg = DelayElementConfig(first_delay=big, followup_delay=small)
-    path = defended_path(cfg=cfg)
-    sim = Simulation(path, ControllerSpec(), RngStreams(3), warm_keys=(KEY,))
-    r1 = sim.exchange(Packet(0, KEY, 1500, sent_at_ns=0))
-    r2 = sim.exchange(Packet(1, KEY, 1500, sent_at_ns=120_000))
-    assert r2.server_recv_ns > r1.server_recv_ns
-    assert r2.client_recv_ns > r1.client_recv_ns
+    trace = run(
+        defended_path(cfg=cfg),
+        Packet(0, KEY, 1500, sent_at_ns=0),
+        Packet(1, KEY, 1500, sent_at_ns=120_000),
+        seed=3,
+        warm=True,
+    )
+    assert trace.server_recv_ns[1] > trace.server_recv_ns[0]
+    assert trace.client_recv_ns[1] > trace.client_recv_ns[0]
 
 
 def test_bounded_overhead():
-    path = defended_path()
-    sim = Simulation(path, ControllerSpec(), RngStreams(4), warm_keys=(KEY,))
-    base = uniform_path(4, 4, 100_000_000)
-    quiet = Simulation(base, ControllerSpec(), RngStreams(4)).exchange(
-        Packet(0, KEY, 1500, sent_at_ns=0)
-    )
+    packets = [Packet(i, KEY, 1500, sent_at_ns=i * 10 * S) for i in range(50)]  # idle gaps
+    trace = run(defended_path(), *packets, seed=4, warm=True)
+    quiet = run(uniform_path(4, 4, 100_000_000), Packet(0, KEY, 1500, sent_at_ns=0), seed=4)
     bound_ms = support_upper(TABLE4_DELTA_RTT)
-    for i in range(50):
-        res = sim.exchange(Packet(i, KEY, 1500, sent_at_ns=i * 10 * S))  # idle gaps
-        extra = (res.rtt_ns - quiet.rtt_ns) / MS
-        assert extra <= bound_ms + 1e-6
+    extra = (rtt(trace) - rtt(quiet)[0]) / MS
+    assert (extra <= bound_ms + 1e-6).all()
 
 
 def test_element_from_fitted_params():

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from sdnfp.defense import FIRST as FIRST_PACKET
 from sdnfp.defense import FOLLOWUP as FOLLOWUP_PACKET
-from sdnfp.defense import DelayElementConfig, delay_for, delays_from_uniform
+from sdnfp.defense import DEFAULT_WINDOW_NS, DelayElementConfig, delay_for, delays_from_uniform
 from sdnfp.distributions import NO_DELAY, constant, lognormal, ns_from_floats, pareto
 from sdnfp.features import group_probes, pair_labels
 from sdnfp.netsim import (
@@ -364,6 +364,13 @@ def test_exact_boundaries_match_scalar_reference():
             _probes(S, 1_200 * MS, 1_300 * MS, 1_350 * MS, 6_350 * MS, clear_at=1_200 * MS),
             True,
         ),
+        # The second probe reaches the switch exactly when the follow-up window
+        # the first one opened closes (by a miss cold, by a hold warm), and
+        # passes the element untouched.
+        *[
+            (_constant_path(DelayElementConfig()), lookup, _probes(S, S + DEFAULT_WINDOW_NS), warm)
+            for warm in (False, True)
+        ],
     ]
     for path, controller, schedule, warm in cases:
         kwargs = dict(seed=5, group=0, warm=warm)

@@ -1,4 +1,9 @@
-"""Link, switch and exchange timing semantics."""
+"""Link, switch and exchange timing semantics, on the trial-batched engine.
+
+The timing tests run one trial each: trial 0 of group 0 draws what the scalar
+reference model draws from RngStreams(seed), so the numbers are the reference
+model's.
+"""
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from sdnfp.distributions import constant, lognormal, pareto
 from sdnfp.netsim import (
+    CLEAR,
     STREAM_NAMES,
     ControllerSpec,
     FlowKey,
@@ -14,18 +20,17 @@ from sdnfp.netsim import (
     Packet,
     PathSpec,
     RngStreams,
-    Simulation,
     SwitchSpec,
     TrialStreams,
-    clear_flow_tables,
-    handle_table_miss,
     pcg64_random,
     spawn_state,
     transmission_delay_ns,
     uniform_path,
 )
+from sdnfp.probes import run_schedule
 
 MS = 1_000_000
+S = 1_000_000_000
 KEY = FlowKey("10.0.0.2", "10.0.1.2")
 
 
@@ -33,20 +38,35 @@ def hw_switch(install_ns=5 * MS, name="hw1", capacity=1024):
     return SwitchSpec(name, constant(install_ns), capacity)
 
 
+def run(path, *packets, seed=0, warm=False, controller=ControllerSpec()):
+    """The packets as one trial of the engine; a Trace, one row per packet."""
+    return run_schedule(packets, path, controller, seed, warm=warm)
+
+
+def rtt(trace):
+    return trace.client_recv_ns - trace.client_send_ns
+
+
 def forward(path, packet):
-    """Per-hop arrival times of one packet on a fresh simulation."""
-    arrivals, _, _ = Simulation(path, ControllerSpec(), 0).forward(packet, packet.sent_at_ns)
-    return arrivals
+    """Server arrival time of one packet on a fresh run."""
+    return int(run(path, packet).server_recv_ns[0])
 
 
-def exchange(path, packet):
-    return Simulation(path, ControllerSpec(), 0).exchange(packet)
+def exchange_rtt(path, packet):
+    return int(rtt(run(path, packet))[0])
 
 
-def exchange_pair(path, size=1500, seed=0, warm_keys=()):
-    """Back-to-back pair of one flow on a fresh simulation; both results."""
-    sim = Simulation(path, ControllerSpec(), seed, warm_keys=warm_keys)
-    return sim.exchange(Packet(0, KEY, size)), sim.exchange(Packet(1, KEY, size))
+def exchange_pair(path, size=1500, seed=0):
+    """Client receive times of a back-to-back pair of one flow on a fresh run."""
+    return run(path, Packet(0, KEY, size), Packet(1, KEY, size), seed=seed).client_recv_ns.tolist()
+
+
+def miss_penalty(path, controller=ControllerSpec(), seed=0):
+    """(what a cold flow's first packet pays over a warm one's, its table_full flag)."""
+    cold = run(path, Packet(0, KEY, 1500), seed=seed, controller=controller)
+    warm = run(path, Packet(0, KEY, 1500), seed=seed, controller=controller, warm=True)
+    assert cold.miss_flag[0] and not warm.miss_flag[0]
+    return int(rtt(cold)[0] - rtt(warm)[0]), bool(cold.table_full[0])
 
 
 def test_transmission_delay_examples():
@@ -62,15 +82,13 @@ def test_transmission_delay_rejects_bad_size():
 
 def test_forward_single_hop_no_cross():
     path = uniform_path(1, 1, 100_000_000)
-    arrivals = forward(path, Packet(0, KEY, 1500))
-    assert arrivals == [120_000]
+    assert forward(path, Packet(0, KEY, 1500)) == 120_000
 
 
 def test_forward_two_hops_constant_cross():
     cross = constant(1 * MS)
     path = uniform_path(2, 1, 100_000_000, cross_traffic=cross)
-    arrivals = forward(path, Packet(0, KEY, 1500))
-    assert arrivals[-1] == 2_240_000  # 2 * (1 ms + 0.12 ms)
+    assert forward(path, Packet(0, KEY, 1500)) == 2_240_000  # 2 * (1 ms + 0.12 ms)
 
 
 def test_link_rejects_cross_traffic_the_cross_stream_does_not_draw():
@@ -82,139 +100,134 @@ def test_link_rejects_cross_traffic_the_cross_stream_does_not_draw():
 
 def test_forward_fifo_pair_gap():
     path = uniform_path(1, 1, 100_000_000)
-    sim = Simulation(path, ControllerSpec(), 0)
-    a1, _, _ = sim.forward(Packet(0, KEY, 1500), 0)
-    a2, _, _ = sim.forward(Packet(1, KEY, 1500), 0)
-    assert a2[-1] - a1[-1] == 120_000
+    a1, a2 = run(path, Packet(0, KEY, 1500), Packet(1, KEY, 1500)).server_recv_ns
+    assert a2 - a1 == 120_000
 
 
 def test_base_latency_adds_per_hop():
     path = uniform_path(2, 1, 100_000_000, base_latency_ns=3 * MS)
-    arrivals = forward(path, Packet(0, KEY, 1500))
-    assert arrivals[-1] == 2 * (120_000 + 3 * MS)
+    assert forward(path, Packet(0, KEY, 1500)) == 2 * (120_000 + 3 * MS)
 
 
 def test_table_miss_max_of_constants():
     switches = tuple(hw_switch(d * MS, f"s{d}") for d in (2, 3, 5))
     path = uniform_path(4, 4, 100_000_000, switches)
-    outcome = handle_table_miss(KEY, path, ControllerSpec(), 0)
-    assert outcome.penalty_ns == 5 * MS
-    assert not outcome.full_switch_ids
+    assert miss_penalty(path) == (5 * MS, False)
 
 
 def test_table_miss_includes_lookup():
     path = uniform_path(2, 2, 100_000_000, (hw_switch(4 * MS),))
     controller = ControllerSpec(lookup_delay=constant(500_000))
-    assert handle_table_miss(KEY, path, controller, 0).penalty_ns == 4_500_000
+    assert miss_penalty(path, controller)[0] == 4_500_000
 
 
 def test_table_miss_seeded_replay():
-    def run(seed):
+    def penalty(seed):
         switches = (
             SwitchSpec("a", lognormal(4 * MS, 0.5)),
             SwitchSpec("b", lognormal(4 * MS, 0.5)),
         )
         path = uniform_path(4, 4, 100_000_000, switches)
-        return handle_table_miss(KEY, path, ControllerSpec(), seed).penalty_ns
+        return miss_penalty(path, seed=seed)[0]
 
-    assert run(7) == run(7)
+    assert penalty(7) == penalty(7)
     # The same stream replayed by hand: lookup is sampled first, then one
     # install per switch in path order; the penalty is their max.
     gen = RngStreams(7).control
     draws = [lognormal(4 * MS, 0.5).sample_ns(gen) for _ in range(2)]
-    assert run(7) == max(draws)
+    assert penalty(7) == max(draws)
 
 
 def test_table_miss_installs_both_directions():
-    switches = (hw_switch(name="a"), hw_switch(name="b"))
-    path = uniform_path(4, 4, 100_000_000, switches)
-    sim = Simulation(path, ControllerSpec(), 0)
-    handle_table_miss(KEY, path, ControllerSpec(), 0, sim.tables)
-    for table in sim.tables:
-        assert KEY in table
-        assert KEY.reversed() in table
+    # A miss installs the flow's rule and its reverse at every switch: one
+    # rule slot per table reports a full table, two do not.
+    for capacity, full in ((1, True), (2, False)):
+        switches = (hw_switch(name="a", capacity=capacity), hw_switch(name="b", capacity=capacity))
+        path = uniform_path(4, 4, 100_000_000, switches)
+        trace = run(path, Packet(0, KEY, 1500), Packet(1, KEY, 1500, sent_at_ns=S))
+        assert trace.miss_flag.tolist() == [True, False]
+        assert trace.table_full.tolist() == [full, False]
 
 
 def test_clear_flow_tables():
-    switches = (hw_switch(),)
-    path = uniform_path(2, 2, 100_000_000, switches)
-    sim = Simulation(path, ControllerSpec(), 0)
-    handle_table_miss(KEY, path, ControllerSpec(), 0, sim.tables)
-    assert len(sim.tables[0]) == 2
-    clear_flow_tables(sim.tables)
-    assert KEY not in sim.tables[0]
-    assert len(sim.tables[0]) == 0
-    clear_flow_tables(sim.tables)  # no-op on empty tables
-    assert len(sim.tables[0]) == 0
+    # A CLEAR deletes the rules, and a second CLEAR on empty tables is a no-op.
+    path = uniform_path(2, 2, 100_000_000, (hw_switch(),))
+    trace = run(
+        path,
+        Packet(0, KEY, 1500, sent_at_ns=0),
+        Packet(1, KEY, 64, CLEAR, S),
+        Packet(2, KEY, 1500, sent_at_ns=2 * S),
+        Packet(3, KEY, 64, CLEAR, 3 * S),
+        Packet(4, KEY, 64, CLEAR, 4 * S),
+        Packet(5, KEY, 1500, sent_at_ns=5 * S),
+    )
+    assert trace.miss_flag.tolist() == [True, False, True, False, False, True]
+    assert rtt(trace)[2] == rtt(trace)[5] == rtt(trace)[0]
 
 
 def test_miss_penalty_returns_after_clear():
     path = uniform_path(2, 2, 100_000_000, (hw_switch(),))
-    controller = ControllerSpec()
-    sim = Simulation(path, controller, 0)
-    first = sim.exchange(Packet(0, KEY, 1500, sent_at_ns=0))
-    second = sim.exchange(Packet(1, KEY, 1500, sent_at_ns=10**9))
-    assert first.miss_flag and not second.miss_flag
-    clear_flow_tables(sim.tables)
-    sim.install_windows.clear()
-    third = sim.exchange(Packet(2, KEY, 1500, sent_at_ns=2 * 10**9))
-    assert third.miss_flag
-    assert third.rtt_ns == first.rtt_ns
+    trace = run(
+        path,
+        Packet(0, KEY, 1500, sent_at_ns=0),
+        Packet(1, KEY, 1500, sent_at_ns=S),
+        Packet(2, KEY, 64, CLEAR, 3 * S // 2),
+        Packet(3, KEY, 1500, sent_at_ns=2 * S),
+    )
+    assert trace.miss_flag.tolist() == [True, False, False, True]
+    assert rtt(trace)[3] == rtt(trace)[0]
 
 
 def test_exchange_rtt_one_hop():
     path = uniform_path(1, 1, 100_000_000)
-    res = exchange(path, Packet(0, KEY, 1500))
-    assert res.rtt_ns == 120_000 + 5_120
+    assert exchange_rtt(path, Packet(0, KEY, 1500)) == 120_000 + 5_120
 
 
 def test_exchange_miss_adds_exact_penalty():
     base_path = uniform_path(2, 2, 100_000_000)
-    base = exchange(base_path, Packet(0, KEY, 1500))
+    base = exchange_rtt(base_path, Packet(0, KEY, 1500))
     path = uniform_path(2, 2, 100_000_000, (hw_switch(5 * MS),))
-    res = exchange(path, Packet(0, KEY, 1500))
-    assert res.miss_flag
-    assert res.rtt_ns == base.rtt_ns + 5 * MS
+    trace = run(path, Packet(0, KEY, 1500))
+    assert trace.miss_flag[0]
+    assert rtt(trace)[0] == base + 5 * MS
 
 
 def test_eq2_additivity_only_when_max_attained():
     def rtt_with(installs):
         switches = tuple(hw_switch(d, f"s{i}") for i, d in enumerate(installs))
         path = uniform_path(4, 4, 100_000_000, switches)
-        return exchange(path, Packet(0, KEY, 1500)).rtt_ns
+        return exchange_rtt(path, Packet(0, KEY, 1500))
 
     base = rtt_with([2 * MS, 3 * MS, 5 * MS])
     assert rtt_with([2 * MS, 3 * MS, 6 * MS]) == base + 1 * MS  # max grows by c
     assert rtt_with([3 * MS, 3 * MS, 5 * MS]) == base  # non-max unchanged
 
 
-def test_exchange_cross_traffic_mean(capfd):
+def test_exchange_cross_traffic_mean():
     # Default cross traffic adds 20 ms per hop on average: (n+m) * 20 ms.
     cross = pareto(20 * MS, 4 * MS**2)
     path = uniform_path(2, 1, 100_000_000, cross_traffic=cross)
     quiet = uniform_path(2, 1, 100_000_000)
-    base = exchange(quiet, Packet(0, KEY, 1500)).rtt_ns
-    sim = Simulation(path, ControllerSpec(), RngStreams(3))
-    total = 0
+    base = exchange_rtt(quiet, Packet(0, KEY, 1500))
     trials = 10_000
-    for i in range(trials):
-        total += sim.exchange(Packet(i, KEY, 1500, sent_at_ns=i * 10**9)).rtt_ns
+    packets = [Packet(i, KEY, 1500, sent_at_ns=i * S) for i in range(trials)]
+    total = int(rtt(run(path, *packets, seed=3)).sum())
     extra_ms = (total / trials - base) / MS
     assert extra_ms == pytest.approx(3 * 20.0, rel=0.05)
 
 
 def test_pair_dispersion_no_miss():
     path = uniform_path(2, 2, 100_000_000, (hw_switch(),))
-    r1, r2 = exchange_pair(path, warm_keys=(KEY,))
-    assert r2.client_recv_ns - r1.client_recv_ns == 120_000
-    assert (r1.miss_flag, r2.miss_flag) == (False, False)
+    trace = run(path, Packet(0, KEY, 1500), Packet(1, KEY, 1500), warm=True)
+    assert trace.client_recv_ns[1] - trace.client_recv_ns[0] == 120_000
+    assert trace.miss_flag.tolist() == [False, False]
 
 
 def test_pair_dispersion_miss_adds_penalty():
     path = uniform_path(2, 2, 100_000_000, (hw_switch(5 * MS),))
-    r1, r2 = exchange_pair(path)
-    assert (r1.miss_flag, r2.miss_flag) == (True, False)
-    assert r2.client_recv_ns - r1.client_recv_ns == 120_000 + 5 * MS
+    trace = run(path, Packet(0, KEY, 1500), Packet(1, KEY, 1500))
+    assert trace.miss_flag.tolist() == [True, False]
+    assert trace.client_recv_ns[1] - trace.client_recv_ns[0] == 120_000 + 5 * MS
 
 
 def test_pair_negative_dispersion_not_clamped():
@@ -226,7 +239,7 @@ def test_pair_negative_dispersion_not_clamped():
     values = []
     for seed in range(30):
         r1, r2 = exchange_pair(path, seed=seed)
-        values.append(r2.client_recv_ns - r1.client_recv_ns)
+        values.append(r2 - r1)
     assert min(values) < 0
     assert max(values) > 0
 
@@ -245,74 +258,61 @@ def test_eq1_fidelity_random_shapes():
         size = int(rng.integers(100, 1501))
         r1, r2 = exchange_pair(path, size)
         expected = transmission_delay_ns(size, min(fwd, key=lambda link: link.capacity_bps))
-        assert r2.client_recv_ns - r1.client_recv_ns == expected
+        assert r2 - r1 == expected
 
 
 def test_monotone_timestamps():
     cross = pareto(90_000, 2_000_000_000)
     path = uniform_path(4, 4, 100_000_000, (hw_switch(),), cross_traffic=cross)
-    sim = Simulation(path, ControllerSpec(), RngStreams(11))
-    prev_send = 0
-    for i in range(50):
-        send = i * 50 * MS
-        res = sim.exchange(Packet(i, KEY, 1500, sent_at_ns=send))
-        assert send <= res.server_recv_ns <= res.server_reply_send_ns <= res.client_recv_ns
-        hops = res.forward_arrivals_ns
-        assert all(b >= a for a, b in zip(hops, hops[1:]))
-        prev_send = send
+    trace = run(path, *(Packet(i, KEY, 1500, sent_at_ns=i * 50 * MS) for i in range(50)), seed=11)
+    assert (trace.client_send_ns <= trace.server_recv_ns).all()
+    assert (trace.server_recv_ns <= trace.server_reply_send_ns).all()
+    assert (trace.server_reply_send_ns <= trace.client_recv_ns).all()
 
 
 def test_determinism_bit_identical():
     cross = pareto(90_000, 2_000_000_000)
 
-    def run(seed):
+    def client_recv(seed):
         path = uniform_path(4, 4, 100_000_000, (hw_switch(),), cross_traffic=cross)
-        sim = Simulation(path, ControllerSpec(lookup_delay=constant(100_000)), RngStreams(seed))
-        return [sim.exchange(Packet(i, KEY, 1500, sent_at_ns=i * 10**9)).client_recv_ns for i in range(20)]
+        packets = [Packet(i, KEY, 1500, sent_at_ns=i * S) for i in range(20)]
+        controller = ControllerSpec(lookup_delay=constant(100_000))
+        return run(path, *packets, seed=seed, controller=controller).client_recv_ns.tolist()
 
-    assert run(42) == run(42)
-    assert run(42) != run(43)
+    assert client_recv(42) == client_recv(42)
+    assert client_recv(42) != client_recv(43)
 
 
 def test_second_packet_same_flow_no_penalty():
     path = uniform_path(2, 2, 100_000_000, (hw_switch(5 * MS),))
-    sim = Simulation(path, ControllerSpec(), 0)
-    first = sim.exchange(Packet(0, KEY, 1500, sent_at_ns=0))
-    later = sim.exchange(Packet(1, KEY, 1500, sent_at_ns=10**9))
-    assert first.miss_flag and not later.miss_flag
-    assert later.rtt_ns == first.rtt_ns - 5 * MS
+    trace = run(path, Packet(0, KEY, 1500, sent_at_ns=0), Packet(1, KEY, 1500, sent_at_ns=S))
+    assert trace.miss_flag.tolist() == [True, False]
+    assert rtt(trace)[1] == rtt(trace)[0] - 5 * MS
 
 
 def test_table_full_forwards_and_flags():
     sw = hw_switch(5 * MS, capacity=0)
     path = uniform_path(2, 2, 100_000_000, (sw,))
-    sim = Simulation(path, ControllerSpec(), 0)
-    first = sim.exchange(Packet(0, KEY, 1500, sent_at_ns=0))
-    assert first.miss_flag and first.table_full
-    assert first.client_recv_ns > 0  # still forwarded
-    assert KEY not in sim.tables[0]
+    trace = run(path, Packet(0, KEY, 1500, sent_at_ns=0), Packet(1, KEY, 1500, sent_at_ns=S))
+    assert trace.client_recv_ns[0] > 0  # still forwarded
     # With no rule ever installed, the next packet misses again.
-    second = sim.exchange(Packet(1, KEY, 1500, sent_at_ns=10**9))
-    assert second.miss_flag and second.table_full
+    assert trace.miss_flag.tolist() == [True, True]
+    assert trace.table_full.tolist() == [True, True]
 
 
 def test_simulations_on_one_path_keep_their_own_tables():
-    # A second simulation on the same path must not wipe the first one's rules.
+    # A run on the same path must not see the rules another run installed.
     path = uniform_path(2, 2, 100_000_000, (hw_switch(5 * MS),))
-    warm = Simulation(path, ControllerSpec(), 0, warm_keys=(KEY,))
-    cold = Simulation(path, ControllerSpec(), 1)
-    assert not warm.exchange(Packet(0, KEY, 1500, sent_at_ns=0)).miss_flag
-    assert cold.exchange(Packet(0, KEY, 1500, sent_at_ns=0)).miss_flag
-    assert KEY in warm.tables[0] and KEY in cold.tables[0]
+    packets = (Packet(0, KEY, 1500, sent_at_ns=0), Packet(1, KEY, 1500, sent_at_ns=S))
+    for seed, warm, misses in ((1, False, [True, False]), (0, True, [False, False]), (1, False, [True, False])):
+        assert run(path, *packets, seed=seed, warm=warm).miss_flag.tolist() == misses
 
 
 def test_capacity_one_installs_forward_key_only():
     path = uniform_path(2, 2, 100_000_000, (hw_switch(5 * MS, capacity=1),))
-    sim = Simulation(path, ControllerSpec(), 0)
-    first = sim.exchange(Packet(0, KEY, 1500, sent_at_ns=0))
-    assert first.miss_flag and first.table_full
-    assert KEY in sim.tables[0] and KEY.reversed() not in sim.tables[0]
-    assert not sim.exchange(Packet(1, KEY, 1500, sent_at_ns=10**9)).miss_flag
+    trace = run(path, Packet(0, KEY, 1500, sent_at_ns=0), Packet(1, KEY, 1500, sent_at_ns=S))
+    assert trace.miss_flag[0] and trace.table_full[0]  # the reverse rule did not fit
+    assert not trace.miss_flag[1]  # the forward rule is in
 
 
 def test_switch_spec_rejects_negative_capacity():
@@ -324,7 +324,7 @@ def test_flow_table_capacity_invariant():
     table = FlowTable(capacity=1)
     assert table.install(KEY)
     assert not table.install(KEY.reversed())
-    assert len(table) == 1
+    assert table.entries == {KEY}
     assert table.install(KEY)  # idempotent on present key
 
 

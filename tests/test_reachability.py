@@ -27,7 +27,10 @@ import sdnfp.cli
 PACKAGE = Path(sdnfp.__file__).resolve().parent
 BUILTINS = ("k1-hw-100m", "k2-hw-100m", "k3-hw-100m", "k1-sw-100m", "k3-hw-1g", "k1-sw-1g")
 
-ORACLE = "scalar reference model: only the differential tests and bench/tracer.py use it"
+ORACLE = (
+    "scalar reference model: only run_schedule_reference runs it, for the differential tests; "
+    "bench/tracer.py patches its names"
+)
 
 # module:qualname -> why no CLI stage calls it.
 ALLOWED = {
@@ -36,13 +39,9 @@ ALLOWED = {
     "netsim:FlowTable.__contains__": ORACLE,
     "netsim:FlowTable.install": ORACLE,
     "netsim:FlowTable.clear": ORACLE,
-    "netsim:FlowTable.__len__": ORACLE,
     "netsim:RngStreams.__init__": ORACLE,
     "netsim:RngStreams.__getattr__": ORACLE,
-    "netsim:_coerce_streams": ORACLE,
-    "netsim:new_flow_tables": ORACLE,
     "netsim:handle_table_miss": ORACLE,
-    "netsim:clear_flow_tables": ORACLE,
     "netsim:_InstallWindow.__init__": ORACLE,
     "netsim:Simulation.__init__": ORACLE,
     "netsim:Simulation._wander_at": ORACLE,
@@ -52,9 +51,6 @@ ALLOWED = {
     "netsim:Simulation.reply_traversal": ORACLE,
     "netsim:Simulation.exchange": ORACLE,
     "probes:run_schedule_reference": ORACLE,
-    "defense:FlowActivity.__init__": ORACLE,
-    "defense:FlowActivity.get": ORACLE,
-    "defense:FlowActivity.clear": ORACLE,
     "defense:select_bucket": ORACLE,
     "defense:delay_for": ORACLE,
     "distributions:DelayModel.sample_ns": "scalar sampler: the reference model draws with it, "
