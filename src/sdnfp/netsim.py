@@ -20,9 +20,11 @@ still in progress; the trigger itself pays it, and a packet queued right
 behind the trigger therefore leaves one surcharge later, which is what makes
 the pair gap grow by the penalty.
 
-Replies are small, never queue, and take independent per-hop delays, so a
-reply overtaken by its predecessor's reverse-path jitter yields a negative
-measured dispersion.
+Replies never queue: a reply of the path's `reply_bytes` leaves the server
+`turnaround_ns` after its probe arrived and takes independent per-hop delays,
+so a reply overtaken by its predecessor's reverse-path jitter yields a
+negative measured dispersion.  The path's `drift` adds a slow wander to the
+server arrival.
 
 Two implementations share these semantics:
 
@@ -57,8 +59,8 @@ engine reads each block as the reference model draws: `cross` and `drift` in
 a layout the schedule fixes, `control` and `defense` through a per-trial
 cursor, event by event in packet order (see `_TrialBatch`).  Only a `control`
 stream whose delay models mix `random()` and `standard_normal()` is drawn per
-miss, by the scalar `miss_charge_ns` the reference model calls.  The array
-transforms of the draws (`DelayModel.ns_from_draws`, `delays_from_uniform`)
+miss, from its trial's Generator.  Every draw becomes a delay through the
+array transforms (`DelayModel.ns_from_draws`, `delays_from_uniform`), which
 round to the same integer nanoseconds as the scalar samplers.
 """
 
@@ -176,11 +178,30 @@ class Packet:
 
 
 @dataclass(frozen=True)
+class DriftModel:
+    """Slow wander of the path latency, for the time-span stability studies.
+
+    A Wiener walk around a positive baseline, evaluated lazily at packet send
+    times; sigma is in ns per sqrt(second).
+    """
+
+    sigma_ns_per_sqrt_s: float
+    base_ns: int = 10 * NS_PER_MS
+
+
+@dataclass(frozen=True)
 class PathSpec:
+    """The whole round trip of a probe: the forward links and the switches
+    on them, the server's turnaround, the reply's size on the reverse links,
+    and the path's slow wander."""
+
     forward_links: tuple[LinkSpec, ...]
     reverse_links: tuple[LinkSpec, ...]
     switches: tuple[SwitchSpec, ...] = ()
     delay_element: object | None = None  # a DelayElementConfig at the outermost switch
+    drift: DriftModel | None = None
+    reply_bytes: int = DEFAULT_REPLY_BYTES
+    turnaround_ns: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "forward_links", tuple(self.forward_links))
@@ -214,18 +235,6 @@ class ExchangeResult:
     client_recv_ns: int
     miss_flag: bool
     table_full: bool
-
-
-@dataclass(frozen=True)
-class DriftModel:
-    """Slow wander of the path latency, for the time-span stability studies.
-
-    A Wiener walk around a positive baseline, evaluated lazily at packet send
-    times; sigma is in ns per sqrt(second).
-    """
-
-    sigma_ns_per_sqrt_s: float
-    base_ns: int = 10 * NS_PER_MS
 
 
 STREAM_NAMES = ("cross", "control", "defense", "drift")
@@ -534,16 +543,10 @@ class Simulation:
         streams: RngStreams,
         *,
         warm_keys: tuple[FlowKey, ...] = (),
-        drift: DriftModel | None = None,
-        reply_bytes: int = DEFAULT_REPLY_BYTES,
-        turnaround_ns: int = 0,
     ):
         self.path = path
         self.controller = controller
         self.streams = streams
-        self.drift = drift
-        self.reply_bytes = reply_bytes
-        self.turnaround_ns = turnaround_ns
 
         self.tables = tuple(FlowTable(sw.table_capacity) for sw in path.switches)
         for key in warm_keys:
@@ -563,16 +566,15 @@ class Simulation:
     # -- drift ------------------------------------------------------------
 
     def _wander_at(self, t_ns: int) -> int:
-        if self.drift is None:
+        drift = self.path.drift
+        if drift is None:
             return 0
         dt_ns = t_ns - self._wander_t_ns
         if dt_ns > 0:
             step = self.streams.drift.standard_normal()
-            self._wander_walk_ns += (
-                step * self.drift.sigma_ns_per_sqrt_s * (dt_ns / 1e9) ** 0.5
-            )
+            self._wander_walk_ns += step * drift.sigma_ns_per_sqrt_s * (dt_ns / 1e9) ** 0.5
             self._wander_t_ns = t_ns
-        return max(0, int(self.drift.base_ns + self._wander_walk_ns))
+        return max(0, int(drift.base_ns + self._wander_walk_ns))
 
     # -- control plane ----------------------------------------------------
 
@@ -663,13 +665,13 @@ class Simulation:
         t = server_send_ns
         for link in self.path.reverse_links:
             d = link.cross_traffic.sample_ns(self.streams.cross) if link.cross_traffic else 0
-            t += d + transmission_delay_ns(self.reply_bytes, link) + link.base_latency_ns
+            t += d + transmission_delay_ns(self.path.reply_bytes, link) + link.base_latency_ns
         return t
 
     def exchange(self, packet: Packet) -> ExchangeResult:
         """Round trip of one packet: forward, server turnaround, small reply."""
         server_recv, miss_flag, table_full = self.forward(packet)
-        reply_send = server_recv + self.turnaround_ns
+        reply_send = server_recv + self.path.turnaround_ns
         client_recv = self.reply_traversal(reply_send)
         return ExchangeResult(
             server_recv_ns=server_recv,
@@ -764,8 +766,8 @@ class _TrialBatch:
       len(path.switches) x d values.  It needs one draw type for all `d`
       models (`random()` for Pareto, `standard_normal()` for lognormal, which
       covers every built-in); when the types mix, `control` holds the
-      per-trial Generators instead and each miss calls the scalar
-      `miss_charge_ns` on its trial's.
+      per-trial Generators instead and each miss draws its `d` values from
+      its trial's, in the same order.
     * `defense`: a hold takes one `random()`.  Only the outermost switch
       parks packets, at most once per packet, so the block holds n_packets
       values.
@@ -877,16 +879,15 @@ class _TrialBatch:
         return ready, surcharge
 
     def _miss_charges(self, idx: np.ndarray) -> np.ndarray:
-        """miss_charge_ns of each missing trial, drawn from its control stream."""
+        """Each missing trial's lookup plus slowest install (Eq. 2), from its control stream."""
         d = int(self.drawn.sum())
+        x = np.zeros((len(self.charge_models), idx.size))  # rows of constant models stay unread
         if d and self.control_draw is None:
             if self.control is None:
                 self.control = self.streams.generators("control")
-            return np.array(
-                [miss_charge_ns(self.path, self.controller, self.control[t]) for t in idx], np.int64
-            )
-        x = np.zeros((len(self.charge_models), idx.size))  # rows of constant models stay unread
-        if d:
+            methods = [m.draw_type for m in self.charge_models if m.draw_type]
+            x[self.drawn] = np.array([[getattr(self.control[t], m)() for m in methods] for t in idx]).T
+        elif d:
             if self.control is None:
                 size = self.n_packets * len(self.path.switches) * d
                 self.control = self.streams.block("control", self.control_draw, size)
@@ -919,20 +920,17 @@ def simulate_trials(
     streams: TrialStreams,
     *,
     warm: bool = False,
-    drift: DriftModel | None = None,
-    reply_bytes: int = DEFAULT_REPLY_BYTES,
-    turnaround_ns: int = 0,
 ) -> TrialTraces:
     """Run one single-flow packet schedule as len(streams) independent trials.
 
     Trial j draws only from row j of each of the batch's streams and
     produces exactly what `Simulation(path, controller, RngStreams(seed,
-    trials[j], group), ...)` produces for the same packets; `warm`
-    pre-installs the flow's rules at every switch.  Each stream is drawn as
-    one block per trial: `cross` and `drift` as `_cross_delays` and `_wander`
-    lay them out, `control` (n_packets x switches x d values, d the lookup
-    and install models that draw) and `defense` (n_packets values) as
-    `_TrialBatch` reads them.
+    trials[j], group), warm_keys=...)` produces for the same packets; `warm`
+    pre-installs the flow's rules at every switch, as warm_keys holding the
+    flow's key does.  Each stream is drawn as one block per trial: `cross`
+    and `drift` as `_cross_delays` and `_wander` lay them out, `control`
+    (n_packets x switches x d values, d the lookup and install models that
+    draw) and `defense` (n_packets values) as `_TrialBatch` reads them.
     """
     packets = tuple(packets)
     n_trials = len(streams)
@@ -943,9 +941,9 @@ def simulate_trials(
     n_fwd = len(path.forward_links)
     n_switches = len(path.switches)
     cross = _cross_delays(path, len(packets), streams)
-    wander = _wander(drift, packets, streams)
-    reply_fixed = turnaround_ns + sum(
-        transmission_delay_ns(reply_bytes, l) + l.base_latency_ns for l in path.reverse_links
+    wander = _wander(path.drift, packets, streams)
+    reply_fixed = path.turnaround_ns + sum(
+        transmission_delay_ns(path.reply_bytes, l) + l.base_latency_ns for l in path.reverse_links
     )
     state = _TrialBatch(path, controller, streams, warm, len(packets))
     busy = [np.zeros(n_trials, np.int64) for _ in range(n_fwd)]
@@ -976,7 +974,7 @@ def simulate_trials(
         client_recv += d
     return TrialTraces(
         server_recv_ns=server_recv,
-        server_reply_send_ns=server_recv + turnaround_ns,
+        server_reply_send_ns=server_recv + path.turnaround_ns,
         client_recv_ns=client_recv,
         miss_flag=miss_flag,
         table_full=table_full,

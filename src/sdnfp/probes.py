@@ -62,10 +62,8 @@ import numpy as np
 
 from .netsim import (
     CLEAR,
-    DEFAULT_REPLY_BYTES,
     PROBE,
     ControllerSpec,
-    DriftModel,
     FlowKey,
     Packet,
     PathSpec,
@@ -271,9 +269,6 @@ def run_schedule(
     trials=(0,),
     group: int = 0,
     warm: bool = False,
-    drift: DriftModel | None = None,
-    reply_bytes: int = DEFAULT_REPLY_BYTES,
-    turnaround_ns: int = 0,
 ) -> Trace:
     """Run the schedule, a tuple of packets on one flow, once per trial number,
     all trials together; log every packet.
@@ -284,16 +279,7 @@ def run_schedule(
     `trials`, packets in schedule order.
     """
     trials = np.asarray(list(trials), np.int64)
-    out = simulate_trials(
-        path,
-        controller,
-        schedule,
-        TrialStreams(seed, trials, group),
-        warm=warm,
-        drift=drift,
-        reply_bytes=reply_bytes,
-        turnaround_ns=turnaround_ns,
-    )
+    out = simulate_trials(path, controller, schedule, TrialStreams(seed, trials, group), warm=warm)
     return _schedule_trace(schedule, trials, out)
 
 
@@ -306,9 +292,6 @@ def run_schedule_reference(
     trial: int = 0,
     group: int = 0,
     warm: bool = False,
-    drift: DriftModel | None = None,
-    reply_bytes: int = DEFAULT_REPLY_BYTES,
-    turnaround_ns: int = 0,
 ) -> Trace:
     """One trial of run_schedule on the scalar reference model, packet by packet.
 
@@ -316,15 +299,7 @@ def run_schedule_reference(
     """
     streams = RngStreams(seed, trial=trial, group=group)
     warm_keys = tuple(dict.fromkeys(p.key for p in schedule)) if warm else ()
-    sim = Simulation(
-        path,
-        controller,
-        streams,
-        warm_keys=warm_keys,
-        drift=drift,
-        reply_bytes=reply_bytes,
-        turnaround_ns=turnaround_ns,
-    )
+    sim = Simulation(path, controller, streams, warm_keys=warm_keys)
     results = [sim.exchange(pkt) for pkt in schedule]
     out = TrialTraces(*(np.array([[getattr(r, f.name)] for r in results]) for f in fields(TrialTraces)))
     return _schedule_trace(schedule, np.array([trial]), out)

@@ -170,7 +170,8 @@ class Scenario:
 
     def build_path(self) -> PathSpec:
         """The uniform path of k switches, with the delay element, when
-        defended, at the outermost one."""
+        defended, at the outermost one, and the scenario's drift, reply size
+        and server turnaround."""
         install = self.effective_install_delay()
         switches = tuple(
             SwitchSpec(
@@ -188,7 +189,8 @@ class Scenario:
             cross_traffic=self.cross_traffic,
             base_latency_ns=self.base_latency_ns,
         )
-        return path if self.defense is None else replace(path, delay_element=self.defense)
+        return replace(path, delay_element=self.defense, drift=self.drift,
+                       reply_bytes=self.reply_bytes, turnaround_ns=self.turnaround_ns)
 
     def build_controller(self) -> ControllerSpec:
         return ControllerSpec(lookup_delay=self.lookup_delay, clear_delay_ns=self.clear_delay_ns)
@@ -312,20 +314,15 @@ def run_scenario(scenario: Scenario, out_dir: Path | str | None = None) -> Resul
     )
 
     path = scenario.build_path()
-    common = dict(
-        drift=scenario.drift,
-        reply_bytes=scenario.reply_bytes,
-        turnaround_ns=scenario.turnaround_ns,
-    )
     records = Trace.concat(
         [
             run_schedule(
                 train, path, controller, scenario.seed,
-                trials=range(scenario.trains), group=0, **common,
+                trials=range(scenario.trains), group=0,
             ),
             run_schedule(
                 idle, path, controller, scenario.seed,
-                trials=range(scenario.trains, 2 * scenario.trains), group=1, warm=True, **common,
+                trials=range(scenario.trains, 2 * scenario.trains), group=1, warm=True,
             ),
         ]
     )

@@ -49,6 +49,21 @@ MUTANTS = (
      "reference model: a packet arriving as the install window closes pays the surcharge"),
     ("defense.py", "(now_ns - rec.last_seen_ns) > cfg.t_th_ns", "(now_ns - rec.last_seen_ns) >= cfg.t_th_ns",
      "reference model: a flow idle for exactly t_th counts as inactive"),
+    ("stats.py", " & ~np.isnan(u[:-1])", "",
+     "EER thresholds: the union of the two samples keeps every NaN"),
+    ("stats.py", 'fnr = 1.0 - np.searchsorted(n, thresholds, side="right")',
+     'fnr = 1.0 - np.searchsorted(n, thresholds, side="left")',
+     "EER: an N sample equal to the threshold counts as above it"),
+    ("netsim.py", "size = self.n_packets * len(self.path.switches) * d", "size = self.n_packets * d",
+     "engine: the control block holds one miss per packet, not one per packet and switch"),
+    ("netsim.py", "trials.astype(np.uint64),", "np.arange(trials.size, dtype=np.uint64),",
+     "engine: a trial is seeded by its position in the batch, not by its number"),
+    ("netsim.py", "return lookup + np.max(installs, axis=0)", "return np.max(installs, axis=0)",
+     "engine, Eq. 2: a miss pays the slowest install without the lookup"),
+    ("netsim.py", "reply_fixed = path.turnaround_ns + sum(", "reply_fixed = sum(",
+     "engine: the reply leaves the server without the path's turnaround"),
+    ("netsim.py", "for m in methods] for t in idx]", "for m in methods[1:] + methods[:1]] for t in idx]",
+     "engine, mixed draw types: a miss draws the installs before the lookup"),
 )
 
 

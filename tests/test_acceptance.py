@@ -193,10 +193,11 @@ def test_criterion_7_zero_cost_when_active():
 
     key = FlowKey("10.0.0.2", "10.0.1.2")
     cross = pareto(90_000, 2_000_000_000)
-    # The first packet opens the defended flow's follow-up window; the 10,000
-    # after it come while the flow is active and after that window (at this
-    # seed: at about half of seeds the second packet lands inside it).
-    packets = tuple(Packet(i, key, 1500, sent_at_ns=i * 100_000_000) for i in range(10_001))
+    # The first packet opens the defended flow's 100 ms follow-up window; the
+    # 10,000 after it come 100 ms apart while the flow is active, from two
+    # windows after it, so only a first-link delay 100 ms above their own
+    # would hold one as a follow-up.
+    packets = tuple(Packet(i, key, 1500, sent_at_ns=(i + 1) * 100_000_000 if i else 0) for i in range(10_001))
 
     def run(defended):
         sw = SwitchSpec("hw1", lognormal(4_500_000, 0.6))

@@ -9,8 +9,10 @@ costs the lookup plus the slowest install (Eq. 2), installs the flow at every
 switch and opens an install window at the switch that missed, and a packet
 that reaches that switch inside the window pays the same charge; a hit waits
 for the flow's previous release; a CLEAR at the first switch deletes every
-rule after the controller's delay; the reply path is a plain sum.  It shares
-no code with the engine or with the scalar reference model.
+rule after the controller's delay; the reply leaves the path's turnaround
+after the server arrival, and its reverse path is a plain sum at the path's
+reply size.  It shares no code with the engine or with the scalar reference
+model.
 """
 
 import pytest
@@ -35,7 +37,7 @@ def cross_ns(link):
     return link.cross_traffic.value_ns if link.cross_traffic else 0
 
 
-def closed_form(packets, path, controller, warm, reply_bytes=64):
+def closed_form(packets, path, controller, warm):
     """(server_recv, reply_send, client_recv, miss_flag, table_full) of each packet."""
     k = len(path.switches)
     charge = controller.lookup_delay.value_ns + max(sw.install_delay.value_ns for sw in path.switches)
@@ -67,14 +69,15 @@ def closed_form(packets, path, controller, warm, reply_bytes=64):
                     t = release = max(t, release)
             busy[i] = max(t, busy[i]) + surcharge + cross_ns(link) + transmission_ns(p.size_bytes, link)
             t = busy[i] + link.base_latency_ns
-        back = sum(cross_ns(l) + transmission_ns(reply_bytes, l) + l.base_latency_ns for l in path.reverse_links)
-        rows.append((t, t + TURNAROUND, t + TURNAROUND + back, miss, full))
+        back = sum(cross_ns(l) + transmission_ns(path.reply_bytes, l) + l.base_latency_ns for l in path.reverse_links)
+        rows.append((t, t + path.turnaround_ns, t + path.turnaround_ns + back, miss, full))
     return rows
 
 
+@pytest.mark.parametrize("reply_bytes", [64, 200])
 @pytest.mark.parametrize("bps", [100_000_000, 1_000_000_000])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_engine_traces_are_the_closed_form_in_the_deterministic_limit(k, bps):
+def test_engine_traces_are_the_closed_form_in_the_deterministic_limit(k, bps, reply_bytes):
     forward = [LinkSpec(bps, 5_000, constant(20_000))] * (k + 1)
     reverse = [LinkSpec(bps, 5_000, constant(7_000)), LinkSpec(bps)]
     controller = ControllerSpec(lookup_delay=constant(100_000))
@@ -83,11 +86,10 @@ def test_engine_traces_are_the_closed_form_in_the_deterministic_limit(k, bps):
     schedules.append(idle_flow_probes(DEFAULT_FLOW, 1500, S))
     for capacity in (0, 1, 1024):
         switches = tuple(SwitchSpec(f"s{j}", constant(INSTALLS[j]), capacity) for j in range(k))
-        path = PathSpec(tuple(forward), tuple(reverse), switches)
+        path = PathSpec(tuple(forward), tuple(reverse), switches, reply_bytes=reply_bytes, turnaround_ns=TURNAROUND)
         for schedule in schedules:
             for warm in (False, True):
-                trace = run_schedule(schedule, path, controller, 11, trials=range(2), warm=warm,
-                                     turnaround_ns=TURNAROUND)
+                trace = run_schedule(schedule, path, controller, 11, trials=range(2), warm=warm)
                 rows = list(zip(trace.server_recv_ns.tolist(), trace.server_reply_send_ns.tolist(),
                                 trace.client_recv_ns.tolist(), trace.miss_flag.tolist(), trace.table_full.tolist()))
                 assert rows == 2 * closed_form(schedule, path, controller, warm)

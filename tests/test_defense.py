@@ -121,13 +121,13 @@ def rtt(trace):
 
 
 def test_warm_active_flow_identical_timing():
-    # The defended flow's first packet opens its follow-up window; each later
-    # packet comes while the flow is active and after that window, so it
-    # passes the element untouched.  At this seed the second packet reaches
-    # the switch after the window closes; at about half of seeds its smaller
-    # cross-traffic delay lands it inside, and it is held.
+    # The defended flow's first packet opens its 100 ms follow-up window; each
+    # later packet comes while the flow is active and from two windows after
+    # it, so it passes the element untouched.  Sent one window after it, a
+    # packet with a smaller first-link delay than the opener's lands inside
+    # the window and is held.
     cross = pareto(90_000, 2_000_000_000)
-    packets = [Packet(i, KEY, 1500, sent_at_ns=i * 100 * MS) for i in range(2_001)]
+    packets = [Packet(i, KEY, 1500, sent_at_ns=(i + 1) * 100 * MS if i else 0) for i in range(2_001)]
 
     def client_recv(defended):
         sw = SwitchSpec("hw1", lognormal(4_500_000, 0.6))

@@ -72,7 +72,15 @@ def cases(draw):
     if draw(st.booleans()):
         t_th, window = draw(st.sampled_from([(5 * S, 100 * MS), (500 * MS, 1 * MS), (2 * S, 400 * MS)]))
         element = replace(draw(st.sampled_from([DelayElementConfig(), FITTED])), t_th_ns=t_th, window_ns=window)
-    path = PathSpec(forward, links(draw(st.integers(1, 3))), switches, element)
+    path = PathSpec(
+        forward,
+        links(draw(st.integers(1, 3))),
+        switches,
+        element,
+        drift=draw(st.sampled_from([None, DriftModel(150_000.0), DriftModel(2e6, base_ns=0)])),
+        reply_bytes=draw(st.sampled_from([64, 200])),
+        turnaround_ns=draw(st.sampled_from([0, 50_000])),
+    )
     controller = ControllerSpec(
         lookup_delay=draw(LOOKUP),
         clear_delay_ns=draw(st.sampled_from([0, 10 * MS, 1_500 * MS])),
@@ -100,9 +108,6 @@ def cases(draw):
         seed=draw(st.integers(0, 2**32)),
         group=draw(st.integers(0, 1)),
         warm=draw(st.booleans()),
-        drift=draw(st.sampled_from([None, DriftModel(150_000.0), DriftModel(2e6, base_ns=0)])),
-        reply_bytes=draw(st.sampled_from([64, 200])),
-        turnaround_ns=draw(st.sampled_from([0, 50_000])),
     )
     trials = draw(st.lists(st.integers(0, 10_000), min_size=1, max_size=8, unique=True))
     return schedule, path, controller, trials, kwargs
@@ -285,7 +290,7 @@ def assert_only_y_pairs_lengthen(before, after):
 def test_engine_timestamps_are_ordered_within_each_trial(case):
     # Without drift the last forward link is FIFO and replies only add delay.
     schedule, path, controller, trials, kwargs = case
-    trace = run_schedule(schedule, path, controller, trials=trials, **dict(kwargs, drift=None))
+    trace = run_schedule(schedule, replace(path, drift=None), controller, trials=trials, **kwargs)
     recv = trace.server_recv_ns.reshape(len(trials), -1)
     assert (np.diff(recv, axis=1) >= 0).all()
     assert (trace.client_recv_ns >= trace.server_recv_ns).all()
@@ -294,12 +299,17 @@ def test_engine_timestamps_are_ordered_within_each_trial(case):
 
 @pytest.mark.parametrize(
     "lookup, install",
-    [(constant(100_000), lognormal(4_500_000, 0.6)), (pareto(200_000, 10**10), pareto(2 * MS, 10**12))],
-    ids=["standard_normal", "random"],
+    [
+        (constant(100_000), lognormal(4_500_000, 0.6)),
+        (pareto(200_000, 10**10), pareto(2 * MS, 10**12)),
+        (pareto(200_000, 10**10), lognormal(4_500_000, 0.6)),
+    ],
+    ids=["standard_normal", "random", "mixed"],
 )
 def test_capacity_zero_misses_at_every_switch_match_scalar_reference(lookup, install):
     # No switch can hold a rule, so every probe misses at all three switches:
-    # the control block must hold n_packets x k draws per model.
+    # the control block must hold n_packets x k draws per model, and with
+    # mixed draw types each trial's Generator draws the lookup, then the installs.
     link = LinkSpec(100_000_000)
     switches = tuple(SwitchSpec(f"s{i}", install, table_capacity=0) for i in range(3))
     path = PathSpec((link,) * 4, (link,), switches, DelayElementConfig())

@@ -53,15 +53,13 @@ ALLOWED = {
     "probes:run_schedule_reference": ORACLE,
     "defense:select_bucket": ORACLE,
     "defense:delay_for": ORACLE,
-    "distributions:DelayModel.sample_ns": "scalar sampler: the reference model draws with it, "
-    "and so does miss_charge_ns",
+    "distributions:DelayModel.sample_ns": ORACLE,
     "distributions:DelayModel.delay_model": "kept for bench/tracer.py, which patches it",
     "defense:_hold_ns": "rounding guard of delays_from_uniform; "
     "tests/test_engine_differential.py::test_hold_block_transform_raises_on_a_negative_hold",
     "stats:_scipy_p_value": "Welch's 1% decision within the band around 1%; "
     "tests/test_stats.py::test_welch_decision_is_scipys_at_the_critical_t",
-    "netsim:miss_charge_ns": "control stream of delay models that mix draw types; "
-    "tests/test_engine_differential.py::test_batched_engine_matches_scalar_reference",
+    "netsim:miss_charge_ns": ORACLE,
     "probes:Table.__eq__": "without it == would compare tables by identity",
     "stats:WelchResult.p_value": "the documented p-value; the CLI writes only the 1% decision",
     "scenario:drift_variant": "the benchmark's drift YAML reproduces it; tests/test_golden.py pins it",
