@@ -13,12 +13,13 @@ base_latency after transmission:
     finish = max(ready, link_busy) + cross_delay [+ surcharge] + S/B
     arrival_at_next_node = finish + base_latency
 
-A table miss charges `lookup + max over the switches of their install delay`
-once.  The charge is applied as a service surcharge at the detecting
-switch's egress to every same-flow packet that arrives while the install is
-still in progress; the trigger itself pays it, and a packet queued right
-behind the trigger therefore leaves one surcharge later, which is what makes
-the pair gap grow by the penalty.
+A table miss charges the path's `lookup_delay` (the controller's) plus the
+slowest switch's install delay once.  The charge is applied as a service
+surcharge at the detecting switch's egress to every same-flow packet that
+arrives while the install is still in progress; the trigger itself pays it,
+and a packet queued right behind the trigger therefore leaves one surcharge
+later, which is what makes the pair gap grow by the penalty.  A CLEAR deletes
+the rules the path's `clear_delay_ns` after it reaches the outermost switch.
 
 Replies never queue: a reply of the path's `reply_bytes` leaves the server
 `turnaround_ns` after its probe arrived and takes independent per-hop delays,
@@ -157,14 +158,6 @@ class SwitchSpec:
 
 
 @dataclass(frozen=True)
-class ControllerSpec:
-    """Reactive controller: table lookup plus bidirectional rule install."""
-
-    lookup_delay: DelayModel = NO_DELAY
-    clear_delay_ns: int = DEFAULT_CLEAR_DELAY_NS
-
-
-@dataclass(frozen=True)
 class Packet:
     id: int
     key: FlowKey
@@ -192,8 +185,10 @@ class DriftModel:
 @dataclass(frozen=True)
 class PathSpec:
     """The whole round trip of a probe: the forward links and the switches
-    on them, the server's turnaround, the reply's size on the reverse links,
-    and the path's slow wander."""
+    on them, the controller that answers their misses (its lookup delay, and
+    the delay after which a CLEAR deletes the rules), the server's
+    turnaround, the reply's size on the reverse links, and the path's slow
+    wander."""
 
     forward_links: tuple[LinkSpec, ...]
     reverse_links: tuple[LinkSpec, ...]
@@ -202,6 +197,8 @@ class PathSpec:
     drift: DriftModel | None = None
     reply_bytes: int = DEFAULT_REPLY_BYTES
     turnaround_ns: int = 0
+    lookup_delay: DelayModel = NO_DELAY
+    clear_delay_ns: int = DEFAULT_CLEAR_DELAY_NS
 
     def __post_init__(self):
         object.__setattr__(self, "forward_links", tuple(self.forward_links))
@@ -479,7 +476,7 @@ class RngStreams:
         return gen
 
 
-def miss_charge_ns(path: PathSpec, controller: ControllerSpec, gen: np.random.Generator) -> int:
+def miss_charge_ns(path: PathSpec, gen: np.random.Generator) -> int:
     """Lookup delay plus the slowest switch's install delay.
 
     Draws the lookup first, then one install per switch in path order; the
@@ -488,7 +485,7 @@ def miss_charge_ns(path: PathSpec, controller: ControllerSpec, gen: np.random.Ge
     """
     if not path.switches:
         raise ValueError("table miss needs at least one switch")
-    penalty = controller.lookup_delay.sample_ns(gen)
+    penalty = path.lookup_delay.sample_ns(gen)
     max_install = 0
     for sw in path.switches:
         max_install = max(max_install, sw.install_delay.sample_ns(gen))
@@ -498,7 +495,6 @@ def miss_charge_ns(path: PathSpec, controller: ControllerSpec, gen: np.random.Ge
 def handle_table_miss(
     key: FlowKey,
     path: PathSpec,
-    controller: ControllerSpec,
     streams: RngStreams,
     tables: tuple[FlowTable, ...],
 ) -> MissOutcome:
@@ -508,7 +504,7 @@ def handle_table_miss(
     skips the install (the packet is still forwarded) and is reported, not
     raised.
     """
-    penalty = miss_charge_ns(path, controller, streams.control)
+    penalty = miss_charge_ns(path, streams.control)
     full: list[str] = []
     for sw, table in zip(path.switches, tables):
         ok_fwd = table.install(key)
@@ -539,13 +535,11 @@ class Simulation:
     def __init__(
         self,
         path: PathSpec,
-        controller: ControllerSpec,
         streams: RngStreams,
         *,
         warm_keys: tuple[FlowKey, ...] = (),
     ):
         self.path = path
-        self.controller = controller
         self.streams = streams
 
         self.tables = tuple(FlowTable(sw.table_capacity) for sw in path.switches)
@@ -595,7 +589,7 @@ class Simulation:
             # Control packet: outermost switch hands it to the controller,
             # which deletes all rules after its processing delay.
             if s_idx == 0:
-                self.pending_clear_ns = arrival_ns + self.controller.clear_delay_ns
+                self.pending_clear_ns = arrival_ns + self.path.clear_delay_ns
             return arrival_ns, 0, False, False
 
         element = self.path.delay_element if s_idx == 0 else None
@@ -607,7 +601,7 @@ class Simulation:
 
         key = packet.key
         if key not in self.tables[s_idx]:
-            outcome = handle_table_miss(key, self.path, self.controller, self.streams, self.tables)
+            outcome = handle_table_miss(key, self.path, self.streams, self.tables)
             self.install_windows[(s_idx, key)] = _InstallWindow(
                 arrival_ns, outcome.penalty_ns
             )
@@ -778,19 +772,17 @@ class _TrialBatch:
     def __init__(
         self,
         path: PathSpec,
-        controller: ControllerSpec,
         streams: TrialStreams,
         warm: bool,
         n_packets: int,
     ):
         self.path = path
-        self.controller = controller
         self.streams = streams
         self.element = path.delay_element
         k = len(path.switches)
         n = len(streams)
         self.n_packets = n_packets
-        self.charge_models = (controller.lookup_delay, *(sw.install_delay for sw in path.switches))
+        self.charge_models = (path.lookup_delay, *(sw.install_delay for sw in path.switches))
         self.drawn = np.array([m.draw_type is not None for m in self.charge_models])
         draws = {m.draw_type for m in self.charge_models} - {None}
         self.control_draw = draws.pop() if len(draws) == 1 else None  # None: nothing or mixed
@@ -823,7 +815,7 @@ class _TrialBatch:
 
     def schedule_clear(self, now: np.ndarray) -> None:
         """A CLEAR reaches the outermost switch: all rules go after the controller's delay."""
-        self.clear_at = now + self.controller.clear_delay_ns
+        self.clear_at = now + self.path.clear_delay_ns
         self.clear_pending[:] = True
 
     def select_bucket(self, now: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -915,7 +907,6 @@ class _TrialBatch:
 
 def simulate_trials(
     path: PathSpec,
-    controller: ControllerSpec,
     packets,
     streams: TrialStreams,
     *,
@@ -924,8 +915,8 @@ def simulate_trials(
     """Run one single-flow packet schedule as len(streams) independent trials.
 
     Trial j draws only from row j of each of the batch's streams and
-    produces exactly what `Simulation(path, controller, RngStreams(seed,
-    trials[j], group), warm_keys=...)` produces for the same packets; `warm`
+    produces exactly what `Simulation(path, RngStreams(seed, trials[j],
+    group), warm_keys=...)` produces for the same packets; `warm`
     pre-installs the flow's rules at every switch, as warm_keys holding the
     flow's key does.  Each stream is drawn as one block per trial: `cross`
     and `drift` as `_cross_delays` and `_wander` lay them out, `control`
@@ -945,7 +936,7 @@ def simulate_trials(
     reply_fixed = path.turnaround_ns + sum(
         transmission_delay_ns(path.reply_bytes, l) + l.base_latency_ns for l in path.reverse_links
     )
-    state = _TrialBatch(path, controller, streams, warm, len(packets))
+    state = _TrialBatch(path, streams, warm, len(packets))
     busy = [np.zeros(n_trials, np.int64) for _ in range(n_fwd)]
 
     shape = (len(packets), n_trials)

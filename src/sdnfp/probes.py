@@ -63,7 +63,6 @@ import numpy as np
 from .netsim import (
     CLEAR,
     PROBE,
-    ControllerSpec,
     FlowKey,
     Packet,
     PathSpec,
@@ -263,7 +262,6 @@ class Trace(Table):
 def run_schedule(
     schedule: tuple[Packet, ...],
     path: PathSpec,
-    controller: ControllerSpec,
     seed: int,
     *,
     trials=(0,),
@@ -279,14 +277,13 @@ def run_schedule(
     `trials`, packets in schedule order.
     """
     trials = np.asarray(list(trials), np.int64)
-    out = simulate_trials(path, controller, schedule, TrialStreams(seed, trials, group), warm=warm)
+    out = simulate_trials(path, schedule, TrialStreams(seed, trials, group), warm=warm)
     return _schedule_trace(schedule, trials, out)
 
 
 def run_schedule_reference(
     schedule: tuple[Packet, ...],
     path: PathSpec,
-    controller: ControllerSpec,
     seed: int,
     *,
     trial: int = 0,
@@ -299,7 +296,7 @@ def run_schedule_reference(
     """
     streams = RngStreams(seed, trial=trial, group=group)
     warm_keys = tuple(dict.fromkeys(p.key for p in schedule)) if warm else ()
-    sim = Simulation(path, controller, streams, warm_keys=warm_keys)
+    sim = Simulation(path, streams, warm_keys=warm_keys)
     results = [sim.exchange(pkt) for pkt in schedule]
     out = TrialTraces(*(np.array([[getattr(r, f.name)] for r in results]) for f in fields(TrialTraces)))
     return _schedule_trace(schedule, np.array([trial]), out)

@@ -59,7 +59,7 @@ from .distributions import (
 from .features import FEATURES, DropCounts, Samples, label_samples
 from .netsim import (
     DEFAULT_CLEAR_DELAY_NS, DEFAULT_REPLY_BYTES, DEFAULT_TABLE_CAPACITY,
-    ControllerSpec, DriftModel, FlowKey, PathSpec, SwitchSpec, uniform_path,
+    DriftModel, FlowKey, PathSpec, SwitchSpec, uniform_path,
 )
 from .probes import (
     DEFAULT_IDLE_LEAD_NS, DEFAULT_MTU_BYTES, Table, Trace, build_probe_train, idle_flow_probes, run_schedule,
@@ -170,8 +170,8 @@ class Scenario:
 
     def build_path(self) -> PathSpec:
         """The uniform path of k switches, with the delay element, when
-        defended, at the outermost one, and the scenario's drift, reply size
-        and server turnaround."""
+        defended, at the outermost one, and the scenario's controller delays,
+        drift, reply size and server turnaround."""
         install = self.effective_install_delay()
         switches = tuple(
             SwitchSpec(
@@ -190,10 +190,8 @@ class Scenario:
             base_latency_ns=self.base_latency_ns,
         )
         return replace(path, delay_element=self.defense, drift=self.drift,
-                       reply_bytes=self.reply_bytes, turnaround_ns=self.turnaround_ns)
-
-    def build_controller(self) -> ControllerSpec:
-        return ControllerSpec(lookup_delay=self.lookup_delay, clear_delay_ns=self.clear_delay_ns)
+                       reply_bytes=self.reply_bytes, turnaround_ns=self.turnaround_ns,
+                       lookup_delay=self.lookup_delay, clear_delay_ns=self.clear_delay_ns)
 
 
 def builtin_scenarios() -> dict[str, Scenario]:
@@ -303,7 +301,6 @@ class ResultBundle:
 def run_scenario(scenario: Scenario, out_dir: Path | str | None = None) -> ResultBundle:
     """Simulate, extract, and evaluate one scenario; optionally persist."""
     scenario.validate()
-    controller = scenario.build_controller()
     flow = DEFAULT_FLOW
 
     train = build_probe_train(
@@ -317,11 +314,11 @@ def run_scenario(scenario: Scenario, out_dir: Path | str | None = None) -> Resul
     records = Trace.concat(
         [
             run_schedule(
-                train, path, controller, scenario.seed,
+                train, path, scenario.seed,
                 trials=range(scenario.trains), group=0,
             ),
             run_schedule(
-                idle, path, controller, scenario.seed,
+                idle, path, scenario.seed,
                 trials=range(scenario.trains, 2 * scenario.trains), group=1, warm=True,
             ),
         ]

@@ -64,6 +64,18 @@ MUTANTS = (
      "engine: the reply leaves the server without the path's turnaround"),
     ("netsim.py", "for m in methods] for t in idx]", "for m in methods[1:] + methods[:1]] for t in idx]",
      "engine, mixed draw types: a miss draws the installs before the lookup"),
+    ("netsim.py", "self.clear_at = now + self.path.clear_delay_ns", "self.clear_at = now",
+     "engine: a CLEAR deletes the rules at once, without the path's CLEAR delay"),
+    ("scenario.py", "table_capacity=self.table_capacity,", "",
+     "build_path: the switches keep the default table capacity"),
+    ("scenario.py", "base_latency_ns=self.base_latency_ns,", "",
+     "build_path: the links keep no base latency"),
+    ("scenario.py", "reply_bytes=self.reply_bytes, ", "",
+     "build_path: the reply keeps the default size"),
+    ("scenario.py", " turnaround_ns=self.turnaround_ns,", "",
+     "build_path: the server turns the reply around at once"),
+    ("scenario.py", ", clear_delay_ns=self.clear_delay_ns)", ")",
+     "build_path: a CLEAR keeps the default delay"),
 )
 
 

@@ -15,7 +15,6 @@ import pytest
 from sdnfp.defense import DelayElementConfig
 from sdnfp.features import DELTA_RTT, DISPERSION
 from sdnfp.netsim import (
-    ControllerSpec,
     FlowKey,
     LinkSpec,
     Packet,
@@ -85,7 +84,7 @@ def test_criterion_1_dispersion_closed_form():
         path = PathSpec(fwd, rev)
         size = int(rng.integers(100, 1501))
         pair = (Packet(0, key, size), Packet(1, key, size))
-        first, second = run_schedule(pair, path, ControllerSpec(), 0).client_recv_ns
+        first, second = run_schedule(pair, path, 0).client_recv_ns
         expected = transmission_delay_ns(size, min(fwd, key=lambda link: link.capacity_bps))
         assert abs((second - first) - expected) <= 1
     elapsed = time.monotonic() - start
@@ -204,7 +203,7 @@ def test_criterion_7_zero_cost_when_active():
         path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
         if defended:
             path = replace(path, delay_element=DelayElementConfig())
-        trace = run_schedule(packets, path, ControllerSpec(), 99, warm=True)
+        trace = run_schedule(packets, path, 99, warm=True)
         return trace.server_recv_ns[1:].tolist(), trace.client_recv_ns[1:].tolist()
 
     assert run(False) == run(True)

@@ -9,7 +9,7 @@ costs the lookup plus the slowest install (Eq. 2), installs the flow at every
 switch and opens an install window at the switch that missed, and a packet
 that reaches that switch inside the window pays the same charge; a hit waits
 for the flow's previous release; a CLEAR at the first switch deletes every
-rule after the controller's delay; the reply leaves the path's turnaround
+rule after the path's CLEAR delay; the reply leaves the path's turnaround
 after the server arrival, and its reverse path is a plain sum at the path's
 reply size.  It shares no code with the engine or with the scalar reference
 model.
@@ -18,7 +18,7 @@ model.
 import pytest
 
 from sdnfp.distributions import constant
-from sdnfp.netsim import CLEAR, ControllerSpec, LinkSpec, PathSpec, SwitchSpec
+from sdnfp.netsim import CLEAR, LinkSpec, PathSpec, SwitchSpec
 from sdnfp.probes import build_probe_train, idle_flow_probes, run_schedule
 from sdnfp.scenario import DEFAULT_FLOW
 
@@ -37,10 +37,10 @@ def cross_ns(link):
     return link.cross_traffic.value_ns if link.cross_traffic else 0
 
 
-def closed_form(packets, path, controller, warm):
+def closed_form(packets, path, warm):
     """(server_recv, reply_send, client_recv, miss_flag, table_full) of each packet."""
     k = len(path.switches)
-    charge = controller.lookup_delay.value_ns + max(sw.install_delay.value_ns for sw in path.switches)
+    charge = path.lookup_delay.value_ns + max(sw.install_delay.value_ns for sw in path.switches)
     keeps = [min(2, sw.table_capacity) for sw in path.switches]  # rules a switch holds: forward, reverse
     rules = list(keeps) if warm else [0] * k
     window = [(0, 0)] * k  # [start, end) of the install window at each switch
@@ -57,7 +57,7 @@ def closed_form(packets, path, controller, warm):
                     rules, window, clear_at = [0] * k, [(0, 0)] * k, None
                 if p.kind == CLEAR:
                     if s == 0:
-                        clear_at = t + controller.clear_delay_ns
+                        clear_at = t + path.clear_delay_ns
                 elif rules[s] == 0:
                     rules = [max(r, keep) for r, keep in zip(rules, keeps)]
                     window[s] = (t, t + charge)
@@ -80,16 +80,16 @@ def closed_form(packets, path, controller, warm):
 def test_engine_traces_are_the_closed_form_in_the_deterministic_limit(k, bps, reply_bytes):
     forward = [LinkSpec(bps, 5_000, constant(20_000))] * (k + 1)
     reverse = [LinkSpec(bps, 5_000, constant(7_000)), LinkSpec(bps)]
-    controller = ControllerSpec(lookup_delay=constant(100_000))
     # Pair spacings of 0, under one transmission time, and 3 ms: inside the install window from k = 2 on.
     schedules = [build_probe_train(DEFAULT_FLOW, 1500, spacing) for spacing in (0, 50_000, 3 * MS)]
     schedules.append(idle_flow_probes(DEFAULT_FLOW, 1500, S))
     for capacity in (0, 1, 1024):
         switches = tuple(SwitchSpec(f"s{j}", constant(INSTALLS[j]), capacity) for j in range(k))
-        path = PathSpec(tuple(forward), tuple(reverse), switches, reply_bytes=reply_bytes, turnaround_ns=TURNAROUND)
+        path = PathSpec(tuple(forward), tuple(reverse), switches, reply_bytes=reply_bytes,
+                        turnaround_ns=TURNAROUND, lookup_delay=constant(100_000))
         for schedule in schedules:
             for warm in (False, True):
-                trace = run_schedule(schedule, path, controller, 11, trials=range(2), warm=warm)
+                trace = run_schedule(schedule, path, 11, trials=range(2), warm=warm)
                 rows = list(zip(trace.server_recv_ns.tolist(), trace.server_reply_send_ns.tolist(),
                                 trace.client_recv_ns.tolist(), trace.miss_flag.tolist(), trace.table_full.tolist()))
-                assert rows == 2 * closed_form(schedule, path, controller, warm)
+                assert rows == 2 * closed_form(schedule, path, warm)

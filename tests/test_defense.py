@@ -19,7 +19,6 @@ from sdnfp.defense import (
 )
 from sdnfp.distributions import constant, lognormal, pareto
 from sdnfp.netsim import (
-    ControllerSpec,
     FlowKey,
     LinkSpec,
     Packet,
@@ -113,7 +112,7 @@ def test_a_defended_path_built_with_no_switch_is_refused():
 
 def run(path, *packets, seed, warm=False):
     """The packets as one trial of the engine; a Trace, one row per packet."""
-    return run_schedule(packets, path, ControllerSpec(), seed, warm=warm)
+    return run_schedule(packets, path, seed, warm=warm)
 
 
 def rtt(trace):

@@ -14,7 +14,6 @@ from sdnfp.features import group_probes, pair_labels
 from sdnfp.netsim import (
     CLEAR,
     PROBE,
-    ControllerSpec,
     DriftModel,
     FlowKey,
     LinkSpec,
@@ -80,8 +79,6 @@ def cases(draw):
         drift=draw(st.sampled_from([None, DriftModel(150_000.0), DriftModel(2e6, base_ns=0)])),
         reply_bytes=draw(st.sampled_from([64, 200])),
         turnaround_ns=draw(st.sampled_from([0, 50_000])),
-    )
-    controller = ControllerSpec(
         lookup_delay=draw(LOOKUP),
         clear_delay_ns=draw(st.sampled_from([0, 10 * MS, 1_500 * MS])),
     )
@@ -110,7 +107,7 @@ def cases(draw):
         warm=draw(st.booleans()),
     )
     trials = draw(st.lists(st.integers(0, 10_000), min_size=1, max_size=8, unique=True))
-    return schedule, path, controller, trials, kwargs
+    return schedule, path, trials, kwargs
 
 
 def test_block_draws_equal_scalar_draws():
@@ -172,18 +169,15 @@ def test_rounding_guard_takes_the_scalar_formula_near_a_boundary_or_zero():
         ns_from_floats(np.array([1.0, np.nan]), lambda i: 0)
 
 
-def reference(schedule, path, controller, trials, kwargs):
-    return Trace.concat(
-        run_schedule_reference(schedule, path, controller, trial=trial, **kwargs)
-        for trial in trials
-    )
+def reference(schedule, path, trials, kwargs):
+    return Trace.concat(run_schedule_reference(schedule, path, trial=trial, **kwargs) for trial in trials)
 
 
 @given(cases())
 def test_batched_engine_matches_scalar_reference(case):
-    schedule, path, controller, trials, kwargs = case
-    batched = run_schedule(schedule, path, controller, trials=trials, **kwargs)
-    assert batched == reference(schedule, path, controller, trials, kwargs)
+    schedule, path, trials, kwargs = case
+    batched = run_schedule(schedule, path, trials=trials, **kwargs)
+    assert batched == reference(schedule, path, trials, kwargs)
 
 
 def test_defended_builtins_match_scalar_reference():
@@ -192,16 +186,15 @@ def test_defended_builtins_match_scalar_reference():
     for name in ("k1-sw-100m", "k2-hw-100m", "k3-hw-1g"):
         for element in (DelayElementConfig(), FITTED):
             scenario = replace(builtin_scenarios()[name], defense=element)
-            path, controller = scenario.build_path(), scenario.build_controller()
+            path = scenario.build_path()
             for schedule, warm, group in (
                 (build_probe_train(DEFAULT_FLOW), False, 0),
                 (idle_flow_probes(DEFAULT_FLOW, 1500, S), True, 1),
             ):
                 kwargs = dict(seed=scenario.seed, group=group, warm=warm)
                 trials = range(25)
-                assert run_schedule(
-                    schedule, path, controller, trials=trials, **kwargs
-                ) == reference(schedule, path, controller, trials, kwargs)
+                batched = run_schedule(schedule, path, trials=trials, **kwargs)
+                assert batched == reference(schedule, path, trials, kwargs)
 
 
 def test_pareto_control_delays_match_scalar_reference():
@@ -214,20 +207,20 @@ def test_pareto_control_delays_match_scalar_reference():
             install_delay=pareto(2 * MS, 10**12),
             defense=DelayElementConfig(),
         )
-        path, controller = scenario.build_path(), scenario.build_controller()
+        path = scenario.build_path()
         kwargs = dict(seed=scenario.seed, group=0, warm=False)
         trials = range(25)
         schedule = build_probe_train(DEFAULT_FLOW)
-        batched = run_schedule(schedule, path, controller, trials=trials, **kwargs)
+        batched = run_schedule(schedule, path, trials=trials, **kwargs)
         assert batched.miss_flag.any()
-        assert batched == reference(schedule, path, controller, trials, kwargs)
+        assert batched == reference(schedule, path, trials, kwargs)
 
 
 @given(cases())
 def test_a_trials_rows_do_not_depend_on_the_trials_beside_it(case):
-    schedule, path, controller, trials, kwargs = case
-    alone = Trace.concat(run_schedule(schedule, path, controller, trials=[t], **kwargs) for t in trials)
-    assert run_schedule(schedule, path, controller, trials=trials, **kwargs) == alone
+    schedule, path, trials, kwargs = case
+    alone = Trace.concat(run_schedule(schedule, path, trials=[t], **kwargs) for t in trials)
+    assert run_schedule(schedule, path, trials=trials, **kwargs) == alone
 
 
 def pair_dispersions(scenario, installs):
@@ -237,7 +230,7 @@ def pair_dispersions(scenario, installs):
     path = scenario.build_path()
     path = replace(path, switches=tuple(replace(sw, install_delay=d) for sw, d in zip(path.switches, installs)))
     train = build_probe_train(DEFAULT_FLOW, scenario.mtu_bytes, scenario.pair_spacing_ns, scenario.time_span_ns)
-    trace = run_schedule(train, path, scenario.build_controller(), scenario.seed, trials=range(scenario.trains))
+    trace = run_schedule(train, path, scenario.seed, trials=range(scenario.trains))
     first, second, _ = group_probes(trace)
     recv = trace.client_recv_ns
     return pair_labels(trace, first, second), recv[first] - trace.client_send_ns[first], recv[second] - recv[first]
@@ -289,8 +282,8 @@ def assert_only_y_pairs_lengthen(before, after):
 @given(cases())
 def test_engine_timestamps_are_ordered_within_each_trial(case):
     # Without drift the last forward link is FIFO and replies only add delay.
-    schedule, path, controller, trials, kwargs = case
-    trace = run_schedule(schedule, replace(path, drift=None), controller, trials=trials, **kwargs)
+    schedule, path, trials, kwargs = case
+    trace = run_schedule(schedule, replace(path, drift=None), trials=trials, **kwargs)
     recv = trace.server_recv_ns.reshape(len(trials), -1)
     assert (np.diff(recv, axis=1) >= 0).all()
     assert (trace.client_recv_ns >= trace.server_recv_ns).all()
@@ -312,13 +305,12 @@ def test_capacity_zero_misses_at_every_switch_match_scalar_reference(lookup, ins
     # mixed draw types each trial's Generator draws the lookup, then the installs.
     link = LinkSpec(100_000_000)
     switches = tuple(SwitchSpec(f"s{i}", install, table_capacity=0) for i in range(3))
-    path = PathSpec((link,) * 4, (link,), switches, DelayElementConfig())
-    controller = ControllerSpec(lookup_delay=lookup)
+    path = PathSpec((link,) * 4, (link,), switches, DelayElementConfig(), lookup_delay=lookup)
     schedule = build_probe_train(KEY)
     kwargs = dict(seed=7, group=0, warm=False)
     trials = range(4)
-    batched = run_schedule(schedule, path, controller, trials=trials, **kwargs)
-    assert batched == reference(schedule, path, controller, trials, kwargs)
+    batched = run_schedule(schedule, path, trials=trials, **kwargs)
+    assert batched == reference(schedule, path, trials, kwargs)
     probes = batched.kind == PROBE
     assert batched.miss_flag[probes].all() and batched.table_full[probes].all()
 
@@ -328,20 +320,20 @@ def test_one_flow_per_schedule_is_the_batched_engines_rule():
     # runs any packets, and each row keeps the flow of its own packet.
     other = FlowKey("10.0.0.3", "10.0.1.2")
     schedule = (Packet(0, KEY, 1500, PROBE, S), Packet(1, other, 1500, PROBE, 2 * S))
-    path, controller = _constant_path(), ControllerSpec()
+    path = _constant_path()
     with pytest.raises(ValueError, match="the batched engine runs one flow per schedule"):
-        run_schedule(schedule, path, controller, 1)
+        run_schedule(schedule, path, 1)
     for warm in (False, True):
-        trace = run_schedule_reference(schedule, path, controller, 1, warm=warm)
+        trace = run_schedule_reference(schedule, path, 1, warm=warm)
         assert trace.flow.tolist() == [KEY.compact(), other.compact()]
         assert trace.miss_flag.tolist() == [not warm] * 2
 
 
-def _constant_path(element=None):
+def _constant_path(element=None, **controller):
     # One switch, no cross traffic: 1500 B take 120 us per link, a miss costs 3 ms.
     switch = SwitchSpec("s0", constant(2_900_000))
     link = LinkSpec(100_000_000)
-    return PathSpec((link, link), (link,), (switch,), element)
+    return PathSpec((link, link), (link,), (switch,), element, lookup_delay=constant(100_000), **controller)
 
 
 def _probes(*sends, clear_at=None):
@@ -353,38 +345,26 @@ def _probes(*sends, clear_at=None):
 
 
 def test_exact_boundaries_match_scalar_reference():
-    lookup = ControllerSpec(lookup_delay=constant(100_000))
     cases = [
         # The third probe reaches the switch exactly when the install window
         # closes, and is held behind the second one, which paid the surcharge.
-        (_constant_path(), lookup, _probes(S, S, S + 3 * MS), False),
+        (_constant_path(), _probes(S, S, S + 3 * MS), False),
         # A pending CLEAR comes due exactly when the probe reaches the switch.
-        (
-            _constant_path(),
-            ControllerSpec(lookup_delay=constant(100_000), clear_delay_ns=S + 120_000 - 5_120),
-            _probes(S, S),
-            True,
-        ),
+        (_constant_path(clear_delay_ns=S + 120_000 - 5_120), _probes(S, S), True),
         # Deleting the rules deletes the flow's activity record: the miss after
         # the CLEAR opens a fresh follow-up window that holds the next probe.
         # The last probe comes exactly the inactivity threshold after it.
         (
-            _constant_path(DelayElementConfig()),
-            ControllerSpec(lookup_delay=constant(100_000), clear_delay_ns=0),
+            _constant_path(DelayElementConfig(), clear_delay_ns=0),
             _probes(S, 1_200 * MS, 1_300 * MS, 1_350 * MS, 6_350 * MS, clear_at=1_200 * MS),
             True,
         ),
         # The second probe reaches the switch exactly when the follow-up window
         # the first one opened closes (by a miss cold, by a hold warm), and
         # passes the element untouched.
-        *[
-            (_constant_path(DelayElementConfig()), lookup, _probes(S, S + DEFAULT_WINDOW_NS), warm)
-            for warm in (False, True)
-        ],
+        *[(_constant_path(DelayElementConfig()), _probes(S, S + DEFAULT_WINDOW_NS), warm) for warm in (False, True)],
     ]
-    for path, controller, schedule, warm in cases:
+    for path, schedule, warm in cases:
         kwargs = dict(seed=5, group=0, warm=warm)
         trials = range(3)
-        assert run_schedule(
-            schedule, path, controller, trials=trials, **kwargs
-        ) == reference(schedule, path, controller, trials, kwargs)
+        assert run_schedule(schedule, path, trials=trials, **kwargs) == reference(schedule, path, trials, kwargs)

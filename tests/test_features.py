@@ -15,7 +15,7 @@ from sdnfp.features import (
     label_samples,
     missing_reply,
 )
-from sdnfp.netsim import ControllerSpec, FlowKey, SwitchSpec, uniform_path
+from sdnfp.netsim import FlowKey, SwitchSpec, uniform_path
 from sdnfp.probes import Trace, build_probe_train, run_schedule
 from sdnfp.scenario import Scenario
 
@@ -66,7 +66,7 @@ def test_dispersion_example_reordered_negative():
 def test_dispersion_miss_pair_from_simulation():
     sw = SwitchSpec("hw1", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
-    trace = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(1))
+    trace = run_schedule(build_probe_train(KEY), path, 0, trials=range(1))
     first, second, _ = group_probes(trace)
     value = dispersion_ms(trace, first, second)[0]
     assert value == pytest.approx(5.12)
@@ -103,7 +103,7 @@ def test_delta_rtt_seeded_replay():
 
     def run(seed):
         path = uniform_path(4, 4, 100_000_000, cross_traffic=cross)
-        trace = run_schedule(build_probe_train(KEY), path, ControllerSpec(), seed, trials=range(1))
+        trace = run_schedule(build_probe_train(KEY), path, seed, trials=range(1))
         _, _, singles = group_probes(trace)
         return delta_rtt_ms(trace, singles[:1], singles[1:2])[0]
 
@@ -125,7 +125,7 @@ def test_delta_rtt_label_taxonomy():
 def test_label_samples_standard_train():
     sw = SwitchSpec("hw1", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
-    records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(1))
+    records = run_schedule(build_probe_train(KEY), path, 0, trials=range(1))
     samples = label_samples(records, SCENARIO)
     assert samples.label[samples.feature == "dispersion"].tolist() == ["Y", "N", "N", "N"]
     assert samples.label[samples.feature == "delta_rtt"].tolist() == ["Y"]
@@ -133,7 +133,7 @@ def test_label_samples_standard_train():
 
 def test_label_samples_prewarmed_all_n():
     path = uniform_path(4, 4, 100_000_000)
-    records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(1))
+    records = run_schedule(build_probe_train(KEY), path, 0, trials=range(1))
     samples = label_samples(records, SCENARIO)
     assert set(samples.label.tolist()) == {"N"}
 
@@ -142,7 +142,7 @@ def test_label_samples_clear_mid_stream():
     # The second CLEAR re-arms the miss: the first subsequent probe is Y.
     sw = SwitchSpec("hw1", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
-    records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(1))
+    records = run_schedule(build_probe_train(KEY), path, 0, trials=range(1))
     singles = records.miss_flag[np.isin(records.packet_id, (10, 11))].tolist()
     assert singles == [True, False]
 
@@ -168,7 +168,7 @@ def test_n_population_mean_near_zero_y_positive():
     cross = pareto(90_000, 2_000_000_000)
     sw = SwitchSpec("hw1", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
-    records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 8, trials=range(300))
+    records = run_schedule(build_probe_train(KEY), path, 8, trials=range(300))
     samples = label_samples(records, SCENARIO)
     y_rtt = samples.values("delta_rtt", "Y")
     n_disp = samples.values("dispersion", "N")
@@ -180,7 +180,7 @@ def test_n_population_mean_near_zero_y_positive():
 def test_feature_csv_round_trip(tmp_path):
     sw = SwitchSpec("hw1", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
-    records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(2))
+    records = run_schedule(build_probe_train(KEY), path, 0, trials=range(2))
     samples = label_samples(records, SCENARIO)
     out = tmp_path / "samples.csv"
     samples.write_csv(out)
@@ -193,7 +193,7 @@ def test_feature_csv_round_trip(tmp_path):
 def test_samples_values_selects_one_population():
     sw = SwitchSpec("hw1", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
-    records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(2))
+    records = run_schedule(build_probe_train(KEY), path, 0, trials=range(2))
     samples = label_samples(records, SCENARIO)
     n, y = samples.values("dispersion", "N"), samples.values("dispersion", "Y")
     assert len(n) == 6 and len(y) == 2
@@ -203,7 +203,7 @@ def test_samples_values_selects_one_population():
 def test_feature_csv_round_trips_rows_of_several_contexts(tmp_path):
     sw = SwitchSpec("hw1", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
-    records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), 0, trials=range(3))
+    records = run_schedule(build_probe_train(KEY), path, 0, trials=range(3))
     other = Scenario(name="other", seed=0, k=1, switch_kind="soft,ware", data_link_bps=10**9, time_span_ns=600 * S)
     samples = Samples.concat([label_samples(records, SCENARIO), label_samples(records, other)])
     out = tmp_path / "samples.csv"

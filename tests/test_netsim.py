@@ -5,6 +5,8 @@ reference model draws from RngStreams(seed), so the numbers are the reference
 model's.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +15,6 @@ from sdnfp.distributions import constant, lognormal, pareto
 from sdnfp.netsim import (
     CLEAR,
     STREAM_NAMES,
-    ControllerSpec,
     FlowKey,
     FlowTable,
     LinkSpec,
@@ -38,9 +39,9 @@ def hw_switch(install_ns=5 * MS, name="hw1", capacity=1024):
     return SwitchSpec(name, constant(install_ns), capacity)
 
 
-def run(path, *packets, seed=0, warm=False, controller=ControllerSpec()):
+def run(path, *packets, seed=0, warm=False):
     """The packets as one trial of the engine; a Trace, one row per packet."""
-    return run_schedule(packets, path, controller, seed, warm=warm)
+    return run_schedule(packets, path, seed, warm=warm)
 
 
 def rtt(trace):
@@ -61,10 +62,10 @@ def exchange_pair(path, size=1500, seed=0):
     return run(path, Packet(0, KEY, size), Packet(1, KEY, size), seed=seed).client_recv_ns.tolist()
 
 
-def miss_penalty(path, controller=ControllerSpec(), seed=0):
+def miss_penalty(path, seed=0):
     """(what a cold flow's first packet pays over a warm one's, its table_full flag)."""
-    cold = run(path, Packet(0, KEY, 1500), seed=seed, controller=controller)
-    warm = run(path, Packet(0, KEY, 1500), seed=seed, controller=controller, warm=True)
+    cold = run(path, Packet(0, KEY, 1500), seed=seed)
+    warm = run(path, Packet(0, KEY, 1500), seed=seed, warm=True)
     assert cold.miss_flag[0] and not warm.miss_flag[0]
     return int(rtt(cold)[0] - rtt(warm)[0]), bool(cold.table_full[0])
 
@@ -117,8 +118,7 @@ def test_table_miss_max_of_constants():
 
 def test_table_miss_includes_lookup():
     path = uniform_path(2, 2, 100_000_000, (hw_switch(4 * MS),))
-    controller = ControllerSpec(lookup_delay=constant(500_000))
-    assert miss_penalty(path, controller)[0] == 4_500_000
+    assert miss_penalty(replace(path, lookup_delay=constant(500_000)))[0] == 4_500_000
 
 
 def test_table_miss_seeded_replay():
@@ -276,8 +276,7 @@ def test_determinism_bit_identical():
     def client_recv(seed):
         path = uniform_path(4, 4, 100_000_000, (hw_switch(),), cross_traffic=cross)
         packets = [Packet(i, KEY, 1500, sent_at_ns=i * S) for i in range(20)]
-        controller = ControllerSpec(lookup_delay=constant(100_000))
-        return run(path, *packets, seed=seed, controller=controller).client_recv_ns.tolist()
+        return run(replace(path, lookup_delay=constant(100_000)), *packets, seed=seed).client_recv_ns.tolist()
 
     assert client_recv(42) == client_recv(42)
     assert client_recv(42) != client_recv(43)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sdnfp.distributions import constant, pareto
-from sdnfp.netsim import ControllerSpec, FlowKey, SwitchSpec, uniform_path
+from sdnfp.netsim import FlowKey, SwitchSpec, uniform_path
 from sdnfp.probes import (
     Trace,
     build_probe_train,
@@ -57,7 +57,7 @@ def test_train_pair_spacing_override():
 
 
 def test_run_train_single_trial_labels():
-    records = run_schedule(build_probe_train(KEY), default_path(), ControllerSpec(), 1, trials=range(1))
+    records = run_schedule(build_probe_train(KEY), default_path(), 1, trials=range(1))
     assert len(records) == 12
     flagged = records.packet_id[records.miss_flag].tolist()
     # First packet of the first pair, and the first tail single.
@@ -66,9 +66,7 @@ def test_run_train_single_trial_labels():
 
 
 def test_run_train_450_trials_label_counts():
-    records = run_schedule(
-        build_probe_train(KEY), default_path(), ControllerSpec(), 1, trials=range(450)
-    )
+    records = run_schedule(build_probe_train(KEY), default_path(), 1, trials=range(450))
     pair_first = np.isin(records.packet_id, (1, 3, 5, 7))
     assert (pair_first & records.miss_flag).sum() == 450
     assert (pair_first & ~records.miss_flag).sum() == 1350
@@ -82,13 +80,13 @@ def test_run_train_same_seed_identical():
 
     def run():
         path = uniform_path(4, 4, 100_000_000, (hw(),), cross_traffic=cross)
-        return run_schedule(build_probe_train(KEY), path, ControllerSpec(), 9, trials=range(3))
+        return run_schedule(build_probe_train(KEY), path, 9, trials=range(3))
 
     assert run() == run()
 
 
 def test_miss_flags_only_after_clears():
-    records = run_schedule(build_probe_train(KEY), default_path(), ControllerSpec(), 2, trials=range(4))
+    records = run_schedule(build_probe_train(KEY), default_path(), 2, trials=range(4))
     for trial in range(4):
         flagged = sorted(records.packet_id[(records.trial == trial) & records.miss_flag].tolist())
         assert flagged == [1, 10]
@@ -96,7 +94,7 @@ def test_miss_flags_only_after_clears():
 
 def test_label_soundness_matches_install_events():
     path = default_path()
-    records = run_schedule(build_probe_train(KEY), path, ControllerSpec(), seed=3)
+    records = run_schedule(build_probe_train(KEY), path, seed=3)
     assert records.miss_flag.sum() == 2  # one per CLEAR in the train
 
 
@@ -179,7 +177,7 @@ def test_passive_pairs_count_bound():
 
 
 def test_trace_csv_round_trip(tmp_path):
-    records = run_schedule(build_probe_train(KEY), default_path(), ControllerSpec(), 5, trials=range(2))
+    records = run_schedule(build_probe_train(KEY), default_path(), 5, trials=range(2))
     out = tmp_path / "traces.csv"
     records.write_csv(out)
     header = out.read_text().splitlines()[0]

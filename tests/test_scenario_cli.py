@@ -16,7 +16,8 @@ import sdnfp.cli as cli
 from sdnfp.cli import main
 from sdnfp.defense import DelayElementConfig
 from sdnfp.features import Samples
-from sdnfp.netsim import DriftModel
+from sdnfp.distributions import constant, pareto
+from sdnfp.netsim import DriftModel, LinkSpec, PathSpec, SwitchSpec
 from sdnfp.probes import PAIR_GAP_MAX_NS, build_probe_train, run_schedule, run_schedule_reference
 from sdnfp.scenario import (
     _CONFIG_FIELDS,
@@ -92,6 +93,33 @@ def test_zero_trains_config_error():
 def test_validation_k_fits_path():
     with pytest.raises(ConfigError):
         small(k=3, links_forward=3).validate()
+
+
+def test_build_path_carries_every_field_the_scenario_sets():
+    # The built-ins leave most of these at the spec defaults, so a field that
+    # build_path forgot would still run them unchanged.
+    cross, install, lookup = pareto(50_000, 10**9), constant(700_000), constant(250_000)
+    scenario = Scenario(
+        name="lab", seed=1, k=2, switch_kind="software", install_delay=install, table_capacity=7,
+        links_forward=5, links_reverse=2, data_link_bps=1_000_000_000, base_latency_ns=20_000,
+        cross_traffic=cross, defense=DelayElementConfig(), drift=DriftModel(2e5), reply_bytes=200,
+        turnaround_ns=30_000, lookup_delay=lookup, clear_delay_ns=3_000_000,
+    )
+    link = LinkSpec(1_000_000_000, 20_000, cross)
+    path = PathSpec(
+        forward_links=(link,) * 5,
+        reverse_links=(link,) * 2,
+        switches=(SwitchSpec("so1", install, 7), SwitchSpec("so2", install, 7)),
+        delay_element=DelayElementConfig(),
+        drift=DriftModel(2e5),
+        reply_bytes=200,
+        turnaround_ns=30_000,
+        lookup_delay=lookup,
+        clear_delay_ns=3_000_000,
+    )
+    assert scenario.build_path() == path
+    default = Scenario(name="lab", seed=1).build_path()
+    assert all(getattr(path, f.name) != getattr(default, f.name) for f in fields(PathSpec))
 
 
 def test_write_bundle_files(tmp_path):
@@ -330,7 +358,7 @@ def test_cross_traffic_of_kind_none_adds_no_delay():
     traces = []
     for cross in ({"kind": "none"}, None):
         s = scenario_from_config({"name": "k1-hw-100m", "cross_traffic": cross})
-        args = (build_probe_train(DEFAULT_FLOW), s.build_path(), s.build_controller(), s.seed)
+        args = (build_probe_train(DEFAULT_FLOW), s.build_path(), s.seed)
         traces.append((run_schedule(*args, trials=range(4)), run_schedule_reference(*args)))
     assert traces[0] == traces[1]
 
