@@ -27,14 +27,16 @@ so a reply overtaken by its predecessor's reverse-path jitter yields a
 negative measured dispersion.  The path's `drift` adds a slow wander to the
 server arrival.
 
-Two implementations share these semantics:
+Two implementations share these semantics and one outcome type,
+`ExchangeResult`:
 
 * `simulate_trials` is the engine.  It runs one single-flow schedule for many
   independent trials at once: every quantity above is a numpy array over a
   trial axis, and each packet x hop step applies the FIFO recursion to all
   trials together.  Flow-table contents, install windows, pending CLEARs,
-  full tables, delay-element activity and drift are per-trial state arrays;
-  the branches of the switch model are masks over them.
+  full tables and delay-element activity are per-trial state arrays; the
+  branches of the switch model are masks over them.  The drift and the
+  replies are added after the recursion, to one [packet, trial] array each.
 * `Simulation` is the scalar reference model: one trial, one packet at a
   time, with Python objects for tables and windows, drawing from the
   `RngStreams` it is given.  Only `probes.run_schedule_reference` runs it, and
@@ -227,11 +229,14 @@ class MissOutcome:
 
 @dataclass
 class ExchangeResult:
-    server_recv_ns: int
-    server_reply_send_ns: int
-    client_recv_ns: int
-    miss_flag: bool
-    table_full: bool
+    """Outcome of a round trip: scalars for one packet in the reference model,
+    [packet, trial] arrays (schedule and stream order) in the engine."""
+
+    server_recv_ns: int | np.ndarray
+    server_reply_send_ns: int | np.ndarray
+    client_recv_ns: int | np.ndarray
+    miss_flag: bool | np.ndarray
+    table_full: bool | np.ndarray
 
 
 STREAM_NAMES = ("cross", "control", "defense", "drift")
@@ -679,20 +684,6 @@ class Simulation:
 # -- trial-batched engine ---------------------------------------------------
 
 
-@dataclass
-class TrialTraces:
-    """Outcome of every packet of a schedule in every trial.
-
-    Each array is indexed [packet, trial], in schedule and stream order.
-    """
-
-    server_recv_ns: np.ndarray
-    server_reply_send_ns: np.ndarray
-    client_recv_ns: np.ndarray
-    miss_flag: np.ndarray
-    table_full: np.ndarray
-
-
 def _cross_delays(path: PathSpec, n_packets: int, streams: TrialStreams) -> list[np.ndarray]:
     """Per-link cross-traffic delays, forward links then reverse links.
 
@@ -714,33 +705,26 @@ def _cross_delays(path: PathSpec, n_packets: int, streams: TrialStreams) -> list
     return delays
 
 
-def _wander(drift: DriftModel | None, packets, streams: TrialStreams) -> list:
-    """Path-latency wander at each packet's send time, as [trial] arrays.
+def _wander(drift: DriftModel | None, packets, streams: TrialStreams):
+    """Path-latency wander at each packet's send time, a [packet, trial] array.
 
-    One `standard_normal()` per send time that advances the walk's clock, so
-    the `drift` stream is drawn as one block per trial; the walk accumulates
-    in the reference model's float operation order.
+    As in `Simulation._wander_at`, the walk's clock is the latest send time so
+    far and each send time that advances it takes one `standard_normal()`
+    step, so `drift` is drawn as one block per trial; the cumulative sum from
+    0.0 adds the steps in the reference model's order.
     """
     if drift is None:
-        return [0] * len(packets)
-    sends = [p.sent_at_ns for p in packets]
-    steps = []
-    t_prev = 0
-    for t in sends:
-        if t - t_prev > 0:
-            steps.append(((t - t_prev) / 1e9) ** 0.5)
-            t_prev = t
-    z = streams.block("drift", "standard_normal", len(steps))
-    walk = np.zeros(len(streams))
-    wander = []
-    j, t_prev = 0, 0
-    for t in sends:
-        if t - t_prev > 0:
-            walk = walk + z[:, j] * drift.sigma_ns_per_sqrt_s * steps[j]
-            j += 1
-            t_prev = t
-        wander.append(np.maximum(0.0, np.trunc(drift.base_ns + walk)).astype(np.int64))
-    return wander
+        return 0
+    dt = np.diff(np.maximum.accumulate([0, *(p.sent_at_ns for p in packets)]))
+    advances = dt > 0
+    # numpy's `** 0.5` is a sqrt, which rounds about one value in a thousand
+    # differently from C's pow; an object array keeps Python's float pow.
+    steps = ((dt[advances] / 1e9).astype(object) ** 0.5).astype(float)
+    z = streams.block("drift", "standard_normal", steps.size)
+    walk = np.zeros((len(streams), steps.size + 1))
+    walk[:, 1:] = np.cumsum(z * drift.sigma_ns_per_sqrt_s * steps, axis=1)
+    at_send = walk[:, np.cumsum(advances)].T  # after the steps taken up to each packet
+    return np.maximum(0.0, np.trunc(drift.base_ns + at_send)).astype(np.int64)
 
 
 class _TrialBatch:
@@ -911,8 +895,9 @@ def simulate_trials(
     streams: TrialStreams,
     *,
     warm: bool = False,
-) -> TrialTraces:
-    """Run one single-flow packet schedule as len(streams) independent trials.
+) -> ExchangeResult:
+    """Run one single-flow packet schedule as len(streams) independent trials;
+    each field of the result is a [packet, trial] array.
 
     Trial j draws only from row j of each of the batch's streams and
     produces exactly what `Simulation(path, RngStreams(seed, trials[j],
@@ -932,10 +917,6 @@ def simulate_trials(
     n_fwd = len(path.forward_links)
     n_switches = len(path.switches)
     cross = _cross_delays(path, len(packets), streams)
-    wander = _wander(path.drift, packets, streams)
-    reply_fixed = path.turnaround_ns + sum(
-        transmission_delay_ns(path.reply_bytes, l) + l.base_latency_ns for l in path.reverse_links
-    )
     state = _TrialBatch(path, streams, warm, len(packets))
     busy = [np.zeros(n_trials, np.int64) for _ in range(n_fwd)]
 
@@ -958,14 +939,16 @@ def simulate_trials(
             finish += transmission_delay_ns(pkt.size_bytes, link)
             busy[i] = finish
             ready = finish + link.base_latency_ns
-        server_recv[p] = ready + wander[p]
+        server_recv[p] = ready
+    server_recv += _wander(path.drift, packets, streams)
+    reply_send = server_recv + path.turnaround_ns
     # Replies do not queue: the reverse path is a sum of independent delays.
-    client_recv = server_recv + reply_fixed
-    for d in cross[n_fwd:]:
-        client_recv += d
-    return TrialTraces(
+    client_recv = reply_send + sum(
+        transmission_delay_ns(path.reply_bytes, l) + l.base_latency_ns for l in path.reverse_links
+    ) + sum(cross[n_fwd:])
+    return ExchangeResult(
         server_recv_ns=server_recv,
-        server_reply_send_ns=server_recv + path.turnaround_ns,
+        server_reply_send_ns=reply_send,
         client_recv_ns=client_recv,
         miss_flag=miss_flag,
         table_full=table_full,

@@ -41,9 +41,10 @@ the rest in one `np.loadtxt` call.  A `Trace` is the send/receive log of every
 packet and its reply: int64 arrays for the trial, the packet id and the four
 timestamps, bool arrays for the two flags, and arrays of str for the packet
 kind and the flow.  `run_schedule` builds one straight from the engine's
-[packet, trial] arrays, and a persisted trace reads back as the same type, so
-simulated and persisted traces go through the same extraction code.  A table
-has no per-row objects: it is built and read column by column.
+`netsim.ExchangeResult` of [packet, trial] arrays, and a persisted trace
+reads back as the same type, so simulated and persisted traces go through
+the same extraction code.  A table has no per-row objects: it is built and
+read column by column.
 
 Pairing.  `greedy_pair_starts` is the one greedy left-to-right pairing rule:
 over rows sorted within their groups, a row pairs with its successor when the
@@ -63,13 +64,13 @@ import numpy as np
 from .netsim import (
     CLEAR,
     PROBE,
+    ExchangeResult,
     FlowKey,
     Packet,
     PathSpec,
     RngStreams,
     Simulation,
     TrialStreams,
-    TrialTraces,
     simulate_trials,
 )
 from .units import NS_PER_S
@@ -298,13 +299,13 @@ def run_schedule_reference(
     warm_keys = tuple(dict.fromkeys(p.key for p in schedule)) if warm else ()
     sim = Simulation(path, streams, warm_keys=warm_keys)
     results = [sim.exchange(pkt) for pkt in schedule]
-    out = TrialTraces(*(np.array([[getattr(r, f.name)] for r in results]) for f in fields(TrialTraces)))
+    out = ExchangeResult(*(np.array([[getattr(r, f.name)] for r in results]) for f in fields(ExchangeResult)))
     return _schedule_trace(schedule, np.array([trial]), out)
 
 
-def _schedule_trace(packets: tuple[Packet, ...], trials: np.ndarray, out: TrialTraces) -> Trace:
-    """The rows of a schedule run once per trial, trial by trial, from the
-    engine's [packet, trial] output arrays."""
+def _schedule_trace(packets: tuple[Packet, ...], trials: np.ndarray, out: ExchangeResult) -> Trace:
+    """The rows of a schedule run once per trial, trial by trial, from an
+    `ExchangeResult` of [packet, trial] arrays."""
     n_trials = trials.size
 
     def per_packet(values, dtype=np.int64):
@@ -316,7 +317,7 @@ def _schedule_trace(packets: tuple[Packet, ...], trials: np.ndarray, out: TrialT
         kind=per_packet([p.kind for p in packets], object),
         flow=per_packet([p.key.compact() for p in packets], object),
         client_send_ns=per_packet([p.sent_at_ns for p in packets]),
-        **{f.name: getattr(out, f.name).T.reshape(-1) for f in fields(TrialTraces)},
+        **{f.name: getattr(out, f.name).T.reshape(-1) for f in fields(ExchangeResult)},
     )
 
 

@@ -126,7 +126,7 @@ class Scenario:
     drift: DriftModel | None = None
     idle_lead_ns: int = DEFAULT_IDLE_LEAD_NS
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
         if self.trains < 1:
@@ -300,7 +300,6 @@ class ResultBundle:
 
 def run_scenario(scenario: Scenario, out_dir: Path | str | None = None) -> ResultBundle:
     """Simulate, extract, and evaluate one scenario; optionally persist."""
-    scenario.validate()
     flow = DEFAULT_FLOW
 
     train = build_probe_train(
@@ -366,8 +365,8 @@ def scenario_descriptor(s: Scenario) -> dict:
 def read_scenario_descriptor(bundle_dir: Path | str) -> Scenario:
     """The scenario of a bundle's scenario.json sidecar, read as a config file
     with one entry, as `load_scenarios` reads its entries.  A missing or
-    unreadable file, or an entry that is malformed or fails
-    `Scenario.validate`, raises ConfigError naming the file."""
+    unreadable file, or an entry that is malformed or that `Scenario`
+    rejects, raises ConfigError naming the file."""
     path = Path(bundle_dir) / "scenario.json"
     raw = _read_json_object(path, "scenario")
     try:
@@ -645,9 +644,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
         fields = _fields({key: v for key, v in cfg.items() if key != "name"}, _CONFIG_FIELDS, "")
     except ConfigError as exc:
         raise ConfigError(f"{exc} in {source}") from None
-    scenario = replace(base, **fields)
-    scenario.validate()
-    return scenario
+    return replace(base, **fields)
 
 
 def scenario_to_config(s: Scenario) -> dict:

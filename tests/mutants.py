@@ -60,7 +60,7 @@ MUTANTS = (
      "engine: a trial is seeded by its position in the batch, not by its number"),
     ("netsim.py", "return lookup + np.max(installs, axis=0)", "return np.max(installs, axis=0)",
      "engine, Eq. 2: a miss pays the slowest install without the lookup"),
-    ("netsim.py", "reply_fixed = path.turnaround_ns + sum(", "reply_fixed = sum(",
+    ("netsim.py", "reply_send = server_recv + path.turnaround_ns", "reply_send = server_recv",
      "engine: the reply leaves the server without the path's turnaround"),
     ("netsim.py", "for m in methods] for t in idx]", "for m in methods[1:] + methods[:1]] for t in idx]",
      "engine, mixed draw types: a miss draws the installs before the lookup"),
@@ -76,6 +76,21 @@ MUTANTS = (
      "build_path: the server turns the reply around at once"),
     ("scenario.py", ", clear_delay_ns=self.clear_delay_ns)", ")",
      "build_path: a CLEAR keeps the default delay"),
+    ("netsim.py", "in_install = (self.win_start[s] <= now) & (now < self.win_start[s] + self.win_penalty[s])",
+     "in_install = np.zeros(now.shape, bool)",
+     "engine: a packet that arrives during an install is neither charged nor parked"),
+    ("netsim.py", "surcharge[idx] = charge", "surcharge[idx] = 0",
+     "engine: the packet that triggers a miss does not pay its charge"),
+    ("netsim.py", "surcharge[slow] = self.win_penalty[s][slow]",
+     "surcharge[slow] = self.win_start[s][slow] + self.win_penalty[s][slow] - now[slow]",
+     "engine: a packet that arrives during an install pays only what is left of it"),
+    ("stats.py", "out = mu + sigma * (", "out = mu - sigma * (",
+     "gpd_quantile: the quantiles lie below the location, not above it"),
+    ("netsim.py", "np.maximum.accumulate([0, *(p.sent_at_ns for p in packets)])",
+     "np.array([0, *(p.sent_at_ns for p in packets)])",
+     "engine: the drift walk's clock follows every send time, backwards too"),
+    ("netsim.py", "((dt[advances] / 1e9).astype(object) ** 0.5).astype(float)", "(dt[advances] / 1e9) ** 0.5",
+     "engine: a drift step is numpy's sqrt, not the reference model's pow"),
 )
 
 

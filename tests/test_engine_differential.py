@@ -363,8 +363,25 @@ def test_exact_boundaries_match_scalar_reference():
         # the first one opened closes (by a miss cold, by a hold warm), and
         # passes the element untouched.
         *[(_constant_path(DelayElementConfig()), _probes(S, S + DEFAULT_WINDOW_NS), warm) for warm in (False, True)],
+        # At this send time numpy's sqrt and Python's `** 0.5` differ in the
+        # last bit of the drift step; a walk this wide turns that bit into
+        # hundreds of ns.
+        (replace(_constant_path(), drift=DriftModel(1e17, base_ns=0)), _probes(554_749_700_444), False),
     ]
     for path, schedule, warm in cases:
         kwargs = dict(seed=5, group=0, warm=warm)
         trials = range(3)
         assert run_schedule(schedule, path, trials=trials, **kwargs) == reference(schedule, path, trials, kwargs)
+
+
+def test_drift_walk_keeps_its_clock_on_an_out_of_order_schedule():
+    # The walk steps only when a send time passes every earlier one, by the
+    # time since the latest of them: the packets sent at 1 s and at 2 s + 5 ns
+    # take no step, and the one at 3 s steps by 1 s.
+    link = LinkSpec(100_000_000, 0, pareto(90_000, 2_000_000_000))
+    path = PathSpec((link, link), (link,), (SwitchSpec("s0", constant(5 * MS)),), drift=DriftModel(2e6, base_ns=0))
+    sends = (2 * S, S, S, 3 * S, 2 * S + 5)
+    schedule = tuple(Packet(pid, KEY, 1500, PROBE, t) for pid, t in enumerate(sends))
+    kwargs = dict(seed=7, group=0, warm=False)
+    trials = [0, 5, 9]
+    assert run_schedule(schedule, path, trials=trials, **kwargs) == reference(schedule, path, trials, kwargs)

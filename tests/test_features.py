@@ -1,5 +1,7 @@
 """Feature extraction and ground-truth labeling."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -204,7 +206,9 @@ def test_feature_csv_round_trips_rows_of_several_contexts(tmp_path):
     sw = SwitchSpec("hw1", constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_schedule(build_probe_train(KEY), path, 0, trials=range(3))
-    other = Scenario(name="other", seed=0, k=1, switch_kind="soft,ware", data_link_bps=10**9, time_span_ns=600 * S)
+    # No Scenario accepts a switch kind with a comma; this context's rows
+    # carry one, so the CSV quotes a text field.
+    other = SimpleNamespace(k=1, switch_kind="soft,ware", data_link_bps=10**9, time_span_ns=600 * S)
     samples = Samples.concat([label_samples(records, SCENARIO), label_samples(records, other)])
     out = tmp_path / "samples.csv"
     samples.write_csv(out)

@@ -92,7 +92,7 @@ def test_zero_trains_config_error():
 
 def test_validation_k_fits_path():
     with pytest.raises(ConfigError):
-        small(k=3, links_forward=3).validate()
+        small(k=3, links_forward=3)
 
 
 def test_build_path_carries_every_field_the_scenario_sets():
