@@ -108,6 +108,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    if args.window_s is not None and not args.passive:
+        raise ConfigError("window-s: only --passive pairs probes by a window; trains pair by their plan")
     trace = read_trace_csv(args.traces)
     scenario = read_scenario_descriptor(Path(args.traces).parent)
     drops = features_mod.DropCounts()
@@ -246,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--window-s", type=float, dest="window_s",
-        help="passive pairing window in seconds (default: the sidecar's passive_window)",
+        help="passive pairing window in seconds, with --passive only (default: the sidecar's passive_window)",
     )
 
     p = sub.add_parser("eer", help="equal error rate from a feature sample CSV")

@@ -33,8 +33,8 @@ Two implementations share these semantics and one outcome type,
 * `simulate_trials` is the engine.  It runs one single-flow schedule for many
   independent trials at once: every quantity above is a numpy array over a
   trial axis, and each packet x hop step applies the FIFO recursion to all
-  trials together.  Flow-table contents, install windows, pending CLEARs,
-  full tables and delay-element activity are per-trial state arrays; the
+  trials together.  Whether the flow's rules are installed, install windows,
+  pending CLEARs and delay-element activity are per-trial state arrays; the
   branches of the switch model are masks over them.  The drift and the
   replies are added after the recursion, to one [packet, trial] array each.
 * `Simulation` is the scalar reference model: one trial, one packet at a
@@ -131,14 +131,14 @@ class FlowTable:
 class LinkSpec:
     capacity_bps: int
     base_latency_ns: int = 0
-    cross_traffic: DelayModel | None = None
+    cross_traffic: DelayModel = NO_DELAY
 
     def __post_init__(self):
         if self.capacity_bps <= 0:
             raise ValueError("link capacity must be positive")
         if self.base_latency_ns < 0:
             raise ValueError("base latency must be >= 0")
-        if self.cross_traffic is not None and self.cross_traffic.kind not in CROSS_TRAFFIC_KINDS:
+        if self.cross_traffic.kind not in CROSS_TRAFFIC_KINDS:
             raise ValueError(f"cross traffic must be one of {'/'.join(CROSS_TRAFFIC_KINDS)}, not {self.cross_traffic.kind!r}")
 
 
@@ -146,7 +146,6 @@ class LinkSpec:
 class SwitchSpec:
     """Immutable switch description; each simulation builds its own flow table."""
 
-    id: str
     install_delay: DelayModel
     table_capacity: int = DEFAULT_TABLE_CAPACITY
 
@@ -223,8 +222,10 @@ def transmission_delay_ns(size_bytes: int, link: LinkSpec) -> int:
 
 @dataclass
 class MissOutcome:
+    """A miss's charge and the path positions of the tables it found full."""
+
     penalty_ns: int
-    full_switch_ids: tuple[str, ...]
+    full_switch_ids: tuple[int, ...]
 
 
 @dataclass
@@ -481,22 +482,6 @@ class RngStreams:
         return gen
 
 
-def miss_charge_ns(path: PathSpec, gen: np.random.Generator) -> int:
-    """Lookup delay plus the slowest switch's install delay.
-
-    Draws the lookup first, then one install per switch in path order; the
-    controller reconfigures every switch at once, so only the slowest install
-    is visible.
-    """
-    if not path.switches:
-        raise ValueError("table miss needs at least one switch")
-    penalty = path.lookup_delay.sample_ns(gen)
-    max_install = 0
-    for sw in path.switches:
-        max_install = max(max_install, sw.install_delay.sample_ns(gen))
-    return penalty + max_install
-
-
 def handle_table_miss(
     key: FlowKey,
     path: PathSpec,
@@ -505,18 +490,21 @@ def handle_table_miss(
 ) -> MissOutcome:
     """Install `key` bidirectionally at every switch, return the charge.
 
-    `tables` are the simulation's flow tables, one per switch.  A full table
-    skips the install (the packet is still forwarded) and is reported, not
-    raised.
+    The charge is the lookup delay plus the slowest switch's install delay,
+    as the controller reconfigures every switch at once; the `control`
+    stream draws the lookup first, then one install per switch in path
+    order.  `tables` are the simulation's flow tables, one per switch.  A
+    full table skips the install (the packet is still forwarded) and is
+    reported by its position, not raised.
     """
-    penalty = miss_charge_ns(path, streams.control)
-    full: list[str] = []
-    for sw, table in zip(path.switches, tables):
-        ok_fwd = table.install(key)
-        ok_rev = table.install(key.reversed())
-        if not (ok_fwd and ok_rev):
-            full.append(sw.id)
-    return MissOutcome(penalty_ns=penalty, full_switch_ids=tuple(full))
+    penalty = path.lookup_delay.sample_ns(streams.control)
+    max_install = 0
+    full: list[int] = []
+    for s, (sw, table) in enumerate(zip(path.switches, tables)):
+        max_install = max(max_install, sw.install_delay.sample_ns(streams.control))
+        if not all([table.install(key), table.install(key.reversed())]):
+            full.append(s)
+    return MissOutcome(penalty_ns=penalty + max_install, full_switch_ids=tuple(full))
 
 
 class _InstallWindow:
@@ -651,7 +639,7 @@ class Simulation:
                 table_full = table_full or full
             else:
                 surcharge = 0
-            d = link.cross_traffic.sample_ns(self.streams.cross) if link.cross_traffic else 0
+            d = link.cross_traffic.sample_ns(self.streams.cross)
             start = max(ready, self.fwd_busy_ns[i])
             finish = start + surcharge + d + transmission_delay_ns(packet.size_bytes, link)
             self.fwd_busy_ns[i] = finish
@@ -663,7 +651,7 @@ class Simulation:
         """Small replies do not queue: independent per-hop delays only."""
         t = server_send_ns
         for link in self.path.reverse_links:
-            d = link.cross_traffic.sample_ns(self.streams.cross) if link.cross_traffic else 0
+            d = link.cross_traffic.sample_ns(self.streams.cross)
             t += d + transmission_delay_ns(self.path.reply_bytes, link) + link.base_latency_ns
         return t
 
@@ -692,8 +680,7 @@ def _cross_delays(path: PathSpec, n_packets: int, streams: TrialStreams) -> list
     one `random()` per Pareto hop: the order in which the reference model
     draws them.
     """
-    links = (*path.forward_links, *path.reverse_links)
-    models = [l.cross_traffic or NO_DELAY for l in links]
+    models = [l.cross_traffic for l in (*path.forward_links, *path.reverse_links)]
     shape = (n_packets, len(streams))
     delays = [np.broadcast_to(np.int64(m.value_ns), shape) for m in models]
     drawn = [j for j, m in enumerate(models) if m.draw_type]
@@ -731,9 +718,10 @@ class _TrialBatch:
     """Switch and controller state of many trials, one array entry per trial.
 
     Mirrors Simulation's `_apply_pending_clear` and `_switch_process` with
-    masks in place of branches.  The flow's rules at switch s are
-    counted in rules[s]: 0 none, 1 the forward key only (what a capacity-1
-    table keeps), 2 both directions.
+    masks in place of branches.  A miss installs the flow at every switch and
+    a CLEAR wipes every switch, so one `installed` flag per trial says whether
+    the flow has rules; a switch with no room for a rule (`no_rules[s]`)
+    misses whatever the flag says.
 
     The `control` and `defense` streams are drawn as one [trial, value] block
     from `TrialStreams.block`, on the first event that needs them, and read
@@ -773,8 +761,8 @@ class _TrialBatch:
         self.control = self.defense = None  # [trial, value] blocks, drawn on first use
         self.control_next = np.zeros(n, np.intp)
         self.defense_next = np.zeros(n, np.intp)
-        self.full_rules = [min(2, sw.table_capacity) for sw in path.switches]
-        self.rules = [np.full(n, r if warm else 0, np.int8) for r in self.full_rules]
+        self.installed = np.full(n, warm)
+        self.no_rules = [sw.table_capacity == 0 for sw in path.switches]
         # Per switch, the install window [start, start + penalty); a CLEAR zeroes the penalty.
         self.win_start = [np.zeros(n, np.int64) for _ in range(k)]
         self.win_penalty = [np.zeros(n, np.int64) for _ in range(k)]
@@ -790,8 +778,7 @@ class _TrialBatch:
         if not self.clear_pending.any():
             return
         done = self.clear_pending & (now >= self.clear_at)
-        for held in self.rules:
-            held[done] = 0
+        self.installed[done] = False
         for w in self.win_penalty:
             w[done] = 0
         self.seen[done] = False
@@ -812,31 +799,27 @@ class _TrialBatch:
         self.seen[:] = True
         return delayed, first
 
-    def switch_process(self, s: int, now: np.ndarray, miss_flag, table_full):
+    def switch_process(self, s: int, now: np.ndarray, miss_flag):
         """A probe reaches switch s; returns (ready, surcharge).
 
-        Sets the probe's miss_flag and table_full entries of trials that miss.
+        Sets the probe's miss_flag entries of trials that miss.
         """
         if self.element is not None and s == 0:
             delayed, first = self.select_bucket(now)
         in_install = (self.win_start[s] <= now) & (now < self.win_start[s] + self.win_penalty[s])
-        miss = self.rules[s] == 0
+        miss = ~self.installed | self.no_rules[s]
         ready = now.copy()
         surcharge = np.zeros_like(now)
         idx = np.flatnonzero(miss)
         if idx.size:
             charge = self._miss_charges(idx)
-            full = np.zeros(idx.size, bool)
-            for held, n in zip(self.rules, self.full_rules):
-                held[idx] = np.maximum(held[idx], n)
-                full |= held[idx] < 2
+            self.installed[idx] = True
             at = now[idx]
             self.win_start[s][idx] = at
             self.win_penalty[s][idx] = charge
             self.last_release[idx] = at + charge
             surcharge[idx] = charge
             miss_flag[idx] = True
-            table_full[idx] |= full
         rest = ~miss
         if self.element is not None and s == 0:
             parked = rest & (in_install | delayed)
@@ -923,7 +906,6 @@ def simulate_trials(
     shape = (len(packets), n_trials)
     server_recv = np.empty(shape, np.int64)
     miss_flag = np.zeros(shape, bool)
-    table_full = np.zeros(shape, bool)
     for p, pkt in enumerate(packets):
         ready = np.full(n_trials, pkt.sent_at_ns, np.int64)
         for i, link in enumerate(path.forward_links):
@@ -932,7 +914,7 @@ def simulate_trials(
             if 0 <= s < n_switches:
                 state.apply_pending_clear(ready)
                 if pkt.kind != CLEAR:
-                    ready, surcharge = state.switch_process(s, ready, miss_flag[p], table_full[p])
+                    ready, surcharge = state.switch_process(s, ready, miss_flag[p])
                 elif s == 0:
                     state.schedule_clear(ready)
             finish = np.maximum(ready, busy[i]) + surcharge + cross[i][p]
@@ -951,22 +933,7 @@ def simulate_trials(
         server_reply_send_ns=reply_send,
         client_recv_ns=client_recv,
         miss_flag=miss_flag,
-        table_full=table_full,
+        # A miss installs at every switch: it fills each table with room for fewer than two rules.
+        table_full=miss_flag & any(sw.table_capacity < 2 for sw in path.switches),
     )
 
-
-def uniform_path(
-    n_forward: int,
-    n_reverse: int,
-    capacity_bps: int,
-    switches: tuple[SwitchSpec, ...] = (),
-    cross_traffic: DelayModel | None = None,
-    base_latency_ns: int = 0,
-) -> PathSpec:
-    """Convenience constructor for equal-capacity paths."""
-    link = LinkSpec(capacity_bps, base_latency_ns, cross_traffic)
-    return PathSpec(
-        forward_links=(link,) * n_forward,
-        reverse_links=(link,) * n_reverse,
-        switches=switches,
-    )

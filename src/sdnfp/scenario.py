@@ -59,7 +59,7 @@ from .distributions import (
 from .features import FEATURES, DropCounts, Samples, label_samples
 from .netsim import (
     DEFAULT_CLEAR_DELAY_NS, DEFAULT_REPLY_BYTES, DEFAULT_TABLE_CAPACITY,
-    DriftModel, FlowKey, PathSpec, SwitchSpec, uniform_path,
+    DriftModel, FlowKey, LinkSpec, PathSpec, SwitchSpec,
 )
 from .probes import (
     DEFAULT_IDLE_LEAD_NS, DEFAULT_MTU_BYTES, Table, Trace, build_probe_train, idle_flow_probes, run_schedule,
@@ -163,35 +163,20 @@ class Scenario:
         if self.defense is not None and self.idle_lead_ns <= self.defense.t_th_ns:
             raise ConfigError("idle_lead: must exceed the defense inactivity threshold")
 
-    def effective_install_delay(self) -> DelayModel:
-        if self.install_delay is not None:
-            return self.install_delay
-        return HW_INSTALL if self.switch_kind == HARDWARE else SW_INSTALL
-
     def build_path(self) -> PathSpec:
         """The uniform path of k switches, with the delay element, when
         defended, at the outermost one, and the scenario's controller delays,
-        drift, reply size and server turnaround."""
-        install = self.effective_install_delay()
-        switches = tuple(
-            SwitchSpec(
-                id=f"{self.switch_kind[:2]}{i + 1}",
-                install_delay=install,
-                table_capacity=self.table_capacity,
-            )
-            for i in range(self.k)
+        drift, reply size and server turnaround.  The install delay defaults
+        to the switch kind's, and a link with no cross traffic is quiet."""
+        install = self.install_delay or (HW_INSTALL if self.switch_kind == HARDWARE else SW_INSTALL)
+        link = LinkSpec(self.data_link_bps, self.base_latency_ns, self.cross_traffic or NO_DELAY)
+        return PathSpec(
+            forward_links=(link,) * self.links_forward, reverse_links=(link,) * self.links_reverse,
+            switches=(SwitchSpec(install, self.table_capacity),) * self.k,
+            delay_element=self.defense, drift=self.drift,
+            reply_bytes=self.reply_bytes, turnaround_ns=self.turnaround_ns,
+            lookup_delay=self.lookup_delay, clear_delay_ns=self.clear_delay_ns,
         )
-        path = uniform_path(
-            n_forward=self.links_forward,
-            n_reverse=self.links_reverse,
-            capacity_bps=self.data_link_bps,
-            switches=switches,
-            cross_traffic=self.cross_traffic,
-            base_latency_ns=self.base_latency_ns,
-        )
-        return replace(path, delay_element=self.defense, drift=self.drift,
-                       reply_bytes=self.reply_bytes, turnaround_ns=self.turnaround_ns,
-                       lookup_delay=self.lookup_delay, clear_delay_ns=self.clear_delay_ns)
 
 
 def builtin_scenarios() -> dict[str, Scenario]:

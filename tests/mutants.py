@@ -66,15 +66,15 @@ MUTANTS = (
      "engine, mixed draw types: a miss draws the installs before the lookup"),
     ("netsim.py", "self.clear_at = now + self.path.clear_delay_ns", "self.clear_at = now",
      "engine: a CLEAR deletes the rules at once, without the path's CLEAR delay"),
-    ("scenario.py", "table_capacity=self.table_capacity,", "",
+    ("scenario.py", "SwitchSpec(install, self.table_capacity)", "SwitchSpec(install)",
      "build_path: the switches keep the default table capacity"),
-    ("scenario.py", "base_latency_ns=self.base_latency_ns,", "",
+    ("scenario.py", "self.data_link_bps, self.base_latency_ns,", "self.data_link_bps, 0,",
      "build_path: the links keep no base latency"),
-    ("scenario.py", "reply_bytes=self.reply_bytes, ", "",
+    ("scenario.py", "reply_bytes=self.reply_bytes,", "",
      "build_path: the reply keeps the default size"),
-    ("scenario.py", " turnaround_ns=self.turnaround_ns,", "",
+    ("scenario.py", "turnaround_ns=self.turnaround_ns,", "",
      "build_path: the server turns the reply around at once"),
-    ("scenario.py", ", clear_delay_ns=self.clear_delay_ns)", ")",
+    ("scenario.py", "clear_delay_ns=self.clear_delay_ns,", "",
      "build_path: a CLEAR keeps the default delay"),
     ("netsim.py", "in_install = (self.win_start[s] <= now) & (now < self.win_start[s] + self.win_penalty[s])",
      "in_install = np.zeros(now.shape, bool)",
@@ -91,6 +91,12 @@ MUTANTS = (
      "engine: the drift walk's clock follows every send time, backwards too"),
     ("netsim.py", "((dt[advances] / 1e9).astype(object) ** 0.5).astype(float)", "(dt[advances] / 1e9) ** 0.5",
      "engine: a drift step is numpy's sqrt, not the reference model's pow"),
+    ("netsim.py", "sw.table_capacity < 2", "sw.table_capacity < 1",
+     "engine: a miss at a capacity-1 switch, which keeps the forward rule only, fills no table"),
+    ("netsim.py", "miss = ~self.installed | self.no_rules[s]", "miss = ~self.installed",
+     "engine: a zero-capacity switch misses only until the flow's first install"),
+    ("netsim.py", "self.installed[done] = False", "pass",
+     "engine: a CLEAR leaves the flow's rules installed"),
 )
 
 

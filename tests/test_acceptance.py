@@ -26,6 +26,7 @@ from sdnfp.scenario import builtin_scenarios, drift_variant, run_scenario
 from sdnfp.stats import GPDParams, compute_eer, fit_gpd
 
 from gpd_sampler import gpd_sample
+from paths import uniform_path
 
 S = 1_000_000_000
 HW_NAMES = ("k1-hw-100m", "k2-hw-100m", "k3-hw-100m")
@@ -188,7 +189,6 @@ def test_criterion_6_defense_effectiveness(undefended, defended):
 
 def test_criterion_7_zero_cost_when_active():
     from sdnfp.distributions import lognormal, pareto
-    from sdnfp.netsim import uniform_path
 
     key = FlowKey("10.0.0.2", "10.0.1.2")
     cross = pareto(90_000, 2_000_000_000)
@@ -199,7 +199,7 @@ def test_criterion_7_zero_cost_when_active():
     packets = tuple(Packet(i, key, 1500, sent_at_ns=(i + 1) * 100_000_000 if i else 0) for i in range(10_001))
 
     def run(defended):
-        sw = SwitchSpec("hw1", lognormal(4_500_000, 0.6))
+        sw = SwitchSpec(lognormal(4_500_000, 0.6))
         path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
         if defended:
             path = replace(path, delay_element=DelayElementConfig())

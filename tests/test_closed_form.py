@@ -34,7 +34,7 @@ def transmission_ns(size_bytes, link):
 
 
 def cross_ns(link):
-    return link.cross_traffic.value_ns if link.cross_traffic else 0
+    return link.cross_traffic.value_ns
 
 
 def closed_form(packets, path, warm):
@@ -84,7 +84,7 @@ def test_engine_traces_are_the_closed_form_in_the_deterministic_limit(k, bps, re
     schedules = [build_probe_train(DEFAULT_FLOW, 1500, spacing) for spacing in (0, 50_000, 3 * MS)]
     schedules.append(idle_flow_probes(DEFAULT_FLOW, 1500, S))
     for capacity in (0, 1, 1024):
-        switches = tuple(SwitchSpec(f"s{j}", constant(INSTALLS[j]), capacity) for j in range(k))
+        switches = tuple(SwitchSpec(constant(INSTALLS[j]), capacity) for j in range(k))
         path = PathSpec(tuple(forward), tuple(reverse), switches, reply_bytes=reply_bytes,
                         turnaround_ns=TURNAROUND, lookup_delay=constant(100_000))
         for schedule in schedules:

@@ -24,13 +24,13 @@ from sdnfp.netsim import (
     Packet,
     PathSpec,
     SwitchSpec,
-    uniform_path,
 )
 from sdnfp.probes import run_schedule
 from sdnfp.scenario import ConfigError, scenario_from_config
 from sdnfp.stats import GPDParams, fit_gpd
 
 from gpd_sampler import gpd_sample
+from paths import uniform_path
 
 S = 1_000_000_000
 MS = 1_000_000
@@ -44,7 +44,7 @@ def support_upper(params):
 
 
 def defended_path(install_ns=5 * MS, cfg=CFG):
-    sw = SwitchSpec("hw1", constant(install_ns))
+    sw = SwitchSpec(constant(install_ns))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     return replace(path, delay_element=cfg)
 
@@ -129,7 +129,7 @@ def test_warm_active_flow_identical_timing():
     packets = [Packet(i, KEY, 1500, sent_at_ns=(i + 1) * 100 * MS if i else 0) for i in range(2_001)]
 
     def client_recv(defended):
-        sw = SwitchSpec("hw1", lognormal(4_500_000, 0.6))
+        sw = SwitchSpec(lognormal(4_500_000, 0.6))
         path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
         if defended:
             path = replace(path, delay_element=CFG)
@@ -141,7 +141,7 @@ def test_warm_active_flow_identical_timing():
 def test_cold_flow_without_miss_still_delayed():
     # Rules pre-installed, activity cold: the element mimics an install.
     defended = run(defended_path(), Packet(0, KEY, 1500, sent_at_ns=0), seed=1, warm=True)
-    plain_path = uniform_path(4, 4, 100_000_000, (SwitchSpec("hw1", constant(5 * MS)),))
+    plain_path = uniform_path(4, 4, 100_000_000, (SwitchSpec(constant(5 * MS)),))
     plain = run(plain_path, Packet(0, KEY, 1500, sent_at_ns=0), seed=1, warm=True)
     assert not defended.miss_flag[0]
     extra_ms = (rtt(defended)[0] - rtt(plain)[0]) / MS

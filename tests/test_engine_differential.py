@@ -37,7 +37,6 @@ KEY = FlowKey("10.0.0.2", "10.0.1.2")
 
 CROSS = st.sampled_from(
     [
-        None,
         NO_DELAY,
         constant(50_000),
         pareto(90_000, 2_000_000_000),
@@ -65,7 +64,7 @@ def cases(draw):
 
     forward = links(draw(st.integers(k + 1, k + 2)))
     switches = tuple(
-        SwitchSpec(f"s{i}", draw(INSTALL), draw(st.sampled_from([0, 1, 1024]))) for i in range(k)
+        SwitchSpec(draw(INSTALL), draw(st.sampled_from([0, 1, 1024]))) for _ in range(k)
     )
     element = None
     if draw(st.booleans()):
@@ -241,7 +240,7 @@ def test_a_slower_install_lengthens_y_pairs_and_leaves_n_pairs_alone(name):
     # The miss charge is the lookup plus the slowest switch's install (Eq. 2),
     # and only a pair that triggered a miss pays it.
     scenario = builtin_scenarios()[name]
-    install = scenario.effective_install_delay()
+    install = scenario.build_path().switches[0].install_delay
     raised = replace(install, median_ns=install.median_ns * 4 // 3)
     fast = constant(100_000)  # below every draw of `install`: switch 0 is always the slowest
     k = scenario.k
@@ -258,7 +257,7 @@ def test_a_slower_lookup_lengthens_y_pairs_and_leaves_n_pairs_alone(name):
     # (Eq. 2); a constant lookup draws nothing, so every other delay stays.
     scenario = builtin_scenarios()[name]
     assert scenario.lookup_delay == constant(100_000)
-    installs = [scenario.effective_install_delay()] * scenario.k
+    installs = [scenario.build_path().switches[0].install_delay] * scenario.k
     slower = replace(scenario, lookup_delay=constant(200_000))
     assert_only_y_pairs_lengthen(pair_dispersions(scenario, installs), pair_dispersions(slower, installs))
 
@@ -304,7 +303,7 @@ def test_capacity_zero_misses_at_every_switch_match_scalar_reference(lookup, ins
     # the control block must hold n_packets x k draws per model, and with
     # mixed draw types each trial's Generator draws the lookup, then the installs.
     link = LinkSpec(100_000_000)
-    switches = tuple(SwitchSpec(f"s{i}", install, table_capacity=0) for i in range(3))
+    switches = (SwitchSpec(install, table_capacity=0),) * 3
     path = PathSpec((link,) * 4, (link,), switches, DelayElementConfig(), lookup_delay=lookup)
     schedule = build_probe_train(KEY)
     kwargs = dict(seed=7, group=0, warm=False)
@@ -331,7 +330,7 @@ def test_one_flow_per_schedule_is_the_batched_engines_rule():
 
 def _constant_path(element=None, **controller):
     # One switch, no cross traffic: 1500 B take 120 us per link, a miss costs 3 ms.
-    switch = SwitchSpec("s0", constant(2_900_000))
+    switch = SwitchSpec(constant(2_900_000))
     link = LinkSpec(100_000_000)
     return PathSpec((link, link), (link,), (switch,), element, lookup_delay=constant(100_000), **controller)
 
@@ -379,7 +378,7 @@ def test_drift_walk_keeps_its_clock_on_an_out_of_order_schedule():
     # time since the latest of them: the packets sent at 1 s and at 2 s + 5 ns
     # take no step, and the one at 3 s steps by 1 s.
     link = LinkSpec(100_000_000, 0, pareto(90_000, 2_000_000_000))
-    path = PathSpec((link, link), (link,), (SwitchSpec("s0", constant(5 * MS)),), drift=DriftModel(2e6, base_ns=0))
+    path = PathSpec((link, link), (link,), (SwitchSpec(constant(5 * MS)),), drift=DriftModel(2e6, base_ns=0))
     sends = (2 * S, S, S, 3 * S, 2 * S + 5)
     schedule = tuple(Packet(pid, KEY, 1500, PROBE, t) for pid, t in enumerate(sends))
     kwargs = dict(seed=7, group=0, warm=False)

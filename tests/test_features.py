@@ -17,9 +17,11 @@ from sdnfp.features import (
     label_samples,
     missing_reply,
 )
-from sdnfp.netsim import FlowKey, SwitchSpec, uniform_path
+from sdnfp.netsim import FlowKey, SwitchSpec
 from sdnfp.probes import Trace, build_probe_train, run_schedule
 from sdnfp.scenario import Scenario
+
+from paths import uniform_path
 
 S = 1_000_000_000
 MS = 1_000_000
@@ -66,7 +68,7 @@ def test_dispersion_example_reordered_negative():
 
 
 def test_dispersion_miss_pair_from_simulation():
-    sw = SwitchSpec("hw1", constant(5 * MS))
+    sw = SwitchSpec(constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     trace = run_schedule(build_probe_train(KEY), path, 0, trials=range(1))
     first, second, _ = group_probes(trace)
@@ -125,7 +127,7 @@ def test_delta_rtt_label_taxonomy():
 
 
 def test_label_samples_standard_train():
-    sw = SwitchSpec("hw1", constant(5 * MS))
+    sw = SwitchSpec(constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_schedule(build_probe_train(KEY), path, 0, trials=range(1))
     samples = label_samples(records, SCENARIO)
@@ -142,7 +144,7 @@ def test_label_samples_prewarmed_all_n():
 
 def test_label_samples_clear_mid_stream():
     # The second CLEAR re-arms the miss: the first subsequent probe is Y.
-    sw = SwitchSpec("hw1", constant(5 * MS))
+    sw = SwitchSpec(constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_schedule(build_probe_train(KEY), path, 0, trials=range(1))
     singles = records.miss_flag[np.isin(records.packet_id, (10, 11))].tolist()
@@ -168,7 +170,7 @@ def test_label_samples_counts_drops():
 
 def test_n_population_mean_near_zero_y_positive():
     cross = pareto(90_000, 2_000_000_000)
-    sw = SwitchSpec("hw1", constant(5 * MS))
+    sw = SwitchSpec(constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
     records = run_schedule(build_probe_train(KEY), path, 8, trials=range(300))
     samples = label_samples(records, SCENARIO)
@@ -180,7 +182,7 @@ def test_n_population_mean_near_zero_y_positive():
 
 
 def test_feature_csv_round_trip(tmp_path):
-    sw = SwitchSpec("hw1", constant(5 * MS))
+    sw = SwitchSpec(constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_schedule(build_probe_train(KEY), path, 0, trials=range(2))
     samples = label_samples(records, SCENARIO)
@@ -193,7 +195,7 @@ def test_feature_csv_round_trip(tmp_path):
 
 
 def test_samples_values_selects_one_population():
-    sw = SwitchSpec("hw1", constant(5 * MS))
+    sw = SwitchSpec(constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_schedule(build_probe_train(KEY), path, 0, trials=range(2))
     samples = label_samples(records, SCENARIO)
@@ -203,7 +205,7 @@ def test_samples_values_selects_one_population():
 
 
 def test_feature_csv_round_trips_rows_of_several_contexts(tmp_path):
-    sw = SwitchSpec("hw1", constant(5 * MS))
+    sw = SwitchSpec(constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_schedule(build_probe_train(KEY), path, 0, trials=range(3))
     # No Scenario accepts a switch kind with a comma; this context's rows

@@ -23,20 +23,22 @@ from sdnfp.netsim import (
     RngStreams,
     SwitchSpec,
     TrialStreams,
+    handle_table_miss,
     pcg64_random,
     spawn_state,
     transmission_delay_ns,
-    uniform_path,
 )
 from sdnfp.probes import run_schedule
+
+from paths import uniform_path
 
 MS = 1_000_000
 S = 1_000_000_000
 KEY = FlowKey("10.0.0.2", "10.0.1.2")
 
 
-def hw_switch(install_ns=5 * MS, name="hw1", capacity=1024):
-    return SwitchSpec(name, constant(install_ns), capacity)
+def hw_switch(install_ns=5 * MS, capacity=1024):
+    return SwitchSpec(constant(install_ns), capacity)
 
 
 def run(path, *packets, seed=0, warm=False):
@@ -111,7 +113,7 @@ def test_base_latency_adds_per_hop():
 
 
 def test_table_miss_max_of_constants():
-    switches = tuple(hw_switch(d * MS, f"s{d}") for d in (2, 3, 5))
+    switches = tuple(hw_switch(d * MS) for d in (2, 3, 5))
     path = uniform_path(4, 4, 100_000_000, switches)
     assert miss_penalty(path) == (5 * MS, False)
 
@@ -124,8 +126,8 @@ def test_table_miss_includes_lookup():
 def test_table_miss_seeded_replay():
     def penalty(seed):
         switches = (
-            SwitchSpec("a", lognormal(4 * MS, 0.5)),
-            SwitchSpec("b", lognormal(4 * MS, 0.5)),
+            SwitchSpec(lognormal(4 * MS, 0.5)),
+            SwitchSpec(lognormal(4 * MS, 0.5)),
         )
         path = uniform_path(4, 4, 100_000_000, switches)
         return miss_penalty(path, seed=seed)[0]
@@ -142,11 +144,22 @@ def test_table_miss_installs_both_directions():
     # A miss installs the flow's rule and its reverse at every switch: one
     # rule slot per table reports a full table, two do not.
     for capacity, full in ((1, True), (2, False)):
-        switches = (hw_switch(name="a", capacity=capacity), hw_switch(name="b", capacity=capacity))
+        switches = (hw_switch(capacity=capacity),) * 2
         path = uniform_path(4, 4, 100_000_000, switches)
         trace = run(path, Packet(0, KEY, 1500), Packet(1, KEY, 1500, sent_at_ns=S))
         assert trace.miss_flag.tolist() == [True, False]
         assert trace.table_full.tolist() == [full, False]
+
+
+def test_reference_miss_reports_full_switches_by_position():
+    # The scalar model's miss names each switch whose table had no room for
+    # both directions by its place on the path.
+    switches = tuple(hw_switch(capacity=c) for c in (1024, 1, 0))
+    path = uniform_path(4, 4, 100_000_000, switches)
+    tables = tuple(FlowTable(sw.table_capacity) for sw in switches)
+    outcome = handle_table_miss(KEY, path, RngStreams(0), tables)
+    assert outcome.full_switch_ids == (1, 2)
+    assert outcome.penalty_ns == 5 * MS
 
 
 def test_clear_flow_tables():
@@ -194,7 +207,7 @@ def test_exchange_miss_adds_exact_penalty():
 
 def test_eq2_additivity_only_when_max_attained():
     def rtt_with(installs):
-        switches = tuple(hw_switch(d, f"s{i}") for i, d in enumerate(installs))
+        switches = tuple(hw_switch(d) for d in installs)
         path = uniform_path(4, 4, 100_000_000, switches)
         return exchange_rtt(path, Packet(0, KEY, 1500))
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sdnfp.distributions import constant, pareto
-from sdnfp.netsim import FlowKey, SwitchSpec, uniform_path
+from sdnfp.netsim import FlowKey, SwitchSpec
 from sdnfp.probes import (
     Trace,
     build_probe_train,
@@ -17,17 +17,18 @@ from sdnfp.probes import (
     run_schedule,
 )
 
+from paths import uniform_path
+
 S = 1_000_000_000
 KEY = FlowKey("10.0.0.2", "10.0.1.2")
 
 
-def hw(install_ns=5_000_000, name="hw1"):
-    return SwitchSpec(name, constant(install_ns))
+def hw(install_ns=5_000_000):
+    return SwitchSpec(constant(install_ns))
 
 
 def default_path(k=1):
-    switches = tuple(hw(name=f"hw{i}") for i in range(k))
-    return uniform_path(4, 4, 100_000_000, switches)
+    return uniform_path(4, 4, 100_000_000, (hw(),) * k)
 
 
 def test_train_structure():

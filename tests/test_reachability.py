@@ -59,7 +59,6 @@ ALLOWED = {
     "tests/test_engine_differential.py::test_hold_block_transform_raises_on_a_negative_hold",
     "stats:_scipy_p_value": "Welch's 1% decision within the band around 1%; "
     "tests/test_stats.py::test_welch_decision_is_scipys_at_the_critical_t",
-    "netsim:miss_charge_ns": ORACLE,
     "probes:Table.__eq__": "without it == would compare tables by identity",
     "stats:WelchResult.p_value": "the documented p-value; the CLI writes only the 1% decision",
     "scenario:drift_variant": "the benchmark's drift YAML reproduces it; tests/test_golden.py pins it",

@@ -109,7 +109,7 @@ def test_build_path_carries_every_field_the_scenario_sets():
     path = PathSpec(
         forward_links=(link,) * 5,
         reverse_links=(link,) * 2,
-        switches=(SwitchSpec("so1", install, 7), SwitchSpec("so2", install, 7)),
+        switches=(SwitchSpec(install, 7),) * 2,
         delay_element=DelayElementConfig(),
         drift=DriftModel(2e5),
         reply_bytes=200,
@@ -822,6 +822,15 @@ def test_non_positive_passive_window_exit_2(tmp_path, capsys):
                 "--passive", "--window-s", window]
         assert main(argv) == 2, window
         assert "window-s:" in capsys.readouterr().err
+
+
+def test_cli_extract_refuses_a_window_without_passive(tmp_path, capsys):
+    bundle_dir = tmp_path / "bundle"
+    run_scenario(replace(builtin_scenarios()["k1-hw-100m"], trains=4), bundle_dir)
+    argv = ["extract", "--traces", str(bundle_dir / "traces.csv"), "--out", str(tmp_path / "ex"), "--window-s", "1"]
+    assert main(argv) == 2
+    assert "window-s: only --passive" in capsys.readouterr().err
+    assert not (tmp_path / "ex").exists()
 
 
 def test_cli_defend_names_the_gpd_file_and_key_it_cannot_read(tmp_path, capsys):
