@@ -1,10 +1,12 @@
-"""Delay distributions used by links, switches and the controller.
+"""Delay distributions used by links, switches, the controller and the delay element.
 
 `DelayModel` is the one delay type: a link's cross-traffic jitter (of a kind
-in `CROSS_TRAFFIC_KINDS`) and the controller's lookup and install delays.
-Every sampler returns integer nanoseconds (half-up rounding) so that a
-(scenario, seed) pair replays to bit-identical traces; `DelayModel._ns` holds
-each kind's formula for one draw, which `ns_from_draws` falls back to.
+in `CROSS_TRAFFIC_KINDS`), the controller's lookup and install delays, and
+the delay element's gpd holds, whose quantile stays hand-written because the
+defended traces depend on its exact floating-point path.  Every sampler
+returns integer nanoseconds (half-up rounding) so that a (scenario, seed)
+pair replays to bit-identical traces; `DelayModel._ns` holds each kind's
+formula for one draw, which `ns_from_draws` falls back to.
 """
 
 from __future__ import annotations
@@ -16,6 +18,34 @@ import numpy as np
 
 from .units import DURATION, NS_PER_MS, VARIANCE, ns_from_float
 
+_XI_ZERO = 1e-9
+
+
+@dataclass(frozen=True)
+class GPDParams:
+    """shape xi, scale sigma, location mu; delays carry these in ms."""
+
+    shape: float
+    scale: float
+    location: float
+
+    def __post_init__(self):
+        if self.scale <= 0:
+            raise ValueError("scale must be positive")
+
+
+def gpd_quantile(u, params: GPDParams):
+    """Inverse CDF: mu + sigma ((1-u)^(-xi) - 1)/xi, limit mu - sigma ln(1-u)."""
+    xi, sigma, mu = params.shape, params.scale, params.location
+    u = np.asarray(u, dtype=float)
+    if np.any((u < 0) | (u >= 1)):
+        raise ValueError("u must lie in [0, 1)")
+    if abs(xi) < _XI_ZERO:
+        out = mu - sigma * np.log1p(-u)
+    else:
+        out = mu + sigma * ((1.0 - u) ** (-xi) - 1.0) / xi
+    return float(out) if out.ndim == 0 else out
+
 
 @dataclass(frozen=True)
 class DelayModel:
@@ -26,6 +56,7 @@ class DelayModel:
       constant  -- value_ns
       pareto    -- two-parameter Pareto solved from (mean_ns, variance_ns2)
       lognormal -- exp-normal with given median_ns and log-space sigma
+      gpd       -- Generalized Pareto of the parameters `gpd`, in ms
     """
 
     kind: str = "none"
@@ -34,10 +65,13 @@ class DelayModel:
     variance_ns2: int = 0
     median_ns: int = 0
     sigma_log: float = 0.0
+    gpd: GPDParams | None = None
 
     def __post_init__(self):
-        if self.kind not in ("none", "constant", "pareto", "lognormal"):
+        if self.kind not in ("none", "constant", "pareto", "lognormal", "gpd"):
             raise ValueError(f"unknown delay kind {self.kind!r}")
+        if self.kind == "gpd" and self.gpd is None:
+            raise ValueError("gpd delay needs its GPDParams")
         if self.kind == "pareto":
             if self.mean_ns <= 0 or self.variance_ns2 <= 0:
                 raise ValueError("pareto delay needs mean > 0 and variance > 0")
@@ -65,6 +99,8 @@ class DelayModel:
             return ns_from_float(x_m * (1.0 - x) ** (-1.0 / alpha))
         if self.kind == "lognormal":
             return ns_from_float(self.median_ns * math.exp(self.sigma_log * x))
+        if self.kind == "gpd":
+            return ns_from_float(gpd_quantile(x, self.gpd) * NS_PER_MS)
         return self.value_ns if self.kind == "constant" else 0
 
     def sample_ns(self, rng: np.random.Generator) -> int:
@@ -91,10 +127,18 @@ class DelayModel:
             return ns_from_floats(x_m * np.power(1.0 - x, -1.0 / alpha), exact)
         if self.kind == "lognormal":
             return ns_from_floats(self.median_ns * np.exp(self.sigma_log * x), exact)
+        if self.kind == "gpd":
+            # The quantile's np.power may differ from the scalar one in the last ulp,
+            # and (p - 1) / xi scales that by scale / |shape|: the guard widens by it.
+            g = self.gpd
+            ms = gpd_quantile(x, g)
+            amplify = g.scale / abs(g.shape) if abs(g.shape) >= _XI_ZERO else 0.0
+            err_ns = 64 * np.finfo(float).eps * NS_PER_MS * (abs(g.location) + np.abs(ms - g.location) + amplify)
+            return ns_from_floats(ms * NS_PER_MS, exact, err_ns)
         return np.full(np.shape(x), self._ns(None), np.int64)
 
 
-_DRAWS = {"pareto": "random", "lognormal": "standard_normal"}
+_DRAWS = {"pareto": "random", "lognormal": "standard_normal", "gpd": "random"}
 
 
 def ns_from_floats(value_ns: np.ndarray, exact, err_ns=0.0) -> np.ndarray:
@@ -130,6 +174,10 @@ def lognormal(median_ns: int, sigma_log: float) -> DelayModel:
 
 def pareto(mean_ns: int, variance_ns2: int) -> DelayModel:
     return DelayModel(kind="pareto", mean_ns=mean_ns, variance_ns2=variance_ns2)
+
+
+def gpd(params: GPDParams) -> DelayModel:
+    return DelayModel(kind="gpd", gpd=params)
 
 
 NO_DELAY = DelayModel(kind="none")

@@ -62,9 +62,9 @@ engine reads each block as the reference model draws: `cross` and `drift` in
 a layout the schedule fixes, `control` and `defense` through a per-trial
 cursor, event by event in packet order (see `_TrialBatch`).  Only a `control`
 stream whose delay models mix `random()` and `standard_normal()` is drawn per
-miss, from its trial's Generator.  Every draw becomes a delay through the
-array transforms (`DelayModel.ns_from_draws`, `delays_from_uniform`), which
-round to the same integer nanoseconds as the scalar samplers.
+miss, from its trial's Generator.  Every draw becomes a delay through one
+array transform, `DelayModel.ns_from_draws`, which rounds to the same integer
+nanoseconds as the scalar samplers.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import defense
 from .distributions import CROSS_TRAFFIC_KINDS, NO_DELAY, DelayModel
 from .units import NS_PER_MS, div_round_half_up
 
@@ -194,7 +195,7 @@ class PathSpec:
     forward_links: tuple[LinkSpec, ...]
     reverse_links: tuple[LinkSpec, ...]
     switches: tuple[SwitchSpec, ...] = ()
-    delay_element: object | None = None  # a DelayElementConfig at the outermost switch
+    delay_element: defense.DelayElementConfig | None = None  # at the outermost switch
     drift: DriftModel | None = None
     reply_bytes: int = DEFAULT_REPLY_BYTES
     turnaround_ns: int = 0
@@ -588,9 +589,7 @@ class Simulation:
         element = self.path.delay_element if s_idx == 0 else None
         decision = None
         if element is not None:
-            from .defense import select_bucket
-
-            decision = select_bucket(packet.key, arrival_ns, self.activity, element)
+            decision = defense.select_bucket(packet.key, arrival_ns, self.activity, element)
 
         key = packet.key
         if key not in self.tables[s_idx]:
@@ -605,10 +604,8 @@ class Simulation:
         in_install = window is not None and window.start_ns <= arrival_ns < window.end_ns
 
         if element is not None and (in_install or decision.bucket == "delayed"):
-            from .defense import delay_for
-
             position = decision.position if decision.bucket == "delayed" else "followup"
-            sample = delay_for(position, element, self.streams.defense)
+            sample = defense.delay_for(position, element, self.streams.defense)
             release = max(arrival_ns + sample, self.last_release_ns.get(key, 0))
             self.last_release_ns[key] = release
             return release, 0, False, False
@@ -858,17 +855,15 @@ class _TrialBatch:
 
     def _holds(self, idx: np.ndarray, first: np.ndarray) -> np.ndarray:
         """Delay-element hold of each parked trial, drawn from its defense stream."""
-        from .defense import FIRST, FOLLOWUP, delays_from_uniform
-
         if self.defense is None:
             self.defense = self.streams.block("defense", "random", self.n_packets)
         u = self.defense[idx, self.defense_next[idx]]
         self.defense_next[idx] += 1
         first = first[idx]
         holds = np.empty(idx.size, np.int64)
-        for position, mask in ((FIRST, first), (FOLLOWUP, ~first)):
+        for model, mask in ((self.element.first_delay, first), (self.element.followup_delay, ~first)):
             if mask.any():
-                holds[mask] = delays_from_uniform(position, self.element, u[mask])
+                holds[mask] = model.ns_from_draws(u[mask])
         return holds
 
 

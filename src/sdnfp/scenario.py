@@ -52,7 +52,9 @@ from .distributions import (
     DELAY_KINDS,
     NO_DELAY,
     DelayModel,
+    GPDParams,
     constant,
+    gpd,
     lognormal,
     pareto,
 )
@@ -64,7 +66,7 @@ from .netsim import (
 from .probes import (
     DEFAULT_IDLE_LEAD_NS, DEFAULT_MTU_BYTES, Table, Trace, build_probe_train, idle_flow_probes, run_schedule,
 )
-from .stats import EERResult, GPDParams, WelchResult, build_histogram, compute_eer, welch_t_test
+from .stats import EERResult, WelchResult, build_histogram, compute_eer, welch_t_test
 from .units import DURATION, NS_PER_MS, NS_PER_S, RATE, SIZE, parse_duration_ns
 
 
@@ -127,6 +129,8 @@ class Scenario:
     idle_lead_ns: int = DEFAULT_IDLE_LEAD_NS
 
     def __post_init__(self):
+        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:  # the bundle's directory
+            raise ConfigError(f"name: {self.name!r} must name one directory (not empty, . or .., no / or \\)")
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
         if self.trains < 1:
@@ -463,8 +467,8 @@ def _field(mapping: dict, key: str, parse, source):
         raise ConfigError(f"{exc} in {source}") from None
 
 
-def _gpd_from_config(cfg: dict, source) -> GPDParams:
-    """The delay GPD a {shape, scale_ms, location_ms} mapping holds: a delay
+def _gpd_from_config(cfg: dict, source) -> DelayModel:
+    """The gpd delay a {shape, scale_ms, location_ms} mapping holds: a hold
     of a scenario's defense entry, or a file `sdnfp fit` wrote.
 
     A GPD's support starts at its location, so a negative location could
@@ -478,13 +482,13 @@ def _gpd_from_config(cfg: dict, source) -> GPDParams:
     if not location >= 0:
         raise ConfigError(f"location_ms: a delay needs a location >= 0, got {location} in {source}")
     try:
-        return GPDParams(shape, scale, location)
+        return gpd(GPDParams(shape, scale, location))
     except ValueError as exc:
         raise ConfigError(f"scale_ms: {exc} in {source}") from exc
 
 
-def load_gpd(path: Path | str) -> GPDParams:
-    """The GPD of a fitted-GPD JSON file, as `sdnfp fit` writes it."""
+def load_gpd(path: Path | str) -> DelayModel:
+    """The gpd delay of a fitted-GPD JSON file, as `sdnfp fit` writes it."""
     return _gpd_from_config(_read_json_object(Path(path), "gpd"), path)
 
 
@@ -574,7 +578,7 @@ _BIN_WIDTH = (lambda v: parse_duration_ns(v) / NS_PER_MS, lambda ms: f"{round(ms
 _SIGMA = (lambda v: float(parse_duration_ns(v)), "{:.0f} ns".format)
 _GPD = _Nested(
     _gpd_from_config,
-    lambda p: {"shape": p.shape, "scale_ms": p.scale, "location_ms": p.location},
+    lambda d: {"shape": d.gpd.shape, "scale_ms": d.gpd.scale, "location_ms": d.gpd.location},
 )
 _DEFENSE_KEYS = {
     "t_th": ("t_th_ns", DURATION),
@@ -643,7 +647,12 @@ def _scenarios(raw) -> list[Scenario]:
         raise ConfigError("config: top level must be a mapping with a 'scenarios' list")
     if not isinstance(raw["scenarios"], list) or not raw["scenarios"]:
         raise ConfigError("scenarios: must be a non-empty list")
-    return [scenario_from_config(entry) for entry in raw["scenarios"]]
+    scenarios = [scenario_from_config(entry) for entry in raw["scenarios"]]
+    names = [s.name for s in scenarios]
+    for name in names:  # a name is its bundle's directory: twins would write one
+        if names.count(name) > 1:
+            raise ConfigError(f"scenarios: more than one entry is named {name!r}; names must differ")
+    return scenarios
 
 
 def load_scenarios(path: Path | str) -> list[Scenario]:

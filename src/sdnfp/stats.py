@@ -1,16 +1,16 @@
 """Empirical PDFs, equal-error-rate evaluation, significance testing, and the
-Generalized Pareto fit and quantile.
+Generalized Pareto fit.
 
 Histograms and EER sweep curves are `probes.Table`s, written as traces are.
 Every routine takes any array-like of floats and boxes no value.
 
 The fit maximizes the likelihood with the location pinned, by Grimshaw's
-(1993) reduction to a one-variable profile search; the quantile stays
-hand-written, because the defended traces depend on its exact floating-point
-path.  Nothing here imports scipy at module level: the fit's search is a
-port of scipy's bounded Brent, and Welch's 1% decision comes from a
-pure-Python Student-t tail, with scipy's `stdtr` imported only for the
-p-value and for the rare tail that lands too near 1% to decide.
+(1993) reduction to a one-variable profile search, and returns the
+`distributions.GPDParams` whose quantile a delay-element hold samples.
+Nothing here imports scipy at module level: the fit's search is a port of
+scipy's bounded Brent, and Welch's 1% decision comes from a pure-Python
+Student-t tail, with scipy's `stdtr` imported only for the p-value and for
+the rare tail that lands too near 1% to decide.
 
 Classification convention (fixed): a measurement at or below the threshold t
 is conjectured N (no rule installed), above it Y.  During the sweep,
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import GPDParams
 from .probes import Table
 
 
@@ -231,36 +232,7 @@ def _significant_at_1pct(t: float, df: float) -> bool:
     return _scipy_p_value(t, df) < _ALPHA
 
 
-# -- Generalized Pareto -------------------------------------------------------
-
-_XI_ZERO = 1e-9
-
-
-@dataclass(frozen=True)
-class GPDParams:
-    """shape xi, scale sigma, location mu; delays carry these in ms."""
-
-    shape: float
-    scale: float
-    location: float
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-
-
-def gpd_quantile(u, params: GPDParams):
-    """Inverse CDF: mu + sigma ((1-u)^(-xi) - 1)/xi, limit mu - sigma ln(1-u)."""
-    xi, sigma, mu = params.shape, params.scale, params.location
-    u = np.asarray(u, dtype=float)
-    if np.any((u < 0) | (u >= 1)):
-        raise ValueError("u must lie in [0, 1)")
-    if abs(xi) < _XI_ZERO:
-        out = mu - sigma * np.log1p(-u)
-    else:
-        out = mu + sigma * ((1.0 - u) ** (-xi) - 1.0) / xi
-    return float(out) if out.ndim == 0 else out
-
+# -- Generalized Pareto fit -------------------------------------------------
 
 LOCATION_EPS_MS = 1e-6  # one nanosecond
 MIN_FIT_SAMPLES = 50

@@ -84,7 +84,7 @@ MUTANTS = (
     ("netsim.py", "surcharge[slow] = self.win_penalty[s][slow]",
      "surcharge[slow] = self.win_start[s][slow] + self.win_penalty[s][slow] - now[slow]",
      "engine: a packet that arrives during an install pays only what is left of it"),
-    ("stats.py", "out = mu + sigma * (", "out = mu - sigma * (",
+    ("distributions.py", "out = mu + sigma * (", "out = mu - sigma * (",
      "gpd_quantile: the quantiles lie below the location, not above it"),
     ("netsim.py", "np.maximum.accumulate([0, *(p.sent_at_ns for p in packets)])",
      "np.array([0, *(p.sent_at_ns for p in packets)])",
@@ -97,6 +97,8 @@ MUTANTS = (
      "engine: a zero-capacity switch misses only until the flow's first install"),
     ("netsim.py", "self.installed[done] = False", "pass",
      "engine: a CLEAR leaves the flow's rules installed"),
+    ("distributions.py", "ns_from_floats(ms * NS_PER_MS, exact, err_ns)", "ns_from_floats(ms * NS_PER_MS, exact)",
+     "gpd hold guard without its widening: a near-zero shape's amplified last-ulp difference rounds unchecked"),
 )
 
 

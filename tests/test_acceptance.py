@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from sdnfp.defense import DelayElementConfig
+from sdnfp.distributions import GPDParams, gpd
 from sdnfp.features import DELTA_RTT, DISPERSION
 from sdnfp.netsim import (
     FlowKey,
@@ -23,7 +24,7 @@ from sdnfp.netsim import (
 )
 from sdnfp.probes import run_schedule
 from sdnfp.scenario import builtin_scenarios, drift_variant, run_scenario
-from sdnfp.stats import GPDParams, compute_eer, fit_gpd
+from sdnfp.stats import compute_eer, fit_gpd
 
 from gpd_sampler import gpd_sample
 from paths import uniform_path
@@ -60,7 +61,7 @@ def defended(undefended):
     y_disp = base.samples.values(DISPERSION, "Y")
     first_fit, _ = fit_gpd(y_rtt)
     followup_fit, _ = fit_gpd(y_disp)
-    perk_cfg = DelayElementConfig(first_delay=first_fit, followup_delay=followup_fit)
+    perk_cfg = DelayElementConfig(first_delay=gpd(first_fit), followup_delay=gpd(followup_fit))
     perk = run_scenario(
         replace(builtin_scenarios()["k2-hw-100m"], name="k2-hw-100m-perk", defense=perk_cfg)
     )

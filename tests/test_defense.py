@@ -14,10 +14,9 @@ from sdnfp.defense import (
     TABLE4_DELTA_RTT,
     TABLE4_DISPERSION,
     delay_for,
-    delays_from_uniform,
     select_bucket,
 )
-from sdnfp.distributions import constant, lognormal, pareto
+from sdnfp.distributions import GPDParams, constant, gpd, lognormal, pareto
 from sdnfp.netsim import (
     FlowKey,
     LinkSpec,
@@ -27,7 +26,7 @@ from sdnfp.netsim import (
 )
 from sdnfp.probes import run_schedule
 from sdnfp.scenario import ConfigError, scenario_from_config
-from sdnfp.stats import GPDParams, fit_gpd
+from sdnfp.stats import fit_gpd
 
 from gpd_sampler import gpd_sample
 from paths import uniform_path
@@ -81,6 +80,13 @@ def test_inactivity_reopens_window():
 def test_config_ordering_invariant():
     with pytest.raises(ValueError):
         DelayElementConfig(t_th_ns=50 * MS, window_ns=100 * MS)
+
+
+@pytest.mark.parametrize("hold", [constant(MS), lognormal(MS, 0.5)])
+def test_a_hold_that_is_not_a_gpd_is_refused(hold):
+    # The engine draws the defense stream with random() alone.
+    with pytest.raises(ValueError, match="gpd"):
+        DelayElementConfig(followup_delay=hold)
 
 
 def test_delay_for_within_support():
@@ -161,7 +167,7 @@ def test_in_flow_ordering_preserved():
     # A huge first delay followed by a small followup delay must not reorder.
     big = GPDParams(shape=-0.5, scale=0.002, location=15.0)
     small = GPDParams(shape=-0.5, scale=0.002, location=0.05)
-    cfg = DelayElementConfig(first_delay=big, followup_delay=small)
+    cfg = DelayElementConfig(first_delay=gpd(big), followup_delay=gpd(small))
     trace = run(
         defended_path(cfg=cfg),
         Packet(0, KEY, 1500, sent_at_ns=0),
@@ -186,8 +192,8 @@ def test_element_from_fitted_params():
     rng = np.random.default_rng(5)
     y_population = gpd_sample(TABLE4_DELTA_RTT, rng, 2_000)
     fit, ks = fit_gpd(y_population)
-    cfg = DelayElementConfig(first_delay=fit, followup_delay=TABLE4_DISPERSION)
-    assert cfg.first_delay == fit
+    cfg = DelayElementConfig(first_delay=gpd(fit), followup_delay=gpd(TABLE4_DISPERSION))
+    assert cfg.first_delay.gpd == fit
     sample = delay_for("first", cfg, np.random.default_rng(0)) / MS
     assert fit.location <= sample <= support_upper(fit)
 
@@ -241,8 +247,5 @@ def test_a_larger_gpd_scale_never_shortens_a_hold(shape, location_ms, scales_ms,
     # the hold-level statement only: a longer first hold can shorten a
     # dispersion.
     u = np.array(draws)
-    short, long = (
-        delays_from_uniform(FIRST, DelayElementConfig(first_delay=GPDParams(shape, scale, location_ms)), u)
-        for scale in sorted(scales_ms)
-    )
+    short, long = (gpd(GPDParams(shape, scale, location_ms)).ns_from_draws(u) for scale in sorted(scales_ms))
     assert np.all(short <= long)

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sdnfp.defense import FIRST as FIRST_PACKET
-from sdnfp.defense import FOLLOWUP as FOLLOWUP_PACKET
-from sdnfp.defense import DEFAULT_WINDOW_NS, DelayElementConfig, delay_for, delays_from_uniform
-from sdnfp.distributions import NO_DELAY, constant, lognormal, ns_from_floats, pareto
+from sdnfp.defense import DEFAULT_WINDOW_NS, TABLE4_DELTA_RTT, TABLE4_DISPERSION, DelayElementConfig
+from sdnfp.distributions import NO_DELAY, GPDParams, constant, gpd, lognormal, ns_from_floats, pareto
 from sdnfp.features import group_probes, pair_labels
 from sdnfp.netsim import (
     CLEAR,
@@ -29,7 +27,6 @@ from sdnfp.probes import (
     run_schedule_reference,
 )
 from sdnfp.scenario import DEFAULT_FLOW, builtin_scenarios
-from sdnfp.stats import GPDParams
 
 MS = 1_000_000
 S = 1_000_000_000
@@ -47,8 +44,8 @@ CROSS = st.sampled_from(
 LOOKUP = st.sampled_from([constant(100_000), pareto(200_000, 10**10), lognormal(150_000, 0.5)])
 INSTALL = st.sampled_from([lognormal(4_500_000, 0.6), lognormal(800_000, 0.7), pareto(2 * MS, 10**12)])
 GAPS = [0, 0, 100_000, 3 * MS, 50 * MS, S, 6 * S]
-FIRST = GPDParams(shape=-0.3, scale=5.0, location=0.5)
-FOLLOWUP = GPDParams(shape=-0.5, scale=1.0, location=0.2)
+FIRST = gpd(GPDParams(shape=-0.3, scale=5.0, location=0.5))
+FOLLOWUP = gpd(GPDParams(shape=-0.5, scale=1.0, location=0.2))
 FITTED = DelayElementConfig(first_delay=FIRST, followup_delay=FOLLOWUP)
 
 
@@ -116,49 +113,42 @@ def test_block_draws_equal_scalar_draws():
     assert block.standard_normal(500).tolist() == [scalar.standard_normal() for _ in range(500)]
 
 
-def test_pareto_block_transform_equals_sample_ns():
-    for model in (
+@pytest.mark.parametrize(
+    "model",
+    [
         pareto(90_000, 2_000_000_000),
         pareto(3 * MS, 9 * MS**2),
-    ):
-        u = np.random.default_rng(11).random(50_000)
-        scalar = np.random.default_rng(11)
-        expected = [model.sample_ns(scalar) for _ in range(u.size)]
-        assert model.ns_from_draws(u).tolist() == expected
-    with pytest.raises(ValueError):
-        pareto(10**12, 10**30).ns_from_draws(np.array([1.0 - 2.0**-53]))
-
-
-def test_lognormal_block_transform_equals_sample_ns():
-    for model in (lognormal(4_500_000, 0.6), lognormal(800_000, 0.7), lognormal(150_000, 0.5)):
-        z = np.random.default_rng(11).standard_normal(50_000)
-        scalar = np.random.default_rng(11)
-        expected = [model.sample_ns(scalar) for _ in range(z.size)]
-        assert model.ns_from_draws(z).tolist() == expected
-
-
-@pytest.mark.parametrize(
-    "element",
-    [
-        DelayElementConfig(),  # the two Table-4 GPDs
-        FITTED,
+        lognormal(4_500_000, 0.6),
+        lognormal(800_000, 0.7),
+        lognormal(150_000, 0.5),
+        gpd(TABLE4_DELTA_RTT),
+        gpd(TABLE4_DISPERSION),
+        FIRST,
+        FOLLOWUP,
         # |shape| < 1e-9: the quantile's log1p limit.
-        DelayElementConfig(first_delay=GPDParams(5e-10, 2.0, 0.3), followup_delay=GPDParams(-5e-10, 0.5, 0.0)),
+        gpd(GPDParams(5e-10, 2.0, 0.3)),
+        gpd(GPDParams(-5e-10, 0.5, 0.0)),
+        # |shape| just above it: (p - 1) / xi scales the power's last-ulp
+        # difference by scale / |shape|, far beyond the hold's own ulps.
+        gpd(GPDParams(-2e-9, 50.0, 0.3)),
     ],
-    ids=["table4", "fitted", "shape_zero"],
+    ids=[
+        "pareto-90us", "pareto-3ms", "lognormal-4.5ms", "lognormal-800us", "lognormal-150us",
+        "gpd-table4-rtt", "gpd-table4-dispersion", "gpd-first", "gpd-followup",
+        "gpd-shape-zero-above", "gpd-shape-zero-below", "gpd-shape-near-zero",
+    ],
 )
-def test_hold_block_transform_equals_delay_for(element):
-    for position in (FIRST_PACKET, FOLLOWUP_PACKET):
-        u = np.random.default_rng(11).random(50_000)
-        scalar = np.random.default_rng(11)
-        expected = [delay_for(position, element, scalar) for _ in range(u.size)]
-        assert delays_from_uniform(position, element, u).tolist() == expected
+def test_block_transform_equals_sample_ns(model):
+    x = getattr(np.random.default_rng(11), model.draw_type)(50_000)
+    scalar = np.random.default_rng(11)
+    assert model.ns_from_draws(x).tolist() == [model.sample_ns(scalar) for _ in range(x.size)]
 
 
-def test_hold_block_transform_raises_on_a_negative_hold():
-    element = DelayElementConfig(followup_delay=GPDParams(-0.411, 0.785, -0.383013))
+def test_block_transform_raises_beyond_int64_and_on_a_negative_hold():
+    with pytest.raises(ValueError, match="int64"):
+        pareto(10**12, 10**30).ns_from_draws(np.array([1.0 - 2.0**-53]))
     with pytest.raises(ValueError, match="negative duration"):
-        delays_from_uniform(FOLLOWUP_PACKET, element, np.array([0.9, 0.0]))
+        gpd(GPDParams(-0.411, 0.785, -0.383013)).ns_from_draws(np.array([0.9, 0.0]))
 
 
 def test_rounding_guard_takes_the_scalar_formula_near_a_boundary_or_zero():

@@ -24,8 +24,9 @@ import pytest
 
 from sdnfp.cli import main
 from sdnfp.defense import DelayElementConfig
+from sdnfp.distributions import GPDParams, gpd
 from sdnfp.scenario import builtin_scenarios, drift_variant, read_scenario_descriptor, run_scenario
-from sdnfp.stats import GPDParams, fit_gpd
+from sdnfp.stats import fit_gpd
 from sdnfp.units import NS_PER_S
 
 from gpd_sampler import gpd_sample
@@ -172,7 +173,7 @@ def variant(name):
         return drift_variant(builtins[name.removesuffix("-drift-600s")], 600 * NS_PER_S)
     if name == PER_K:
         element = DelayElementConfig(
-            first_delay=GPDParams(-0.3, 3.5, 0.2), followup_delay=GPDParams(-0.2, 1.25, 0.05)
+            first_delay=gpd(GPDParams(-0.3, 3.5, 0.2)), followup_delay=gpd(GPDParams(-0.2, 1.25, 0.05))
         )
         return replace(builtins["k2-hw-100m"], name=name, defense=element)
     base = builtins[name.removesuffix("-defended")]

@@ -55,8 +55,6 @@ ALLOWED = {
     "defense:delay_for": ORACLE,
     "distributions:DelayModel.sample_ns": ORACLE,
     "distributions:DelayModel.delay_model": "kept for bench/tracer.py, which patches it",
-    "defense:_hold_ns": "rounding guard of delays_from_uniform; "
-    "tests/test_engine_differential.py::test_hold_block_transform_raises_on_a_negative_hold",
     "stats:_scipy_p_value": "Welch's 1% decision within the band around 1%; "
     "tests/test_stats.py::test_welch_decision_is_scipys_at_the_critical_t",
     "probes:Table.__eq__": "without it == would compare tables by identity",

@@ -448,6 +448,28 @@ def test_cli_simulate_extract_eer_fit_defend_report_chain(tmp_path, capsys):
     assert (tmp_path / "report" / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_refuses_two_entries_of_one_name(tmp_path, capsys, jobs):
+    # Both would run into runs/lab, the second run's bundle overwriting the first's.
+    cfg = tmp_path / "twins.yaml"
+    cfg.write_text("scenarios:\n  - {name: lab, seed: 1, trains: 4}\n  - {name: lab, seed: 2, trains: 4}\n")
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 2
+    assert "config error: scenarios: more than one entry is named 'lab'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b"])
+def test_cli_refuses_a_name_that_is_not_one_directory(tmp_path, capsys, name):
+    # The name is the bundle directory under --out: ../escaped would write beside it.
+    cfg = tmp_path / "lab.yaml"
+    cfg.write_text(yaml.safe_dump({"scenarios": [{"name": name, "seed": 1, "trains": 4}]}))
+    out = tmp_path / "x" / "inner"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: name: {name!r} must name one directory" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_unknown_scenario_exit_2(tmp_path):
     assert main(["simulate", "--scenario", "nope", "--out", str(tmp_path)]) == 2
 

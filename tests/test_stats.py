@@ -12,6 +12,7 @@ from scipy.special import stdtr, stdtrit
 from scipy.stats import genpareto, kstest
 from scipy.stats import t as student_t
 
+from sdnfp.distributions import GPDParams, gpd_quantile
 from sdnfp.features import DELTA_RTT, DISPERSION
 from sdnfp import stats
 from sdnfp.scenario import builtin_scenarios, run_scenario
@@ -20,12 +21,10 @@ from sdnfp.stats import (
     DegenerateVarianceError,
     EmptySamplesError,
     FitFailedError,
-    GPDParams,
     _minimize_bounded,
     build_histogram,
     compute_eer,
     fit_gpd,
-    gpd_quantile,
     welch_t_test,
 )
 
