@@ -5,8 +5,9 @@ chained or run in isolation; every CSV is a `probes.Table` and every JSON
 file goes through `scenario.write_json`.  `extract` reads traces.csv and
 `report` samples.csv, each beside the scenario.json sidecar that every bundle
 holds: a scenario config file with one entry, which gives `extract --passive`
-its default window and `report` its features and bin width.  No stage reads
-results.json.  Beside an external trace, write a sidecar such as
+its default window and `report` its bin width.  `eer` and `report` evaluate
+each feature the samples hold.  No stage reads results.json.  Beside an
+external trace, write a sidecar such as
 `{"scenarios": [{"name": "lab", "seed": 1, "k": 2}]}`; omitted keys take the
 same defaults as in a YAML scenario file.
 Exit codes: 0 success, 2 configuration error, 1 anything else.
@@ -133,7 +134,7 @@ def cmd_extract(args) -> int:
 def cmd_eer(args) -> int:
     samples = read_feature_csv(args.samples)
     out = Path(args.out)
-    results = evaluate(samples, args.features)
+    results = evaluate(samples)
     for feature, result in results.items():
         print(_eer_line(feature, result))
         if args.curve:
@@ -192,7 +193,7 @@ def cmd_report(args) -> int:
             raise ConfigError(f"bundles: {dirs[name]} and {bundle_dir} both hold scenario {name!r}")
         dirs[name] = bundle_dir
         runs.append(run)
-    for path in emit_report(runs, Path(args.out), fmt=args.format):
+    for path in emit_report(runs, Path(args.out)):
         print(f"wrote {path}")
     return 0
 
@@ -201,15 +202,15 @@ def _load_bundle(bundle_dir: Path):
     """(scenario, samples, feature results) of a persisted bundle, for the report.
 
     `report` reads scenario.json and samples.csv, as `extract` reads
-    scenario.json and traces.csv: the scenario's features and bin width
-    evaluate and bin each bundle as it was simulated.
+    scenario.json and traces.csv: the scenario's bin width bins each bundle
+    as it was simulated.
     """
     samples_path = bundle_dir / "samples.csv"
     if not samples_path.exists():
         raise ConfigError(f"bundles: {bundle_dir} lacks samples.csv")
     scenario = read_scenario_descriptor(bundle_dir)
     samples = read_feature_csv(samples_path)
-    return scenario, samples, evaluate(samples, scenario.feature_set)
+    return scenario, samples, evaluate(samples)
 
 
 @functools.cache
@@ -254,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eer", help="equal error rate from a feature sample CSV")
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--features", nargs="+", default=FEATURES, choices=FEATURES)
     p.add_argument("--curve", action="store_true", help="also write the sweep curves")
 
     p = sub.add_parser("fit", help="fit a Generalized Pareto to one feature population")
@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="summary table and histogram CSVs from bundle dirs")
     p.add_argument("--bundles", nargs="+", required=True, help="run_scenario output dirs")
     p.add_argument("--out", required=True)
-    p.add_argument("--format", default="csv", choices=["csv", "json"])
     return parser
 
 

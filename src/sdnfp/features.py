@@ -37,7 +37,7 @@ from .units import NS_PER_MS
 
 DISPERSION = "dispersion"
 DELTA_RTT = "delta_rtt"
-FEATURES = (DISPERSION, DELTA_RTT)  # every feature, in the order a scenario evaluates them
+FEATURES = (DISPERSION, DELTA_RTT)  # every feature, in the order `scenario.evaluate` takes those present
 
 MISSING_NS = -1  # sentinel for an absent timestamp in external traces
 

@@ -96,10 +96,9 @@ class Scenario:
     """One scenario: path shape, delay calibration, probe plan and seed.
 
     A default the simulator or the probe builders also apply (reply size,
-    MTU, CLEAR delay, table capacity, idle lead-in, the feature pair) is the
-    constant of the module that applies it.  Labelling reads the scenario
-    itself: each sample's row carries its k, switch_kind, data_link_bps and
-    time span.
+    MTU, CLEAR delay, table capacity, idle lead-in) is the constant of the
+    module that applies it.  Labelling reads the scenario itself: each
+    sample's row carries its k, switch_kind, data_link_bps and time span.
     """
 
     name: str
@@ -123,7 +122,6 @@ class Scenario:
     time_span_ns: int = NS_PER_S
     passive_window_ns: int = NS_PER_S
     bin_width_ms: float = 0.1
-    feature_set: tuple[str, ...] = FEATURES
     defense: DelayElementConfig | None = None
     drift: DriftModel | None = None
     idle_lead_ns: int = DEFAULT_IDLE_LEAD_NS
@@ -135,11 +133,10 @@ class Scenario:
             raise ConfigError("seed: must be >= 0")
         if self.trains < 1:
             raise ConfigError("trains: must be >= 1")
-        if not 1 <= self.k <= min(3, self.links_forward - 1):
-            raise ConfigError(
-                f"k: {self.k} configured switches do not fit a "
-                f"{self.links_forward}-link forward path"
-            )
+        if not 1 <= self.k <= 3:
+            raise ConfigError(f"k: must be 1, 2 or 3 configured switches, got {self.k}")
+        if self.k > self.links_forward - 1:
+            raise ConfigError(f"k: {self.k} needs links_forward >= {self.k + 1}, got {self.links_forward}")
         if self.links_reverse < 1:
             raise ConfigError("links_reverse: must be >= 1")
         if self.switch_kind not in (HARDWARE, SOFTWARE):
@@ -159,11 +156,6 @@ class Scenario:
             raise ConfigError("passive_window: must be positive")
         if not self.bin_width_ms > 0:
             raise ConfigError("bin_width: must be positive")
-        if not self.feature_set:
-            raise ConfigError(f"features: need at least one of {', '.join(FEATURES)}")
-        for f in self.feature_set:
-            if f not in FEATURES:
-                raise ConfigError(f"features: unknown feature {f!r}")
         if self.defense is not None and self.idle_lead_ns <= self.defense.t_th_ns:
             raise ConfigError("idle_lead: must exceed the defense inactivity threshold")
 
@@ -242,14 +234,22 @@ def finite_range(values: np.ndarray, feature: str, label: str) -> tuple[float, f
     return lo, hi
 
 
-def evaluate(samples, features) -> dict[str, FeatureResult]:
-    """EER and Welch test of each feature's N and Y populations."""
-    results = {}
-    for feature in features:
+def evaluate(samples) -> dict[str, FeatureResult]:
+    """EER and Welch test of the N and Y populations of each feature the
+    samples hold, in the order of FEATURES (passive samples hold delta_rtt
+    alone).  Another feature or label, or no sample, raises ConfigError."""
+    results, known = {}, 0
+    for feature in FEATURES:
         values_n, values_y = samples.values(feature, "N"), samples.values(feature, "Y")
+        known += values_n.size + values_y.size
+        if not values_n.size and not values_y.size:
+            continue
         if not values_n.size or not values_y.size:
             raise ConfigError(f"features: no {feature} samples for one label")
         for label, values in (("N", values_n), ("Y", values_y)):
+            if values.size < 2:
+                raise ConfigError(f"features: there is one {feature}/{label} sample, and "
+                                  "Welch's test needs two per population")
             lo, hi = finite_range(values, feature, label)
             if lo == hi:
                 raise ConfigError(f"features: every {feature}/{label} sample is {lo:g} ms, and "
@@ -260,6 +260,11 @@ def evaluate(samples, features) -> dict[str, FeatureResult]:
             n_count=len(values_n),
             y_count=len(values_y),
         )
+    if known < len(samples):
+        raise ConfigError(f"features: {len(samples) - known} samples are of a feature other than "
+                          f"{' or '.join(FEATURES)}, or of a label other than N or Y")
+    if not results:
+        raise ConfigError(f"features: the samples hold no {' or '.join(FEATURES)} sample")
     return results
 
 
@@ -319,7 +324,7 @@ def run_scenario(scenario: Scenario, out_dir: Path | str | None = None) -> Resul
         records=records,
         samples=samples,
         drops=drops,
-        feature_results=evaluate(samples, scenario.feature_set),
+        feature_results=evaluate(samples),
     )
     if out_dir is not None:
         write_bundle(bundle, Path(out_dir))
@@ -403,28 +408,22 @@ class Summary(Table):
     DTYPES = (object, object, np.float64, np.float64, bool, np.int64, np.int64)
 
 
-def emit_report(runs, out_dir: Path | str, fmt: str = "csv") -> list[Path]:
-    """Summary table plus plot-ready PDF_N / PDF_Y histogram CSVs.
+def emit_report(runs, out_dir: Path | str) -> list[Path]:
+    """summary.csv plus plot-ready PDF_N / PDF_Y histogram CSVs.
 
     `runs` holds one (scenario, samples, feature results) triple per run;
     each run's histograms take its scenario's bin width.
     """
     if not runs:
         raise ValueError("need at least one run")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format: must be csv or json, got {fmt!r}")
     out_dir = Path(out_dir)
     rows = [
         {"scenario": scenario.name, "feature": feature, **results[feature].row()}
         for scenario, _, results in runs
         for feature in sorted(results)
     ]
-    columns = Summary.columns()
-    summary = out_dir / f"summary.{fmt}"
-    if fmt == "json":
-        write_json(summary, [{c: row[c] for c in columns} for row in rows])
-    else:
-        Summary(*([row[c] for row in rows] for c in columns)).write_csv(summary)
+    summary = out_dir / "summary.csv"
+    Summary(*([row[c] for row in rows] for c in Summary.columns())).write_csv(summary)
     written = [summary]
     for scenario, samples, results in runs:
         for feature in sorted(results):
@@ -565,12 +564,6 @@ def _optional(codec: _Nested) -> _Nested:
     )
 
 
-def _feature_list(value) -> tuple[str, ...]:
-    if not isinstance(value, list):
-        raise TypeError("must be a list")
-    return tuple(value)
-
-
 _INT, _STR = (_whole, int), (str, str)
 # A bin width (ms) and a drift sigma are floats of whole nanoseconds once parsed;
 # written as whole nanoseconds, an int sigma writes the text its float does.
@@ -613,7 +606,6 @@ _CONFIG_FIELDS = {
     "idle_lead": ("idle_lead_ns", DURATION),
     "defense": ("defense", _optional(_mapping(DelayElementConfig, _DEFENSE_KEYS))),
     "drift": ("drift", _optional(_mapping(DriftModel, _DRIFT_KEYS))),
-    "features": ("feature_set", (_feature_list, list)),
 }
 
 

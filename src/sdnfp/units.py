@@ -15,6 +15,11 @@ NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
 
+# The longest duration a config may state, about 104 days: every nanosecond
+# up to it is exact in float64 (the drift step, `ns_from_floats`), and a sum
+# of a few of them stays far below the int64 timeline's 2**63.
+MAX_DURATION_NS = 2**53
+
 _DURATION_SCALES = {
     "ns": 1,
     "us": NS_PER_US,
@@ -86,9 +91,12 @@ def _scaled_int(value: Decimal, scale: int, what: str) -> int:
 
 
 def parse_duration_ns(text: str) -> int:
-    """'0.12 ms' -> 120000.  Accepts ns/us/ms/s/min."""
+    """'0.12 ms' -> 120000.  Accepts ns/us/ms/s/min, up to MAX_DURATION_NS."""
     value, scale = _parse(text, _DURATION_SCALES, "duration")
-    return _scaled_int(value, scale, "duration")
+    result = _scaled_int(value, scale, "duration")
+    if result > MAX_DURATION_NS:
+        raise UnitError(f"duration must be at most {MAX_DURATION_NS} ns (2**53, about 104 days)")
+    return result
 
 
 def parse_rate_bps(text: str) -> int:

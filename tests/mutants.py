@@ -99,6 +99,12 @@ MUTANTS = (
      "engine: a CLEAR leaves the flow's rules installed"),
     ("distributions.py", "ns_from_floats(ms * NS_PER_MS, exact, err_ns)", "ns_from_floats(ms * NS_PER_MS, exact)",
      "gpd hold guard without its widening: a near-zero shape's amplified last-ulp difference rounds unchecked"),
+    ("scenario.py", "        if not values_n.size and not values_y.size:\n            continue\n", "",
+     "evaluate: a feature the samples lack is evaluated, and refused for want of samples"),
+    ("units.py", "if result > MAX_DURATION_NS:", "if False:",
+     "a duration past 2**53 ns parses, and can wrap the engine's int64 timeline"),
+    ("scenario.py", "if values.size < 2:", "if values.size < 1:",
+     "evaluate: a population of one sample is called constant, not too small"),
 )
 
 

@@ -3,7 +3,7 @@
 One interpreter runs every CLI stage once under `sys.setprofile`: simulate
 and defend on the six built-ins, the fitted per-k defend loop on k2-hw-100m,
 simulate --config with a 600 s drift entry, extract (train and --passive),
-eer --curve, fit on both features, and report as csv and as json.  Every
+eer --curve, fit on both features, and report.  Every
 function and method defined in the package must have been called, unless
 ALLOWED lists it with its reason; an allowed name that is called, or that no
 longer exists, fails the test too, so the list only shrinks.  The same run
@@ -152,10 +152,7 @@ def run_every_stage(tmp_path):
          "--followup-delay", str(fits / "followup.json"), "--out", str(tmp_path / "per-k")],
     ]
     report = ["--bundles", *(str(runs / n) for n in BUILTINS), *(str(defended / f"{n}-defended") for n in BUILTINS)]
-    stages += [
-        ["report", *report, "--format", "csv", "--out", str(tmp_path / "report-csv")],
-        ["report", *report, "--format", "json", "--out", str(tmp_path / "report-json")],
-    ]
+    stages.append(["report", *report, "--out", str(tmp_path / "report")])
     out = tmp_path / "reached.json"
     # Without OPENBLAS_NUM_THREADS (sdnfp.cli set it in this process too), so the
     # stage process shows what its own import sets.

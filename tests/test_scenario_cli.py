@@ -36,6 +36,7 @@ from sdnfp.scenario import (
     write_json,
 )
 from sdnfp.stats import build_histogram
+from sdnfp.units import MAX_DURATION_NS, UnitError, parse_duration_ns
 
 TRAINS = 60  # reduced for unit-test speed; acceptance runs the full counts
 
@@ -91,8 +92,14 @@ def test_zero_trains_config_error():
 
 
 def test_validation_k_fits_path():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^k: 3 needs links_forward >= 4, got 3$"):
         small(k=3, links_forward=3)
+
+
+def test_validation_caps_k_at_three_switches():
+    # Ten forward links would fit four switches: the cap refuses k=4, not the path.
+    with pytest.raises(ConfigError, match=r"^k: must be 1, 2 or 3 configured switches, got 4$"):
+        small(k=4, links_forward=10)
 
 
 def test_build_path_carries_every_field_the_scenario_sets():
@@ -145,7 +152,7 @@ def report_runs(*bundles):
 
 def test_emit_report(tmp_path):
     runs = report_runs(run_scenario(small()), run_scenario(small("k1-sw-100m")))
-    written = emit_report(runs, tmp_path, fmt="csv")
+    written = emit_report(runs, tmp_path)
     summary = tmp_path / "summary.csv"
     assert summary in written
     lines = summary.read_text().splitlines()
@@ -162,8 +169,8 @@ def test_emit_report(tmp_path):
 
 def test_emit_report_deterministic(tmp_path):
     runs = report_runs(run_scenario(small()))
-    emit_report(runs, tmp_path / "r1", fmt="csv")
-    emit_report(runs, tmp_path / "r2", fmt="csv")
+    emit_report(runs, tmp_path / "r1")
+    emit_report(runs, tmp_path / "r2")
     assert file_digest(tmp_path / "r1" / "summary.csv") == file_digest(tmp_path / "r2" / "summary.csv")
 
 
@@ -233,7 +240,6 @@ DRIFT_YAML = (
     "  - name: lab\n    seed: 7\n    trains: 5\n    k: 2\n    data_link: 1 Gbps\n"
     "    install_delay: {kind: lognormal, median: 1.5 ms, sigma_log: 0.4}\n"
     "    defense: {first_delay: {shape: -0.5, scale_ms: 2, location_ms: 0.5}}\n"
-    "    features: [dispersion]\n"
 )
 
 
@@ -363,6 +369,37 @@ def test_cross_traffic_of_kind_none_adds_no_delay():
     assert traces[0] == traces[1]
 
 
+def test_the_longest_duration_is_two_to_the_53_nanoseconds():
+    assert parse_duration_ns(f"{MAX_DURATION_NS} ns") == MAX_DURATION_NS == 2**53
+    with pytest.raises(UnitError, match=f"duration must be at most {2**53} ns"):
+        parse_duration_ns(f"{MAX_DURATION_NS + 1} ns")
+
+
+def test_the_longest_clear_delay_runs_the_same_on_engine_and_reference():
+    # The CLEAR comes due at now + clear_delay, which stays inside int64.
+    s = scenario_from_config({"name": "k2-hw-100m", "clear_delay": f"{MAX_DURATION_NS} ns"})
+    args = (build_probe_train(DEFAULT_FLOW), s.build_path(), s.seed)
+    assert run_schedule(*args, trials=range(1)) == run_schedule_reference(*args)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("clear_delay", "9223372036 s"), ("time_span", "10000000000 s")],
+    ids=["clear_delay", "time_span"],
+)
+def test_cli_names_the_key_of_a_duration_past_the_int64_timeline(tmp_path, capsys, key, value):
+    # The engine's int64 now + clear_delay wrapped negative, so the CLEAR
+    # applied at once and the engine parted from the reference model; the
+    # time span overflowed a C long and exited 1 naming no key.
+    cfg = tmp_path / "long.yaml"
+    cfg.write_text(f"scenarios:\n  - name: k2-hw-100m\n    trains: 4\n    {key}: {value}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key}: invalid value '{value}' (duration must be at most {2**53} ns" in err
+    assert "in scenario 'k2-hw-100m'" in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_rejects_a_fitted_gpd_file_with_a_nan_shape(tmp_path, capsys):
     fitted = tmp_path / "nan.json"
     fitted.write_text('{"shape": NaN, "scale_ms": 0.8, "location_ms": 0.5}')
@@ -441,7 +478,6 @@ def test_cli_simulate_extract_eer_fit_defend_report_chain(tmp_path, capsys):
             "report",
             "--bundles", str(run_dir), str(defended_dir),
             "--out", str(tmp_path / "report"),
-            "--format", "csv",
         ]
     )
     assert code == 0
@@ -506,6 +542,56 @@ def test_cli_names_the_feature_and_label_of_a_constant_population(tmp_path, caps
     cfg.write_text("scenarios:\n  - name: k2-hw-100m\n    trains: 4\n    cross_traffic: {kind: none}\n")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
     assert "config error: features: every dispersion/N sample is " in capsys.readouterr().err
+
+
+def test_cli_names_a_population_of_one_sample(tmp_path, capsys):
+    # One train gives one install-triggering pair: one sample has no spread,
+    # but it is the count that Welch's test cannot take.
+    out = tmp_path / "runs"
+    assert main(["simulate", "--scenario", "k1-hw-100m", "--trains", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: features: there is one dispersion/Y sample, and Welch's test needs two" in err
+    assert not out.exists()
+
+
+def test_cli_eer_evaluates_the_features_the_samples_hold(tmp_path, capsys):
+    # A passive adversary's samples hold RTT differences alone.
+    bundle_dir = tmp_path / "runs" / "k2-hw-100m"
+    run_scenario(small("k2-hw-100m"), bundle_dir)
+    passive = tmp_path / "passive"
+    assert main(["extract", "--traces", str(bundle_dir / "traces.csv"), "--passive", "--out", str(passive)]) == 0
+    capsys.readouterr()
+    assert main(["eer", "--samples", str(passive / "samples.csv"), "--out", str(tmp_path / "eer")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("delta_rtt: EER=")
+    assert list(json.loads((tmp_path / "eer" / "eer.json").read_text())) == ["delta_rtt"]
+
+
+OTHER = "samples are of a feature other than dispersion or delta_rtt, or of a label other than N or Y"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([], "the samples hold no dispersion or delta_rtt sample"),
+        ([("rtt", "N"), ("rtt", "Y")] * 3, f"6 {OTHER}"),
+        # A feature the samples hold is evaluated, but a typo beside it is not dropped.
+        ([("dispersion", "N"), ("dispersion", "Y")] * 3 + [("delta-rtt", "Y")] * 2, f"2 {OTHER}"),
+        ([("dispersion", "N"), ("dispersion", "Y")] * 3 + [("dispersion", "y")], f"1 {OTHER}"),
+    ],
+    ids=["header_only", "unknown_feature", "unknown_feature_beside_a_known_one", "unknown_label"],
+)
+def test_cli_eer_names_samples_it_cannot_evaluate(tmp_path, capsys, rows, message):
+    samples = tmp_path / "samples.csv"
+    n = len(rows)
+    features, labels = [f for f, _ in rows], [label for _, label in rows]
+    Samples(features, np.arange(n, dtype=float), labels, [1] * n, ["hardware"] * n, [10**8] * n,
+            [1.0] * n).write_csv(samples)
+    out = tmp_path / "eer"
+    capsys.readouterr()
+    assert main(["eer", "--samples", str(samples), "--out", str(out)]) == 2
+    assert f"config error: features: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def bundle_with_one_sample_set_to(tmp_path, name, feature, label, value):
@@ -608,22 +694,6 @@ def test_cli_seed_override_changes_bytes(tmp_path):
     a = (tmp_path / "a" / "k1-hw-100m" / "traces.csv").read_bytes()
     b = (tmp_path / "b" / "k1-hw-100m" / "traces.csv").read_bytes()
     assert a != b
-
-
-def test_cli_report_json(tmp_path):
-    out = tmp_path / "runs"
-    main(["simulate", "--scenario", "k1-hw-100m", "--trains", str(TRAINS), "--out", str(out)])
-    code = main(
-        [
-            "report",
-            "--bundles", str(out / "k1-hw-100m"),
-            "--out", str(tmp_path / "rep"),
-            "--format", "json",
-        ]
-    )
-    assert code == 0
-    rows = json.loads((tmp_path / "rep" / "summary.json").read_text())
-    assert rows[0]["scenario"] == "k1-hw-100m"
 
 
 def test_cli_report_reads_bin_width_from_bundle(tmp_path):
@@ -815,7 +885,6 @@ ENTRIES = st.fixed_dictionaries(
         "idle_lead": quantity("s", 6, 60),
         "defense": st.none() | DEFENSES,
         "drift": st.none() | st.fixed_dictionaries({"sigma": DURATIONS}, optional={"base": DURATIONS}),
-        "features": st.lists(st.sampled_from(["dispersion", "delta_rtt"]), min_size=1, max_size=2),
     },
 )
 
@@ -944,6 +1013,9 @@ def test_cli_rejects_an_unknown_scenario_key(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
     with pytest.raises(ConfigError, match="^seeds: unknown key"):
         scenario_from_config({"name": "fresh", "seed": 5, "seeds": 6})
+    # The samples say which features a run has: no entry chooses them.
+    with pytest.raises(ConfigError, match="^features: unknown key"):
+        scenario_from_config({"name": "k1-hw-100m", "features": ["dispersion"]})
 
 
 def test_cli_parallel_jobs_write_the_serial_bytes(tmp_path):
@@ -996,9 +1068,8 @@ def test_cli_rejects_an_unknown_nested_key(tmp_path, capsys, entry, key):
         ("lookup_delay: [1, 2]", "lookup_delay: must be a mapping, got [1, 2]"),
         ("cross_traffic: 7 ms", "cross_traffic: must be a mapping, got '7 ms'"),
         ("defense: {first_delay: 5}", "defense.first_delay: must be a mapping, got 5"),
-        ("features: dispersion", "features: invalid value 'dispersion' (must be a list)"),
     ],
-    ids=["install_delay_null", "install_delay", "lookup_delay", "cross_traffic", "first_delay", "features"],
+    ids=["install_delay_null", "install_delay", "lookup_delay", "cross_traffic", "first_delay"],
 )
 def test_cli_names_the_key_of_a_value_of_the_wrong_type(tmp_path, capsys, entry, message):
     cfg = tmp_path / "typed.yaml"
@@ -1014,16 +1085,15 @@ def test_cli_names_the_key_of_a_value_of_the_wrong_type(tmp_path, capsys, entry,
         assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_cli_report_reads_no_results_json(tmp_path, fmt):
-    # The report takes the features and bin width from scenario.json and the
-    # samples from samples.csv: without results.json it writes the same bytes.
+def test_cli_report_reads_no_results_json(tmp_path):
+    # The report takes the bin width from scenario.json and the samples from
+    # samples.csv: without results.json it writes the same bytes.
     bundle_dir = tmp_path / "runs" / "k3-hw-1g"
     run_scenario(small("k3-hw-1g"), bundle_dir)
 
     def report(name):
         out = tmp_path / name
-        assert main(["report", "--bundles", str(bundle_dir), "--out", str(out), "--format", fmt]) == 0
+        assert main(["report", "--bundles", str(bundle_dir), "--out", str(out)]) == 0
         return {path.name: path.read_bytes() for path in out.iterdir()}
 
     with_results = report("with")
