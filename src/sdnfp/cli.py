@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -50,7 +49,7 @@ from .scenario import (
     write_json,
 )
 from .stats import MIN_FIT_SAMPLES, fit_gpd
-from .units import NS_PER_S
+from .units import MAX_DURATION_NS, NS_PER_S
 
 # Unused here since `scenario.evaluate` computes every EER and Welch test, but
 # bench/tracer.py patches these two names on this module.
@@ -117,9 +116,10 @@ def cmd_extract(args) -> int:
     if args.passive:
         window = scenario.passive_window_ns
         if args.window_s is not None:
-            window = round(args.window_s * NS_PER_S) if math.isfinite(args.window_s) else 0
-            if window <= 0:
-                raise ConfigError("window-s: must be at least one nanosecond")
+            ns = args.window_s * NS_PER_S
+            if not 0.5 < ns <= MAX_DURATION_NS:  # rounds into passive_window's bounds; NaN does not
+                raise ConfigError(f"window-s: must be at least one nanosecond and at most {MAX_DURATION_NS} ns")
+            window = round(ns)
         samples = features_mod.passive_samples(trace, scenario, window, drops)
     else:
         samples = features_mod.label_samples(trace, scenario, drops)

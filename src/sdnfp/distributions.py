@@ -1,12 +1,12 @@
 """Delay distributions used by links, switches, the controller and the delay element.
 
-`DelayModel` is the one delay type: a link's cross-traffic jitter (of a kind
-in `CROSS_TRAFFIC_KINDS`), the controller's lookup and install delays, and
-the delay element's gpd holds, whose quantile stays hand-written because the
-defended traces depend on its exact floating-point path.  Every sampler
-returns integer nanoseconds (half-up rounding) so that a (scenario, seed)
-pair replays to bit-identical traces; `DelayModel._ns` holds each kind's
-formula for one draw, which `ns_from_draws` falls back to.
+`DelayModel` is the one delay type: a link's cross-traffic jitter and the
+controller's lookup and install delays, all three configured by the keys of
+`DELAY_KINDS`, and the delay element's gpd holds, whose quantile stays
+hand-written because the defended traces depend on its exact floating-point
+path.  Every sampler returns integer nanoseconds (half-up rounding) so that a
+(scenario, seed) pair replays to bit-identical traces; `DelayModel._ns` holds
+each kind's formula for one draw, which `ns_from_draws` falls back to.
 """
 
 from __future__ import annotations
@@ -193,15 +193,3 @@ DELAY_KINDS = {
     "pareto": {"mean": ("mean_ns", DURATION), "variance": ("variance_ns2", VARIANCE)},
     "lognormal": {"median": ("median_ns", DURATION), "sigma_log": ("sigma_log", (float, float))},
 }
-# The kinds and keys of a link's cross-traffic model: a constant's mean is
-# its value.  The cross stream is drawn with random() alone, so no lognormal.
-CROSS_TRAFFIC_KINDS = {
-    "none": {},
-    "constant": {"mean": ("value_ns", DURATION)},
-    "pareto": {"mean": ("mean_ns", DURATION), "variance": ("variance_ns2", VARIANCE)},
-}
-# What an omitted cross_traffic kind or key takes: the cross-traffic
-# generator's 20 ms / 4 ms^2 Pareto, or a 20 ms constant.
-CROSS_TRAFFIC_DEFAULTS = DelayModel(
-    kind="pareto", value_ns=20 * NS_PER_MS, mean_ns=20 * NS_PER_MS, variance_ns2=4 * NS_PER_MS**2
-)

@@ -53,7 +53,7 @@ hold it to numpy: `spawn_state` computes the seed words of one stream for all
 trials in one pass, and `pcg64_random` runs PCG64's `random()` on them, so a
 stream whose draws are all `random()` is drawn as one [trial, n] block with no
 Generator built.  That covers `cross` (one `random()` per hop with Pareto
-cross traffic; `LinkSpec` takes no lognormal), `defense` (one per
+cross traffic, the only draw `LinkSpec` takes), `defense` (one per
 delay-element hold) and `control` when its lookup and install models are
 Pareto.  numpy's `standard_normal()` ziggurat is not reproduced, so `drift`
 (one per send time that advances the clock) and `control` with lognormal
@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defense
-from .distributions import CROSS_TRAFFIC_KINDS, NO_DELAY, DelayModel
+from .distributions import NO_DELAY, DelayModel
 from .units import NS_PER_MS, div_round_half_up
 
 DEFAULT_REPLY_BYTES = 64
@@ -139,8 +139,8 @@ class LinkSpec:
             raise ValueError("link capacity must be positive")
         if self.base_latency_ns < 0:
             raise ValueError("base latency must be >= 0")
-        if self.cross_traffic.kind not in CROSS_TRAFFIC_KINDS:
-            raise ValueError(f"cross traffic must be one of {'/'.join(CROSS_TRAFFIC_KINDS)}, not {self.cross_traffic.kind!r}")
+        if self.cross_traffic.draw_type not in (None, "random"):
+            raise ValueError(f"the cross stream draws random() alone, not a {self.cross_traffic.kind!r} delay's draws")
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ with `write_bundle`.  results.json is an output only: no stage reads it back.
 `emit_report` writes the report's summary and PDF_N/PDF_Y histograms as tables
 too.
 
-There is one scenario schema: `_CONFIG_FIELDS` and the per-kind key tables
-give each config key a (parse, write) pair, so `scenario_to_config` inverts
+There is one scenario schema: `_CONFIG_FIELDS` and `DELAY_KINDS` give each
+config key a (parse, write) pair, so `scenario_to_config` inverts
 `scenario_from_config`.  scenario.json is a config file with the bundle's
 scenario as its one entry; `read_scenario_descriptor` reads it, for the CLI
 stages that start from persisted files (`extract` and `report`), with the
@@ -47,10 +47,7 @@ import numpy as np
 from . import probes as probes_mod
 from .defense import DelayElementConfig
 from .distributions import (
-    CROSS_TRAFFIC_DEFAULTS,
-    CROSS_TRAFFIC_KINDS,
     DELAY_KINDS,
-    NO_DELAY,
     DelayModel,
     GPDParams,
     constant,
@@ -110,7 +107,7 @@ class Scenario:
     links_forward: int = 4
     links_reverse: int = 4
     base_latency_ns: int = 0
-    cross_traffic: DelayModel | None = DEFAULT_CROSS
+    cross_traffic: DelayModel = DEFAULT_CROSS
     install_delay: DelayModel | None = None  # None picks the kind's default
     lookup_delay: DelayModel = DEFAULT_LOOKUP
     mtu_bytes: int = DEFAULT_MTU_BYTES
@@ -143,6 +140,10 @@ class Scenario:
             raise ConfigError(f"switch_kind: must be hardware or software, got {self.switch_kind!r}")
         if self.table_capacity < 0:
             raise ConfigError("table_capacity: must be >= 0")
+        cross = self.cross_traffic
+        if cross.draw_type not in (None, "random"):  # LinkSpec's own rule, which names no key
+            raise ConfigError(f"cross_traffic: a {cross.kind} delay draws {cross.draw_type}(), "
+                              "and the cross stream draws random() alone")
         install = self.install_delay
         if install is not None and (install.kind == "none" or install.kind == "constant" and install.value_ns <= 0):
             raise ConfigError("install_delay: samples must be positive")
@@ -163,9 +164,9 @@ class Scenario:
         """The uniform path of k switches, with the delay element, when
         defended, at the outermost one, and the scenario's controller delays,
         drift, reply size and server turnaround.  The install delay defaults
-        to the switch kind's, and a link with no cross traffic is quiet."""
+        to the switch kind's; every link carries the scenario's cross traffic."""
         install = self.install_delay or (HW_INSTALL if self.switch_kind == HARDWARE else SW_INSTALL)
-        link = LinkSpec(self.data_link_bps, self.base_latency_ns, self.cross_traffic or NO_DELAY)
+        link = LinkSpec(self.data_link_bps, self.base_latency_ns, self.cross_traffic)
         return PathSpec(
             forward_links=(link,) * self.links_forward, reverse_links=(link,) * self.links_reverse,
             switches=(SwitchSpec(install, self.table_capacity),) * self.k,
@@ -229,7 +230,7 @@ def finite_range(values: np.ndarray, feature: str, label: str) -> tuple[float, f
     sample raises ConfigError naming the feature and label."""
     lo, hi = values.min(), values.max()  # NaN if any value is
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"features: a {feature}/{label} sample is {hi if math.isfinite(lo) else lo:g} "
+        raise ConfigError(f"samples: a {feature}/{label} sample is {hi if math.isfinite(lo) else lo:g} "
                           "ms; the EER, Welch's test and the GPD fit need finite samples")
     return lo, hi
 
@@ -245,15 +246,15 @@ def evaluate(samples) -> dict[str, FeatureResult]:
         if not values_n.size and not values_y.size:
             continue
         if not values_n.size or not values_y.size:
-            raise ConfigError(f"features: no {feature} samples for one label")
+            raise ConfigError(f"samples: no {feature} samples for one label")
         for label, values in (("N", values_n), ("Y", values_y)):
             if values.size < 2:
-                raise ConfigError(f"features: there is one {feature}/{label} sample, and "
+                raise ConfigError(f"samples: there is one {feature}/{label} sample, and "
                                   "Welch's test needs two per population")
             lo, hi = finite_range(values, feature, label)
-            if lo == hi:
-                raise ConfigError(f"features: every {feature}/{label} sample is {lo:g} ms, and "
-                                  "Welch's test needs spread (link jitter gives N its spread)")
+            if values.var(ddof=1) == 0:  # welch_t_test's own test, which may underflow where lo < hi
+                raise ConfigError(f"samples: the {feature}/{label} samples have no variance (min {lo:g} ms, max "
+                                  f"{hi:g} ms), and Welch's test needs spread (link jitter gives N its spread)")
         results[feature] = FeatureResult(
             eer=compute_eer(values_n, values_y),
             welch=welch_t_test(values_n, values_y),
@@ -261,10 +262,10 @@ def evaluate(samples) -> dict[str, FeatureResult]:
             y_count=len(values_y),
         )
     if known < len(samples):
-        raise ConfigError(f"features: {len(samples) - known} samples are of a feature other than "
+        raise ConfigError(f"samples: {len(samples) - known} samples are of a feature other than "
                           f"{' or '.join(FEATURES)}, or of a label other than N or Y")
     if not results:
-        raise ConfigError(f"features: the samples hold no {' or '.join(FEATURES)} sample")
+        raise ConfigError(f"samples: there is no {' or '.join(FEATURES)} sample")
     return results
 
 
@@ -540,18 +541,17 @@ def _mapping(cls, keys: dict) -> _Nested:
     return _Nested(lambda cfg, key: cls(**_fields(cfg, keys, key)), lambda obj: _config(obj, keys))
 
 
-def _kinds(kinds: dict, default: DelayModel) -> _Nested:
+def _kinds(kinds: dict) -> _Nested:
     """Codec of a mapping that builds a DelayModel, whose `kind` key picks its
-    other keys from `kinds`; an omitted kind or key takes its field's value
-    in `default`."""
+    other keys from `kinds`; an omitted kind is none, and an omitted key takes
+    its field's default."""
     keys = {kind: {"kind": ("kind", _STR), **kinds[kind]} for kind in kinds}
 
     def parse(cfg, key):
-        kind = _as_mapping(cfg, key).get("kind", default.kind)
+        kind = _as_mapping(cfg, key).get("kind", "none")
         if kind not in keys:
             raise ConfigError(f"{key}.kind: unknown kind {kind!r}")
-        omitted = {field: getattr(default, field) for field, _ in keys[kind].values()}
-        return DelayModel(**{**omitted, **_fields(cfg, keys[kind], key)})
+        return DelayModel(**_fields(cfg, keys[kind], key))
 
     return _Nested(parse, lambda obj: _config(obj, keys[obj.kind]))
 
@@ -569,6 +569,7 @@ _INT, _STR = (_whole, int), (str, str)
 # written as whole nanoseconds, an int sigma writes the text its float does.
 _BIN_WIDTH = (lambda v: parse_duration_ns(v) / NS_PER_MS, lambda ms: f"{round(ms * NS_PER_MS)} ns")
 _SIGMA = (lambda v: float(parse_duration_ns(v)), "{:.0f} ns".format)
+_DELAY = _kinds(DELAY_KINDS)
 _GPD = _Nested(
     _gpd_from_config,
     lambda d: {"shape": d.gpd.shape, "scale_ms": d.gpd.scale, "location_ms": d.gpd.location},
@@ -591,9 +592,9 @@ _CONFIG_FIELDS = {
     "links_forward": ("links_forward", _INT),
     "links_reverse": ("links_reverse", _INT),
     "base_latency": ("base_latency_ns", DURATION),
-    "cross_traffic": ("cross_traffic", _optional(_kinds(CROSS_TRAFFIC_KINDS, CROSS_TRAFFIC_DEFAULTS))),
-    "install_delay": ("install_delay", _optional(_kinds(DELAY_KINDS, NO_DELAY))),
-    "lookup_delay": ("lookup_delay", _kinds(DELAY_KINDS, NO_DELAY)),
+    "cross_traffic": ("cross_traffic", _DELAY),
+    "install_delay": ("install_delay", _optional(_DELAY)),
+    "lookup_delay": ("lookup_delay", _DELAY),
     "mtu": ("mtu_bytes", SIZE),
     "reply_size": ("reply_bytes", SIZE),
     "pair_spacing": ("pair_spacing_ns", DURATION),

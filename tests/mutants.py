@@ -105,6 +105,12 @@ MUTANTS = (
      "a duration past 2**53 ns parses, and can wrap the engine's int64 timeline"),
     ("scenario.py", "if values.size < 2:", "if values.size < 1:",
      "evaluate: a population of one sample is called constant, not too small"),
+    ("scenario.py", 'if cross.draw_type not in (None, "random"):', "if False:",
+     "Scenario: a lognormal cross traffic passes, and LinkSpec refuses it mid-run naming no key"),
+    ("scenario.py", "if values.var(ddof=1) == 0:", "if lo == hi:",
+     "evaluate: a population whose variance underflows passes, and Welch's test refuses it naming none"),
+    ("cli.py", "if not 0.5 < ns <= MAX_DURATION_NS:", "if not 0.5 < ns:",
+     "extract: --window-s has no upper bound, so 1e300 s overflows to an infinite window"),
 )
 
 
