@@ -10,7 +10,8 @@ each feature the samples hold.  No stage reads results.json.  Beside an
 external trace, write a sidecar such as
 `{"scenarios": [{"name": "lab", "seed": 1, "k": 2}]}`; omitted keys take the
 same defaults as in a YAML scenario file.
-Exit codes: 0 success, 2 configuration error, 1 anything else.
+Exit codes: 0 success, 2 configuration error or a sample population a
+statistic cannot take (named by feature and label), 1 anything else.
 
 A stage process loads only what it runs.  No stage makes a BLAS call, so
 numpy's OpenBLAS starts no worker threads: this module sets
@@ -41,14 +42,13 @@ from .scenario import (
     builtin_scenarios,
     emit_report,
     evaluate,
-    finite_range,
     load_gpd,
     load_scenarios,
     read_scenario_descriptor,
     run_scenario,
     write_json,
 )
-from .stats import MIN_FIT_SAMPLES, fit_gpd
+from .stats import SamplesError, fit_gpd
 from .units import MAX_DURATION_NS, NS_PER_S
 
 # Unused here since `scenario.evaluate` computes every EER and Welch test, but
@@ -146,15 +146,10 @@ def cmd_eer(args) -> int:
 def cmd_fit(args) -> int:
     samples = read_feature_csv(args.samples)
     values = samples.values(args.feature, args.label)
-    population = f"{args.feature}/{args.label}"
-    if values.size < MIN_FIT_SAMPLES:
-        raise ConfigError(f"samples: {args.samples} holds {values.size} {population} samples; "
-                          f"the GPD fit needs at least {MIN_FIT_SAMPLES}")
-    lo, hi = finite_range(values, args.feature, args.label)
-    if lo == hi:
-        raise ConfigError(f"samples: every {population} sample in {args.samples} is {lo:g} ms; "
-                          "the GPD fit needs spread")
-    params, ks = fit_gpd(values)
+    try:
+        params, ks = fit_gpd(values)
+    except SamplesError as exc:
+        raise ConfigError(f"samples: {args.feature}/{args.label} in {args.samples}: {exc}") from None
     payload = {
         "feature": args.feature,
         "label": args.label,

@@ -63,7 +63,7 @@ from .netsim import (
 from .probes import (
     DEFAULT_IDLE_LEAD_NS, DEFAULT_MTU_BYTES, Table, Trace, build_probe_train, idle_flow_probes, run_schedule,
 )
-from .stats import EERResult, WelchResult, build_histogram, compute_eer, welch_t_test
+from .stats import EERResult, SamplesError, WelchResult, build_histogram, compute_eer, welch_t_test
 from .units import DURATION, NS_PER_MS, NS_PER_S, RATE, SIZE, parse_duration_ns
 
 
@@ -225,39 +225,25 @@ class FeatureResult:
         }
 
 
-def finite_range(values: np.ndarray, feature: str, label: str) -> tuple[float, float]:
-    """(min, max) of one non-empty feature/label population; a NaN or infinite
-    sample raises ConfigError naming the feature and label."""
-    lo, hi = values.min(), values.max()  # NaN if any value is
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"samples: a {feature}/{label} sample is {hi if math.isfinite(lo) else lo:g} "
-                          "ms; the EER, Welch's test and the GPD fit need finite samples")
-    return lo, hi
-
-
 def evaluate(samples) -> dict[str, FeatureResult]:
     """EER and Welch test of the N and Y populations of each feature the
     samples hold, in the order of FEATURES (passive samples hold delta_rtt
-    alone).  Another feature or label, or no sample, raises ConfigError."""
+    alone).  A population Welch's test refuses (see `welch_t_test`) raises
+    ConfigError naming its feature and label, and so do another feature or
+    label and no sample at all."""
     results, known = {}, 0
     for feature in FEATURES:
         values_n, values_y = samples.values(feature, "N"), samples.values(feature, "Y")
         known += values_n.size + values_y.size
         if not values_n.size and not values_y.size:
             continue
-        if not values_n.size or not values_y.size:
-            raise ConfigError(f"samples: no {feature} samples for one label")
-        for label, values in (("N", values_n), ("Y", values_y)):
-            if values.size < 2:
-                raise ConfigError(f"samples: there is one {feature}/{label} sample, and "
-                                  "Welch's test needs two per population")
-            lo, hi = finite_range(values, feature, label)
-            if values.var(ddof=1) == 0:  # welch_t_test's own test, which may underflow where lo < hi
-                raise ConfigError(f"samples: the {feature}/{label} samples have no variance (min {lo:g} ms, max "
-                                  f"{hi:g} ms), and Welch's test needs spread (link jitter gives N its spread)")
+        try:  # Welch's test first: it refuses the non-finite samples the EER's sweep takes
+            welch = welch_t_test(values_n, values_y)
+        except SamplesError as exc:
+            raise ConfigError(f"samples: {feature}/{exc}") from None
         results[feature] = FeatureResult(
             eer=compute_eer(values_n, values_y),
-            welch=welch_t_test(values_n, values_y),
+            welch=welch,
             n_count=len(values_n),
             y_count=len(values_y),
         )
@@ -614,7 +600,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
     """The scenario of one config entry.  A built-in's name starts from that
     built-in, any other name from `Scenario`'s defaults and needs a seed; each
     key given replaces one field, and a key `_CONFIG_FIELDS` does not know is
-    an error."""
+    an error.  An error, `Scenario`'s own checks included, names the entry."""
     if not isinstance(cfg, dict):
         raise ConfigError("scenario: each entry must be a mapping")
     name = _field(cfg, "name", str, "the scenario entry")
@@ -622,11 +608,10 @@ def scenario_from_config(cfg: dict) -> Scenario:
     base = builtin_scenarios().get(name)
     if base is None:
         base = Scenario(name=name, seed=_field(cfg, "seed", _whole, source))
-    try:
-        fields = _fields({key: v for key, v in cfg.items() if key != "name"}, _CONFIG_FIELDS, "")
+    try:  # Scenario's own checks run in replace
+        return replace(base, **_fields({key: v for key, v in cfg.items() if key != "name"}, _CONFIG_FIELDS, ""))
     except ConfigError as exc:
         raise ConfigError(f"{exc} in {source}") from None
-    return replace(base, **fields)
 
 
 def scenario_to_config(s: Scenario) -> dict:

@@ -12,6 +12,11 @@ scipy's bounded Brent, and Welch's 1% decision comes from a pure-Python
 Student-t tail, with scipy's `stdtr` imported only for the p-value and for
 the rare tail that lands too near 1% to decide.
 
+Each routine checks the populations it takes and raises `SamplesError` for
+one it cannot, naming a population of a two-sample statistic by its label,
+N or Y; the caller adds the feature and the file.  Welch's test takes finite
+samples only, so its t and df are finite.
+
 Classification convention (fixed): a measurement at or below the threshold t
 is conjectured N (no rule installed), above it Y.  During the sweep,
 FNR(t) = |{N > t}|/|N| and FMR(t) = |{Y <= t}|/|Y|; the EER is the value at
@@ -30,16 +35,23 @@ from .distributions import GPDParams
 from .probes import Table
 
 
-class EmptySamplesError(ValueError):
-    pass
+class SamplesError(ValueError):
+    """A population a statistic cannot take: too few samples, a non-finite
+    one, too little spread, or one the fit finds no likelihood maximum for."""
 
 
-class DegenerateVarianceError(ValueError):
-    pass
-
-
-class FitFailedError(RuntimeError):
-    pass
+def _population(samples, least: int, statistic: str, label: str = "") -> np.ndarray:
+    """`samples` as a float array of at least `least` finite values; else a
+    SamplesError whose message starts with the population's label, if any."""
+    x = np.asarray(samples, dtype=float)
+    named = f"{label}: " if label else ""
+    if x.size < least:
+        raise SamplesError(f"{named}{statistic} needs {least} or more samples, got {x.size}")
+    lo, hi = x.min(), x.max()  # NaN if any value is
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise SamplesError(f"{named}a sample is {hi if math.isfinite(lo) else lo:g} ms; "
+                           f"{statistic} needs finite samples")
+    return x
 
 
 # -- histograms -------------------------------------------------------------
@@ -60,9 +72,7 @@ def build_histogram(values_ms, bin_width_ms: float) -> Histogram:
     """Bins [i w, (i+1) w) of width w, counted by index i."""
     if bin_width_ms <= 0:
         raise ValueError("bin width must be positive")
-    values = np.asarray(values_ms, dtype=float)
-    if values.size == 0:
-        raise EmptySamplesError("no samples to bin")
+    values = _population(values_ms, 1, "a histogram")
     indices, counts = np.unique(np.floor(values / bin_width_ms).astype(int), return_counts=True)
     return Histogram(indices * bin_width_ms, counts, counts / values.size)
 
@@ -102,12 +112,14 @@ def compute_eer(samples_n, samples_y) -> EERResult:
 
     Identical populations cross at exactly 0.5, disjoint ones at 0.  The
     crossing is found where FMR - FNR changes sign and both rates are
-    interpolated linearly to that point.
+    interpolated linearly to that point.  Each population needs a sample;
+    NaN and infinite ones are swept as np.unique sorts them.
     """
     n = np.sort(np.asarray(samples_n, dtype=float))
     y = np.sort(np.asarray(samples_y, dtype=float))
-    if n.size == 0 or y.size == 0:
-        raise EmptySamplesError("both populations must be non-empty")
+    for label, x in (("N", n), ("Y", y)):
+        if not x.size:
+            raise SamplesError(f"{label}: the EER needs 1 or more samples, got 0")
     thresholds = _sorted_union(n, y)
     fnr = 1.0 - np.searchsorted(n, thresholds, side="right") / n.size
     fmr = np.searchsorted(y, thresholds, side="right") / y.size
@@ -136,7 +148,8 @@ class WelchResult:
 
     `significant_at_1pct` comes from `_two_sided_t_tail` and equals
     `p_value < 0.01`.  `p_value` is scipy's 2 stdtr(df, -|t|), bit for bit
-    `scipy.stats.t.sf`, and imports scipy when it is read.
+    `scipy.stats.t.sf`, and imports scipy when it is read.  t and df are
+    finite: `welch_t_test` refuses the populations that would make them not.
     """
 
     t_statistic: float
@@ -156,22 +169,27 @@ def _scipy_p_value(t: float, df: float) -> float:
 
 
 def welch_t_test(samples_n, samples_y) -> WelchResult:
-    """Two-sample unequal-variance t-test with Welch-Satterthwaite df."""
-    a = np.asarray(samples_n, dtype=float)
-    b = np.asarray(samples_y, dtype=float)
-    if a.size < 2 or b.size < 2:
-        raise DegenerateVarianceError("need at least two samples per population")
-    va = a.var(ddof=1)
-    vb = b.var(ddof=1)
-    if va == 0.0 or vb == 0.0:
-        raise DegenerateVarianceError("population variance is zero")
-    sa = va / a.size
-    sb = vb / b.size
-    t_stat = float((a.mean() - b.mean()) / math.sqrt(sa + sb))
+    """Two-sample unequal-variance t-test with Welch-Satterthwaite df.
+
+    Each population needs two or more finite samples whose variance over
+    their count, the squared standard error, is finite and above 0; a
+    SamplesError names the population that fails by its label, N or Y.
+    """
+    moments = []
+    for label, samples in (("N", samples_n), ("Y", samples_y)):
+        x = _population(samples, 2, "Welch's test", label)
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range is inf
+            s = float(x.var(ddof=1)) / x.size
+        if not 0.0 < s < math.inf:
+            raise SamplesError(f"{label}: the samples' variance is {'0' if s == 0.0 else 'beyond the float range'} "
+                               f"(min {x.min():g} ms, max {x.max():g} ms); Welch's test needs a finite spread")
+        moments.append((float(x.mean()), s, x.size))
+    (mean_a, sa, na), (mean_b, sb, nb) = moments
+    t_stat = (mean_a - mean_b) / math.sqrt(sa + sb)
     # Welch-Satterthwaite df by the share r of sa: r or 1 - r is at least 1/2,
     # so the denominator cannot underflow to 0 as sa**2 can.
     r = sa / (sa + sb)
-    df = float(1.0 / (r**2 / (a.size - 1) + (1.0 - r) ** 2 / (b.size - 1)))
+    df = 1.0 / (r**2 / (na - 1) + (1.0 - r) ** 2 / (nb - 1))
     return WelchResult(t_statistic=t_stat, significant_at_1pct=_significant_at_1pct(t_stat, df), df=df)
 
 
@@ -221,8 +239,6 @@ def _two_sided_t_tail(t: float, df: float) -> float:
 def _significant_at_1pct(t: float, df: float) -> bool:
     """Is `_scipy_p_value(t, df)` below 1%?  scipy is asked only within the
     band around 1%, above _DF_MAX or where the tail has not converged."""
-    if not (math.isfinite(t) and math.isfinite(df)):
-        return False  # NaN or inf samples: scipy's p-value is NaN
     if t * t < 3.0 * df / (df + 2.0):
         return False  # the tail is above 2 P(Z > sqrt 3) = 0.083, its limit as df grows
     if df <= _DF_MAX:
@@ -301,21 +317,20 @@ def fit_gpd(samples) -> tuple[GPDParams, float]:
     step for step: importing scipy's optimizer costs more memory and time than
     the fit.  Below shape -1 the likelihood grows without bound as theta nears
     -1/max y; there is no maximum, and the fit fails.  Returns the parameters
-    and the fit's Kolmogorov-Smirnov D.
+    and the fit's Kolmogorov-Smirnov D.  The samples need spread after the
+    location shift, and a SamplesError says what a population lacks.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.size < MIN_FIT_SAMPLES:
-        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples")
-    if not np.all(np.isfinite(x)):
-        raise FitFailedError("samples must be finite")
-    if x.max() == x.min():
-        raise FitFailedError("constant samples leave the likelihood degenerate")
+    x = _population(samples, MIN_FIT_SAMPLES, "the GPD fit")
     mu = float(x.min()) - LOCATION_EPS_MS
     if mu == x.min():
-        raise FitFailedError(f"location: no float lies 1 ns below the smallest sample, {x.min():g} ms "
-                             "(samples must stay below about 1.7e10 ms)")
-    y_max = float(x.max()) - mu
-    z = (x - mu) / y_max  # t = theta * y_max keeps every log1p(t z) above -1 for t > -1
+        raise SamplesError(f"no float lies 1 ns below the smallest sample, {x.min():g} ms "
+                           "(samples must stay below about 1.7e10 ms)")
+    z = x - mu  # y, scaled below
+    y_max = float(z.max())
+    if z.min() == y_max:  # equal samples, or a spread the shift rounds away
+        raise SamplesError(f"the samples have no spread after the 1 ns location shift (min {x.min():g} ms, "
+                           f"max {x.max():g} ms); the GPD fit needs spread")
+    z /= y_max  # t = theta * y_max keeps every log1p(t z) above -1 for t > -1
 
     def profile(log_abs_t, sign):
         """Negative profile log-likelihood per sample, less log(y_max)."""
@@ -326,8 +341,8 @@ def fit_gpd(samples) -> tuple[GPDParams, float]:
     with np.errstate(over="ignore", divide="ignore"):  # z.min() ** 2 leaves the float range
         bound = 2.0 * (z.mean() - z.min()) / z.min() ** 2  # Grimshaw's bound on theta y_max
     if not math.isfinite(bound):
-        raise FitFailedError(f"samples: their range, {y_max:g} ms, overflows Grimshaw's bound "
-                             "(ranges must stay below about 1e148 ms)")
+        raise SamplesError(f"the samples' range, {y_max:g} ms, overflows Grimshaw's bound "
+                           "(ranges must stay below about 1e148 ms)")
     upper = math.log(bound)
     searches = [(_minimize_bounded(lambda v: profile(v, sign), _LOG_T_MIN, hi, xatol=1e-10), sign)
                 for sign, hi in ((-1.0, 0.0), (1.0, upper))]
@@ -337,9 +352,9 @@ def fit_gpd(samples) -> tuple[GPDParams, float]:
     xi = float(log_terms.mean())
     sigma = xi * y_max / t
     if not (math.isfinite(xi) and math.isfinite(sigma) and sigma > 0):
-        raise FitFailedError("no parameter pair with finite likelihood")
+        raise SamplesError("no parameter pair has a finite likelihood")
     if xi <= -1.0:
-        raise FitFailedError(f"shape: no likelihood maximum above -1 (the search stopped at {xi:.3f})")
+        raise SamplesError(f"no likelihood maximum at a shape above -1 (the search stopped at {xi:.3f})")
     cdf = np.sort(-np.expm1(-log_terms / xi))  # 1 - (1 + theta y)^(-1/xi) at each sample
     i = np.arange(cdf.size)
     ks = max(((i + 1) / cdf.size - cdf).max(), (cdf - i / cdf.size).max())

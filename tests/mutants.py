@@ -103,14 +103,17 @@ MUTANTS = (
      "evaluate: a feature the samples lack is evaluated, and refused for want of samples"),
     ("units.py", "if result > MAX_DURATION_NS:", "if False:",
      "a duration past 2**53 ns parses, and can wrap the engine's int64 timeline"),
-    ("scenario.py", "if values.size < 2:", "if values.size < 1:",
-     "evaluate: a population of one sample is called constant, not too small"),
+    ("stats.py", 'x = _population(samples, 2, "Welch\'s test", label)',
+     'x = _population(samples, 1, "Welch\'s test", label)',
+     "welch_t_test: a population of one sample passes the count and fails on its variance, not for its size"),
     ("scenario.py", 'if cross.draw_type not in (None, "random"):', "if False:",
      "Scenario: a lognormal cross traffic passes, and LinkSpec refuses it mid-run naming no key"),
-    ("scenario.py", "if values.var(ddof=1) == 0:", "if lo == hi:",
-     "evaluate: a population whose variance underflows passes, and Welch's test refuses it naming none"),
+    ("stats.py", "if not 0.0 < s < math.inf:", "if x.min() == x.max():",
+     "welch_t_test: a population whose variance underflows or overflows passes when its samples differ"),
     ("cli.py", "if not 0.5 < ns <= MAX_DURATION_NS:", "if not 0.5 < ns:",
      "extract: --window-s has no upper bound, so 1e300 s overflows to an infinite window"),
+    ("stats.py", "if z.min() == y_max:", "if False:",
+     "fit_gpd: a spread the 1 ns location shift rounds away reaches Grimshaw's bound, which is 0"),
 )
 
 

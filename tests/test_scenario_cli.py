@@ -305,24 +305,27 @@ CONFIG_ERRORS = {
     # Each of these passed validation and then failed mid-run naming no key,
     # or, for a pair spacing wider than a pair's send gap, ran and read each
     # pair as two singles.
-    "links_reverse_zero": ("{name: k2-hw-100m, trains: 4, links_reverse: 0}", "links_reverse: must be >= 1"),
-    "table_capacity_negative": ("{name: k2-hw-100m, trains: 4, table_capacity: -1}", "table_capacity: must be >= 0"),
+    "links_reverse_zero": ("{name: k2-hw-100m, trains: 4, links_reverse: 0}",
+                           "links_reverse: must be >= 1 in scenario 'k2-hw-100m'"),
+    "table_capacity_negative": ("{name: k2-hw-100m, trains: 4, table_capacity: -1}",
+                                "table_capacity: must be >= 0 in scenario 'k2-hw-100m'"),
     "install_delay_none": ("{name: k2-hw-100m, trains: 4, install_delay: {kind: none}}",
-                           "install_delay: samples must be positive"),
+                           "install_delay: samples must be positive in scenario 'k2-hw-100m'"),
     "install_delay_zero": ("{name: k2-hw-100m, trains: 4, install_delay: {kind: constant, value: 0 ns}}",
-                           "install_delay: samples must be positive"),
+                           "install_delay: samples must be positive in scenario 'k2-hw-100m'"),
     "cross_traffic_zero_mean": (
         "{name: k2-hw-100m, trains: 4, cross_traffic: {kind: pareto, mean: 0 ns, variance: 1 ms^2}}",
         "cross_traffic: invalid value {'kind': 'pareto', 'mean': '0 ns', 'variance': '1 ms^2'} (pareto delay "
         "needs mean > 0 and variance > 0) in scenario 'k2-hw-100m'",
     ),
     "pair_spacing": ("{name: k2-hw-100m, trains: 4, pair_spacing: 20 ms}",
-                     "pair_spacing: must be <= 10000000 ns, a pair's widest gap"),
+                     "pair_spacing: must be <= 10000000 ns, a pair's widest gap in scenario 'k2-hw-100m'"),
     # The cross stream draws random() alone, so LinkSpec refused a lognormal
     # mid-run, naming no key.
     "cross_traffic_lognormal": (
         "{name: k2-hw-100m, trains: 4, cross_traffic: {kind: lognormal, median: 1 ms, sigma_log: 0.5}}",
-        "cross_traffic: a lognormal delay draws standard_normal(), and the cross stream draws random() alone",
+        "cross_traffic: a lognormal delay draws standard_normal(), and the cross stream draws random() alone "
+        "in scenario 'k2-hw-100m'",
     ),
     # The engine's int64 now + clear_delay wrapped negative, so the CLEAR
     # applied at once and the engine parted from the reference model; the
@@ -347,8 +350,12 @@ CONFIG_ERRORS = {
         "location_ms: a delay needs a location >= 0, got -0.38 in defense.followup_delay in scenario 'k2-hw-100m'",
     ),
     "passive_window_zero": ("{name: shut, seed: 5, trains: 4, passive_window: 0 s}",
-                            "passive_window: must be positive"),
-    "bin_width_zero": ("{name: flat, seed: 5, trains: 4, bin_width: 0 ms}", "bin_width: must be positive"),
+                            "passive_window: must be positive in scenario 'shut'"),
+    "bin_width_zero": ("{name: flat, seed: 5, trains: 4, bin_width: 0 ms}",
+                       "bin_width: must be positive in scenario 'flat'"),
+    # Scenario's own checks name the entry, here the second of two.
+    "second_entry_links_reverse_zero": ("{name: k1-hw-100m, trains: 4}\n  - {name: k2-hw-100m, links_reverse: 0}",
+                                        "links_reverse: must be >= 1 in scenario 'k2-hw-100m'"),
     # Unknown keys, at the top and nested.
     "unknown_scenario_key": ("{name: k1-hw-100m, trainz: 4}", "trainz: unknown key in scenario 'k1-hw-100m'"),
     "unknown_cross_traffic_key": ("{name: k1-hw-100m, trains: 4, cross_traffic: {kind: pareto, maen: 1 ms}}",
@@ -579,10 +586,11 @@ def test_cli_eer_and_report_name_a_feature_missing_a_label(tmp_path, capsys, fea
     lines = samples.read_text().splitlines(keepends=True)
     samples.write_text("".join(line for line in lines if not line.startswith(f"{feature},") or ",Y," not in line))
     capsys.readouterr()
+    missing = f"config error: samples: {feature}/Y: Welch's test needs 2 or more samples, got 0"
     assert main(["eer", "--samples", str(samples), "--out", str(tmp_path / "eer")]) == 2
-    assert f"samples: no {feature} samples" in capsys.readouterr().err
+    assert missing in capsys.readouterr().err
     assert main(["report", "--bundles", str(bundle_dir), "--out", str(tmp_path / "rep")]) == 2
-    assert f"samples: no {feature} samples" in capsys.readouterr().err
+    assert missing in capsys.readouterr().err
 
 
 def test_cli_names_the_feature_and_label_of_a_constant_population(tmp_path, capsys):
@@ -592,22 +600,33 @@ def test_cli_names_the_feature_and_label_of_a_constant_population(tmp_path, caps
     cfg.write_text("scenarios:\n  - name: k2-hw-100m\n    trains: 4\n    cross_traffic: {kind: none}\n")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
     err = capsys.readouterr().err
-    assert "config error: samples: the dispersion/N samples have no variance (min 0.12 ms, max 0.12 ms)" in err
+    assert "config error: samples: dispersion/N: the samples' variance is 0 (min 0.12 ms, max 0.12 ms)" in err
 
 
+@pytest.mark.parametrize(
+    "values_n, variance",
+    [
+        # 0 and 1e-200 ms differ, but their variance underflows to 0: Welch's
+        # test refused it and the stage exited 1 naming no population.
+        ([0.0, 1e-200], "0 (min 0 ms, max 1e-200 ms)"),
+        # The sum of the samples overflows: eer printed an EER line and then
+        # exited 1 on a NaN t that JSON cannot write.
+        ([1e308, 1e308, 0.0], "beyond the float range (min 0 ms, max 1e+308 ms)"),
+    ],
+    ids=["underflow", "overflow"],
+)
 @pytest.mark.parametrize("stage", ["eer", "report"])
-def test_cli_names_a_population_whose_variance_underflows(tmp_path, capsys, stage):
-    # 0 and 1e-200 ms differ, but their variance underflows to 0: Welch's
-    # test refused it and the stage exited 1 naming no population.
-    samples, values, labels = tmp_path / "samples.csv", [0.0, 1e-200, 1.0, 2.0], ["N", "N", "Y", "Y"]
-    Samples(["dispersion"] * 4, values, labels, [1] * 4, ["hardware"] * 4, [10**8] * 4, [1.0] * 4).write_csv(samples)
+def test_cli_names_a_population_whose_variance_underflows(tmp_path, capsys, stage, values_n, variance):
+    samples, values = tmp_path / "samples.csv", [*values_n, 1.0, 2.0]
+    n = len(values)
+    labels = ["N"] * len(values_n) + ["Y", "Y"]
+    Samples(["dispersion"] * n, values, labels, [1] * n, ["hardware"] * n, [10**8] * n, [1.0] * n).write_csv(samples)
     (tmp_path / "scenario.json").write_text('{"scenarios": [{"name": "lab", "seed": 1}]}')
     argv = {"eer": ["eer", "--samples", str(samples)], "report": ["report", "--bundles", str(tmp_path)]}
+    capsys.readouterr()
     assert main([*argv[stage], "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == (
-        "config error: samples: the dispersion/N samples have no variance (min 0 ms, max 1e-200 ms), "
-        "and Welch's test needs spread (link jitter gives N its spread)\n"
-    )
+    assert capsys.readouterr() == ("", f"config error: samples: dispersion/N: the samples' variance is {variance}; "
+                                       "Welch's test needs a finite spread\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -617,7 +636,7 @@ def test_cli_names_a_population_of_one_sample(tmp_path, capsys):
     out = tmp_path / "runs"
     assert main(["simulate", "--scenario", "k1-hw-100m", "--trains", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "config error: samples: there is one dispersion/Y sample, and Welch's test needs two" in err
+    assert "config error: samples: dispersion/Y: Welch's test needs 2 or more samples, got 1" in err
     assert not out.exists()
 
 
@@ -686,30 +705,35 @@ def test_cli_names_the_feature_and_label_of_a_non_finite_sample(tmp_path, capsys
     argv = ["eer", "--samples", str(samples)] if stage == "eer" else ["report", "--bundles", str(bundle_dir)]
     capsys.readouterr()
     assert main([*argv, "--out", str(out)]) == 2
-    assert f"config error: samples: a dispersion/N sample is {value} ms" in capsys.readouterr().err
+    assert f"config error: samples: dispersion/N: a sample is {value} ms" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_cli_fit_names_the_feature_and_label_of_a_non_finite_sample(tmp_path, capsys, value):
     # fit_gpd's own check exited 1 with "samples must be finite", naming neither.
-    bundle_dir = bundle_with_one_sample_set_to(tmp_path, "k2-hw-100m", "delta_rtt", "Y", value)
+    samples = bundle_with_one_sample_set_to(tmp_path, "k2-hw-100m", "delta_rtt", "Y", value) / "samples.csv"
     out = tmp_path / "fit.json"
     capsys.readouterr()
-    argv = ["fit", "--samples", str(bundle_dir / "samples.csv"), "--feature", "delta_rtt", "--label", "Y"]
+    argv = ["fit", "--samples", str(samples), "--feature", "delta_rtt", "--label", "Y"]
     assert main([*argv, "--out", str(out)]) == 2
-    assert f"config error: samples: a delta_rtt/Y sample is {value} ms" in capsys.readouterr().err
+    assert f"config error: samples: delta_rtt/Y in {samples}: a sample is {value} ms" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "feature, label, values, message",
     [
-        ("dispersion", "N", np.linspace(0.1, 0.4, 29),
-         "holds 29 dispersion/N samples; the GPD fit needs at least 50"),
-        ("delta_rtt", "Y", np.full(60, 2.5), "every delta_rtt/Y sample in {samples} is 2.5 ms"),
+        ("dispersion", "N", np.linspace(0.1, 0.4, 29), "the GPD fit needs 50 or more samples, got 29"),
+        ("delta_rtt", "Y", np.full(60, 2.5),
+         "the samples have no spread after the 1 ns location shift (min 2.5 ms, max 2.5 ms)"),
+        # 1e-200 ms is lost in the 1 ns shift: the fit exited 1 with "math domain error".
+        ("delta_rtt", "Y", np.repeat([0.0, 1e-200], 30),
+         "the samples have no spread after the 1 ns location shift (min 0 ms, max 1e-200 ms)"),
+        # The fit exited 1 although its message began "samples:".
+        ("delta_rtt", "Y", np.append(0.0, np.full(59, 1e300)), "the samples' range, 1e+300 ms, overflows Grimshaw's"),
     ],
-    ids=["too_few", "constant"],
+    ids=["too_few", "constant", "spread_lost_in_the_shift", "range_too_wide"],
 )
 def test_cli_fit_names_a_population_it_cannot_fit(tmp_path, capsys, feature, label, values, message):
     # fit_gpd's own checks exited 1 naming neither the population nor the file.
@@ -719,9 +743,7 @@ def test_cli_fit_names_a_population_it_cannot_fit(tmp_path, capsys, feature, lab
     out = tmp_path / "fit.json"
     capsys.readouterr()
     assert main(["fit", "--samples", str(samples), "--feature", feature, "--label", label, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "config error: samples: " in err and str(samples) in err
-    assert message.format(samples=samples) in err
+    assert f"config error: samples: {feature}/{label} in {samples}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1037,7 +1059,7 @@ def test_cli_rejects_a_sidecar_that_fails_validation(tmp_path, capsys, key, valu
     capsys.readouterr()
     for argv in (extract + ["--passive"] if passive else extract, report):
         assert main(argv) == 2
-        assert f"{message} in {sidecar}" in capsys.readouterr().err
+        assert f"{message} in scenario 'k1-hw-100m' in {sidecar}" in capsys.readouterr().err
 
 
 def test_scenario_from_config_names_an_unknown_key():
