@@ -31,7 +31,7 @@ class GPDParams:
 
     def __post_init__(self):
         if self.scale <= 0:
-            raise ValueError("scale must be positive")
+            raise ValueError("scale: must be positive")
 
 
 def gpd_quantile(u, params: GPDParams):
@@ -72,6 +72,8 @@ class DelayModel:
             raise ValueError(f"unknown delay kind {self.kind!r}")
         if self.kind == "gpd" and self.gpd is None:
             raise ValueError("gpd delay needs its GPDParams")
+        if self.kind == "gpd" and self.gpd.location < 0:  # the support starts there: a hold could be < 0
+            raise ValueError(f"location: a delay needs a location >= 0, got {self.gpd.location}")
         if self.kind == "pareto":
             if self.mean_ns <= 0 or self.variance_ns2 <= 0:
                 raise ValueError("pareto delay needs mean > 0 and variance > 0")

@@ -148,17 +148,15 @@ def _delta_rtt(trace: Trace, first, second, drops: DropCounts):
     return keep, delta_rtt_ms(trace, first[keep], second[keep]), labels[keep]
 
 
-def label_samples(trace: Trace, scenario, drops: DropCounts | None = None) -> Samples:
+def label_samples(trace: Trace, scenario, drops: DropCounts) -> Samples:
     """Labeled dispersion and RTT-difference samples for a whole trace.
 
     Pairs feed the dispersion feature; consecutive singles of a trial feed
     the RTT difference (the train's two tail probes by default).  Samples
     come trial by trial, a trial's dispersion samples before its RTT
     differences, each in send order.  Samples with a missing reply or an
-    ambiguous flag combination are dropped and counted.
+    ambiguous flag combination are dropped and counted in `drops`.
     """
-    if drops is None:
-        drops = DropCounts()
     first, second, singles = group_probes(trace)
     missing = missing_reply(trace, first, second)
     drops.missing_reply += int(missing.sum())
@@ -181,15 +179,13 @@ def label_samples(trace: Trace, scenario, drops: DropCounts | None = None) -> Sa
     return Samples.in_context(features, values, labels, scenario)
 
 
-def passive_samples(trace: Trace, scenario, window_ns: int, drops: DropCounts | None = None) -> Samples:
+def passive_samples(trace: Trace, scenario, window_ns: int, drops: DropCounts) -> Samples:
     """RTT-difference samples of a passive adversary.
 
     Same-flow packets sent within window_ns of each other are paired by
     `probes.extract_passive_pairs`, and each pair is labelled as the train's
-    tail singles are.
+    tail singles are; drops are counted in `drops`.
     """
-    if drops is None:
-        drops = DropCounts()
     first, second = extract_passive_pairs(trace, window_ns)
     _, values, labels = _delta_rtt(trace, first, second, drops)
     return Samples.in_context(np.full(values.size, DELTA_RTT), values, labels, scenario)

@@ -27,6 +27,10 @@ so a reply overtaken by its predecessor's reverse-path jitter yields a
 negative measured dispersion.  The path's `drift` adds a slow wander to the
 server arrival.
 
+Each spec (`LinkSpec`, `SwitchSpec`, `Packet`, `PathSpec`) checks its own
+rules as it is built, and a ValueError it raises starts with the field that
+breaks one, so a caller can name that field its own way.
+
 Two implementations share these semantics and one outcome type,
 `ExchangeResult`:
 
@@ -107,8 +111,6 @@ class FlowTable:
     """Exact-match rule container with a hard capacity."""
 
     def __init__(self, capacity: int = DEFAULT_TABLE_CAPACITY):
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
         self.capacity = capacity
         self.entries: set[FlowKey] = set()
 
@@ -136,11 +138,13 @@ class LinkSpec:
 
     def __post_init__(self):
         if self.capacity_bps <= 0:
-            raise ValueError("link capacity must be positive")
+            raise ValueError("capacity_bps: must be positive")
         if self.base_latency_ns < 0:
-            raise ValueError("base latency must be >= 0")
-        if self.cross_traffic.draw_type not in (None, "random"):
-            raise ValueError(f"the cross stream draws random() alone, not a {self.cross_traffic.kind!r} delay's draws")
+            raise ValueError("base_latency_ns: must be >= 0")
+        cross = self.cross_traffic
+        if cross.draw_type not in (None, "random"):
+            raise ValueError(f"cross_traffic: a {cross.kind} delay draws {cross.draw_type}(), "
+                             "and the cross stream draws random() alone")
 
 
 @dataclass(frozen=True)
@@ -152,11 +156,11 @@ class SwitchSpec:
 
     def __post_init__(self):
         if self.table_capacity < 0:
-            raise ValueError("table capacity must be >= 0")
+            raise ValueError("table_capacity: must be >= 0")
         if self.install_delay.kind == "none" or (
             self.install_delay.kind == "constant" and self.install_delay.value_ns <= 0
         ):
-            raise ValueError("install_delay samples must be positive")
+            raise ValueError("install_delay: samples must be positive")
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,7 @@ class Packet:
 
     def __post_init__(self):
         if self.size_bytes <= 0:
-            raise ValueError("packet size must be positive")
+            raise ValueError("size_bytes: must be positive")
 
 
 @dataclass(frozen=True)
@@ -206,12 +210,14 @@ class PathSpec:
         object.__setattr__(self, "forward_links", tuple(self.forward_links))
         object.__setattr__(self, "reverse_links", tuple(self.reverse_links))
         object.__setattr__(self, "switches", tuple(self.switches))
-        if len(self.forward_links) < 1 or len(self.reverse_links) < 1:
-            raise ValueError("paths need at least one link per direction")
-        if self.switches and len(self.switches) > len(self.forward_links) - 1:
-            raise ValueError("switch j needs egress link j+1; too many switches for path")
+        for name in ("forward_links", "reverse_links"):
+            if not getattr(self, name):
+                raise ValueError(f"{name}: a path needs 1 or more links each way")
+        if len(self.switches) > len(self.forward_links) - 1:
+            raise ValueError(f"switches: switch j needs egress link j+1, so {len(self.switches)} switches need "
+                             f"{len(self.switches) + 1} or more forward links, got {len(self.forward_links)}")
         if self.delay_element is not None and not self.switches:
-            raise ValueError("the delay element needs at least one switch on the path")
+            raise ValueError("delay_element: needs at least one switch on the path")
 
 
 def transmission_delay_ns(size_bytes: int, link: LinkSpec) -> int:

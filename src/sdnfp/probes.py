@@ -88,24 +88,26 @@ DEFAULT_IDLE_LEAD_NS = 10 * NS_PER_S
 PAIR_GAP_MAX_NS = 10_000_000
 
 
+def _probes(flow: FlowKey, mtu: int, first_id: int, *sent_at_ns: int) -> tuple[Packet, ...]:
+    """MTU-sized probes on `flow`, one per send time, numbered from first_id;
+    the one place the probe plans check their MTU."""
+    if mtu < MIN_PROBE_BYTES:
+        raise ValueError(f"mtu: must be >= {MIN_PROBE_BYTES} bytes")
+    return tuple(Packet(first_id + i, flow, mtu, PROBE, t) for i, t in enumerate(sent_at_ns))
+
+
 def build_probe_train(
     flow: FlowKey, mtu: int = DEFAULT_MTU_BYTES, pair_spacing_ns: int = 0, single_gap_ns: int = NS_PER_S
 ) -> tuple[Packet, ...]:
     """The measurement train (see the module docstring), tail singles single_gap_ns apart."""
-    if mtu < MIN_PROBE_BYTES:
-        raise ValueError(f"mtu must be >= {MIN_PROBE_BYTES}")
-    packets = [Packet(0, flow, MIN_PROBE_BYTES, CLEAR, 0)]
-    pid = 1
-    for s in TRAIN_PAIR_OFFSETS_S:
-        t = s * NS_PER_S
-        packets.append(Packet(pid, flow, mtu, PROBE, t))
-        packets.append(Packet(pid + 1, flow, mtu, PROBE, t + pair_spacing_ns))
-        pid += 2
-    packets.append(Packet(pid, flow, MIN_PROBE_BYTES, CLEAR, TRAIN_SECOND_CLEAR_S * NS_PER_S))
+    pairs = _probes(flow, mtu, 1, *(s * NS_PER_S + d for s in TRAIN_PAIR_OFFSETS_S for d in (0, pair_spacing_ns)))
     t = TRAIN_FIRST_SINGLE_S * NS_PER_S
-    packets.append(Packet(pid + 1, flow, mtu, PROBE, t))
-    packets.append(Packet(pid + 2, flow, mtu, PROBE, t + single_gap_ns))
-    return tuple(packets)
+    return (
+        Packet(0, flow, MIN_PROBE_BYTES, CLEAR, 0),
+        *pairs,
+        Packet(len(pairs) + 1, flow, MIN_PROBE_BYTES, CLEAR, TRAIN_SECOND_CLEAR_S * NS_PER_S),
+        *_probes(flow, mtu, len(pairs) + 2, t, t + single_gap_ns),
+    )
 
 
 def idle_flow_probes(
@@ -122,15 +124,8 @@ def idle_flow_probes(
     than any inactivity threshold apart, so under the countermeasure each
     burst is exactly the idle-flow traffic the delay element targets.
     """
-    if mtu < MIN_PROBE_BYTES:
-        raise ValueError(f"mtu must be >= {MIN_PROBE_BYTES}")
     t_singles = 2 * lead_in_ns
-    return (
-        Packet(0, flow, mtu, PROBE, lead_in_ns),
-        Packet(1, flow, mtu, PROBE, lead_in_ns),
-        Packet(2, flow, mtu, PROBE, t_singles),
-        Packet(3, flow, mtu, PROBE, t_singles + gap_ns),
-    )
+    return _probes(flow, mtu, 0, lead_in_ns, lead_in_ns, t_singles, t_singles + gap_ns)
 
 
 _FORMATS = {np.int64: "%d", bool: "%d", np.float64: "%r", object: "%s"}

@@ -26,6 +26,10 @@ scenario as its one entry; `read_scenario_descriptor` reads it, for the CLI
 stages that start from persisted files (`extract` and `report`), with the
 parser `load_scenarios` runs.
 
+A `Scenario` checks only the rules no spec it builds knows.  The path's specs
+and the probe plans keep their own, and a spec's rule is reported under its
+config key (`_SPEC_KEYS`), as a gpd hold's is (`_gpd_from_config`).
+
 Shipped install-delay calibration: rule installation takes single-digit
 milliseconds on hardware switches and sub-millisecond on the software switch.
 The paper-of-record for this artifact publishes only aggregate thresholds, so
@@ -44,7 +48,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import probes as probes_mod
 from .defense import DelayElementConfig
 from .distributions import (
     DELAY_KINDS,
@@ -58,10 +61,11 @@ from .distributions import (
 from .features import FEATURES, DropCounts, Samples, label_samples
 from .netsim import (
     DEFAULT_CLEAR_DELAY_NS, DEFAULT_REPLY_BYTES, DEFAULT_TABLE_CAPACITY,
-    DriftModel, FlowKey, LinkSpec, PathSpec, SwitchSpec,
+    DriftModel, FlowKey, LinkSpec, Packet, PathSpec, SwitchSpec,
 )
 from .probes import (
-    DEFAULT_IDLE_LEAD_NS, DEFAULT_MTU_BYTES, Table, Trace, build_probe_train, idle_flow_probes, run_schedule,
+    DEFAULT_IDLE_LEAD_NS, DEFAULT_MTU_BYTES, PAIR_GAP_MAX_NS, Table, Trace, build_probe_train, idle_flow_probes,
+    run_schedule,
 )
 from .stats import EERResult, SamplesError, WelchResult, build_histogram, compute_eer, welch_t_test
 from .units import DURATION, NS_PER_MS, NS_PER_S, RATE, SIZE, parse_duration_ns
@@ -96,6 +100,13 @@ class Scenario:
     MTU, CLEAR delay, table capacity, idle lead-in) is the constant of the
     module that applies it.  Labelling reads the scenario itself: each
     sample's row carries its k, switch_kind, data_link_bps and time span.
+
+    Construction checks the name, seed, trains, k <= 3, switch kind, pair
+    spacing, time span, passive window, bin width and idle lead, which no
+    spec knows, then builds the path and both probe plans, whose specs check
+    the rest.  A ConfigError starts with the config key of the value at
+    fault, a spec's included (`links_reverse` where `PathSpec` says
+    `reverse_links`).
     """
 
     name: str
@@ -132,25 +143,10 @@ class Scenario:
             raise ConfigError("trains: must be >= 1")
         if not 1 <= self.k <= 3:
             raise ConfigError(f"k: must be 1, 2 or 3 configured switches, got {self.k}")
-        if self.k > self.links_forward - 1:
-            raise ConfigError(f"k: {self.k} needs links_forward >= {self.k + 1}, got {self.links_forward}")
-        if self.links_reverse < 1:
-            raise ConfigError("links_reverse: must be >= 1")
         if self.switch_kind not in (HARDWARE, SOFTWARE):
             raise ConfigError(f"switch_kind: must be hardware or software, got {self.switch_kind!r}")
-        if self.table_capacity < 0:
-            raise ConfigError("table_capacity: must be >= 0")
-        cross = self.cross_traffic
-        if cross.draw_type not in (None, "random"):  # LinkSpec's own rule, which names no key
-            raise ConfigError(f"cross_traffic: a {cross.kind} delay draws {cross.draw_type}(), "
-                              "and the cross stream draws random() alone")
-        install = self.install_delay
-        if install is not None and (install.kind == "none" or install.kind == "constant" and install.value_ns <= 0):
-            raise ConfigError("install_delay: samples must be positive")
-        if self.mtu_bytes < probes_mod.MIN_PROBE_BYTES:
-            raise ConfigError(f"mtu: must be >= {probes_mod.MIN_PROBE_BYTES} bytes")
-        if self.pair_spacing_ns > probes_mod.PAIR_GAP_MAX_NS:
-            raise ConfigError(f"pair_spacing: must be <= {probes_mod.PAIR_GAP_MAX_NS} ns, a pair's widest gap")
+        if self.pair_spacing_ns > PAIR_GAP_MAX_NS:
+            raise ConfigError(f"pair_spacing: must be <= {PAIR_GAP_MAX_NS} ns, a pair's widest gap")
         if self.time_span_ns < NS_PER_S:
             raise ConfigError("time_span: must be >= 1 s (the train's guard spacing)")
         if self.passive_window_ns <= 0:
@@ -159,6 +155,12 @@ class Scenario:
             raise ConfigError("bin_width: must be positive")
         if self.defense is not None and self.idle_lead_ns <= self.defense.t_th_ns:
             raise ConfigError("idle_lead: must exceed the defense inactivity threshold")
+        try:
+            self.build_path()
+            self.schedules()
+        except ValueError as exc:  # a spec's error starts with its field
+            field, _, rule = str(exc).partition(": ")
+            raise ConfigError(f"{_SPEC_KEYS.get(field, field)}: {rule}") from None
 
     def build_path(self) -> PathSpec:
         """The uniform path of k switches, with the delay element, when
@@ -173,6 +175,13 @@ class Scenario:
             delay_element=self.defense, drift=self.drift,
             reply_bytes=self.reply_bytes, turnaround_ns=self.turnaround_ns,
             lookup_delay=self.lookup_delay, clear_delay_ns=self.clear_delay_ns,
+        )
+
+    def schedules(self) -> tuple[tuple[Packet, ...], tuple[Packet, ...]]:
+        """The two probe plans, the measurement train and the idle twins."""
+        return (
+            build_probe_train(DEFAULT_FLOW, self.mtu_bytes, self.pair_spacing_ns, self.time_span_ns),
+            idle_flow_probes(DEFAULT_FLOW, self.mtu_bytes, self.time_span_ns, self.idle_lead_ns),
         )
 
 
@@ -237,16 +246,12 @@ def evaluate(samples) -> dict[str, FeatureResult]:
         known += values_n.size + values_y.size
         if not values_n.size and not values_y.size:
             continue
-        try:  # Welch's test first: it refuses the non-finite samples the EER's sweep takes
+        try:  # Welch's test first: its rules include the EER's, so its message names a population
             welch = welch_t_test(values_n, values_y)
+            eer = compute_eer(values_n, values_y)
         except SamplesError as exc:
             raise ConfigError(f"samples: {feature}/{exc}") from None
-        results[feature] = FeatureResult(
-            eer=compute_eer(values_n, values_y),
-            welch=welch,
-            n_count=len(values_n),
-            y_count=len(values_y),
-        )
+        results[feature] = FeatureResult(eer, welch, len(values_n), len(values_y))
     if known < len(samples):
         raise ConfigError(f"samples: {len(samples) - known} samples are of a feature other than "
                           f"{' or '.join(FEATURES)}, or of a label other than N or Y")
@@ -281,15 +286,7 @@ class ResultBundle:
 
 def run_scenario(scenario: Scenario, out_dir: Path | str | None = None) -> ResultBundle:
     """Simulate, extract, and evaluate one scenario; optionally persist."""
-    flow = DEFAULT_FLOW
-
-    train = build_probe_train(
-        flow, scenario.mtu_bytes, scenario.pair_spacing_ns, scenario.time_span_ns
-    )
-    idle = idle_flow_probes(
-        flow, scenario.mtu_bytes, scenario.time_span_ns, scenario.idle_lead_ns
-    )
-
+    train, idle = scenario.schedules()
     path = scenario.build_path()
     records = Trace.concat(
         [
@@ -453,24 +450,25 @@ def _field(mapping: dict, key: str, parse, source):
         raise ConfigError(f"{exc} in {source}") from None
 
 
+# GPDParams field -> config key of a gpd hold.
+_GPD_KEYS = {"shape": "shape", "scale": "scale_ms", "location": "location_ms"}
+
+
 def _gpd_from_config(cfg: dict, source) -> DelayModel:
     """The gpd delay a {shape, scale_ms, location_ms} mapping holds: a hold
     of a scenario's defense entry, or a file `sdnfp fit` wrote.
 
-    A GPD's support starts at its location, so a negative location could
-    draw a negative hold; it is rejected here, before anything runs, although
-    `sdnfp fit` writes one for a population that reaches below 0.
+    `DelayModel` refuses a location below 0 (which `sdnfp fit` writes for a
+    population that reaches below 0) and `GPDParams` a scale that is not
+    positive; the ConfigError names the key and `source`.
     """
     _as_mapping(cfg, source)
-    shape, scale, location = (
-        _field(cfg, key, _finite, source) for key in ("shape", "scale_ms", "location_ms")
-    )
-    if not location >= 0:
-        raise ConfigError(f"location_ms: a delay needs a location >= 0, got {location} in {source}")
+    shape, scale, location = (_field(cfg, key, _finite, source) for key in _GPD_KEYS.values())
     try:
         return gpd(GPDParams(shape, scale, location))
-    except ValueError as exc:
-        raise ConfigError(f"scale_ms: {exc} in {source}") from exc
+    except ValueError as exc:  # starts with the field at fault
+        field, _, rule = str(exc).partition(": ")
+        raise ConfigError(f"{_GPD_KEYS[field]}: {rule} in {source}") from None
 
 
 def load_gpd(path: Path | str) -> DelayModel:
@@ -556,10 +554,7 @@ _INT, _STR = (_whole, int), (str, str)
 _BIN_WIDTH = (lambda v: parse_duration_ns(v) / NS_PER_MS, lambda ms: f"{round(ms * NS_PER_MS)} ns")
 _SIGMA = (lambda v: float(parse_duration_ns(v)), "{:.0f} ns".format)
 _DELAY = _kinds(DELAY_KINDS)
-_GPD = _Nested(
-    _gpd_from_config,
-    lambda d: {"shape": d.gpd.shape, "scale_ms": d.gpd.scale, "location_ms": d.gpd.location},
-)
+_GPD = _Nested(_gpd_from_config, lambda d: {key: getattr(d.gpd, field) for field, key in _GPD_KEYS.items()})
 _DEFENSE_KEYS = {
     "t_th": ("t_th_ns", DURATION),
     "window": ("window_ns", DURATION),
@@ -594,6 +589,11 @@ _CONFIG_FIELDS = {
     "defense": ("defense", _optional(_mapping(DelayElementConfig, _DEFENSE_KEYS))),
     "drift": ("drift", _optional(_mapping(DriftModel, _DRIFT_KEYS))),
 }
+
+# A path or probe-plan spec's field -> the config key `Scenario` reports its
+# rule under; a field not listed is its own key (cross_traffic, mtu, ...).
+_SPEC_KEYS = {"capacity_bps": "data_link", "base_latency_ns": "base_latency", "forward_links": "links_forward",
+              "reverse_links": "links_reverse", "switches": "k"}
 
 
 def scenario_from_config(cfg: dict) -> Scenario:

@@ -14,8 +14,9 @@ the rare tail that lands too near 1% to decide.
 
 Each routine checks the populations it takes and raises `SamplesError` for
 one it cannot, naming a population of a two-sample statistic by its label,
-N or Y; the caller adds the feature and the file.  Welch's test takes finite
-samples only, so its t and df are finite.
+N or Y; the caller adds the feature and the file.  The EER and Welch's test
+take finite samples only, so the sweep's thresholds and Welch's t and df are
+finite.
 
 Classification convention (fixed): a measurement at or below the threshold t
 is conjectured N (no rule installed), above it Y.  During the sweep,
@@ -99,12 +100,12 @@ class EERResult:
 
 
 def _sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.unique(np.concatenate([a, b])) of float arrays, as numpy 2.4 sorts and
-    dedups them (-0.0 and 0.0 are one value, every NaN one last), without the
+    """np.unique(np.concatenate([a, b])) of finite float arrays, as numpy 2.4
+    sorts and dedups them (-0.0 and 0.0 are one value), without the
     masked-array check that makes np.unique import numpy.ma."""
     u = np.concatenate([a, b])
     u.sort()
-    return u[np.concatenate([[True], (u[1:] != u[:-1]) & ~np.isnan(u[:-1])])]
+    return u[np.concatenate([[True], u[1:] != u[:-1]])]
 
 
 def compute_eer(samples_n, samples_y) -> EERResult:
@@ -112,14 +113,10 @@ def compute_eer(samples_n, samples_y) -> EERResult:
 
     Identical populations cross at exactly 0.5, disjoint ones at 0.  The
     crossing is found where FMR - FNR changes sign and both rates are
-    interpolated linearly to that point.  Each population needs a sample;
-    NaN and infinite ones are swept as np.unique sorts them.
+    interpolated linearly to that point.  Each population needs a sample,
+    and every sample must be finite.
     """
-    n = np.sort(np.asarray(samples_n, dtype=float))
-    y = np.sort(np.asarray(samples_y, dtype=float))
-    for label, x in (("N", n), ("Y", y)):
-        if not x.size:
-            raise SamplesError(f"{label}: the EER needs 1 or more samples, got 0")
+    n, y = (np.sort(_population(x, 1, "the EER", label)) for x, label in ((samples_n, "N"), (samples_y, "Y")))
     thresholds = _sorted_union(n, y)
     fnr = 1.0 - np.searchsorted(n, thresholds, side="right") / n.size
     fmr = np.searchsorted(y, thresholds, side="right") / y.size

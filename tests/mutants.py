@@ -49,8 +49,8 @@ MUTANTS = (
      "reference model: a packet arriving as the install window closes pays the surcharge"),
     ("defense.py", "(now_ns - rec.last_seen_ns) > cfg.t_th_ns", "(now_ns - rec.last_seen_ns) >= cfg.t_th_ns",
      "reference model: a flow idle for exactly t_th counts as inactive"),
-    ("stats.py", " & ~np.isnan(u[:-1])", "",
-     "EER thresholds: the union of the two samples keeps every NaN"),
+    ("stats.py", '_population(x, 1, "the EER", label)', "np.asarray(x, dtype=float)",
+     "compute_eer: a NaN or infinite sample is swept, not refused"),
     ("stats.py", 'fnr = 1.0 - np.searchsorted(n, thresholds, side="right")',
      'fnr = 1.0 - np.searchsorted(n, thresholds, side="left")',
      "EER: an N sample equal to the threshold counts as above it"),
@@ -106,14 +106,20 @@ MUTANTS = (
     ("stats.py", 'x = _population(samples, 2, "Welch\'s test", label)',
      'x = _population(samples, 1, "Welch\'s test", label)',
      "welch_t_test: a population of one sample passes the count and fails on its variance, not for its size"),
-    ("scenario.py", 'if cross.draw_type not in (None, "random"):', "if False:",
-     "Scenario: a lognormal cross traffic passes, and LinkSpec refuses it mid-run naming no key"),
+    ("netsim.py", 'if cross.draw_type not in (None, "random"):', "if False:",
+     "LinkSpec: a lognormal cross traffic passes, and the cross stream draws random() for it"),
     ("stats.py", "if not 0.0 < s < math.inf:", "if x.min() == x.max():",
      "welch_t_test: a population whose variance underflows or overflows passes when its samples differ"),
     ("cli.py", "if not 0.5 < ns <= MAX_DURATION_NS:", "if not 0.5 < ns:",
      "extract: --window-s has no upper bound, so 1e300 s overflows to an infinite window"),
     ("stats.py", "if z.min() == y_max:", "if False:",
      "fit_gpd: a spread the 1 ns location shift rounds away reaches Grimshaw's bound, which is 0"),
+    ("distributions.py", "self.gpd.location < 0", "self.gpd.location <= 0",
+     "DelayModel: a gpd hold whose support starts at 0 is refused"),
+    ("scenario.py", '"reverse_links": "links_reverse", "switches": "k"}', '"reverse_links": "links_reverse"}',
+     "Scenario: too few forward links for k is reported under PathSpec's field, switches, not the key k"),
+    ("stats.py", '_population(x, 1, "the EER", label)', '_population(x, 0, "the EER", label)',
+     "compute_eer: an empty population passes its count"),
 )
 
 

@@ -144,11 +144,17 @@ def test_block_transform_equals_sample_ns(model):
     assert model.ns_from_draws(x).tolist() == [model.sample_ns(scalar) for _ in range(x.size)]
 
 
-def test_block_transform_raises_beyond_int64_and_on_a_negative_hold():
+def test_block_transform_raises_beyond_int64():
     with pytest.raises(ValueError, match="int64"):
         pareto(10**12, 10**30).ns_from_draws(np.array([1.0 - 2.0**-53]))
-    with pytest.raises(ValueError, match="negative duration"):
-        gpd(GPDParams(-0.411, 0.785, -0.383013)).ns_from_draws(np.array([0.9, 0.0]))
+
+
+def test_a_gpd_delay_needs_a_location_of_0_or_more():
+    # A GPD's support starts at its location: below 0 a hold could be negative,
+    # so the delay is refused as it is built, not mid-draw.
+    with pytest.raises(ValueError, match=r"^location: a delay needs a location >= 0, got -0.383013$"):
+        gpd(GPDParams(-0.411, 0.785, -0.383013))
+    assert gpd(GPDParams(-0.411, 0.785, 0.0)).ns_from_draws(np.array([0.9, 0.0])).tolist() == [1168618, 0]
 
 
 def test_rounding_guard_takes_the_scalar_formula_near_a_boundary_or_zero():

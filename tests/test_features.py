@@ -130,7 +130,7 @@ def test_label_samples_standard_train():
     sw = SwitchSpec(constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_schedule(build_probe_train(KEY), path, 0, trials=range(1))
-    samples = label_samples(records, SCENARIO)
+    samples = label_samples(records, SCENARIO, DropCounts())
     assert samples.label[samples.feature == "dispersion"].tolist() == ["Y", "N", "N", "N"]
     assert samples.label[samples.feature == "delta_rtt"].tolist() == ["Y"]
 
@@ -138,7 +138,7 @@ def test_label_samples_standard_train():
 def test_label_samples_prewarmed_all_n():
     path = uniform_path(4, 4, 100_000_000)
     records = run_schedule(build_probe_train(KEY), path, 0, trials=range(1))
-    samples = label_samples(records, SCENARIO)
+    samples = label_samples(records, SCENARIO, DropCounts())
     assert set(samples.label.tolist()) == {"N"}
 
 
@@ -173,7 +173,7 @@ def test_n_population_mean_near_zero_y_positive():
     sw = SwitchSpec(constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,), cross_traffic=cross)
     records = run_schedule(build_probe_train(KEY), path, 8, trials=range(300))
-    samples = label_samples(records, SCENARIO)
+    samples = label_samples(records, SCENARIO, DropCounts())
     y_rtt = samples.values("delta_rtt", "Y")
     n_disp = samples.values("dispersion", "N")
     assert np.mean(y_rtt) > 1.0
@@ -185,7 +185,7 @@ def test_feature_csv_round_trip(tmp_path):
     sw = SwitchSpec(constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_schedule(build_probe_train(KEY), path, 0, trials=range(2))
-    samples = label_samples(records, SCENARIO)
+    samples = label_samples(records, SCENARIO, DropCounts())
     out = tmp_path / "samples.csv"
     samples.write_csv(out)
     header = out.read_text().splitlines()[0]
@@ -198,7 +198,7 @@ def test_samples_values_selects_one_population():
     sw = SwitchSpec(constant(5 * MS))
     path = uniform_path(4, 4, 100_000_000, (sw,))
     records = run_schedule(build_probe_train(KEY), path, 0, trials=range(2))
-    samples = label_samples(records, SCENARIO)
+    samples = label_samples(records, SCENARIO, DropCounts())
     n, y = samples.values("dispersion", "N"), samples.values("dispersion", "Y")
     assert len(n) == 6 and len(y) == 2
     assert sorted([*n, *y]) == sorted(samples.value_ms[samples.feature == "dispersion"])
@@ -211,7 +211,7 @@ def test_feature_csv_round_trips_rows_of_several_contexts(tmp_path):
     # No Scenario accepts a switch kind with a comma; this context's rows
     # carry one, so the CSV quotes a text field.
     other = SimpleNamespace(k=1, switch_kind="soft,ware", data_link_bps=10**9, time_span_ns=600 * S)
-    samples = Samples.concat([label_samples(records, SCENARIO), label_samples(records, other)])
+    samples = Samples.concat([label_samples(records, context, DropCounts()) for context in (SCENARIO, other)])
     out = tmp_path / "samples.csv"
     samples.write_csv(out)
     back = Samples.read_csv(out)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -92,8 +93,25 @@ def test_zero_trains_config_error():
 
 
 def test_validation_k_fits_path():
-    with pytest.raises(ConfigError, match=r"^k: 3 needs links_forward >= 4, got 3$"):
+    message = "k: switch j needs egress link j+1, so 3 switches need 4 or more forward links, got 3"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
         small(k=3, links_forward=3)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("data_link_bps", 0, "data_link: must be positive"),
+        ("base_latency_ns", -1, "base_latency: must be >= 0"),
+        ("links_forward", 0, "links_forward: a path needs 1 or more links each way"),
+        ("mtu_bytes", 63, "mtu: must be >= 64 bytes"),
+    ],
+)
+def test_a_spec_rule_is_reported_under_its_config_key(field, value, message):
+    # A Python-built scenario meets the path's and the probe plans' own rules
+    # as it is built, not mid-run, and under the key a config file would use.
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+        small(**{field: value})
 
 
 def test_validation_caps_k_at_three_switches():
@@ -306,7 +324,16 @@ CONFIG_ERRORS = {
     # or, for a pair spacing wider than a pair's send gap, ran and read each
     # pair as two singles.
     "links_reverse_zero": ("{name: k2-hw-100m, trains: 4, links_reverse: 0}",
-                           "links_reverse: must be >= 1 in scenario 'k2-hw-100m'"),
+                           "links_reverse: a path needs 1 or more links each way in scenario 'k2-hw-100m'"),
+    "links_forward_zero": ("{name: k1-hw-100m, trains: 4, links_forward: 0}",
+                           "links_forward: a path needs 1 or more links each way in scenario 'k1-hw-100m'"),
+    "k_beyond_links_forward": (
+        "{name: k3-hw-100m, trains: 4, links_forward: 3}",
+        "k: switch j needs egress link j+1, so 3 switches need 4 or more forward links, got 3 "
+        "in scenario 'k3-hw-100m'",
+    ),
+    "mtu_below_a_clear": ("{name: k2-hw-100m, trains: 4, mtu: 63 B}",
+                          "mtu: must be >= 64 bytes in scenario 'k2-hw-100m'"),
     "table_capacity_negative": ("{name: k2-hw-100m, trains: 4, table_capacity: -1}",
                                 "table_capacity: must be >= 0 in scenario 'k2-hw-100m'"),
     "install_delay_none": ("{name: k2-hw-100m, trains: 4, install_delay: {kind: none}}",
@@ -354,8 +381,38 @@ CONFIG_ERRORS = {
     "bin_width_zero": ("{name: flat, seed: 5, trains: 4, bin_width: 0 ms}",
                        "bin_width: must be positive in scenario 'flat'"),
     # Scenario's own checks name the entry, here the second of two.
-    "second_entry_links_reverse_zero": ("{name: k1-hw-100m, trains: 4}\n  - {name: k2-hw-100m, links_reverse: 0}",
-                                        "links_reverse: must be >= 1 in scenario 'k2-hw-100m'"),
+    "second_entry_links_reverse_zero": (
+        "{name: k1-hw-100m, trains: 4}\n  - {name: k2-hw-100m, links_reverse: 0}",
+        "links_reverse: a path needs 1 or more links each way in scenario 'k2-hw-100m'",
+    ),
+    # Scenario's own rules, which no spec knows.
+    "switch_kind_unknown": ("{name: k1-hw-100m, trains: 4, switch_kind: virtual}",
+                            "switch_kind: must be hardware or software, got 'virtual' in scenario 'k1-hw-100m'"),
+    "time_span_below_the_guard_spacing": (
+        "{name: k1-hw-100m, trains: 4, time_span: 999 ms}",
+        "time_span: must be >= 1 s (the train's guard spacing) in scenario 'k1-hw-100m'",
+    ),
+    "idle_lead_within_t_th": ("{name: k1-hw-100m, trains: 4, idle_lead: 5 s, defense: {t_th: 5 s}}",
+                              "idle_lead: must exceed the defense inactivity threshold in scenario 'k1-hw-100m'"),
+    # Quantities: each states its unit, and a duration, rate or size its range.
+    "duration_bare_number": (
+        "{name: k1-hw-100m, trains: 4, time_span: 5}",
+        "time_span: invalid value 5 (duration must be a string with an explicit unit, got 5) "
+        "in scenario 'k1-hw-100m'",
+    ),
+    "duration_unparseable": (
+        "{name: k1-hw-100m, trains: 4, base_latency: soon}",
+        "base_latency: invalid value 'soon' (cannot parse duration 'soon'; expected e.g. '0.12 ms') "
+        "in scenario 'k1-hw-100m'",
+    ),
+    "duration_negative": (
+        "{name: k1-hw-100m, trains: 4, base_latency: -1 ms}",
+        "base_latency: invalid value '-1 ms' (duration must be non-negative) in scenario 'k1-hw-100m'",
+    ),
+    "rate_zero": ("{name: k1-hw-100m, trains: 4, data_link: 0 Mbps}",
+                  "data_link: invalid value '0 Mbps' (rate must be positive) in scenario 'k1-hw-100m'"),
+    "size_zero": ("{name: k1-hw-100m, trains: 4, reply_size: 0 B}",
+                  "reply_size: invalid value '0 B' (size must be positive) in scenario 'k1-hw-100m'"),
     # Unknown keys, at the top and nested.
     "unknown_scenario_key": ("{name: k1-hw-100m, trainz: 4}", "trainz: unknown key in scenario 'k1-hw-100m'"),
     "unknown_cross_traffic_key": ("{name: k1-hw-100m, trains: 4, cross_traffic: {kind: pareto, maen: 1 ms}}",
@@ -1016,10 +1073,22 @@ def test_cli_defend_names_the_gpd_file_and_key_it_cannot_read(tmp_path, capsys):
     assert f"scale_ms: missing from {followup}" in capsys.readouterr().err
     followup.write_text(json.dumps(dict(fitted, scale_ms=-1.0)))
     assert main(defend) == 2
-    assert f"scale_ms: scale must be positive in {followup}" in capsys.readouterr().err
+    assert f"scale_ms: must be positive in {followup}" in capsys.readouterr().err
     followup.unlink()
     assert main(defend) == 2
     assert f"cannot read {followup}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("flag", ["--first-delay", "--followup-delay"])
+def test_cli_defend_needs_both_fitted_holds(tmp_path, capsys, flag):
+    fitted = tmp_path / "fit.json"
+    fitted.write_text(json.dumps({"shape": -0.5, "scale_ms": 2.0, "location_ms": 0.5}))
+    defend = ["defend", "--scenario", "k1-hw-100m", "--trains", "4", "--out", str(tmp_path / "runs"), flag, str(fitted)]
+    assert main(defend) == 2
+    assert capsys.readouterr().err == (
+        "config error: first-delay: fitted runs need both --first-delay and --followup-delay\n"
+    )
     assert not (tmp_path / "runs").exists()
 
 

@@ -179,16 +179,24 @@ def test_eer_sweep_counts_a_tie_with_the_threshold_as_n():
     assert (curve.fmr[at].tolist(), curve.fnr[at].tolist()) == ([1.0], [0.5])
 
 
-ODD_VALUES = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0, -2.5])
+ODD_VALUES = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, -1e308])
 
 
 @given(st.lists(ODD_VALUES, min_size=1, max_size=40), st.lists(ODD_VALUES, min_size=1, max_size=40))
 def test_eer_sweeps_the_thresholds_np_unique_gives(n, y):
     # The sweep's thresholds are np.unique of both sorted populations, bit for
-    # bit: a signed zero keeps the sign sorting puts first, and NaNs become one.
-    with np.errstate(all="ignore"):
-        curve = compute_eer(n, y).curve
+    # bit: a signed zero keeps the sign sorting puts first.
+    curve = compute_eer(n, y).curve
     assert curve.threshold_ms[1:].tobytes() == np.unique(np.concatenate([np.sort(n), np.sort(y)])).tobytes()
+
+
+@pytest.mark.parametrize("odd", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("label", ["N", "Y"])
+def test_eer_refuses_a_non_finite_sample(label, odd):
+    populations = {"N": [1.0, 2.0], "Y": [3.0, 4.0]}
+    populations[label] = [*populations[label], odd]
+    with pytest.raises(SamplesError, match=rf"^{label}: a sample is {odd:g} ms; the EER needs finite samples$"):
+        compute_eer(populations["N"], populations["Y"])
 
 
 # -- Welch --------------------------------------------------------------------
