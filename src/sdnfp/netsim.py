@@ -60,15 +60,14 @@ Generator built.  That covers `cross` (one `random()` per hop with Pareto
 cross traffic, the only draw `LinkSpec` takes), `defense` (one per
 delay-element hold) and `control` when its lookup and install models are
 Pareto.  numpy's `standard_normal()` ziggurat is not reproduced, so `drift`
-(one per send time that advances the clock) and `control` with lognormal
-delays draw their block from one Generator per trial.  numpy's block draws equal the same number of scalar calls, so the
-engine reads each block as the reference model draws: `cross` and `drift` in
-a layout the schedule fixes, `control` and `defense` through a per-trial
-cursor, event by event in packet order (see `_TrialBatch`).  Only a `control`
-stream whose delay models mix `random()` and `standard_normal()` is drawn per
-miss, from its trial's Generator.  Every draw becomes a delay through one
-array transform, `DelayModel.ns_from_draws`, which rounds to the same integer
-nanoseconds as the scalar samplers.
+(one per send time that advances the clock) and a `control` stream with a
+lognormal delay draw their block from one Generator per trial.  numpy's block
+draws equal the same number of scalar calls, so every stream is one block per
+trial, read as the reference model draws: `cross` and `drift` in a layout the
+schedule fixes, `control` and `defense` through a per-trial cursor, event by
+event in packet order (see `_TrialBatch`).  Every draw becomes a delay
+through one array transform, `DelayModel.ns_from_draws`, which rounds to the
+same integer nanoseconds as the scalar samplers.
 """
 
 from __future__ import annotations
@@ -218,6 +217,11 @@ class PathSpec:
                              f"{len(self.switches) + 1} or more forward links, got {len(self.forward_links)}")
         if self.delay_element is not None and not self.switches:
             raise ValueError("delay_element: needs at least one switch on the path")
+        if self.reply_bytes <= 0:
+            raise ValueError("reply_bytes: must be positive")
+        for name in ("turnaround_ns", "clear_delay_ns"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be >= 0")
 
 
 def transmission_delay_ns(size_bytes: int, link: LinkSpec) -> int:
@@ -428,13 +432,12 @@ class TrialStreams:
     Stream i of trial t is seeded as SeedSequence(entropy=seed,
     spawn_key=(group, t, i)) would seed it; one `spawn_state` pass seeds a
     stream for every trial when it is handed out, so a stream the schedule
-    never draws costs nothing.  `block(name, method, n)` is each trial's
-    first n draws of the Generator method `method` as a [trial, n] array:
-    `random` runs PCG64 over the trial axis (`pcg64_random`) and builds no
-    Generator, `standard_normal` builds one Generator per trial, which fills
-    its row of the block in place, because numpy's ziggurat is not
-    reproduced here.  `generators(name)` hands out the per-trial Generators
-    themselves, for draws of mixed methods.  A stream handed out a second
+    never draws costs nothing.  `block(name, methods, n)` is each trial's
+    first n draws as a [trial, n] array, draw i made by the Generator method
+    methods[i % len(methods)].  `random` alone runs PCG64 over the trial axis
+    (`pcg64_random`) and builds no Generator.  Otherwise each trial's
+    Generator fills its row in place, one call per run of one method, because
+    numpy's ziggurat is not reproduced here.  A stream handed out a second
     time would replay its draws from the start, so that raises.
     """
 
@@ -455,17 +458,20 @@ class TrialStreams:
         self._taken.add(name)
         return spawn_state(self._seed, self._group, self._trials, STREAM_NAMES.index(name))
 
-    def block(self, name: str, method: str, n: int) -> np.ndarray:
-        if method == "random":
-            return pcg64_random(self._seed_words(name), n)
-        gens = self.generators(name)
-        out = np.empty((len(gens), n))
-        for gen, row in zip(gens, out):
-            getattr(gen, method)(out=row)
+    def block(self, name: str, methods: tuple[str, ...], n: int) -> np.ndarray:
+        words = self._seed_words(name)
+        if set(methods) == {"random"}:
+            return pcg64_random(words, n)
+        # A run of one method is one call: numpy's block draws equal its scalar draws.
+        cycled = [methods[i % len(methods)] for i in range(n)]
+        cuts = [0, *(i for i in range(1, n) if cycled[i] != cycled[i - 1]), n]
+        runs = [(cycled[a], a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+        out = np.empty((len(words), n))
+        for w, row in zip(words, out):
+            gen = np.random.Generator(np.random.PCG64(_SeedWords(w)))
+            for method, a, b in runs:
+                getattr(gen, method)(out=row[a:b])
         return out
-
-    def generators(self, name: str) -> list[np.random.Generator]:
-        return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in self._seed_words(name)]
 
 
 class RngStreams:
@@ -688,7 +694,7 @@ def _cross_delays(path: PathSpec, n_packets: int, streams: TrialStreams) -> list
     delays = [np.broadcast_to(np.int64(m.value_ns), shape) for m in models]
     drawn = [j for j, m in enumerate(models) if m.draw_type]
     if drawn:
-        block = streams.block("cross", "random", n_packets * len(drawn))
+        block = streams.block("cross", ("random",), n_packets * len(drawn))
         block = block.reshape(len(streams), n_packets, len(drawn))
         for col, j in enumerate(drawn):
             delays[j] = models[j].ns_from_draws(block[:, :, col].T)
@@ -710,7 +716,7 @@ def _wander(drift: DriftModel | None, packets, streams: TrialStreams):
     # numpy's `** 0.5` is a sqrt, which rounds about one value in a thousand
     # differently from C's pow; an object array keeps Python's float pow.
     steps = ((dt[advances] / 1e9).astype(object) ** 0.5).astype(float)
-    z = streams.block("drift", "standard_normal", steps.size)
+    z = streams.block("drift", ("standard_normal",), steps.size)
     walk = np.zeros((len(streams), steps.size + 1))
     walk[:, 1:] = np.cumsum(z * drift.sigma_ns_per_sqrt_s * steps, axis=1)
     at_send = walk[:, np.cumsum(advances)].T  # after the steps taken up to each packet
@@ -730,13 +736,12 @@ class _TrialBatch:
     from `TrialStreams.block`, on the first event that needs them, and read
     through a per-trial cursor in the order the reference model draws them:
     * `control`: a miss draws the lookup delay, then each switch's install
-      delay in path order, one value per model that draws (`d` of them).  A
-      packet misses at most once per switch, so the block holds n_packets x
-      len(path.switches) x d values.  It needs one draw type for all `d`
-      models (`random()` for Pareto, `standard_normal()` for lognormal, which
-      covers every built-in); when the types mix, `control` holds the
-      per-trial Generators instead and each miss draws its `d` values from
-      its trial's, in the same order.
+      delay in path order, one value per model that draws (`d` of them), so
+      each row cycles through the models' Generator methods.  A miss installs
+      the flow at every switch, so a trial misses at most once if it starts
+      cold and once after each CLEAR, and the block holds that many misses of
+      `d` values; only a switch with no room for a rule misses on every probe,
+      and then the block holds n_packets x len(path.switches) misses.
     * `defense`: a hold takes one `random()`.  Only the outermost switch
       parks packets, at most once per packet, so the block holds n_packets
       values.
@@ -749,23 +754,24 @@ class _TrialBatch:
         path: PathSpec,
         streams: TrialStreams,
         warm: bool,
-        n_packets: int,
+        packets: tuple[Packet, ...],
     ):
         self.path = path
         self.streams = streams
         self.element = path.delay_element
         k = len(path.switches)
         n = len(streams)
-        self.n_packets = n_packets
+        self.n_packets = len(packets)
         self.charge_models = (path.lookup_delay, *(sw.install_delay for sw in path.switches))
         self.drawn = np.array([m.draw_type is not None for m in self.charge_models])
-        draws = {m.draw_type for m in self.charge_models} - {None}
-        self.control_draw = draws.pop() if len(draws) == 1 else None  # None: nothing or mixed
+        self.control_methods = tuple(m.draw_type for m in self.charge_models if m.draw_type)
+        self.no_rules = [sw.table_capacity == 0 for sw in path.switches]
+        n_clears = sum(p.kind == CLEAR for p in packets)
+        self.max_misses = self.n_packets * k if any(self.no_rules) else (not warm) + n_clears
         self.control = self.defense = None  # [trial, value] blocks, drawn on first use
         self.control_next = np.zeros(n, np.intp)
         self.defense_next = np.zeros(n, np.intp)
         self.installed = np.full(n, warm)
-        self.no_rules = [sw.table_capacity == 0 for sw in path.switches]
         # Per switch, the install window [start, start + penalty); a CLEAR zeroes the penalty.
         self.win_start = [np.zeros(n, np.int64) for _ in range(k)]
         self.win_penalty = [np.zeros(n, np.int64) for _ in range(k)]
@@ -842,17 +848,11 @@ class _TrialBatch:
 
     def _miss_charges(self, idx: np.ndarray) -> np.ndarray:
         """Each missing trial's lookup plus slowest install (Eq. 2), from its control stream."""
-        d = int(self.drawn.sum())
+        d = len(self.control_methods)
         x = np.zeros((len(self.charge_models), idx.size))  # rows of constant models stay unread
-        if d and self.control_draw is None:
+        if d:
             if self.control is None:
-                self.control = self.streams.generators("control")
-            methods = [m.draw_type for m in self.charge_models if m.draw_type]
-            x[self.drawn] = np.array([[getattr(self.control[t], m)() for m in methods] for t in idx]).T
-        elif d:
-            if self.control is None:
-                size = self.n_packets * len(self.path.switches) * d
-                self.control = self.streams.block("control", self.control_draw, size)
+                self.control = self.streams.block("control", self.control_methods, self.max_misses * d)
             start = self.control_next[idx]
             x[self.drawn] = self.control[idx[:, None], start[:, None] + np.arange(d)].T
             self.control_next[idx] = start + d
@@ -862,7 +862,7 @@ class _TrialBatch:
     def _holds(self, idx: np.ndarray, first: np.ndarray) -> np.ndarray:
         """Delay-element hold of each parked trial, drawn from its defense stream."""
         if self.defense is None:
-            self.defense = self.streams.block("defense", "random", self.n_packets)
+            self.defense = self.streams.block("defense", ("random",), self.n_packets)
         u = self.defense[idx, self.defense_next[idx]]
         self.defense_next[idx] += 1
         first = first[idx]
@@ -888,9 +888,8 @@ def simulate_trials(
     group), warm_keys=...)` produces for the same packets; `warm`
     pre-installs the flow's rules at every switch, as warm_keys holding the
     flow's key does.  Each stream is drawn as one block per trial: `cross`
-    and `drift` as `_cross_delays` and `_wander` lay them out, `control`
-    (n_packets x switches x d values, d the lookup and install models that
-    draw) and `defense` (n_packets values) as `_TrialBatch` reads them.
+    and `drift` as `_cross_delays` and `_wander` lay them out, `control` and
+    `defense` as `_TrialBatch` reads them.
     """
     packets = tuple(packets)
     n_trials = len(streams)
@@ -901,7 +900,7 @@ def simulate_trials(
     n_fwd = len(path.forward_links)
     n_switches = len(path.switches)
     cross = _cross_delays(path, len(packets), streams)
-    state = _TrialBatch(path, streams, warm, len(packets))
+    state = _TrialBatch(path, streams, warm, packets)
     busy = [np.zeros(n_trials, np.int64) for _ in range(n_fwd)]
 
     shape = (len(packets), n_trials)

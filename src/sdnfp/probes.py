@@ -18,18 +18,16 @@ whole list of trial numbers at once on the trial-batched engine
 (`netsim.simulate_trials`): the trial is a numpy axis, and every packet x hop
 step advances all trials together.  Trial t draws only from its own four
 streams, seeded from (seed, group, t), so its rows are the same whichever
-trials run beside it; a
-`netsim.TrialStreams` seeds each stream for all trials in one vectorised pass
-and draws its `random()` streams by PCG64 over the trial axis, with no
-per-trial Generator.  Every stream is drawn as one block per trial: `cross` and
-`drift` in a layout the schedule fixes, the `control` stream (lookup and
-install delays on a table miss) and the `defense` stream (delay-element
-holds), which depend on per-trial state, through a per-trial cursor in packet
-order; only a `control` stream whose delay models mix draw types is drawn per
-miss.  `run_schedule_reference` runs one trial on the scalar reference model
-(`netsim.Simulation`), packet by packet, with that trial's `RngStreams`; it is
-the only code that runs the model, and the differential tests hold the engine
-to it row for row.
+trials run beside it; a `netsim.TrialStreams` seeds each stream for all
+trials in one vectorised pass and draws its `random()` streams by PCG64 over
+the trial axis, with no per-trial Generator.  Every stream is drawn as one
+block per trial: `cross` and `drift` in a layout the schedule fixes, the
+`control` stream (lookup and install delays on a table miss) and the
+`defense` stream (delay-element holds), which depend on per-trial state,
+through a per-trial cursor in packet order.  `run_schedule_reference` runs
+one trial on the scalar reference model (`netsim.Simulation`), packet by
+packet, with that trial's `RngStreams`; it is the only code that runs the
+model, and the differential tests hold the engine to it row for row.
 
 Tables.  Every CSV the package writes is a `Table`: a frozen dataclass with
 one numpy array per CSV column, and one CSV format.  Traces, feature samples,

@@ -593,7 +593,8 @@ _CONFIG_FIELDS = {
 # A path or probe-plan spec's field -> the config key `Scenario` reports its
 # rule under; a field not listed is its own key (cross_traffic, mtu, ...).
 _SPEC_KEYS = {"capacity_bps": "data_link", "base_latency_ns": "base_latency", "forward_links": "links_forward",
-              "reverse_links": "links_reverse", "switches": "k"}
+              "reverse_links": "links_reverse", "switches": "k", "reply_bytes": "reply_size",
+              "turnaround_ns": "turnaround", "clear_delay_ns": "clear_delay"}
 
 
 def scenario_from_config(cfg: dict) -> Scenario:

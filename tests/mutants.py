@@ -54,16 +54,17 @@ MUTANTS = (
     ("stats.py", 'fnr = 1.0 - np.searchsorted(n, thresholds, side="right")',
      'fnr = 1.0 - np.searchsorted(n, thresholds, side="left")',
      "EER: an N sample equal to the threshold counts as above it"),
-    ("netsim.py", "size = self.n_packets * len(self.path.switches) * d", "size = self.n_packets * d",
-     "engine: the control block holds one miss per packet, not one per packet and switch"),
+    ("netsim.py", "self.max_misses = self.n_packets * k if", "self.max_misses = self.n_packets if",
+     "engine, a zero-capacity switch: the control block holds one miss per packet, not one per packet and switch"),
     ("netsim.py", "trials.astype(np.uint64),", "np.arange(trials.size, dtype=np.uint64),",
      "engine: a trial is seeded by its position in the batch, not by its number"),
     ("netsim.py", "return lookup + np.max(installs, axis=0)", "return np.max(installs, axis=0)",
      "engine, Eq. 2: a miss pays the slowest install without the lookup"),
     ("netsim.py", "reply_send = server_recv + path.turnaround_ns", "reply_send = server_recv",
      "engine: the reply leaves the server without the path's turnaround"),
-    ("netsim.py", "for m in methods] for t in idx]", "for m in methods[1:] + methods[:1]] for t in idx]",
-     "engine, mixed draw types: a miss draws the installs before the lookup"),
+    ("netsim.py", "cycled = [methods[i % len(methods)] for i in range(n)]",
+     "cycled = [(methods[1:] + methods[:1])[i % len(methods)] for i in range(n)]",
+     "TrialStreams.block, mixed methods: a row draws the installs before the lookup"),
     ("netsim.py", "self.clear_at = now + self.path.clear_delay_ns", "self.clear_at = now",
      "engine: a CLEAR deletes the rules at once, without the path's CLEAR delay"),
     ("scenario.py", "SwitchSpec(install, self.table_capacity)", "SwitchSpec(install)",
@@ -116,10 +117,14 @@ MUTANTS = (
      "fit_gpd: a spread the 1 ns location shift rounds away reaches Grimshaw's bound, which is 0"),
     ("distributions.py", "self.gpd.location < 0", "self.gpd.location <= 0",
      "DelayModel: a gpd hold whose support starts at 0 is refused"),
-    ("scenario.py", '"reverse_links": "links_reverse", "switches": "k"}', '"reverse_links": "links_reverse"}',
+    ("scenario.py", '"switches": "k", "reply_bytes"', '"reply_bytes"',
      "Scenario: too few forward links for k is reported under PathSpec's field, switches, not the key k"),
     ("stats.py", '_population(x, 1, "the EER", label)', '_population(x, 0, "the EER", label)',
      "compute_eer: an empty population passes its count"),
+    ("netsim.py", "else (not warm) + n_clears", "else n_clears",
+     "engine: the control block holds no miss for a cold start"),
+    ("netsim.py", "n_clears = sum(p.kind == CLEAR for p in packets)", "n_clears = 0",
+     "engine: the control block holds no miss for the probes after a CLEAR"),
 )
 
 

@@ -285,19 +285,19 @@ def test_engine_timestamps_are_ordered_within_each_trial(case):
     assert (trace.server_recv_ns >= trace.client_send_ns).all()
 
 
-@pytest.mark.parametrize(
-    "lookup, install",
-    [
-        (constant(100_000), lognormal(4_500_000, 0.6)),
-        (pareto(200_000, 10**10), pareto(2 * MS, 10**12)),
-        (pareto(200_000, 10**10), lognormal(4_500_000, 0.6)),
-    ],
-    ids=["standard_normal", "random", "mixed"],
-)
+# (lookup, install): installs that draw standard_normal(), a pair that draws random(), and a mix.
+CHARGES = [
+    (constant(100_000), lognormal(4_500_000, 0.6)),
+    (pareto(200_000, 10**10), pareto(2 * MS, 10**12)),
+    (pareto(200_000, 10**10), lognormal(4_500_000, 0.6)),
+]
+
+
+@pytest.mark.parametrize("lookup, install", CHARGES, ids=["standard_normal", "random", "mixed"])
 def test_capacity_zero_misses_at_every_switch_match_scalar_reference(lookup, install):
     # No switch can hold a rule, so every probe misses at all three switches:
-    # the control block must hold n_packets x k draws per model, and with
-    # mixed draw types each trial's Generator draws the lookup, then the installs.
+    # the control block must hold n_packets x k misses, and with mixed draw
+    # types each row cycles through the lookup's method, then the installs'.
     link = LinkSpec(100_000_000)
     switches = (SwitchSpec(install, table_capacity=0),) * 3
     path = PathSpec((link,) * 4, (link,), switches, DelayElementConfig(), lookup_delay=lookup)
@@ -308,6 +308,39 @@ def test_capacity_zero_misses_at_every_switch_match_scalar_reference(lookup, ins
     assert batched == reference(schedule, path, trials, kwargs)
     probes = batched.kind == PROBE
     assert batched.miss_flag[probes].all() and batched.table_full[probes].all()
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("clears", [0, 1, 2])
+@pytest.mark.parametrize("lookup, install", CHARGES, ids=["standard_normal", "random", "mixed"])
+def test_the_control_block_holds_the_misses_a_trial_can_have(monkeypatch, lookup, install, clears, warm):
+    # A probe 1 s after each CLEAR misses, and so does the first probe of a
+    # cold schedule: every trial has exactly as many misses as the block holds,
+    # once if it starts cold plus once per CLEAR, of one value per drawn model.
+    import sdnfp.netsim as netsim
+
+    sizes = {}
+    block = netsim.TrialStreams.block
+
+    def recorded(self, name, methods, n):
+        sizes[name] = n
+        return block(self, name, methods, n)
+
+    monkeypatch.setattr(netsim.TrialStreams, "block", recorded)
+    link = LinkSpec(100_000_000)
+    path = PathSpec((link,) * 3, (link,), (SwitchSpec(install),) * 2, lookup_delay=lookup)
+    sends = [(S, PROBE)]
+    for c in range(clears):
+        sends += [((2 * c + 2) * S, CLEAR), ((2 * c + 3) * S, PROBE)]
+    schedule = tuple(Packet(pid, KEY, 64 if kind == CLEAR else 1500, kind, t) for pid, (t, kind) in enumerate(sends))
+    kwargs = dict(seed=7, group=0, warm=warm)
+    trials = range(5)
+    batched = run_schedule(schedule, path, trials=trials, **kwargs)
+    assert batched == reference(schedule, path, trials, kwargs)
+    misses = (not warm) + clears
+    assert batched.miss_flag.reshape(len(trials), -1).sum(axis=1).tolist() == [misses] * len(trials)
+    d = sum(m.draw_type is not None for m in (lookup, *(sw.install_delay for sw in path.switches)))
+    assert sizes.get("control", 0) == misses * d
 
 
 def test_one_flow_per_schedule_is_the_batched_engines_rule():

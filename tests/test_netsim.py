@@ -29,6 +29,7 @@ from sdnfp.netsim import (
     transmission_delay_ns,
 )
 from sdnfp.probes import run_schedule
+from sdnfp.units import div_round_half_up
 
 from paths import uniform_path
 
@@ -81,6 +82,13 @@ def test_transmission_delay_examples():
 def test_transmission_delay_rejects_bad_size():
     with pytest.raises(ValueError):
         transmission_delay_ns(0, LinkSpec(100_000_000))
+
+
+@pytest.mark.parametrize("den", [0, -8])
+def test_div_round_half_up_needs_a_positive_denominator(den):
+    assert div_round_half_up(12, 8) == 2 and div_round_half_up(11, 8) == 1
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        div_round_half_up(12, den)
 
 
 def test_forward_single_hop_no_cross():
@@ -346,6 +354,13 @@ def test_pathspec_validation():
         PathSpec((), (link,))
     with pytest.raises(ValueError):
         PathSpec((link,), (link,), (hw_switch(),))  # no room for a switch
+    for field, value, rule in (
+        ("reply_bytes", 0, "must be positive"),
+        ("turnaround_ns", -1, "must be >= 0"),
+        ("clear_delay_ns", -1, "must be >= 0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{field}: {rule}$"):
+            PathSpec((link, link), (link,), (hw_switch(),), **{field: value})
 
 
 def test_lazy_streams_match_eager_construction():
@@ -403,6 +418,15 @@ def numpy_generator(seed, group, trial, stream):
     return np.random.default_rng(seq)
 
 
+def cyclic_draws(gen, methods, n):
+    """The first n scalar draws of `gen`, draw i made by methods[i % len(methods)]."""
+    return [getattr(gen, methods[i % len(methods)])() for i in range(n)]
+
+
+# One method takes a fast path; a mix cycles, as a miss draws a Pareto lookup and lognormal installs.
+BLOCK_METHODS = [("random",), ("standard_normal",), ("random", "standard_normal", "standard_normal")]
+
+
 @given(
     seed=st.integers(0, 2**128),
     group=st.integers(0, 2**40),
@@ -410,23 +434,13 @@ def numpy_generator(seed, group, trial, stream):
 )
 def test_trial_streams_draw_as_numpy_seeded_generators(seed, group, trials):
     trials = np.array(trials, np.int64)
-    blocks = {
-        method: TrialStreams(seed, trials, group) for method in ("random", "standard_normal")
-    }
-    listed = TrialStreams(seed, trials, group)
-    for stream, name in enumerate(STREAM_NAMES):
-        gens = listed.generators(name)
-        assert len(gens) == len(trials)
-        for method, batch in blocks.items():
-            block = batch.block(name, method, 7)
+    for methods in BLOCK_METHODS:
+        batch = TrialStreams(seed, trials, group)
+        for stream, name in enumerate(STREAM_NAMES):
+            block = batch.block(name, methods, 7)
             assert block.shape == (len(trials), 7)
             for row, trial in zip(block, trials):
-                oracle = getattr(numpy_generator(seed, group, trial, stream), method)(7)
-                assert row.tolist() == oracle.tolist()
-        for gen, trial in zip(gens, trials):
-            oracle = numpy_generator(seed, group, trial, stream)
-            assert gen.random(7).tolist() == oracle.random(7).tolist()
-            assert gen.standard_normal(7).tolist() == oracle.standard_normal(7).tolist()
+                assert row.tolist() == cyclic_draws(numpy_generator(seed, group, trial, stream), methods, 7)
 
 
 @pytest.mark.parametrize("n", [0, 1, 48])
@@ -434,7 +448,7 @@ def test_normal_block_is_each_trials_first_draws(n):
     # The block is filled row by row in place; every row is the trial's own
     # Generator's first n draws, bit for bit.
     trials = np.arange(450, dtype=np.int64)
-    block = TrialStreams(11, trials, 2).block("drift", "standard_normal", n)
+    block = TrialStreams(11, trials, 2).block("drift", ("standard_normal",), n)
     assert block.shape == (450, n) and block.dtype == np.float64
     expected = [numpy_generator(11, 2, t, STREAM_NAMES.index("drift")).standard_normal(n) for t in trials]
     assert block.view(np.int64).tolist() == [row.view(np.int64).tolist() for row in expected]
@@ -482,7 +496,7 @@ def test_spawn_state_rejects_trials_outside_32_bits(trials):
     with pytest.raises(ValueError):
         spawn_state(7, 0, np.array(trials, np.int64), 0)
     with pytest.raises(ValueError):
-        TrialStreams(7, np.array(trials, np.int64)).block("cross", "random", 1)
+        TrialStreams(7, np.array(trials, np.int64)).block("cross", ("random",), 1)
 
 
 def test_spawn_state_rejects_negative_seed_and_group():
@@ -504,23 +518,23 @@ def test_trial_streams_build_each_name_on_first_access(monkeypatch):
     monkeypatch.setattr(netsim, "spawn_state", counted)
     batch = TrialStreams(5, np.arange(3), group=1)
     assert len(batch) == 3 and passes == []  # a stream nobody draws costs nothing
-    assert batch.block("control", "random", 4).shape == (3, 4)
+    assert batch.block("control", ("random",), 4).shape == (3, 4)
     assert passes == [1]  # one pass for all trials
-    assert len(batch.generators("drift")) == 3 and passes == [1, 3]
+    assert batch.block("drift", ("random", "standard_normal"), 5).shape == (3, 5) and passes == [1, 3]
     with pytest.raises(ValueError, match="unknown stream"):
-        batch.block("unknown", "random", 4)
+        batch.block("unknown", ("random",), 4)
     assert passes == [1, 3]
 
 
-@pytest.mark.parametrize("method", ["random", "standard_normal", None])
-def test_trial_streams_hand_out_each_stream_once(method):
+@pytest.mark.parametrize(
+    "methods", [("random",), ("standard_normal",), ("standard_normal", "random")],
+    ids=["random", "standard_normal", "mixed"],
+)
+def test_trial_streams_hand_out_each_stream_once(methods):
     # A second block would replay the stream from its start, where a
     # Generator would continue: it raises instead.
     batch = TrialStreams(5, np.arange(3))
-    batch.block("defense", "random", 4)
+    batch.block("defense", ("random",), 4)
     with pytest.raises(RuntimeError, match="defense"):
-        if method is None:
-            batch.generators("defense")
-        else:
-            batch.block("defense", method, 4)
-    assert batch.block("cross", "random", 4).shape == (3, 4)  # other streams are unaffected
+        batch.block("defense", methods, 4)
+    assert batch.block("cross", ("random",), 4).shape == (3, 4)  # other streams are unaffected

@@ -105,6 +105,11 @@ def test_validation_k_fits_path():
         ("base_latency_ns", -1, "base_latency: must be >= 0"),
         ("links_forward", 0, "links_forward: a path needs 1 or more links each way"),
         ("mtu_bytes", 63, "mtu: must be >= 64 bytes"),
+        # These three once passed construction: a reply of 0 B failed mid-run
+        # naming no field, and a negative turnaround or CLEAR delay ran.
+        ("reply_bytes", 0, "reply_size: must be positive"),
+        ("turnaround_ns", -1, "turnaround: must be >= 0"),
+        ("clear_delay_ns", -1, "clear_delay: must be >= 0"),
     ],
 )
 def test_a_spec_rule_is_reported_under_its_config_key(field, value, message):
@@ -461,6 +466,9 @@ CONFIG_ERRORS = {
                                     "cross_traffic: must be a mapping, got '7 ms' in scenario 'k1-hw-100m'"),
     "first_delay_not_a_mapping": ("{name: k1-hw-100m, trains: 4, defense: {first_delay: 5}}",
                                   "defense.first_delay: must be a mapping, got 5 in scenario 'k1-hw-100m'"),
+    "entry_not_a_mapping": ("k1-hw-100m", "scenario: each entry must be a mapping"),
+    "install_delay_unknown_kind": ("{name: k1-hw-100m, trains: 4, install_delay: {kind: weibull}}",
+                                   "install_delay.kind: unknown kind 'weibull' in scenario 'k1-hw-100m'"),
 }
 
 
@@ -470,6 +478,15 @@ def test_cli_names_the_key_of_a_config_value_it_cannot_run(tmp_path, capsys, ent
     cfg.write_text(f"scenarios:\n  - {entry}\n")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_names_a_config_file_it_cannot_read(tmp_path, capsys):
+    missing = tmp_path / "missing.yaml"
+    assert main(["simulate", "--config", str(missing), "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: config: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+    )
     assert not (tmp_path / "runs").exists()
 
 
@@ -931,6 +948,27 @@ def test_cli_rejects_a_sidecar_without_a_scenarios_list(tmp_path, capsys):
     capsys.readouterr()
     assert main(["extract", "--traces", str(bundle_dir / "traces.csv"), "--out", str(tmp_path / "ex")]) == 2
     assert f"'scenarios' list in {sidecar}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ('[{"name": "lab", "seed": 1}]', "scenario: {sidecar} must hold a JSON object"),
+        ('{"scenarios": [{"name": "lab", "seed": 1}, {"name": "lab2", "seed": 2}]}',
+         "scenarios: a sidecar holds one entry in {sidecar}"),
+    ],
+    ids=["json_list", "two_entries"],
+)
+def test_cli_rejects_a_sidecar_that_is_not_one_scenario(tmp_path, capsys, content, message):
+    bundle_dir = tmp_path / "runs" / "k1-hw-100m"
+    run_scenario(replace(builtin_scenarios()["k1-hw-100m"], trains=4), bundle_dir)
+    sidecar = bundle_dir / "scenario.json"
+    sidecar.write_text(content)
+    capsys.readouterr()
+    for argv in (["extract", "--traces", str(bundle_dir / "traces.csv")], ["report", "--bundles", str(bundle_dir)]):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message.format(sidecar=sidecar)}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_a_hand_written_sidecar_takes_the_defaults_of_omitted_keys(tmp_path):

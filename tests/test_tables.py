@@ -39,6 +39,13 @@ def header(cls):
 TABLES = pytest.mark.parametrize("cls", [Trace, Samples], ids=["trace", "samples"])
 
 
+def test_a_table_equals_only_a_table_of_its_own_type():
+    trace, samples = table_of(Trace, ["a", "b"]), table_of(Samples, ["a", "b"])
+    assert trace == table_of(Trace, ["a", "b"]) and trace != table_of(Trace, ["a", "c"])
+    assert trace.__eq__(samples) is NotImplemented and trace != samples
+    assert trace != object()
+
+
 @TABLES
 def test_header_only_file_reads_as_an_empty_table(tmp_path, cls, recwarn):
     path = tmp_path / "t.csv"
