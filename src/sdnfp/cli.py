@@ -6,10 +6,10 @@ file goes through `scenario.write_json`.  `extract` reads traces.csv and
 `report` samples.csv, each beside the scenario.json sidecar that every bundle
 holds: a scenario config file with one entry, which gives `extract --passive`
 its default window and `report` its bin width.  `eer` and `report` evaluate
-each feature the samples hold.  No stage reads results.json.  Beside an
-external trace, write a sidecar such as
-`{"scenarios": [{"name": "lab", "seed": 1, "k": 2}]}`; omitted keys take the
-same defaults as in a YAML scenario file.
+each feature the samples hold, and `report` bins the N and Y populations each
+evaluation took.  No stage reads results.json.  Beside an external trace,
+write a sidecar such as `{"scenarios": [{"name": "lab", "seed": 1, "k": 2}]}`;
+omitted keys take the same defaults as in a YAML scenario file.
 Exit codes: 0 success, 2 configuration error or a sample population a
 statistic cannot take (named by feature and label), 1 anything else.
 
@@ -37,9 +37,9 @@ from .defense import DelayElementConfig
 from .features import DELTA_RTT, FEATURES, Samples
 from .probes import Trace
 from .scenario import (
+    BUILTINS,
     ConfigError,
     Scenario,
-    builtin_scenarios,
     emit_report,
     evaluate,
     load_gpd,
@@ -64,7 +64,7 @@ def _select_scenarios(args) -> list[Scenario]:
     if args.config:
         scenarios = load_scenarios(args.config)
     else:
-        scenarios = list(builtin_scenarios().values())
+        scenarios = list(BUILTINS.values())
     if args.scenario:
         scenarios = [s for s in scenarios if s.name == args.scenario]
         if not scenarios:
@@ -194,18 +194,19 @@ def cmd_report(args) -> int:
 
 
 def _load_bundle(bundle_dir: Path):
-    """(scenario, samples, feature results) of a persisted bundle, for the report.
+    """(scenario, feature results) of a persisted bundle, for the report.
 
     `report` reads scenario.json and samples.csv, as `extract` reads
     scenario.json and traces.csv: the scenario's bin width bins each bundle
-    as it was simulated.
+    as it was simulated, and the histograms bin the populations `evaluate`
+    tested.
     """
     samples_path = bundle_dir / "samples.csv"
     if not samples_path.exists():
         raise ConfigError(f"bundles: {bundle_dir} lacks samples.csv")
     scenario = read_scenario_descriptor(bundle_dir)
     samples = read_feature_csv(samples_path)
-    return scenario, samples, evaluate(samples)
+    return scenario, evaluate(samples)
 
 
 @functools.cache

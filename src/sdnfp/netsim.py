@@ -740,8 +740,11 @@ class _TrialBatch:
       each row cycles through the models' Generator methods.  A miss installs
       the flow at every switch, so a trial misses at most once if it starts
       cold and once after each CLEAR, and the block holds that many misses of
-      `d` values; only a switch with no room for a rule misses on every probe,
-      and then the block holds n_packets x len(path.switches) misses.
+      `d` values.  A CLEAR before the first probe counts as a miss of its
+      own, though a cold trial's first miss is the one after it; the count
+      reads only packet kinds, and the spare draws cost no measurable time.
+      Only a switch with no room for a rule misses on every probe, and then
+      the block holds n_packets x len(path.switches) misses.
     * `defense`: a hold takes one `random()`.  Only the outermost switch
       parks packets, at most once per packet, so the block holds n_packets
       values.

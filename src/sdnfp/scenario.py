@@ -16,8 +16,8 @@ into one, labels the joined trace with `features.label_samples` and, when
 asked, writes traces.csv, samples.csv (both in the tables' one CSV format),
 results.json and scenario.json (both with `write_json`, the one JSON writer)
 with `write_bundle`.  results.json is an output only: no stage reads it back.
-`emit_report` writes the report's summary and PDF_N/PDF_Y histograms as tables
-too.
+`evaluate` keeps each feature's N and Y populations in its `FeatureResult`,
+and `emit_report` bins those as the PDF_N/PDF_Y tables beside its summary.
 
 There is one scenario schema: `_CONFIG_FIELDS` and `DELAY_KINDS` give each
 config key a (parse, write) pair, so `scenario_to_config` inverts
@@ -28,7 +28,8 @@ parser `load_scenarios` runs.
 
 A `Scenario` checks only the rules no spec it builds knows.  The path's specs
 and the probe plans keep their own, and a spec's rule is reported under its
-config key (`_SPEC_KEYS`), as a gpd hold's is (`_gpd_from_config`).
+config key (`_SPEC_KEYS`), as a gpd hold's is (`_gpd_from_config`).  The
+built-in matrix, `BUILTINS`, is built and checked once, at import.
 
 Shipped install-delay calibration: rule installation takes single-digit
 milliseconds on hardware switches and sub-millisecond on the software switch.
@@ -44,6 +45,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -185,19 +187,15 @@ class Scenario:
         )
 
 
-def builtin_scenarios() -> dict[str, Scenario]:
-    """The shipped attack matrix: k=1..3 hardware and the software switch,
-    on 100 Mbps and 1 Gbps data links."""
-    gbps = 1_000_000_000
-    scenarios = [
-        Scenario(name="k1-hw-100m", seed=20401, k=1),
-        Scenario(name="k2-hw-100m", seed=20402, k=2),
-        Scenario(name="k3-hw-100m", seed=20403, k=3),
-        Scenario(name="k1-sw-100m", seed=20404, k=1, switch_kind=SOFTWARE),
-        Scenario(name="k3-hw-1g", seed=20405, k=3, data_link_bps=gbps),
-        Scenario(name="k1-sw-1g", seed=20406, k=1, switch_kind=SOFTWARE, data_link_bps=gbps),
-    ]
-    return {s.name: s for s in scenarios}
+# The shipped attack matrix: k=1..3 hardware and the software switch, on 100 Mbps and 1 Gbps links.
+BUILTINS = MappingProxyType({s.name: s for s in (
+    Scenario(name="k1-hw-100m", seed=20401, k=1),
+    Scenario(name="k2-hw-100m", seed=20402, k=2),
+    Scenario(name="k3-hw-100m", seed=20403, k=3),
+    Scenario(name="k1-sw-100m", seed=20404, k=1, switch_kind=SOFTWARE),
+    Scenario(name="k3-hw-1g", seed=20405, k=3, data_link_bps=1_000_000_000),
+    Scenario(name="k1-sw-1g", seed=20406, k=1, switch_kind=SOFTWARE, data_link_bps=1_000_000_000),
+)})
 
 
 def drift_variant(scenario: Scenario, time_span_ns: int, sigma_ns: float = DEFAULT_DRIFT_SIGMA_NS) -> Scenario:
@@ -216,10 +214,12 @@ def drift_variant(scenario: Scenario, time_span_ns: int, sigma_ns: float = DEFAU
 
 @dataclass
 class FeatureResult:
+    """A feature's EER and Welch test, and the N and Y populations they took."""
+
     eer: EERResult
     welch: WelchResult
-    n_count: int
-    y_count: int
+    n: np.ndarray
+    y: np.ndarray
 
     def row(self) -> dict:
         """The feature's entry in results.json and in `sdnfp eer`'s eer.json."""
@@ -229,8 +229,8 @@ class FeatureResult:
             "threshold_ms": self.eer.threshold_ms,
             "t_statistic": self.welch.t_statistic,
             "significant_at_1pct": self.welch.significant_at_1pct,
-            "n_samples_N": self.n_count,
-            "n_samples_Y": self.y_count,
+            "n_samples_N": self.n.size,
+            "n_samples_Y": self.y.size,
         }
 
 
@@ -251,7 +251,7 @@ def evaluate(samples) -> dict[str, FeatureResult]:
             eer = compute_eer(values_n, values_y)
         except SamplesError as exc:
             raise ConfigError(f"samples: {feature}/{exc}") from None
-        results[feature] = FeatureResult(eer, welch, len(values_n), len(values_y))
+        results[feature] = FeatureResult(eer, welch, values_n, values_y)
     if known < len(samples):
         raise ConfigError(f"samples: {len(samples) - known} samples are of a feature other than "
                           f"{' or '.join(FEATURES)}, or of a label other than N or Y")
@@ -395,28 +395,23 @@ class Summary(Table):
 def emit_report(runs, out_dir: Path | str) -> list[Path]:
     """summary.csv plus plot-ready PDF_N / PDF_Y histogram CSVs.
 
-    `runs` holds one (scenario, samples, feature results) triple per run;
-    each run's histograms take its scenario's bin width.
+    `runs` holds one (scenario, feature results) pair per run, as `evaluate`
+    returns them.  Each histogram bins the population its feature's EER and
+    Welch test took, at its scenario's bin width.
     """
     if not runs:
         raise ValueError("need at least one run")
     out_dir = Path(out_dir)
-    rows = [
-        {"scenario": scenario.name, "feature": feature, **results[feature].row()}
-        for scenario, _, results in runs
-        for feature in sorted(results)
-    ]
-    summary = out_dir / "summary.csv"
-    Summary(*([row[c] for row in rows] for c in Summary.columns())).write_csv(summary)
+    summary, rows = out_dir / "summary.csv", []
     written = [summary]
-    for scenario, samples, results in runs:
-        for feature in sorted(results):
-            for label in ("N", "Y"):
-                values = samples.values(feature, label)
-                if values.size:
-                    path = out_dir / f"{scenario.name}__{feature}__pdf_{label}.csv"
-                    build_histogram(values, scenario.bin_width_ms).write_csv(path)
-                    written.append(path)
+    for scenario, results in runs:
+        for feature, result in sorted(results.items()):
+            rows.append({"scenario": scenario.name, "feature": feature, **result.row()})
+            for label, values in (("N", result.n), ("Y", result.y)):
+                path = out_dir / f"{scenario.name}__{feature}__pdf_{label}.csv"
+                build_histogram(values, scenario.bin_width_ms).write_csv(path)
+                written.append(path)
+    Summary(*([row[c] for row in rows] for c in Summary.columns())).write_csv(summary)
     return written
 
 
@@ -606,7 +601,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
         raise ConfigError("scenario: each entry must be a mapping")
     name = _field(cfg, "name", str, "the scenario entry")
     source = f"scenario {name!r}"
-    base = builtin_scenarios().get(name)
+    base = BUILTINS.get(name)
     if base is None:
         base = Scenario(name=name, seed=_field(cfg, "seed", _whole, source))
     try:  # Scenario's own checks run in replace

@@ -125,6 +125,10 @@ MUTANTS = (
      "engine: the control block holds no miss for a cold start"),
     ("netsim.py", "n_clears = sum(p.kind == CLEAR for p in packets)", "n_clears = 0",
      "engine: the control block holds no miss for the probes after a CLEAR"),
+    ("scenario.py", '(("N", result.n), ("Y", result.y))', '(("N", result.y), ("Y", result.y))',
+     "emit_report: the Y population is binned under both labels"),
+    ("scenario.py", '"n_samples_Y": self.y.size', '"n_samples_Y": self.n.size',
+     "FeatureResult.row: n_samples_Y reports the size of the N population"),
 )
 
 

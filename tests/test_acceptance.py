@@ -23,7 +23,7 @@ from sdnfp.netsim import (
     SwitchSpec,
 )
 from sdnfp.probes import run_schedule
-from sdnfp.scenario import builtin_scenarios, drift_variant, run_scenario
+from sdnfp.scenario import BUILTINS, drift_variant, run_scenario
 from sdnfp.stats import compute_eer, fit_gpd
 
 from gpd_sampler import gpd_sample
@@ -41,7 +41,7 @@ def ok(criterion, detail):
 @pytest.fixture(scope="module")
 def undefended():
     bundles, seconds = {}, {}
-    for name, scenario in builtin_scenarios().items():
+    for name, scenario in BUILTINS.items():
         start = time.monotonic()
         bundles[name] = run_scenario(scenario)
         seconds[name] = time.monotonic() - start
@@ -52,7 +52,7 @@ def undefended():
 def defended(undefended):
     bundles = {}
     start = time.monotonic()
-    for name, scenario in builtin_scenarios().items():
+    for name, scenario in BUILTINS.items():
         defended_scenario = replace(scenario, name=f"{name}-defended", defense=DelayElementConfig())
         bundles[name] = run_scenario(defended_scenario)
     # Fine-grained mode: per-k parameters fitted to the k=2 attack populations.
@@ -63,7 +63,7 @@ def defended(undefended):
     followup_fit, _ = fit_gpd(y_disp)
     perk_cfg = DelayElementConfig(first_delay=gpd(first_fit), followup_delay=gpd(followup_fit))
     perk = run_scenario(
-        replace(builtin_scenarios()["k2-hw-100m"], name="k2-hw-100m-perk", defense=perk_cfg)
+        replace(BUILTINS["k2-hw-100m"], name="k2-hw-100m-perk", defense=perk_cfg)
     )
     elapsed = time.monotonic() - start
     return bundles, perk, elapsed
@@ -150,13 +150,12 @@ def test_criterion_4_attack_reproduction(undefended):
 
 
 def test_criterion_5_time_span_degradation():
-    registry = builtin_scenarios()
     details = []
     for name in HW_NAMES + (SW_NAME,):
         eers = {}
         disp = {}
         for span_s in (1, 600):
-            scenario = drift_variant(registry[name], span_s * S)
+            scenario = drift_variant(BUILTINS[name], span_s * S)
             bundle = run_scenario(scenario)
             eers[span_s] = bundle.feature_results[DELTA_RTT].eer.eer
             disp[span_s] = bundle.feature_results[DISPERSION].eer.eer
@@ -172,7 +171,7 @@ def test_criterion_6_defense_effectiveness(undefended, defended):
     for feature in (DISPERSION, DELTA_RTT):
         eer = def_bundles["k3-hw-100m"].feature_results[feature].eer.eer
         assert eer >= 0.30, f"k3-hw-100m/{feature} defended EER {eer:.2%} below 30%"
-    for name in builtin_scenarios():
+    for name in BUILTINS:
         for feature in (DISPERSION, DELTA_RTT):
             d = def_bundles[name].feature_results[feature].eer.eer
             u = undef_bundles[name].feature_results[feature].eer.eer
@@ -221,7 +220,7 @@ def test_criterion_8_statistical_significance(undefended):
 
 
 def test_criterion_9_determinism(tmp_path):
-    scenario = builtin_scenarios()["k1-sw-100m"]
+    scenario = BUILTINS["k1-sw-100m"]
     digests = []
     for run_dir in ("a", "b"):
         out = tmp_path / run_dir

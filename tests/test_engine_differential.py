@@ -26,7 +26,7 @@ from sdnfp.probes import (
     run_schedule,
     run_schedule_reference,
 )
-from sdnfp.scenario import DEFAULT_FLOW, builtin_scenarios
+from sdnfp.scenario import BUILTINS, DEFAULT_FLOW
 
 MS = 1_000_000
 S = 1_000_000_000
@@ -180,7 +180,7 @@ def test_defended_builtins_match_scalar_reference():
     # with enough trials for misses, holds and follow-up windows to vary.
     for name in ("k1-sw-100m", "k2-hw-100m", "k3-hw-1g"):
         for element in (DelayElementConfig(), FITTED):
-            scenario = replace(builtin_scenarios()[name], defense=element)
+            scenario = replace(BUILTINS[name], defense=element)
             path = scenario.build_path()
             for schedule, warm, group in (
                 (build_probe_train(DEFAULT_FLOW), False, 0),
@@ -197,7 +197,7 @@ def test_pareto_control_delays_match_scalar_reference():
     # PCG64 over the trial axis like `cross` and `defense`, with no Generator.
     for name in ("k2-hw-100m", "k3-hw-1g"):
         scenario = replace(
-            builtin_scenarios()[name],
+            BUILTINS[name],
             lookup_delay=pareto(200_000, 10**10),
             install_delay=pareto(2 * MS, 10**12),
             defense=DelayElementConfig(),
@@ -231,11 +231,11 @@ def pair_dispersions(scenario, installs):
     return pair_labels(trace, first, second), recv[first] - trace.client_send_ns[first], recv[second] - recv[first]
 
 
-@pytest.mark.parametrize("name", list(builtin_scenarios()))
+@pytest.mark.parametrize("name", list(BUILTINS))
 def test_a_slower_install_lengthens_y_pairs_and_leaves_n_pairs_alone(name):
     # The miss charge is the lookup plus the slowest switch's install (Eq. 2),
     # and only a pair that triggered a miss pays it.
-    scenario = builtin_scenarios()[name]
+    scenario = BUILTINS[name]
     install = scenario.build_path().switches[0].install_delay
     raised = replace(install, median_ns=install.median_ns * 4 // 3)
     fast = constant(100_000)  # below every draw of `install`: switch 0 is always the slowest
@@ -247,11 +247,11 @@ def test_a_slower_install_lengthens_y_pairs_and_leaves_n_pairs_alone(name):
         assert_only_y_pairs_lengthen(pair_dispersions(scenario, before), pair_dispersions(scenario, after))
 
 
-@pytest.mark.parametrize("name", list(builtin_scenarios()))
+@pytest.mark.parametrize("name", list(BUILTINS))
 def test_a_slower_lookup_lengthens_y_pairs_and_leaves_n_pairs_alone(name):
     # A miss pays the controller's lookup once, on top of the slowest install
     # (Eq. 2); a constant lookup draws nothing, so every other delay stays.
-    scenario = builtin_scenarios()[name]
+    scenario = BUILTINS[name]
     assert scenario.lookup_delay == constant(100_000)
     installs = [scenario.build_path().switches[0].install_delay] * scenario.k
     slower = replace(scenario, lookup_delay=constant(200_000))

@@ -25,7 +25,7 @@ import pytest
 from sdnfp.cli import main
 from sdnfp.defense import DelayElementConfig
 from sdnfp.distributions import GPDParams, gpd
-from sdnfp.scenario import builtin_scenarios, drift_variant, read_scenario_descriptor, run_scenario
+from sdnfp.scenario import BUILTINS, drift_variant, read_scenario_descriptor, run_scenario
 from sdnfp.stats import fit_gpd
 from sdnfp.units import NS_PER_S
 
@@ -53,11 +53,11 @@ RESULTS = {
     "k3-hw-1g-defended": "155731c446188f030bf69c9f4fee9ebdc92d6c758f529e635b225e95096a4cff",
     "k1-sw-1g-defended": "27bc6bb449d093c39f5e4b7ad6f02146fa4a6bdc73b92b1745dcdc49d9e67d5c",
 }
-BUILTINS = sorted(builtin_scenarios())
-VARIANTS = sorted(set(RESULTS) - set(BUILTINS))
+BUILTIN_NAMES = sorted(BUILTINS)
+VARIANTS = sorted(set(RESULTS) - set(BUILTIN_NAMES))
 
 # summary.csv of `sdnfp report` over the six built-in bundles, in
-# builtin_scenarios() order.
+# BUILTINS order.
 GOLDEN_SUMMARY = "465bfced384c1c2c9aff86a5c867ddfa859aba5e7b5dc7b3a84c3ae79123e59c"
 
 
@@ -89,28 +89,28 @@ def builtin_bundles(tmp_path_factory):
     """The six built-in bundles, each simulated once for every test here."""
     needs_golden_numpy()
     out = tmp_path_factory.mktemp("builtins")
-    for name, scenario in builtin_scenarios().items():
+    for name, scenario in BUILTINS.items():
         run_scenario(scenario, out / name)
     return out
 
 
-@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_bundle_digests(name, builtin_bundles):
     for filename, expected in bundle_digests(name).items():
         assert digest(builtin_bundles / name / filename) == expected, filename
 
 
 def test_report_digests(builtin_bundles, tmp_path):
-    bundles = [str(builtin_bundles / name) for name in builtin_scenarios()]
+    bundles = [str(builtin_bundles / name) for name in BUILTINS]
     assert main(["report", "--bundles", *bundles, "--out", str(tmp_path)]) == 0
     assert digest(tmp_path / "summary.csv") == GOLDEN_SUMMARY
     histograms = recorded("offline/report")
-    assert len(histograms) == 4 * len(BUILTINS)
+    assert len(histograms) == 4 * len(BUILTIN_NAMES)
     for filename, expected in histograms.items():
         assert digest(tmp_path / filename) == expected, filename
 
 
-@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_eer_curve_digests(name, builtin_bundles, tmp_path):
     samples = builtin_bundles / name / "samples.csv"
     assert main(["eer", "--samples", str(samples), "--out", str(tmp_path), "--curve"]) == 0
@@ -168,15 +168,14 @@ def variant(name):
     """A VARIANTS run as the benchmark builds it: drift_variant at 600 s,
     or `sdnfp defend`'s reference delay element; or k2-hw-100m with fitted
     delay GPDs, as `sdnfp defend --first-delay --followup-delay` runs it."""
-    builtins = builtin_scenarios()
     if name.endswith("-drift-600s"):
-        return drift_variant(builtins[name.removesuffix("-drift-600s")], 600 * NS_PER_S)
+        return drift_variant(BUILTINS[name.removesuffix("-drift-600s")], 600 * NS_PER_S)
     if name == PER_K:
         element = DelayElementConfig(
             first_delay=gpd(GPDParams(-0.3, 3.5, 0.2)), followup_delay=gpd(GPDParams(-0.2, 1.25, 0.05))
         )
-        return replace(builtins["k2-hw-100m"], name=name, defense=element)
-    base = builtins[name.removesuffix("-defended")]
+        return replace(BUILTINS["k2-hw-100m"], name=name, defense=element)
+    base = BUILTINS[name.removesuffix("-defended")]
     return replace(base, name=name, defense=DelayElementConfig())
 
 
@@ -187,7 +186,7 @@ def bundle(builtin_bundles, tmp_path_factory):
     out = tmp_path_factory.mktemp("variants")
 
     def simulated(name):
-        if name in BUILTINS:
+        if name in BUILTIN_NAMES:
             return builtin_bundles / name
         if not (out / name).exists():
             run_scenario(variant(name), out / name)
@@ -202,10 +201,10 @@ def test_drift_and_defended_bundle_digests(name, bundle):
         assert digest(bundle(name) / filename) == expected, filename
 
 
-@pytest.mark.parametrize("name", [*BUILTINS, *VARIANTS, PER_K])
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, *VARIANTS, PER_K])
 def test_bundle_reruns_from_its_sidecar(name, bundle, tmp_path):
     original = bundle(name)
-    scenario = builtin_scenarios()[name] if name in BUILTINS else variant(name)
+    scenario = BUILTINS[name] if name in BUILTIN_NAMES else variant(name)
     assert read_scenario_descriptor(original) == scenario
     assert main(["simulate", "--config", str(original / "scenario.json"), "--out", str(tmp_path)]) == 0
     for filename in ("traces.csv", "samples.csv", "results.json", "scenario.json"):

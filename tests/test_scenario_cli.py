@@ -24,10 +24,10 @@ from sdnfp.scenario import (
     _CONFIG_FIELDS,
     _DEFENSE_KEYS,
     _DRIFT_KEYS,
+    BUILTINS,
     DEFAULT_FLOW,
     ConfigError,
     Scenario,
-    builtin_scenarios,
     emit_report,
     load_scenarios,
     read_scenario_descriptor,
@@ -43,7 +43,7 @@ TRAINS = 60  # reduced for unit-test speed; acceptance runs the full counts
 
 
 def small(name="k3-hw-100m", **overrides):
-    base = builtin_scenarios()[name]
+    base = BUILTINS[name]
     return replace(base, trains=TRAINS, **overrides)
 
 
@@ -59,10 +59,10 @@ def test_run_scenario_bundle_shape():
         assert fr.eer.threshold_ms > 0
         assert fr.welch.significant_at_1pct
     disp = bundle.feature_results["dispersion"]
-    assert disp.y_count == TRAINS
-    assert disp.n_count == 3 * TRAINS + TRAINS  # train pairs + idle pairs
+    assert disp.y.size == TRAINS
+    assert disp.n.size == 3 * TRAINS + TRAINS  # train pairs + idle pairs
     drtt = bundle.feature_results["delta_rtt"]
-    assert drtt.y_count == TRAINS and drtt.n_count == TRAINS
+    assert drtt.y.size == TRAINS and drtt.n.size == TRAINS
 
 
 def test_run_scenario_deterministic_repeat():
@@ -169,8 +169,8 @@ def test_bundle_files_byte_identical(tmp_path):
 
 
 def report_runs(*bundles):
-    """emit_report's (scenario, samples, feature results) triple of each bundle."""
-    return [(b.scenario, b.samples, b.feature_results) for b in bundles]
+    """emit_report's (scenario, feature results) pair of each bundle."""
+    return [(b.scenario, b.feature_results) for b in bundles]
 
 
 def test_emit_report(tmp_path):
@@ -492,8 +492,8 @@ def test_cli_names_a_config_file_it_cannot_read(tmp_path, capsys):
 
 def test_pair_spacing_up_to_the_pair_gap_keeps_the_pairs():
     bundle = run_scenario(small("k2-hw-100m", pair_spacing_ns=PAIR_GAP_MAX_NS))
-    assert bundle.feature_results["dispersion"].y_count == TRAINS
-    assert bundle.feature_results["delta_rtt"].n_count == bundle.feature_results["delta_rtt"].y_count == TRAINS
+    assert bundle.feature_results["dispersion"].y.size == TRAINS
+    assert bundle.feature_results["delta_rtt"].n.size == bundle.feature_results["delta_rtt"].y.size == TRAINS
 
 
 @pytest.mark.parametrize("key", ["cross_traffic", "lookup_delay"])
@@ -921,7 +921,7 @@ def edit_sidecar_entry(bundle_dir, **entry):
 
 def test_cli_extract_and_report_need_a_complete_sidecar(tmp_path, capsys):
     bundle_dir = tmp_path / "runs" / "k1-hw-100m"
-    run_scenario(replace(builtin_scenarios()["k1-hw-100m"], trains=4), bundle_dir)
+    run_scenario(replace(BUILTINS["k1-hw-100m"], trains=4), bundle_dir)
     extract = ["extract", "--traces", str(bundle_dir / "traces.csv"), "--out", str(tmp_path / "ex")]
     report = ["report", "--bundles", str(bundle_dir), "--out", str(tmp_path / "rep")]
     sidecar = edit_sidecar_entry(bundle_dir, name=None)
@@ -941,7 +941,7 @@ def test_cli_extract_and_report_need_a_complete_sidecar(tmp_path, capsys):
 def test_cli_rejects_a_sidecar_without_a_scenarios_list(tmp_path, capsys):
     # The ten summary fields alone, as scenario.json held before it held a config entry.
     bundle_dir = tmp_path / "runs" / "k1-hw-100m"
-    run_scenario(replace(builtin_scenarios()["k1-hw-100m"], trains=4), bundle_dir)
+    run_scenario(replace(BUILTINS["k1-hw-100m"], trains=4), bundle_dir)
     sidecar = bundle_dir / "scenario.json"
     summary = {k: v for k, v in json.loads(sidecar.read_text()).items() if k != "scenarios"}
     sidecar.write_text(json.dumps(summary))
@@ -961,7 +961,7 @@ def test_cli_rejects_a_sidecar_without_a_scenarios_list(tmp_path, capsys):
 )
 def test_cli_rejects_a_sidecar_that_is_not_one_scenario(tmp_path, capsys, content, message):
     bundle_dir = tmp_path / "runs" / "k1-hw-100m"
-    run_scenario(replace(builtin_scenarios()["k1-hw-100m"], trains=4), bundle_dir)
+    run_scenario(replace(BUILTINS["k1-hw-100m"], trains=4), bundle_dir)
     sidecar = bundle_dir / "scenario.json"
     sidecar.write_text(content)
     capsys.readouterr()
@@ -989,11 +989,18 @@ def test_read_scenario_descriptor_round_trips_the_sidecar(tmp_path, defense):
 
 def test_scenario_from_config_keeps_the_defaults_of_omitted_keys():
     assert scenario_from_config({"name": "fresh", "seed": 5}) == Scenario(name="fresh", seed=5)
-    for name, builtin in builtin_scenarios().items():
+    for name, builtin in BUILTINS.items():
         assert scenario_from_config({"name": name}) == builtin
     assert scenario_from_config({"name": "k2-hw-100m", "mtu": "1000 B"}) == replace(
-        builtin_scenarios()["k2-hw-100m"], mtu_bytes=1000
+        BUILTINS["k2-hw-100m"], mtu_bytes=1000
     )
+
+
+def test_the_builtin_matrix_is_read_only():
+    """Every stage that names a built-in reads the one matrix built at import."""
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        BUILTINS["k1-hw-100m"] = replace(BUILTINS["k1-hw-100m"], seed=1)
+    assert BUILTINS["k1-hw-100m"].seed == 20401
 
 
 @pytest.mark.parametrize(
@@ -1039,7 +1046,7 @@ DEFENSES = st.fixed_dictionaries(
     },
 )
 ENTRIES = st.fixed_dictionaries(
-    {"name": st.sampled_from([*builtin_scenarios(), "lab"]), "seed": st.integers(0, 2**32)},
+    {"name": st.sampled_from([*BUILTINS, "lab"]), "seed": st.integers(0, 2**32)},
     optional={
         "trains": st.integers(1, 500),
         "k": st.integers(1, 3),
@@ -1082,7 +1089,7 @@ def test_non_positive_passive_window_exit_2(tmp_path, capsys):
     # --window-s overrides the sidecar's passive_window and takes its bounds:
     # 1e300 s overflowed to an infinite window and exited 1 naming no flag.
     bundle_dir = tmp_path / "bundle"
-    run_scenario(replace(builtin_scenarios()["k1-hw-100m"], trains=4), bundle_dir)
+    run_scenario(replace(BUILTINS["k1-hw-100m"], trains=4), bundle_dir)
     for window in ("0", "-1", "1e-12", "nan", "1e300", "9007199.254741"):
         argv = ["extract", "--traces", str(bundle_dir / "traces.csv"), "--out", str(tmp_path / "ex"),
                 "--passive", "--window-s", window]
@@ -1093,7 +1100,7 @@ def test_non_positive_passive_window_exit_2(tmp_path, capsys):
 
 def test_cli_extract_refuses_a_window_without_passive(tmp_path, capsys):
     bundle_dir = tmp_path / "bundle"
-    run_scenario(replace(builtin_scenarios()["k1-hw-100m"], trains=4), bundle_dir)
+    run_scenario(replace(BUILTINS["k1-hw-100m"], trains=4), bundle_dir)
     argv = ["extract", "--traces", str(bundle_dir / "traces.csv"), "--out", str(tmp_path / "ex"), "--window-s", "1"]
     assert main(argv) == 2
     assert "window-s: only --passive" in capsys.readouterr().err
@@ -1157,7 +1164,7 @@ def test_cli_defend_rejects_a_fitted_gpd_with_a_negative_location(tmp_path, caps
 )
 def test_cli_rejects_a_sidecar_that_fails_validation(tmp_path, capsys, key, value, passive, message):
     bundle_dir = tmp_path / "runs" / "k1-hw-100m"
-    run_scenario(replace(builtin_scenarios()["k1-hw-100m"], trains=4), bundle_dir)
+    run_scenario(replace(BUILTINS["k1-hw-100m"], trains=4), bundle_dir)
     # A summary field's name is its entry key and its unit.
     entry_key, unit = key.rsplit("_", 1)
     sidecar = edit_sidecar_entry(bundle_dir, **{entry_key: f"{value} {unit}"})
@@ -1184,7 +1191,7 @@ def test_cli_parallel_jobs_write_the_serial_bytes(tmp_path):
         return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
     serial = run(1)
-    assert len(serial) == 4 * len(builtin_scenarios())
+    assert len(serial) == 4 * len(BUILTINS)
     assert run(2) == serial
 
 
@@ -1192,7 +1199,7 @@ def test_a_null_install_delay_is_the_switch_kinds_default(tmp_path):
     cfg = tmp_path / "typed.yaml"
     cfg.write_text("scenarios:\n  - name: k1-hw-100m\n    trains: 4\n    install_delay: null\n")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 0
-    builtin = replace(builtin_scenarios()["k1-hw-100m"], trains=4)
+    builtin = replace(BUILTINS["k1-hw-100m"], trains=4)
     assert read_scenario_descriptor(tmp_path / "runs" / "k1-hw-100m") == builtin
 
 
@@ -1215,7 +1222,7 @@ def test_cli_report_reads_no_results_json(tmp_path):
 
 def test_cli_report_names_a_bundle_without_samples(tmp_path, capsys):
     bundle_dir = tmp_path / "runs" / "k1-hw-100m"
-    run_scenario(replace(builtin_scenarios()["k1-hw-100m"], trains=4), bundle_dir)
+    run_scenario(replace(BUILTINS["k1-hw-100m"], trains=4), bundle_dir)
     (bundle_dir / "samples.csv").unlink()
     out = tmp_path / "rep"
     capsys.readouterr()

@@ -15,7 +15,7 @@ from scipy.stats import t as student_t
 from sdnfp.distributions import GPDParams, gpd_quantile
 from sdnfp.features import DELTA_RTT, DISPERSION
 from sdnfp import stats
-from sdnfp.scenario import builtin_scenarios, run_scenario
+from sdnfp.scenario import BUILTINS, run_scenario
 from sdnfp.stats import (
     MIN_FIT_SAMPLES,
     SamplesError,
@@ -417,7 +417,7 @@ GRID_OPTIMA = {
 
 @pytest.fixture(scope="module")
 def k2_populations():
-    bundle = run_scenario(builtin_scenarios()["k2-hw-100m"])
+    bundle = run_scenario(BUILTINS["k2-hw-100m"])
     return {f: bundle.samples.values(f, "Y") for f in (DELTA_RTT, DISPERSION)}
 
 
