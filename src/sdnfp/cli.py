@@ -11,7 +11,7 @@ evaluation took.  No stage reads results.json.  Beside an external trace,
 write a sidecar such as `{"scenarios": [{"name": "lab", "seed": 1, "k": 2}]}`;
 omitted keys take the same defaults as in a YAML scenario file.
 Exit codes: 0 success, 2 configuration error or a sample population a
-statistic cannot take (named by feature and label), 1 anything else.
+statistic cannot take (named by feature, label and source), 1 anything else.
 
 A stage process loads only what it runs.  No stage makes a BLAS call, so
 numpy's OpenBLAS starts no worker threads: this module sets
@@ -132,9 +132,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_eer(args) -> int:
-    samples = read_feature_csv(args.samples)
     out = Path(args.out)
-    results = evaluate(samples)
+    results = evaluate(read_feature_csv(args.samples), args.samples)
     for feature, result in results.items():
         print(_eer_line(feature, result))
         if args.curve:
@@ -204,9 +203,7 @@ def _load_bundle(bundle_dir: Path):
     samples_path = bundle_dir / "samples.csv"
     if not samples_path.exists():
         raise ConfigError(f"bundles: {bundle_dir} lacks samples.csv")
-    scenario = read_scenario_descriptor(bundle_dir)
-    samples = read_feature_csv(samples_path)
-    return scenario, evaluate(samples)
+    return read_scenario_descriptor(bundle_dir), evaluate(read_feature_csv(samples_path), samples_path)
 
 
 @functools.cache

@@ -59,6 +59,8 @@ class DelayElementConfig:
     def __post_init__(self):
         if not self.t_th_ns > self.window_ns > 0:
             raise ValueError("need t_th > window > 0")
+        # Unlike the cross block, the defense block cannot cycle a fixed order of
+        # methods: which hold a parked packet takes depends on per-trial state.
         if self.first_delay.kind != "gpd" or self.followup_delay.kind != "gpd":
             raise ValueError("the holds must be gpd delays: the engine draws each with one random()")
 

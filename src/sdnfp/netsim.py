@@ -56,12 +56,12 @@ reference model's `RngStreams` builds exactly that with numpy.  The engine's
 hold it to numpy: `spawn_state` computes the seed words of one stream for all
 trials in one pass, and `pcg64_random` runs PCG64's `random()` on them, so a
 stream whose draws are all `random()` is drawn as one [trial, n] block with no
-Generator built.  That covers `cross` (one `random()` per hop with Pareto
-cross traffic, the only draw `LinkSpec` takes), `defense` (one per
-delay-element hold) and `control` when its lookup and install models are
-Pareto.  numpy's `standard_normal()` ziggurat is not reproduced, so `drift`
-(one per send time that advances the clock) and a `control` stream with a
-lognormal delay draw their block from one Generator per trial.  numpy's block
+Generator built.  That covers `defense` (one per delay-element hold), and
+`cross` and `control` when every model they draw for is Pareto.  numpy's
+`standard_normal()` ziggurat is not reproduced, so `drift` (one per send time
+that advances the clock) and a `cross` or `control` stream with a lognormal
+delay draw their block from one Generator per trial, each row cycling through
+its models' methods.  numpy's block
 draws equal the same number of scalar calls, so every stream is one block per
 trial, read as the reference model draws: `cross` and `drift` in a layout the
 schedule fixes, `control` and `defense` through a per-trial cursor, event by
@@ -140,10 +140,6 @@ class LinkSpec:
             raise ValueError("capacity_bps: must be positive")
         if self.base_latency_ns < 0:
             raise ValueError("base_latency_ns: must be >= 0")
-        cross = self.cross_traffic
-        if cross.draw_type not in (None, "random"):
-            raise ValueError(f"cross_traffic: a {cross.kind} delay draws {cross.draw_type}(), "
-                             "and the cross stream draws random() alone")
 
 
 @dataclass(frozen=True)
@@ -180,10 +176,11 @@ class DriftModel:
     """Slow wander of the path latency, for the time-span stability studies.
 
     A Wiener walk around a positive baseline, evaluated lazily at packet send
-    times; sigma is in ns per sqrt(second).
+    times; sigma is whole ns per sqrt(second), a duration as the config
+    states it.
     """
 
-    sigma_ns_per_sqrt_s: float
+    sigma_ns_per_sqrt_s: int
     base_ns: int = 10 * NS_PER_MS
 
 
@@ -686,15 +683,17 @@ def _cross_delays(path: PathSpec, n_packets: int, streams: TrialStreams) -> list
 
     Each entry is a [packet, trial] array.  A trial's `cross` stream is drawn
     as one block laid out packet by packet, forward hops then reverse hops,
-    one `random()` per Pareto hop: the order in which the reference model
-    draws them.
+    one draw of its model's `draw_type` per hop that draws: the order in
+    which the reference model draws them, so each row cycles through the
+    drawing hops' methods.
     """
     models = [l.cross_traffic for l in (*path.forward_links, *path.reverse_links)]
     shape = (n_packets, len(streams))
     delays = [np.broadcast_to(np.int64(m.value_ns), shape) for m in models]
     drawn = [j for j, m in enumerate(models) if m.draw_type]
     if drawn:
-        block = streams.block("cross", ("random",), n_packets * len(drawn))
+        methods = tuple(models[j].draw_type for j in drawn)
+        block = streams.block("cross", methods, n_packets * len(drawn))
         block = block.reshape(len(streams), n_packets, len(drawn))
         for col, j in enumerate(drawn):
             delays[j] = models[j].ns_from_draws(block[:, :, col].T)

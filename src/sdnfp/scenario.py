@@ -70,7 +70,7 @@ from .probes import (
     run_schedule,
 )
 from .stats import EERResult, SamplesError, WelchResult, build_histogram, compute_eer, welch_t_test
-from .units import DURATION, NS_PER_MS, NS_PER_S, RATE, SIZE, parse_duration_ns
+from .units import DURATION, NS_PER_MS, NS_PER_S, RATE, SIZE
 
 
 class ConfigError(ValueError):
@@ -91,7 +91,7 @@ SW_INSTALL = lognormal(int(0.8 * NS_PER_MS), 0.7)
 DEFAULT_LOOKUP = constant(int(0.1 * NS_PER_MS))
 # 0.09 ms mean, 0.002 ms^2 variance: LAN-grade jitter for the desk-scale lab.
 DEFAULT_CROSS = pareto(90_000, 2_000_000_000)
-DEFAULT_DRIFT_SIGMA_NS = 150_000  # 0.15 ms per sqrt-second when drift is enabled
+DEFAULT_DRIFT = DriftModel(sigma_ns_per_sqrt_s=150_000)  # 0.15 ms per sqrt-second around 10 ms
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ class Scenario:
     table_capacity: int = DEFAULT_TABLE_CAPACITY
     time_span_ns: int = NS_PER_S
     passive_window_ns: int = NS_PER_S
-    bin_width_ms: float = 0.1
+    bin_width_ns: int = 100_000
     defense: DelayElementConfig | None = None
     drift: DriftModel | None = None
     idle_lead_ns: int = DEFAULT_IDLE_LEAD_NS
@@ -153,7 +153,7 @@ class Scenario:
             raise ConfigError("time_span: must be >= 1 s (the train's guard spacing)")
         if self.passive_window_ns <= 0:
             raise ConfigError("passive_window: must be positive")
-        if not self.bin_width_ms > 0:
+        if self.bin_width_ns <= 0:
             raise ConfigError("bin_width: must be positive")
         if self.defense is not None and self.idle_lead_ns <= self.defense.t_th_ns:
             raise ConfigError("idle_lead: must exceed the defense inactivity threshold")
@@ -198,14 +198,14 @@ BUILTINS = MappingProxyType({s.name: s for s in (
 )})
 
 
-def drift_variant(scenario: Scenario, time_span_ns: int, sigma_ns: float = DEFAULT_DRIFT_SIGMA_NS) -> Scenario:
-    """Enable slow path-latency wander and set the RTT-difference span."""
+def drift_variant(scenario: Scenario, time_span_ns: int) -> Scenario:
+    """Enable slow path-latency wander, `DEFAULT_DRIFT`, and set the RTT-difference span."""
     span_tag = f"{time_span_ns // NS_PER_S}s"
     return replace(
         scenario,
         name=f"{scenario.name}-drift-{span_tag}",
         time_span_ns=time_span_ns,
-        drift=DriftModel(sigma_ns_per_sqrt_s=sigma_ns),
+        drift=DEFAULT_DRIFT,
     )
 
 
@@ -234,12 +234,13 @@ class FeatureResult:
         }
 
 
-def evaluate(samples) -> dict[str, FeatureResult]:
+def evaluate(samples, source: str) -> dict[str, FeatureResult]:
     """EER and Welch test of the N and Y populations of each feature the
     samples hold, in the order of FEATURES (passive samples hold delta_rtt
     alone).  A population Welch's test refuses (see `welch_t_test`) raises
     ConfigError naming its feature and label, and so do another feature or
-    label and no sample at all."""
+    label and no sample at all; each names `source`, where the samples came
+    from."""
     results, known = {}, 0
     for feature in FEATURES:
         values_n, values_y = samples.values(feature, "N"), samples.values(feature, "Y")
@@ -250,13 +251,13 @@ def evaluate(samples) -> dict[str, FeatureResult]:
             welch = welch_t_test(values_n, values_y)
             eer = compute_eer(values_n, values_y)
         except SamplesError as exc:
-            raise ConfigError(f"samples: {feature}/{exc}") from None
+            raise ConfigError(f"samples: {feature}/{exc} in {source}") from None
         results[feature] = FeatureResult(eer, welch, values_n, values_y)
     if known < len(samples):
         raise ConfigError(f"samples: {len(samples) - known} samples are of a feature other than "
-                          f"{' or '.join(FEATURES)}, or of a label other than N or Y")
+                          f"{' or '.join(FEATURES)}, or of a label other than N or Y in {source}")
     if not results:
-        raise ConfigError(f"samples: there is no {' or '.join(FEATURES)} sample")
+        raise ConfigError(f"samples: there is no {' or '.join(FEATURES)} sample in {source}")
     return results
 
 
@@ -308,7 +309,7 @@ def run_scenario(scenario: Scenario, out_dir: Path | str | None = None) -> Resul
         records=records,
         samples=samples,
         drops=drops,
-        feature_results=evaluate(samples),
+        feature_results=evaluate(samples, f"scenario {scenario.name!r}"),
     )
     if out_dir is not None:
         write_bundle(bundle, Path(out_dir))
@@ -334,7 +335,7 @@ def scenario_descriptor(s: Scenario) -> dict:
         "data_link_bps": s.data_link_bps,
         "time_span_s": s.time_span_ns / NS_PER_S,
         "defended": s.defense is not None,
-        "bin_width_ms": s.bin_width_ms,
+        "bin_width_ms": s.bin_width_ns / NS_PER_MS,
         "passive_window_s": s.passive_window_ns / NS_PER_S,
         "scenarios": [scenario_to_config(s)],
     }
@@ -409,7 +410,7 @@ def emit_report(runs, out_dir: Path | str) -> list[Path]:
             rows.append({"scenario": scenario.name, "feature": feature, **result.row()})
             for label, values in (("N", result.n), ("Y", result.y)):
                 path = out_dir / f"{scenario.name}__{feature}__pdf_{label}.csv"
-                build_histogram(values, scenario.bin_width_ms).write_csv(path)
+                build_histogram(values, scenario.bin_width_ns / NS_PER_MS).write_csv(path)
                 written.append(path)
     Summary(*([row[c] for row in rows] for c in Summary.columns())).write_csv(summary)
     return written
@@ -544,10 +545,6 @@ def _optional(codec: _Nested) -> _Nested:
 
 
 _INT, _STR = (_whole, int), (str, str)
-# A bin width (ms) and a drift sigma are floats of whole nanoseconds once parsed;
-# written as whole nanoseconds, an int sigma writes the text its float does.
-_BIN_WIDTH = (lambda v: parse_duration_ns(v) / NS_PER_MS, lambda ms: f"{round(ms * NS_PER_MS)} ns")
-_SIGMA = (lambda v: float(parse_duration_ns(v)), "{:.0f} ns".format)
 _DELAY = _kinds(DELAY_KINDS)
 _GPD = _Nested(_gpd_from_config, lambda d: {key: getattr(d.gpd, field) for field, key in _GPD_KEYS.items()})
 _DEFENSE_KEYS = {
@@ -556,7 +553,7 @@ _DEFENSE_KEYS = {
     "first_delay": ("first_delay", _GPD),
     "followup_delay": ("followup_delay", _GPD),
 }
-_DRIFT_KEYS = {"sigma": ("sigma_ns_per_sqrt_s", _SIGMA), "base": ("base_ns", DURATION)}
+_DRIFT_KEYS = {"sigma": ("sigma_ns_per_sqrt_s", DURATION), "base": ("base_ns", DURATION)}
 
 # Scenario entry key -> (Scenario field, codec of the key's value).
 _CONFIG_FIELDS = {
@@ -576,7 +573,7 @@ _CONFIG_FIELDS = {
     "pair_spacing": ("pair_spacing_ns", DURATION),
     "time_span": ("time_span_ns", DURATION),
     "passive_window": ("passive_window_ns", DURATION),
-    "bin_width": ("bin_width_ms", _BIN_WIDTH),
+    "bin_width": ("bin_width_ns", DURATION),
     "table_capacity": ("table_capacity", _INT),
     "clear_delay": ("clear_delay_ns", DURATION),
     "turnaround": ("turnaround_ns", DURATION),

@@ -1,9 +1,11 @@
 """Unit parsing and fixed-point time arithmetic.
 
 All simulator time is integer nanoseconds.  Config files must state units
-explicitly on every duration, bandwidth and size field; bare numbers are
+explicitly on every duration, rate, size and variance field; bare numbers are
 rejected because mixed ms/us/Mbps/Gbps fields are the main source of
-calibration bugs.
+calibration bugs.  Every quantity is read by one rule, `_quantity`: a number
+and a known unit, rounded half-up to an int of the smallest unit and held to
+the kind's bounds.  A bin width and a drift sigma are durations too.
 """
 
 from __future__ import annotations
@@ -69,58 +71,47 @@ def ns_from_float(value_ns: float) -> int:
     return int(value_ns + 0.5)
 
 
-def _parse(text: str, scales: dict[str, int], what: str) -> tuple[Decimal, int]:
+def _quantity(text: str, scales: dict[str, int], what: str, least: int = 0, most: int | None = None) -> int:
+    """`text`, a number and one of `scales`' units, as an int of the smallest
+    unit, rounded half-up.  A value below 0 or `least`, or above `most` (a
+    duration's MAX_DURATION_NS, the one kind with a most), raises UnitError."""
     if not isinstance(text, str):
         raise UnitError(f"{what} must be a string with an explicit unit, got {text!r}")
     m = _VALUE_RE.match(text)
     if not m:
         raise UnitError(f"cannot parse {what} {text!r}; expected e.g. '0.12 ms'")
-    value = Decimal(m.group(1))
     unit = m.group(2).lower()
     if unit not in scales:
         known = ", ".join(sorted(scales))
         raise UnitError(f"unknown {what} unit {m.group(2)!r} in {text!r}; known: {known}")
-    return value, scales[unit]
-
-
-def _scaled_int(value: Decimal, scale: int, what: str) -> int:
-    result = (value * scale).to_integral_value(rounding=ROUND_HALF_UP)
+    result = int((Decimal(m.group(1)) * scales[unit]).to_integral_value(rounding=ROUND_HALF_UP))
     if result < 0:
         raise UnitError(f"{what} must be non-negative")
-    return int(result)
+    if result < least:
+        raise UnitError(f"{what} must be positive")
+    if most is not None and result > most:
+        raise UnitError(f"{what} must be at most {most} ns (2**53, about 104 days)")
+    return result
 
 
 def parse_duration_ns(text: str) -> int:
     """'0.12 ms' -> 120000.  Accepts ns/us/ms/s/min, up to MAX_DURATION_NS."""
-    value, scale = _parse(text, _DURATION_SCALES, "duration")
-    result = _scaled_int(value, scale, "duration")
-    if result > MAX_DURATION_NS:
-        raise UnitError(f"duration must be at most {MAX_DURATION_NS} ns (2**53, about 104 days)")
-    return result
+    return _quantity(text, _DURATION_SCALES, "duration", most=MAX_DURATION_NS)
 
 
 def parse_rate_bps(text: str) -> int:
     """'100 Mbps' -> 100_000_000.  Accepts bps/kbps/Mbps/Gbps."""
-    value, scale = _parse(text, _RATE_SCALES, "rate")
-    result = _scaled_int(value, scale, "rate")
-    if result <= 0:
-        raise UnitError("rate must be positive")
-    return result
+    return _quantity(text, _RATE_SCALES, "rate", least=1)
 
 
 def parse_size_bytes(text: str) -> int:
     """'1500 B' -> 1500.  Accepts B/kB."""
-    value, scale = _parse(text, {"b": 1, "kb": 1000}, "size")
-    result = _scaled_int(value, scale, "size")
-    if result <= 0:
-        raise UnitError("size must be positive")
-    return result
+    return _quantity(text, {"b": 1, "kb": 1000}, "size", least=1)
 
 
 def parse_variance_ns2(text: str) -> int:
     """'4 ms^2' -> 4e12.  Accepts ns^2/us^2/ms^2/s^2 (caret optional)."""
-    value, scale = _parse(text, _VARIANCE_SCALES, "variance")
-    return _scaled_int(value, scale, "variance")
+    return _quantity(text, _VARIANCE_SCALES, "variance")
 
 
 # Each parser with the writer it inverts, as the (parse, write) pair of a

@@ -102,13 +102,13 @@ MUTANTS = (
      "gpd hold guard without its widening: a near-zero shape's amplified last-ulp difference rounds unchecked"),
     ("scenario.py", "        if not values_n.size and not values_y.size:\n            continue\n", "",
      "evaluate: a feature the samples lack is evaluated, and refused for want of samples"),
-    ("units.py", "if result > MAX_DURATION_NS:", "if False:",
+    ("units.py", "if most is not None and result > most:", "if False:",
      "a duration past 2**53 ns parses, and can wrap the engine's int64 timeline"),
     ("stats.py", 'x = _population(samples, 2, "Welch\'s test", label)',
      'x = _population(samples, 1, "Welch\'s test", label)',
      "welch_t_test: a population of one sample passes the count and fails on its variance, not for its size"),
-    ("netsim.py", 'if cross.draw_type not in (None, "random"):', "if False:",
-     "LinkSpec: a lognormal cross traffic passes, and the cross stream draws random() for it"),
+    ("netsim.py", "methods = tuple(models[j].draw_type for j in drawn)", 'methods = ("random",)',
+     "engine: the cross stream draws random() for every link, a lognormal's standard_normal() too"),
     ("stats.py", "if not 0.0 < s < math.inf:", "if x.min() == x.max():",
      "welch_t_test: a population whose variance underflows or overflows passes when its samples differ"),
     ("cli.py", "if not 0.5 < ns <= MAX_DURATION_NS:", "if not 0.5 < ns:",
@@ -129,6 +129,8 @@ MUTANTS = (
      "emit_report: the Y population is binned under both labels"),
     ("scenario.py", '"n_samples_Y": self.y.size', '"n_samples_Y": self.n.size',
      "FeatureResult.row: n_samples_Y reports the size of the N population"),
+    ("units.py", "if result < least:", "if False:",
+     "a rate or a size of 0 parses, where each must be positive"),
 )
 
 

@@ -39,6 +39,7 @@ CROSS = st.sampled_from(
         pareto(90_000, 2_000_000_000),
         # Heavy jitter: reorders replies and lands packets inside install windows.
         pareto(3 * MS, 9 * MS**2),
+        lognormal(90_000, 0.5),
     ]
 )
 LOOKUP = st.sampled_from([constant(100_000), pareto(200_000, 10**10), lognormal(150_000, 0.5)])
@@ -72,7 +73,7 @@ def cases(draw):
         links(draw(st.integers(1, 3))),
         switches,
         element,
-        drift=draw(st.sampled_from([None, DriftModel(150_000.0), DriftModel(2e6, base_ns=0)])),
+        drift=draw(st.sampled_from([None, DriftModel(150_000), DriftModel(2_000_000, base_ns=0)])),
         reply_bytes=draw(st.sampled_from([64, 200])),
         turnaround_ns=draw(st.sampled_from([0, 50_000])),
         lookup_delay=draw(LOOKUP),
@@ -175,21 +176,23 @@ def test_batched_engine_matches_scalar_reference(case):
     assert batched == reference(schedule, path, trials, kwargs)
 
 
+def assert_both_plans_match_scalar_reference(path, seed, trials):
+    """The measurement train, cold, and the idle twins, warm, as `run_scenario` runs them."""
+    for schedule, warm, group in (
+        (build_probe_train(DEFAULT_FLOW), False, 0),
+        (idle_flow_probes(DEFAULT_FLOW, 1500, S), True, 1),
+    ):
+        kwargs = dict(seed=seed, group=group, warm=warm)
+        assert run_schedule(schedule, path, trials=trials, **kwargs) == reference(schedule, path, trials, kwargs)
+
+
 def test_defended_builtins_match_scalar_reference():
     # The shipped calibration under the Table-4 element and a fitted one,
     # with enough trials for misses, holds and follow-up windows to vary.
     for name in ("k1-sw-100m", "k2-hw-100m", "k3-hw-1g"):
         for element in (DelayElementConfig(), FITTED):
             scenario = replace(BUILTINS[name], defense=element)
-            path = scenario.build_path()
-            for schedule, warm, group in (
-                (build_probe_train(DEFAULT_FLOW), False, 0),
-                (idle_flow_probes(DEFAULT_FLOW, 1500, S), True, 1),
-            ):
-                kwargs = dict(seed=scenario.seed, group=group, warm=warm)
-                trials = range(25)
-                batched = run_schedule(schedule, path, trials=trials, **kwargs)
-                assert batched == reference(schedule, path, trials, kwargs)
+            assert_both_plans_match_scalar_reference(scenario.build_path(), scenario.seed, range(25))
 
 
 def test_pareto_control_delays_match_scalar_reference():
@@ -209,6 +212,24 @@ def test_pareto_control_delays_match_scalar_reference():
         batched = run_schedule(schedule, path, trials=trials, **kwargs)
         assert batched.miss_flag.any()
         assert batched == reference(schedule, path, trials, kwargs)
+
+
+@pytest.mark.parametrize("name", ["k1-hw-100m", "k3-hw-100m", "k1-sw-1g"])
+def test_lognormal_cross_traffic_matches_scalar_reference(name):
+    # Every hop draws standard_normal(), so `cross` is drawn from one Generator per trial.
+    scenario = replace(BUILTINS[name], cross_traffic=lognormal(90_000, 0.5))
+    assert_both_plans_match_scalar_reference(scenario.build_path(), scenario.seed, range(6))
+
+
+def test_mixed_cross_traffic_matches_scalar_reference():
+    # Each packet draws standard_normal() and random() in hop order, and the
+    # constant and quiet hops draw nothing: each row of the block cycles
+    # through the drawing hops' methods.
+    log, par, const = lognormal(90_000, 0.5), pareto(90_000, 2_000_000_000), constant(50_000)
+    forward = tuple(LinkSpec(100_000_000, 0, m) for m in (log, par, const, log))
+    reverse = tuple(LinkSpec(100_000_000, 0, m) for m in (par, NO_DELAY, log))
+    path = PathSpec(forward, reverse, (SwitchSpec(lognormal(4_500_000, 0.6)),) * 2, lookup_delay=par)
+    assert_both_plans_match_scalar_reference(path, 20402, range(6))
 
 
 @given(cases())
@@ -394,7 +415,7 @@ def test_exact_boundaries_match_scalar_reference():
         # At this send time numpy's sqrt and Python's `** 0.5` differ in the
         # last bit of the drift step; a walk this wide turns that bit into
         # hundreds of ns.
-        (replace(_constant_path(), drift=DriftModel(1e17, base_ns=0)), _probes(554_749_700_444), False),
+        (replace(_constant_path(), drift=DriftModel(10**17, base_ns=0)), _probes(554_749_700_444), False),
     ]
     for path, schedule, warm in cases:
         kwargs = dict(seed=5, group=0, warm=warm)
@@ -407,7 +428,7 @@ def test_drift_walk_keeps_its_clock_on_an_out_of_order_schedule():
     # time since the latest of them: the packets sent at 1 s and at 2 s + 5 ns
     # take no step, and the one at 3 s steps by 1 s.
     link = LinkSpec(100_000_000, 0, pareto(90_000, 2_000_000_000))
-    path = PathSpec((link, link), (link,), (SwitchSpec(constant(5 * MS)),), drift=DriftModel(2e6, base_ns=0))
+    path = PathSpec((link, link), (link,), (SwitchSpec(constant(5 * MS)),), drift=DriftModel(2_000_000, base_ns=0))
     sends = (2 * S, S, S, 3 * S, 2 * S + 5)
     schedule = tuple(Packet(pid, KEY, 1500, PROBE, t) for pid, t in enumerate(sends))
     kwargs = dict(seed=7, group=0, warm=False)

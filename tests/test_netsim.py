@@ -102,13 +102,6 @@ def test_forward_two_hops_constant_cross():
     assert forward(path, Packet(0, KEY, 1500)) == 2_240_000  # 2 * (1 ms + 0.12 ms)
 
 
-def test_link_rejects_cross_traffic_the_cross_stream_does_not_draw():
-    # The engine draws the cross stream with random() only; the reference
-    # model would draw a lognormal's standard_normal() and disagree.
-    with pytest.raises(ValueError, match=r"^cross_traffic: a lognormal delay draws standard_normal\(\)"):
-        LinkSpec(100_000_000, cross_traffic=lognormal(MS, 0.5))
-
-
 def test_forward_fifo_pair_gap():
     path = uniform_path(1, 1, 100_000_000)
     a1, a2 = run(path, Packet(0, KEY, 1500), Packet(1, KEY, 1500)).server_recv_ns

@@ -17,7 +17,7 @@ import sdnfp.cli as cli
 from sdnfp.cli import main
 from sdnfp.defense import DelayElementConfig
 from sdnfp.features import Samples
-from sdnfp.distributions import NO_DELAY, constant, pareto
+from sdnfp.distributions import NO_DELAY, constant, lognormal, pareto
 from sdnfp.netsim import DriftModel, LinkSpec, PathSpec, SwitchSpec
 from sdnfp.probes import PAIR_GAP_MAX_NS, build_probe_train, run_schedule, run_schedule_reference
 from sdnfp.scenario import (
@@ -132,7 +132,7 @@ def test_build_path_carries_every_field_the_scenario_sets():
     scenario = Scenario(
         name="lab", seed=1, k=2, switch_kind="software", install_delay=install, table_capacity=7,
         links_forward=5, links_reverse=2, data_link_bps=1_000_000_000, base_latency_ns=20_000,
-        cross_traffic=cross, defense=DelayElementConfig(), drift=DriftModel(2e5), reply_bytes=200,
+        cross_traffic=cross, defense=DelayElementConfig(), drift=DriftModel(200_000), reply_bytes=200,
         turnaround_ns=30_000, lookup_delay=lookup, clear_delay_ns=3_000_000,
     )
     link = LinkSpec(1_000_000_000, 20_000, cross)
@@ -141,7 +141,7 @@ def test_build_path_carries_every_field_the_scenario_sets():
         reverse_links=(link,) * 2,
         switches=(SwitchSpec(install, 7),) * 2,
         delay_element=DelayElementConfig(),
-        drift=DriftModel(2e5),
+        drift=DriftModel(200_000),
         reply_bytes=200,
         turnaround_ns=30_000,
         lookup_delay=lookup,
@@ -352,13 +352,6 @@ CONFIG_ERRORS = {
     ),
     "pair_spacing": ("{name: k2-hw-100m, trains: 4, pair_spacing: 20 ms}",
                      "pair_spacing: must be <= 10000000 ns, a pair's widest gap in scenario 'k2-hw-100m'"),
-    # The cross stream draws random() alone, so LinkSpec refused a lognormal
-    # mid-run, naming no key.
-    "cross_traffic_lognormal": (
-        "{name: k2-hw-100m, trains: 4, cross_traffic: {kind: lognormal, median: 1 ms, sigma_log: 0.5}}",
-        "cross_traffic: a lognormal delay draws standard_normal(), and the cross stream draws random() alone "
-        "in scenario 'k2-hw-100m'",
-    ),
     # The engine's int64 now + clear_delay wrapped negative, so the CLEAR
     # applied at once and the engine parted from the reference model; the
     # time span overflowed a C long and exited 1 naming no key.
@@ -479,6 +472,18 @@ def test_cli_names_the_key_of_a_config_value_it_cannot_run(tmp_path, capsys, ent
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "runs").exists()
+
+
+def test_cli_runs_a_lognormal_cross_traffic(tmp_path, capsys):
+    # Every delay kind a config accepts runs on a link: a lognormal cross
+    # traffic exited 2, since the cross stream drew random() alone.
+    cfg = tmp_path / "lognormal.yaml"
+    cross = {"kind": "lognormal", "median": "1 ms", "sigma_log": 0.5}
+    cfg.write_text(yaml.safe_dump({"scenarios": [{"name": "k2-hw-100m", "trains": 4, "cross_traffic": cross}]}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 0
+    assert capsys.readouterr().err == ""
+    bundle = read_scenario_descriptor(tmp_path / "runs" / "k2-hw-100m")
+    assert bundle.cross_traffic == lognormal(1_000_000, 0.5)
 
 
 def test_cli_names_a_config_file_it_cannot_read(tmp_path, capsys):
@@ -660,11 +665,26 @@ def test_cli_eer_and_report_name_a_feature_missing_a_label(tmp_path, capsys, fea
     lines = samples.read_text().splitlines(keepends=True)
     samples.write_text("".join(line for line in lines if not line.startswith(f"{feature},") or ",Y," not in line))
     capsys.readouterr()
-    missing = f"config error: samples: {feature}/Y: Welch's test needs 2 or more samples, got 0"
+    # Both stages name the file the population came from, as `fit` does.
+    missing = f"config error: samples: {feature}/Y: Welch's test needs 2 or more samples, got 0 in {samples}\n"
     assert main(["eer", "--samples", str(samples), "--out", str(tmp_path / "eer")]) == 2
-    assert missing in capsys.readouterr().err
+    assert capsys.readouterr().err == missing
     assert main(["report", "--bundles", str(bundle_dir), "--out", str(tmp_path / "rep")]) == 2
-    assert missing in capsys.readouterr().err
+    assert capsys.readouterr().err == missing
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_simulate_names_the_scenario_of_a_population_it_refuses(tmp_path, capsys, jobs):
+    # Of two entries, the one without link jitter has constant N dispersions;
+    # the error named the population but not the entry it came from.
+    cfg = tmp_path / "two.yaml"
+    cfg.write_text("scenarios:\n  - {name: k1-hw-100m, trains: 6}\n"
+                   "  - {name: k2-hw-100m, trains: 4, cross_traffic: {kind: none}}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "runs"), "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == (
+        "config error: samples: dispersion/N: the samples' variance is 0 (min 0.12 ms, max 0.12 ms); "
+        "Welch's test needs a finite spread in scenario 'k2-hw-100m'\n"
+    )
 
 
 def test_cli_names_the_feature_and_label_of_a_constant_population(tmp_path, capsys):
@@ -700,7 +720,7 @@ def test_cli_names_a_population_whose_variance_underflows(tmp_path, capsys, stag
     capsys.readouterr()
     assert main([*argv[stage], "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr() == ("", f"config error: samples: dispersion/N: the samples' variance is {variance}; "
-                                       "Welch's test needs a finite spread\n")
+                                       f"Welch's test needs a finite spread in {samples}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -861,7 +881,7 @@ def test_cli_seed_override_changes_bytes(tmp_path):
 
 def test_cli_report_reads_bin_width_from_bundle(tmp_path):
     bundle_dir = tmp_path / "runs" / "wide"
-    scenario = replace(small("k1-hw-100m", bin_width_ms=0.5), name="wide")
+    scenario = replace(small("k1-hw-100m", bin_width_ns=500_000), name="wide")
     bundle = run_scenario(scenario, bundle_dir)
     code = main(["report", "--bundles", str(bundle_dir), "--out", str(tmp_path / "rep")])
     assert code == 0
@@ -981,7 +1001,7 @@ def test_read_scenario_descriptor_round_trips_the_sidecar(tmp_path, defense):
     scenario = Scenario(
         name="described", seed=9, trains=2, k=2, switch_kind="software",
         data_link_bps=1_000_000_000, time_span_ns=4_100_000_000, defense=defense,
-        bin_width_ms=0.5, passive_window_ns=600_000_000_000,
+        bin_width_ns=500_000, passive_window_ns=600_000_000_000,
     )
     run_scenario(scenario, tmp_path)
     assert read_scenario_descriptor(tmp_path) == scenario
@@ -1032,7 +1052,6 @@ POSITIVE_DELAYS = st.one_of(
 )
 QUIET = st.just({}) | st.fixed_dictionaries({"kind": st.just("none")})  # kind none
 DELAYS = st.one_of(QUIET, CONSTANTS, POSITIVE_DELAYS)
-CROSS_DELAYS = st.one_of(QUIET, CONSTANTS, PARETOS)  # the cross stream draws random() alone
 GPDS = st.fixed_dictionaries(
     {"shape": st.floats(-0.9, 0.9), "scale_ms": st.floats(0.01, 20.0), "location_ms": st.floats(0.0, 5.0)}
 )
@@ -1055,7 +1074,7 @@ ENTRIES = st.fixed_dictionaries(
         "links_forward": st.integers(4, 6),
         "links_reverse": st.integers(1, 6),
         "base_latency": DURATIONS,
-        "cross_traffic": CROSS_DELAYS,
+        "cross_traffic": DELAYS,
         "install_delay": st.none() | POSITIVE_DELAYS,
         "lookup_delay": DELAYS,
         "mtu": quantity("B", 64, 9000),
@@ -1076,8 +1095,8 @@ ENTRIES = st.fixed_dictionaries(
 
 @given(ENTRIES)
 def test_scenario_to_config_inverts_scenario_from_config(cfg):
-    # Drawn as entries, not scenarios: a bin width or a drift sigma is a
-    # whole number of nanoseconds only once parsed.  Sidecars are read as
+    # Drawn as entries, not scenarios: each quantity is stated as a config
+    # states it, in several units and with fractions.  Sidecars are read as
     # JSON, and as YAML by `simulate --config`.
     scenario = scenario_from_config(cfg)
     text = json.dumps(scenario_to_config(scenario))
