@@ -33,6 +33,7 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import features as features_mod
+from . import scenario as scenario_mod  # write_bundle, by the name bench/tracer.py patches
 from .defense import DelayElementConfig
 from .features import DELTA_RTT, FEATURES, Samples
 from .probes import Trace
@@ -76,29 +77,25 @@ def _select_scenarios(args) -> list[Scenario]:
     return scenarios
 
 
-def _run_one(job):
-    """Run and persist one scenario; its name and feature results."""
-    scenario, out_dir = job
-    return scenario.name, run_scenario(scenario, out_dir).feature_results
-
-
 def _eer_line(feature: str, result) -> str:
     return f"{feature}: EER={result.eer.eer * 100.0:.2f}% threshold={result.eer.threshold_ms:.2f} ms"
 
 
 def _run_and_print(scenarios: list[Scenario], args) -> int:
-    """Run each scenario into --out/<name>, in --jobs worker processes, and
-    print its EERs."""
-    jobs = [(s, str(Path(args.out) / s.name)) for s in scenarios]
-    if args.jobs > 1 and len(jobs) > 1:
+    """Run each scenario, in --jobs worker processes; once every run has
+    succeeded, write each into --out/<name> and print its EERs, so a run
+    that fails leaves the bundle of no entry behind."""
+    if args.jobs > 1 and len(scenarios) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            runs = list(pool.map(_run_one, jobs))
+            bundles = list(pool.map(run_scenario, scenarios))
     else:
-        runs = [_run_one(job) for job in jobs]
-    for name, results in runs:
-        for feature, result in sorted(results.items()):
+        bundles = [run_scenario(s) for s in scenarios]
+    for bundle in bundles:
+        name = bundle.scenario.name
+        scenario_mod.write_bundle(bundle, Path(args.out) / name)
+        for feature, result in sorted(bundle.feature_results.items()):
             print(f"{name} {_eer_line(feature, result)}")
     return 0
 

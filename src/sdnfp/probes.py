@@ -32,16 +32,20 @@ model, and the differential tests hold the engine to it row for row.
 Tables.  Every CSV the package writes is a `Table`: a frozen dataclass with
 one numpy array per CSV column, and one CSV format.  Traces, feature samples,
 the report's histograms and summary, and EER sweep curves are its subclasses.
-`Table.write_csv` writes a header and one `%`-formatted line per row, text
-quoted as csv.writer quotes it, and formats a column that holds one value
-once per file; `Table.read_csv` checks the header and parses
-the rest in one `np.loadtxt` call.  A `Trace` is the send/receive log of every
-packet and its reply: int64 arrays for the trial, the packet id and the four
-timestamps, bool arrays for the two flags, and arrays of str for the packet
-kind and the flow.  `run_schedule` builds one straight from the engine's
-`netsim.ExchangeResult` of [packet, trial] arrays, and a persisted trace
-reads back as the same type, so simulated and persisted traces go through
-the same extraction code.  A table has no per-row objects: it is built and
+`Table.write_csv` writes a header and then the rows, text quoted as
+csv.writer quotes it, a group of rows at a time: a trace's rows come in
+trials, and every trial of a schedule repeats its packet ids, kinds, flow and
+send times, so a cell that holds one value at its row position in every trial
+of a run is formatted once, into a `%` template of a trial's lines, and each
+trial is one `%` call on the rest.  A table without groups is formatted a row
+at a time, a column that holds one value once per file.  `Table.read_csv`
+checks the header and parses the rest in one `np.loadtxt` call.  A `Trace` is
+the send/receive log of every packet and its reply: int64 arrays for the
+trial, the packet id and the four timestamps, bool arrays for the two flags,
+and arrays of str for the packet kind and the flow.  `run_schedule` builds one
+straight from the engine's `netsim.ExchangeResult` of [packet, trial] arrays,
+and a persisted trace reads back as the same type, so simulated and persisted
+traces go through the same extraction code.  A table has no per-row objects: it is built and
 read column by column.
 
 Pairing.  `greedy_pair_starts` is the one greedy left-to-right pairing rule:
@@ -127,6 +131,8 @@ def idle_flow_probes(
 
 
 _FORMATS = {np.int64: "%d", bool: "%d", np.float64: "%r", object: "%s"}
+# Rows are formatted and written in blocks of whole groups, at most this many
+# rows (or one group, when a group is longer), so little text is held at once.
 _WRITE_ROWS = 2048
 
 
@@ -137,11 +143,31 @@ def _quote(text: str) -> str:
     return text
 
 
-def _one_value(column: np.ndarray) -> bool:
-    """Does every row of a non-empty column hold the same value?  Floats
-    compare by their bits, so 0.0 and -0.0 differ and a NaN equals itself."""
-    bits = column.view(np.int64) if column.dtype == np.float64 else column
-    return bits.size > 0 and bool((bits == bits[0]).all())
+def _varies(cells: np.ndarray) -> np.ndarray:
+    """For each position of a [group, position] block, do the groups hold more
+    than one value there?  Floats compare by their bits, so 0.0 and -0.0
+    differ and a NaN equals itself."""
+    bits = cells.view(np.int64) if cells.dtype == np.float64 else cells
+    return (bits != bits[:1]).any(axis=0)
+
+
+def _template(groups: list[np.ndarray], dtypes: tuple, varies: np.ndarray) -> str:
+    """The `%` template of one group of a run, given each column's [group,
+    position] block and the [position, column] mask of the cells that vary:
+    a varying cell is its column's format, any other its text, `%` escaped
+    (a number's text holds no `%`).  Each column is formatted in one call."""
+    texts = []
+    for cells, dtype, at in zip(groups, dtypes, varies.T):
+        fmt, first = _FORMATS[dtype], cells[0].tolist()
+        if dtype is object:
+            escaped = {v: _quote(v).replace("%", "%%") for v in set(first)}
+            column = [escaped[v] for v in first]
+        else:
+            column = ((fmt + "\n") * len(first) % tuple(first)).split("\n")[:-1]
+        for position in np.flatnonzero(at).tolist():
+            column[position] = fmt
+        texts.append(column)
+    return "\n".join(map(",".join, zip(*texts))) + "\n"
 
 
 class Table:
@@ -151,10 +177,28 @@ class Table:
     A subclass lists each column's dtype in DTYPES: int64, bool (0/1 in the
     file), float64 (written as repr, so floats round-trip exactly) or object
     (arrays of str).  Every column has one entry per row; two tables are equal
-    when their columns hold the same values.
+    when their columns hold the same values.  A subclass whose rows come in
+    groups names in GROUP the column whose consecutive equal values mark one;
+    `write_csv` formats a group at a time.
     """
 
     DTYPES: tuple = ()
+    GROUP: str | None = None
+
+    def _runs(self) -> list[tuple[int, int, int]]:
+        """(first row, rows per group, groups) of each run of consecutive
+        groups of one size.  A group is a run of rows with one GROUP value; a
+        table without a GROUP column is one run of one-row groups."""
+        if not len(self):
+            return []
+        if self.GROUP is None:
+            return [(0, 1, len(self))]
+        key = getattr(self, self.GROUP)
+        starts = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+        sizes = np.diff(np.append(starts, key.size))
+        firsts = np.flatnonzero(np.append(True, sizes[1:] != sizes[:-1]))
+        counts = np.diff(np.append(firsts, sizes.size))
+        return list(zip(starts[firsts].tolist(), sizes[firsts].tolist(), counts.tolist()))
 
     @classmethod
     def columns(cls) -> tuple[str, ...]:
@@ -180,37 +224,43 @@ class Table:
         return cls(*(np.concatenate([getattr(t, n) for t in tables]) for n in cls.columns()))
 
     def write_csv(self, path) -> None:
-        """A header line, then one `%`-line per row in blocks of _WRITE_ROWS rows,
-        so little text is held at once; makes the file's directory if missing.
+        """A header line, then the rows, in blocks of whole groups of at most
+        _WRITE_ROWS rows, so little text is held at once; makes the file's
+        directory if missing.
 
-        A column that holds one value in every row is formatted once per file:
-        its text, `%` escaped, stands in the line template, so only the other
-        columns are converted and formatted row by row.  The bytes are those
-        of formatting every field.
+        The rows come in groups, and each run of consecutive groups of one
+        size is written from one template of a group's lines: a cell that
+        holds the same value at its position in every group of the run is
+        formatted once, its text, `%` escaped, standing in the template, and
+        each group is then one `template % (its varying cells)`.  A table
+        without a GROUP column is one run of one-row groups, so a column that
+        holds one value in every row is formatted once per file.  The bytes
+        are those of formatting every field.
         """
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         names = self.columns()
-        template, varying = [], []
-        for name, dtype in zip(names, self.DTYPES):
-            column = getattr(self, name)
-            if _one_value(column):
-                value = column[:1].tolist()[0]
-                text = _quote(value) if dtype is object else _FORMATS[dtype] % value
-                template.append(text.replace("%", "%%"))
-            else:
-                template.append(_FORMATS[dtype])
-                varying.append((column, dtype))
-        line = ",".join(template) + "\n"
         with open(path, "w", newline="", encoding="utf-8") as f:
             f.write(",".join(names) + "\n")
-            for start in range(0, len(self), _WRITE_ROWS):
-                columns = [column[start : start + _WRITE_ROWS].tolist() for column, _ in varying]
-                for j, (_, dtype) in enumerate(varying):
-                    if dtype is object:
-                        quoted = {v: _quote(v) for v in set(columns[j])}
-                        columns[j] = [quoted[v] for v in columns[j]]
-                rows = zip(*columns) if columns else [()] * min(_WRITE_ROWS, len(self) - start)
-                f.write("".join([line % row for row in rows]))
+            for first, size, count in self._runs():
+                groups = [getattr(self, name)[first : first + size * count].reshape(count, size) for name in names]
+                varies = np.stack([_varies(cells) for cells in groups], axis=1)  # [position, column]
+                template = _template(groups, self.DTYPES, varies)
+                # The varying cells of each column, and their places in a group's tuple.
+                slots = (np.cumsum(varies) - 1).reshape(varies.shape)
+                varying = [(cells, dtype, at, slot[at].tolist())
+                           for cells, dtype, at, slot in zip(groups, self.DTYPES, varies.T, slots.T) if at.any()]
+                step = max(1, _WRITE_ROWS // size)
+                for start in range(0, count, step):
+                    row_cells = [None] * int(varies.sum())
+                    for cells, dtype, at, places in varying:
+                        lists = cells[start : start + step, at].T.tolist()
+                        if dtype is object:
+                            quoted = {v: _quote(v) for v in set().union(*lists)}
+                            lists = [[quoted[v] for v in values] for values in lists]
+                        for place, values in zip(places, lists):
+                            row_cells[place] = values
+                    rows = zip(*row_cells) if row_cells else [()] * min(step, count - start)
+                    f.write("".join([template % row for row in rows]))
 
     @classmethod
     def read_csv(cls, path):
@@ -236,7 +286,8 @@ class Trace(Table):
     """Send/receive log of every packet and its reply, one array per field.
 
     Timestamps, trial and packet id are int64, the two flags bool, and `kind`
-    and `flow` object arrays of str.
+    and `flow` object arrays of str.  Rows come trial by trial, so the trial
+    marks the groups `write_csv` formats.
     """
 
     trial: np.ndarray
@@ -251,6 +302,7 @@ class Trace(Table):
     table_full: np.ndarray
 
     DTYPES = (np.int64, np.int64, object, object, *[np.int64] * 4, bool, bool)
+    GROUP = "trial"
 
 
 def run_schedule(

@@ -131,6 +131,10 @@ MUTANTS = (
      "FeatureResult.row: n_samples_Y reports the size of the N population"),
     ("units.py", "if result < least:", "if False:",
      "a rate or a size of 0 parses, where each must be positive"),
+    ("probes.py", "return (bits != bits[:1]).any(axis=0)", "return (bits[:2] != bits[:1]).any(axis=0)",
+     "write_csv: a cell the first two trials of a run share is written as shared, whatever the later trials hold"),
+    ("probes.py", "sizes[1:] != sizes[:-1]", "sizes[1:] > sizes[:-1]",
+     "write_csv: a run of trials continues past a change to shorter trials"),
 )
 
 

@@ -685,6 +685,8 @@ def test_cli_simulate_names_the_scenario_of_a_population_it_refuses(tmp_path, ca
         "config error: samples: dispersion/N: the samples' variance is 0 (min 0.12 ms, max 0.12 ms); "
         "Welch's test needs a finite spread in scenario 'k2-hw-100m'\n"
     )
+    # The entry that ran before the refused one left no bundle either.
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_names_the_feature_and_label_of_a_constant_population(tmp_path, capsys):

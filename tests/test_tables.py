@@ -1,21 +1,25 @@
 """The one CSV format of the columnar tables, `probes.Trace` and
 `features.Samples`: what the reader accepts, what it rejects, and that text
-is written exactly as csv.writer writes it.  The writer formats a column that
-holds one value once per file; every file must still be the bytes of
-formatting each field, row by row."""
+is written exactly as csv.writer writes it.  The writer formats a cell that
+holds the same value at its row position in every group of a run once, a
+trace's groups being its trials and any other table's its rows, so a column
+that holds one value is formatted once per file; every file must still be the
+bytes of formatting each field, row by row."""
 
 import csv
 import io
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sdnfp.defense import DelayElementConfig
 from sdnfp.features import Samples
 from sdnfp.probes import _WRITE_ROWS, Trace
-from sdnfp.scenario import Summary
+from sdnfp.scenario import BUILTINS, Summary, run_scenario
 from sdnfp.stats import Histogram
 
 TEXT = ['a,b', 'say "hi"', "two\nlines", "#not a comment", "", "plain"]
@@ -223,3 +227,66 @@ def test_write_csv_equals_the_row_by_row_writer(table):
         path = Path(tmp) / "t.csv"
         table.write_csv(path)
         assert path.read_bytes() == reference_csv(table)
+
+
+@st.composite
+def schedule_traces(draw):
+    """A trace laid out as `run_schedule` lays one out: one to three
+    schedules, each a packet list that every trial repeats, trial by trial.
+
+    Schedules of one length make one run of groups, and one of them can be
+    long enough to cross a block boundary.  Trial numbers count up or
+    alternate, so a number can come back after another trial; each reply
+    column is random per trial, narrow enough to agree by chance, or the same
+    in every trial; and one trial can carry a different value in one packet
+    cell.  Texts hold `%`, `,` and `"`, shared or not.
+    """
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 4))
+        n = draw(st.integers(1, 5) | st.integers(1, 3).map(lambda extra: _WRITE_ROWS // size + extra))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        first = draw(st.integers(0, 3))
+        trials = first + (np.arange(n) % 2 if draw(st.booleans()) else np.arange(n))
+        packet = {
+            "packet_id": np.arange(size) + draw(st.integers(0, 2)),
+            "kind": np.array(draw(st.lists(TEXTS, min_size=size, max_size=size)), object),
+            "flow": np.array([draw(TEXTS)] * size, object),
+            "client_send_ns": np.array(draw(st.lists(VALUES[np.int64], min_size=size, max_size=size))),
+        }
+        cells = {name: np.tile(values, (n, 1)) for name, values in packet.items()}
+        if draw(st.booleans()):  # one trial, often past the first two, differs in one packet cell
+            name = draw(st.sampled_from(list(packet)))
+            row, at = draw(st.integers(0, n - 1)), draw(st.integers(0, size - 1))
+            value = cells[name][row, at]
+            cells[name][row, at] = value + "%" if cells[name].dtype == object else value ^ 1
+        for name, dtype in zip(Trace.columns()[4:], Trace.DTYPES[4:]):
+            spread = draw(st.sampled_from([2, 2**62]))
+            values = rng.integers(-spread, spread, (n, size)).astype(dtype)
+            cells[name] = np.tile(values[:1], (n, 1)) if draw(st.booleans()) else values
+        pieces.append(Trace(trial=np.repeat(trials, size), **{k: v.reshape(-1) for k, v in cells.items()}))
+    return Trace.concat(pieces)
+
+
+@given(schedule_traces())
+def test_a_schedule_shaped_trace_is_written_field_by_field(trace):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        trace.write_csv(path)
+        assert path.read_bytes() == reference_csv(trace)
+
+
+def test_a_trial_longer_than_a_block_is_written_whole(tmp_path):
+    n = _WRITE_ROWS + 3
+    rows = np.arange(n)
+    trace = Trace([7] * n, rows, ["probe"] * n, ["f%"] * n, rows, rows + 1, rows + 2, rows + 3,
+                  rows % 2, [False] * n)
+    assert written(trace, tmp_path) == reference_csv(trace)
+
+
+@pytest.mark.parametrize("defended", [False, True], ids=["undefended", "defended"])
+@pytest.mark.parametrize("name", list(BUILTINS))
+def test_builtin_traces_are_written_field_by_field(tmp_path, name, defended):
+    scenario = replace(BUILTINS[name], defense=DelayElementConfig()) if defended else BUILTINS[name]
+    trace = run_scenario(scenario).records
+    assert written(trace, tmp_path) == reference_csv(trace)
